@@ -10,7 +10,9 @@ Subcommands:
   an einsum spec.
 
 Diagnostics go to stderr, IR and results to stdout. Exit codes: 0 on
-success, 1 on pipeline or interpreter failure, 2 on usage errors.
+success, 1 on pipeline or interpreter failure, 2 on usage errors. Any
+other exception is a defect; it is reported as one ``error: internal:``
+line with exit code 1 rather than a traceback.
 """
 
 from __future__ import annotations
@@ -345,6 +347,9 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as e:  # argparse usage errors carry code 2
         return e.code if isinstance(e.code, int) else 2
+    except Exception as e:  # a defect, but still one line and exit 1
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

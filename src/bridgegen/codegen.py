@@ -10,6 +10,7 @@ passed by the predecessor branches.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from . import dialects as dl
@@ -63,12 +64,15 @@ class IntrinsicRegistry:
 
     Also owns the frontend-to-IR type mapping, the control-flow hooks
     invoked for goto/gotoifnot/return statements, and per-type bool
-    conversion builders. Built once during setup; read-only afterwards.
+    conversion builders. Call dispatches are memoised per registry (see
+    ``_resolve_call``); :func:`register_intrinsic` clears that cache, so
+    methods may be added at any time between translations.
     """
 
     def __init__(self, dialect_registry=None):
         self.dialects = dialect_registry or dl.builtin_registry()
         self.methods = {}  # name -> list[(IntrinsicSignature, builder)]
+        self.dispatch_cache = {}  # see _resolve_call
         self.scalar_types = {
             fir.F32: ir.F32,
             fir.F64: ir.F64,
@@ -102,6 +106,7 @@ def register_intrinsic(registry: IntrinsicRegistry, signature: IntrinsicSignatur
         if sig == signature:
             raise CodegenError(f"duplicate intrinsic signature {signature}")
     entries.append((signature, builder))
+    registry.dispatch_cache.clear()
     return registry
 
 
@@ -210,7 +215,10 @@ def _default_return(ctx: BuilderContext, values):
 
 
 def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValue:
-    """One deduplicated arith.constant in the entry block per (value, type)."""
+    """One deduplicated arith.constant in the entry block per (value, type).
+
+    Float values are told apart by their bits, not by ``==``.
+    """
     ir_types = map_type(ctx.registry, target_type)
     if len(ir_types) != 1 or not ir.is_scalar(ir_types[0]):
         raise CodegenError(f"cannot materialize a literal of type {target_type}")
@@ -243,7 +251,9 @@ def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValu
             raise CodegenError(f"literal {value!r} is not representable as index")
         attr = ir.IntAttr(int(value), t)
 
-    key = (attr.value, t)
+    # floats by bit pattern, so 0.0 and -0.0 stay apart and equal NaNs merge
+    key = (struct.pack("<d", attr.value) if isinstance(attr, ir.FloatAttr)
+           else attr.value, t)
     cached = ctx.constants.get(key)
     if cached is not None:
         return cached
@@ -287,12 +297,33 @@ def _literal_promotable(lit, param_type) -> bool:
 
 def _resolve_call(registry: IntrinsicRegistry, name: str, args, natural_types):
     """Dispatch with literal promotion: natural types first, then retry
-    admitting literal arguments wherever they promote to the parameter type."""
-    try:
-        return resolve_method(registry, name, natural_types)
-    except NoMethodError:
-        if not any(_is_literal(a) for a in args):
-            raise
+    admitting literal arguments wherever they promote to the parameter type.
+
+    Both steps are memoised in ``registry.dispatch_cache``. A natural-type
+    result holds whatever the literal values, so it is keyed on the name
+    and types alone; a promoted one is keyed on each literal argument's
+    value too, because promotion depends on it (``3`` promotes to f32,
+    ``2**25`` does not).
+    """
+    cache = registry.dispatch_cache
+    key = (name, tuple(natural_types))
+    if key not in cache:
+        try:
+            cache[key] = resolve_method(registry, name, key[1])
+        except NoMethodError:
+            cache[key] = None  # only literal promotion can match
+    if cache[key] is not None:
+        return cache[key]
+    key += (tuple(a.value if _is_literal(a) else None for a in args),)
+    if key not in cache:
+        cache[key] = _promote(registry, name, args, key[1])
+    return cache[key]
+
+
+def _promote(registry: IntrinsicRegistry, name: str, args, natural_types):
+    probe = IntrinsicSignature(name, natural_types)
+    if not any(_is_literal(a) for a in args):
+        raise NoMethodError(f"no method matching {probe}")
     applicable = []
     for sig, builder in registry.methods.get(name, []):
         if len(sig.param_types) != len(args):
@@ -308,7 +339,6 @@ def _resolve_call(registry: IntrinsicRegistry, name: str, args, natural_types):
         if ok:
             applicable.append((sig, builder))
     if not applicable:
-        probe = IntrinsicSignature(name, tuple(natural_types))
         raise NoMethodError(f"no method matching {probe} (with literal promotion)")
     best = applicable[0]
     for cand in applicable[1:]:

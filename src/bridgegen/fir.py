@@ -646,10 +646,11 @@ def validate_fir(fn: FirFunction):
 
 def _call_targets(fn: FirFunction, program: FirProgram, is_intrinsic):
     out = set()
+    types = _result_types(fn)
     for _, st in fn.statements():
         if isinstance(st, Invoke) and st.target != BOOL_CONVERSION:
-            types = tuple(arg_type(fn, a) for a in st.args)
-            if is_intrinsic(st.target, types):
+            arg_types = tuple(arg_type(fn, a, _types=types) for a in st.args)
+            if is_intrinsic(st.target, arg_types):
                 continue
             if st.target not in program.functions:
                 raise FirError(
@@ -704,121 +705,31 @@ def _substitute(fn: FirFunction, mapping):
             st.value = sub(st.value)
 
 
-def _renumber_blocks(fn: FirFunction, mapping):
-    for _, st in fn.statements():
-        if isinstance(st, Goto):
-            st.target = mapping[st.target]
-        elif isinstance(st, GotoIfNot):
-            st.target = mapping[st.target]
-        elif isinstance(st, Phi):
-            st.incomings = [(mapping[p], a) for p, a in st.incomings]
-
-
-def _splice_one(caller: FirFunction, callee: FirFunction) -> bool:
-    """Inline the first call to ``callee`` in ``caller``; True if one was found.
-
-    The callee must already be fully inlined (intrinsic calls only).
-    """
-    site = None
-    for bi, block in enumerate(caller.blocks, start=1):
-        for si, st in enumerate(block):
-            if isinstance(st, Invoke) and st.target == callee.name:
-                site = (bi, si, st)
-                break
-        if site:
-            break
-    if site is None:
-        return False
-    call_block, call_pos, call = site
-
-    fresh = _max_id(caller) + 1
-    body = _copy_fn(callee)
-
-    # Keep only callee blocks reachable from its entry; phi incomings from
-    # dropped blocks go with them.
-    keep = sorted(reachable_blocks(body))
-    body.blocks = [body.blocks[b - 1] for b in keep]
-    for block in body.blocks:
-        for st in block:
-            if isinstance(st, Phi):
-                st.incomings = [(p, a) for p, a in st.incomings if p in keep]
-    _renumber_blocks(body, {old: new for new, old in enumerate(keep, start=1)})
-
-    # Fresh SSA ids for every callee statement.
-    id_map = {}
-    for _, st in body.statements():
-        if isinstance(st, (Invoke, Phi)):
-            id_map[st.id] = fresh
-            fresh += 1
-    _substitute(body, {old: SsaRef(new) for old, new in id_map.items()})
-    for _, st in body.statements():
-        if isinstance(st, (Invoke, Phi)):
-            st.id = id_map[st.id]
-
-    # Bind callee parameters to the call arguments.
-    for _, st in body.statements():
-        if isinstance(st, Invoke):
-            st.args = [call.args[a.index - 1] if isinstance(a, ParamRef) else a
-                       for a in st.args]
-        elif isinstance(st, Phi):
-            st.incomings = [
-                (p, call.args[a.index - 1] if isinstance(a, ParamRef) else a)
-                for p, a in st.incomings]
-        elif isinstance(st, GotoIfNot) and isinstance(st.cond, ParamRef):
-            st.cond = call.args[st.cond.index - 1]
-        elif isinstance(st, Return) and isinstance(st.value, ParamRef):
-            st.value = call.args[st.value.index - 1]
-
-    # New layout keeps definitions lexically before uses and every implicit
-    # fallthrough adjacent:
-    #   ... | head (call_block) | callee blocks | continuation | shifted rest
-    n_caller = caller.n_blocks()
-    k = body.n_blocks()
-    head = caller.blocks[call_block - 1][:call_pos]
-    tail = caller.blocks[call_block - 1][call_pos + 1:]
-    callee_base = call_block + 1
-    cont_number = call_block + k + 1
-
-    old_to_new = {b: (b if b <= call_block else b + k + 1)
-                  for b in range(1, n_caller + 1)}
-    _renumber_blocks(caller, old_to_new)
-    # Every edge that used to leave call_block now leaves the continuation
-    # (the original terminator moved there with the tail).
-    for block in caller.blocks:
-        for st in block:
-            if isinstance(st, Phi):
-                st.incomings = [(cont_number if p == call_block else p, a)
-                                for p, a in st.incomings]
-
-    _renumber_blocks(body, {b: call_block + b for b in range(1, k + 1)})
-
-    # Returns in the callee jump to the continuation block.
-    returns = []
-    for bi, block in enumerate(body.blocks, start=callee_base):
-        last = block[-1]
-        if isinstance(last, Return):
-            returns.append((bi, last.value))
-            block[-1] = Goto(cont_number)
-    if not returns:
+def _spliced_blocks(callee: FirFunction):
+    """The callee's blocks, with None for each one its entry cannot reach."""
+    reach = reachable_blocks(callee)
+    blocks = [block if bi in reach else None
+              for bi, block in enumerate(callee.blocks, start=1)]
+    if not any(block and isinstance(block[-1], Return) for block in blocks):
         raise FirError(f"cannot inline '{callee.name}': no reachable return")
+    return blocks
 
-    cont = []
-    if len(returns) == 1:
-        result_map = {call.id: returns[0][1]}
-    else:
-        cont.append(Phi(call.id, [(bi, v) for bi, v in returns], call.result_type))
-        result_map = None
-    cont.extend(tail)
 
-    head.append(Goto(callee_base))
-    caller.blocks = (caller.blocks[:call_block - 1]
-                     + [head]
-                     + body.blocks
-                     + [cont]
-                     + caller.blocks[call_block:])
-    if result_map is not None:
-        _substitute(caller, result_map)
-    return True
+def _resolve_chains(subst):
+    """Follow substitution chains such as %5 -> %3 -> %9 to their ends."""
+    done = {}
+    for start in subst:
+        path = {}  # ordered, with O(1) membership; a cycle ends the walk
+        a = SsaRef(start)
+        while (isinstance(a, SsaRef) and a.id in subst and a.id not in done
+               and a.id not in path):
+            path[a.id] = None
+            a = subst[a.id]
+        if isinstance(a, SsaRef) and a.id in done:
+            a = done[a.id]
+        for i in path:
+            done[i] = a
+    return done
 
 
 def inline_calls(program: FirProgram, entry: str, is_intrinsic) -> FirFunction:
@@ -826,50 +737,163 @@ def inline_calls(program: FirProgram, entry: str, is_intrinsic) -> FirFunction:
 
     ``is_intrinsic(name, arg_types)`` marks calls that must be left alone.
     Recursion (direct or mutual) is reported as a call-graph cycle.
+
+    The result is built top-down in one walk. A block with m call sites
+    becomes its head piece, then per site the callee's reachable blocks,
+    themselves inlined, and a continuation piece. The last piece keeps
+    the block's terminator, so gotos into the block target its head piece
+    and phis naming it as predecessor name its last piece. A callee with
+    several returns gets a phi at the head of the continuation; a single
+    return's value replaces the call result. Every function's inlined
+    block count is known before the walk (callees first), so each block
+    gets its final number when it is copied; result substitutions are
+    applied once at the end. The cycle check and the walk use explicit
+    stacks, so call depth is not limited by the Python stack. The time is
+    linear in the size of the functions reachable from the entry plus the
+    size of the result.
     """
     if entry not in program.functions:
         raise FirError(f"no function named '{entry}'")
 
-    graph = {}
+    targets = {}
 
-    def targets(name):
-        if name not in graph:
-            graph[name] = _call_targets(program.functions[name], program,
-                                        is_intrinsic)
-        return graph[name]
+    def sorted_targets(name):
+        if name not in targets:
+            targets[name] = _call_targets(program.functions[name], program,
+                                          is_intrinsic)
+        return sorted(targets[name])
 
-    # Cycle check restricted to functions reachable from the entry.
-    state = {}
-    stack = []
+    # Cycle check restricted to functions reachable from the entry; a
+    # function is done once all its callees are.
+    state = {entry: "active"}
+    path = [entry]
+    pending = [iter(sorted_targets(entry))]
+    order = []
+    while pending:
+        t = next(pending[-1], None)
+        if t is None:
+            pending.pop()
+            name = path.pop()
+            state[name] = "done"
+            order.append(name)
+        elif state.get(t) == "active":
+            cycle = path[path.index(t):] + [t]
+            raise FirError("recursive call cycle: " + " -> ".join(cycle))
+        elif t not in state:
+            state[t] = "active"
+            path.append(t)
+            pending.append(iter(sorted_targets(t)))
 
-    def visit(name):
-        state[name] = "active"
-        stack.append(name)
-        for t in sorted(targets(name)):
-            if state.get(t) == "active":
-                cycle = stack[stack.index(t):] + [t]
-                raise FirError("recursive call cycle: " + " -> ".join(cycle))
-            if t not in state:
-                visit(t)
-        stack.pop()
-        state[name] = "done"
+    # The entry keeps its unreachable blocks; callees are spliced without.
+    bodies = {name: _spliced_blocks(program.functions[name])
+              for name in order[:-1]}
+    bodies[entry] = program.functions[entry].blocks
+    # Per function: the offset of each block's head and last piece within
+    # the inlined body (None for a dropped block), and its block count.
+    layout = {}
+    for name in order:
+        heads, lasts, n = [], [], 0
+        for block in bodies[name]:
+            if block is None:
+                heads.append(None)
+                lasts.append(None)
+                continue
+            heads.append(n)
+            for st in block:
+                if isinstance(st, Invoke) and st.target in targets[name]:
+                    n += layout[st.target][2] + 1
+            lasts.append(n)
+            n += 1
+        layout[name] = (heads, lasts, n)
 
-    visit(entry)
+    out = []
+    subst = {}
+    fresh = _max_id(program.functions[entry]) + 1
 
-    inlined = {}
+    def expand(name, call_args):
+        """Append one inlined copy of ``name`` to ``out``; yields each
+        call site's (callee, arguments) and is sent back its returns.
+        Returns the copy's (block, value) returns. The entry (no
+        ``call_args``) keeps its SSA ids, parameters and returns."""
+        nonlocal fresh
+        base = len(out) + 1
+        heads, lasts, size = layout[name]
+        ids = {}  # callee SSA id -> fresh reference; empty for the entry
+        if call_args is not None:
+            for block in bodies[name]:
+                for st in block or ():
+                    if isinstance(st, (Invoke, Phi)):
+                        ids[st.id] = SsaRef(fresh)
+                        fresh += 1
 
-    def flatten(name):
-        if name in inlined:
-            return inlined[name]
-        fn = _copy_fn(program.functions[name])
-        for target in sorted(targets(name)):
-            callee = flatten(target)
-            while _splice_one(fn, callee):
-                pass
-        inlined[name] = fn
-        return fn
+        def new_id(old):
+            return old if call_args is None else ids[old].id
 
-    return flatten(entry)
+        def arg(a):
+            if isinstance(a, SsaRef):
+                return ids.get(a.id, a)
+            if isinstance(a, ParamRef) and call_args is not None:
+                return call_args[a.index - 1]
+            return a
+
+        returns = []
+        for block in bodies[name]:
+            if block is None:
+                continue
+            piece = []
+            for st in block:
+                if isinstance(st, Invoke) and st.target in targets[name]:
+                    piece.append(Goto(len(out) + 2))
+                    out.append(piece)
+                    inner = yield st.target, [arg(a) for a in st.args]
+                    piece = []
+                    if len(inner) == 1:
+                        subst[new_id(st.id)] = inner[0][1]
+                    else:
+                        piece.append(Phi(new_id(st.id), inner, st.result_type))
+                elif isinstance(st, Invoke):
+                    piece.append(Invoke(new_id(st.id), st.target,
+                                        [arg(a) for a in st.args], st.result_type))
+                elif isinstance(st, Phi):
+                    piece.append(Phi(new_id(st.id),
+                                     [(base + lasts[p - 1], arg(a))
+                                      for p, a in st.incomings
+                                      if lasts[p - 1] is not None],
+                                     st.result_type))
+                elif isinstance(st, Goto):
+                    piece.append(Goto(base + heads[st.target - 1]))
+                elif isinstance(st, GotoIfNot):
+                    piece.append(GotoIfNot(arg(st.cond),
+                                           base + heads[st.target - 1]))
+                elif isinstance(st, Return):
+                    value = None if st.value is None else arg(st.value)
+                    if call_args is not None and st is block[-1]:
+                        returns.append((len(out) + 1, value))
+                        piece.append(Goto(base + size))
+                    else:
+                        piece.append(Return(value))
+                else:
+                    piece.append(Nothing())
+            out.append(piece)
+        return returns
+
+    stack = [expand(entry, None)]
+    sent = None
+    while stack:
+        try:
+            callee, args = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+        else:
+            stack.append(expand(callee, args))
+            sent = None
+
+    fn = program.functions[entry]
+    result = FirFunction(fn.name, list(fn.param_types), out)
+    if subst:
+        _substitute(result, _resolve_chains(subst))
+    return result
 
 
 # ---------------------------------------------------------------------------

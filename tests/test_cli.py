@@ -94,6 +94,35 @@ class TestGen:
         assert code == 1
         assert "mystery" in capsys.readouterr().err
 
+    def test_deep_call_chain(self, tmp_path, capsys):
+        # f0 -> f1 -> ... -> f1500, deeper than Python's recursion limit
+        depth = 1500
+        text = "".join(
+            f"fn f{i}(_1: i64)\n1:\n  %1 = invoke f{i + 1}(_1) :: i64\n"
+            "  return %1\n" for i in range(depth))
+        text += f"fn f{depth}(_1: i64)\n1:\n  %1 = invoke +(_1, 1) :: i64\n  return %1\n"
+        p = tmp_path / "deep.fir"
+        p.write_text(text)
+        args = [str(p), "--entry", "f0", "--types", "i64"]
+        assert cli.main(["gen", *args]) == 0
+        out = capsys.readouterr()
+        assert "func.func @f0(%arg0: i64) -> i64" in out.out and out.err == ""
+        assert cli.main(["run", *args, "--", "41"]) == 0
+        assert capsys.readouterr().out == "42\n"
+
+    def test_unexpected_exception_is_one_internal_error_line(
+            self, sigmoid_path, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.fir, "inline_calls", broken)
+        code = cli.main(["gen", sigmoid_path, "--entry", "sigmoid",
+                         "--types", "f32"])
+        out = capsys.readouterr()
+        assert code == 1
+        assert out.err == "error: internal: RuntimeError: boom\n"
+        assert out.out == ""
+
     def test_diagnostics_on_stderr_ir_on_stdout(self, sigmoid_path, capsys):
         assert cli.main(["gen", sigmoid_path, "--entry", "sigmoid",
                          "--types", "f32"]) == 0

@@ -1,10 +1,11 @@
 """Dispatch resolution, type mapping, and the translation engine."""
 
+import math
 import random
 
 import pytest
 
-from bridgegen import codegen, fir, ir
+from bridgegen import codegen, fir, interp, ir
 from bridgegen.codegen import (
     AmbiguousMethodError,
     BuilderContext,
@@ -124,6 +125,44 @@ class TestDispatch:
             assert got == (expect_kind, expect_sig), (sigs, args)
 
 
+def unary_builder(op_name):
+    def build(ctx, args):
+        return list(ctx.build_op(op_name, [args[0][0]]).results)
+
+    return build
+
+
+class TestDispatchCache:
+    def test_registering_a_more_specific_method_takes_effect(self):
+        reg = IntrinsicRegistry()
+        register_intrinsic(reg, IntrinsicSignature("g", (fir.ABSTRACT_FLOAT,)),
+                           unary_builder("arith.negf"))
+        fn = fir.parse_program(
+            "fn f(_1: f32)\n1:\n  %1 = invoke g(_1) :: f32\n  return %1\n"
+        ).functions["f"]
+        first = ir.print_module(generate(reg, fn, [fir.F32]))
+        assert "arith.negf" in first and "math.exp" not in first
+        register_intrinsic(reg, IntrinsicSignature("g", (fir.F32,)),
+                           unary_builder("math.exp"))
+        second = ir.print_module(generate(reg, fn, [fir.F32]))
+        assert "math.exp" in second and "arith.negf" not in second
+
+    def test_literal_promotion_depends_on_the_literal_value(self):
+        # same name and natural types (i64); only 3 fits f32 exactly
+        reg = IntrinsicRegistry()
+        register_intrinsic(reg, IntrinsicSignature("g", (fir.F32,)),
+                           unary_builder("arith.negf"))
+
+        def call_with(literal):
+            text = (f"fn f()\n1:\n  %1 = invoke g({literal}) :: f32\n"
+                    "  return %1\n")
+            return generate(reg, fir.parse_program(text).functions["f"], [])
+
+        assert "arith.constant 3.0 : f32" in ir.print_module(call_with(3))
+        with pytest.raises(NoMethodError, match="with literal promotion"):
+            call_with(2 ** 25)
+
+
 class TestMapType:
     def test_scalars(self, registry):
         assert map_type(registry, fir.F32) == [ir.F32]
@@ -191,6 +230,29 @@ class TestMaterialize:
             materialize_constant(ctx, 2 ** 24 + 1, fir.F32)
         # boundary value is fine
         materialize_constant(ctx, 2 ** 24, fir.F32)
+
+    def test_signed_zeros_kept_apart_and_nans_merged(self, registry):
+        ctx = scalar_ctx(registry)
+        assert (materialize_constant(ctx, 0.0, fir.F64)
+                is not materialize_constant(ctx, -0.0, fir.F64))
+        assert (materialize_constant(ctx, float("nan"), fir.F64)
+                is materialize_constant(ctx, float("nan"), fir.F64))
+
+    def test_negative_zero_literal_survives_generation(self, registry):
+        # 0.0 and -0.0 used to share one constant, so -0.0 + -0.0 gave 0.0
+        text = """\
+fn f(_1: f64, _2: f64)
+1:
+  %1 = invoke +(_1, 0.0) :: f64
+  %2 = invoke +(_2, -0.0) :: f64
+  return %2
+"""
+        module = run_pipeline(registry, text, "f", [fir.F64, fir.F64])
+        constants = [op for op in walk_ops(module) if op.name == "arith.constant"]
+        assert len(constants) == 2
+        (out,) = interp.run_function(module, "f", [
+            interp.value_of_type(ir.F64, 1.0), interp.value_of_type(ir.F64, -0.0)])
+        assert out.value == 0.0 and math.copysign(1.0, out.value) == -1.0
 
     def test_constants_inserted_before_other_entry_ops(self, registry):
         ctx = scalar_ctx(registry)

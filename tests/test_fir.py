@@ -2,7 +2,7 @@
 
 import pytest
 
-from bridgegen import fir
+from bridgegen import fir, interp, ir
 from bridgegen.fir import (
     BOOL_CONVERSION,
     FirError,
@@ -19,7 +19,7 @@ from bridgegen.fir import (
     print_fir,
     validate_fir,
 )
-from conftest import MAX_FIR, SIGMOID_FIR
+from conftest import MAX_FIR, SIGMOID_FIR, run_pipeline
 
 
 def always_intrinsic(name, types):
@@ -28,6 +28,29 @@ def always_intrinsic(name, types):
 
 def intrinsics_by_name(*names):
     return lambda name, types: name in names
+
+
+def inlined_text(text, entry="f"):
+    """The normalized inlined entry, printed."""
+    out = inline_calls(parse_program(text), entry,
+                       intrinsics_by_name("+", "*", "<"))
+    assert validate_fir(out) == []
+    return print_fir(normalize(out))
+
+
+def run_i64(registry, text, *inputs, entry="f"):
+    module = run_pipeline(registry, text, entry, [fir.I64] * len(inputs))
+    values = [interp.value_of_type(ir.I64, x) for x in inputs]
+    (result,) = interp.run_function(module, entry, values)
+    return result.value
+
+
+INC = """\
+fn inc(_1: i64)
+1:
+  %1 = invoke +(_1, 1) :: i64
+  return %1
+"""
 
 
 class TestTypes:
@@ -303,6 +326,178 @@ fn g(_1: f32)
         out = inline_calls(program, "f", intrinsics_by_name("+", "*"))
         assert validate_fir(out) == []
         assert out.n_blocks() == 3  # head, continuation, spliced callee
+
+    def test_same_callee_twice_in_one_block(self, registry):
+        text = """\
+fn f(_1: i64, _2: i64)
+1:
+  %1 = invoke sq(_1) :: i64
+  %2 = invoke sq(_2) :: i64
+  %3 = invoke +(%1, %2) :: i64
+  return %3
+
+fn sq(_1: i64)
+1:
+  %1 = invoke *(_1, _1) :: i64
+  return %1
+"""
+        assert inlined_text(text) == """\
+fn f(_1: i64, _2: i64)
+1:
+  goto #2
+2:
+  %1 = invoke *(_1, _1) :: i64
+  goto #3
+3:
+  goto #4
+4:
+  %2 = invoke *(_2, _2) :: i64
+  goto #5
+5:
+  %3 = invoke +(%1, %2) :: i64
+  return %3
+"""
+        assert run_i64(registry, text, 3, 4) == 25
+
+    def test_call_result_is_next_call_argument(self, registry):
+        text = """\
+fn f(_1: i64)
+1:
+  %1 = invoke inc(_1) :: i64
+  %2 = invoke inc(%1) :: i64
+  return %2
+
+""" + INC
+        assert inlined_text(text) == """\
+fn f(_1: i64)
+1:
+  goto #2
+2:
+  %1 = invoke +(_1, 1) :: i64
+  goto #3
+3:
+  goto #4
+4:
+  %2 = invoke +(%1, 1) :: i64
+  goto #5
+5:
+  return %2
+"""
+        assert run_i64(registry, text, 5) == 7
+
+    def test_callee_returning_its_parameter(self, registry):
+        # %3 -> %2 -> %1: the substitutions chain through both sites
+        text = """\
+fn f(_1: i64)
+1:
+  %1 = invoke +(_1, 1) :: i64
+  %2 = invoke id(%1) :: i64
+  %3 = invoke id(%2) :: i64
+  %4 = invoke *(%3, %2) :: i64
+  return %4
+
+fn id(_1: i64)
+1:
+  return _1
+"""
+        assert inlined_text(text) == """\
+fn f(_1: i64)
+1:
+  %1 = invoke +(_1, 1) :: i64
+  goto #2
+2:
+  goto #3
+3:
+  goto #4
+4:
+  goto #5
+5:
+  %2 = invoke *(%1, %1) :: i64
+  return %2
+"""
+        assert run_i64(registry, text, 4) == 25
+
+    def test_two_callees_interleaved_in_one_block(self, registry):
+        # pieces follow statement order, not callee-name order
+        text = """\
+fn f(_1: i64)
+1:
+  %1 = invoke inc(_1) :: i64
+  %2 = invoke dbl(%1) :: i64
+  %3 = invoke inc(%2) :: i64
+  %4 = invoke dbl(%3) :: i64
+  return %4
+
+fn dbl(_1: i64)
+1:
+  %1 = invoke *(_1, 2) :: i64
+  return %1
+
+""" + INC
+        assert inlined_text(text) == """\
+fn f(_1: i64)
+1:
+  goto #2
+2:
+  %1 = invoke +(_1, 1) :: i64
+  goto #3
+3:
+  goto #4
+4:
+  %2 = invoke *(%1, 2) :: i64
+  goto #5
+5:
+  goto #6
+6:
+  %3 = invoke +(%2, 1) :: i64
+  goto #7
+7:
+  goto #8
+8:
+  %4 = invoke *(%3, 2) :: i64
+  goto #9
+9:
+  return %4
+"""
+        assert run_i64(registry, text, 1) == 10
+
+    def test_loop_carried_phi_names_call_result(self, registry):
+        # the back edge now leaves the call block's last piece (#5)
+        text = """\
+fn f(_1: i64)
+1:
+  goto #2
+2:
+  %1 = phi (#1 => 0, #3 => %3) :: i64
+  %2 = invoke <(%1, _1) :: i1
+  goto #4 ifnot %2
+3:
+  %3 = invoke inc(%1) :: i64
+  goto #2
+4:
+  return %1
+
+""" + INC
+        assert inlined_text(text) == """\
+fn f(_1: i64)
+1:
+  goto #2
+2:
+  %1 = phi (#1 => 0, #5 => %3) :: i64
+  %2 = invoke <(%1, _1) :: i1
+  goto #6 ifnot %2
+3:
+  goto #4
+4:
+  %3 = invoke +(%1, 1) :: i64
+  goto #5
+5:
+  goto #2
+6:
+  return %1
+"""
+        assert run_i64(registry, text, 5) == 5
+        assert run_i64(registry, text, 0) == 0
 
 
 class TestBoolConversion:

@@ -1,6 +1,8 @@
 """Core IR construction, verification, and printing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgegen import dialects, ir
 from bridgegen.ir import (
@@ -10,10 +12,14 @@ from bridgegen.ir import (
     FunctionType,
     IndexMapAttr,
     IntAttr,
+    IrBlock,
     IrError,
     IrModule,
+    IrOperation,
+    IrRegion,
     OpResult,
     StringAttr,
+    Successor,
     SymbolAttr,
     TypeAttr,
     create_op,
@@ -265,6 +271,81 @@ class TestVerifier:
         assert len(report.diagnostics) >= 3  # arity, unknown, missing terminator
         assert {"arity-mismatch", "unknown-op",
                 "missing-terminator"} <= report.categories()
+
+
+@st.composite
+def cfgs(draw):
+    """Successor lists of a random CFG over blocks 0..n-1 (0 is the entry).
+
+    Loops, self loops, unreachable blocks and duplicate edges all occur;
+    -1 stands for a block outside the region.
+    """
+    n = draw(st.integers(1, 10))
+    return [draw(st.lists(st.integers(-1, n - 1), max_size=4))
+            for _ in range(n)]
+
+
+def region_of(succs):
+    region = IrRegion()
+    region.blocks = [IrBlock(i) for i in range(len(succs))]
+    outside = IrBlock(-1)
+    for block, targets in zip(region.blocks, succs):
+        edges = [Successor(outside if t < 0 else region.blocks[t], [])
+                 for t in targets]
+        block.operations.append(
+            IrOperation("cf.br", [], [], {}, [], edges, True))
+    return region
+
+
+def reachable_without(succs, removed):
+    if removed == 0:
+        return set()
+    seen, work = {0}, [0]
+    while work:
+        for t in succs[work.pop()]:
+            if t >= 0 and t != removed and t not in seen:
+                seen.add(t)
+                work.append(t)
+    return seen
+
+
+class TestDominance:
+    @settings(max_examples=300, deadline=None)
+    @given(cfgs())
+    def test_matches_definition(self, succs):
+        # a dominates reachable b iff b is unreachable once a is removed
+        region = region_of(succs)
+        blocks = region.blocks
+        dom = ir._dominators(region)
+        reachable = reachable_without(succs, removed=None)
+        assert {b.id for b in blocks if id(b) in dom} == reachable
+        for a in blocks:
+            cut = reachable_without(succs, a.id)
+            for b in blocks:
+                if b.id not in reachable:
+                    continue
+                outer, inner = dom.get(id(a)), dom[id(b)]
+                got = (outer is not None and outer[0] <= inner[0]
+                       and inner[1] <= outer[1])
+                assert got == (b.id not in cut), (a.id, b.id)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfgs())
+    def test_predecessors_distinct_in_first_seen_order(self, succs):
+        region = region_of(succs)
+        preds = ir._predecessors(region)
+        for b in region.blocks:
+            want = []
+            for p, targets in enumerate(succs):
+                if b.id in targets and p not in want:
+                    want.append(p)
+            assert [p.id for p in preds[id(b)]] == want
+
+    def test_long_chain(self):
+        # deep enough to overflow a recursive walk
+        n = 5000
+        dom = ir._dominators(region_of([[i + 1] for i in range(n - 1)] + [[]]))
+        assert len(dom) == n
 
 
 class TestPrinter:
