@@ -4,10 +4,21 @@ Executes scalar and control-flow operations with IEEE-754 semantics at the
 declared precision, runs linalg.generic as its full iteration-space loop
 nest, and simulates a GPU thread grid for kernels built on the gpu
 dialect. Used as the numeric oracle for translations.
+
+A run decodes each function it reaches once: ``_OPS`` maps each op name to
+a decoder that turns the op into a closure over a frame list with one slot
+per SSA value. Frames hold plain floats and ints for scalars, boxed only at
+function boundaries; ill-typed or unknown ops fail when reached. Each op is
+one step: a block is charged on entry when it fits the budget, otherwise
+(and when it holds a call or generic) op by op, so StepLimitExceeded comes
+just before the first op past the limit.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +39,14 @@ __all__ = [
     "MemRefValue",
     "LaunchConfig",
     "DEFAULT_STEP_LIMIT",
+    "MAX_CALL_DEPTH",
     "value_of_type",
     "run_function",
     "run_kernel",
 ]
 
 DEFAULT_STEP_LIMIT = 10 ** 7
+MAX_CALL_DEPTH = 200  # nested func.calls; each takes three Python frames
 
 
 class InterpError(Exception):
@@ -65,7 +78,7 @@ class F32Value(RuntimeValue):
     value: float
 
     def __post_init__(self):
-        self.value = float(np.float32(self.value))
+        self.value = ir.to_f32(float(self.value))
 
 
 @dataclass
@@ -95,7 +108,7 @@ class IndexValue(RuntimeValue):
 
 
 @dataclass
-class TensorValue(RuntimeValue):
+class _ArrayValue(RuntimeValue):
     elem: ir.IrType
     dims: tuple
     data: np.ndarray  # row-major, shape == dims
@@ -104,14 +117,12 @@ class TensorValue(RuntimeValue):
         self.data = np.asarray(self.data, dtype=_np_dtype(self.elem)).reshape(self.dims)
 
 
-@dataclass
-class MemRefValue(RuntimeValue):
-    elem: ir.IrType
-    dims: tuple
-    data: np.ndarray  # shared, mutable
+class TensorValue(_ArrayValue):
+    """An immutable tensor."""
 
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=_np_dtype(self.elem)).reshape(self.dims)
+
+class MemRefValue(_ArrayValue):
+    """A buffer; memref.store writes ``data`` in place."""
 
 
 @dataclass(frozen=True)
@@ -144,12 +155,10 @@ def value_of_type(t: ir.IrType, raw) -> RuntimeValue:
         return IntValue(t.width, int(raw))
     if isinstance(t, ir.IndexType):
         return IndexValue(int(raw))
-    if isinstance(t, ir.TensorType):
+    if isinstance(t, (ir.TensorType, ir.MemRefType)):
         arr = np.asarray(raw, dtype=_np_dtype(t.elem))
-        return TensorValue(t.elem, arr.shape, arr)
-    if isinstance(t, ir.MemRefType):
-        arr = np.asarray(raw, dtype=_np_dtype(t.elem))
-        return MemRefValue(t.elem, arr.shape, arr)
+        kind = TensorValue if isinstance(t, ir.TensorType) else MemRefValue
+        return kind(t.elem, arr.shape, arr)
     raise InterpError(f"cannot build a runtime value of type {t}")
 
 
@@ -160,9 +169,8 @@ def _check_compatible(t: ir.IrType, v: RuntimeValue, where: str):
         or (isinstance(t, ir.IntType) and isinstance(v, IntValue)
             and v.width == t.width)
         or (isinstance(t, ir.IndexType) and isinstance(v, IndexValue))
-        or (isinstance(t, ir.TensorType) and isinstance(v, TensorValue)
-            and v.data.ndim == t.rank and _np_dtype(t.elem) == v.data.dtype)
-        or (isinstance(t, ir.MemRefType) and isinstance(v, MemRefValue)
+        or (((isinstance(t, ir.TensorType) and isinstance(v, TensorValue))
+             or (isinstance(t, ir.MemRefType) and isinstance(v, MemRefValue)))
             and v.data.ndim == t.rank and _np_dtype(t.elem) == v.data.dtype)
     )
     if not ok:
@@ -170,212 +178,166 @@ def _check_compatible(t: ir.IrType, v: RuntimeValue, where: str):
 
 
 # ---------------------------------------------------------------------------
-# Execution
+# Decoding: each op becomes ``op(frame, run)`` returning its result's value;
+# terminators return the next block's position or the list of values returned
 
 
-def _float_of(v: RuntimeValue) -> float:
-    if isinstance(v, (F32Value, F64Value)):
-        return v.value
-    raise InterpError(f"expected a float value, got {v!r}")
+_FLOAT = (ir.Float32Type, ir.Float64Type)
+_INT = (ir.IntType, ir.IndexType)
+_TERMINATORS = {"cf.br", "cf.cond_br", "func.return", "linalg.yield"}
+_CMP = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
+        "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}
 
 
-def _int_of(v: RuntimeValue) -> int:
-    if isinstance(v, (IntValue, IndexValue)):
-        return v.value
-    raise InterpError(f"expected an integer value, got {v!r}")
+class _Defer(Exception):
+    """Raised by a decoder with the closure that fails in the op's place."""
 
 
-_CMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b,
-    "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b,
-    "sge": lambda a, b: a >= b,
-}
+def _fail(error):
+    raise error
 
 
-class _Machine:
-    def __init__(self, module: ir.IrModule, step_limit: int, thread_ctx=None):
-        self.module = module
-        self.step_limit = step_limit
-        self.steps = 0
-        self.thread_ctx = thread_ctx  # dim -> (thread_id, block_id, block_dim)
+def _unbox(v: RuntimeValue):
+    return v if isinstance(v, _ArrayValue) else v.value
 
-    def tick(self):
-        self.steps += 1
-        if self.steps > self.step_limit:
-            raise StepLimitExceeded(
-                f"step budget of {self.step_limit} operations exceeded")
 
-    def call(self, symbol: str, inputs):
-        func = self.module.lookup_symbol(symbol)
-        if func is None or func.name != "func.func":
-            raise InterpError(f"no function @{symbol} in the module")
-        ftype = func.attributes["function_type"].type
-        if len(inputs) != len(ftype.inputs):
-            raise InterpError(
-                f"@{symbol} takes {len(ftype.inputs)} argument(s), got {len(inputs)}")
-        for i, (t, v) in enumerate(zip(ftype.inputs, inputs)):
-            _check_compatible(t, v, f"@{symbol} argument {i}")
-        return self.run_region(func.regions[0], inputs)
+def _box(t: ir.IrType, raw) -> RuntimeValue:
+    return raw if isinstance(raw, RuntimeValue) else value_of_type(t, raw)
 
-    def run_region(self, region: ir.IrRegion, entry_args):
-        env = {}
-        block = region.entry
-        args = list(entry_args)
-        while True:
-            for formal, actual in zip(block.arguments, args):
-                env[formal] = actual
-            jumped = False
-            for op in block.operations:
-                self.tick()
-                outcome = self.execute(op, env)
-                if outcome is None:
-                    continue
-                kind = outcome[0]
-                if kind == "return":
-                    return outcome[1]
-                if kind == "jump":
-                    _, block, args = outcome
-                    jumped = True
-                    break
-            if not jumped:
-                raise InterpError(f"^bb{block.id}: control fell off the block")
 
-    def execute(self, op: ir.IrOperation, env):
-        name = op.name
-        get = lambda i: env[op.operands[i]]
+def _kind(op, at, kinds, first=0):
+    """Slots of the operands from ``first`` on; one not declared of
+    ``kinds`` fails at run time, naming its value."""
+    for v in op.operands[first:]:
+        if not isinstance(v.type, kinds):
+            what, s, t = "a float" if kinds is _FLOAT else "an integer", at[v], v.type
+            raise _Defer(lambda f, run: _fail(InterpError(
+                f"expected {what} value, got {_box(t, f[s])!r}")))
+    return [at[v] for v in op.operands[first:]]
 
-        if name == "arith.constant":
-            attr = op.attributes["value"]
-            t = op.results[0].type
-            if isinstance(attr, ir.FloatAttr):
-                env[op.results[0]] = value_of_type(t, attr.value)
-            elif isinstance(attr, ir.IntAttr):
-                env[op.results[0]] = value_of_type(t, attr.value)
-            else:
-                raise InterpError(f"unsupported constant attribute {attr!r}")
-            return None
-        if name in ("arith.addf", "arith.subf", "arith.mulf", "arith.divf"):
-            a, b = _float_of(get(0)), _float_of(get(1))
-            t = op.results[0].type
-            with np.errstate(all="ignore"):  # IEEE-754: inf/nan flow silently
-                if isinstance(t, ir.Float32Type):
-                    fa, fb = np.float32(a), np.float32(b)
-                    r = {"arith.addf": fa + fb, "arith.subf": fa - fb,
-                         "arith.mulf": fa * fb, "arith.divf": fa / fb}[name]
-                    env[op.results[0]] = F32Value(float(np.float32(r)))
-                else:
-                    r = {"arith.addf": a + b, "arith.subf": a - b,
-                         "arith.mulf": a * b,
-                         "arith.divf": np.float64(a) / np.float64(b)}[name]
-                    env[op.results[0]] = F64Value(float(r))
-            return None
-        if name == "arith.negf":
-            t = op.results[0].type
-            a = _float_of(get(0))
-            if isinstance(t, ir.Float32Type):
-                env[op.results[0]] = F32Value(float(np.float32(-np.float32(a))))
-            else:
-                env[op.results[0]] = F64Value(-a)
-            return None
-        if name == "math.exp":
-            t = op.results[0].type
-            a = _float_of(get(0))
-            with np.errstate(all="ignore"):
-                if isinstance(t, ir.Float32Type):
-                    env[op.results[0]] = F32Value(float(np.exp(np.float32(a))))
-                else:
-                    env[op.results[0]] = F64Value(float(np.exp(np.float64(a))))
-            return None
-        if name in ("arith.addi", "arith.subi", "arith.muli"):
-            a, b = _int_of(get(0)), _int_of(get(1))
-            r = {"arith.addi": a + b, "arith.subi": a - b,
-                 "arith.muli": a * b}[name]
-            env[op.results[0]] = value_of_type(op.results[0].type, r)
-            return None
-        if name == "arith.cmpi":
-            pred = op.attributes["predicate"].text
-            if pred not in _CMP:
-                raise InterpError(f"unknown cmpi predicate '{pred}'")
-            r = _CMP[pred](_int_of(get(0)), _int_of(get(1)))
-            env[op.results[0]] = IntValue(1, 1 if r else 0)
-            return None
-        if name == "arith.index_cast":
-            env[op.results[0]] = value_of_type(op.results[0].type, _int_of(get(0)))
-            return None
-        if name in ("gpu.thread_id", "gpu.block_id", "gpu.block_dim"):
-            if self.thread_ctx is None:
-                raise MissingLaunchConfig(
-                    f"{name} executed without a launch configuration")
-            dim = op.attributes["dimension"].text
-            tid, bid, bdim = self.thread_ctx[dim]
-            value = {"gpu.thread_id": tid, "gpu.block_id": bid,
-                     "gpu.block_dim": bdim}[name]
-            env[op.results[0]] = IndexValue(value)
-            return None
-        if name == "memref.load":
-            buf = get(0)
-            if not isinstance(buf, MemRefValue):
-                raise InterpError("memref.load target is not a memref value")
-            idx = tuple(_int_of(get(i)) for i in range(1, len(op.operands)))
-            self._bounds_check(buf, idx)
-            return self._store_scalar(env, op.results[0], buf.data[idx])
-        if name == "memref.store":
-            buf = get(1)
-            if not isinstance(buf, MemRefValue):
-                raise InterpError("memref.store target is not a memref value")
-            idx = tuple(_int_of(get(i)) for i in range(2, len(op.operands)))
-            self._bounds_check(buf, idx)
-            v = get(0)
-            buf.data[idx] = v.value
-            return None
-        if name == "cf.br":
-            s = op.successors[0]
-            return ("jump", s.block, [env[v] for v in s.args])
-        if name == "cf.cond_br":
-            cond = get(0)
-            if not isinstance(cond, IntValue) or cond.width != 1:
-                raise InterpError("cf.cond_br condition is not an i1 value")
-            s = op.successors[0] if cond.value else op.successors[1]
-            return ("jump", s.block, [env[v] for v in s.args])
-        if name in ("func.return", "linalg.yield"):
-            return ("return", [env[v] for v in op.operands])
-        if name == "func.call":
-            callee = op.attributes["callee"].name
-            results = self.call(callee, [env[v] for v in op.operands])
-            for r, v in zip(op.results, results):
-                env[r] = v
-            return None
-        if name == "linalg.generic":
-            return self._generic(op, env)
-        raise InterpError(f"unsupported operation '{name}'")
 
-    def _store_scalar(self, env, result, raw):
-        env[result] = value_of_type(result.type, raw)
-        return None
+def _wrapped(t: ir.IrType, read):
+    """``read`` with its raw result wrapped to the width of integer type ``t``."""
+    if not isinstance(t, ir.IntType):
+        return read
+    w, half = t.width, 1 << t.width - 1
+    lo, hi = (0, 2) if w == 1 else (-half, half)
+    return lambda f, run: v if lo <= (v := read(f, run)) < hi else _wrap_int(v, w)
 
-    def _bounds_check(self, buf: MemRefValue, idx):
-        for d, (i, extent) in enumerate(zip(idx, buf.data.shape)):
-            if not 0 <= i < extent:
-                where = ""
-                if self.thread_ctx is not None:
-                    where = f" (thread context {self.thread_ctx})"
-                raise OutOfBounds(
-                    f"index {i} out of bounds for dimension {d} of extent "
-                    f"{extent}{where}")
-        if len(idx) != buf.data.ndim:
-            raise OutOfBounds(
-                f"rank mismatch: {len(idx)} indices for rank {buf.data.ndim}")
 
-    def _generic(self, op: ir.IrOperation, env):
-        maps = [a for a in op.attributes["indexing_maps"].elements]
-        operands = [env[v] for v in op.operands]
+def _binary(kinds, fn):
+    def decode(op, at):
+        a, b = _kind(op, at, kinds)
+        if isinstance(op.results[0].type, ir.Float32Type):
+            # computed in double, rounded once: exact, since 53 >= 2 * 24 + 2
+            return lambda f, run: ir.to_f32(fn(f[a], f[b]))
+        return _wrapped(op.results[0].type, lambda f, run: fn(f[a], f[b]))
+    return decode
+
+
+def _unary(kinds, fn):
+    def decode(op, at):
+        [a] = _kind(op, at, kinds)
+        return _wrapped(op.results[0].type, lambda f, run: fn(f[a]))
+    return decode
+
+
+def _constant(op, at):
+    attr = op.attributes["value"]
+    if not isinstance(attr, (ir.FloatAttr, ir.IntAttr)):
+        raise InterpError(f"unsupported constant attribute {attr!r}")
+    value = _unbox(value_of_type(op.results[0].type, attr.value))
+    return lambda f, run: value
+
+
+def _exp(op, at):
+    [a] = _kind(op, at, _FLOAT)
+    scalar = np.float32 if isinstance(op.results[0].type, ir.Float32Type) else np.float64
+    return lambda f, run: float(np.exp(scalar(f[a])))
+
+
+def _cmpi(op, at):
+    pred = op.attributes["predicate"].text
+    if pred not in _CMP:
+        raise InterpError(f"unknown cmpi predicate '{pred}'")
+    (a, b), cmp = _kind(op, at, _INT), _CMP[pred]
+    return lambda f, run: 1 if cmp(f[a], f[b]) else 0
+
+
+def _launch_coordinate(k):
+    def decode(op, at):
+        dim = op.attributes["dimension"].text
+        text = f"{op.name} executed without a launch configuration"
+        return lambda f, run: (run.ctx if run.ctx is not None
+                               else _fail(MissingLaunchConfig(text)))[dim][k]
+    return decode
+
+
+def _memref(op, at):
+    """memref.load, or memref.store (its buffer is operand 1)."""
+    which = int(op.name == "memref.store")
+    if not isinstance(op.operands[which].type, ir.MemRefType):
+        raise InterpError(f"{op.name} target is not a memref value")
+    b, idx = at[op.operands[which]], _kind(op, at, _INT, which + 1)
+
+    def index(f, run):
+        i, shape = tuple([f[s] for s in idx]), f[b].data.shape
+        for d, (n, extent) in enumerate(zip(i, shape)):
+            if not 0 <= n < extent:
+                where = "" if run.ctx is None else f" (thread context {run.ctx})"
+                raise OutOfBounds(f"index {n} out of bounds for dimension {d} "
+                                  f"of extent {extent}{where}")
+        if len(i) != len(shape):
+            raise OutOfBounds(f"rank mismatch: {len(i)} indices for rank {len(shape)}")
+        return i
+    if which:
+        v = at[op.operands[0]]
+        return lambda f, run: f[b].data.__setitem__(index(f, run), f[v])
+    return _wrapped(op.results[0].type, lambda f, run: f[b].data.item(index(f, run)))
+
+
+def _branch(op, at):
+    if op.operands and op.operands[0].type != ir.I1:
+        raise InterpError("cf.cond_br condition is not an i1 value")
+    c = at[op.operands[0]] if op.operands else None
+    edges = []  # (target, source slots, target's argument slots as a slice)
+    for succ in op.successors:
+        src = tuple(at[v] for v in succ.args)[:len(succ.block.arguments)]
+        first = at[succ.block.arguments[0]] if src else 0
+        edges.append((at[succ.block], src, first, first + len(src)))
+
+    def branch(f, run):
+        target, src, lo, hi = edges[0] if c is None or f[c] else edges[1]
+        f[lo:hi] = [f[s] for s in src]
+        return target
+    return branch
+
+
+def _return(op, at):
+    src = [at[v] for v in op.operands]
+    return lambda f, run: [f[s] for s in src]
+
+
+def _call(op, at):
+    callee, dst = op.attributes["callee"].name, [at[v] for v in op.results]
+    src = [(v.type, at[v]) for v in op.operands]
+
+    def call(f, run):
+        for d, v in zip(dst, run.call(callee, [_box(t, f[s]) for t, s in src])):
+            f[d] = v
+        return f[dst[0]] if len(dst) == 1 else None
+    return call
+
+
+def _generic(op, at):
+    maps, body = list(op.attributes["indexing_maps"].elements), _decode(op.regions[0])
+    src = [at[v] for v in op.operands]
+
+    def generic(f, run):
+        operands = [f[s] for s in src]
         if len(maps) != len(operands):
             raise InterpError("linalg.generic: one indexing map per operand required")
         n_axes = maps[0].n_axes if maps else 0
-
         extents = {}
         for which, (m, v) in enumerate(zip(maps, operands)):
             if not isinstance(v, TensorValue):
@@ -383,13 +345,11 @@ class _Machine:
             if m.n_axes != n_axes or len(m.targets) != v.data.ndim:
                 raise InterpError(
                     f"linalg.generic: map/operand rank mismatch on operand {which}")
-            for d, axis in enumerate(m.targets):
-                extent = v.data.shape[d]
-                if axis in extents and extents[axis] != extent:
+            for axis, extent in zip(m.targets, v.data.shape):
+                if extents.setdefault(axis, extent) != extent:
                     raise InterpError(
                         f"linalg.generic: inconsistent extent for axis d{axis}: "
                         f"{extents[axis]} vs {extent}")
-                extents[axis] = extent
         missing = [a for a in range(n_axes) if a not in extents]
         if missing:
             raise InterpError(
@@ -397,38 +357,169 @@ class _Machine:
 
         out = operands[-1]
         result = np.array(out.data, copy=True)
-        region = op.regions[0]
+        wheres = [operator.itemgetter(*m.targets) if m.targets else (lambda p: ())
+                  for m in maps]  # an operand's element index at a point
+        arrays = [v.data for v in operands[:-1]] + [result]
+        reads = [_wrapped(v.elem, lambda p, run, item=a.item, where=w: item(where(p)))
+                 for v, a, w in zip(operands, arrays, wheres)]
+        for point in itertools.product(*(range(extents[a]) for a in range(n_axes))):
+            yielded = _exec(body, [read(point, run) for read in reads], run)
+            if len(yielded) != 1:
+                raise InterpError("linalg.generic body must yield one value")
+            result[wheres[-1](point)] = yielded[0]
+        return TensorValue(out.elem, result.shape, result)
+    return generic
 
-        point = [0] * n_axes
 
-        def gather(m, data):
-            return tuple(point[axis] for axis in m.targets)
+_OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
+    "arith.constant": _constant,
+    "arith.addf": _binary(_FLOAT, operator.add),
+    "arith.subf": _binary(_FLOAT, operator.sub),
+    "arith.mulf": _binary(_FLOAT, operator.mul),
+    "arith.divf": _binary(_FLOAT, lambda x, y:  # by ±0: numpy's inf or nan
+                          x / y if y else float(np.float64(x) / np.float64(y))),
+    "arith.negf": _unary(_FLOAT, operator.neg),
+    "math.exp": _exp,
+    "arith.addi": _binary(_INT, operator.add),
+    "arith.subi": _binary(_INT, operator.sub),
+    "arith.muli": _binary(_INT, operator.mul),
+    "arith.cmpi": _cmpi,
+    "arith.index_cast": _unary(_INT, int),
+    "gpu.thread_id": _launch_coordinate(0),
+    "gpu.block_id": _launch_coordinate(1),
+    "gpu.block_dim": _launch_coordinate(2),
+    "memref.load": _memref,
+    "memref.store": _memref,
+    "cf.br": _branch,
+    "cf.cond_br": _branch,
+    "func.return": _return,
+    "linalg.yield": _return,
+    "func.call": _call,
+    "linalg.generic": _generic,
+}
 
-        def loop(axis):
-            if axis == n_axes:
-                args = []
-                for m, v in zip(maps[:-1], operands[:-1]):
-                    args.append(value_of_type(v.elem, v.data[gather(m, v)]))
-                args.append(value_of_type(out.elem, result[gather(maps[-1], out)]))
-                yielded = self.run_region(region, args)
-                if len(yielded) != 1:
-                    raise InterpError("linalg.generic body must yield one value")
-                result[gather(maps[-1], out)] = yielded[0].value
-                return
-            for i in range(extents[axis]):
-                point[axis] = i
-                loop(axis + 1)
 
-        loop(0)
-        env[op.results[0]] = TensorValue(out.elem, result.shape, result)
-        return None
+def _decode_op(op: ir.IrOperation, at):
+    try:
+        if op.name not in _OPS:
+            raise InterpError(f"unsupported operation '{op.name}'")
+        return _OPS[op.name](op, at)
+    except _Defer as e:
+        return e.args[0]
+    except (InterpError, LookupError, AttributeError, TypeError, ValueError,
+            ArithmeticError) as e:  # a malformed op fails when reached
+        kind, args = type(e), e.args
+        return lambda f, run: _fail(kind(*args))
+
+
+def _decode(region: ir.IrRegion):
+    """(frame size, blocks): each block is (argument slots, steps to charge
+    on entry or inf, [(result slot, op)], terminator or None, id). Slot 0
+    takes the value of ops without one result; ops after a terminator never
+    run and are dropped."""
+    at = {None: 0}  # the arguments of a block take consecutive slots
+    for block in region.blocks:
+        for v in block.arguments + [r for op in block.operations for r in op.results]:
+            at[v] = len(at)
+    size = len(at)
+    at.update((block, position) for position, block in enumerate(region.blocks))
+    blocks = []
+    for block in region.blocks:
+        ops, term, nested = [], None, False
+        for op in block.operations:
+            nested = nested or op.name in ("func.call", "linalg.generic")
+            if op.name in _TERMINATORS:
+                term = _decode_op(op, at)
+                break
+            ops.append((at[op.results[0]] if len(op.results) == 1 else 0,
+                        _decode_op(op, at)))
+        steps = math.inf if nested else len(ops) + (term is not None)
+        blocks.append((tuple(at[v] for v in block.arguments), steps, tuple(ops), term,
+                       block.id))
+    return size, blocks
+
+
+# ---------------------------------------------------------------------------
+# Execution
+
+
+class _Run:
+    """One run: the step budget, thread context and decoded functions.
+    Decoded code never refers back to the run, so a run leaves no cycles."""
+
+    __slots__ = ("module", "limit", "steps", "ctx", "depth", "funcs")
+
+    def __init__(self, module: ir.IrModule, limit: int, ctx=None):
+        self.module, self.limit, self.ctx = module, limit, ctx
+        self.steps = self.depth = 0
+        self.funcs = {}  # symbol -> (function type, decoded body)
+
+    def tick(self):
+        self.steps += 1
+        if self.steps > self.limit:
+            raise StepLimitExceeded(
+                f"step budget of {self.limit} operations exceeded")
+
+    def function(self, symbol: str, inputs: list):
+        """The decoded body of @symbol, checked against boxed ``inputs``."""
+        if symbol not in self.funcs:
+            func = self.module.lookup_symbol(symbol)
+            if func is None or func.name != "func.func":
+                raise InterpError(f"no function @{symbol} in the module")
+            self.funcs[symbol] = (func.attributes["function_type"].type,
+                                  _decode(func.regions[0]))
+        ftype, body = self.funcs[symbol]
+        if len(inputs) != len(ftype.inputs):
+            raise InterpError(f"@{symbol} takes {len(ftype.inputs)} "
+                              f"argument(s), got {len(inputs)}")
+        for i, (t, v) in enumerate(zip(ftype.inputs, inputs)):
+            _check_compatible(t, v, f"@{symbol} argument {i}")
+        return body
+
+    def call(self, symbol: str, inputs: list) -> list:
+        """Run @symbol on the boxed ``inputs``; returns the raw results."""
+        body = self.function(symbol, inputs)
+        self.depth += 1
+        if self.depth > MAX_CALL_DEPTH:
+            raise InterpError(f"@{symbol}: calls nested deeper than {MAX_CALL_DEPTH}")
+        results = _exec(body, [_unbox(v) for v in inputs], self)
+        self.depth -= 1
+        return results
+
+
+def _exec(code, args, run: _Run) -> list:
+    """Run a decoded region on raw ``args``; returns the raw values returned."""
+    size, blocks = code
+    f = [None] * size
+    slots, n, ops, term, bid = blocks[0]
+    for s, v in zip(slots, args):
+        f[s] = v
+    while True:
+        if run.steps + n > run.limit:
+            for r, op in ops:
+                run.tick()
+                f[r] = op(f, run)
+            if term is not None:
+                run.tick()
+        else:
+            run.steps += n
+            for r, op in ops:
+                f[r] = op(f, run)
+        if term is None:
+            raise InterpError(f"^bb{bid}: control fell off the block")
+        nxt = term(f, run)
+        if nxt.__class__ is not int:
+            return nxt
+        slots, n, ops, term, bid = blocks[nxt]
 
 
 def run_function(module: ir.IrModule, symbol: str, inputs,
                  step_limit: int = DEFAULT_STEP_LIMIT, thread_ctx=None):
     """Execute @symbol on ``inputs``; returns the list of result values."""
-    machine = _Machine(module, step_limit, thread_ctx)
-    return machine.call(symbol, list(inputs))
+    run = _Run(module, step_limit, thread_ctx)
+    with np.errstate(all="ignore"):  # IEEE-754: inf/nan flow silently
+        results = run.call(symbol, list(inputs))
+    return [_box(t, v) for t, v in zip(run.funcs[symbol][0].results, results)]
 
 
 def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
@@ -438,24 +529,16 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     Coordinates are visited in lexicographic order over
     (block x,y,z, thread x,y,z); ``reverse`` visits them backwards.
     Buffer mutations through memref.store are visible in the returned
-    inputs.
+    inputs. Each thread has the whole step budget.
     """
-    gx, gy, gz = launch.grid
+    coords = list(itertools.product(*map(range, launch.grid + launch.block)))
+    run, inputs = _Run(module, step_limit), list(inputs)
+    body = run.function(symbol, inputs)
+    args = [_unbox(v) for v in inputs]
     bx, by, bz = launch.block
-    coords = [
-        (tx, ty, tz, blkx, blky, blkz)
-        for blkx in range(gx) for blky in range(gy) for blkz in range(gz)
-        for tx in range(bx) for ty in range(by) for tz in range(bz)
-    ]
-    if reverse:
-        coords = coords[::-1]
-    inputs = list(inputs)
-    for tx, ty, tz, blkx, blky, blkz in coords:
-        thread_ctx = {
-            "x": (tx, blkx, bx),
-            "y": (ty, blky, by),
-            "z": (tz, blkz, bz),
-        }
-        machine = _Machine(module, step_limit, thread_ctx)
-        machine.call(symbol, inputs)
+    with np.errstate(all="ignore"):
+        for blkx, blky, blkz, tx, ty, tz in coords[::-1] if reverse else coords:
+            run.steps = 0
+            run.ctx = {"x": (tx, blkx, bx), "y": (ty, blky, by), "z": (tz, blkz, bz)}
+            _exec(body, args, run)
     return inputs

@@ -7,6 +7,8 @@ Printing is one-way; there is no parser for the textual form.
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +52,7 @@ __all__ = [
     "verify_module",
     "print_module",
     "format_float",
+    "to_f32",
 ]
 
 
@@ -673,21 +676,34 @@ def verify_module(module: IrModule, registry=None) -> VerifyReport:
 # Printing
 
 
+_F32 = struct.Struct("<f")
+
+
+def to_f32(value: float) -> float:
+    """``value`` rounded to the nearest f32, as numpy's cast rounds it but
+    without its overflow warning."""
+    try:
+        return _F32.unpack(_F32.pack(value))[0]
+    except OverflowError:  # rounds beyond the largest finite f32
+        return math.copysign(math.inf, value)
+
+
 def format_float(value: float, type: IrType) -> str:
     """Shortest decimal that round-trips at the type's precision.
 
     Always positional (no exponent) with at least one fractional digit.
+    Infinities and NaNs print as MLIR hex literals of their bits at the
+    type's width (``0x7F800000`` is f32 inf).
     """
-    if isinstance(type, Float32Type):
-        s = np.format_float_positional(np.float32(value), unique=True)
-    else:
-        s = np.format_float_positional(np.float64(value), unique=True)
-    if s.endswith("."):
-        s += "0"
-    if "." not in s:
-        # format_float_positional of inf/nan
-        return s
-    return s
+    f32 = isinstance(type, Float32Type)
+    if f32:
+        value = to_f32(value)
+    if not math.isfinite(value):
+        bits = int.from_bytes(struct.pack("<f" if f32 else "<d", value), "little")
+        return f"0x{bits:0{8 if f32 else 16}X}"
+    s = np.format_float_positional((np.float32 if f32 else np.float64)(value),
+                                   unique=True)
+    return s + "0" if s.endswith(".") else s
 
 
 def print_type(t: IrType) -> str:

@@ -1,7 +1,12 @@
 """CLI subcommands, exit codes, and stream separation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import bridgegen
 from bridgegen import cli
 from conftest import (
     MAX_GOLDEN,
@@ -34,6 +39,16 @@ def vadd_path(tmp_path):
     p = tmp_path / "vadd.fir"
     p.write_text(VADD_FIR)
     return str(p)
+
+
+OVERFLOW_FIR = "fn f(_1: f32)\n1:\n  %1 = invoke +(_1, 1e39) :: f32\n  return %1\n"
+
+
+def run_cli(*args):
+    """Run ``python -m bridgegen`` in a fresh process, where warnings print."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bridgegen.__file__)))
+    return subprocess.run([sys.executable, "-m", "bridgegen", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestGen:
@@ -123,6 +138,13 @@ class TestGen:
         assert out.err == "error: internal: RuntimeError: boom\n"
         assert out.out == ""
 
+    def test_infinite_constant_prints_hex_without_warning(self, tmp_path):
+        p = tmp_path / "overflow.fir"
+        p.write_text(OVERFLOW_FIR)
+        done = run_cli("gen", str(p), "--entry", "f", "--types", "f32")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "arith.constant 0x7F800000 : f32" in done.stdout
+
     def test_diagnostics_on_stderr_ir_on_stdout(self, sigmoid_path, capsys):
         assert cli.main(["gen", sigmoid_path, "--entry", "sigmoid",
                          "--types", "f32"]) == 0
@@ -195,6 +217,12 @@ class TestRun:
         out = capsys.readouterr()
         assert code == 1
         assert "out of bounds" in out.err
+
+    def test_overflow_prints_no_warning(self, tmp_path):
+        p = tmp_path / "overflow.fir"
+        p.write_text(OVERFLOW_FIR)
+        done = run_cli("run", str(p), "--entry", "f", "--types", "f32", "--", "2.0")
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "inf\n")
 
     def test_wrong_input_count(self, sigmoid_path, capsys):
         code = cli.main(["run", sigmoid_path, "--entry", "sigmoid",

@@ -1,12 +1,16 @@
 """Reference interpreter: scalar ops, control flow, loop nests, kernels."""
 
+import functools
+import gc
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bridgegen import einsum, fir, interp, ir
+from bridgegen import einsum, fir, interp, intrinsics, ir
 from bridgegen.interp import (
     F32Value,
     F64Value,
@@ -90,6 +94,12 @@ class TestScalars:
         big = 2 ** 62
         [out] = run_function(module, "f", [IntValue(64, big), IntValue(64, 4)])
         assert out.value == ((big * 4 + 2 ** 63) % 2 ** 64) - 2 ** 63
+        # the wrapped product, not the exact one, flows into later ops
+        text = ("fn g(_1: i64, _2: i64)\n1:\n  %1 = invoke *(_1, _2) :: i64\n"
+                "  %2 = invoke <(%1, 0) :: i1\n  return %2\n")
+        module = run_pipeline(registry, text, "g", [fir.I64, fir.I64])
+        [out] = run_function(module, "g", [IntValue(64, 2 ** 62), IntValue(64, 3)])
+        assert out.value == 1
 
     def test_input_arity_checked(self, sigmoid):
         with pytest.raises(InterpError, match="takes 1 argument"):
@@ -278,8 +288,15 @@ class TestKernels:
     def test_excess_threads_out_of_bounds(self, vadd):
         # first excess coordinate is thread 0 of block 2 -> index 8
         bufs = self.vadd_buffers()
-        with pytest.raises(OutOfBounds, match="index 8 out of bounds"):
+        with pytest.raises(OutOfBounds) as info:
             run_kernel(vadd, "vadd", LaunchConfig((3, 1, 1), (4, 1, 1)), bufs)
+        assert str(info.value) == (
+            "index 8 out of bounds for dimension 0 of extent 8 (thread "
+            "context {'x': (0, 2, 4), 'y': (0, 0, 1), 'z': (0, 0, 1)})")
+        # the stores of the threads before it stay visible
+        assert np.array_equal(bufs[2].data,
+                              np.array([11, 22, 33, 44, 55, 66, 77, 88],
+                                       dtype=np.float32))
 
     def test_gpu_op_without_launch(self, vadd):
         bufs = self.vadd_buffers()
@@ -337,3 +354,280 @@ class TestGenericPropertySuite:
                 return einsum.parse_einsum(text)
             except einsum.EinsumError:
                 continue
+
+
+# ---------------------------------------------------------------------------
+# Semantics pinned down independently of how the interpreter is built
+
+
+def new_func(registry, module, name, inputs, results):
+    """Append an empty func.func @name and return its entry block."""
+    from bridgegen.dialects import build_op
+
+    region = module.new_region()
+    module.set_insertion(module.body.blocks[0])
+    build_op(registry.dialects, module, "func.func",
+             attributes={"sym_name": ir.SymbolAttr(name),
+                         "function_type": ir.TypeAttr(
+                             ir.FunctionType(tuple(inputs), tuple(results)))},
+             regions=[region])
+    entry = module.append_block(region, list(inputs))
+    module.set_insertion(entry)
+    return entry
+
+
+def static_ops(module, symbol):
+    """Operations in the body of @symbol, each counted once."""
+    region = module.lookup_symbol(symbol).regions[0]
+    return sum(len(b.operations) for b in region.blocks)
+
+
+SUMTO_FIR = """\
+fn sumto(_1: i64)
+1:
+  goto #2
+2:
+  %2 = phi (#1 => 0, #3 => %5) :: i64
+  %3 = phi (#1 => _1, #3 => %6) :: i64
+  %4 = invoke >(%3, 0) :: i1
+  goto #4 ifnot %4
+3:
+  %5 = invoke +(%2, %3) :: i64
+  %6 = invoke -(%3, 1) :: i64
+  goto #2
+4:
+  return %2
+"""
+
+
+class TestStepBoundary:
+    """A budget equal to the exact number of operations executed passes;
+    one less raises, before the operation that would exceed it runs."""
+
+    def test_plain_loop(self, registry):
+        module = run_pipeline(registry, SUMTO_FIR, "sumto", [fir.I64])
+        # entry 3 ops, header 2 per test (n + 1 tests), body 3 per trip, exit 1
+        n = 4
+        exact = 3 + 2 * (n + 1) + 3 * n + 1
+        [out] = run_function(module, "sumto", [IntValue(64, n)],
+                             step_limit=exact)
+        assert out.value == 10
+        with pytest.raises(StepLimitExceeded, match=f"budget of {exact - 1} "):
+            run_function(module, "sumto", [IntValue(64, n)],
+                         step_limit=exact - 1)
+
+    def test_block_with_call(self, registry, sigmoid):
+        from bridgegen.dialects import build_op
+
+        entry = new_func(registry, sigmoid, "wrapper", [ir.F32], [ir.F32])
+        call = build_op(registry.dialects, sigmoid, "func.call",
+                        [entry.arguments[0]],
+                        attributes={"callee": ir.SymbolAttr("sigmoid")},
+                        result_types=[ir.F32])
+        build_op(registry.dialects, sigmoid, "func.return", [call.results[0]])
+        exact = static_ops(sigmoid, "wrapper") + static_ops(sigmoid, "sigmoid")
+        assert exact == 8
+        run_function(sigmoid, "wrapper", [F32Value(1.0)], step_limit=exact)
+        with pytest.raises(StepLimitExceeded):
+            run_function(sigmoid, "wrapper", [F32Value(1.0)],
+                         step_limit=exact - 1)
+
+    def test_generic_body(self, registry):
+        spec = einsum.parse_einsum("(i,k),(k,j)->(i,j)")
+        module = einsum.build_einsum_function(registry, spec)
+        generic = module.lookup_symbol("einsum").regions[0].blocks[0].operations[0]
+        body = len(generic.regions[0].blocks[0].operations)
+        points = 2 * 3 * 2
+        exact = static_ops(module, "einsum") + points * body
+        values = lambda: [tensor_value(np.ones((2, 3))),
+                          tensor_value(np.ones((3, 2))),
+                          tensor_value(np.zeros((2, 2)))]
+        [out] = run_function(module, "einsum", values(), step_limit=exact)
+        assert np.array_equal(out.data, np.full((2, 2), 3.0))
+        with pytest.raises(StepLimitExceeded):
+            run_function(module, "einsum", values(), step_limit=exact - 1)
+
+    def test_raised_at_the_exact_op(self, vadd):
+        # vadd: 8 ops before the store, then the store, then return
+        one = LaunchConfig((1, 1, 1), (1, 1, 1))
+        for limit, stored in ((8, 0.0), (9, 11.0)):
+            bufs = TestKernels().vadd_buffers()
+            with pytest.raises(StepLimitExceeded):
+                run_kernel(vadd, "vadd", one, bufs, step_limit=limit)
+            assert bufs[2].data[0] == stored
+
+    def test_ops_after_a_call_run_until_the_budget_ends(self, registry):
+        # @k: two constants, a call of @g (one op), a store, a return
+        from bridgegen.dialects import build_op
+
+        module = ir.IrModule(registry=registry.dialects)
+        g = new_func(registry, module, "g", [ir.INDEX], [ir.INDEX])
+        build_op(registry.dialects, module, "func.return", [g.arguments[0]])
+        buf = ir.MemRefType(ir.F32, (None,))
+        k = new_func(registry, module, "k", [buf], [])
+        zero, seven = (
+            build_op(registry.dialects, module, "arith.constant",
+                     attributes={"value": attr}, result_types=[attr.type]).results[0]
+            for attr in (ir.IntAttr(0, ir.INDEX), ir.FloatAttr(7.0, ir.F32)))
+        call = build_op(registry.dialects, module, "func.call", [zero],
+                        attributes={"callee": ir.SymbolAttr("g")},
+                        result_types=[ir.INDEX])
+        build_op(registry.dialects, module, "memref.store",
+                 [seven, k.arguments[0], call.results[0]])
+        build_op(registry.dialects, module, "func.return", [])
+        assert ir.verify_module(module).ok
+        for limit, stored in ((4, 0.0), (5, 7.0)):
+            data = np.zeros(1, dtype=np.float32)
+            with pytest.raises(StepLimitExceeded):
+                run_function(module, "k", [MemRefValue(ir.F32, (1,), data)],
+                             step_limit=limit)
+            assert data[0] == stored
+
+    def test_kernel_budget_is_per_thread(self, vadd):
+        per_thread = static_ops(vadd, "vadd")
+        launch = LaunchConfig((2, 1, 1), (4, 1, 1))
+        bufs = TestKernels().vadd_buffers()
+        run_kernel(vadd, "vadd", launch, bufs, step_limit=per_thread)
+        assert bufs[2].data[7] == 88.0
+        with pytest.raises(StepLimitExceeded):
+            run_kernel(vadd, "vadd", launch, TestKernels().vadd_buffers(),
+                       step_limit=per_thread - 1)
+
+
+class TestErrors:
+    def test_control_fell_off(self, registry):
+        from bridgegen.dialects import build_op
+
+        module = ir.IrModule(registry=registry.dialects)
+        entry = new_func(registry, module, "f", [ir.I64], [])
+        build_op(registry.dialects, module, "arith.addi",
+                 [entry.arguments[0], entry.arguments[0]])
+        with pytest.raises(InterpError,
+                           match=rf"^\^bb{entry.id}: control fell off the block$"):
+            run_function(module, "f", [IntValue(64, 1)])
+
+    def test_unsupported_operation(self, registry):
+        module = ir.IrModule(registry=registry.dialects)
+        new_func(registry, module, "f", [], [])
+        ir.create_op(module, "test.mystery", [], [])
+        ir.create_op(module, "func.return", [], [], is_terminator=True)
+        with pytest.raises(InterpError,
+                           match="^unsupported operation 'test.mystery'$"):
+            run_function(module, "f", [])
+
+    def test_cond_br_on_a_non_i1_value(self, registry):
+        module = ir.IrModule(registry=registry.dialects)
+        entry = new_func(registry, module, "f", [ir.I64], [])
+        region = module.lookup_symbol("f").regions[0]
+        done = module.append_block(region, [])
+        module.set_insertion(entry)
+        ir.create_op(module, "cf.cond_br", [entry.arguments[0]], [],
+                     successors=[(done, []), (done, [])])
+        module.set_insertion(done)
+        ir.create_op(module, "func.return", [], [], is_terminator=True)
+        with pytest.raises(InterpError,
+                           match="^cf.cond_br condition is not an i1 value$"):
+            run_function(module, "f", [IntValue(64, 1)])
+
+
+# f32/f64 arithmetic agrees with numpy scalars bit for bit
+
+_UNARY = {"arith.negf": np.negative, "math.exp": np.exp}
+_BINARY = {"arith.addf": np.add, "arith.subf": np.subtract,
+           "arith.mulf": np.multiply, "arith.divf": np.divide}
+@functools.cache
+def float_module(t):
+    """One function per float op of type ``t``, named after the op."""
+    from bridgegen.dialects import build_op
+
+    registry = intrinsics.default_registry()
+    module = ir.IrModule(registry=registry.dialects)
+    for name in list(_UNARY) + list(_BINARY):
+        arity = 1 if name in _UNARY else 2
+        entry = new_func(registry, module, name, [t] * arity, [t])
+        op = build_op(registry.dialects, module, name, entry.arguments)
+        build_op(registry.dialects, module, "func.return", op.results)
+    assert ir.verify_module(module).ok
+    return module
+
+
+def special_floats(width):
+    tiny = float(np.finfo(np.float32 if width == 32 else np.float64).smallest_subnormal)
+    big = float(np.finfo(np.float32 if width == 32 else np.float64).max)
+    specials = [0.0, -0.0, tiny, -tiny, big, -big, math.inf, -math.inf,
+                math.nan, 1.0, -1.0, 88.7, -103.9, 709.7]
+    return st.one_of(st.sampled_from(specials),
+                     st.floats(width=width, allow_nan=True,
+                               allow_infinity=True))
+
+
+def same_bits(got, want):
+    if math.isnan(want):
+        return math.isnan(got)
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestFloatOpsMatchNumpy:
+    @settings(max_examples=150, deadline=None)
+    @given(a=special_floats(32), b=special_floats(32))
+    def test_f32(self, a, b):
+        self.check(ir.F32, np.float32, F32Value, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=special_floats(64), b=special_floats(64))
+    def test_f64(self, a, b):
+        self.check(ir.F64, np.float64, F64Value, a, b)
+
+    @staticmethod
+    def check(t, scalar, box, a, b):
+        module = float_module(t)
+        x, y = scalar(a), scalar(b)
+        for name, fn in list(_UNARY.items()) + list(_BINARY.items()):
+            args = (x,) if name in _UNARY else (x, y)
+            with np.errstate(all="ignore"):
+                want = float(fn(*args))
+            [got] = run_function(module, name, [box(float(v)) for v in args])
+            assert same_bits(got.value, want), (name, args, got.value, want)
+
+
+class TestCallDepth:
+    def test_deep_recursion_is_an_interp_error(self, registry):
+        from bridgegen.dialects import build_op
+
+        module = ir.IrModule(registry=registry.dialects)
+        entry = new_func(registry, module, "rec", [ir.I64], [ir.I64])
+        call = build_op(registry.dialects, module, "func.call",
+                        [entry.arguments[0]],
+                        attributes={"callee": ir.SymbolAttr("rec")},
+                        result_types=[ir.I64])
+        build_op(registry.dialects, module, "func.return", [call.results[0]])
+        assert ir.verify_module(module).ok
+        with pytest.raises(InterpError,
+                           match=f"nested deeper than {interp.MAX_CALL_DEPTH}"):
+            run_function(module, "rec", [IntValue(64, 1)])
+
+
+class TestNoCycles:
+    """A run frees its decoded code by reference counting alone."""
+
+    def test_loop(self, registry):
+        module = run_pipeline(registry, SUMTO_FIR, "sumto", [fir.I64])
+        gc.collect()
+        [out] = run_function(module, "sumto", [IntValue(64, 100)])
+        assert gc.collect() == 0
+        assert out.value == 5050
+
+    def test_kernel(self, vadd):
+        bufs = TestKernels().vadd_buffers()
+        gc.collect()
+        run_kernel(vadd, "vadd", LaunchConfig((2, 1, 1), (4, 1, 1)), bufs)
+        assert gc.collect() == 0
+
+    def test_generic(self, registry):
+        spec = einsum.parse_einsum("(i,k),(k,j)->(i,j)")
+        module = einsum.build_einsum_function(registry, spec)
+        values = [tensor_value(np.ones((2, 3))), tensor_value(np.ones((3, 2))),
+                  tensor_value(np.zeros((2, 2)))]
+        gc.collect()
+        run_function(module, "einsum", values)
+        assert gc.collect() == 0

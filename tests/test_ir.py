@@ -1,5 +1,9 @@
 """Core IR construction, verification, and printing."""
 
+import math
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +95,29 @@ class TestAttributes:
         assert ir.format_float(1.0, ir.F32) == "1.0"
         assert ir.format_float(1e20, ir.F32) == "100000000000000000000.0"
         assert ir.format_float(0.1, ir.F32) == "0.1"
+
+    def test_non_finite_floats_print_as_hex_bits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning
+            assert ir.format_float(1e39, ir.F32) == "0x7F800000"
+            assert ir.format_float(-1e39, ir.F32) == "0xFF800000"
+            assert ir.format_float(math.inf, ir.F32) == "0x7F800000"
+            assert ir.format_float(-math.inf, ir.F64) == "0xFFF0000000000000"
+            assert ir.format_float(math.inf, ir.F64) == "0x7FF0000000000000"
+            assert ir.format_float(math.nan, ir.F32) == "0x7FC00000"
+            assert ir.format_float(-math.nan, ir.F64) == "0xFFF8000000000000"
+            # the largest f32 and values rounding to it stay decimal
+            big = float(np.finfo(np.float32).max)
+            nearly = big * (1 + 2 ** -30)
+            assert ir.format_float(nearly, ir.F32) == ir.format_float(big, ir.F32)
+            assert ir.format_float(1e300, ir.F64).endswith(".0")
+
+    def test_to_f32_rounds_like_numpy(self):
+        values = [0.1, -0.0, 1e-46, 1e-45, 3.4028235e38, 3.4028236e38, 1e39,
+                  -1e39, math.inf, 2.0 ** -149 * 1.5]
+        with np.errstate(over="ignore"):
+            for v in values:
+                assert np.float32(ir.to_f32(v)).tobytes() == np.float32(v).tobytes(), v
 
 
 class TestCreateOp:
