@@ -2,7 +2,9 @@
 
 Intrinsic functions are the bridge: each is a builder callback registered
 under a (name, parameter types) signature, selected by multiple dispatch
-over all argument types. The engine walks a validated, fully inlined
+over all argument types: ``resolve_method`` and the literal-promotion
+retry filter the applicable methods by their own rule and share one
+search for the unique most specific one. The engine walks a validated, fully inlined
 frontend function statement by statement, mirrors its CFG one block per
 source block, and turns phi nodes into block arguments whose values are
 passed by the predecessor branches.
@@ -118,13 +120,18 @@ def resolve_method(registry: IntrinsicRegistry, name: str, arg_types):
     """
     arg_types = tuple(arg_types)
     probe = IntrinsicSignature(name, arg_types)
-    applicable = [
+    return _most_specific(probe, "", [
         (sig, builder)
         for sig, builder in registry.methods.get(name, [])
         if len(sig.param_types) == len(arg_types) and _pointwise_le(probe, sig)
-    ]
+    ])
+
+
+def _most_specific(probe: IntrinsicSignature, how: str, applicable):
+    """The unique pointwise-minimal ``(signature, builder)`` of the methods
+    applicable to ``probe``; ``how`` names the applicability rule in errors."""
     if not applicable:
-        raise NoMethodError(f"no method matching {probe}")
+        raise NoMethodError(f"no method matching {probe}{how}")
     best = applicable[0]
     for cand in applicable[1:]:
         if _pointwise_le(cand[0], best[0]):
@@ -134,7 +141,7 @@ def resolve_method(registry: IntrinsicRegistry, name: str, arg_types):
             tied = ", ".join(str(s) for s, _ in applicable
                              if not _pointwise_le(best[0], s) or s == best[0])
             raise AmbiguousMethodError(
-                f"ambiguous call {probe}; candidates: {tied}")
+                f"ambiguous call {probe}{how}; candidates: {tied}")
     return best
 
 
@@ -217,7 +224,8 @@ def _default_return(ctx: BuilderContext, values):
 def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValue:
     """One deduplicated arith.constant in the entry block per (value, type).
 
-    Float values are told apart by their bits, not by ``==``.
+    Float values are told apart by their bits at the type's width, not by
+    ``==``.
     """
     ir_types = map_type(ctx.registry, target_type)
     if len(ir_types) != 1 or not ir.is_scalar(ir_types[0]):
@@ -251,9 +259,12 @@ def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValu
             raise CodegenError(f"literal {value!r} is not representable as index")
         attr = ir.IntAttr(int(value), t)
 
-    # floats by bit pattern, so 0.0 and -0.0 stay apart and equal NaNs merge
-    key = (struct.pack("<d", attr.value) if isinstance(attr, ir.FloatAttr)
-           else attr.value, t)
+    # floats by bit pattern at the declared width: 0.0 and -0.0 stay apart,
+    # equal NaNs and literals that round to one f32 merge
+    key = attr.value
+    if isinstance(attr, ir.FloatAttr):
+        key = struct.pack("<d", ir.to_f32(key) if isinstance(t, ir.Float32Type) else key)
+    key = (key, t)
     cached = ctx.constants.get(key)
     if cached is not None:
         return cached
@@ -314,42 +325,20 @@ def _resolve_call(registry: IntrinsicRegistry, name: str, args, natural_types):
             cache[key] = None  # only literal promotion can match
     if cache[key] is not None:
         return cache[key]
-    key += (tuple(a.value if _is_literal(a) else None for a in args),)
-    if key not in cache:
-        cache[key] = _promote(registry, name, args, key[1])
-    return cache[key]
-
-
-def _promote(registry: IntrinsicRegistry, name: str, args, natural_types):
-    probe = IntrinsicSignature(name, natural_types)
+    probe = IntrinsicSignature(name, key[1])
     if not any(_is_literal(a) for a in args):
         raise NoMethodError(f"no method matching {probe}")
-    applicable = []
-    for sig, builder in registry.methods.get(name, []):
-        if len(sig.param_types) != len(args):
-            continue
-        ok = True
-        for arg, natural, param in zip(args, natural_types, sig.param_types):
-            if _is_literal(arg):
-                ok = fir.subtype(natural, param) or _literal_promotable(arg, param)
-            else:
-                ok = fir.subtype(natural, param)
-            if not ok:
-                break
-        if ok:
-            applicable.append((sig, builder))
-    if not applicable:
-        raise NoMethodError(f"no method matching {probe} (with literal promotion)")
-    best = applicable[0]
-    for cand in applicable[1:]:
-        if _pointwise_le(cand[0], best[0]):
-            best = cand
-    for cand in applicable:
-        if not _pointwise_le(best[0], cand[0]):
-            raise AmbiguousMethodError(
-                f"ambiguous call to {name} with literal promotion; candidates: "
-                + ", ".join(str(s) for s, _ in applicable))
-    return best
+    key += (tuple(a.value if _is_literal(a) else None for a in args),)
+    if key not in cache:
+        cache[key] = _most_specific(probe, " (with literal promotion)", [
+            (sig, builder)
+            for sig, builder in registry.methods.get(name, [])
+            if len(sig.param_types) == len(args) and all(
+                fir.subtype(natural, param)
+                or (_is_literal(arg) and _literal_promotable(arg, param))
+                for arg, natural, param in zip(args, key[1], sig.param_types))
+        ])
+    return cache[key]
 
 
 class _Translator:

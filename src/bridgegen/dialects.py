@@ -2,8 +2,10 @@
 
 Dialects are described in a small line-oriented text format (see
 :func:`load_dialect_spec`), registered into a :class:`DialectRegistry`, and
-used through :func:`build_op`, which checks operands eagerly and resolves
-result types from the declared constraints.
+used through :func:`build_op`, which resolves result types from the
+declared constraints. Each op rule is stated once, in ``_check``: the
+builder raises its first finding and :meth:`DialectRegistry.validate_op`
+(which the verifier calls) reports them all, so whatever builds verifies.
 """
 
 from __future__ import annotations
@@ -26,14 +28,6 @@ from .ir import (
 
 __all__ = [
     "Constraint",
-    "ExactType",
-    "AnyFloat",
-    "AnyInteger",
-    "AnyTensor",
-    "AnyMemRef",
-    "AnyType",
-    "SameAsOperand",
-    "ElemOf",
     "OperandSpec",
     "AttrSpec",
     "OpDefinition",
@@ -64,139 +58,56 @@ class BuildError(Exception):
 # ---------------------------------------------------------------------------
 # Type constraints
 
-
-class Constraint:
-    pass
-
-
-@dataclass(frozen=True)
-class ExactType(Constraint):
-    type: IrType
-
-
-@dataclass(frozen=True)
-class AnyFloat(Constraint):
-    pass
-
-
-@dataclass(frozen=True)
-class AnyInteger(Constraint):
-    pass
-
-
-@dataclass(frozen=True)
-class AnyTensor(Constraint):
-    pass
-
-
-@dataclass(frozen=True)
-class AnyMemRef(Constraint):
-    pass
-
-
-@dataclass(frozen=True)
-class AnyType(Constraint):
-    pass
-
-
-@dataclass(frozen=True)
-class SameAsOperand(Constraint):
-    index: int
-
-
-@dataclass(frozen=True)
-class ElemOf(Constraint):
-    """Element type of the tensor/memref at operand ``index``."""
-
-    index: int
-
-
 _EXACT = {"f32": F32, "f64": F64, "i1": I1, "i64": I64, "index": INDEX}
+_KINDS = {
+    "AnyFloat": ir.is_float,
+    "AnyInteger": ir.is_integer,
+    "AnyTensor": lambda t: isinstance(t, ir.TensorType),
+    "AnyMemRef": lambda t: isinstance(t, ir.MemRefType),
+    "Any": lambda t: True,
+}
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """One spec type constraint, written as in the spec format.
+
+    ``name`` is an exact type of ``_EXACT``, a kind of ``_KINDS``, or
+    ``same``/``elem`` of the operand at ``index``: that operand's type, or
+    the element type of that tensor/memref operand.
+    """
+
+    name: str
+    index: int = -1
+
+    def __str__(self):
+        return self.name if self.index < 0 else f"{self.name}({self.index})"
+
+    def resolve(self, operand_types):
+        """The unique type satisfying this constraint, or None."""
+        if self.index < 0:
+            return _EXACT.get(self.name)
+        if self.index >= len(operand_types):
+            return None
+        t = operand_types[self.index]
+        if self.name == "same":
+            return t
+        return t.elem if isinstance(t, (ir.TensorType, ir.MemRefType)) else None
+
+    def admits(self, t: IrType, operand_types) -> bool:
+        kind = _KINDS.get(self.name)
+        if kind is not None:
+            return kind(t)
+        return t == self.resolve(operand_types)
 
 
 def parse_constraint(text: str) -> Constraint:
-    if text in _EXACT:
-        return ExactType(_EXACT[text])
-    if text == "AnyFloat":
-        return AnyFloat()
-    if text == "AnyInteger":
-        return AnyInteger()
-    if text == "AnyTensor":
-        return AnyTensor()
-    if text == "AnyMemRef":
-        return AnyMemRef()
-    if text == "Any":
-        return AnyType()
-    m = re.fullmatch(r"same\((\d+)\)", text)
+    if text in _EXACT or text in _KINDS:
+        return Constraint(text)
+    m = re.fullmatch(r"(same|elem)\((\d+)\)", text)
     if m:
-        return SameAsOperand(int(m.group(1)))
-    m = re.fullmatch(r"elem\((\d+)\)", text)
-    if m:
-        return ElemOf(int(m.group(1)))
+        return Constraint(m.group(1), int(m.group(2)))
     raise ValueError(f"unknown type constraint '{text}'")
-
-
-def constraint_text(c: Constraint) -> str:
-    if isinstance(c, ExactType):
-        return ir.print_type(c.type)
-    if isinstance(c, AnyFloat):
-        return "AnyFloat"
-    if isinstance(c, AnyInteger):
-        return "AnyInteger"
-    if isinstance(c, AnyTensor):
-        return "AnyTensor"
-    if isinstance(c, AnyMemRef):
-        return "AnyMemRef"
-    if isinstance(c, AnyType):
-        return "Any"
-    if isinstance(c, SameAsOperand):
-        return f"same({c.index})"
-    if isinstance(c, ElemOf):
-        return f"elem({c.index})"
-    raise ValueError(f"unknown constraint {c!r}")
-
-
-def _elem_of(t: IrType):
-    if isinstance(t, (ir.TensorType, ir.MemRefType)):
-        return t.elem
-    return None
-
-
-def constraint_admits(c: Constraint, t: IrType, operand_types) -> bool:
-    if isinstance(c, ExactType):
-        return t == c.type
-    if isinstance(c, AnyFloat):
-        return ir.is_float(t)
-    if isinstance(c, AnyInteger):
-        return ir.is_integer(t)
-    if isinstance(c, AnyTensor):
-        return isinstance(t, ir.TensorType)
-    if isinstance(c, AnyMemRef):
-        return isinstance(t, ir.MemRefType)
-    if isinstance(c, AnyType):
-        return True
-    if isinstance(c, SameAsOperand):
-        return c.index < len(operand_types) and t == operand_types[c.index]
-    if isinstance(c, ElemOf):
-        if c.index >= len(operand_types):
-            return False
-        return t == _elem_of(operand_types[c.index])
-    raise ValueError(f"unknown constraint {c!r}")
-
-
-def resolve_constraint(c: Constraint, operand_types):
-    """The unique type satisfying ``c`` given the operand types, or None."""
-    if isinstance(c, ExactType):
-        return c.type
-    if isinstance(c, SameAsOperand):
-        if c.index < len(operand_types):
-            return operand_types[c.index]
-        return None
-    if isinstance(c, ElemOf):
-        if c.index < len(operand_types):
-            return _elem_of(operand_types[c.index])
-        return None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +121,15 @@ class OperandSpec:
     variadic: bool = False
 
 
-_ATTR_KINDS = ("float", "int", "string", "array", "symbol", "type", "any")
+_ATTR_KINDS = {  # spec attribute kind -> the attribute class it admits
+    "float": ir.FloatAttr,
+    "int": ir.IntAttr,
+    "string": ir.StringAttr,
+    "array": ir.ArrayAttr,
+    "symbol": ir.SymbolAttr,
+    "type": ir.TypeAttr,
+    "any": object,
+}
 
 
 @dataclass(frozen=True)
@@ -230,10 +149,6 @@ class OpDefinition:
     regions: int = 0
     is_terminator: bool = False
     successors: object = 0  # int or "variadic"
-
-    @property
-    def short_name(self) -> str:
-        return self.name.split(".", 1)[1]
 
 
 @dataclass
@@ -260,62 +175,57 @@ class DialectRegistry:
         defn = self.lookup(op.name)
         if defn is None:
             return [Diagnostic("unknown-op", f"'{op.name}' is not registered", op.name)]
-        diags = []
-        operand_types = [v.type for v in op.operands]
-        result_types = [v.type for v in op.results]
-        for what, specs, types in (("operand", defn.operands, operand_types),
-                                   ("result", defn.results, result_types)):
-            fixed = [s for s in specs if not s.variadic]
-            variadic = [s for s in specs if s.variadic]
-            if len(types) < len(fixed) or (not variadic and len(types) != len(fixed)):
-                diags.append(Diagnostic(
-                    "arity-mismatch",
-                    f"expected {len(fixed)}{'+' if variadic else ''} {what}(s), "
-                    f"got {len(types)}", op.name))
-                continue
-            for i, t in enumerate(types):
-                spec = specs[i] if i < len(fixed) else variadic[0]
-                if not constraint_admits(spec.constraint, t, operand_types):
-                    diags.append(Diagnostic(
-                        "type-constraint",
-                        f"{what} '{spec.name}' ({what} {i}) violates "
-                        f"{constraint_text(spec.constraint)}, got {ir.print_type(t)}",
-                        op.name))
-        for a in defn.attrs:
-            present = a.name in op.attributes
-            if a.required and not present:
-                diags.append(Diagnostic(
-                    "missing-attr", f"required attribute '{a.name}' missing", op.name))
-            elif present and not _attr_kind_ok(op.attributes[a.name], a.kind):
-                diags.append(Diagnostic(
+        findings = _check(defn, [v.type for v in op.operands],
+                          [v.type for v in op.results], op.attributes,
+                          len(op.regions), len(op.successors))
+        return [Diagnostic(category, message, op.name) for category, message in findings]
+
+
+def _check(defn: OpDefinition, operand_types, result_types, attributes,
+           n_regions: int, n_successors: int):
+    """``(category, message)`` findings of one op against ``defn``.
+
+    The single statement of the op rules: :meth:`DialectRegistry.validate_op`
+    reports every finding, :func:`build_op` raises the first. They come in
+    the order operands, results, attributes, regions, successors;
+    ``result_types`` None skips the results.
+    """
+    findings = []
+    for what, specs, types in (("operand", defn.operands, operand_types),
+                               ("result", defn.results, result_types)):
+        if types is None:
+            continue
+        # the spec loader keeps a variadic operand or result last
+        variadic = bool(specs) and specs[-1].variadic
+        fixed = len(specs) - variadic
+        if len(types) < fixed or (not variadic and len(types) != fixed):
+            findings.append((
+                "arity-mismatch",
+                f"expected {fixed}{'+' if variadic else ''} {what}(s), got {len(types)}"))
+            continue
+        for i, t in enumerate(types):
+            spec = specs[i] if i < fixed else specs[-1]
+            if not spec.constraint.admits(t, operand_types):
+                findings.append((
                     "type-constraint",
-                    f"attribute '{a.name}' is not of kind {a.kind}", op.name))
-        if len(op.regions) != defn.regions:
-            diags.append(Diagnostic(
-                "region-count",
-                f"expected {defn.regions} region(s), got {len(op.regions)}", op.name))
-        n_succ = len(op.successors)
-        if defn.successors != "variadic" and n_succ != defn.successors:
-            diags.append(Diagnostic(
-                "bad-successor",
-                f"expected {defn.successors} successor(s), got {n_succ}", op.name))
-        if n_succ and not defn.is_terminator:
-            diags.append(Diagnostic(
-                "bad-successor", "non-terminator op has successors", op.name))
-        return diags
-
-
-def _attr_kind_ok(attr, kind: str) -> bool:
-    if kind == "any":
-        return True
-    return {
-        "float": ir.FloatAttr,
-        "int": ir.IntAttr,
-        "string": ir.StringAttr,
-        "array": ir.ArrayAttr,
-        "symbol": ir.SymbolAttr,
-        "type": ir.TypeAttr,
-    }[kind].__instancecheck__(attr)
+                    f"{what} '{spec.name}' ({what} {i}) violates {spec.constraint}, "
+                    f"got {ir.print_type(t)}"))
+    for a in defn.attrs:
+        if a.name not in attributes:
+            if a.required:
+                findings.append(("missing-attr", f"missing required attribute '{a.name}'"))
+        elif not isinstance(attributes[a.name], _ATTR_KINDS[a.kind]):
+            findings.append(("type-constraint",
+                             f"attribute '{a.name}' is not of kind {a.kind}"))
+    if n_regions != defn.regions:
+        findings.append(("region-count",
+                         f"expected {defn.regions} region(s), got {n_regions}"))
+    if defn.successors != "variadic" and n_successors != defn.successors:
+        findings.append(("bad-successor",
+                         f"expected {defn.successors} successor(s), got {n_successors}"))
+    if n_successors and not defn.is_terminator:
+        findings.append(("bad-successor", "non-terminator op has successors"))
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +264,14 @@ def load_dialect_spec(text: str) -> DialectDefinition:
                     raise DialectSpecError(
                         lineno, f"variadic {what} '{s.name}' must come last")
                 c = s.constraint
-                if isinstance(c, SameAsOperand):
+                if c.name == "same":
                     limit = i if what == "operand" else len(operands)
                     if c.index >= limit:
                         raise DialectSpecError(
                             lineno,
                             f"same({c.index}) on {what} '{s.name}' does not "
                             f"reference a lower-indexed operand")
-                if isinstance(c, ElemOf) and c.index >= len(operands):
+                if c.name == "elem" and c.index >= len(operands):
                     raise DialectSpecError(
                         lineno, f"elem({c.index}) on {what} '{s.name}' is dangling")
         if pending["successors"] != 0 and not pending["terminator"]:
@@ -468,10 +378,10 @@ def serialize_dialect(defn: DialectDefinition) -> str:
         out.append(f'op {short} "{op.doc}"')
         for s in op.operands:
             v = "variadic " if s.variadic else ""
-            out.append(f"  operand {s.name} {v}{constraint_text(s.constraint)}")
+            out.append(f"  operand {s.name} {v}{s.constraint}")
         for s in op.results:
             v = "variadic " if s.variadic else ""
-            out.append(f"  result {s.name} {v}{constraint_text(s.constraint)}")
+            out.append(f"  result {s.name} {v}{s.constraint}")
         for a in op.attrs:
             req = " required" if a.required else ""
             out.append(f"  attr {a.name} {a.kind}{req}")
@@ -501,9 +411,11 @@ def build_op(registry: DialectRegistry, module: IrModule, qualified_name: str,
              result_types=None) -> IrOperation:
     """Build a verified operation at the module's insertion point.
 
-    Operand arity and type constraints are checked eagerly; result types
-    are resolved from the declared constraints where they determine a
-    unique type, otherwise ``result_types`` must be supplied.
+    Result types are resolved from the declared constraints where they
+    determine a unique type, otherwise ``result_types`` must be supplied.
+    The op is then checked by the same rules as
+    :meth:`DialectRegistry.validate_op`, and the first finding raises
+    :class:`BuildError`.
     """
     defn = registry.lookup(qualified_name)
     if defn is None:
@@ -511,78 +423,35 @@ def build_op(registry: DialectRegistry, module: IrModule, qualified_name: str,
     operands = list(operands)
     attributes = dict(attributes or {})
     operand_types = [v.type for v in operands]
-
-    fixed = [s for s in defn.operands if not s.variadic]
-    variadic = [s for s in defn.operands if s.variadic]
-    if len(operands) < len(fixed) or (not variadic and len(operands) != len(fixed)):
-        raise BuildError(
-            f"{qualified_name}: expected {len(fixed)}{'+' if variadic else ''} "
-            f"operand(s), got {len(operands)}")
-    for i, t in enumerate(operand_types):
-        spec = defn.operands[i] if i < len(fixed) else variadic[0]
-        if not constraint_admits(spec.constraint, t, operand_types):
-            raise BuildError(
-                f"{qualified_name}: operand '{spec.name}' (operand {i}) violates "
-                f"{constraint_text(spec.constraint)}, got {ir.print_type(t)}")
-    for a in defn.attrs:
-        if a.required and a.name not in attributes:
-            raise BuildError(f"{qualified_name}: missing required attribute '{a.name}'")
-        if a.name in attributes and not _attr_kind_ok(attributes[a.name], a.kind):
-            raise BuildError(
-                f"{qualified_name}: attribute '{a.name}' is not of kind {a.kind}")
-
+    not_inferred = None
     if result_types is None:
-        result_types = []
-        for s in defn.results:
-            if s.variadic:
-                raise BuildError(
-                    f"{qualified_name}: variadic results; pass result_types")
-            t = resolve_constraint(s.constraint, operand_types)
-            if t is None and s.name and "value" in attributes:
-                value = attributes["value"]
-                t = getattr(value, "type", None)
-            if t is None:
-                raise BuildError(
-                    f"{qualified_name}: cannot infer type of result '{s.name}'; "
-                    f"pass result_types")
-            result_types.append(t)
+        result_types, not_inferred = _infer_results(defn, operand_types, attributes)
     else:
         result_types = list(result_types)
-        fixed_r = [s for s in defn.results if not s.variadic]
-        variadic_r = [s for s in defn.results if s.variadic]
-        if len(result_types) < len(fixed_r) or (
-                not variadic_r and len(result_types) != len(fixed_r)):
-            raise BuildError(
-                f"{qualified_name}: expected {len(fixed_r)}"
-                f"{'+' if variadic_r else ''} result(s), got {len(result_types)}")
-        for i, t in enumerate(result_types):
-            spec = defn.results[i] if i < len(fixed_r) else variadic_r[0]
-            if not constraint_admits(spec.constraint, t, operand_types):
-                raise BuildError(
-                    f"{qualified_name}: result '{spec.name}' violates "
-                    f"{constraint_text(spec.constraint)}, got {ir.print_type(t)}")
-
-    n_regions = len(regions or [])
-    if n_regions != defn.regions:
-        raise BuildError(
-            f"{qualified_name}: expected {defn.regions} region(s), got {n_regions}")
-    n_succ = len(successors or [])
-    if defn.successors != "variadic" and n_succ != defn.successors:
-        raise BuildError(
-            f"{qualified_name}: expected {defn.successors} successor(s), got {n_succ}")
-
-    op = ir.create_op(module, qualified_name, operands, result_types,
-                      attributes, regions, successors,
-                      is_terminator=defn.is_terminator)
-    return op
+    findings = _check(defn, operand_types, result_types, attributes,
+                      len(regions or ()), len(successors or ()))
+    if findings or not_inferred:
+        raise BuildError(f"{qualified_name}: "
+                         f"{findings[0][1] if findings else not_inferred}")
+    return ir.create_op(module, qualified_name, operands, result_types,
+                        attributes, regions, successors,
+                        is_terminator=defn.is_terminator)
 
 
-def op_doc(registry: DialectRegistry, qualified_name: str) -> str:
-    """Docstring attached to an op definition."""
-    defn = registry.lookup(qualified_name)
-    if defn is None:
-        raise BuildError(f"unknown operation '{qualified_name}'")
-    return defn.doc
+def _infer_results(defn: OpDefinition, operand_types, attributes):
+    """``(result types, None)``, or ``(None, why not)`` when a result's type
+    is not determined by the constraints or a ``value`` attribute."""
+    types = []
+    for s in defn.results:
+        if s.variadic:
+            return None, "variadic results; pass result_types"
+        t = s.constraint.resolve(operand_types)
+        if t is None and "value" in attributes:
+            t = getattr(attributes["value"], "type", None)
+        if t is None:
+            return None, f"cannot infer type of result '{s.name}'; pass result_types"
+        types.append(t)
+    return types, None
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ __all__ = [
     "reachable_blocks",
     "inline_calls",
     "insert_bool_conversions",
-    "normalize",
 ]
 
 
@@ -924,24 +923,4 @@ def insert_bool_conversions(fn: FirFunction, is_frontend_bool=None) -> FirFuncti
                     st.cond = SsaRef(conv.id)
                     i += 1
             i += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Normalization (canonical renumbering for structural comparison)
-
-
-def normalize(fn: FirFunction) -> FirFunction:
-    """Renumber SSA ids densely in statement order (blocks stay fixed)."""
-    out = _copy_fn(fn)
-    mapping = {}
-    nxt = 1
-    for _, st in out.statements():
-        if isinstance(st, (Invoke, Phi)):
-            mapping[st.id] = nxt
-            nxt += 1
-    _substitute(out, {old: SsaRef(new) for old, new in mapping.items()})
-    for _, st in out.statements():
-        if isinstance(st, (Invoke, Phi)):
-            st.id = mapping[st.id]
     return out

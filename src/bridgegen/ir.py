@@ -11,8 +11,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "IrType",
     "Float32Type",
@@ -247,12 +245,13 @@ class BlockArgument:
 class IrValue:
     """An SSA value: the result of an operation or a block argument."""
 
-    __slots__ = ("id", "type", "origin")
+    __slots__ = ("id", "type", "origin", "owner")
 
-    def __init__(self, id: int, type: IrType, origin):
+    def __init__(self, id: int, type: IrType, origin, owner: "IrModule"):
         self.id = id
         self.type = type
         self.origin = origin
+        self.owner = owner
 
     def __repr__(self):
         return f"<IrValue %{self.id}: {self.type}>"
@@ -328,20 +327,18 @@ class IrModule:
         self.registry = registry
         self._next_value = 0
         self._next_block = 1
-        self._value_ids = set()
         self.insertion_block = self.body.blocks[0]
         self.insertion_index = None  # None appends
 
     # -- allocation ---------------------------------------------------
 
     def new_value(self, type: IrType, origin) -> IrValue:
-        v = IrValue(self._next_value, type, origin)
+        v = IrValue(self._next_value, type, origin, self)
         self._next_value += 1
-        self._value_ids.add(v.id)
         return v
 
     def owns(self, value: IrValue) -> bool:
-        return value.id in self._value_ids
+        return value.owner is self
 
     def new_region(self) -> IrRegion:
         return IrRegion()
@@ -701,9 +698,39 @@ def format_float(value: float, type: IrType) -> str:
     if not math.isfinite(value):
         bits = int.from_bytes(struct.pack("<f" if f32 else "<d", value), "little")
         return f"0x{bits:0{8 if f32 else 16}X}"
-    s = np.format_float_positional((np.float32 if f32 else np.float64)(value),
-                                   unique=True)
-    return s + "0" if s.endswith(".") else s
+    sign = "-" if math.copysign(1.0, value) < 0 else ""
+    text = _shortest_f32(abs(value)) if f32 else repr(abs(value))
+    # the value is int(digits) * 10**exp; print it with the point in place
+    mantissa, _, exp = text.partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits, exp = whole + frac, int(exp or 0) - len(frac)
+    point = len(digits) + exp  # digits before the decimal point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    if exp >= 0:
+        return f"{sign}{digits}{'0' * exp}.0"
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
+def _shortest_f32(value: float) -> str:
+    """The shortest decimal that rounds to the f32 ``value`` >= 0: the first
+    correctly rounded ``p``-digit form that reads back.
+
+    Just above a power of two the f32 values are twice as far apart as just
+    below it, so there the decimal one step away from zero may read back
+    when the nearest one, below the value, does not.
+    """
+    power_of_two = math.frexp(value)[0] == 0.5
+    for p in range(8):
+        text = f"{value:.{p}e}"
+        if to_f32(float(text)) == value:
+            return text
+        if power_of_two:
+            mantissa, _, exp = text.partition("e")
+            text = f"{int(mantissa.replace('.', '')) + 1}e{int(exp) - p}"
+            if to_f32(float(text)) == value:
+                return text
+    return f"{value:.8e}"  # nine digits always read back
 
 
 def print_type(t: IrType) -> str:
@@ -908,17 +935,14 @@ class _Printer:
                 self.assign_block_args(block)
             if bi > 0 or show_entry:
                 # entry args live in the signature unless explicitly labeled
-                self.block_label_line(block, label, preds, lines, indent,
-                                      with_args=(bi > 0 or entry_label))
+                lines.append(indent + self.block_label(
+                    block, label, preds, with_args=(bi > 0 or entry_label)))
             for op in block.operations:
                 self.assign_results(op)
                 if op.name == "linalg.generic":
                     self.linalg_generic(op, label, indent + "  ", lines)
                 else:
                     lines.append(indent + "  " + self.op_line(op, label))
-
-    def block_label_line(self, block, label, preds, lines, indent, with_args):
-        lines.append(indent + self.block_label(block, label, preds, with_args))
 
 
 def _print_func(op: IrOperation, indent: str, lines: list):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
@@ -116,6 +117,21 @@ def run_pipeline(registry, text, entry, arg_types):
     inlined = fir.inline_calls(program, entry, is_intrinsic)
     converted = fir.insert_bool_conversions(inlined)
     return codegen.generate(registry, converted, arg_types)
+
+
+def normalize(fn):
+    """A copy of ``fn`` with its SSA ids renumbered densely in statement
+    order (blocks stay fixed), for structural comparison."""
+    out = copy.deepcopy(fn)
+    mapping = {}
+    for _, st in out.statements():
+        if isinstance(st, (fir.Invoke, fir.Phi)):
+            mapping[st.id] = len(mapping) + 1
+    fir._substitute(out, {old: fir.SsaRef(new) for old, new in mapping.items()})
+    for _, st in out.statements():
+        if isinstance(st, (fir.Invoke, fir.Phi)):
+            st.id = mapping[st.id]
+    return out
 
 
 def walk_ops(module):

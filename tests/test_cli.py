@@ -51,6 +51,14 @@ def run_cli(*args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_import_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bridgegen.__file__)))
+    code = "import sys, bridgegen; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stdout.strip() == "False", done.stderr
+
+
 class TestGen:
     def test_sigmoid_to_stdout(self, sigmoid_path, capsys):
         code = cli.main(["gen", sigmoid_path, "--entry", "sigmoid",

@@ -238,6 +238,25 @@ class TestMaterialize:
         assert (materialize_constant(ctx, float("nan"), fir.F64)
                 is materialize_constant(ctx, float("nan"), fir.F64))
 
+    def test_f32_literals_deduplicated_at_f32(self, registry):
+        # keyed on the literal's double, these four made four constants
+        text = """\
+fn f(_1: f32)
+1:
+  %1 = invoke +(_1, 1e39) :: f32
+  %2 = invoke +(%1, 1e40) :: f32
+  %3 = invoke +(%2, 0.1) :: f32
+  %4 = invoke +(%3, 0.10000000149011612) :: f32
+  return %4
+"""
+        module = run_pipeline(registry, text, "f", [fir.F32])
+        constants = [ir.print_attribute(op.attributes["value"])
+                     for op in walk_ops(module) if op.name == "arith.constant"]
+        assert constants == ["0x7F800000", "0.1"]
+        ctx = scalar_ctx(registry)
+        assert (materialize_constant(ctx, 0.1, fir.F64)
+                is not materialize_constant(ctx, 0.10000000149011612, fir.F64))
+
     def test_negative_zero_literal_survives_generation(self, registry):
         # 0.0 and -0.0 used to share one constant, so -0.0 + -0.0 gave 0.0
         text = """\

@@ -1,6 +1,8 @@
 """Dialect spec loading, registration, and the typed builders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgegen import ir
 from bridgegen.dialects import (
@@ -11,7 +13,6 @@ from bridgegen.dialects import (
     build_op,
     builtin_registry,
     load_dialect_spec,
-    op_doc,
     register_dialect,
     serialize_dialect,
 )
@@ -36,6 +37,14 @@ def value(module, t=ir.F32, raw=1.0):
         attr = ir.IntAttr(int(raw), t)
     op = create_op(module, "arith.constant", [], [t], {"value": attr})
     return result(op)
+
+
+BUILTIN_OPS = sorted(defn.name for d in builtin_registry().dialects.values()
+                     for defn in d.ops.values())
+TYPES = [ir.F32, ir.F64, ir.I1, ir.I64, ir.INDEX,
+         ir.TensorType(ir.F32, (None,)), ir.MemRefType(ir.F64, (None,))]
+ATTRS = [FloatAttr(1.0, ir.F64), ir.IntAttr(1, ir.I64), StringAttr("x"),
+         ir.ArrayAttr(()), ir.SymbolAttr("f"), ir.TypeAttr(ir.F32)]
 
 
 SAMPLE = """\
@@ -177,18 +186,56 @@ class TestBuildOp:
                       successors=[(bb1, []), (bb2, [])])
         assert op.is_terminator and len(op.successors) == 2
 
-    def test_build_time_validation_as_strict_as_verifier(self):
-        # anything build_op accepts re-verifies clean per-op
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_build_time_validation_as_strict_as_verifier(self, data):
+        # build_op accepts exactly what validate_op passes, and its error is
+        # the first diagnostic; with inferred results, what it builds verifies
         registry = builtin_registry()
-        m = IrModule(registry=registry)
-        fresh_block(m)
-        a, b = value(m), value(m, raw=2.0)
-        op = build_op(registry, m, "arith.addf", [a, b])
-        assert registry.validate_op(op) == []
+        defn = registry.lookup(data.draw(st.sampled_from(BUILTIN_OPS)))
+
+        def count(declared, most):  # the declared count half of the time
+            return data.draw(st.one_of(st.just(declared), st.integers(0, most)))
+
+        pool = list(TYPES)
+
+        def types(declared):  # earlier picks come again, to meet same(k)
+            out = []
+            for _ in range(count(len(declared), 4)):
+                t = data.draw(st.sampled_from(pool))
+                out.append(t)
+                pool.extend([t] * 8)
+            return out
+
+        m = IrModule()
+        block = fresh_block(m)
+        operands = [create_op(m, "test.value", [], [t]).results[0]
+                    for t in types(defn.operands)]
+        infer = data.draw(st.booleans())
+        result_types = None if infer else types(defn.results)
+        attributes = {a: data.draw(st.sampled_from(ATTRS))
+                      for a in [a.name for a in defn.attrs] + ["other"]
+                      if data.draw(st.sampled_from([True, True, False]))}
+        regions = [m.new_region() for _ in range(count(defn.regions, 2))]
+        n_successors = 2 if defn.successors == "variadic" else defn.successors
+        successors = [(block, []) for _ in range(count(n_successors, 3))]
+        m.set_insertion(block)
+        try:
+            op = build_op(registry, m, defn.name, operands, attributes, regions,
+                          successors, result_types)
+        except BuildError as e:
+            if infer:
+                return
+            op = create_op(m, defn.name, operands, result_types, attributes,
+                           regions, successors)
+            diagnostics = registry.validate_op(op)
+            assert diagnostics and str(e) == f"{defn.name}: {diagnostics[0].message}"
+        else:
+            assert registry.validate_op(op) == []
 
     def test_docstring_retrievable(self):
         registry = builtin_registry()
-        assert "addition" in op_doc(registry, "arith.addf").lower()
+        assert "addition" in registry.lookup("arith.addf").doc.lower()
 
     def test_elem_constraint_on_store(self):
         registry = builtin_registry()

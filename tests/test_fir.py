@@ -14,12 +14,11 @@ from bridgegen.fir import (
     SsaRef,
     inline_calls,
     insert_bool_conversions,
-    normalize,
     parse_program,
     print_fir,
     validate_fir,
 )
-from conftest import MAX_FIR, SIGMOID_FIR, run_pipeline
+from conftest import MAX_FIR, SIGMOID_FIR, normalize, run_pipeline
 
 
 def always_intrinsic(name, types):

@@ -112,6 +112,23 @@ class TestAttributes:
             assert ir.format_float(nearly, ir.F32) == ir.format_float(big, ir.F32)
             assert ir.format_float(1e300, ir.F64).endswith(".0")
 
+    def test_float_formatting_matches_numpy_shortest(self):
+        # every power of two and its neighbours within 3 ulp, where the
+        # rounding interval is lopsided, plus random bit patterns
+        rng = np.random.default_rng(7)
+        for ftype, dtype, bits, exps in ((ir.F32, np.float32, np.uint32, range(-149, 128)),
+                                         (ir.F64, np.float64, np.uint64, range(-1074, 1024))):
+            powers = np.ldexp(dtype(1), np.array(exps)).astype(dtype).view(bits)
+            near = (powers[:, None].astype(np.int64) + np.arange(-3, 4)).ravel()
+            near = near[near >= 0].astype(bits)
+            rand = rng.integers(0, np.iinfo(bits).max, 5000, dtype=bits, endpoint=True)
+            for v in np.concatenate([near, rand]).view(dtype):
+                if not np.isfinite(v):
+                    continue
+                want = np.format_float_positional(v, unique=True)
+                want += "0" if want.endswith(".") else ""
+                assert ir.format_float(float(v), ftype) == want, repr(v)
+
     def test_to_f32_rounds_like_numpy(self):
         values = [0.1, -0.0, 1e-46, 1e-45, 3.4028235e38, 3.4028236e38, 1e39,
                   -1e39, math.inf, 2.0 ** -149 * 1.5]
@@ -147,11 +164,20 @@ class TestCreateOp:
             result(ret, 0)
 
     def test_operand_from_other_module_rejected(self):
+        # both modules number their values from 0, so ids cannot tell them apart
         m1, m2 = IrModule(), IrModule()
         _, _, b1 = empty_func(m1, "f", (ir.F32,), (ir.F32,))
-        empty_func(m2, "g")
+        _, _, b2 = empty_func(m2, "g", (ir.F32,), ())
+        foreign, own = b1.arguments[0], b2.arguments[0]
+        assert foreign.id == own.id
+        assert m2.owns(own) and not m2.owns(foreign)
+        m2.set_insertion(b2)
         with pytest.raises(IrError):
-            create_op(m2, "arith.negf", [b1.arguments[0]], [ir.F32])
+            create_op(m2, "arith.negf", [foreign], [ir.F32])
+        with pytest.raises(IrError):
+            dialects.build_op(dialects.builtin_registry(), m2, "arith.negf", [foreign])
+        with pytest.raises(IrError):
+            create_op(m2, "cf.br", [], [], successors=[(b2, [foreign])])
 
     def test_append_block_order_and_args(self):
         m = IrModule()
