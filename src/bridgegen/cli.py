@@ -13,6 +13,9 @@ Diagnostics go to stderr, IR and results to stdout. Exit codes: 0 on
 success, 1 on pipeline or interpreter failure, 2 on usage errors. Any
 other exception is a defect; it is reported as one ``error: internal:``
 line with exit code 1 rather than a traceback.
+
+Only ``run`` loads the interpreter and numpy; ``gen`` and ``einsum`` do
+not.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from . import codegen, dialects, einsum, fir, interp, intrinsics, ir
+from . import codegen, dialects, einsum, fir, intrinsics, ir
 from .gpu import register_gpu_intrinsics
 
 __all__ = ["main", "build_parser"]
@@ -116,9 +117,11 @@ def _pipeline(parser, args):
             f"--types lists {len(arg_types)} type(s) but '{args.entry}' "
             f"takes {len(entry.param_types)}")
 
-    violations = fir.validate_fir(entry)
+    violations = [f"{args.input}: {name}: {v}"
+                  for name, fn in program.functions.items()
+                  for v in fir.validate_fir(fn)]
     if violations:
-        raise CliError("\n".join(f"{args.input}: {v}" for v in violations))
+        raise CliError("\n".join(violations))
 
     def is_intrinsic(name, types):
         return registry.has_name(name) or name == fir.BOOL_CONVERSION
@@ -159,6 +162,7 @@ _REPEAT_RE = re.compile(r"(-?\d+(?:\.\d+)?)\s*[x×]\s*(\d+)")
 
 
 def _parse_array_body(body: str):
+    import numpy as np
     body = body.strip()
     m = _RANGE_RE.fullmatch(body)
     if m:
@@ -179,6 +183,7 @@ def parse_runtime_input(text: str, expected: ir.IrType) -> interp.RuntimeValue:
     Scalars: ``2.0``, ``3``, ``true``. Buffers: ``[1,2,3]:f32``,
     ``[1..8]:f32`` (inclusive range), ``[0x8]:f32`` (value x count).
     """
+    from . import interp
     text = text.strip()
     m = re.fullmatch(r"\[(.*)\]\s*:\s*(f32|f64|i64|index)", text)
     if m:
@@ -206,6 +211,8 @@ def parse_runtime_input(text: str, expected: ir.IrType) -> interp.RuntimeValue:
 
 
 def format_runtime_value(v: interp.RuntimeValue) -> str:
+    import numpy as np
+    from . import interp
     if isinstance(v, interp.F32Value):
         return str(np.float32(v.value))
     if isinstance(v, interp.F64Value):
@@ -225,6 +232,7 @@ def format_runtime_value(v: interp.RuntimeValue) -> str:
 
 
 def _parse_launch(text: str) -> interp.LaunchConfig:
+    from . import interp
     parts = text.split(",")
     if len(parts) != 6 or not all(p.strip().isdigit() for p in parts):
         raise CliError("--launch expects six integers: gx,gy,gz,bx,by,bz")
@@ -249,6 +257,7 @@ def _uses_gpu_ops(module: ir.IrModule) -> bool:
 
 
 def cmd_run(parser, args) -> int:
+    from . import interp
     registry, module = _pipeline(parser, args)
     func = module.lookup_symbol(args.entry)
     ftype = func.attributes["function_type"].type

@@ -27,6 +27,7 @@ __all__ = [
     "IntrinsicRegistry",
     "BuilderContext",
     "register_intrinsic",
+    "emit",
     "resolve_method",
     "map_type",
     "materialize_constant",
@@ -110,6 +111,18 @@ def register_intrinsic(registry: IntrinsicRegistry, signature: IntrinsicSignatur
     entries.append((signature, builder))
     registry.dispatch_cache.clear()
     return registry
+
+
+def emit(op_name: str, **attributes):
+    """Builder for an intrinsic that is one ``op_name`` op with
+    ``attributes``, taking the arguments' values in order as its operands
+    and returning the op's results."""
+
+    def build(ctx, args):
+        operands = [v for values in args for v in values]
+        return list(ctx.build_op(op_name, operands, attributes).results)
+
+    return build
 
 
 def resolve_method(registry: IntrinsicRegistry, name: str, arg_types):
@@ -268,10 +281,9 @@ def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValu
     cached = ctx.constants.get(key)
     if cached is not None:
         return cached
-    ctx.module.set_insertion(ctx.entry_block, ctx.n_constants)
-    op = dl.build_op(ctx.dialects, ctx.module, "arith.constant",
-                     attributes={"value": attr})
-    ctx.module.set_insertion(ctx.block)
+    op = ctx.build_op("arith.constant", attributes={"value": attr})
+    # constants lead the entry block, in order of first use
+    ctx.entry_block.operations.insert(ctx.n_constants, ctx.block.operations.pop())
     ctx.n_constants += 1
     v = op.results[0]
     ctx.constants[key] = v
@@ -342,16 +354,9 @@ def _resolve_call(registry: IntrinsicRegistry, name: str, args, natural_types):
 
 
 class _Translator:
-    def __init__(self, ctx: BuilderContext, fn: fir.FirFunction):
+    def __init__(self, ctx: BuilderContext, type_of):
         self.ctx = ctx
-        self.fn = fn
-        self.types = {}
-        for _, st in fn.statements():
-            if isinstance(st, (fir.Invoke, fir.Phi)):
-                self.types[st.id] = st.result_type
-
-    def arg_frontend_type(self, arg):
-        return fir.arg_type(self.fn, arg, _types=self.types)
+        self.type_of = type_of  # fir.arg_typer of the translated function
 
     def arg_values(self, arg, literal_type=None):
         """IR values for a frontend argument; literals are materialized."""
@@ -363,7 +368,7 @@ class _Translator:
         if _is_literal(arg):
             t = literal_type
             if t is None or not isinstance(t, fir.Concrete):
-                t = self.arg_frontend_type(arg)
+                t = self.type_of(arg)
             return [materialize_constant(ctx, arg.value, t)]
         raise CodegenError(f"cannot translate argument {arg!r}")
 
@@ -386,7 +391,7 @@ class _Translator:
                 raise CodegenError(
                     f"%{st.id}: {fir.BOOL_CONVERSION} takes one argument")
             arg = st.args[0]
-            cond_type = self.arg_frontend_type(arg)
+            cond_type = self.type_of(arg)
             conv = ctx.registry.bool_conversions.get(cond_type)
             if conv is not None:
                 values = conv(ctx, self.arg_values(arg))
@@ -398,7 +403,7 @@ class _Translator:
                         f"condition type {cond_type}")
             ctx.values[("ssa", st.id)] = list(values)
             return
-        natural = [self.arg_frontend_type(a) for a in st.args]
+        natural = [self.type_of(a) for a in st.args]
         try:
             sig, builder = _resolve_call(ctx.registry, st.target, st.args, natural)
         except (NoMethodError, AmbiguousMethodError) as e:
@@ -436,7 +441,7 @@ class _Translator:
             elif isinstance(st, fir.GotoIfNot):
                 cond_values = self.arg_values(st.cond)
                 if [v.type for v in cond_values] != [ir.I1]:
-                    t = self.arg_frontend_type(st.cond)
+                    t = self.type_of(st.cond)
                     raise CodegenError(
                         f"block {number}: branch condition of type {t} did not "
                         f"lower to i1; missing bool conversion")
@@ -471,14 +476,9 @@ class _Translator:
                                        self.phi_edge_args(target, number))
 
 
-def _return_type(fn: fir.FirFunction):
-    kinds = []
-    for _, st in fn.statements():
-        if isinstance(st, fir.Return):
-            if st.value is None:
-                kinds.append(fir.NOTHING)
-            else:
-                kinds.append(fir.arg_type(fn, st.value))
+def _return_type(fn: fir.FirFunction, type_of):
+    kinds = [fir.NOTHING if st.value is None else type_of(st.value)
+             for _, st in fn.statements() if isinstance(st, fir.Return)]
     if not kinds:
         return fir.NOTHING
     first = kinds[0]
@@ -518,7 +518,7 @@ def _prepare_blocks(ctx: BuilderContext, registry, fn: fir.FirFunction,
 
 
 def _translate_into(ctx: BuilderContext, registry: IntrinsicRegistry,
-                    fn: fir.FirFunction, arg_types):
+                    fn: fir.FirFunction, arg_types, type_of):
     if list(arg_types) != list(fn.param_types):
         raise CodegenError(
             f"argument types {[str(t) for t in arg_types]} do not match the "
@@ -533,7 +533,7 @@ def _translate_into(ctx: BuilderContext, registry: IntrinsicRegistry,
     entry = ctx.block_map[1]
     for i, (start, count) in enumerate(spans, start=1):
         ctx.values[("param", i)] = entry.arguments[start:start + count]
-    translator = _Translator(ctx, fn)
+    translator = _Translator(ctx, type_of)
     for number in sorted(ctx.block_map):
         translator.translate_block(number, fn.blocks[number - 1])
 
@@ -545,7 +545,8 @@ def generate(registry: IntrinsicRegistry, fn: fir.FirFunction, arg_types,
     The function must be validated, fully inlined, and bool-converted.
     """
     module = module or ir.IrModule(registry=registry.dialects)
-    ret = _return_type(fn)
+    type_of = fir.arg_typer(fn)
+    ret = _return_type(fn, type_of)
     result_types = map_type(registry, ret)
     entry_types = []
     for t in arg_types:
@@ -561,7 +562,7 @@ def generate(registry: IntrinsicRegistry, fn: fir.FirFunction, arg_types,
                 regions=[region])
     ctx = BuilderContext(module=module, registry=registry, region=region,
                          entry_block=None)
-    _translate_into(ctx, registry, fn, arg_types)
+    _translate_into(ctx, registry, fn, arg_types, type_of)
     return module
 
 
@@ -576,6 +577,6 @@ def generate_region(ctx: BuilderContext, registry: IntrinsicRegistry,
     region = ctx.module.new_region()
     sub = BuilderContext(module=ctx.module, registry=registry, region=region,
                          entry_block=None, return_hook=return_hook)
-    _translate_into(sub, registry, fn, arg_types)
+    _translate_into(sub, registry, fn, arg_types, fir.arg_typer(fn))
     ctx.module.set_insertion(ctx.block)
     return region

@@ -55,6 +55,7 @@ __all__ = [
     "print_fir",
     "validate_fir",
     "arg_type",
+    "arg_typer",
     "block_edges",
     "predecessors",
     "reachable_blocks",
@@ -229,39 +230,78 @@ class BoolLit(FirArg):
         return "true" if self.value else "false"
 
 
+class Statement:
+    """A FIR statement. Passes never mutate one: they share the statements
+    they keep and build new ones through :meth:`mapped`."""
+
+    def reads(self):
+        """The arguments the statement reads, in order."""
+        return ()
+
+    def mapped(self, f):
+        """The statement with each argument it reads replaced by ``f(arg)``."""
+        return self
+
+
 @dataclass
-class Invoke:
+class Invoke(Statement):
     id: int
     target: str
     args: list
     result_type: FrontendType
 
+    def reads(self):
+        return self.args
+
+    def mapped(self, f):
+        return Invoke(self.id, self.target, [f(a) for a in self.args],
+                      self.result_type)
+
 
 @dataclass
-class Phi:
+class Phi(Statement):
     id: int
     incomings: list  # (pred block number, FirArg)
     result_type: FrontendType
 
+    def reads(self):
+        return [a for _, a in self.incomings]
+
+    def mapped(self, f):
+        return Phi(self.id, [(p, f(a)) for p, a in self.incomings],
+                   self.result_type)
+
 
 @dataclass
-class Goto:
+class Goto(Statement):
     target: int
 
 
 @dataclass
-class GotoIfNot:
+class GotoIfNot(Statement):
     cond: FirArg
     target: int
 
+    def reads(self):
+        return [self.cond]
+
+    def mapped(self, f):
+        return GotoIfNot(f(self.cond), self.target)
+
 
 @dataclass
-class Return:
+class Return(Statement):
     value: object  # FirArg or None
 
+    def reads(self):
+        return () if self.value is None else [self.value]
+
+    def mapped(self, f):
+        return Return(None if self.value is None else f(self.value))
+
 
 @dataclass
-class Nothing:
+class Nothing(Statement):
     pass
 
 
@@ -454,31 +494,18 @@ def _resolve_check(fn: FirFunction):
                 raise FirError(f"{fn.name}: duplicate SSA id %{st.id}")
             defined.add(st.id)
     n = fn.n_blocks()
-
-    def check_arg(a: FirArg):
-        if isinstance(a, SsaRef) and a.id not in defined:
-            raise FirError(f"{fn.name}: reference to undefined SSA id %{a.id}")
-        if isinstance(a, ParamRef) and not 1 <= a.index <= len(fn.param_types):
-            raise FirError(f"{fn.name}: reference to undefined parameter _{a.index}")
-
     for _, st in fn.statements():
-        if isinstance(st, Invoke):
-            for a in st.args:
-                check_arg(a)
-        elif isinstance(st, Phi):
-            for pred, a in st.incomings:
+        for a in st.reads():
+            if isinstance(a, SsaRef) and a.id not in defined:
+                raise FirError(f"{fn.name}: reference to undefined SSA id %{a.id}")
+            if isinstance(a, ParamRef) and not 1 <= a.index <= len(fn.param_types):
+                raise FirError(f"{fn.name}: reference to undefined parameter _{a.index}")
+        if isinstance(st, Phi):
+            for pred, _ in st.incomings:
                 if not 1 <= pred <= n:
                     raise FirError(f"{fn.name}: phi references undefined block #{pred}")
-                check_arg(a)
-        elif isinstance(st, GotoIfNot):
-            check_arg(st.cond)
-            if not 1 <= st.target <= n:
-                raise FirError(f"{fn.name}: goto to undefined block #{st.target}")
-        elif isinstance(st, Goto):
-            if not 1 <= st.target <= n:
-                raise FirError(f"{fn.name}: goto to undefined block #{st.target}")
-        elif isinstance(st, Return) and st.value is not None:
-            check_arg(st.value)
+        elif isinstance(st, (Goto, GotoIfNot)) and not 1 <= st.target <= n:
+            raise FirError(f"{fn.name}: goto to undefined block #{st.target}")
 
 
 # ---------------------------------------------------------------------------
@@ -559,28 +586,31 @@ def reachable_blocks(fn: FirFunction):
     return seen
 
 
-def _result_types(fn: FirFunction):
-    types = {}
-    for _, st in fn.statements():
-        if isinstance(st, (Invoke, Phi)):
-            types[st.id] = st.result_type
-    return types
+def arg_typer(fn: FirFunction):
+    """:func:`arg_type` for the arguments of ``fn``, over one table of its
+    SSA result types built here; a pass builds it once per function."""
+    types = {st.id: st.result_type for _, st in fn.statements()
+             if isinstance(st, (Invoke, Phi))}
+
+    def type_of(arg: FirArg) -> FrontendType:
+        if isinstance(arg, SsaRef):
+            return types[arg.id]
+        if isinstance(arg, ParamRef):
+            return fn.param_types[arg.index - 1]
+        if isinstance(arg, IntLit):
+            return I64
+        if isinstance(arg, FloatLit):
+            return F64
+        if isinstance(arg, BoolLit):
+            return BOOL
+        raise FirError(f"no type for argument {arg!r}")
+
+    return type_of
 
 
-def arg_type(fn: FirFunction, arg: FirArg, *, _types=None) -> FrontendType:
+def arg_type(fn: FirFunction, arg: FirArg) -> FrontendType:
     """Frontend type of an argument; literals get their natural type."""
-    if isinstance(arg, SsaRef):
-        types = _types if _types is not None else _result_types(fn)
-        return types[arg.id]
-    if isinstance(arg, ParamRef):
-        return fn.param_types[arg.index - 1]
-    if isinstance(arg, IntLit):
-        return I64
-    if isinstance(arg, FloatLit):
-        return F64
-    if isinstance(arg, BoolLit):
-        return BOOL
-    raise FirError(f"no type for argument {arg!r}")
+    return arg_typer(fn)(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +648,9 @@ def validate_fir(fn: FirFunction):
 
     # SSA references must point at earlier statements (global order) or params.
     seen = set()
-    order = []
     for bi, st in fn.statements():
-        order.append((bi, st))
-    for bi, st in order:
-        args = []
-        if isinstance(st, Invoke):
-            args = st.args
-        elif isinstance(st, GotoIfNot):
-            args = [st.cond]
-        elif isinstance(st, Return) and st.value is not None:
-            args = [st.value]
         # phi incomings may reference later statements (loop-carried values)
-        for a in args:
+        for a in () if isinstance(st, Phi) else st.reads():
             if isinstance(a, SsaRef) and a.id not in seen:
                 violations.append(
                     f"block {bi}: %{a.id} used before its definition")
@@ -645,39 +665,23 @@ def validate_fir(fn: FirFunction):
 
 def _call_targets(fn: FirFunction, program: FirProgram, is_intrinsic):
     out = set()
-    types = _result_types(fn)
+    type_of = arg_typer(fn)
     for _, st in fn.statements():
         if isinstance(st, Invoke) and st.target != BOOL_CONVERSION:
-            arg_types = tuple(arg_type(fn, a, _types=types) for a in st.args)
-            if is_intrinsic(st.target, arg_types):
+            if is_intrinsic(st.target, tuple(type_of(a) for a in st.args)):
                 continue
-            if st.target not in program.functions:
+            callee = program.functions.get(st.target)
+            if callee is None:
                 raise FirError(
                     f"{fn.name}: call target '{st.target}' is neither an "
                     f"intrinsic nor defined in the program")
+            if len(st.args) != len(callee.param_types):
+                raise FirError(
+                    f"{fn.name}: {_stmt_text(st)}: '{st.target}' takes "
+                    f"{len(callee.param_types)} parameter(s), the call passes "
+                    f"{len(st.args)}")
             out.add(st.target)
     return out
-
-
-def _copy_fn(fn: FirFunction) -> FirFunction:
-    blocks = []
-    for block in fn.blocks:
-        new = []
-        for st in block:
-            if isinstance(st, Invoke):
-                new.append(Invoke(st.id, st.target, list(st.args), st.result_type))
-            elif isinstance(st, Phi):
-                new.append(Phi(st.id, list(st.incomings), st.result_type))
-            elif isinstance(st, Goto):
-                new.append(Goto(st.target))
-            elif isinstance(st, GotoIfNot):
-                new.append(GotoIfNot(st.cond, st.target))
-            elif isinstance(st, Return):
-                new.append(Return(st.value))
-            else:
-                new.append(Nothing())
-        blocks.append(new)
-    return FirFunction(fn.name, list(fn.param_types), blocks)
 
 
 def _max_id(fn: FirFunction) -> int:
@@ -686,22 +690,13 @@ def _max_id(fn: FirFunction) -> int:
 
 
 def _substitute(fn: FirFunction, mapping):
-    """Replace SSA references by other arguments, in place."""
+    """Replace SSA references by other arguments in ``fn``'s block lists."""
 
     def sub(a):
-        if isinstance(a, SsaRef) and a.id in mapping:
-            return mapping[a.id]
-        return a
+        return mapping.get(a.id, a) if isinstance(a, SsaRef) else a
 
-    for _, st in fn.statements():
-        if isinstance(st, Invoke):
-            st.args = [sub(a) for a in st.args]
-        elif isinstance(st, Phi):
-            st.incomings = [(p, sub(a)) for p, a in st.incomings]
-        elif isinstance(st, GotoIfNot):
-            st.cond = sub(st.cond)
-        elif isinstance(st, Return) and st.value is not None:
-            st.value = sub(st.value)
+    for block in fn.blocks:
+        block[:] = [st.mapped(sub) for st in block]
 
 
 def _spliced_blocks(callee: FirFunction):
@@ -902,25 +897,21 @@ def inline_calls(program: FirProgram, entry: str, is_intrinsic) -> FirFunction:
 def insert_bool_conversions(fn: FirFunction, is_frontend_bool=None) -> FirFunction:
     """Route every non-Bool branch condition through the conversion intrinsic.
 
-    Returns a transformed copy; blocks and every other statement are
-    untouched.
+    Returns a new function with new block lists; ``fn`` is untouched, and
+    every statement but the converted branches is shared with it.
     """
     if is_frontend_bool is None:
         is_frontend_bool = lambda t: t == BOOL
-    out = _copy_fn(fn)
-    types = _result_types(out)
-    fresh = _max_id(out) + 1
-    for block in out.blocks:
-        i = 0
-        while i < len(block):
-            st = block[i]
-            if isinstance(st, GotoIfNot):
-                t = arg_type(out, st.cond, _types=types)
-                if not is_frontend_bool(t):
-                    conv = Invoke(fresh, BOOL_CONVERSION, [st.cond], BOOL)
-                    fresh += 1
-                    block.insert(i, conv)
-                    st.cond = SsaRef(conv.id)
-                    i += 1
-            i += 1
-    return out
+    type_of = arg_typer(fn)
+    fresh = _max_id(fn) + 1
+    blocks = []
+    for block in fn.blocks:
+        new = []
+        for st in block:
+            if isinstance(st, GotoIfNot) and not is_frontend_bool(type_of(st.cond)):
+                new.append(Invoke(fresh, BOOL_CONVERSION, [st.cond], BOOL))
+                st = GotoIfNot(SsaRef(fresh), st.target)
+                fresh += 1
+            new.append(st)
+        blocks.append(new)
+    return FirFunction(fn.name, list(fn.param_types), blocks)

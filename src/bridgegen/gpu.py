@@ -10,7 +10,8 @@ from __future__ import annotations
 from enum import Enum
 
 from . import fir
-from .codegen import IntrinsicRegistry, IntrinsicSignature, register_intrinsic
+from .codegen import IntrinsicRegistry, IntrinsicSignature, emit, register_intrinsic
+from .intrinsics import _INT_BINARY
 from .ir import StringAttr
 
 __all__ = ["GpuDimension", "register_gpu_intrinsics"]
@@ -29,38 +30,6 @@ _ID_OPS = {
 }
 
 
-def _id_builder(op_name: str, dim: GpuDimension):
-    def build(ctx, args):
-        op = ctx.build_op(op_name,
-                          attributes={"dimension": StringAttr(dim.value)})
-        return list(op.results)
-
-    return build
-
-
-def _index_binary(op_name):
-    def build(ctx, args):
-        (a,) = args[0]
-        (b,) = args[1]
-        return list(ctx.build_op(op_name, [a, b]).results)
-
-    return build
-
-
-def _load_builder(ctx, args):
-    (buf,) = args[0]
-    (idx,) = args[1]
-    return list(ctx.build_op("memref.load", [buf, idx]).results)
-
-
-def _store_builder(ctx, args):
-    (value,) = args[0]
-    (buf,) = args[1]
-    (idx,) = args[2]
-    ctx.build_op("memref.store", [value, buf, idx])
-    return []
-
-
 def register_gpu_intrinsics(registry: IntrinsicRegistry) -> IntrinsicRegistry:
     """Thread/block indexing, rank-1 load/store, and index arithmetic.
 
@@ -72,25 +41,24 @@ def register_gpu_intrinsics(registry: IntrinsicRegistry) -> IntrinsicRegistry:
             register_intrinsic(
                 registry,
                 IntrinsicSignature(f"{base}_{dim.value}", ()),
-                _id_builder(op_name, dim),
+                emit(op_name, dimension=StringAttr(dim.value)),
             )
     for elem in (fir.F32, fir.F64):
         buf = fir.memref_of(elem, 1)
         register_intrinsic(
             registry,
             IntrinsicSignature("load", (buf, fir.INDEX)),
-            _load_builder,
+            emit("memref.load"),
         )
         register_intrinsic(
             registry,
             IntrinsicSignature("store", (elem, buf, fir.INDEX)),
-            _store_builder,
+            emit("memref.store"),
         )
     # index arithmetic rides on the scalar registrations when present;
     # fill it in for registries built without them
-    for name, op in (("+", "arith.addi"), ("-", "arith.subi"),
-                     ("*", "arith.muli")):
+    for name, op in _INT_BINARY.items():
         sig = IntrinsicSignature(name, (fir.INDEX, fir.INDEX))
-        if not any(s == sig for s in registry.signatures(name)):
-            register_intrinsic(registry, sig, _index_binary(op))
+        if sig not in registry.signatures(name):
+            register_intrinsic(registry, sig, emit(op))
     return registry

@@ -8,39 +8,10 @@ signature to a builder that emits the corresponding dialect operation.
 from __future__ import annotations
 
 from . import fir
-from .codegen import IntrinsicRegistry, IntrinsicSignature, register_intrinsic
+from .codegen import IntrinsicRegistry, IntrinsicSignature, emit, register_intrinsic
 from .ir import StringAttr
 
 __all__ = ["register_scalar_intrinsics", "default_registry"]
-
-
-def _unary(op_name):
-    def build(ctx, args):
-        (a,) = args[0]
-        return list(ctx.build_op(op_name, [a]).results)
-
-    return build
-
-
-def _binary(op_name):
-    def build(ctx, args):
-        (a,) = args[0]
-        (b,) = args[1]
-        return list(ctx.build_op(op_name, [a, b]).results)
-
-    return build
-
-
-def _compare(predicate):
-    def build(ctx, args):
-        (a,) = args[0]
-        (b,) = args[1]
-        op = ctx.build_op("arith.cmpi", [a, b],
-                          attributes={"predicate": StringAttr(predicate)})
-        return list(op.results)
-
-    return build
-
 
 _FLOAT_BINARY = {
     "+": "arith.addf",
@@ -70,18 +41,18 @@ def register_scalar_intrinsics(registry: IntrinsicRegistry) -> IntrinsicRegistry
     for t in (fir.F32, fir.F64):
         for name, op in _FLOAT_BINARY.items():
             register_intrinsic(registry, IntrinsicSignature(name, (t, t)),
-                               _binary(op))
+                               emit(op))
         register_intrinsic(registry, IntrinsicSignature("-", (t,)),
-                           _unary("arith.negf"))
+                           emit("arith.negf"))
         register_intrinsic(registry, IntrinsicSignature("exp", (t,)),
-                           _unary("math.exp"))
+                           emit("math.exp"))
     for t in (fir.I64, fir.INDEX):
         for name, op in _INT_BINARY.items():
             register_intrinsic(registry, IntrinsicSignature(name, (t, t)),
-                               _binary(op))
+                               emit(op))
         for name, predicate in _COMPARISONS.items():
             register_intrinsic(registry, IntrinsicSignature(name, (t, t)),
-                               _compare(predicate))
+                               emit("arith.cmpi", predicate=StringAttr(predicate)))
     return registry
 
 

@@ -328,7 +328,6 @@ class IrModule:
         self._next_value = 0
         self._next_block = 1
         self.insertion_block = self.body.blocks[0]
-        self.insertion_index = None  # None appends
 
     # -- allocation ---------------------------------------------------
 
@@ -354,9 +353,8 @@ class IrModule:
 
     # -- insertion point ----------------------------------------------
 
-    def set_insertion(self, block: IrBlock, index=None):
+    def set_insertion(self, block: IrBlock):
         self.insertion_block = block
-        self.insertion_index = index
 
     def symbol_ops(self):
         return self.body.blocks[0].operations
@@ -405,11 +403,7 @@ def create_op(module: IrModule, name: str, operands, result_types,
     )
     for i, t in enumerate(result_types):
         op.results.append(module.new_value(t, OpResult(op, i)))
-    block = module.insertion_block
-    if module.insertion_index is None:
-        block.operations.append(op)
-    else:
-        block.operations.insert(module.insertion_index, op)
+    module.insertion_block.operations.append(op)
     return op
 
 

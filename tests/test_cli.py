@@ -51,12 +51,20 @@ def run_cli(*args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def test_import_leaves_numpy_unloaded():
+def test_import_leaves_numpy_unloaded(sigmoid_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bridgegen.__file__)))
     code = "import sys, bridgegen; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0 and done.stdout.strip() == "False", done.stderr
+    # only `bridgegen run` needs numpy; `gen` compiles and prints without it
+    code = ("import sys; from bridgegen import cli; "
+            f"code = cli.main(['gen', {sigmoid_path!r}, '--entry', 'sigmoid', "
+            "'--types', 'f32']); print(code, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False", done.stdout
 
 
 class TestGen:
@@ -116,6 +124,30 @@ class TestGen:
         code = cli.main(["gen", str(p), "--entry", "f", "--types", "f32"])
         assert code == 1
         assert "mystery" in capsys.readouterr().err
+
+    def test_call_arity_mismatch_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "arity.fir"
+        p.write_text("fn f(_1: f64)\n1:\n  %1 = invoke g(_1) :: f64\n  return %1\n"
+                     "fn g(_1: f64, _2: f64)\n1:\n  %1 = invoke +(_1, _2) :: f64\n"
+                     "  return %1\n")
+        code = cli.main(["gen", str(p), "--entry", "f", "--types", "f64"])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err == ("error: f: %1 = invoke g(_1) :: f64: 'g' takes 2 "
+                           "parameter(s), the call passes 1\n")
+
+    def test_every_function_validated(self, tmp_path, capsys):
+        p = tmp_path / "callee.fir"
+        p.write_text("fn f(_1: f64)\n1:\n  %1 = invoke g(_1) :: f64\n  return %1\n"
+                     "fn g(_1: f64)\n1:\n  %1 = invoke +(_1, %1) :: f64\n"
+                     "  return %1\n")
+        for command in (["gen"], ["run"]):
+            args = [*command, str(p), "--entry", "f", "--types", "f64"]
+            code = cli.main(args + (["--", "1.0"] if command == ["run"] else []))
+            out = capsys.readouterr()
+            assert code == 1 and out.out == ""
+            assert out.err == (f"error: {p}: g: block 1: %1 used before its "
+                               "definition\n")
 
     def test_deep_call_chain(self, tmp_path, capsys):
         # f0 -> f1 -> ... -> f1500, deeper than Python's recursion limit

@@ -435,6 +435,39 @@ fn cpick(_1: Complex{f32}, _2: Complex{f32}, _3: i64)
             assert ir.verify_module(module).ok  # printing has no side effects
 
 
+def many_returns(n):
+    """FIR whose ``n`` return blocks each return an SSA value, reached
+    through a chain of conditional branches."""
+    lines = ["fn f(_1: Bool, _2: f64)", "1:", "  %1 = invoke +(_2, 1.0) :: f64"]
+    for k in range(1, n):
+        lines += [f"  goto #{2 * k + 1} ifnot _1", f"{2 * k}:", f"  return %{k}",
+                  f"{2 * k + 1}:", f"  %{k + 1} = invoke +(%{k}, 1.0) :: f64"]
+    return "\n".join(lines + [f"  return %{n}", ""])
+
+
+def test_generate_visits_grow_with_size_not_returns(registry, monkeypatch):
+    """One result-type table per function: the statements ``generate``
+    visits grow with the function, not with returns times statements."""
+    real = fir.FirFunction.statements
+    visits = [0]
+
+    def counted(fn):
+        for item in real(fn):
+            visits[0] += 1
+            yield item
+
+    monkeypatch.setattr(fir.FirFunction, "statements", counted)
+    ratios = []
+    for n in (50, 200):
+        fn = fir.parse_program(many_returns(n)).functions["f"]
+        visits[0] = 0
+        module = generate(registry, fn, [fir.BOOL, fir.F64])
+        assert ir.verify_module(module).ok
+        ratios.append((visits[0], sum(len(b) for b in fn.blocks)))
+    (v1, s1), (v2, s2) = ratios
+    assert v2 / v1 <= 1.1 * s2 / s1, ratios
+
+
 class TestGenerateRegion:
     def test_mul_add_body(self, registry):
         ctx = scalar_ctx(registry)

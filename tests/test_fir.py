@@ -1,8 +1,10 @@
 """Frontend IR parsing, validation, inlining, and bool conversion."""
 
+import copy
+
 import pytest
 
-from bridgegen import fir, interp, ir
+from bridgegen import codegen, fir, interp, ir
 from bridgegen.fir import (
     BOOL_CONVERSION,
     FirError,
@@ -227,6 +229,17 @@ class TestInlining:
         text = "fn f(_1: i64)\n1:\n  %1 = invoke mystery(_1) :: i64\n  return %1\n"
         with pytest.raises(FirError, match="neither an intrinsic nor defined"):
             inline_calls(parse_program(text), "f", intrinsics_by_name())
+
+    @pytest.mark.parametrize("args", ["_1", "_1, _1, _1"])
+    def test_call_arity_checked(self, args):
+        text = (f"fn f(_1: f64)\n1:\n  %1 = invoke g({args}) :: f64\n  return %1\n"
+                "fn g(_1: f64, _2: f64)\n1:\n  %1 = invoke +(_1, _2) :: f64\n"
+                "  return %1\n")
+        n = args.count("_")
+        with pytest.raises(FirError, match=(
+                rf"f: %1 = invoke g\({args}\) :: f64: 'g' takes 2 "
+                rf"parameter\(s\), the call passes {n}")):
+            inline_calls(parse_program(text), "f", intrinsics_by_name("+"))
 
     def test_multi_return_callee_gets_continuation_phi(self):
         text = """\
@@ -550,3 +563,59 @@ fn f(_1: i64, _2: i64)
                 assert isinstance(new, GotoIfNot) and new.target == old.target
             else:
                 assert new == old
+
+
+SHARED = """\
+fn main(_1: i64, _2: i64)
+1:
+  %1 = invoke helper(_1, _2) :: i64
+  %2 = invoke <(%1, _2) :: i1
+  goto #3 ifnot %2
+2:
+  %3 = invoke helper(%1, 1) :: i64
+  return %3
+3:
+  return %1
+fn helper(_1: i64, _2: i64)
+1:
+  goto #2
+2:
+  %1 = phi (#1 => _1, #3 => %3) :: i64
+  %2 = invoke <(%1, _2) :: i1
+  goto #4 ifnot %2
+3:
+  %3 = invoke +(%1, 1) :: i64
+  goto #2
+4:
+  return %1
+"""
+
+
+def test_pipeline_leaves_parsed_functions_unchanged(registry):
+    """Passes share the statements they do not rewrite, so none may
+    change a statement: inlining, bool conversion and generation leave
+    every parsed function's text and statement objects as they were."""
+    program = parse_program(SHARED)
+    before = {name: (print_fir(fn), [list(b) for b in fn.blocks],
+                     copy.deepcopy(fn.blocks))
+              for name, fn in program.functions.items()}
+
+    def is_intrinsic(name, types):
+        return registry.has_name(name)
+
+    types = [fir.I64, fir.I64]
+    inlined = inline_calls(program, "main", is_intrinsic)
+    codegen.generate(registry, insert_bool_conversions(inlined), types)
+    for fn in program.functions.values():
+        converted = insert_bool_conversions(fn)
+        assert any(a is b for a, b in zip(converted.blocks[0], fn.blocks[0]))
+    codegen.generate(registry, insert_bool_conversions(program.functions["helper"]),
+                     types)
+    for name, fn in program.functions.items():
+        text, objects, copies = before[name]
+        assert print_fir(fn) == text
+        assert len(fn.blocks) == len(objects)
+        for block, old in zip(fn.blocks, objects):
+            assert len(block) == len(old)
+            assert all(a is b for a, b in zip(block, old))
+        assert fn.blocks == copies
