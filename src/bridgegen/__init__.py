@@ -11,6 +11,7 @@ from .codegen import (
     generate_region,
     map_type,
     materialize_constant,
+    register_bindings,
     register_intrinsic,
     resolve_method,
 )
@@ -34,7 +35,7 @@ from .fir import (
     print_fir,
     validate_fir,
 )
-from .intrinsics import default_registry, register_scalar_intrinsics
+from .intrinsics import default_registry
 from .ir import (
     IrBlock,
     IrError,

@@ -90,7 +90,9 @@ def _build_registry(extra_dialect_paths):
         try:
             defn = dialects.load_dialect_spec(text)
             dialects.register_dialect(registry.dialects, defn)
-        except (dialects.DialectSpecError, dialects.BuildError) as e:
+            codegen.register_bindings(registry, defn.name)
+        except (dialects.DialectSpecError, dialects.BuildError,
+                codegen.CodegenError) as e:
             raise CliError(f"{path}: {e}") from None
     return registry
 

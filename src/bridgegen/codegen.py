@@ -27,6 +27,7 @@ __all__ = [
     "IntrinsicRegistry",
     "BuilderContext",
     "register_intrinsic",
+    "register_bindings",
     "emit",
     "resolve_method",
     "map_type",
@@ -125,6 +126,18 @@ def emit(op_name: str, **attributes):
     return build
 
 
+def register_bindings(registry: IntrinsicRegistry, *dialect_names) -> IntrinsicRegistry:
+    """Register every ``bind`` line of the named dialects' ops: each
+    signature resolves to ``emit(op, **attrs)``."""
+    for dialect in dialect_names:
+        for op in registry.dialects.dialects[dialect].ops.values():
+            for fir_name, signatures, attrs in op.binds:
+                build = emit(op.name, **{k: ir.StringAttr(v) for k, v in attrs})
+                for params in signatures:
+                    register_intrinsic(registry, IntrinsicSignature(fir_name, params), build)
+    return registry
+
+
 def resolve_method(registry: IntrinsicRegistry, name: str, arg_types):
     """Most specific applicable builder for ``name`` over ``arg_types``.
 
@@ -202,7 +215,8 @@ class BuilderContext:
     values: dict = field(default_factory=dict)      # FIR SSA id / param -> [IrValue]
     constants: dict = field(default_factory=dict)   # (value, IrType) -> IrValue
     n_constants: int = 0
-    phi_slots: dict = field(default_factory=dict)   # FIR block -> [(phi, start, count)]
+    # FIR block -> [(phi, start, count, {pred: arg})], one per head phi
+    phi_slots: dict = field(default_factory=dict)
     return_hook: object = None
 
     @property
@@ -375,8 +389,7 @@ class _Translator:
     def phi_edge_args(self, target: int, pred: int):
         """Values a branch from ``pred`` must pass for ``target``'s phis."""
         out = []
-        for phi, _, _ in self.ctx.phi_slots.get(target, []):
-            incoming = {p: a for p, a in phi.incomings}
+        for phi, _, _, incoming in self.ctx.phi_slots.get(target, []):
             if pred not in incoming:
                 raise CodegenError(
                     f"phi %{phi.id} in block {target} has no incoming value "
@@ -419,16 +432,16 @@ class _Translator:
         ctx = self.ctx
         ctx.set_block(ctx.block_map[number])
 
+        slots = ctx.phi_slots.get(number, ())  # the i-th is statement i's
         terminated = False
-        for st in statements:
+        for i, st in enumerate(statements):
             if isinstance(st, fir.Invoke):
                 self.translate_invoke(st, number)
             elif isinstance(st, fir.Phi):
-                slot = [s for s in ctx.phi_slots.get(number, ()) if s[0] is st]
-                if not slot:
+                if i >= len(slots):
                     raise CodegenError(
                         f"phi %{st.id} is not at the head of block {number}")
-                _, start, count = slot[0]
+                _, start, count, _ = slots[i]
                 block = ctx.block_map[number]
                 ctx.values[("ssa", st.id)] = block.arguments[start:start + count]
             elif isinstance(st, fir.Nothing):
@@ -507,7 +520,7 @@ def _prepare_blocks(ctx: BuilderContext, registry, fn: fir.FirFunction,
                 if not isinstance(st, fir.Phi):
                     break
                 ts = map_type(registry, st.result_type)
-                slots.append((st, len(arg_types), len(ts)))
+                slots.append((st, len(arg_types), len(ts), dict(st.incomings)))
                 arg_types.extend(ts)
             block = ctx.module.append_block(ctx.region, arg_types)
             ctx.phi_slots[number] = slots

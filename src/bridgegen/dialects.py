@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from . import ir
+from . import fir, ir
 from .ir import (
     Diagnostic,
     IrModule,
@@ -149,6 +149,8 @@ class OpDefinition:
     regions: int = 0
     is_terminator: bool = False
     successors: object = 0  # int or "variadic"
+    # per bind line: (FIR name, parameter type tuples, (attr, text) pairs)
+    binds: tuple = ()
 
 
 @dataclass
@@ -244,10 +246,13 @@ def load_dialect_spec(text: str) -> DialectDefinition:
           attr <name> <kind> [required]
           regions <n>
           terminator [successors <n|variadic>]
+          bind <fir-name> (<fir types>)... [<attr>=<string>...]
 
     Full-line comments start with ``#``. Constraints: ``f32 | f64 | i1 |
     i64 | index | AnyFloat | AnyInteger | AnyTensor | AnyMemRef | Any |
-    same(<k>) | elem(<k>)``.
+    same(<k>) | elem(<k>)``. A ``bind`` line lets a FIR call with those
+    argument types build the op (see :func:`codegen.register_bindings`);
+    each ``<attr>`` must be a ``string`` attribute of the op.
     """
     dialect = None
     pending = None  # accumulating op fields until the next header
@@ -276,6 +281,12 @@ def load_dialect_spec(text: str) -> DialectDefinition:
                         lineno, f"elem({c.index}) on {what} '{s.name}' is dangling")
         if pending["successors"] != 0 and not pending["terminator"]:
             raise DialectSpecError(lineno, "successors require 'terminator'")
+        strings = {a.name for a in pending["attrs"] if a.kind == "string"}
+        for bind_line, (_, _, attrs) in pending["binds"]:
+            for key, _ in attrs:
+                if key not in strings:
+                    raise DialectSpecError(
+                        bind_line, f"'{key}' is not a string attribute of op '{name}'")
         if name in dialect.ops:
             raise DialectSpecError(lineno, f"duplicate op name '{name}'")
         dialect.ops[name] = OpDefinition(
@@ -287,6 +298,7 @@ def load_dialect_spec(text: str) -> DialectDefinition:
             regions=pending["regions"],
             is_terminator=pending["terminator"],
             successors=pending["successors"],
+            binds=tuple(b for _, b in pending["binds"]),
         )
         pending = None
 
@@ -312,7 +324,8 @@ def load_dialect_spec(text: str) -> DialectDefinition:
                 raise DialectSpecError(lineno, "expected 'op <name> \"docstring\"'")
             pending = {"name": m.group(1), "doc": m.group(2), "line": lineno,
                        "operands": [], "results": [], "attrs": [],
-                       "regions": 0, "terminator": False, "successors": 0}
+                       "regions": 0, "terminator": False, "successors": 0,
+                       "binds": []}
             continue
         if pending is None:
             raise DialectSpecError(lineno, f"'{head}' outside an op")
@@ -359,6 +372,23 @@ def load_dialect_spec(text: str) -> DialectDefinition:
                     lineno, "expected 'terminator [successors <n|variadic>]'")
             pending["terminator"] = True
             pending["successors"] = succ
+        elif head == "bind":
+            m = re.fullmatch(r"bind\s+([^\s(]+)\s*((?:\([^()]*\)\s*)+)((?:\s*\w+=[^\s=]+)*)",
+                             line)
+            if not m:
+                raise DialectSpecError(
+                    lineno, "expected 'bind <fir-name> (<fir types>)... "
+                            "[<attr>=<string>...]'")
+            try:
+                signatures = tuple(
+                    tuple(fir.parse_frontend_type(t) for t in fir.split_commas(params))
+                    for params in re.findall(r"\(([^()]*)\)", m.group(2)))
+            except fir.FirError as e:
+                raise DialectSpecError(lineno, str(e)) from None
+            attrs = tuple(tuple(w.split("=")) for w in m.group(3).split())
+            if len({key for key, _ in attrs}) != len(attrs):
+                raise DialectSpecError(lineno, "attribute given twice")
+            pending["binds"].append((lineno, (m.group(1), signatures, attrs)))
         else:
             raise DialectSpecError(lineno, f"unknown directive '{head}'")
     if dialect is None:
@@ -392,6 +422,9 @@ def serialize_dialect(defn: DialectDefinition) -> str:
                 out.append("  terminator")
             else:
                 out.append(f"  terminator successors {op.successors}")
+        for fir_name, signatures, attrs in op.binds:
+            sigs = " ".join(f"({', '.join(map(str, params))})" for params in signatures)
+            out.append(f"  bind {fir_name} {sigs}" + "".join(f" {k}={v}" for k, v in attrs))
     return "\n".join(out) + "\n"
 
 
@@ -469,46 +502,60 @@ op addf "Floating point addition."
   operand lhs AnyFloat
   operand rhs same(0)
   result res same(0)
+  bind + (f32, f32) (f64, f64)
 
 op subf "Floating point subtraction."
   operand lhs AnyFloat
   operand rhs same(0)
   result res same(0)
+  bind - (f32, f32) (f64, f64)
 
 op mulf "Floating point multiplication."
   operand lhs AnyFloat
   operand rhs same(0)
   result res same(0)
+  bind * (f32, f32) (f64, f64)
 
 op divf "Floating point division."
   operand lhs AnyFloat
   operand rhs same(0)
   result res same(0)
+  bind / (f32, f32) (f64, f64)
 
 op negf "Floating point negation."
   operand value AnyFloat
   result res same(0)
+  bind - (f32) (f64)
 
 op addi "Integer addition (also defined on index)."
   operand lhs AnyInteger
   operand rhs same(0)
   result res same(0)
+  bind + (i64, i64) (index, index)
 
 op subi "Integer subtraction (also defined on index)."
   operand lhs AnyInteger
   operand rhs same(0)
   result res same(0)
+  bind - (i64, i64) (index, index)
 
 op muli "Integer multiplication (also defined on index)."
   operand lhs AnyInteger
   operand rhs same(0)
   result res same(0)
+  bind * (i64, i64) (index, index)
 
 op cmpi "Integer comparison; 'predicate' is one of eq|ne|slt|sle|sgt|sge."
   operand lhs AnyInteger
   operand rhs same(0)
   attr predicate string required
   result res i1
+  bind == (i64, i64) (index, index) predicate=eq
+  bind != (i64, i64) (index, index) predicate=ne
+  bind < (i64, i64) (index, index) predicate=slt
+  bind <= (i64, i64) (index, index) predicate=sle
+  bind > (i64, i64) (index, index) predicate=sgt
+  bind >= (i64, i64) (index, index) predicate=sge
 
 op index_cast "Cast between index and a fixed-width integer type."
   operand in AnyInteger
@@ -522,6 +569,7 @@ dialect math
 op exp "Natural exponential."
   operand value AnyFloat
   result res same(0)
+  bind exp (f32) (f64)
 """
 
 CF_SPEC = """\
@@ -578,14 +626,23 @@ dialect gpu
 op thread_id "Index of the executing thread within its block along dimension x|y|z."
   attr dimension string required
   result res index
+  bind thread_idx_x () dimension=x
+  bind thread_idx_y () dimension=y
+  bind thread_idx_z () dimension=z
 
 op block_id "Index of the executing thread's block along dimension x|y|z."
   attr dimension string required
   result res index
+  bind block_idx_x () dimension=x
+  bind block_idx_y () dimension=y
+  bind block_idx_z () dimension=z
 
 op block_dim "Number of threads per block along dimension x|y|z."
   attr dimension string required
   result res index
+  bind block_dim_x () dimension=x
+  bind block_dim_y () dimension=y
+  bind block_dim_z () dimension=z
 """
 
 MEMREF_SPEC = """\
@@ -596,11 +653,13 @@ op load "Reads one element at the given indices."
   operand memref AnyMemRef
   operand indices variadic index
   result res elem(0)
+  bind load (memref{f32,1}, index) (memref{f64,1}, index)
 
 op store "Writes 'value' at the given indices."
   operand value elem(1)
   operand memref AnyMemRef
   operand indices variadic index
+  bind store (f32, memref{f32,1}, index) (f64, memref{f64,1}, index)
 """
 
 BUILTIN_SPECS = (ARITH_SPEC, MATH_SPEC, CF_SPEC, FUNC_SPEC, LINALG_SPEC,

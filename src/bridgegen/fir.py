@@ -341,12 +341,14 @@ _GOTO_RE = re.compile(r"goto\s+#(\d+)\s*$")
 _RETURN_RE = re.compile(r"return(?:\s+(\S+))?\s*$")
 
 
+_REF_RE = re.compile(r"([%_])(\d+)")
+
+
 def _parse_arg(text: str, line: int) -> FirArg:
     text = text.strip()
-    if text.startswith("%"):
-        return SsaRef(int(text[1:]))
-    if text.startswith("_"):
-        return ParamRef(int(text[1:]))
+    m = _REF_RE.fullmatch(text)
+    if m:
+        return (SsaRef if m.group(1) == "%" else ParamRef)(int(m.group(2)))
     if text == "true":
         return BoolLit(True)
     if text == "false":
@@ -358,14 +360,6 @@ def _parse_arg(text: str, line: int) -> FirArg:
             text):
         return FloatLit(float(text))
     raise FirError(f"line {line}: cannot parse argument '{text}'")
-
-
-def _split_args(text: str) -> list:
-    # splits on top-level commas; args contain no nesting
-    text = text.strip()
-    if not text:
-        return []
-    return [p for p in (s.strip() for s in text.split(",")) if p]
 
 
 def split_commas(text: str) -> list:
@@ -444,22 +438,18 @@ def parse_program(text: str) -> FirProgram:
             raise FirError(f"line {lineno}: statement before first block header")
         m = _INVOKE_RE.match(line)
         if m:
-            args = [_parse_arg(a, lineno) for a in _split_args(m.group(3))]
+            args = [_parse_arg(a, lineno) for a in split_commas(m.group(3))]
             block.append(Invoke(int(m.group(1)), m.group(2), args,
                                 parse_frontend_type(m.group(4))))
             continue
         m = _PHI_RE.match(line)
         if m:
             incomings = []
-            body = m.group(2).strip()
-            if body:
-                for part in body.split(","):
-                    im = _INCOMING_RE.fullmatch(part.strip())
-                    if not im:
-                        raise FirError(
-                            f"line {lineno}: bad phi incoming '{part.strip()}'")
-                    incomings.append((int(im.group(1)),
-                                      _parse_arg(im.group(2), lineno)))
+            for part in split_commas(m.group(2)):
+                im = _INCOMING_RE.fullmatch(part)
+                if not im:
+                    raise FirError(f"line {lineno}: bad phi incoming '{part}'")
+                incomings.append((int(im.group(1)), _parse_arg(im.group(2), lineno)))
             block.append(Phi(int(m.group(1)), incomings,
                              parse_frontend_type(m.group(3))))
             continue

@@ -560,18 +560,29 @@ def verify_module(module: IrModule, registry=None) -> VerifyReport:
     registry = registry if registry is not None else module.registry
     report = VerifyReport()
 
-    seen_symbols = set()
+    functions = {}  # symbol -> its FunctionType, or None
     for op in module.symbol_ops():
         sym = op.attributes.get("sym_name")
         if isinstance(sym, SymbolAttr):
-            if sym.name in seen_symbols:
+            if sym.name in functions:
                 report.diagnostics.append(
                     Diagnostic("duplicate-symbol", f"symbol @{sym.name} redefined",
                                op.name)
                 )
-            seen_symbols.add(sym.name)
+            functions[sym.name] = _function_type(op)
 
-    def check_region(region: IrRegion):
+    def typed_against(o, returns):
+        """(what, values, declared types) of a func.return against its
+        function's type and of a func.call against its callee's, as MLIR's
+        func dialect checks them."""
+        if o.name == "func.return" and returns is not None:
+            return [("returned", o.operands, returns.results)]
+        callee = o.attributes.get("callee") if o.name == "func.call" else None
+        ftype = functions.get(callee.name) if isinstance(callee, SymbolAttr) else None
+        return [] if ftype is None else [("operand", o.operands, ftype.inputs),
+                                         ("result", o.results, ftype.results)]
+
+    def check_region(region: IrRegion, returns=None):
         in_region = {id(b) for b in region.blocks}
         dom = _dominators(region)  # reachable blocks only
 
@@ -647,6 +658,13 @@ def verify_module(module: IrModule, registry=None) -> VerifyReport:
                                        f"argument(s) of matching type, got {len(got)}",
                                        o.name, b.id)
                         )
+                for what, values, want in typed_against(o, returns):
+                    got = tuple(v.type for v in values)
+                    if got != tuple(want):
+                        report.diagnostics.append(Diagnostic(
+                            "function-type", f"{what} types ({', '.join(map(str, got))}) "
+                            f"differ from the function type's ({', '.join(map(str, want))})",
+                            o.name, b.id))
                 if registry is not None:
                     for d in registry.validate_op(o):
                         d.block = b.id
@@ -659,8 +677,14 @@ def verify_module(module: IrModule, registry=None) -> VerifyReport:
             for d in registry.validate_op(op):
                 report.diagnostics.append(d)
         for r in op.regions:
-            check_region(r)
+            check_region(r, _function_type(op))
     return report
+
+
+def _function_type(op: IrOperation):
+    """The FunctionType of a symbol op's ``function_type``, or None."""
+    ftype = getattr(op.attributes.get("function_type"), "type", None)
+    return ftype if isinstance(ftype, FunctionType) else None
 
 
 # ---------------------------------------------------------------------------

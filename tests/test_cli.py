@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and stream separation."""
 
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import pytest
 
 import bridgegen
 from bridgegen import cli
+from bridgegen.fir import print_fir
 from conftest import (
     MAX_GOLDEN,
     SIGMOID_FIR,
@@ -15,6 +18,7 @@ from conftest import (
     SIGMOID_GOLDEN,
     VADD_FIR,
     find_golden,
+    random_fir_function,
 )
 
 VADD_TYPES_FLAG = "memref{f32,1},memref{f32,1},memref{f32,1}"
@@ -217,6 +221,65 @@ class TestGen:
         assert code == 1
         assert "already registered" in capsys.readouterr().err
 
+    def test_return_type_mismatch_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "f.fir"
+        p.write_text("fn g(_1: i64)\n1:\n  %1 = invoke +(_1, 1) :: i64\n  return %1\n"
+                     "fn f(_1: f64)\n1:\n  %1 = invoke g(_1) :: i64\n  return %1\n")
+        code = cli.main(["gen", str(p), "--entry", "f", "--types", "f64"])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert "[function-type] at 'func.return'" in out.err
+
+
+TWICE_SPEC = """\
+dialect my
+op twice "Doubles a float."
+  operand x AnyFloat
+  result res same(0)
+  bind twice (f32) (f64)
+"""
+
+
+class TestBoundDialect:
+    """An op bound by a ``--dialect`` spec is callable from FIR."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        spec = tmp_path / "my.spec"
+        spec.write_text(TWICE_SPEC)
+        fir_path = tmp_path / "twice.fir"
+        fir_path.write_text("fn f(_1: f64)\n1:\n  %1 = invoke twice(_1) :: f64\n"
+                            "  return %1\n")
+        return ["--entry", "f", "--types", "f64", "--dialect", str(spec)], str(fir_path)
+
+    def test_gen_prints_bound_op(self, paths, capsys):
+        flags, fir_path = paths
+        assert cli.main(["gen", fir_path, *flags]) == 0
+        assert '= "my.twice"(%arg0) : (f64) -> (f64)' in capsys.readouterr().out
+
+    def test_run_has_no_semantics(self, paths, capsys):
+        flags, fir_path = paths
+        assert cli.main(["run", fir_path, *flags, "--", "2.0"]) == 1
+        assert "unsupported operation 'my.twice'" in capsys.readouterr().err
+
+    def test_duplicate_signature_names_spec(self, paths, tmp_path, capsys):
+        flags, fir_path = paths
+        spec = tmp_path / "dup.spec"
+        spec.write_text('dialect dup\nop plus "Adds."\n  operand x AnyFloat\n'
+                        '  operand y same(0)\n  result res same(0)\n  bind + (f64, f64)\n')
+        code = cli.main(["gen", fir_path, *flags, "--dialect", str(spec)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {spec}: duplicate intrinsic signature +(f64, f64)" in err
+
+    def test_bad_bind_line_names_spec_and_line(self, paths, tmp_path, capsys):
+        flags, fir_path = paths
+        spec = tmp_path / "bad.spec"
+        spec.write_text(TWICE_SPEC.replace("my", "bad").replace("(f64)", "(f65)"))
+        code = cli.main(["gen", fir_path, *flags, "--dialect", str(spec)])
+        assert code == 1
+        assert f"error: {spec}: line 5: unknown frontend type 'f65'" in capsys.readouterr().err
+
 
 class TestRun:
     def test_sigmoid_scalar(self, sigmoid_path, capsys):
@@ -332,3 +395,59 @@ class TestUsage:
 
     def test_missing_required_flag(self, sigmoid_path, capsys):
         assert cli.main(["gen", sigmoid_path, "--types", "f32"]) == 2
+
+
+DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "demos")
+FUZZ_RUN_ARGS = {  # entry -> (--types, run arguments)
+    "sigmoid": ("f32", ["--", "2.0"]),
+    "max": ("i64,i64", ["--", "3", "7"]),
+    "vadd": (VADD_TYPES_FLAG, ["--launch", "2,1,1,4,1,1", "--", "[1..8]:f32",
+                               "[10..80..10]:f32", "[0x8]:f32"]),
+    "f": ("i64,i64", ["--", "3", "7"]),
+}
+
+
+def token_mutants(sources, count, rng):
+    """``count`` (entry, text) mutants of ``sources``: each replaces,
+    deletes or duplicates one token, replacements drawn from all tokens."""
+    tokenized = [(entry, re.findall(r"\s+|\w+|[^\w\s]", text))
+                 for entry, text in sources]
+    pool = sorted({t for _, toks in tokenized for t in toks if not t.isspace()})
+    out = []
+    for _ in range(count):
+        entry, toks = rng.choice(tokenized)
+        toks = list(toks)
+        i = rng.choice([k for k, t in enumerate(toks) if not t.isspace()])
+        kind = rng.randrange(3)
+        if kind == 0:
+            toks[i] = rng.choice(pool)
+        elif kind == 1:
+            del toks[i]
+        else:
+            toks.insert(i, toks[i])
+        out.append((entry, "".join(toks)))
+    return out
+
+
+def test_token_mutants_never_fail_internally(tmp_path, capsys, monkeypatch):
+    """Gate: seeded token mutants of the demos and of random conftest
+    programs get exit 0, 1 or 2 from ``gen`` and ``run``, never a defect."""
+    sources = []
+    for name in ("sigmoid", "max", "vadd"):
+        with open(os.path.join(DEMO_DIR, f"{name}.fir"), encoding="utf-8") as f:
+            sources.append((name, f.read()))
+    rng = random.Random(11)
+    sources += [("f", print_fir(random_fir_function(rng))) for _ in range(3)]
+    monkeypatch.setenv(cli.STEP_LIMIT_ENV, "200")
+    path = tmp_path / "mutant.fir"
+    for entry, text in token_mutants(sources, 500, rng):
+        path.write_text(text)
+        types, run_args = FUZZ_RUN_ARGS[entry]
+        for argv in (["gen", str(path), "--entry", entry, "--types", types],
+                     ["run", str(path), "--entry", entry, "--types", types,
+                      *run_args]):
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, text)
+            assert "error: internal:" not in err, (err, text)

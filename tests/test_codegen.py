@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bridgegen import codegen, fir, interp, ir
+from bridgegen import codegen, fir, interp, intrinsics, ir
 from bridgegen.codegen import (
     AmbiguousMethodError,
     BuilderContext,
@@ -20,6 +20,7 @@ from bridgegen.codegen import (
     register_intrinsic,
     resolve_method,
 )
+from bridgegen.gpu import register_gpu_intrinsics
 from conftest import (
     MAX_FIR,
     MAX_GOLDEN,
@@ -130,6 +131,41 @@ def unary_builder(op_name):
         return list(ctx.build_op(op_name, [args[0][0]]).results)
 
     return build
+
+
+INT_PAIRS = ("(i64, i64)", "(index, index)")
+FLOAT_PAIRS = ("(f32, f32)", "(f64, f64)")
+SCALAR_SIGNATURES = {
+    **{op: FLOAT_PAIRS + INT_PAIRS for op in ("+", "*")},
+    "-": FLOAT_PAIRS + INT_PAIRS + ("(f32)", "(f64)"),
+    "/": FLOAT_PAIRS,
+    **{op: INT_PAIRS for op in ("==", "!=", "<", "<=", ">", ">=")},
+    "exp": ("(f32)", "(f64)"),
+}
+GPU_SIGNATURES = {
+    **{f"{base}_{dim}": ("()",) for base in ("thread_idx", "block_idx", "block_dim")
+       for dim in "xyz"},
+    "load": ("(memref{f32,1}, index)", "(memref{f64,1}, index)"),
+    "store": ("(f32, memref{f32,1}, index)", "(f64, memref{f64,1}, index)"),
+}
+
+
+def signature_sets(registry):
+    return {name: {str(sig) for sig in registry.signatures(name)}
+            for name in registry.methods}
+
+
+def test_builtin_signature_sets():
+    """Every builtin intrinsic name and the set of its signatures, pinned."""
+    want = {name: {name + params for params in sigs}
+            for name, sigs in SCALAR_SIGNATURES.items()}
+    registry = intrinsics.default_registry()
+    assert signature_sets(registry) == want
+    register_gpu_intrinsics(registry)
+    want.update({name: {name + params for params in sigs}
+                 for name, sigs in GPU_SIGNATURES.items()})
+    assert signature_sets(registry) == want
+    assert IntrinsicRegistry().methods == {}
 
 
 class TestDispatchCache:
@@ -466,6 +502,61 @@ def test_generate_visits_grow_with_size_not_returns(registry, monkeypatch):
         ratios.append((visits[0], sum(len(b) for b in fn.blocks)))
     (v1, s1), (v2, s2) = ratios
     assert v2 / v1 <= 1.1 * s2 / s1, ratios
+
+
+def join_block(n_phis, n_preds):
+    """FIR whose last block joins ``n_preds`` predecessors with ``n_phis``
+    phis."""
+    lines = ["fn f(_1: i64)", "1:", "  %1 = invoke <(_1, 0) :: i1"]
+    for b in range(1, n_preds):
+        lines += [f"  goto #{n_preds + 1} ifnot %1", f"{b + 1}:"]
+    incoming = ", ".join(f"#{b} => _1" for b in range(1, n_preds + 1))
+    lines += ["  nothing", f"{n_preds + 1}:"]
+    lines += [f"  %{k} = phi ({incoming}) :: i64" for k in range(2, n_phis + 2)]
+    return "\n".join(lines + [f"  return %{n_phis + 1}", ""])
+
+
+class _Counted(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for item in list.__iter__(self):
+            _Counted.reads += 1
+            yield item
+
+    def __getitem__(self, i):
+        _Counted.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_join_block_work_grows_with_phis_times_preds(registry, monkeypatch):
+    """Each phi takes its block-argument slot by position and builds its
+    incoming map once: the phi slots and incomings ``generate`` reads grow
+    as phis times predecessors, not as phis squared or predecessors
+    squared."""
+    real = codegen._prepare_blocks
+
+    def counted(ctx, *args):
+        real(ctx, *args)
+        for number, slots in ctx.phi_slots.items():
+            ctx.phi_slots[number] = _Counted(slots)
+
+    monkeypatch.setattr(codegen, "_prepare_blocks", counted)
+
+    def reads(n_phis, n_preds):
+        fn = fir.parse_program(join_block(n_phis, n_preds)).functions["f"]
+        for st in fn.blocks[-1]:
+            if isinstance(st, fir.Phi):
+                st.incomings = _Counted(st.incomings)
+        _Counted.reads = 0
+        module = generate(registry, fn, [fir.I64])
+        assert ir.verify_module(module).ok
+        return _Counted.reads
+
+    assert reads(400, 2) <= 4.4 * reads(100, 2)
+    assert reads(100, 8) <= 4.4 * reads(100, 2)
 
 
 class TestGenerateRegion:

@@ -1,12 +1,15 @@
 """Dialect spec loading, registration, and the typed builders."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgegen import ir
+from bridgegen import fir, ir
 from bridgegen.dialects import (
     ARITH_SPEC,
+    BUILTIN_SPECS,
     BuildError,
     DialectRegistry,
     DialectSpecError,
@@ -103,9 +106,29 @@ class TestLoader:
             load_dialect_spec(text)
 
     def test_builtin_specs_fixpoint(self):
-        once = load_dialect_spec(ARITH_SPEC)
-        twice = load_dialect_spec(serialize_dialect(once))
-        assert once.ops == twice.ops
+        for spec in BUILTIN_SPECS:
+            once = load_dialect_spec(spec)
+            twice = load_dialect_spec(serialize_dialect(once))
+            assert once.ops == twice.ops, once.name
+        assert load_dialect_spec(ARITH_SPEC).ops["cmpi"].binds[2] == (
+            "<", ((fir.I64, fir.I64), (fir.INDEX, fir.INDEX)), (("predicate", "slt"),))
+
+    @pytest.mark.parametrize("line, message", [
+        ("bind twice", "expected 'bind"),
+        ("bind twice f64", "expected 'bind"),
+        ("bind twice (f64) scale", "expected 'bind"),
+        ("bind twice (f65)", "unknown frontend type 'f65'"),
+        ("bind twice (f64,)", "unknown frontend type ''"),
+        ("bind twice (f64) tag=a tag=b", "attribute given twice"),
+        ("bind twice (f64) kind=a", "'kind' is not a string attribute of op 'twice'"),
+        ("bind twice (f64) scale=a", "'scale' is not a string attribute of op 'twice'"),
+    ])
+    def test_bad_bind_line_carries_line_number(self, line, message):
+        text = ('dialect d\nop twice "x"\n  operand a AnyFloat\n  ' + line +
+                '\n  attr tag string\n  attr scale float\n  result res same(0)\n')
+        with pytest.raises(DialectSpecError, match=re.escape(message)) as info:
+            load_dialect_spec(text)
+        assert info.value.line == 4
 
 
 class TestRegistry:

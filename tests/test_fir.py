@@ -110,6 +110,12 @@ class TestParser:
         with pytest.raises(FirError, match="line 3"):
             parse_program("fn f(_1: i64)\n1:\n  %1 = what\n")
 
+    @pytest.mark.parametrize("args", ["_1%2, _1", "%x", "%", "_", "_1,", "_1,,_1"])
+    def test_malformed_argument_names_line(self, args):
+        text = f"fn f(_1: f64)\n1:\n  %1 = invoke +({args}) :: f64\n  return %1\n"
+        with pytest.raises(FirError, match="line 3: cannot parse argument"):
+            parse_program(text)
+
     def test_bare_return(self):
         program = parse_program("fn f()\n1:\n  return\n")
         assert program.functions["f"].blocks[0] == [Return(None)]

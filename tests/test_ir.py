@@ -314,6 +314,34 @@ class TestVerifier:
             create_op(m, "func.return", [], [], is_terminator=True)
         assert "duplicate-symbol" in verify_module(m).categories()
 
+    def test_return_types_checked_against_function_type(self):
+        m = IrModule()
+        _, _, block = empty_func(m, "f", (ir.F64,), (ir.I64,))
+        m.set_insertion(block)
+        create_op(m, "func.return", [block.arguments[0]], [], is_terminator=True)
+        (d,) = verify_module(m).diagnostics
+        assert (d.category, d.op) == ("function-type", "func.return")
+        assert "(f64)" in d.message and "(i64)" in d.message
+
+    @pytest.mark.parametrize("arg_type, result_type, bad", [
+        (ir.F32, ir.F32, []),
+        (ir.F64, ir.F32, ["operand"]),
+        (ir.F32, ir.I64, ["result"]),
+    ])
+    def test_call_types_checked_against_callee(self, arg_type, result_type, bad):
+        m = IrModule()
+        _, _, g = empty_func(m, "g", (ir.F32,), (ir.F32,))
+        m.set_insertion(g)
+        create_op(m, "func.return", [g.arguments[0]], [], is_terminator=True)
+        _, _, f = empty_func(m, "f", (arg_type,), (result_type,))
+        m.set_insertion(f)
+        call = create_op(m, "func.call", [f.arguments[0]], [result_type],
+                         {"callee": SymbolAttr("g")})
+        create_op(m, "func.return", [result(call)], [], is_terminator=True)
+        found = verify_module(m).diagnostics
+        assert [d.message.split()[0] for d in found] == bad
+        assert all((d.category, d.op) == ("function-type", "func.call") for d in found)
+
     def test_collects_multiple_diagnostics(self):
         m = IrModule(registry=dialects.builtin_registry())
         _, _, block = empty_func(m, "f", (ir.F32,), ())
