@@ -75,7 +75,7 @@ def _parse_types(text: str):
     try:
         return [fir.parse_frontend_type(p) for p in parts]
     except fir.FirError as e:
-        raise CliError(str(e)) from None
+        raise CliError(f"--types: {e}") from None
 
 
 def _build_registry(extra_dialect_paths):
@@ -125,11 +125,9 @@ def _pipeline(parser, args):
     if violations:
         raise CliError("\n".join(violations))
 
-    def is_intrinsic(name, types):
-        return registry.has_name(name) or name == fir.BOOL_CONVERSION
-
     try:
-        inlined = fir.inline_calls(program, args.entry, is_intrinsic)
+        inlined = fir.inline_calls(program, args.entry,
+                                   lambda name, types: registry.has_name(name))
         converted = fir.insert_bool_conversions(inlined)
         module = codegen.generate(registry, converted, arg_types)
     except (fir.FirError, codegen.CodegenError, dialects.BuildError) as e:
@@ -138,7 +136,7 @@ def _pipeline(parser, args):
     report = ir.verify_module(module)
     if not report.ok:
         raise CliError(f"generated module failed verification:\n{report}")
-    return registry, module
+    return module
 
 
 def _emit(text: str, out_path):
@@ -153,7 +151,7 @@ def _emit(text: str, out_path):
 
 
 def cmd_gen(parser, args) -> int:
-    _, module = _pipeline(parser, args)
+    module = _pipeline(parser, args)
     _emit(ir.print_module(module), args.out)
     return 0
 
@@ -238,29 +236,15 @@ def _parse_launch(text: str) -> interp.LaunchConfig:
     parts = text.split(",")
     if len(parts) != 6 or not all(p.strip().isdigit() for p in parts):
         raise CliError("--launch expects six integers: gx,gy,gz,bx,by,bz")
+    if bad := fir.overlong_number(text):
+        raise CliError(f"--launch: {bad[1]}")
     nums = [int(p) for p in parts]
     return interp.LaunchConfig(tuple(nums[:3]), tuple(nums[3:]))
 
 
-def _uses_gpu_ops(module: ir.IrModule) -> bool:
-    names = set()
-
-    def walk(region):
-        for b in region.blocks:
-            for op in b.operations:
-                names.add(op.name)
-                for r in op.regions:
-                    walk(r)
-
-    for op in module.symbol_ops():
-        for r in op.regions:
-            walk(r)
-    return any(n.startswith("gpu.") for n in names)
-
-
 def cmd_run(parser, args) -> int:
     from . import interp
-    registry, module = _pipeline(parser, args)
+    module = _pipeline(parser, args)
     func = module.lookup_symbol(args.entry)
     ftype = func.attributes["function_type"].type
     if len(args.inputs) != len(ftype.inputs):
@@ -283,12 +267,11 @@ def cmd_run(parser, args) -> int:
             outputs = interp.run_kernel(module, args.entry, launch, values,
                                         step_limit=step_limit)
         else:
-            if _uses_gpu_ops(module):
-                raise CliError(
-                    "missing launch config: this kernel uses gpu operations; "
-                    "pass --launch gx,gy,gz,bx,by,bz")
             outputs = interp.run_function(module, args.entry, values,
                                           step_limit=step_limit)
+    except interp.MissingLaunchConfig:
+        raise CliError("missing launch config: this kernel uses gpu operations; "
+                       "pass --launch gx,gy,gz,bx,by,bz") from None
     except interp.InterpError as e:
         raise CliError(str(e)) from None
     for v in outputs:
@@ -313,6 +296,8 @@ def cmd_einsum(parser, args) -> int:
 
 
 def _check_shapes(spec: einsum.EinsumSpec, text: str):
+    if bad := fir.overlong_number(text):
+        raise CliError(f"--shapes: {bad[1]}")
     shapes = []
     for part in text.split(","):
         dims = part.strip().split("x")

@@ -209,7 +209,7 @@ class BuilderContext:
     module: ir.IrModule
     registry: IntrinsicRegistry
     region: ir.IrRegion
-    entry_block: ir.IrBlock
+    entry_block: ir.IrBlock = None  # the region's first block
     block: ir.IrBlock = None
     block_map: dict = field(default_factory=dict)   # FIR block number -> IrBlock
     values: dict = field(default_factory=dict)      # FIR SSA id / param -> [IrValue]
@@ -502,24 +502,21 @@ def _return_type(fn: fir.FirFunction, type_of):
     return first
 
 
-def _prepare_blocks(ctx: BuilderContext, registry, fn: fir.FirFunction,
-                    entry_args_types):
+def _prepare_blocks(ctx: BuilderContext, fn: fir.FirFunction, entry_types):
     """Pre-create one block per reachable source block, with one argument
     group per phi at the block head."""
-    reachable = sorted(fir.reachable_blocks(fn))
-    preds = fir.predecessors(fn)
-    if preds[1]:
+    if fir.predecessors(fn)[1]:
         raise CodegenError("the entry block may not be a branch target")
-    for number in reachable:
+    for number in sorted(fir.reachable_blocks(fn)):
         if number == 1:
-            block = ctx.module.append_block(ctx.region, entry_args_types)
+            block = ctx.module.append_block(ctx.region, entry_types)
         else:
             arg_types = []
             slots = []
             for st in fn.blocks[number - 1]:
                 if not isinstance(st, fir.Phi):
                     break
-                ts = map_type(registry, st.result_type)
+                ts = map_type(ctx.registry, st.result_type)
                 slots.append((st, len(arg_types), len(ts), dict(st.incomings)))
                 arg_types.extend(ts)
             block = ctx.module.append_block(ctx.region, arg_types)
@@ -530,66 +527,58 @@ def _prepare_blocks(ctx: BuilderContext, registry, fn: fir.FirFunction,
         raise CodegenError("phi in the entry block is not supported")
 
 
-def _translate_into(ctx: BuilderContext, registry: IntrinsicRegistry,
-                    fn: fir.FirFunction, arg_types, type_of):
-    if list(arg_types) != list(fn.param_types):
-        raise CodegenError(
-            f"argument types {[str(t) for t in arg_types]} do not match the "
-            f"declared parameter types of '{fn.name}'")
-    entry_types = []
-    spans = []
-    for t in arg_types:
-        ts = map_type(registry, t)
-        spans.append((len(entry_types), len(ts)))
-        entry_types.extend(ts)
-    _prepare_blocks(ctx, registry, fn, entry_types)
-    entry = ctx.block_map[1]
-    for i, (start, count) in enumerate(spans, start=1):
-        ctx.values[("param", i)] = entry.arguments[start:start + count]
+def _translate_into(ctx: BuilderContext, fn: fir.FirFunction, type_of):
+    """Translate ``fn`` into ``ctx.region``; the entry block's arguments
+    are ``fn``'s parameters, each flattened by :func:`map_type`."""
+    groups = [map_type(ctx.registry, t) for t in fn.param_types]
+    _prepare_blocks(ctx, fn, [t for ts in groups for t in ts])
+    start = 0
+    for i, ts in enumerate(groups, start=1):
+        ctx.values[("param", i)] = ctx.entry_block.arguments[start:start + len(ts)]
+        start += len(ts)
     translator = _Translator(ctx, type_of)
     for number in sorted(ctx.block_map):
         translator.translate_block(number, fn.blocks[number - 1])
 
 
-def generate(registry: IntrinsicRegistry, fn: fir.FirFunction, arg_types,
-             module: ir.IrModule = None, symbol: str = None) -> ir.IrModule:
+def generate(registry: IntrinsicRegistry, fn: fir.FirFunction, arg_types) -> ir.IrModule:
     """Translate ``fn`` into a module holding one func.func symbol.
 
-    The function must be validated, fully inlined, and bool-converted.
+    The function must be validated, fully inlined, and bool-converted;
+    ``arg_types`` must be its declared parameter types.
     """
-    module = module or ir.IrModule(registry=registry.dialects)
+    if list(arg_types) != list(fn.param_types):
+        raise CodegenError(
+            f"argument types {[str(t) for t in arg_types]} do not match the "
+            f"declared parameter types of '{fn.name}'")
     type_of = fir.arg_typer(fn)
-    ret = _return_type(fn, type_of)
-    result_types = map_type(registry, ret)
-    entry_types = []
-    for t in arg_types:
-        entry_types.extend(map_type(registry, t))
-    ftype = ir.FunctionType(tuple(entry_types), tuple(result_types))
-    region = module.new_region()
+    result_types = map_type(registry, _return_type(fn, type_of))
+    module = ir.IrModule(registry=registry.dialects)
+    ctx = BuilderContext(module=module, registry=registry, region=module.new_region())
+    _translate_into(ctx, fn, type_of)
+    ftype = ir.FunctionType(tuple(v.type for v in ctx.entry_block.arguments),
+                            tuple(result_types))
     module.set_insertion(module.body.blocks[0])
     dl.build_op(registry.dialects, module, "func.func",
                 attributes={
-                    "sym_name": ir.SymbolAttr(symbol or fn.name),
+                    "sym_name": ir.SymbolAttr(fn.name),
                     "function_type": ir.TypeAttr(ftype),
                 },
-                regions=[region])
-    ctx = BuilderContext(module=module, registry=registry, region=region,
-                         entry_block=None)
-    _translate_into(ctx, registry, fn, arg_types, type_of)
+                regions=[ctx.region])
     return module
 
 
-def generate_region(ctx: BuilderContext, registry: IntrinsicRegistry,
-                    fn: fir.FirFunction, arg_types, return_hook) -> ir.IrRegion:
-    """Translate ``fn`` into a fresh region of the enclosing module.
+def generate_region(ctx: BuilderContext, fn: fir.FirFunction, return_hook) -> ir.IrRegion:
+    """Translate ``fn`` into a fresh region of ``ctx``'s module, with
+    ``ctx``'s registry; the region's entry block takes ``fn``'s parameters.
 
     Return statements run ``return_hook`` (e.g. a linalg.yield builder)
     instead of emitting func.return. Used by intrinsics that wrap nested
     code in a region-carrying operation.
     """
     region = ctx.module.new_region()
-    sub = BuilderContext(module=ctx.module, registry=registry, region=region,
-                         entry_block=None, return_hook=return_hook)
-    _translate_into(sub, registry, fn, arg_types, fir.arg_typer(fn))
+    sub = BuilderContext(module=ctx.module, registry=ctx.registry, region=region,
+                         return_hook=return_hook)
+    _translate_into(sub, fn, fir.arg_typer(fn))
     ctx.module.set_insertion(ctx.block)
     return region

@@ -254,6 +254,8 @@ def load_dialect_spec(text: str) -> DialectDefinition:
     argument types build the op (see :func:`codegen.register_bindings`);
     each ``<attr>`` must be a ``string`` attribute of the op.
     """
+    if bad := fir.overlong_number(text):
+        raise DialectSpecError(*bad)
     dialect = None
     pending = None  # accumulating op fields until the next header
 
@@ -666,9 +668,14 @@ BUILTIN_SPECS = (ARITH_SPEC, MATH_SPEC, CF_SPEC, FUNC_SPEC, LINALG_SPEC,
                  GPU_SPEC, MEMREF_SPEC)
 
 
+_BUILTIN_DEFINITIONS = tuple(map(load_dialect_spec, BUILTIN_SPECS))
+
+
 def builtin_registry() -> DialectRegistry:
-    """Registry preloaded with the builtin dialect subsets."""
+    """A new registry preloaded with the builtin dialect subsets, parsed
+    once per process: registries share these definitions, which nothing
+    mutates, and a dialect registered later goes into one registry alone."""
     registry = DialectRegistry()
-    for spec in BUILTIN_SPECS:
-        register_dialect(registry, load_dialect_spec(spec))
+    for defn in _BUILTIN_DEFINITIONS:
+        register_dialect(registry, defn)
     return registry

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import codegen, fir, ir
+from . import codegen, dialects, fir, ir
 
 __all__ = [
     "EinsumError",
@@ -118,9 +118,11 @@ def _body_function(spec: EinsumSpec, elem: fir.FrontendType) -> fir.FirFunction:
     return fir.FirFunction("einsum_body", params, [stmts])
 
 
-def build_generic(ctx: codegen.BuilderContext, registry, spec: EinsumSpec,
+def build_generic(ctx: codegen.BuilderContext, spec: EinsumSpec,
                   operands) -> ir.IrOperation:
-    """Emit one linalg.generic; ``operands`` are input tensors then output."""
+    """Emit one linalg.generic at ``ctx``'s insertion block, its body
+    translated with ``ctx``'s registry; ``operands`` are input tensors then
+    output."""
     if len(operands) != len(spec.inputs) + 1:
         raise EinsumError(
             f"expected {len(spec.inputs)} input(s) plus one output operand, "
@@ -146,8 +148,7 @@ def build_generic(ctx: codegen.BuilderContext, registry, spec: EinsumSpec,
     def yield_hook(body_ctx, values):
         body_ctx.build_op("linalg.yield", values)
 
-    region = codegen.generate_region(ctx, registry, body,
-                                     list(body.param_types), yield_hook)
+    region = codegen.generate_region(ctx, body, yield_hook)
     return ctx.build_op(
         "linalg.generic",
         operands,
@@ -161,31 +162,25 @@ def build_generic(ctx: codegen.BuilderContext, registry, spec: EinsumSpec,
     )
 
 
-def build_einsum_function(registry, spec: EinsumSpec,
-                          elem: fir.FrontendType = fir.F32,
-                          symbol: str = "einsum") -> ir.IrModule:
-    """Wrapper module: a function taking the operand tensors (inputs then
-    output) and returning the generic op's result tensor."""
-    from . import dialects as dl
-
+def build_einsum_function(registry, spec: EinsumSpec) -> ir.IrModule:
+    """Wrapper module: a function @einsum taking the f32 operand tensors
+    (inputs then output) and returning the generic op's result tensor."""
     module = ir.IrModule(registry=registry.dialects)
-    tensor_types = [
-        codegen.map_type(registry, fir.tensor_of(elem, len(tup)))[0]
-        for tup in spec.inputs + (spec.output,)
-    ]
+    tensor_types = [codegen.map_type(registry, fir.tensor_of(fir.F32, len(tup)))[0]
+                    for tup in spec.inputs + (spec.output,)]
     result_t = tensor_types[-1]
     region = module.new_region()
-    dl.build_op(registry.dialects, module, "func.func",
-                attributes={
-                    "sym_name": ir.SymbolAttr(symbol),
-                    "function_type": ir.TypeAttr(
-                        ir.FunctionType(tuple(tensor_types), (result_t,))),
-                },
-                regions=[region])
+    dialects.build_op(registry.dialects, module, "func.func",
+                      attributes={
+                          "sym_name": ir.SymbolAttr("einsum"),
+                          "function_type": ir.TypeAttr(
+                              ir.FunctionType(tuple(tensor_types), (result_t,))),
+                      },
+                      regions=[region])
     entry = module.append_block(region, tensor_types)
     ctx = codegen.BuilderContext(module=module, registry=registry,
                                  region=region, entry_block=entry)
     ctx.set_block(entry)
-    op = build_generic(ctx, registry, spec, list(entry.arguments))
+    op = build_generic(ctx, spec, list(entry.arguments))
     ctx.build_op("func.return", [op.results[0]])
     return module

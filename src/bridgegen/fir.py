@@ -34,6 +34,9 @@ __all__ = [
     "memref_of",
     "complex_of",
     "subtype",
+    "MAX_DIGITS",
+    "MAX_TYPE_DEPTH",
+    "overlong_number",
     "parse_frontend_type",
     "FirArg",
     "SsaRef",
@@ -169,10 +172,30 @@ _SCALARS = {
 }
 
 
+# int() reads a digit string this long whatever the interpreter's limit is
+# set to (sys.int_info.str_digits_check_threshold)
+MAX_DIGITS = 640
+_LONG_NUMBER_RE = re.compile(r"\d{%d,}" % (MAX_DIGITS + 1))
+MAX_TYPE_DEPTH = 8  # each Complex level doubles the flattened IR type
+
+
+def overlong_number(text: str):
+    """``(line, why)`` for the first digit run in ``text`` longer than
+    MAX_DIGITS, which int() may refuse; otherwise None."""
+    m = _LONG_NUMBER_RE.search(text)
+    return m and (len((text[:m.start()] + "x").splitlines()),
+                  f"number of {len(m.group())} digits exceeds the limit of {MAX_DIGITS}")
+
+
 def parse_frontend_type(text: str) -> FrontendType:
+    """The type ``text`` names; it may nest at most MAX_TYPE_DEPTH levels."""
     text = text.strip()
     if text in _SCALARS:
         return _SCALARS[text]
+    if text.count("{") > MAX_TYPE_DEPTH:
+        raise FirError(f"frontend type nests deeper than {MAX_TYPE_DEPTH} levels")
+    if bad := overlong_number(text):
+        raise FirError(bad[1])
     m = re.fullmatch(r"(tensor|memref)\{(.+),\s*(\d+)\}", text)
     if m:
         return Concrete(m.group(1), (parse_frontend_type(m.group(2)), int(m.group(3))))
@@ -387,6 +410,8 @@ def parse_program(text: str) -> FirProgram:
     Forward block references are allowed; the resulting functions are
     checked for undefined SSA ids, parameters, and block numbers.
     """
+    if bad := overlong_number(text):
+        raise FirError("line %d: %s" % bad)
     program = FirProgram()
     fn = None
     block = None
@@ -884,21 +909,19 @@ def inline_calls(program: FirProgram, entry: str, is_intrinsic) -> FirFunction:
 # Bool conversion insertion
 
 
-def insert_bool_conversions(fn: FirFunction, is_frontend_bool=None) -> FirFunction:
+def insert_bool_conversions(fn: FirFunction) -> FirFunction:
     """Route every non-Bool branch condition through the conversion intrinsic.
 
     Returns a new function with new block lists; ``fn`` is untouched, and
     every statement but the converted branches is shared with it.
     """
-    if is_frontend_bool is None:
-        is_frontend_bool = lambda t: t == BOOL
     type_of = arg_typer(fn)
     fresh = _max_id(fn) + 1
     blocks = []
     for block in fn.blocks:
         new = []
         for st in block:
-            if isinstance(st, GotoIfNot) and not is_frontend_bool(type_of(st.cond)):
+            if isinstance(st, GotoIfNot) and type_of(st.cond) != BOOL:
                 new.append(Invoke(fresh, BOOL_CONVERSION, [st.cond], BOOL))
                 st = GotoIfNot(SsaRef(fresh), st.target)
                 fresh += 1

@@ -184,7 +184,6 @@ def _check_compatible(t: ir.IrType, v: RuntimeValue, where: str):
 
 _FLOAT = (ir.Float32Type, ir.Float64Type)
 _INT = (ir.IntType, ir.IndexType)
-_TERMINATORS = {"cf.br", "cf.cond_br", "func.return", "linalg.yield"}
 _CMP = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
         "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}
 
@@ -428,7 +427,7 @@ def _decode(region: ir.IrRegion):
         ops, term, nested = [], None, False
         for op in block.operations:
             nested = nested or op.name in ("func.call", "linalg.generic")
-            if op.name in _TERMINATORS:
+            if op.is_terminator:
                 term = _decode_op(op, at)
                 break
             ops.append((at[op.results[0]] if len(op.results) == 1 else 0,
@@ -449,8 +448,8 @@ class _Run:
 
     __slots__ = ("module", "limit", "steps", "ctx", "depth", "funcs")
 
-    def __init__(self, module: ir.IrModule, limit: int, ctx=None):
-        self.module, self.limit, self.ctx = module, limit, ctx
+    def __init__(self, module: ir.IrModule, limit: int):
+        self.module, self.limit, self.ctx = module, limit, None
         self.steps = self.depth = 0
         self.funcs = {}  # symbol -> (function type, decoded body)
 
@@ -514,9 +513,9 @@ def _exec(code, args, run: _Run) -> list:
 
 
 def run_function(module: ir.IrModule, symbol: str, inputs,
-                 step_limit: int = DEFAULT_STEP_LIMIT, thread_ctx=None):
+                 step_limit: int = DEFAULT_STEP_LIMIT):
     """Execute @symbol on ``inputs``; returns the list of result values."""
-    run = _Run(module, step_limit, thread_ctx)
+    run = _Run(module, step_limit)
     with np.errstate(all="ignore"):  # IEEE-754: inf/nan flow silently
         results = run.call(symbol, list(inputs))
     return [_box(t, v) for t, v in zip(run.funcs[symbol][0].results, results)]

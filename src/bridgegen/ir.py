@@ -551,13 +551,13 @@ def _dominators(region: IrRegion):
     return {id(b): interval[po[id(b)]] for b in order}
 
 
-def verify_module(module: IrModule, registry=None) -> VerifyReport:
+def verify_module(module: IrModule) -> VerifyReport:
     """Structurally check every region of ``module``; collects all findings.
 
-    When a dialect registry is available (argument or ``module.registry``),
-    each op is additionally checked against its registered definition.
+    When the module carries a dialect registry (``module.registry``), each
+    op is additionally checked against its registered definition.
     """
-    registry = registry if registry is not None else module.registry
+    registry = module.registry
     report = VerifyReport()
 
     functions = {}  # symbol -> its FunctionType, or None

@@ -112,7 +112,7 @@ def run_pipeline(registry, text, entry, arg_types):
     assert fir.validate_fir(fn) == []
 
     def is_intrinsic(name, types):
-        return registry.has_name(name) or name == fir.BOOL_CONVERSION
+        return registry.has_name(name)
 
     inlined = fir.inline_calls(program, entry, is_intrinsic)
     converted = fir.insert_bool_conversions(inlined)

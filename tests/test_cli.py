@@ -311,6 +311,17 @@ class TestRun:
         assert code == 1
         assert "missing launch config" in out.err
 
+    def test_launch_needed_only_when_a_gpu_op_runs(self, tmp_path, capsys):
+        p = tmp_path / "k.fir"
+        p.write_text("fn k(_1: i64)\n1:\n  %1 = invoke <(_1, 0) :: Bool\n"
+                     "  goto #3 ifnot %1\n2:\n  %2 = invoke thread_idx_x() :: index\n"
+                     "  return _1\n3:\n  return _1\n")
+        argv = ["run", str(p), "--entry", "k", "--types", "i64", "--"]
+        assert cli.main(argv + ["5"]) == 0  # the gpu op's block is not taken
+        assert capsys.readouterr().out == "5\n"
+        assert cli.main(argv + ["-1"]) == 1
+        assert "missing launch config" in capsys.readouterr().err
+
     def test_out_of_bounds_exit_1(self, vadd_path, capsys):
         code = cli.main([
             "run", vadd_path, "--entry", "vadd", "--types", VADD_TYPES_FLAG,
@@ -384,6 +395,85 @@ class TestEinsum:
         out = capsys.readouterr()
         assert code == 1
         assert "inconsistent extents" in out.err
+
+
+LONG = "1" * 5000  # past int()'s default limit of 4300 digits
+PLUS_ONE = "fn f(_1: i64)\n1:\n  %1 = invoke +(_1, 1) :: i64\n  return %1\n"
+WIDE = "Complex{" * 18 + "f64" + "}" * 18
+
+
+class TestDiagnostics:
+    """Inputs that reach no other test get a diagnostic and exit 1."""
+
+    def gen(self, tmp_path, text, types="i64"):
+        p = tmp_path / "f.fir"
+        p.write_text(text)
+        return cli.main(["gen", str(p), "--entry", "f", "--types", types])
+
+    @pytest.mark.parametrize("text, line", [
+        (PLUS_ONE.replace("(_1, 1)", f"(_1, {LONG})"), 3),  # integer literal
+        (PLUS_ONE.replace("\n1:", f"\n{LONG}:"), 2),  # block header
+        (PLUS_ONE.replace("return %1", f"return %{LONG}"), 4),
+        (PLUS_ONE.replace("(_1, 1)", f"(_{LONG}, 1)"), 3),
+        (f"fn f(_1: i64)\n1:\n  goto #{LONG}\n2:\n  return _1\n", 3),
+    ], ids=["literal", "block", "ssa", "param", "goto"])
+    def test_overlong_number_in_fir(self, tmp_path, capsys, text, line):
+        code = self.gen(tmp_path, text)
+        err = capsys.readouterr().err
+        assert code == 1 and "error: internal:" not in err
+        assert f"line {line}: number of 5000 digits exceeds the limit" in err
+
+    @pytest.mark.parametrize("argv, where", [
+        (["gen", "--dialect", "spec"], "spec: line 3: "),
+        (["run", "--launch", f"1,1,1,{LONG},1,1", "--", "1"], "--launch: "),
+        (["gen", "--types", f"tensor{{f32,{LONG}}}"], "--types: "),
+    ], ids=["regions", "launch", "types"])
+    def test_overlong_number_in_spec_or_flag(self, tmp_path, capsys, monkeypatch,
+                                             argv, where):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec").write_text(f'dialect x\nop y "Y."\n  regions {LONG}\n')
+        (tmp_path / "f.fir").write_text(PLUS_ONE)
+        code = cli.main([argv[0], "f.fir", "--entry", "f", "--types", "i64", *argv[1:]])
+        err = capsys.readouterr().err
+        assert code in (1, 2) and "error: internal:" not in err
+        assert f"{where}number of 5000 digits exceeds the limit" in err
+
+    def test_overlong_einsum_shape(self, capsys):
+        code = cli.main(["einsum", "(i)->(i)", "--shapes", f"{LONG},3"])
+        err = capsys.readouterr().err
+        assert code == 1 and "error: internal:" not in err
+        assert "--shapes: number of 5000 digits exceeds the limit" in err
+
+    @pytest.mark.parametrize("text, types", [
+        # 2000 levels once recursed past Python's stack limit
+        (PLUS_ONE.replace(":: i64", ":: " + "Complex{" * 2000 + "i64" + "}" * 2000),
+         "i64"),
+        # 18 levels of Complex flatten to 2**18 IR values per parameter
+        ("fn f(_1: " + WIDE + ")\n1:\n  return _1\n", WIDE),
+    ], ids=["deep", "wide"])
+    def test_type_nested_too_deep(self, tmp_path, capsys, text, types):
+        code = self.gen(tmp_path, text, types)
+        err = capsys.readouterr().err
+        assert code == 1 and "error: internal:" not in err
+        assert "frontend type nests deeper than" in err
+
+    @pytest.mark.parametrize("text, types, message", [
+        ("fn f(_1: i64)\n1:\n  %1 = invoke <(_1, 0) :: Bool\n  goto #3 ifnot %1\n"
+         "2:\n  goto #3\n3:\n  %2 = phi (#2 => _1) :: i64\n  return %2\n", "i64",
+         "phi %2 in block 3 has no incoming value for predecessor #1"),
+        ("fn f(_1: i64)\n1:\n  %1 = invoke bool_conversion_intrinsic(_1, _1) :: Bool\n"
+         "  return _1\n", "i64",
+         "%1: bool_conversion_intrinsic takes one argument"),
+        ("fn f(_1: i64)\n1:\n  %1 = phi () :: i64\n  return _1\n", "i64",
+         "phi in the entry block is not supported"),
+        ("fn f(_1: f64)\n1:\n  goto #3 ifnot _1\n2:\n  return _1\n3:\n  return _1\n",
+         "f64", "%1: no bool conversion registered for condition type f64"),
+    ], ids=["phi-missing-incoming", "two-argument-conversion", "entry-phi",
+            "f64-condition"])
+    def test_codegen_rejects(self, tmp_path, capsys, text, types, message):
+        code = self.gen(tmp_path, text, types)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (1, "", f"error: {message}\n")
 
 
 class TestUsage:

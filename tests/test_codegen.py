@@ -571,7 +571,7 @@ class TestGenerateRegion:
         def yield_hook(c, values):
             c.build_op("linalg.yield", values)
 
-        region = generate_region(ctx, registry, fn, [fir.F32] * 3, yield_hook)
+        region = generate_region(ctx, fn, yield_hook)
         names = [op.name for op in region.blocks[0].operations]
         assert names == ["arith.mulf", "arith.addf", "linalg.yield"]
         assert [a.type for a in region.blocks[0].arguments] == [ir.F32] * 3
@@ -583,7 +583,7 @@ class TestGenerateRegion:
         def yield_hook(c, values):
             c.build_op("linalg.yield", values)
 
-        region = generate_region(ctx, registry, fn, [fir.F32], yield_hook)
+        region = generate_region(ctx, fn, yield_hook)
         assert [op.name for op in region.blocks[0].operations] == ["linalg.yield"]
 
     def test_branchy_generic_body_prints_and_runs(self, registry):
@@ -625,8 +625,7 @@ fn body(_1: i64, _2: i64)
         def yield_hook(c, values):
             c.build_op("linalg.yield", values)
 
-        body_region = generate_region(ctx, registry, body,
-                                      [fir.I64, fir.I64], yield_hook)
+        body_region = generate_region(ctx, body, yield_hook)
         m = ir.IndexMapAttr(1, (0,))
         op = ctx.build_op(
             "linalg.generic", list(entry.arguments),
@@ -658,7 +657,7 @@ fn body(_1: i64, _2: i64)
         def yield_hook(c, values):
             c.build_op("linalg.yield", values)
 
-        region = generate_region(ctx, registry, fn, [fir.I64, fir.I64], yield_hook)
+        region = generate_region(ctx, fn, yield_hook)
         assert len(region.blocks) == len(fir.reachable_blocks(fn))
 
 

@@ -321,3 +321,13 @@ class TestBuiltinRegistry:
         op = build_op(registry, m, "arith.cmpi", [a, b],
                       attributes={"predicate": StringAttr("sge")})
         assert result(op).type == ir.IntType(1)
+
+
+def test_builtin_definitions_are_parsed_once_and_shared():
+    from bridgegen.codegen import IntrinsicRegistry
+
+    a, b = IntrinsicRegistry().dialects, IntrinsicRegistry().dialects
+    assert a is not b and list(a.dialects) == list(b.dialects)
+    assert all(a.dialects[name] is b.dialects[name] for name in a.dialects)
+    register_dialect(a, load_dialect_spec('dialect extra\nop x "X."\n'))
+    assert a.lookup("extra.x") is not None and "extra" not in b.dialects

@@ -135,7 +135,7 @@ class TestBuildGeneric:
                                      region=region, entry_block=entry)
         ctx.set_block(entry)
         with pytest.raises(EinsumError, match="rank"):
-            einsum.build_generic(ctx, registry, spec, list(entry.arguments))
+            einsum.build_generic(ctx, spec, list(entry.arguments))
 
     def test_mixed_element_types_rejected(self, registry):
         spec = parse_einsum("(i),(i)->(i)")
@@ -157,7 +157,7 @@ class TestBuildGeneric:
                                      region=region, entry_block=entry)
         ctx.set_block(entry)
         with pytest.raises(EinsumError, match="element type"):
-            einsum.build_generic(ctx, registry, spec, list(entry.arguments))
+            einsum.build_generic(ctx, spec, list(entry.arguments))
 
     def test_printed_form_carries_maps_and_iterators(self, registry):
         spec = parse_einsum("(i,k),(k,j)->(i,j)")
@@ -183,9 +183,9 @@ class TestBuildGeneric:
         ctx = codegen.BuilderContext(module=module, registry=registry,
                                      region=region, entry_block=entry)
         ctx.set_block(entry)
-        g1 = einsum.build_generic(ctx, registry, spec, list(entry.arguments))
+        g1 = einsum.build_generic(ctx, spec, list(entry.arguments))
         g2 = einsum.build_generic(
-            ctx, registry, spec,
+            ctx, spec,
             [g1.results[0], entry.arguments[1], entry.arguments[2]])
         ctx.build_op("func.return", [g2.results[0]])
         assert ir.verify_module(module).ok

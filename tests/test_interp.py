@@ -515,6 +515,27 @@ class TestErrors:
                            match="^unsupported operation 'test.mystery'$"):
             run_function(module, "f", [])
 
+    def test_spec_terminator_without_semantics_fails_when_reached(self, registry):
+        from bridgegen.dialects import build_op, load_dialect_spec, register_dialect
+
+        register_dialect(registry.dialects,
+                         load_dialect_spec('dialect t\nop halt "Stops."\n  terminator\n'))
+        module = ir.IrModule(registry=registry.dialects)
+        entry = new_func(registry, module, "f", [ir.I1], [])
+        region = module.lookup_symbol("f").regions[0]
+        done, stop = module.append_block(region, []), module.append_block(region, [])
+        module.set_insertion(entry)
+        build_op(registry.dialects, module, "cf.cond_br", [entry.arguments[0]],
+                 successors=[(done, []), (stop, [])])
+        module.set_insertion(done)
+        build_op(registry.dialects, module, "func.return")
+        module.set_insertion(stop)
+        assert build_op(registry.dialects, module, "t.halt").is_terminator
+        assert ir.verify_module(module).ok
+        assert run_function(module, "f", [IntValue(1, 1)]) == []
+        with pytest.raises(InterpError, match="^unsupported operation 't.halt'$"):
+            run_function(module, "f", [IntValue(1, 0)])
+
     def test_cond_br_on_a_non_i1_value(self, registry):
         module = ir.IrModule(registry=registry.dialects)
         entry = new_func(registry, module, "f", [ir.I64], [])
