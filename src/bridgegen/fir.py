@@ -416,6 +416,12 @@ def parse_program(text: str) -> FirProgram:
     fn = None
     block = None
 
+    def frontend_type(text):
+        try:
+            return parse_frontend_type(text)
+        except FirError as e:
+            raise FirError(f"line {lineno}: {e}") from None
+
     def close():
         nonlocal fn, block
         if fn is None:
@@ -444,7 +450,7 @@ def parse_program(text: str) -> FirProgram:
                     if not pm or int(pm.group(1)) != i:
                         raise FirError(
                             f"line {lineno}: expected parameter '_{i}: <type>'")
-                    params.append(parse_frontend_type(pm.group(2)))
+                    params.append(frontend_type(pm.group(2)))
             fn = FirFunction(m.group(1), params, [])
             continue
         if fn is None:
@@ -465,7 +471,7 @@ def parse_program(text: str) -> FirProgram:
         if m:
             args = [_parse_arg(a, lineno) for a in split_commas(m.group(3))]
             block.append(Invoke(int(m.group(1)), m.group(2), args,
-                                parse_frontend_type(m.group(4))))
+                                frontend_type(m.group(4))))
             continue
         m = _PHI_RE.match(line)
         if m:
@@ -476,7 +482,7 @@ def parse_program(text: str) -> FirProgram:
                     raise FirError(f"line {lineno}: bad phi incoming '{part}'")
                 incomings.append((int(im.group(1)), _parse_arg(im.group(2), lineno)))
             block.append(Phi(int(m.group(1)), incomings,
-                             parse_frontend_type(m.group(3))))
+                             frontend_type(m.group(3))))
             continue
         m = _GOTO_IFNOT_RE.match(line)
         if m:

@@ -1,9 +1,9 @@
 """Reference evaluator for generated IR.
 
 Executes scalar and control-flow operations with IEEE-754 semantics at the
-declared precision, runs linalg.generic as its full iteration-space loop
-nest, and simulates a GPU thread grid for kernels built on the gpu
-dialect. Used as the numeric oracle for translations.
+declared precision, runs linalg.generic over its iteration space, and
+simulates a GPU thread grid for kernels built on the gpu dialect. Used as
+the numeric oracle for translations.
 
 A run decodes each function it reaches once: ``_OPS`` maps each op name to
 a decoder that turns the op into a closure over a frame list with one slot
@@ -12,6 +12,26 @@ function boundaries; ill-typed or unknown ops fail when reached. Each op is
 one step: a block is charged on entry when it fits the budget, otherwise
 (and when it holds a call or generic) op by op, so StepLimitExceeded comes
 just before the first op past the limit.
+
+Lanes: the same decoder, asked for the op's lane form, gives a closure that
+runs the op once over numpy arrays, one lane per point or thread, or None.
+A one-block region whose ops all have a lane form runs that way. A lane
+value has its SSA type's element kind (int64 for integers), so f32 results
+are correctly rounded as on the scalar path. A linalg.generic takes one
+lane per point of its parallel axes, those of the output map; the other
+axes are looped in lexicographic order, so each output element accumulates
+in the sequential order. A kernel runs each grid block in batches of at
+most LANES consecutive threads; loads gather and stores scatter. A batch is
+charged its steps up front, so it takes lanes only when they fit the budget
+(for a kernel, one thread's steps). A batch falls back, with its stores
+undone, to running point by point or thread by thread, which raises the
+same errors after the same stores, when an index is out of bounds or of the
+wrong rank, an integer result could leave int64 (index values are
+unbounded), an element kind differs from its buffer's or output's, or two
+lanes touch one buffer element and one of them stores to it. Kernels whose
+buffers share memory, or whose arguments or coordinates leave int64, run
+thread by thread throughout. So do generics and batches of fewer than
+MIN_LANES lanes, for which numpy's cost per call outweighs the lanes.
 """
 
 from __future__ import annotations
@@ -47,6 +67,8 @@ __all__ = [
 
 DEFAULT_STEP_LIMIT = 10 ** 7
 MAX_CALL_DEPTH = 200  # nested func.calls; each takes three Python frames
+LANES = 1024  # the most threads of one grid block that run as one batch
+MIN_LANES = 16  # fewer points or threads run faster one by one than as lanes
 
 
 class InterpError(Exception):
@@ -192,6 +214,11 @@ class _Defer(Exception):
     """Raised by a decoder with the closure that fails in the op's place."""
 
 
+class _Sequential(Exception):
+    """Raised by a lane op whose batch must run point by point or thread by
+    thread instead."""
+
+
 def _fail(error):
     raise error
 
@@ -224,9 +251,48 @@ def _wrapped(t: ir.IrType, read):
     return lambda f, run: v if lo <= (v := read(f, run)) < hi else _wrap_int(v, w)
 
 
-def _binary(kinds, fn):
-    def decode(op, at):
+def _lane_wrap(t: ir.IrType):
+    """_wrapped's wrapping of int64 lanes to the width of integer type ``t``."""
+    if not isinstance(t, ir.IntType) or t.width == 64:
+        return lambda x: x
+    if t.width == 1:
+        return lambda x: x & 1
+    half = 1 << t.width - 1
+    return lambda x: (x + half & 2 * half - 1) - half
+
+
+def _span(x):
+    """The least and greatest value of int64 lanes, as Python ints."""
+    return (int(x.min()), int(x.max())) if x.__class__ is np.ndarray else (int(x),) * 2
+
+
+def _lane_op(op, fn, *slots):
+    """The lane form of an op that applies ``fn`` to the values in ``slots``.
+    A lane value is a numpy array or scalar of its SSA type's element kind:
+    floats of the result's precision, or int64 wrapped to the result's width.
+    Index values are unbounded, so an int op whose operands could take a
+    result out of int64 falls back."""
+    t = op.results[0].type
+    if isinstance(t, _FLOAT):
+        if any(v.type != t for v in op.operands):
+            return None  # mixed precisions: the scalar op rounds a double once
+        return lambda f, lanes: fn(*[f[s] for s in slots])
+    wrap = _lane_wrap(t)
+
+    def lane(f, lanes):
+        xs = [f[s] for s in slots]  # add, sub and mul take their extremes at corners
+        for corner in itertools.product(*map(_span, xs)):
+            if not -1 << 63 <= fn(*corner) < 1 << 63:
+                raise _Sequential
+        return wrap(fn(*xs))
+    return lane
+
+
+def _binary(kinds, fn, lane_fn=None):
+    def decode(op, at, lanes=False):
         a, b = _kind(op, at, kinds)
+        if lanes:
+            return _lane_op(op, lane_fn or fn, a, b)
         if isinstance(op.results[0].type, ir.Float32Type):
             # computed in double, rounded once: exact, since 53 >= 2 * 24 + 2
             return lambda f, run: ir.to_f32(fn(f[a], f[b]))
@@ -234,50 +300,63 @@ def _binary(kinds, fn):
     return decode
 
 
-def _unary(kinds, fn):
-    def decode(op, at):
+def _unary(kinds, fn, lane_fn=None):
+    def decode(op, at, lanes=False):
         [a] = _kind(op, at, kinds)
+        if lanes:
+            return _lane_op(op, lane_fn or fn, a)
         return _wrapped(op.results[0].type, lambda f, run: fn(f[a]))
     return decode
 
 
-def _constant(op, at):
-    attr = op.attributes["value"]
+def _constant(op, at, lanes=False):
+    attr, t = op.attributes["value"], op.results[0].type
     if not isinstance(attr, (ir.FloatAttr, ir.IntAttr)):
         raise InterpError(f"unsupported constant attribute {attr!r}")
-    value = _unbox(value_of_type(op.results[0].type, attr.value))
+    value = _unbox(value_of_type(t, attr.value))
+    if lanes:
+        value = _np_dtype(t)(value)  # OverflowError: no int64 lane form
     return lambda f, run: value
 
 
-def _exp(op, at):
+def _exp(op, at, lanes=False):
     [a] = _kind(op, at, _FLOAT)
+    if lanes:
+        return _lane_op(op, np.exp, a)
     scalar = np.float32 if isinstance(op.results[0].type, ir.Float32Type) else np.float64
     return lambda f, run: float(np.exp(scalar(f[a])))
 
 
-def _cmpi(op, at):
+def _cmpi(op, at, lanes=False):
     pred = op.attributes["predicate"].text
     if pred not in _CMP:
         raise InterpError(f"unknown cmpi predicate '{pred}'")
     (a, b), cmp = _kind(op, at, _INT), _CMP[pred]
+    if lanes:
+        return lambda f, lanes: cmp(f[a], f[b]).astype(np.int64)
     return lambda f, run: 1 if cmp(f[a], f[b]) else 0
 
 
 def _launch_coordinate(k):
-    def decode(op, at):
+    def decode(op, at, lanes=False):
         dim = op.attributes["dimension"].text
+        if lanes:
+            return None if dim not in ("x", "y", "z") else (
+                lambda f, lanes: (lanes.ctx or _fail(_Sequential()))[dim][k])
         text = f"{op.name} executed without a launch configuration"
         return lambda f, run: (run.ctx if run.ctx is not None
                                else _fail(MissingLaunchConfig(text)))[dim][k]
     return decode
 
 
-def _memref(op, at):
+def _memref(op, at, lanes=False):
     """memref.load, or memref.store (its buffer is operand 1)."""
     which = int(op.name == "memref.store")
     if not isinstance(op.operands[which].type, ir.MemRefType):
         raise InterpError(f"{op.name} target is not a memref value")
     b, idx = at[op.operands[which]], _kind(op, at, _INT, which + 1)
+    if lanes:
+        return _lane_memref(op, at, b, idx)
 
     def index(f, run):
         i, shape = tuple([f[s] for s in idx]), f[b].data.shape
@@ -295,7 +374,34 @@ def _memref(op, at):
     return _wrapped(op.results[0].type, lambda f, run: f[b].data.item(index(f, run)))
 
 
-def _branch(op, at):
+def _lane_memref(op, at, b, idx):
+    """The lane form of memref.load and memref.store: a gather, or a scatter
+    that keeps the old values. Both record the access for the batch's
+    conflict check. An index out of bounds, a rank mismatch or an element
+    kind other than the buffer's falls back, so that the replay raises or
+    converts as the scalar op does."""
+    store, v = op.name == "memref.store", at[op.operands[0]]
+    t = op.operands[0].type if store else op.results[0].type
+    want, wrap = np.dtype(_np_dtype(t)), _lane_wrap(t)
+
+    def access(f, lanes):
+        buf, i = f[b], tuple([f[s] for s in idx])
+        if (buf.__class__ is not MemRefValue or len(i) != buf.data.ndim
+                or buf.data.dtype != want
+                or any(n.view(np.uint64).max() >= e for n, e in zip(i, buf.data.shape))
+                or store and np.ndim(f[v]) > max(map(np.ndim, i), default=0)):
+            raise _Sequential  # the last: every lane stores its value to one element
+        data = buf.data
+        lanes.touched.append((data, i, data[i] if store else None))
+        if not store:
+            return wrap(data[i])
+        data[i] = f[v]
+    return access
+
+
+def _branch(op, at, lanes=False):
+    if lanes:
+        return None
     if op.operands and op.operands[0].type != ir.I1:
         raise InterpError("cf.cond_br condition is not an i1 value")
     c = at[op.operands[0]] if op.operands else None
@@ -312,12 +418,14 @@ def _branch(op, at):
     return branch
 
 
-def _return(op, at):
+def _return(op, at, lanes=False):
     src = [at[v] for v in op.operands]
     return lambda f, run: [f[s] for s in src]
 
 
-def _call(op, at):
+def _call(op, at, lanes=False):
+    if lanes:
+        return None
     callee, dst = op.attributes["callee"].name, [at[v] for v in op.results]
     src = [(v.type, at[v]) for v in op.operands]
 
@@ -328,9 +436,12 @@ def _call(op, at):
     return call
 
 
-def _generic(op, at):
+def _generic(op, at, lanes=False):
+    if lanes:
+        return None
     maps, body = list(op.attributes["indexing_maps"].elements), _decode(op.regions[0])
-    src = [at[v] for v in op.operands]
+    src, lane_body = [at[v] for v in op.operands], _decode(op.regions[0], lanes=True)
+    arg_types = lane_body and [a.type for a in op.regions[0].blocks[0].arguments]
 
     def generic(f, run):
         operands = [f[s] for s in src]
@@ -356,6 +467,16 @@ def _generic(op, at):
 
         out = operands[-1]
         result = np.array(out.data, copy=True)
+        steps = lane_body and math.prod(extents.values()) * lane_body[1][0][1]
+        if (steps and run.steps + steps <= run.limit
+                and [v.elem for v in operands] == arg_types
+                and math.prod(extents[a] for a in set(maps[-1].targets)) >= MIN_LANES):
+            try:
+                _generic_lanes(lane_body, maps, operands, extents, result)
+                run.steps += steps
+                return TensorValue(out.elem, result.shape, result)
+            except _Sequential:
+                pass  # ``result`` is still the output's copy
         wheres = [operator.itemgetter(*m.targets) if m.targets else (lambda p: ())
                   for m in maps]  # an operand's element index at a point
         arrays = [v.data for v in operands[:-1]] + [result]
@@ -370,20 +491,53 @@ def _generic(op, at):
     return generic
 
 
+def _generic_lanes(code, maps, operands, extents, result):
+    """Run a generic's body over numpy lanes into ``result``: one lane per
+    point of the parallel axes, those of the output map, so no two lanes
+    write one element. The other axes are looped in lexicographic order, so
+    each element accumulates in the sequential order. Raises _Sequential,
+    with ``result`` untouched, when the body has to run point by point."""
+    par = sorted(set(maps[-1].targets))
+    shape = [extents[a] for a in par]
+    lane = dict(zip(par, np.unravel_index(np.arange(math.prod(shape)), shape)))
+    loop = [a for a in sorted(extents) if a not in lane]
+    reads = []  # (data, flat element at loop point 0, stride of each loop axis, wrap)
+    for m, v in zip(maps, operands):
+        at, strides, stride = 0, dict.fromkeys(loop, 0), 1
+        for axis, extent in reversed(list(zip(m.targets, v.data.shape))):
+            if axis in lane:
+                at = at + lane[axis] * stride
+            else:
+                strides[axis] += stride
+            stride *= extent
+        reads.append((v.data, at, [strides[a] for a in loop], _lane_wrap(v.elem)))
+    *reads, (_, out_at, _, wrap_out) = reads
+    acc, lanes = wrap_out(result.take(out_at)), _Lanes(None)
+    for point in itertools.product(*(range(extents[a]) for a in loop)):
+        yielded = _exec_lanes(code, [
+            wrap(data.take(at + sum(map(operator.mul, point, strides))))
+            for data, at, strides, wrap in reads] + [acc], lanes)
+        if len(yielded) != 1 or yielded[0].dtype != result.dtype:
+            raise _Sequential
+        acc = wrap_out(yielded[0])
+    result.put(out_at, acc)
+
+
 _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
     "arith.constant": _constant,
     "arith.addf": _binary(_FLOAT, operator.add),
     "arith.subf": _binary(_FLOAT, operator.sub),
     "arith.mulf": _binary(_FLOAT, operator.mul),
     "arith.divf": _binary(_FLOAT, lambda x, y:  # by ±0: numpy's inf or nan
-                          x / y if y else float(np.float64(x) / np.float64(y))),
+                          x / y if y else float(np.float64(x) / np.float64(y)),
+                          operator.truediv),
     "arith.negf": _unary(_FLOAT, operator.neg),
     "math.exp": _exp,
     "arith.addi": _binary(_INT, operator.add),
     "arith.subi": _binary(_INT, operator.sub),
     "arith.muli": _binary(_INT, operator.mul),
     "arith.cmpi": _cmpi,
-    "arith.index_cast": _unary(_INT, int),
+    "arith.index_cast": _unary(_INT, int, operator.pos),
     "gpu.thread_id": _launch_coordinate(0),
     "gpu.block_id": _launch_coordinate(1),
     "gpu.block_dim": _launch_coordinate(2),
@@ -398,24 +552,28 @@ _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
 }
 
 
-def _decode_op(op: ir.IrOperation, at):
+def _decode_op(op: ir.IrOperation, at, lanes=False):
+    """The op's closure, or with ``lanes`` its lane form or None."""
     try:
         if op.name not in _OPS:
             raise InterpError(f"unsupported operation '{op.name}'")
-        return _OPS[op.name](op, at)
+        return _OPS[op.name](op, at, lanes)
     except _Defer as e:
-        return e.args[0]
+        return None if lanes else e.args[0]
     except (InterpError, LookupError, AttributeError, TypeError, ValueError,
             ArithmeticError) as e:  # a malformed op fails when reached
         kind, args = type(e), e.args
-        return lambda f, run: _fail(kind(*args))
+        return None if lanes else lambda f, run: _fail(kind(*args))
 
 
-def _decode(region: ir.IrRegion):
+def _decode(region: ir.IrRegion, lanes=False):
     """(frame size, blocks): each block is (argument slots, steps to charge
     on entry or inf, [(result slot, op)], terminator or None, id). Slot 0
     takes the value of ops without one result; ops after a terminator never
-    run and are dropped."""
+    run and are dropped. With ``lanes``, the lane form of a one-block region
+    whose ops all have one, else None."""
+    if lanes and len(region.blocks) != 1:
+        return None
     at = {None: 0}  # the arguments of a block take consecutive slots
     for block in region.blocks:
         for v in block.arguments + [r for op in block.operations for r in op.results]:
@@ -427,11 +585,15 @@ def _decode(region: ir.IrRegion):
         ops, term, nested = [], None, False
         for op in block.operations:
             nested = nested or op.name in ("func.call", "linalg.generic")
+            code = _decode_op(op, at, lanes)
+            if code is None:
+                return None
             if op.is_terminator:
-                term = _decode_op(op, at)
+                term = code
                 break
-            ops.append((at[op.results[0]] if len(op.results) == 1 else 0,
-                        _decode_op(op, at)))
+            ops.append((at[op.results[0]] if len(op.results) == 1 else 0, code))
+        if lanes and term is None:
+            return None
         steps = math.inf if nested else len(ops) + (term is not None)
         blocks.append((tuple(at[v] for v in block.arguments), steps, tuple(ops), term,
                        block.id))
@@ -486,6 +648,16 @@ class _Run:
         return results
 
 
+class _Lanes:
+    """One lockstep batch: its launch coordinates (None in a generic body)
+    and its buffer accesses (buffer, index, old values of a store or None)."""
+
+    __slots__ = ("ctx", "touched")
+
+    def __init__(self, ctx):
+        self.ctx, self.touched = ctx, []
+
+
 def _exec(code, args, run: _Run) -> list:
     """Run a decoded region on raw ``args``; returns the raw values returned."""
     size, blocks = code
@@ -512,6 +684,18 @@ def _exec(code, args, run: _Run) -> list:
         slots, n, ops, term, bid = blocks[nxt]
 
 
+def _exec_lanes(code, args, lanes: _Lanes) -> list:
+    """Run the lane form of a one-block region on ``args``; returns the lane
+    values returned."""
+    size, [(slots, _, ops, term, _)] = code
+    f = [None] * size
+    for s, v in zip(slots, args):
+        f[s] = v
+    for r, op in ops:
+        f[r] = op(f, lanes)
+    return term(f, lanes)
+
+
 def run_function(module: ir.IrModule, symbol: str, inputs,
                  step_limit: int = DEFAULT_STEP_LIMIT):
     """Execute @symbol on ``inputs``; returns the list of result values."""
@@ -521,6 +705,49 @@ def run_function(module: ir.IrModule, symbol: str, inputs,
     return [_box(t, v) for t, v in zip(run.funcs[symbol][0].results, results)]
 
 
+def _lockstep(code, args, lanes: _Lanes, owners) -> bool:
+    """Run one batch of a kernel in lockstep. False, with the batch's stores
+    undone, when it has to run thread by thread: a lane op fell back, or two
+    lanes touch one element and at least one of them stores to it."""
+    try:
+        _exec_lanes(code, args, lanes)
+        if not _collide(lanes, owners):
+            return True
+    except _Sequential:
+        pass
+    for data, i, old in reversed(lanes.touched):
+        if old is not None:
+            data[i] = old
+    return False
+
+
+def _collide(lanes: _Lanes, owners) -> bool:
+    """Whether two lanes touch one element of a stored buffer and one of
+    them stores to it. ``owners`` maps each stored buffer to an array of the
+    lane storing each element, -1 where none does."""
+    stored = {id(data) for data, _, old in lanes.touched if old is not None}
+    ids, marks = np.arange(len(lanes.ctx["x"][0])), []
+    for data, i, old in lanes.touched:
+        if id(data) in stored:
+            if id(data) not in owners:
+                owners[id(data)] = np.full(data.size, -1)
+            flat = i[0] if i else 0
+            for n, extent in zip(i[1:], data.shape[1:]):
+                flat = flat * extent + n
+            marks.append((owners[id(data)], flat if np.ndim(flat) else
+                          np.full(ids.shape, flat), old))
+    for owner, flat, old in marks:
+        if old is not None:
+            owner[flat] = ids
+    clash = any((((o := owner[flat]) != ids) & (o >= 0)).any() for owner, flat, _ in marks)
+    for owner, flat, old in marks:
+        if old is not None:
+            owner[flat] = -1
+    return clash
+
+
+
+
 def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                step_limit: int = DEFAULT_STEP_LIMIT, reverse: bool = False):
     """Run @symbol once per (block, thread) coordinate; returns ``inputs``.
@@ -528,16 +755,44 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     Coordinates are visited in lexicographic order over
     (block x,y,z, thread x,y,z); ``reverse`` visits them backwards.
     Buffer mutations through memref.store are visible in the returned
-    inputs. Each thread has the whole step budget.
+    inputs. Each thread has the whole step budget. A kernel with a lane
+    form runs each grid block in lockstep batches of at most LANES threads.
     """
-    coords = list(itertools.product(*map(range, launch.grid + launch.block)))
     run, inputs = _Run(module, step_limit), list(inputs)
     body = run.function(symbol, inputs)
     args = [_unbox(v) for v in inputs]
-    bx, by, bz = launch.block
+    code = _decode(module.lookup_symbol(symbol).regions[0], lanes=True)
+    try:
+        lane_args = [v if isinstance(v, _ArrayValue) else _np_dtype(t)(v)
+                     for t, v in zip(run.funcs[symbol][0].inputs, args)]
+    except OverflowError:  # an index outside int64
+        code = None
+    bufs = [v.data for v in inputs if isinstance(v, MemRefValue)]
+    if (not code or code[1][0][1] > step_limit
+            or math.prod(launch.grid + launch.block) >> 63
+            or any(np.may_share_memory(*p) for p in itertools.combinations(bufs, 2))):
+        code = None  # a thread's budget, coordinates or buffers lanes cannot track
+    order = (lambda r: r[::-1]) if reverse else (lambda r: r)
+    (gx, gy, gz), (bx, by, bz) = launch.grid, launch.block
+    dims, owners, coords = code and tuple(map(np.int64, launch.block)), {}, (None,)
+    threads = range(bx * by * bz)  # numbered, like the blocks, in launch order
+    starts = order(threads[::LANES])
     with np.errstate(all="ignore"):
-        for blkx, blky, blkz, tx, ty, tz in coords[::-1] if reverse else coords:
-            run.steps = 0
-            run.ctx = {"x": (tx, blkx, bx), "y": (ty, blky, by), "z": (tz, blkz, bz)}
-            _exec(body, args, run)
+        for b in order(range(gx * gy * gz)):
+            blkx, blky, blkz = b // (gy * gz), b // gz % gy, b % gz
+            for lo in starts:
+                batch = threads[lo:lo + LANES]
+                if code and len(batch) >= MIN_LANES:
+                    if coords[0] != batch:  # the same in every block
+                        t = np.arange(batch.start, batch.stop)
+                        coords = batch, (t // (by * bz), t // bz % by, t % bz)
+                    ctx = dict(zip("xyz", zip(coords[1], map(np.int64, (blkx, blky, blkz)),
+                                              dims)))
+                    if _lockstep(code, lane_args, _Lanes(ctx), owners):
+                        continue
+                for t in order(batch):
+                    run.steps = 0
+                    run.ctx = {"x": (t // (by * bz), blkx, bx), "y": (t // bz % by, blky, by),
+                               "z": (t % bz, blkz, bz)}
+                    _exec(body, args, run)
     return inputs

@@ -457,6 +457,21 @@ class TestDiagnostics:
         assert code == 1 and "error: internal:" not in err
         assert "frontend type nests deeper than" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("fn f(_1: i64, _2: f65)\n1:\n  return _1\n",
+         "line 1: unknown frontend type 'f65'"),
+        (PLUS_ONE.replace(":: i64", ":: f65"), "line 3: unknown frontend type 'f65'"),
+        ("fn f(_1: i64)\n1:\n  goto #2\n2:\n  %1 = phi (#1 => _1) :: f65\n"
+         "  return %1\n", "line 5: unknown frontend type 'f65'"),
+        ("fn f(_1: i64)\n1:\n  return _1\n\nfn g(_1: " + WIDE + ")\n1:\n  return _1\n",
+         "line 5: frontend type nests deeper than 8 levels"),
+    ], ids=["parameter", "invoke", "phi", "nesting"])
+    def test_bad_frontend_type_names_its_line(self, tmp_path, capsys, text, message):
+        code = self.gen(tmp_path, text)
+        err = capsys.readouterr().err
+        assert code == 1 and "error: internal:" not in err
+        assert f"error: {tmp_path / 'f.fir'}: {message}\n" in err
+
     @pytest.mark.parametrize("text, types, message", [
         ("fn f(_1: i64)\n1:\n  %1 = invoke <(_1, 0) :: Bool\n  goto #3 ifnot %1\n"
          "2:\n  goto #3\n3:\n  %2 = phi (#2 => _1) :: i64\n  return %2\n", "i64",

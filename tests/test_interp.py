@@ -4,6 +4,7 @@ import functools
 import gc
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,17 +287,36 @@ class TestKernels:
         assert np.array_equal(forward[2].data, backward[2].data)
 
     def test_excess_threads_out_of_bounds(self, vadd):
-        # first excess coordinate is thread 0 of block 2 -> index 8
+        # first excess coordinate is thread 0 of block 2 -> index 8; with one
+        # block of 20 threads, thread 8 in the middle of the block's batch
+        for grid, block, x in (((3, 1, 1), (4, 1, 1), (0, 2, 4)),
+                               ((1, 1, 1), (20, 1, 1), (8, 0, 20))):
+            bufs = self.vadd_buffers()
+            with pytest.raises(OutOfBounds) as info:
+                run_kernel(vadd, "vadd", LaunchConfig(grid, block), bufs)
+            assert str(info.value) == (
+                "index 8 out of bounds for dimension 0 of extent 8 (thread "
+                f"context {{'x': {x}, 'y': (0, 0, 1), 'z': (0, 0, 1)}})")
+            # the stores of the threads before it stay visible
+            assert np.array_equal(bufs[2].data,
+                                  np.array([11, 22, 33, 44, 55, 66, 77, 88],
+                                           dtype=np.float32))
+
+    def test_threads_are_visited_lazily(self, vadd):
+        # thread 8 of 200000 fails before the launch's coordinates could
+        # fill memory
         bufs = self.vadd_buffers()
-        with pytest.raises(OutOfBounds) as info:
-            run_kernel(vadd, "vadd", LaunchConfig((3, 1, 1), (4, 1, 1)), bufs)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfBounds) as info:
+                run_kernel(vadd, "vadd", LaunchConfig((1, 1, 1), (200000, 1, 1)), bufs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert str(info.value) == (
             "index 8 out of bounds for dimension 0 of extent 8 (thread "
-            "context {'x': (0, 2, 4), 'y': (0, 0, 1), 'z': (0, 0, 1)})")
-        # the stores of the threads before it stay visible
-        assert np.array_equal(bufs[2].data,
-                              np.array([11, 22, 33, 44, 55, 66, 77, 88],
-                                       dtype=np.float32))
+            "context {'x': (8, 0, 200000), 'y': (0, 0, 1), 'z': (0, 0, 1)})")
+        assert peak < 2 * 2 ** 20
 
     def test_gpu_op_without_launch(self, vadd):
         bufs = self.vadd_buffers()
@@ -444,17 +464,21 @@ class TestStepBoundary:
                           tensor_value(np.zeros((2, 2)))]
         [out] = run_function(module, "einsum", values(), step_limit=exact)
         assert np.array_equal(out.data, np.full((2, 2), 3.0))
-        with pytest.raises(StepLimitExceeded):
-            run_function(module, "einsum", values(), step_limit=exact - 1)
+        for limit in (exact - 1, exact - 2, 20, 2, 1):  # after, within, before
+            with pytest.raises(StepLimitExceeded,
+                               match=f"^step budget of {limit} operations exceeded$"):
+                run_function(module, "einsum", values(), step_limit=limit)
 
     def test_raised_at_the_exact_op(self, vadd):
-        # vadd: 8 ops before the store, then the store, then return
-        one = LaunchConfig((1, 1, 1), (1, 1, 1))
-        for limit, stored in ((8, 0.0), (9, 11.0)):
-            bufs = TestKernels().vadd_buffers()
-            with pytest.raises(StepLimitExceeded):
-                run_kernel(vadd, "vadd", one, bufs, step_limit=limit)
-            assert bufs[2].data[0] == stored
+        # vadd: 8 ops before the store, then the store, then return; with 8
+        # threads the first thread still stops there
+        for launch in (LaunchConfig((1, 1, 1), (1, 1, 1)),
+                       LaunchConfig((2, 1, 1), (4, 1, 1))):
+            for limit, stored in ((8, 0.0), (9, 11.0)):
+                bufs = TestKernels().vadd_buffers()
+                with pytest.raises(StepLimitExceeded):
+                    run_kernel(vadd, "vadd", launch, bufs, step_limit=limit)
+                assert list(bufs[2].data) == [stored] + [0.0] * 7
 
     def test_ops_after_a_call_run_until_the_budget_ends(self, registry):
         # @k: two constants, a call of @g (one op), a store, a return
