@@ -312,26 +312,6 @@ def _is_literal(arg) -> bool:
     return isinstance(arg, (fir.IntLit, fir.FloatLit, fir.BoolLit))
 
 
-def _literal_promotable(lit, param_type) -> bool:
-    if not isinstance(param_type, fir.Concrete):
-        return False
-    if isinstance(lit, fir.BoolLit):
-        return param_type in (fir.BOOL, fir.I1)
-    if isinstance(lit, fir.IntLit):
-        if param_type in (fir.I64, fir.INDEX):
-            return True
-        if param_type == fir.F32:
-            return abs(lit.value) <= 2 ** 24
-        if param_type == fir.F64:
-            return abs(lit.value) <= 2 ** 53
-        if param_type in (fir.I1, fir.BOOL):
-            return lit.value in (0, 1)
-        return False
-    if isinstance(lit, fir.FloatLit):
-        return param_type in (fir.F32, fir.F64)
-    return False
-
-
 def _resolve_call(registry: IntrinsicRegistry, name: str, args, natural_types):
     """Dispatch with literal promotion: natural types first, then retry
     admitting literal arguments wherever they promote to the parameter type.
@@ -360,8 +340,7 @@ def _resolve_call(registry: IntrinsicRegistry, name: str, args, natural_types):
             (sig, builder)
             for sig, builder in registry.methods.get(name, [])
             if len(sig.param_types) == len(args) and all(
-                fir.subtype(natural, param)
-                or (_is_literal(arg) and _literal_promotable(arg, param))
+                fir.admits(param, arg, natural)
                 for arg, natural, param in zip(args, key[1], sig.param_types))
         ])
     return cache[key]

@@ -153,6 +153,26 @@ def subtype(a: FrontendType, b: FrontendType) -> bool:
             return False
 
 
+def admits(t: FrontendType, arg, natural: FrontendType) -> bool:
+    """Whether argument ``arg`` of type ``natural`` may stand for a value of
+    type ``t``: a subtype, or a literal that promotes to ``t``."""
+    if subtype(natural, t):
+        return True
+    if not isinstance(t, Concrete):
+        return False
+    if isinstance(arg, BoolLit):
+        return t in (BOOL, I1)
+    if isinstance(arg, IntLit):
+        if t in (I64, INDEX):
+            return True
+        if t == F32:
+            return abs(arg.value) <= 2 ** 24
+        if t == F64:
+            return abs(arg.value) <= 2 ** 53
+        return t in (I1, BOOL) and arg.value in (0, 1)
+    return isinstance(arg, FloatLit) and t in (F32, F64)
+
+
 def frontend_type_text(t: FrontendType) -> str:
     if isinstance(t, AnyFrontend):
         return "Any"
@@ -684,7 +704,10 @@ def validate_fir(fn: FirFunction):
 # Inlining
 
 
-def _call_targets(fn: FirFunction, program: FirProgram, is_intrinsic):
+def _call_targets(fn: FirFunction, program: FirProgram, is_intrinsic, returns):
+    """The program functions ``fn`` calls. A call's arguments must be
+    admitted by the callee's parameters, and its declared type must admit
+    every (value, type) that ``returns(callee)`` lists."""
     out = set()
     type_of = arg_typer(fn)
     for _, st in fn.statements():
@@ -701,8 +724,26 @@ def _call_targets(fn: FirFunction, program: FirProgram, is_intrinsic):
                     f"{fn.name}: {_stmt_text(st)}: '{st.target}' takes "
                     f"{len(callee.param_types)} parameter(s), the call passes "
                     f"{len(st.args)}")
+            for i, (a, t) in enumerate(zip(st.args, callee.param_types), start=1):
+                if not admits(t, a, type_of(a)):
+                    raise FirError(
+                        f"{fn.name}: {_stmt_text(st)}: argument {i} is "
+                        f"{type_of(a)}, '{st.target}' takes {t}")
+            for value, t in returns(st.target):
+                if not admits(st.result_type, value, t):
+                    raise FirError(
+                        f"{fn.name}: {_stmt_text(st)}: '{st.target}' returns "
+                        f"{t}, the call declares {st.result_type}")
             out.add(st.target)
     return out
+
+
+def _returns(fn: FirFunction):
+    """(value, type) of each return that ``fn``'s entry can reach."""
+    type_of, reach = arg_typer(fn), reachable_blocks(fn)
+    return [(st.value, NOTHING if st.value is None else type_of(st.value))
+            for bi, block in enumerate(fn.blocks, start=1) if bi in reach
+            for st in block if isinstance(st, Return)]
 
 
 def _max_id(fn: FirFunction) -> int:
@@ -770,12 +811,17 @@ def inline_calls(program: FirProgram, entry: str, is_intrinsic) -> FirFunction:
     if entry not in program.functions:
         raise FirError(f"no function named '{entry}'")
 
-    targets = {}
+    targets, returns = {}, {}
+
+    def returned(name):
+        if name not in returns:
+            returns[name] = _returns(program.functions[name])
+        return returns[name]
 
     def sorted_targets(name):
         if name not in targets:
             targets[name] = _call_targets(program.functions[name], program,
-                                          is_intrinsic)
+                                          is_intrinsic, returned)
         return sorted(targets[name])
 
     # Cycle check restricted to functions reachable from the entry; a

@@ -87,6 +87,16 @@ def registry():
     return reg
 
 
+@pytest.fixture
+def compiled(monkeypatch):
+    """What each attempt to compile a region for the interpreter's compiled
+    tier gave: a function, or None where the region stays on closures."""
+    made, build = [], interp._compile
+    monkeypatch.setattr(interp, "_compile",
+                        lambda region: made.append(build(region)) or made[-1])
+    return made
+
+
 # ---------------------------------------------------------------------------
 # Helpers
 

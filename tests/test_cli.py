@@ -221,15 +221,6 @@ class TestGen:
         assert code == 1
         assert "already registered" in capsys.readouterr().err
 
-    def test_return_type_mismatch_exit_1(self, tmp_path, capsys):
-        p = tmp_path / "f.fir"
-        p.write_text("fn g(_1: i64)\n1:\n  %1 = invoke +(_1, 1) :: i64\n  return %1\n"
-                     "fn f(_1: f64)\n1:\n  %1 = invoke g(_1) :: i64\n  return %1\n")
-        code = cli.main(["gen", str(p), "--entry", "f", "--types", "f64"])
-        out = capsys.readouterr()
-        assert code == 1 and out.out == ""
-        assert "[function-type] at 'func.return'" in out.err
-
 
 TWICE_SPEC = """\
 dialect my
@@ -471,6 +462,25 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert code == 1 and "error: internal:" not in err
         assert f"error: {tmp_path / 'f.fir'}: {message}\n" in err
+
+    @pytest.mark.parametrize("call, callee, message", [
+        ("g(_1) :: i64", "fn g(_1: i64)\n1:\n  %1 = invoke +(_1, 1) :: i64\n  return %1\n",
+         "argument 1 is f64, 'g' takes i64"),
+        ("g(_1) :: i64", "fn g(_1: f64)\n1:\n  return _1\n",
+         "'g' returns f64, the call declares i64"),
+        ("g(2) :: f64", "fn g(_1: f64)\n1:\n  return _1\n", None),
+        ("g(_1) :: f64", "fn g(_1: f64)\n1:\n  return 3\n", None),
+    ], ids=["argument", "declared", "literal-argument", "literal-return"])
+    def test_call_types_checked(self, tmp_path, capsys, call, callee, message):
+        text = (f"fn f(_1: f64)\n1:\n  %1 = invoke {call}\n"
+                f"  %2 = invoke +(%1, _1) :: f64\n  return %2\n{callee}")
+        code = self.gen(tmp_path, text, "f64")
+        out = capsys.readouterr()
+        if message is None:  # a literal promotes as dispatch promotes it
+            assert code == 0 and "-> f64" in out.out
+        else:
+            assert code == 1 and out.out == ""
+            assert out.err == f"error: f: %1 = invoke {call}: {message}\n"
 
     @pytest.mark.parametrize("text, types, message", [
         ("fn f(_1: i64)\n1:\n  %1 = invoke <(_1, 0) :: Bool\n  goto #3 ifnot %1\n"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgegen import einsum, fir, interp, intrinsics, ir
+from bridgegen import cli, einsum, fir, interp, intrinsics, ir
 from bridgegen.interp import (
     F32Value,
     F64Value,
@@ -424,17 +424,21 @@ class TestStepBoundary:
     """A budget equal to the exact number of operations executed passes;
     one less raises, before the operation that would exceed it runs."""
 
-    def test_plain_loop(self, registry):
+    def test_plain_loop(self, registry, monkeypatch):
         module = run_pipeline(registry, SUMTO_FIR, "sumto", [fir.I64])
-        # entry 3 ops, header 2 per test (n + 1 tests), body 3 per trip, exit 1
-        n = 4
+        # entry 3 ops, header 2 per test (n + 1 tests), body 3 per trip, exit 1;
+        # n back edges, so budgets past HOT of them end in the compiled tier
+        n = interp.HOT + 10
         exact = 3 + 2 * (n + 1) + 3 * n + 1
-        [out] = run_function(module, "sumto", [IntValue(64, n)],
-                             step_limit=exact)
-        assert out.value == 10
-        with pytest.raises(StepLimitExceeded, match=f"budget of {exact - 1} "):
-            run_function(module, "sumto", [IntValue(64, n)],
-                         step_limit=exact - 1)
+        for hot in (math.inf, interp.HOT):  # the closures alone, then compiling
+            monkeypatch.setattr(interp, "HOT", hot)
+            [out] = run_function(module, "sumto", [IntValue(64, n)],
+                                 step_limit=exact)
+            assert out.value == n * (n + 1) // 2
+            for limit in range(1, exact):
+                with pytest.raises(StepLimitExceeded,
+                                   match=f"^step budget of {limit} operations exceeded$"):
+                    run_function(module, "sumto", [IntValue(64, n)], step_limit=limit)
 
     def test_block_with_call(self, registry, sigmoid):
         from bridgegen.dialects import build_op
@@ -516,6 +520,77 @@ class TestStepBoundary:
         with pytest.raises(StepLimitExceeded):
             run_kernel(vadd, "vadd", launch, TestKernels().vadd_buffers(),
                        step_limit=per_thread - 1)
+
+
+class TestCompiledTier:
+    """A function runs compiled once it has taken HOT back edges, unless it
+    holds more than MAX_COMPILED_OPS ops or an op without a source form;
+    either way its results are the closures'."""
+
+    def test_compiles_after_hot_back_edges(self, registry, sigmoid, compiled):
+        module = run_pipeline(registry, SUMTO_FIR, "sumto", [fir.I64])
+        run_function(sigmoid, "sigmoid", [F32Value(1.0)])  # straight-line
+        run_function(module, "sumto", [IntValue(64, interp.HOT - 1)])
+        assert compiled == []
+        [out] = run_function(module, "sumto", [IntValue(64, interp.HOT)])
+        assert out.value == interp.HOT * (interp.HOT + 1) // 2
+        assert len(compiled) == 1 and compiled[0] is not None
+
+    def run_both(self, tmp_path, capsys, monkeypatch, text, *argv):
+        """(exit code, stdout, stderr) of ``bridgegen run`` on the closures
+        alone, then with compiling."""
+        (tmp_path / "f.fir").write_text(text)
+        outs = []
+        for hot in (math.inf, interp.HOT):
+            monkeypatch.setattr(interp, "HOT", hot)
+            code = cli.main(["run", str(tmp_path / "f.fir"), "--entry", "sumto", *argv])
+            outs.append((code, *capsys.readouterr()))
+        assert outs[0] == outs[1] and "error: internal:" not in outs[0][2]
+        return outs[0]
+
+    def test_function_of_more_than_3000_blocks(self, tmp_path, capsys, monkeypatch,
+                                                compiled):
+        tail = "".join(f"{k}:\n  goto #{k + 1}\n" for k in range(4, 3504))
+        text = SUMTO_FIR.replace("4:\n  return %2\n", f"{tail}3504:\n  return %2\n")
+        n = interp.HOT + 1
+        out = self.run_both(tmp_path, capsys, monkeypatch, text,
+                            "--types", "i64", "--", str(n))
+        assert out == (0, f"{n * (n + 1) // 2}\n", "")
+        assert compiled == [None]  # over the op cap
+
+    def test_loop_body_over_the_op_cap(self, tmp_path, capsys, monkeypatch, compiled):
+        k = interp.MAX_COMPILED_OPS
+        chain = "".join(f"  %{100 + j} = invoke +(%{99 + j if j else 2}, 1) :: i64\n"
+                        for j in range(k))
+        text = SUMTO_FIR.replace("  %5 = invoke +(%2, %3) :: i64\n",
+                                 f"{chain}  %5 = invoke +(%{99 + k}, %3) :: i64\n")
+        n = interp.HOT + 1
+        out = self.run_both(tmp_path, capsys, monkeypatch, text,
+                            "--types", "i64", "--", str(n))
+        assert out == (0, f"{n * (n + 1) // 2 + n * k}\n", "")
+        assert compiled == [None]
+
+    @pytest.mark.parametrize("tail, argv, want", [
+        ("  %7 = invoke twice(%2) :: f64\n  return %7\n", ["--dialect", "twice.spec"],
+         (1, "", "error: unsupported operation 'my.twice'\n")),
+        ("  %7 = invoke thread_idx_x() :: index\n  %8 = invoke store(%2, _2, %7) :: Nothing\n"
+         "  return\n", ["--launch", "1,1,1,1,1,1"],
+         (0, f"{interp.HOT + 1}\n[{(interp.HOT + 1) / 2}]\n", "")),
+    ], ids=["unsupported", "memref"])
+    def test_op_without_source_form_after_a_hot_loop(self, tmp_path, capsys, monkeypatch,
+                                                     compiled, tail, argv, want):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "twice.spec").write_text(
+            'dialect my\nop twice "Doubles."\n  operand x AnyFloat\n  result res same(0)\n'
+            "  bind twice (f64) (f32)\n")
+        text = (SUMTO_FIR.replace("sumto(_1: i64)", "sumto(_1: i64, _2: memref{f64,1})")
+                .replace("(#1 => 0, #3 => %5) :: i64", "(#1 => 0.0, #3 => %5) :: f64")
+                .replace("+(%2, %3) :: i64", "+(%2, 0.5) :: f64")
+                .replace("4:\n  return %2\n", f"4:\n{tail}"))
+        out = self.run_both(tmp_path, capsys, monkeypatch, text, "--types", "i64,memref{f64,1}",
+                            *argv, "--", str(interp.HOT + 1), "[0]:f64")
+        assert out == want
+        assert compiled == [None]
 
 
 class TestErrors:

@@ -54,6 +54,20 @@ def sequential_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sequential_decodes(monkeypatch):
+    """Counts the regions decoded for running point by point or thread by
+    thread."""
+    regions, decode = [], interp._decode
+
+    def counted(region, lanes=False):
+        if not lanes:
+            regions.append(region)
+        return decode(region, lanes)
+    monkeypatch.setattr(interp, "_decode", counted)
+    return regions
+
+
 def no_lanes(monkeypatch):
     """Make every lane batch fall back, as a lane form could not run."""
     def fall_back(*args):
@@ -83,7 +97,7 @@ def values(args):
 
 class TestAgainstReference:
     @pytest.mark.parametrize("name", list(gen.EINSUMS))
-    def test_einsum(self, registry, sequential_calls, name):
+    def test_einsum(self, registry, sequential_calls, sequential_decodes, name):
         spec, extents = gen.EINSUMS[name]
         inputs, output, _ = ref.einsum_axes(spec)
         rng = np.random.default_rng(len(name))
@@ -93,10 +107,11 @@ class TestAgainstReference:
         [out] = run_function(module, "einsum", [tensor_value(a) for a in arrays])
         assert ref.same(out.data, ref.einsum_reference(spec, arrays[:-1], arrays[-1]))
         assert len(sequential_calls) == 1  # the function body; the generic ran in lanes
+        assert len(sequential_decodes) == 1  # so its point-by-point body is not decoded
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("name", list(gen.KERNELS))
-    def test_kernel(self, registry, sequential_calls, name, reverse):
+    def test_kernel(self, registry, sequential_calls, sequential_decodes, name, reverse):
         grid, block = gen.KERNELS[name]
         args = kernel_args(np.random.default_rng(7), name, grid, block)
         vals = values(args)
@@ -112,7 +127,7 @@ class TestAgainstReference:
         for v, w in zip(vals, want):
             if isinstance(v, MemRefValue):
                 assert ref.same(v.data, w)
-        assert sequential_calls == []
+        assert sequential_calls == [] and sequential_decodes == []
 
     def test_exp_lanes_equal_scalar_exp(self, registry, sequential_calls):
         text = ("fn expk(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n"
