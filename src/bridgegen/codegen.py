@@ -352,18 +352,17 @@ class _Translator:
         self.type_of = type_of  # fir.arg_typer of the translated function
 
     def arg_values(self, arg, literal_type=None):
-        """IR values for a frontend argument; literals are materialized."""
+        """IR values for an SSA value, a parameter or a literal, which is
+        materialized."""
         ctx = self.ctx
         if isinstance(arg, fir.SsaRef):
             return list(ctx.values[("ssa", arg.id)])
         if isinstance(arg, fir.ParamRef):
             return list(ctx.values[("param", arg.index)])
-        if _is_literal(arg):
-            t = literal_type
-            if t is None or not isinstance(t, fir.Concrete):
-                t = self.type_of(arg)
-            return [materialize_constant(ctx, arg.value, t)]
-        raise CodegenError(f"cannot translate argument {arg!r}")
+        t = literal_type
+        if t is None or not isinstance(t, fir.Concrete):
+            t = self.type_of(arg)
+        return [materialize_constant(ctx, arg.value, t)]
 
     def phi_edge_args(self, target: int, pred: int):
         """Values a branch from ``pred`` must pass for ``target``'s phis."""
@@ -417,9 +416,6 @@ class _Translator:
             if isinstance(st, fir.Invoke):
                 self.translate_invoke(st, number)
             elif isinstance(st, fir.Phi):
-                if i >= len(slots):
-                    raise CodegenError(
-                        f"phi %{st.id} is not at the head of block {number}")
                 _, start, count, _ = slots[i]
                 block = ctx.block_map[number]
                 ctx.values[("ssa", st.id)] = block.arguments[start:start + count]
@@ -440,9 +436,6 @@ class _Translator:
                 # fall-through-on-true: the lexically next block, which the
                 # fallthrough edge itself keeps reachable
                 true_number = number + 1
-                if true_number not in ctx.block_map:
-                    raise CodegenError(
-                        f"block {number}: conditional branch falls off the end")
                 ctx.registry.generate_gotoifnot(
                     ctx,
                     cond_values[0],
@@ -457,13 +450,8 @@ class _Translator:
                 hook = ctx.return_hook or ctx.registry.generate_return
                 hook(ctx, values)
                 terminated = True
-            else:
-                raise CodegenError(f"cannot translate statement {st!r}")
         if not terminated:
             target = number + 1
-            if target not in ctx.block_map:
-                raise CodegenError(
-                    f"block {number}: falls off the end of the function")
             ctx.registry.generate_goto(ctx, ctx.block_map[target],
                                        self.phi_edge_args(target, number))
 
@@ -523,8 +511,9 @@ def _translate_into(ctx: BuilderContext, fn: fir.FirFunction, type_of):
 def generate(registry: IntrinsicRegistry, fn: fir.FirFunction, arg_types) -> ir.IrModule:
     """Translate ``fn`` into a module holding one func.func symbol.
 
-    The function must be validated, fully inlined, and bool-converted;
-    ``arg_types`` must be its declared parameter types.
+    The function must be validated (``fir.validate_fir`` finds nothing;
+    its structure is not checked again here), fully inlined, and
+    bool-converted; ``arg_types`` must be its declared parameter types.
     """
     if list(arg_types) != list(fn.param_types):
         raise CodegenError(

@@ -627,6 +627,16 @@ def reachable_blocks(fn: FirFunction):
     return seen
 
 
+_NATURAL = {IntLit: I64, FloatLit: F64, BoolLit: BOOL}  # a literal's natural type
+
+
+def _retyped(arg, t: FrontendType) -> bool:
+    """Whether ``arg`` is a literal that keeps the concrete type ``t`` only
+    as a phi of that type: its natural type is another."""
+    natural = _NATURAL.get(arg.__class__)
+    return natural is not None and isinstance(t, Concrete) and natural != t
+
+
 def arg_typer(fn: FirFunction):
     """:func:`arg_type` for the arguments of ``fn``, over one table of its
     SSA result types built here; a pass builds it once per function."""
@@ -638,12 +648,8 @@ def arg_typer(fn: FirFunction):
             return types[arg.id]
         if isinstance(arg, ParamRef):
             return fn.param_types[arg.index - 1]
-        if isinstance(arg, IntLit):
-            return I64
-        if isinstance(arg, FloatLit):
-            return F64
-        if isinstance(arg, BoolLit):
-            return BOOL
+        if arg.__class__ in _NATURAL:
+            return _NATURAL[arg.__class__]
         raise FirError(f"no type for argument {arg!r}")
 
     return type_of
@@ -800,13 +806,16 @@ def inline_calls(program: FirProgram, entry: str, is_intrinsic) -> FirFunction:
     the block's terminator, so gotos into the block target its head piece
     and phis naming it as predecessor name its last piece. A callee with
     several returns gets a phi at the head of the continuation; a single
-    return's value replaces the call result. Every function's inlined
-    block count is known before the walk (callees first), so each block
-    gets its final number when it is copied; result substitutions are
-    applied once at the end. The cycle check and the walk use explicit
-    stacks, so call depth is not limited by the Python stack. The time is
-    linear in the size of the functions reachable from the entry plus the
-    size of the result.
+    return's value replaces the call result. A literal keeps the type of
+    the parameter it is passed for, or of the call it is returned to, as a
+    phi of that type: at the head of the callee's entry, taking itself on
+    the callee's back edges, or at the head of the continuation. Every
+    function's inlined block count is known before the walk (callees
+    first), so each block gets its final number when it is copied; result
+    substitutions are applied once at the end. The cycle check and the
+    walk use explicit stacks, so call depth is not limited by the Python
+    stack. The time is linear in the size of the functions reachable from
+    the entry plus the size of the result.
     """
     if entry not in program.functions:
         raise FirError(f"no function named '{entry}'")
@@ -897,18 +906,29 @@ def inline_calls(program: FirProgram, entry: str, is_intrinsic) -> FirFunction:
                 return call_args[a.index - 1]
             return a
 
+        head = []  # the entry's phis of literal arguments, from the caller's piece
+        callee = program.functions[name]
+        for i, t in enumerate(callee.param_types if call_args is not None else ()):
+            if _retyped(call_args[i], t):
+                back = [base + lasts[p - 1] for p in predecessors(callee)[1]
+                        if lasts[p - 1] is not None]
+                head.append(Phi(fresh, [(base - 1, call_args[i])]
+                                + [(p, SsaRef(fresh)) for p in back], t))
+                call_args[i] = SsaRef(fresh)
+                fresh += 1
+
         returns = []
         for block in bodies[name]:
             if block is None:
                 continue
-            piece = []
+            piece, head = head, []
             for st in block:
                 if isinstance(st, Invoke) and st.target in targets[name]:
                     piece.append(Goto(len(out) + 2))
                     out.append(piece)
                     inner = yield st.target, [arg(a) for a in st.args]
                     piece = []
-                    if len(inner) == 1:
+                    if len(inner) == 1 and not _retyped(inner[0][1], st.result_type):
                         subst[new_id(st.id)] = inner[0][1]
                     else:
                         piece.append(Phi(new_id(st.id), inner, st.result_type))

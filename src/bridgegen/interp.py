@@ -9,8 +9,9 @@ A run decodes each region it runs once, when it first runs: ``_OPS`` maps
 each op name to a decoder that turns the op into a closure over a frame
 list with one slot per SSA value. Frames hold plain floats and ints for
 scalars, boxed only at function boundaries; ill-typed or unknown ops fail
-when reached. Each op is one step: a block is charged on entry when it fits
-the budget, otherwise (and when it holds a call or generic) op by op, so
+when reached, an operand of the wrong kind naming its declared type. Each
+op is one step: a block is charged on entry when it fits the budget,
+otherwise (and when it holds a call or generic) op by op, so
 StepLimitExceeded comes just before the first op past the limit.
 
 Compiled tier: once a region has taken HOT back edges (jumps to a block at
@@ -130,11 +131,13 @@ class F64Value(RuntimeValue):
     value: float
 
 
-def _wrap_int(value: int, width: int) -> int:
+def _wrap_int(value, width: int):
+    """``value`` wrapped to a ``width``-bit integer: a Python int, or int64
+    lanes of a width below 64."""
     if width == 1:  # boolean: no sign bit
-        return int(value) & 1
+        return value & 1
     half = 1 << (width - 1)
-    return ((int(value) + half) % (half << 1)) - half
+    return ((value + half) % (half << 1)) - half
 
 
 @dataclass
@@ -143,7 +146,7 @@ class IntValue(RuntimeValue):
     value: int
 
     def __post_init__(self):
-        self.value = _wrap_int(self.value, self.width)
+        self.value = _wrap_int(int(self.value), self.width)
 
 
 @dataclass
@@ -179,44 +182,42 @@ class LaunchConfig:
             raise InterpError("launch extents must all be >= 1")
 
 
+_KINDS = {  # IR type class -> (runtime value class, numpy element kind)
+    ir.Float32Type: (F32Value, np.float32),
+    ir.Float64Type: (F64Value, np.float64),
+    ir.IntType: (IntValue, np.int64),
+    ir.IndexType: (IndexValue, np.int64),
+    ir.TensorType: (TensorValue, None),
+    ir.MemRefType: (MemRefValue, None),
+}
+
+
 def _np_dtype(t: ir.IrType):
-    if isinstance(t, ir.Float32Type):
-        return np.float32
-    if isinstance(t, ir.Float64Type):
-        return np.float64
-    if isinstance(t, (ir.IntType, ir.IndexType)):
-        return np.int64
-    raise InterpError(f"no runtime element kind for {t}")
+    kind = _KINDS.get(t.__class__, (None, None))[1]
+    if kind is None:
+        raise InterpError(f"no runtime element kind for {t}")
+    return kind
 
 
 def value_of_type(t: ir.IrType, raw) -> RuntimeValue:
     """Wrap a plain Python value as a RuntimeValue of IR type ``t``."""
-    if isinstance(t, ir.Float32Type):
-        return F32Value(float(raw))
-    if isinstance(t, ir.Float64Type):
-        return F64Value(float(raw))
-    if isinstance(t, ir.IntType):
-        return IntValue(t.width, int(raw))
-    if isinstance(t, ir.IndexType):
-        return IndexValue(int(raw))
-    if isinstance(t, (ir.TensorType, ir.MemRefType)):
+    if t.__class__ not in _KINDS:
+        raise InterpError(f"cannot build a runtime value of type {t}")
+    kind, elem = _KINDS[t.__class__]
+    if elem is None:
         arr = np.asarray(raw, dtype=_np_dtype(t.elem))
-        kind = TensorValue if isinstance(t, ir.TensorType) else MemRefValue
         return kind(t.elem, arr.shape, arr)
-    raise InterpError(f"cannot build a runtime value of type {t}")
+    if kind is IntValue:
+        return IntValue(t.width, int(raw))
+    return kind(int(raw) if kind is IndexValue else float(raw))
 
 
 def _check_compatible(t: ir.IrType, v: RuntimeValue, where: str):
-    ok = (
-        (isinstance(t, ir.Float32Type) and isinstance(v, F32Value))
-        or (isinstance(t, ir.Float64Type) and isinstance(v, F64Value))
-        or (isinstance(t, ir.IntType) and isinstance(v, IntValue)
-            and v.width == t.width)
-        or (isinstance(t, ir.IndexType) and isinstance(v, IndexValue))
-        or (((isinstance(t, ir.TensorType) and isinstance(v, TensorValue))
-             or (isinstance(t, ir.MemRefType) and isinstance(v, MemRefValue)))
-            and v.data.ndim == t.rank and _np_dtype(t.elem) == v.data.dtype)
-    )
+    kind, elem = _KINDS.get(t.__class__, (None, None))
+    ok = kind is not None and isinstance(v, kind) and (
+        v.width == t.width if kind is IntValue
+        else elem is not None  # a scalar
+        or v.data.ndim == t.rank and _np_dtype(t.elem) == v.data.dtype)
     if not ok:
         raise InterpError(f"{where}: value {v!r} does not match type {t}")
 
@@ -230,10 +231,6 @@ _FLOAT = (ir.Float32Type, ir.Float64Type)
 _INT = (ir.IntType, ir.IndexType)
 _CMP = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
         "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}
-
-
-class _Defer(Exception):
-    """Raised by a decoder with the closure that fails in the op's place."""
 
 
 _LANES = "lanes"  # the form asking a decoder for its op's lane form
@@ -258,12 +255,11 @@ def _box(t: ir.IrType, raw) -> RuntimeValue:
 
 def _kind(op, at, kinds, first=0):
     """Slots of the operands from ``first`` on; one not declared of
-    ``kinds`` fails at run time, naming its value."""
+    ``kinds`` makes the op fail when reached, naming its declared type."""
     for v in op.operands[first:]:
         if not isinstance(v.type, kinds):
-            what, s, t = "a float" if kinds is _FLOAT else "an integer", at[v], v.type
-            raise _Defer(lambda f, run: _fail(InterpError(
-                f"expected {what} value, got {_box(t, f[s])!r}")))
+            what = "a float" if kinds is _FLOAT else "an integer"
+            raise InterpError(f"{op.name}: expected {what} operand, got one of type {v.type}")
     return [at[v] for v in op.operands[first:]]
 
 
@@ -282,13 +278,10 @@ def _wrapped(t: ir.IrType, read, form=None):
 
 
 def _lane_wrap(t: ir.IrType):
-    """_wrapped's wrapping of int64 lanes to the width of integer type ``t``."""
+    """_wrap_int for int64 lanes of type ``t``, which hold i64 values as they are."""
     if not isinstance(t, ir.IntType) or t.width == 64:
         return lambda x: x
-    if t.width == 1:
-        return lambda x: x & 1
-    half = 1 << t.width - 1
-    return lambda x: (x + half & 2 * half - 1) - half
+    return lambda x: _wrap_int(x, t.width)
 
 
 def _span(x):
@@ -335,14 +328,19 @@ def _binary(kinds, fn, lane_fn=None):
     return decode
 
 
-def _unary(kinds, fn, lane_fn=None):
+def _unary(kinds, fn, lane_fn=None, numpy=False):
+    """With ``numpy``, ``fn`` is a numpy function, run at the result's width."""
     def decode(op, at, form=None):
         [a] = _kind(op, at, kinds)
         if form is _LANES:
             return _lane_op(op, lane_fn or fn, a)
+        t, g = op.results[0].type, fn
+        if numpy:
+            kind = _np_dtype(t)
+            g = lambda x: float(fn(kind(x)))
         if form:
-            return _wrapped(op.results[0].type, f"{form.bind(fn)}(v{a})", form)
-        return _wrapped(op.results[0].type, lambda f, run: fn(f[a]))
+            return _wrapped(t, f"{form.bind(g)}(v{a})", form)
+        return _wrapped(t, lambda f, run: g(f[a]))
     return decode
 
 
@@ -356,19 +354,6 @@ def _constant(op, at, form=None):
     elif form:
         return form.bind(value)
     return lambda f, run: value
-
-
-def _exp(op, at, form=None):
-    [a] = _kind(op, at, _FLOAT)
-    if form is _LANES:
-        return _lane_op(op, np.exp, a)
-    scalar = np.float32 if isinstance(op.results[0].type, ir.Float32Type) else np.float64
-
-    def exp(x):
-        return float(np.exp(scalar(x)))
-    if form:
-        return f"{form.bind(exp)}(v{a})"
-    return lambda f, run: exp(f[a])
 
 
 def _cmpi(op, at, form=None):
@@ -589,7 +574,7 @@ _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
                           x / y if y else float(np.float64(x) / np.float64(y)),
                           operator.truediv),
     "arith.negf": _unary(_FLOAT, operator.neg),
-    "math.exp": _exp,
+    "math.exp": _unary(_FLOAT, np.exp, numpy=True),
     "arith.addi": _binary(_INT, operator.add),
     "arith.subi": _binary(_INT, operator.sub),
     "arith.muli": _binary(_INT, operator.mul),
@@ -615,8 +600,6 @@ def _decode_op(op: ir.IrOperation, at, form=None):
         if op.name not in _OPS:
             raise InterpError(f"unsupported operation '{op.name}'")
         return _OPS[op.name](op, at, form)
-    except _Defer as e:
-        return None if form else e.args[0]
     except (InterpError, LookupError, AttributeError, TypeError, ValueError,
             ArithmeticError) as e:  # a malformed op fails when reached
         kind, args = type(e), e.args
@@ -952,26 +935,32 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
             or any(np.may_share_memory(*p) for p in itertools.combinations(bufs, 2))):
         code = None  # a thread's budget, coordinates or buffers lanes cannot track
     order = (lambda r: r[::-1]) if reverse else (lambda r: r)
-    (gx, gy, gz), (bx, by, bz) = launch.grid, launch.block
+    bx, by, bz = launch.block
     dims, owners, coords = code and tuple(map(np.int64, launch.block)), {}, (None,)
-    threads = range(bx * by * bz)  # numbered, like the blocks, in launch order
+    threads = range(math.prod(launch.block))  # numbered, like the blocks, in launch order
     starts = order(threads[::LANES])
     with np.errstate(all="ignore"):
-        for b in order(range(gx * gy * gz)):
-            blkx, blky, blkz = b // (gy * gz), b // gz % gy, b % gz
+        for b in order(range(math.prod(launch.grid))):
+            blkx, blky, blkz = blk = _unravel(b, launch.grid)
             for lo in starts:
                 batch = threads[lo:lo + LANES]
                 if code and len(batch) >= MIN_LANES:
                     if coords[0] != batch:  # the same in every block
-                        t = np.arange(batch.start, batch.stop)
-                        coords = batch, (t // (by * bz), t // bz % by, t % bz)
-                    ctx = dict(zip("xyz", zip(coords[1], map(np.int64, (blkx, blky, blkz)),
-                                              dims)))
+                        coords = batch, _unravel(np.arange(batch.start, batch.stop),
+                                                 launch.block)
+                    ctx = dict(zip("xyz", zip(coords[1], map(np.int64, blk), dims)))
                     if _lockstep(code, lane_args, _Lanes(ctx), owners):
                         continue
                 for t in order(batch):
                     run.steps = 0
-                    run.ctx = {"x": (t // (by * bz), blkx, bx), "y": (t // bz % by, blky, by),
-                               "z": (t % bz, blkz, bz)}
+                    x, y, z = _unravel(t, launch.block)
+                    run.ctx = {"x": (x, blkx, bx), "y": (y, blky, by), "z": (z, blkz, bz)}
                     _exec(body, args, run)
     return inputs
+
+
+def _unravel(index, extents):
+    """The (x, y, z) coordinates of the ``index``-th of ``extents`` in launch
+    order, z fastest: of an int, or of int64 lanes."""
+    _, y, z = extents
+    return index // (y * z), index // z % y, index % z

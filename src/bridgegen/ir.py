@@ -210,36 +210,18 @@ class TypeAttr(IrAttribute):
 # Values, operations, blocks, regions
 
 
+# A value's origin. The generated __eq__ and __hash__ compare ``op`` and
+# ``block`` by identity, as IrOperation and IrBlock do.
 @dataclass(frozen=True)
 class OpResult:
     op: "IrOperation"
     index: int
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OpResult)
-            and other.op is self.op
-            and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash((id(self.op), self.index))
 
 
 @dataclass(frozen=True)
 class BlockArgument:
     block: "IrBlock"
     index: int
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockArgument)
-            and other.block is self.block
-            and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash((id(self.block), self.index))
 
 
 class IrValue:

@@ -116,17 +116,20 @@ def find_golden(printed: str, golden):
 
 
 def run_pipeline(registry, text, entry, arg_types):
-    """parse -> validate -> inline -> bool-convert -> generate."""
+    """parse -> validate -> inline -> bool-convert -> generate -> verify,
+    with the checks of ``bridgegen gen``: every function is validated."""
     program = fir.parse_program(text)
-    fn = program.functions[entry]
-    assert fir.validate_fir(fn) == []
+    for fn in program.functions.values():
+        assert fir.validate_fir(fn) == [], fn.name
 
     def is_intrinsic(name, types):
         return registry.has_name(name)
 
     inlined = fir.inline_calls(program, entry, is_intrinsic)
     converted = fir.insert_bool_conversions(inlined)
-    return codegen.generate(registry, converted, arg_types)
+    module = codegen.generate(registry, converted, arg_types)
+    assert ir.verify_module(module).ok
+    return module
 
 
 def normalize(fn):

@@ -356,6 +356,39 @@ class TestRun:
             "[11.0, 22.0, 33.0, 44.0, 55.0, 66.0, 77.0, 88.0]"
 
 
+class TestLiteralThroughInlining:
+    """A literal passed for a parameter, or returned to a call, takes the
+    declared type there, not its natural one."""
+
+    @pytest.mark.parametrize("types, call, callee, constant, output", [
+        ("f64", "g(2) :: f64", "g(_1: f64)\n1:\n  return _1\n",
+         "arith.constant 2.0 : f64", "2.0"),
+        ("f64", "g(2) :: f64", "g(_1: f64)\n1:\n  %1 = invoke +(_1, 1.0) :: f64\n"
+         "  return %1\n", "arith.constant 2.0 : f64", "3.0"),
+        ("f64", "g(_1) :: f64", "g(_1: f64)\n1:\n  return 1\n",
+         "arith.constant 1.0 : f64", "1.0"),
+        ("f32", "g(2.5) :: f32", "g(_1: f32)\n1:\n  return _1\n",
+         "arith.constant 2.5 : f32", "2.5"),
+        ("i64", "g(2, _1) :: f64", "g(_1: f64, _2: i64)\n1:\n"
+         "  %1 = invoke >=(_2, 0) :: i1\n  goto #1 ifnot %1\n2:\n"
+         "  %2 = invoke +(_1, 1.0) :: f64\n  return %2\n",
+         "arith.constant 2.0 : f64", "3.0"),
+    ], ids=["argument-returned", "argument-added", "returned", "f32-argument",
+            "entry-loop-header"])
+    def test_gen_and_run(self, tmp_path, capsys, types, call, callee, constant, output):
+        p = tmp_path / "f.fir"
+        p.write_text(f"fn f(_1: {types})\n1:\n  %1 = invoke {call}\n  return %1\n\n"
+                     f"fn {callee}")
+        flags = [str(p), "--entry", "f", "--types", types]
+        assert cli.main(["gen", *flags]) == 0
+        printed = capsys.readouterr().out
+        result = call.split(":: ")[1]
+        assert f"func.func @f(%arg0: {types}) -> {result} {{" in printed
+        assert constant in printed
+        assert cli.main(["run", *flags, "--", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == output
+
+
 class TestEinsum:
     def test_matmul(self, capsys):
         code = cli.main(["einsum", "(i,k),(k,j)->(i,j)"])

@@ -649,6 +649,29 @@ class TestErrors:
                            match="^cf.cond_br condition is not an i1 value$"):
             run_function(module, "f", [IntValue(64, 1)])
 
+    @pytest.mark.parametrize("hot", [math.inf, 0])
+    def test_ill_typed_operand_fails_when_reached(self, registry, monkeypatch,
+                                                  compiled, hot):
+        monkeypatch.setattr(interp, "HOT", hot)
+        module = ir.IrModule(registry=registry.dialects)
+        entry = new_func(registry, module, "f", [ir.I1, ir.I64], [])
+        region = module.lookup_symbol("f").regions[0]
+        done, bad = module.append_block(region, []), module.append_block(region, [])
+        module.set_insertion(entry)
+        ir.create_op(module, "cf.cond_br", [entry.arguments[0]], [],
+                     successors=[(done, []), (bad, [])])
+        module.set_insertion(done)
+        ir.create_op(module, "func.return", [], [], is_terminator=True)
+        module.set_insertion(bad)
+        x = entry.arguments[1]
+        ir.create_op(module, "arith.addf", [x, x], [ir.I64])
+        ir.create_op(module, "func.return", [], [], is_terminator=True)
+        assert run_function(module, "f", [IntValue(1, 1), IntValue(64, 2)]) == []
+        with pytest.raises(InterpError, match="^arith.addf: expected a float "
+                                              "operand, got one of type i64$"):
+            run_function(module, "f", [IntValue(1, 0), IntValue(64, 2)])
+        assert compiled == [None] * (hot == 0) * 2  # the op has no source form
+
 
 # f32/f64 arithmetic agrees with numpy scalars bit for bit
 

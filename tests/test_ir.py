@@ -475,3 +475,12 @@ class TestPrinter:
         text = print_module(m)
         assert "%cst = arith.constant 1.0 : f32" in text
         assert "%cst_0 = arith.constant 2.0 : f32" in text
+
+    def test_index_cast(self):
+        m = IrModule()
+        _, _, block = empty_func(m, "f", (ir.I64,), (ir.INDEX,))
+        m.set_insertion(block)
+        twice = create_op(m, "arith.addi", [block.arguments[0]] * 2, [ir.I64])
+        cast = create_op(m, "arith.index_cast", [result(twice)], [ir.INDEX])
+        create_op(m, "func.return", [result(cast)], [], is_terminator=True)
+        assert "    %1 = arith.index_cast %0 : i64 to index\n" in print_module(m)
