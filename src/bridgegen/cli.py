@@ -234,7 +234,7 @@ def format_runtime_value(v: interp.RuntimeValue) -> str:
 def _parse_launch(text: str) -> interp.LaunchConfig:
     from . import interp
     parts = text.split(",")
-    if len(parts) != 6 or not all(p.strip().isdigit() for p in parts):
+    if len(parts) != 6 or not all(re.fullmatch(r"[+-]?[0-9]+", p.strip()) for p in parts):
         raise CliError("--launch expects six integers: gx,gy,gz,bx,by,bz")
     if bad := fir.overlong_number(text):
         raise CliError(f"--launch: {bad[1]}")
@@ -301,7 +301,7 @@ def _check_shapes(spec: einsum.EinsumSpec, text: str):
     shapes = []
     for part in text.split(","):
         dims = part.strip().split("x")
-        if not all(d.isdigit() for d in dims):
+        if not all(d.isascii() and d.isdigit() for d in dims):
             raise CliError(f"bad shape '{part.strip()}'")
         shapes.append(tuple(int(d) for d in dims))
     tuples = spec.inputs + (spec.output,)

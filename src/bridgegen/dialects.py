@@ -356,7 +356,7 @@ def load_dialect_spec(text: str) -> DialectDefinition:
                     lineno, "expected 'attr <name> <kind> [required]'")
             pending["attrs"].append(AttrSpec(rest[0], rest[1], required))
         elif head == "regions":
-            if len(words) != 2 or not words[1].isdigit():
+            if len(words) != 2 or not (words[1].isascii() and words[1].isdigit()):
                 raise DialectSpecError(lineno, "expected 'regions <n>'")
             pending["regions"] = int(words[1])
         elif head == "terminator":
@@ -364,7 +364,7 @@ def load_dialect_spec(text: str) -> DialectDefinition:
             if len(words) == 3 and words[1] == "successors":
                 if words[2] == "variadic":
                     succ = "variadic"
-                elif words[2].isdigit():
+                elif words[2].isascii() and words[2].isdigit():
                     succ = int(words[2])
                 else:
                     raise DialectSpecError(

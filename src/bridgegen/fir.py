@@ -31,7 +31,6 @@ __all__ = [
     "ABSTRACT_FLOAT",
     "INTEGER",
     "tensor_of",
-    "memref_of",
     "complex_of",
     "subtype",
     "MAX_DIGITS",
@@ -113,10 +112,6 @@ INTEGER = Abstract("Integer")
 
 def tensor_of(elem: FrontendType, rank: int) -> Concrete:
     return Concrete("tensor", (elem, rank))
-
-
-def memref_of(elem: FrontendType, rank: int) -> Concrete:
-    return Concrete("memref", (elem, rank))
 
 
 def complex_of(elem: FrontendType) -> Concrete:

@@ -39,18 +39,21 @@ value has its SSA type's element kind (int64 for integers), so f32 results
 are correctly rounded as on the scalar path. A linalg.generic takes one
 lane per point of its parallel axes, those of the output map; the other
 axes are looped in lexicographic order, so each output element accumulates
-in the sequential order. A kernel runs each grid block in batches of at
-most LANES consecutive threads; loads gather and stores scatter. A batch is
-charged its steps up front, so it takes lanes only when they fit the budget
-(for a kernel, one thread's steps). A batch falls back, with its stores
-undone, to running point by point or thread by thread, which raises the
-same errors after the same stores, when an index is out of bounds or of the
-wrong rank, an integer result could leave int64 (index values are
-unbounded), an element kind differs from its buffer's or output's, or two
-lanes touch one buffer element and one of them stores to it. Kernels whose
-buffers share memory, or whose arguments or coordinates leave int64, run
-thread by thread throughout. So do generics and batches of fewer than
-MIN_LANES lanes, for which numpy's cost per call outweighs the lanes.
+in the sequential order. A kernel numbers its threads in launch order and
+runs them in batches of at most LANES consecutive threads, which may span
+grid blocks; loads gather and stores scatter. A batch is charged its steps
+up front, so it takes lanes only when they fit the budget (for a kernel,
+one thread's steps). A batch falls back, with its stores undone, to running
+point by point or thread by thread, which raises the same errors after the
+same stores, when an index is out of bounds or of the wrong rank, an
+integer result could leave int64 (index values are unbounded), an element
+kind differs from its buffer's or output's, or two lanes touch one buffer
+element and one of them stores to it. A kernel batch that spans grid blocks
+falls back to batches of one block each, and every later batch of the
+launch keeps to one block. Kernels whose buffers share memory, or whose
+arguments or coordinates leave int64, run thread by thread throughout. So
+do generics and batches of fewer than MIN_LANES lanes, for which numpy's
+cost per call outweighs the lanes.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ __all__ = [
 
 DEFAULT_STEP_LIMIT = 10 ** 7
 MAX_CALL_DEPTH = 200  # nested func.calls; each takes three Python frames
-LANES = 1024  # the most threads of one grid block that run as one batch
+LANES = 1024  # the most consecutive threads that run as one batch
 MIN_LANES = 16  # fewer points or threads run faster one by one than as lanes
 HOT = 50  # back edges after which a function runs compiled
 MAX_COMPILED_OPS = 48  # the most ops a compiled function holds
@@ -914,11 +917,14 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                step_limit: int = DEFAULT_STEP_LIMIT, reverse: bool = False):
     """Run @symbol once per (block, thread) coordinate; returns ``inputs``.
 
-    Coordinates are visited in lexicographic order over
-    (block x,y,z, thread x,y,z); ``reverse`` visits them backwards.
-    Buffer mutations through memref.store are visible in the returned
-    inputs. Each thread has the whole step budget. A kernel with a lane
-    form runs each grid block in lockstep batches of at most LANES threads.
+    Threads are numbered in launch order, lexicographically over
+    (block x,y,z, thread x,y,z), so thread ``g`` is thread ``g % T`` of
+    block ``g // T`` for ``T`` threads a block; ``reverse`` visits them
+    backwards. Buffer mutations through memref.store are visible in the
+    returned inputs. Each thread has the whole step budget. A kernel with a
+    lane form runs in lockstep batches of at most LANES consecutive threads,
+    which may span grid blocks. Once a batch that spans blocks falls back,
+    it and every later batch end at block boundaries.
     """
     run, inputs = _Run(module, step_limit), list(inputs)
     body = run.function(symbol, inputs)  # decoded if a thread runs on its own
@@ -930,32 +936,41 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     except OverflowError:  # an index outside int64
         code = None
     bufs = [v.data for v in inputs if isinstance(v, MemRefValue)]
-    if (not code or code[1][0][1] > step_limit
-            or math.prod(launch.grid + launch.block) >> 63
+    total = math.prod(launch.grid + launch.block)
+    if (not code or code[1][0][1] > step_limit or total >> 63
             or any(np.may_share_memory(*p) for p in itertools.combinations(bufs, 2))):
         code = None  # a thread's budget, coordinates or buffers lanes cannot track
-    order = (lambda r: r[::-1]) if reverse else (lambda r: r)
-    bx, by, bz = launch.block
+    n, (bx, by, bz) = math.prod(launch.block), launch.block
     dims, owners, coords = code and tuple(map(np.int64, launch.block)), {}, (None,)
-    threads = range(math.prod(launch.block))  # numbered, like the blocks, in launch order
-    starts = order(threads[::LANES])
+    lo = hi = total if reverse else 0  # the batch [lo, hi) of thread numbers
+    per_block, b = False, None  # b: the block of the last thread run on its own
     with np.errstate(all="ignore"):
-        for b in order(range(math.prod(launch.grid))):
-            blkx, blky, blkz = blk = _unravel(b, launch.grid)
-            for lo in starts:
-                batch = threads[lo:lo + LANES]
-                if code and len(batch) >= MIN_LANES:
-                    if coords[0] != batch:  # the same in every block
-                        coords = batch, _unravel(np.arange(batch.start, batch.stop),
-                                                 launch.block)
-                    ctx = dict(zip("xyz", zip(coords[1], map(np.int64, blk), dims)))
-                    if _lockstep(code, lane_args, _Lanes(ctx), owners):
-                        continue
-                for t in order(batch):
-                    run.steps = 0
-                    x, y, z = _unravel(t, launch.block)
-                    run.ctx = {"x": (x, blkx, bx), "y": (y, blky, by), "z": (z, blkz, bz)}
-                    _exec(body, args, run)
+        while (lo > 0) if reverse else (hi < total):
+            if reverse:
+                lo, hi = max(lo - LANES, (lo - 1) // n * n if per_block else 0), lo
+            else:
+                lo, hi = hi, min(hi + LANES, (hi // n + 1) * n if per_block else total)
+            if code and hi - lo >= MIN_LANES:
+                first, last = lo // n, (hi - 1) // n  # the batch's first and last block
+                if coords[0] != (lo % n, hi - lo):  # the same at each offset in a block
+                    t = np.arange(lo % n, lo % n + hi - lo)
+                    coords = (lo % n, hi - lo), _unravel(t % n, launch.block), t // n
+                blk = (map(np.int64, _unravel(first, launch.grid)) if first == last
+                       else _unravel(coords[2] + first, launch.grid))
+                ctx = dict(zip("xyz", zip(coords[1], blk, dims)))
+                if _lockstep(code, lane_args, _Lanes(ctx), owners):
+                    continue
+                if first != last:  # rerun this batch, and run the rest, block by block
+                    per_block = True
+                    lo, hi = (hi, hi) if reverse else (lo, lo)
+                    continue
+            for g in range(lo, hi)[::-1] if reverse else range(lo, hi):
+                run.steps = 0
+                x, y, z = _unravel(g % n, launch.block)
+                if g // n != b:
+                    b, (blkx, blky, blkz) = g // n, _unravel(g // n, launch.grid)
+                run.ctx = {"x": (x, blkx, bx), "y": (y, blky, by), "z": (z, blkz, bz)}
+                _exec(body, args, run)
     return inputs
 
 

@@ -77,7 +77,8 @@ fn vadd(_1: memref{f32,1}, _2: memref{f32,1}, _3: memref{f32,1})
   return
 """
 
-VADD_TYPES = [fir.memref_of(fir.F32, 1)] * 3
+F32_MEMREF = fir.parse_frontend_type("memref{f32,1}")
+VADD_TYPES = [F32_MEMREF] * 3
 
 
 @pytest.fixture

@@ -468,6 +468,33 @@ class TestDiagnostics:
         assert code == 1 and "error: internal:" not in err
         assert "--shapes: number of 5000 digits exceeds the limit" in err
 
+    @pytest.mark.parametrize("argv, spec, message", [
+        (["run", "--launch", "1,1,1,1,1,\u00b2", "--", "1"], "",
+         "--launch expects six integers: gx,gy,gz,bx,by,bz"),
+        (["run", "--launch", "1,1,1,-1,1,1", "--", "1"], "",
+         "launch extents must all be >= 1"),
+        (["gen", "--dialect", "spec"], "  regions \u00b2\n",
+         "spec: line 3: expected 'regions <n>'"),
+        (["gen", "--dialect", "spec"], "  terminator successors \u00b2\n",
+         "spec: line 3: expected 'successors <n|variadic>'"),
+    ], ids=["launch", "negative-launch", "regions", "successors"])
+    def test_non_ascii_or_negative_count(self, tmp_path, capsys, monkeypatch,
+                                         argv, spec, message):
+        # str.isdigit() takes '\u00b2', which int() refuses
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec").write_text(f'dialect x\nop y "Y."\n{spec}')
+        (tmp_path / "f.fir").write_text(PLUS_ONE)
+        code = cli.main([argv[0], "f.fir", "--entry", "f", "--types", "i64", *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 1 and "error: internal:" not in err
+        assert message in err
+
+    def test_non_ascii_einsum_shape(self, capsys):
+        code = cli.main(["einsum", "(i,j),(j)->(i)", "--shapes", "\u00b2x3,\u00b2,4"])
+        err = capsys.readouterr().err
+        assert code == 1 and "error: internal:" not in err
+        assert "bad shape '\u00b2x3'" in err
+
     @pytest.mark.parametrize("text, types", [
         # 2000 levels once recursed past Python's stack limit
         (PLUS_ONE.replace(":: i64", ":: " + "Complex{" * 2000 + "i64" + "}" * 2000),

@@ -59,7 +59,7 @@ class TestTypes:
         assert fir.parse_frontend_type("f32") == fir.F32
         assert fir.parse_frontend_type("Bool") == fir.BOOL
         assert fir.parse_frontend_type("tensor{f32,2}") == fir.tensor_of(fir.F32, 2)
-        assert fir.parse_frontend_type("memref{f64, 1}") == fir.memref_of(fir.F64, 1)
+        assert fir.parse_frontend_type("memref{f64, 1}") == fir.Concrete("memref", (fir.F64, 1))
         assert fir.parse_frontend_type("Complex{f32}") == fir.complex_of(fir.F32)
         with pytest.raises(FirError):
             fir.parse_frontend_type("quaternion")

@@ -64,7 +64,7 @@ fn bad(_1: memref{f64,1})
         program = fir.parse_program(text.replace(":: f64", ":: f32"))
         with pytest.raises((NoMethodError, CodegenError)):
             codegen.generate(registry, program.functions["bad"],
-                             [fir.memref_of(fir.F64, 1)])
+                             [fir.parse_frontend_type("memref{f64,1}")])
 
     def test_verifies(self, registry):
         module = run_pipeline(registry, VADD_FIR, "vadd", VADD_TYPES)

@@ -27,6 +27,7 @@ from bridgegen.interp import (
     run_kernel,
 )
 from conftest import (
+    F32_MEMREF,
     MAX_FIR,
     SIGMOID_FIR,
     VADD_FIR,
@@ -765,6 +766,26 @@ class TestNoCycles:
         gc.collect()
         run_kernel(vadd, "vadd", LaunchConfig((2, 1, 1), (4, 1, 1)), bufs)
         assert gc.collect() == 0
+
+    def test_kernel_lanes_across_blocks(self, vadd):
+        bufs = [MemRefValue(ir.F32, (64,), np.ones(64, np.float32)) for _ in range(3)]
+        gc.collect()
+        run_kernel(vadd, "vadd", LaunchConfig((16, 1, 1), (4, 1, 1)), bufs)
+        assert gc.collect() == 0
+        assert list(bufs[2].data) == [2.0] * 64
+
+    def test_kernel_lanes_falling_back(self, registry):
+        # every block stores to slots 0-15: the batch of four blocks collides
+        text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n"
+                "  %1 = invoke thread_idx_x() :: index\n"
+                "  %2 = invoke load(_2, %1) :: f32\n"
+                "  %3 = invoke store(%2, _1, %1) :: Nothing\n  return\n")
+        module = run_pipeline(registry, text, "k", [F32_MEMREF] * 2)
+        bufs = [MemRefValue(ir.F32, (16,), np.full(16, v, np.float32)) for v in (0, 3)]
+        gc.collect()
+        run_kernel(module, "k", LaunchConfig((4, 1, 1), (16, 1, 1)), bufs)
+        assert gc.collect() == 0
+        assert list(bufs[0].data) == [3.0] * 16
 
     def test_generic(self, registry):
         spec = einsum.parse_einsum("(i,k),(k,j)->(i,j)")

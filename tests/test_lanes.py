@@ -23,7 +23,7 @@ from bridgegen.interp import (
     run_function,
     run_kernel,
 )
-from conftest import run_pipeline, tensor_value
+from conftest import F32_MEMREF, run_pipeline, tensor_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import programs as gen  # noqa: E402
@@ -135,7 +135,7 @@ class TestAgainstReference:
                 "  %2 = invoke load(_1, %1) :: f32\n"
                 "  %3 = invoke exp(%2) :: f32\n"
                 "  %4 = invoke store(%3, _2, %1) :: Nothing\n  return\n")
-        module = run_pipeline(registry, text, "expk", [fir.memref_of(fir.F32, 1)] * 2)
+        module = run_pipeline(registry, text, "expk", [F32_MEMREF] * 2)
         x = np.concatenate([SPECIALS, np.float32([88.7, 89.0, -103.0, -104.0, 1e-8]),
                             np.random.default_rng(3).uniform(-100, 100, 500)
                             .astype(np.float32)])
@@ -177,8 +177,7 @@ class TestKernelFallbacks:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_colliding_lanes_replay_in_launch_order(self, registry, reverse):
         # every thread of a block adds into the block's slot: the lanes collide
-        module = run_pipeline(registry, ACCUMULATE_FIR, "acc",
-                              [fir.memref_of(fir.F32, 1)] * 2)
+        module = run_pipeline(registry, ACCUMULATE_FIR, "acc", [F32_MEMREF] * 2)
         src = f32_data(np.random.default_rng(5), 3 * 40)
         bufs = values([np.zeros(3, np.float32), src])
         run_kernel(module, "acc", LaunchConfig((3, 1, 1), (40, 1, 1)), bufs,
@@ -190,8 +189,7 @@ class TestKernelFallbacks:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_out_of_bounds_after_stores_undoes_the_batch(self, registry, reverse):
-        module = run_pipeline(registry, STORE_THEN_OOB_FIR, "k",
-                              [fir.memref_of(fir.F32, 1)] * 2)
+        module = run_pipeline(registry, STORE_THEN_OOB_FIR, "k", [F32_MEMREF] * 2)
         bufs = values([np.arange(1, 33, dtype=np.float32), np.zeros(32, np.float32)])
         with pytest.raises(OutOfBounds) as info:
             run_kernel(module, "k", LaunchConfig((1, 1, 1), (20, 1, 1)), bufs,
@@ -213,7 +211,7 @@ class TestKernelFallbacks:
                 "  %2 = invoke *(%1, 4611686018427387904) :: index\n"
                 "  %3 = invoke *(%2, 4) :: index\n"
                 "  %4 = invoke load(_1, %3) :: f32\n  return\n")
-        module = run_pipeline(registry, text, "k", [fir.memref_of(fir.F32, 1)])
+        module = run_pipeline(registry, text, "k", [F32_MEMREF])
         with pytest.raises(OutOfBounds, match="^index 18446744073709551616 out of"):
             run_kernel(module, "k", LaunchConfig((1, 1, 1), (16, 1, 1)),
                        values([np.zeros(8, np.float32)]))
@@ -225,7 +223,7 @@ class TestKernelFallbacks:
                 "  %1 = invoke thread_idx_x() :: index\n"
                 "  %2 = invoke +(%1, _2) :: index\n"
                 "  %3 = invoke load(_1, %2) :: f32\n  return\n")
-        module = run_pipeline(registry, text, "k", [fir.memref_of(fir.F32, 1), fir.INDEX])
+        module = run_pipeline(registry, text, "k", [F32_MEMREF, fir.INDEX])
         for offset, first in ((2, 8), (2 ** 64, 2 ** 64)):
             with pytest.raises(OutOfBounds, match=f"^index {first} out of bounds"):
                 run_kernel(module, "k", LaunchConfig((1, 1, 1), (16, 1, 1)),
@@ -245,7 +243,7 @@ class TestKernelFallbacks:
                 "  %2 = invoke load(_1, %1) :: f32\n"
                 "  %3 = invoke +(%2, 1.0) :: f32\n"
                 "  %4 = invoke store(%3, _2, %1) :: Nothing\n  return\n")
-        module = run_pipeline(registry, text, "k", [fir.memref_of(fir.F32, 1)] * 2)
+        module = run_pipeline(registry, text, "k", [F32_MEMREF] * 2)
         data = np.zeros(17, np.float32)
         run_kernel(module, "k", LaunchConfig((1, 1, 1), (16, 1, 1)),
                    [MemRefValue(ir.F32, (16,), data[:16]),
@@ -254,13 +252,157 @@ class TestKernelFallbacks:
         assert len(sequential_calls) == 16
 
     def test_small_blocks_run_thread_by_thread(self, registry, sequential_calls):
-        # fewer than MIN_LANES threads a block: numpy's per-call cost would
-        # outweigh the lanes
+        # fewer than MIN_LANES threads in the launch: numpy's per-call cost
+        # would outweigh the lanes
         bufs = values([np.ones(8, np.float32)] * 3)
         run_kernel(kernel(registry, "vadd"), "vadd",
                    LaunchConfig((2, 1, 1), (4, 1, 1)), bufs)
         assert list(bufs[2].data) == [2.0] * 8
         assert len(sequential_calls) == 8
+
+
+MULTI_DIM_FIR = """\
+fn md(_1: memref{f32,1}, _2: memref{f32,1})
+1:
+  %1 = invoke block_idx_x() :: index
+  %2 = invoke block_idx_y() :: index
+  %3 = invoke block_idx_z() :: index
+  %4 = invoke thread_idx_x() :: index
+  %5 = invoke thread_idx_y() :: index
+  %6 = invoke thread_idx_z() :: index
+  %7 = invoke block_dim_x() :: index
+  %8 = invoke block_dim_y() :: index
+  %9 = invoke block_dim_z() :: index
+  %10 = invoke *(%1, 2) :: index
+  %11 = invoke +(%10, %2) :: index
+  %12 = invoke *(%11, 2) :: index
+  %13 = invoke +(%12, %3) :: index
+  %14 = invoke *(%13, %7) :: index
+  %15 = invoke +(%14, %4) :: index
+  %16 = invoke *(%15, %8) :: index
+  %17 = invoke +(%16, %5) :: index
+  %18 = invoke *(%17, %9) :: index
+  %19 = invoke +(%18, %6) :: index
+  %20 = invoke *(%4, %8) :: index
+  %21 = invoke +(%20, %5) :: index
+  %22 = invoke *(%21, %9) :: index
+  %23 = invoke +(%22, %6) :: index
+  %24 = invoke *(%23, 12) :: index
+  %25 = invoke +(%24, %13) :: index
+  %26 = invoke load(_1, %25) :: f32
+  %27 = invoke store(%26, _2, %19) :: Nothing
+  return
+"""
+
+OOB_IN_THIRD_BLOCK_FIR = """\
+fn k(_1: memref{f32,1}, _2: memref{f32,1})
+1:
+  %1 = invoke block_idx_x() :: index
+  %2 = invoke block_dim_x() :: index
+  %3 = invoke *(%1, %2) :: index
+  %4 = invoke thread_idx_x() :: index
+  %5 = invoke +(%3, %4) :: index
+  %6 = invoke load(_1, %5) :: f32
+  %7 = invoke store(%6, _2, %5) :: Nothing
+  %8 = invoke *(%3, 2) :: index
+  %9 = invoke load(_1, %8) :: f32
+  return
+"""
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """(lanes, whether it ran in lanes) of each lockstep batch of a kernel."""
+    made, lockstep = [], interp._lockstep
+
+    def counted(code, args, lanes, owners):
+        made.append((len(lanes.ctx["x"][0]), lockstep(code, args, lanes, owners)))
+        return made[-1][1]
+    monkeypatch.setattr(interp, "_lockstep", counted)
+    return made
+
+
+def launch(module, name, config, args, reverse=False):
+    """The buffers after a launch on copies of ``args``, and the text of the
+    error it raised or None."""
+    bufs, error = values(args), None
+    try:
+        run_kernel(module, name, config, bufs, reverse=reverse)
+    except interp.InterpError as e:
+        error = f"{type(e).__name__}: {e}"
+    return [b.data for b in bufs], error
+
+
+def same_launch(got, want):
+    return got[1] == want[1] and all(ref.same(g, w) for g, w in zip(got[0], want[0]))
+
+
+class TestAcrossBlocks:
+    """A lockstep batch takes up to LANES threads in launch order, whatever
+    grid blocks they belong to."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_multi_dimensional_launch(self, registry, monkeypatch, sequential_calls,
+                                      batches, reverse):
+        # out[g] = in[t * 12 + b] for thread t of block b, g = b * 6 + t
+        module = run_pipeline(registry, MULTI_DIM_FIR, "md", [F32_MEMREF] * 2)
+        args = [f32_data(np.random.default_rng(17), 72), np.zeros(72, np.float32)]
+        config = LaunchConfig((3, 2, 2), (2, 3, 1))
+        got = launch(module, "md", config, args, reverse)
+        assert sequential_calls == [] and batches == [(72, True)]
+        assert got[1] is None and ref.same(got[0][1], args[0].reshape(6, 12).T.reshape(-1))
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "md", config, args, reverse))
+
+    @pytest.mark.parametrize("grid, block", [(64, 1), (8, 4)])
+    def test_small_blocks_run_in_lanes(self, registry, monkeypatch, sequential_calls,
+                                       batches, grid, block):
+        rng, n = np.random.default_rng(grid), grid * block
+        args = [f32_data(rng, n), f32_data(rng, n), np.zeros(n, np.float32)]
+        module, config = kernel(registry, "vadd"), LaunchConfig((grid, 1, 1), (block, 1, 1))
+        got = launch(module, "vadd", config, args)
+        assert sequential_calls == [] and batches == [(n, True)]
+        assert ref.same(got[0][2], args[0] + args[1])
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "vadd", config, args))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_collide_replays_its_first_batch_by_block(self, registry, monkeypatch,
+                                                       sequential_calls, batches, reverse):
+        # the blocks store to the same slots: the first batch of 16 blocks
+        # collides, and from then on each block is one batch
+        grid, block = gen.KERNELS["collide"]
+        args = kernel_args(np.random.default_rng(19), "collide", grid, block)
+        module, config = kernel(registry, "collide"), LaunchConfig((grid, 1, 1),
+                                                                   (block, 1, 1))
+        got = launch(module, "collide", config, args, reverse)
+        assert sequential_calls == []
+        assert batches == [(interp.LANES, False)] + [(block, True)] * grid
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "collide", config, args, reverse))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_out_of_bounds_in_third_block(self, registry, monkeypatch,
+                                          sequential_calls, batches, reverse):
+        # thread 0 of block 2 loads index 64 of 64, after its store; block 3
+        # loads index 96 in every thread
+        module = run_pipeline(registry, OOB_IN_THIRD_BLOCK_FIR, "k", [F32_MEMREF] * 2)
+        args = [np.arange(1, 65, dtype=np.float32), np.zeros(64, np.float32)]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args, reverse)
+        first = 63 if reverse else 32
+        assert got[1] == (
+            f"OutOfBounds: index {first // 16 * 32} out of bounds for dimension 0 of "
+            f"extent 64 (thread context {{'x': ({first % 16}, {first // 16}, 16), "
+            "'y': (0, 0, 1), 'z': (0, 0, 1)})")
+        stored = [63] if reverse else list(range(33))
+        assert list(np.flatnonzero(got[0][1])) == stored
+        # the batch of all four blocks falls back, then block by block
+        assert batches == [(64, False)] + ([(16, False)] if reverse else
+                                           [(16, True), (16, True), (16, False)])
+        assert len(sequential_calls) == 1  # the thread that raises
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args, reverse))
 
 
 def generic_module(registry, body_text, elems):
