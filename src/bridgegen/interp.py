@@ -7,53 +7,55 @@ the numeric oracle for translations.
 
 A run decodes each region it runs once, when it first runs: ``_OPS`` maps
 each op name to a decoder that turns the op into a closure over a frame
-list with one slot per SSA value. Frames hold plain floats and ints for
-scalars, boxed only at function boundaries; ill-typed or unknown ops fail
-when reached, an operand of the wrong kind naming its declared type. Each
-op is one step: a block is charged on entry when it fits the budget,
-otherwise (and when it holds a call or generic) op by op, so
-StepLimitExceeded comes just before the first op past the limit.
+list with one slot per SSA value. A value, scalar or lane, has its SSA
+type's element kind: f32 values are numpy float32 scalars or arrays, so
+each f32 op is one correctly rounded numpy op; f64 values are Python
+floats or float64 arrays, and integers Python ints or int64 arrays.
+Scalars are boxed only at function boundaries. Ill-typed or unknown ops
+fail when reached, an operand of the wrong kind naming its declared type;
+a float op whose operand types differ from its result's does one double op
+rounded once. Each op is one step: a block is charged on entry when it
+fits the budget, otherwise (and when it holds a call or generic) op by op,
+so StepLimitExceeded comes just before the first op past the limit.
 
 Compiled tier: once a region has taken HOT back edges (jumps to a block at
 or before the current one) in a run, it runs as one generated Python
 function, entered at a block boundary with the frame's values. Each slot is
 a local ``v<slot>``, each block's ops are straight-line statements, and a
 balanced tree of ``if b < k`` tests finds the next block. The same decoder,
-asked for the op's source form, gives its text; the op's ``fn``, constants
-and helpers are passed through the function's namespace, never pasted into
-the text, and compile() results are kept by text. A region of more than
-MAX_COMPILED_OPS ops, or with an op without a source form (memref, gpu,
-func.call, linalg.generic, ill-typed and unknown ops), stays on closures.
-Blocks are charged on entry as above; a block that does not fit the budget
-goes back to the closures, which run it op by op. HOT is about where
-compiling pays with a cached compile(): on a 2-vCPU machine under Python
-3.11, building the function takes 0.08-0.12 ms and saves 1.8-5.0 us an
-iteration on the bench's loops, even after 23-48 back edges.
-MAX_COMPILED_OPS bounds compile()'s transient memory, about 15 KiB an op,
-to 0.7 MiB.
+asked for the op's source form, gives its text: an operator is written
+infix, and other functions, constants and helpers are passed through the
+function's namespace, never pasted into the text. compile() results are
+kept by text. A region of more than MAX_COMPILED_OPS ops, or with an op
+without a source form (memref, gpu, func.call, linalg.generic, ill-typed
+and unknown ops), stays on closures. Blocks are charged on entry as above;
+a block that does not fit the budget goes back to the closures, which run
+it op by op. HOT is about where compiling pays with a cached compile(): on
+a 2-vCPU machine under Python 3.11, building the function takes 0.06-0.13
+ms and saves 1.5-3.8 us an iteration on the bench's loops, so it pays after
+30-45 back edges (about 70 on the two-level nest). MAX_COMPILED_OPS bounds
+compile()'s transient memory, about 15 KiB an op, to 0.7 MiB.
 
 Lanes: the same decoder, asked for the op's lane form, gives a closure that
 runs the op once over numpy arrays, one lane per point or thread, or None.
-A one-block region whose ops all have a lane form runs that way. A lane
-value has its SSA type's element kind (int64 for integers), so f32 results
-are correctly rounded as on the scalar path. A linalg.generic takes one
-lane per point of its parallel axes, those of the output map; the other
-axes are looped in lexicographic order, so each output element accumulates
-in the sequential order. A kernel numbers its threads in launch order and
-runs them in batches of at most LANES consecutive threads, which may span
-grid blocks; loads gather and stores scatter. A batch is charged its steps
-up front, so it takes lanes only when they fit the budget (for a kernel,
-one thread's steps). A batch falls back, with its stores undone, to running
-point by point or thread by thread, which raises the same errors after the
-same stores, when an index is out of bounds or of the wrong rank, an
-integer result could leave int64 (index values are unbounded), an element
-kind differs from its buffer's or output's, or two lanes touch one buffer
-element and one of them stores to it. A kernel batch that spans grid blocks
-falls back to batches of one block each, and every later batch of the
-launch keeps to one block. Kernels whose buffers share memory, or whose
-arguments or coordinates leave int64, run thread by thread throughout. So
-do generics and batches of fewer than MIN_LANES lanes, for which numpy's
-cost per call outweighs the lanes.
+A one-block region whose ops all have a lane form runs that way. A
+linalg.generic takes one lane per point of its parallel axes, those of the
+output map; the other axes are looped in lexicographic order, so each
+output element accumulates in the sequential order. A kernel numbers its
+threads in launch order and runs them in batches of at most LANES
+consecutive threads, which may span grid blocks; loads gather and stores
+scatter. A batch is charged its steps up front, so it takes lanes only when
+they fit the budget (for a kernel, one thread's steps). A batch falls back,
+with its stores undone, to running point by point or thread by thread,
+which raises the same errors after the same stores, when an index is out of
+bounds or of the wrong rank, an integer result could leave int64 (index
+values are unbounded), an element kind differs from its buffer's or
+output's, or two lanes touch one buffer element and one of them stores to
+it. A kernel batch that spans grid blocks falls back to batches of one
+block each, and every later batch of the launch keeps to one block. Kernels
+whose buffers share memory, or whose arguments or coordinates leave int64,
+run thread by thread throughout. So do generics and batches of fewer than
+MIN_LANES lanes, for which numpy's cost per call outweighs the lanes.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ __all__ = [
 DEFAULT_STEP_LIMIT = 10 ** 7
 MAX_CALL_DEPTH = 200  # nested func.calls; each takes three Python frames
 LANES = 1024  # the most consecutive threads that run as one batch
-MIN_LANES = 16  # fewer points or threads run faster one by one than as lanes
+MIN_LANES = 6  # fewer points or threads run faster one by one than as lanes
 HOT = 50  # back edges after which a function runs compiled
 MAX_COMPILED_OPS = 48  # the most ops a compiled function holds
 COMPILED_CACHE = 64  # compiled regions kept, by source text
@@ -249,7 +251,11 @@ def _fail(error):
 
 
 def _unbox(v: RuntimeValue):
-    return v if isinstance(v, _ArrayValue) else v.value
+    """The frame value of ``v``: np.float32 for f32, the plain value for
+    other scalars, ``v`` itself for arrays."""
+    if isinstance(v, _ArrayValue):
+        return v
+    return np.float32(v.value) if isinstance(v, F32Value) else v.value
 
 
 def _box(t: ir.IrType, raw) -> RuntimeValue:
@@ -314,35 +320,52 @@ def _lane_op(op, fn, *slots):
     return lane
 
 
+_INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.truediv: "/",
+          operator.neg: "-", operator.pos: "+", operator.eq: "==", operator.ne: "!=",
+          operator.lt: "<", operator.le: "<=", operator.gt: ">", operator.ge: ">="}
+
+
+def _apply_text(form, fn, *args):
+    """Source text applying ``fn`` to the ``args`` texts: infix for an operator."""
+    sym = _INFIX.get(fn)
+    if sym is None:
+        return f"{form.bind(fn)}({', '.join(args)})"
+    return f"({args[0]} {sym} {args[1]})" if args[1:] else f"{sym}{args[0]}"
+
+
+def _scalar_fn(op, fn, lane_fn):
+    """The function an op applies to scalars: ``lane_fn`` to f32 values,
+    which are np.float32, and ``fn`` to f64 and integer values, which are
+    Python floats and ints. A float op whose operand types differ from its
+    result's (unverified IR) does one double op on float() of each operand,
+    rounded once; numpy would round an f64 operand of an f32 op first."""
+    t = op.results[0].type
+    if not isinstance(t, _FLOAT) or all(v.type == t for v in op.operands):
+        return lane_fn if isinstance(t, ir.Float32Type) else fn
+    kind = np.float32 if isinstance(t, ir.Float32Type) else float
+    return lambda *xs: kind(fn(*map(float, xs)))
+
+
 def _binary(kinds, fn, lane_fn=None):
     def decode(op, at, form=None):
         a, b = _kind(op, at, kinds)
         if form is _LANES:
             return _lane_op(op, lane_fn or fn, a, b)
-        t = op.results[0].type
-        # f32: computed in double, rounded once: exact, since 53 >= 2 * 24 + 2
-        rounded = isinstance(t, ir.Float32Type)
+        t, g = op.results[0].type, _scalar_fn(op, fn, lane_fn or fn)
         if form:
-            text = f"{form.bind(fn)}(v{a}, v{b})"
-            return f"{form.bind(ir.to_f32)}({text})" if rounded else _wrapped(t, text, form)
-        if rounded:
-            return lambda f, run: ir.to_f32(fn(f[a], f[b]))
-        return _wrapped(t, lambda f, run: fn(f[a], f[b]))
+            return _wrapped(t, _apply_text(form, g, f"v{a}", f"v{b}"), form)
+        return _wrapped(t, lambda f, run: g(f[a], f[b]))
     return decode
 
 
-def _unary(kinds, fn, lane_fn=None, numpy=False):
-    """With ``numpy``, ``fn`` is a numpy function, run at the result's width."""
+def _unary(kinds, fn, lane_fn=None):
     def decode(op, at, form=None):
         [a] = _kind(op, at, kinds)
         if form is _LANES:
             return _lane_op(op, lane_fn or fn, a)
-        t, g = op.results[0].type, fn
-        if numpy:
-            kind = _np_dtype(t)
-            g = lambda x: float(fn(kind(x)))
+        t, g = op.results[0].type, _scalar_fn(op, fn, lane_fn or fn)
         if form:
-            return _wrapped(t, f"{form.bind(g)}(v{a})", form)
+            return _wrapped(t, _apply_text(form, g, f"v{a}"), form)
         return _wrapped(t, lambda f, run: g(f[a]))
     return decode
 
@@ -367,7 +390,7 @@ def _cmpi(op, at, form=None):
     if form is _LANES:
         return lambda f, lanes: cmp(f[a], f[b]).astype(np.int64)
     if form:
-        return f"1 if {form.bind(cmp)}(v{a}, v{b}) else 0"
+        return f"1 if {_apply_text(form, cmp, f'v{a}', f'v{b}')} else 0"
     return lambda f, run: 1 if cmp(f[a], f[b]) else 0
 
 
@@ -409,7 +432,10 @@ def _memref(op, at, form=None):
     if which:
         v = at[op.operands[0]]
         return lambda f, run: f[b].data.__setitem__(index(f, run), f[v])
-    return _wrapped(op.results[0].type, lambda f, run: f[b].data.item(index(f, run)))
+    t = op.results[0].type
+    if isinstance(t, ir.Float32Type):  # an np.float32
+        return lambda f, run: f[b].data[index(f, run)]
+    return _wrapped(t, lambda f, run: f[b].data.item(index(f, run)))
 
 
 def _lane_memref(op, at, b, idx):
@@ -525,8 +551,9 @@ def _generic(op, at, form=None):
         wheres = [operator.itemgetter(*m.targets) if m.targets else (lambda p: ())
                   for m in maps]  # an operand's element index at a point
         arrays = [v.data for v in operands[:-1]] + [result]
-        reads = [_wrapped(v.elem, lambda p, run, item=a.item, where=w: item(where(p)))
-                 for v, a, w in zip(operands, arrays, wheres)]
+        reads = [_wrapped(v.elem, lambda p, run, read=(  # f32: an np.float32
+                     a.__getitem__ if isinstance(v.elem, ir.Float32Type) else a.item),
+                     where=w: read(where(p))) for v, a, w in zip(operands, arrays, wheres)]
         for point in itertools.product(*(range(extents[a]) for a in range(n_axes))):
             yielded = _exec(body, [read(point, run) for read in reads], run)
             if len(yielded) != 1:
@@ -577,12 +604,12 @@ _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
                           x / y if y else float(np.float64(x) / np.float64(y)),
                           operator.truediv),
     "arith.negf": _unary(_FLOAT, operator.neg),
-    "math.exp": _unary(_FLOAT, np.exp, numpy=True),
+    "math.exp": _unary(_FLOAT, lambda x: float(np.exp(x)), np.exp),
     "arith.addi": _binary(_INT, operator.add),
     "arith.subi": _binary(_INT, operator.sub),
     "arith.muli": _binary(_INT, operator.mul),
     "arith.cmpi": _cmpi,
-    "arith.index_cast": _unary(_INT, int, operator.pos),
+    "arith.index_cast": _unary(_INT, operator.pos),
     "gpu.thread_id": _launch_coordinate(0),
     "gpu.block_id": _launch_coordinate(1),
     "gpu.block_dim": _launch_coordinate(2),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ def compiled(monkeypatch):
     monkeypatch.setattr(interp, "_compile",
                         lambda region: made.append(build(region)) or made[-1])
     return made
+
+
+TIERS = ("closures", "compiled")
+
+
+def use_tier(monkeypatch, tier):
+    """Run every function on the interpreter's closures, or compiled from
+    its entry: ``HOT`` 0 and the op cap lifted."""
+    if tier == "closures":
+        monkeypatch.setattr(interp, "HOT", math.inf)
+    else:
+        monkeypatch.setattr(interp, "HOT", 0)
+        monkeypatch.setattr(interp, "MAX_COMPILED_OPS", 10 ** 9)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ closures, and the compiled functions, forced for every function from its
 entry by setting ``HOT`` to 0 and lifting the op cap.
 """
 
-import math
 import random
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ import pytest
 
 from bridgegen import fir, interp, intrinsics
 from bridgegen.gpu import register_gpu_intrinsics
-from conftest import run_pipeline
+from conftest import TIERS, run_pipeline, use_tier
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import programs as gen  # noqa: E402
@@ -51,14 +50,10 @@ def corpora():
     return out
 
 
-@pytest.mark.parametrize("tier", ["closures", "compiled"])
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("corpus", ["many", "loops"])
 def test_interpreter_equals_reference(corpora, monkeypatch, compiled, corpus, tier):
-    if tier == "closures":
-        monkeypatch.setattr(interp, "HOT", math.inf)
-    else:
-        monkeypatch.setattr(interp, "HOT", 0)
-        monkeypatch.setattr(interp, "MAX_COMPILED_OPS", 10 ** 9)
+    use_tier(monkeypatch, tier)
     for p, module, runs in corpora[corpus]:
         for values, want in runs:
             [got] = interp.run_function(module, p.entry, values)

@@ -2,9 +2,14 @@
 
 import functools
 import gc
+import itertools
 import math
+import operator
 import random
+import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +35,18 @@ from conftest import (
     F32_MEMREF,
     MAX_FIR,
     SIGMOID_FIR,
+    TIERS,
     VADD_FIR,
     VADD_TYPES,
     einsum_bruteforce,
+    func_region,
     run_pipeline,
     tensor_value,
+    use_tier,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import programs as gen  # noqa: E402
 
 
 @pytest.fixture
@@ -706,12 +717,18 @@ def special_floats(width):
 
 
 def same_bits(got, want):
+    """The same float64 bits, or NaNs of the same sign."""
     if math.isnan(want):
-        return math.isnan(got)
+        return math.isnan(got) and np.signbit(got) == np.signbit(want)
     return np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestFloatOpsMatchNumpy:
+    """Each float op against numpy's ufunc on both tiers, NaN signs too.
+    Except: + and * of two NaNs give either one. numpy's ufuncs, and so
+    lanes, give the first; its scalar operators and Python's float closures
+    the second; CPython's specialised float ``+`` and ``*`` the first."""
+
     @settings(max_examples=150, deadline=None)
     @given(a=special_floats(32), b=special_floats(32))
     def test_f32(self, a, b):
@@ -722,16 +739,134 @@ class TestFloatOpsMatchNumpy:
     def test_f64(self, a, b):
         self.check(ir.F64, np.float64, F64Value, a, b)
 
+    @pytest.mark.parametrize("t", [ir.F32, ir.F64], ids=str)
+    def test_nans_of_either_sign(self, compiled, t):
+        scalar, box = (np.float32, F32Value) if t == ir.F32 else (np.float64, F64Value)
+        for a, b in itertools.product([math.nan, -math.nan, 1.5], repeat=2):
+            self.check(t, scalar, box, a, b)
+        # on the compiled tier, each function compiles from its entry
+        assert len(compiled) == 9 * (len(_UNARY) + len(_BINARY)) and all(compiled)
+
     @staticmethod
     def check(t, scalar, box, a, b):
         module = float_module(t)
         x, y = scalar(a), scalar(b)
-        for name, fn in list(_UNARY.items()) + list(_BINARY.items()):
-            args = (x,) if name in _UNARY else (x, y)
-            with np.errstate(all="ignore"):
-                want = float(fn(*args))
-            [got] = run_function(module, name, [box(float(v)) for v in args])
-            assert same_bits(got.value, want), (name, args, got.value, want)
+        for tier in TIERS:
+            with pytest.MonkeyPatch.context() as mp:
+                use_tier(mp, tier)
+                for name, fn in list(_UNARY.items()) + list(_BINARY.items()):
+                    args = (x,) if name in _UNARY else (x, y)
+                    with np.errstate(all="ignore"):
+                        want = float(fn(*args))
+                    [got] = run_function(module, name, [box(float(v)) for v in args])
+                    if name in ("arith.addf", "arith.mulf") and np.isnan(args).all():
+                        assert math.isnan(got.value) and np.signbit(got.value) in np.signbit(args)
+                    else:
+                        assert same_bits(got.value, want), (tier, name, args, got.value, want)
+
+
+class TestMixedPrecisions:
+    """Unverified IR: a float op whose operand types differ from its result
+    type does one double op on its operands, rounded once to the result."""
+
+    # 1 + 2**-24 + 2**-50 rounds up to 1 + 2**-23 once; rounding 2**-24 +
+    # 2**-50 to f32 first would make it a tie, which rounds down to 1
+    PAIRS = [(1.0, 2.0 ** -24 + 2.0 ** -50), (1.0, 3.0000001), (-2.5, 0.0), (0.1, -0.0)]
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_double_op_rounded_once(self, registry, monkeypatch, compiled, tier):
+        use_tier(monkeypatch, tier)
+        module, functions = ir.IrModule(registry=registry.dialects), []
+        for name, fn in (("arith.addf", np.add), ("arith.divf", np.divide)):
+            for result, inputs in ((ir.F32, [ir.F32, ir.F64]), (ir.F32, [ir.F64, ir.F32]),
+                                   (ir.F64, [ir.F32, ir.F64]), (ir.F64, [ir.F64, ir.F32])):
+                symbol = f"f{len(functions)}"
+                entry = new_func(registry, module, symbol, inputs, [result])
+                op = ir.create_op(module, name, list(entry.arguments), [result])
+                ir.create_op(module, "func.return", op.results, [], is_terminator=True)
+                functions.append((symbol, fn, result, inputs))
+        for symbol, fn, result, inputs in functions:
+            for a, b in self.PAIRS:
+                args = [interp.value_of_type(t, v) for t, v in zip(inputs, (a, b))]
+                with np.errstate(all="ignore"):
+                    want = float(fn(*(np.float64(v.value) for v in args)))
+                if result == ir.F32:
+                    want = ir.to_f32(want)
+                [got] = run_function(module, symbol, args)
+                assert type(got.value) is float and same_bits(got.value, want), (
+                    symbol, a, b, got, want)
+        a, b = self.PAIRS[0]
+        assert np.float32(a) + np.float32(b) != ir.to_f32(a + b)  # the pair tells
+        runs = len(functions) * len(self.PAIRS)
+        assert len(compiled) == (runs if tier == "compiled" else 0) and all(compiled)
+
+
+class TestBoxing:
+    """run_function takes and returns boxed values; an F32Value's value is a
+    Python float, whatever the interpreter computes with."""
+
+    def test_returned_directly(self, sigmoid):
+        [out] = run_function(sigmoid, "sigmoid", [F32Value(2.0)])
+        assert type(out) is F32Value and type(out.value) is float
+
+    def test_returned_through_a_call(self, registry):
+        from bridgegen.dialects import build_op
+
+        module = ir.IrModule(registry=registry.dialects)
+        g = new_func(registry, module, "g", [ir.F32], [ir.F32])
+        neg = build_op(registry.dialects, module, "arith.negf", [g.arguments[0]])
+        build_op(registry.dialects, module, "func.return", neg.results)
+        f = new_func(registry, module, "f", [ir.F32], [ir.F32])
+        call = build_op(registry.dialects, module, "func.call", [f.arguments[0]],
+                        attributes={"callee": ir.SymbolAttr("g")}, result_types=[ir.F32])
+        build_op(registry.dialects, module, "func.return", call.results)
+        assert ir.verify_module(module).ok
+        [out] = run_function(module, "f", [F32Value(0.1)])
+        assert type(out.value) is float and out.value == -ir.to_f32(0.1)
+
+    def test_kernel_scalar_argument(self, registry, monkeypatch):
+        # saxpy thread by thread: alpha is an np.float32 in each thread's frame
+        monkeypatch.setattr(interp, "MIN_LANES", math.inf)
+        types = [fir.parse_frontend_type(t) for t in gen.KERNEL_TYPES["saxpy"]]
+        module = run_pipeline(registry, gen.kernel_text("saxpy"), "saxpy", types)
+        x, y = np.linspace(-2, 2, 8, dtype=np.float32), np.full(8, 0.1, np.float32)
+        args = [F32Value(0.3), MemRefValue(ir.F32, (8,), x.copy()),
+                MemRefValue(ir.F32, (8,), y.copy())]
+        returned = run_kernel(module, "saxpy", LaunchConfig((2, 1, 1), (4, 1, 1)), args)
+        assert returned[0] is args[0] and type(args[0].value) is float
+        assert args[2].data.tobytes() == (np.float32(0.3) * x + y).tobytes()
+
+
+class TestF32Scalars:
+    """f32 scalars are np.float32, so an f32 op is one numpy scalar op: no
+    double op rounded through ir.to_f32 on the way."""
+
+    @pytest.fixture
+    def recurrence(self, registry):
+        [p] = [p for p in gen.loop_programs(random.Random("interp_loops:73"))
+               if p.name == "rec_f32"]
+        return run_pipeline(registry, p.text, p.entry,
+                            [fir.parse_frontend_type(t) for t in p.types])
+
+    def test_compiled_source_binds_no_rounding_or_operator(self, recurrence):
+        text, namespace = interp._source(func_region(recurrence, "rec_f32"))
+        operators = [f for f in vars(operator).values() if callable(f)]
+        assert not [v for v in namespace.values()
+                    if v is ir.to_f32 or any(v is f for f in operators)]
+        assert re.search(r" = \(v\d+ / v\d+\)\n", text) and re.search(r" = -v\d+\n", text)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_to_f32_not_called_per_iteration(self, recurrence, monkeypatch, tier):
+        use_tier(monkeypatch, tier)
+        calls, to_f32 = [], ir.to_f32
+        monkeypatch.setattr(ir, "to_f32", lambda v: calls.append(v) or to_f32(v))
+        counts = []
+        for trips in (3, 500):
+            x, n = F32Value(0.75), IntValue(64, trips)
+            calls.clear()
+            run_function(recurrence, "rec_f32", [x, n])
+            counts.append(len(calls))
+        assert counts[0] == counts[1]  # once a run: decoding constants, boxing the result
 
 
 class TestCallDepth:

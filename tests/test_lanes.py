@@ -254,11 +254,12 @@ class TestKernelFallbacks:
     def test_small_blocks_run_thread_by_thread(self, registry, sequential_calls):
         # fewer than MIN_LANES threads in the launch: numpy's per-call cost
         # would outweigh the lanes
-        bufs = values([np.ones(8, np.float32)] * 3)
+        n = interp.MIN_LANES - 1
+        bufs = values([np.ones(n, np.float32)] * 3)
         run_kernel(kernel(registry, "vadd"), "vadd",
-                   LaunchConfig((2, 1, 1), (4, 1, 1)), bufs)
-        assert list(bufs[2].data) == [2.0] * 8
-        assert len(sequential_calls) == 8
+                   LaunchConfig((n, 1, 1), (1, 1, 1)), bufs)
+        assert list(bufs[2].data) == [2.0] * n
+        assert len(sequential_calls) == n
 
 
 MULTI_DIM_FIR = """\
@@ -354,7 +355,7 @@ class TestAcrossBlocks:
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "md", config, args, reverse))
 
-    @pytest.mark.parametrize("grid, block", [(64, 1), (8, 4)])
+    @pytest.mark.parametrize("grid, block", [(64, 1), (8, 4), (2, 4)])
     def test_small_blocks_run_in_lanes(self, registry, monkeypatch, sequential_calls,
                                        batches, grid, block):
         rng, n = np.random.default_rng(grid), grid * block
