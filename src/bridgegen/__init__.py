@@ -4,9 +4,11 @@ from .codegen import (
     AmbiguousMethodError,
     BuilderContext,
     CodegenError,
+    CompileError,
     IntrinsicRegistry,
     IntrinsicSignature,
     NoMethodError,
+    compile_program,
     generate,
     generate_region,
     map_type,

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``gen``   : full pipeline (parse, inline, bool-convert, generate,
-  verify) and print the module.
+* ``gen``   : parse the input, run ``codegen.compile_program`` (validate,
+  inline, bool-convert, generate, verify) and print the module.
 * ``run``   : generate and then interpret; ``--launch`` switches to the
   simulated thread-grid kernel launcher.
 * ``einsum``: build and print a module wrapping one linalg.generic for
@@ -25,8 +25,7 @@ import os
 import re
 import sys
 
-from . import codegen, dialects, einsum, fir, intrinsics, ir
-from .gpu import register_gpu_intrinsics
+from . import codegen, dialects, einsum, fir, ir
 
 __all__ = ["main", "build_parser"]
 
@@ -79,8 +78,8 @@ def _parse_types(text: str):
 
 
 def _build_registry(extra_dialect_paths):
-    registry = intrinsics.default_registry()
-    register_gpu_intrinsics(registry)
+    registry = codegen.register_bindings(codegen.IntrinsicRegistry(),
+                                         "arith", "math", "gpu", "memref")
     for path in extra_dialect_paths:
         try:
             with open(path, encoding="utf-8") as f:
@@ -98,7 +97,8 @@ def _build_registry(extra_dialect_paths):
 
 
 def _pipeline(parser, args):
-    """parse -> validate -> inline -> bool-convert -> generate -> verify."""
+    """Read and parse the input, check the entry and ``--types``, and run
+    ``codegen.compile_program``."""
     registry = _build_registry(args.dialect)
     try:
         with open(args.input, encoding="utf-8") as f:
@@ -111,32 +111,18 @@ def _pipeline(parser, args):
         raise CliError(f"{args.input}: {e}") from None
     if args.entry not in program.functions:
         raise CliError(f"{args.input}: no function named '{args.entry}'")
-    entry = program.functions[args.entry]
-
     arg_types = _parse_types(args.types)
-    if len(arg_types) != len(entry.param_types):
-        parser.error(
-            f"--types lists {len(arg_types)} type(s) but '{args.entry}' "
-            f"takes {len(entry.param_types)}")
-
-    violations = [f"{args.input}: {name}: {v}"
-                  for name, fn in program.functions.items()
-                  for v in fir.validate_fir(fn)]
-    if violations:
-        raise CliError("\n".join(violations))
-
+    n_params = len(program.functions[args.entry].param_types)
+    if len(arg_types) != n_params:
+        parser.error(f"--types lists {len(arg_types)} type(s) but '{args.entry}' "
+                     f"takes {n_params}")
     try:
-        inlined = fir.inline_calls(program, args.entry,
-                                   lambda name, types: registry.has_name(name))
-        converted = fir.insert_bool_conversions(inlined)
-        module = codegen.generate(registry, converted, arg_types)
+        return codegen.compile_program(registry, program, args.entry, arg_types)
+    except codegen.CompileError as e:  # validation lines name the file
+        raise CliError("\n".join(f"{args.input}: {v}" for v in e.violations)
+                       or str(e)) from None
     except (fir.FirError, codegen.CodegenError, dialects.BuildError) as e:
         raise CliError(str(e)) from None
-
-    report = ir.verify_module(module)
-    if not report.ok:
-        raise CliError(f"generated module failed verification:\n{report}")
-    return module
 
 
 def _emit(text: str, out_path):
@@ -168,6 +154,8 @@ def _parse_array_body(body: str):
     if m:
         lo, hi = float(m.group(1)), float(m.group(2))
         step = float(m.group(3)) if m.group(3) else 1.0
+        if step == 0:
+            raise ValueError("zero range step")
         return [float(v) for v in np.arange(lo, hi + step / 2, step)]
     m = _REPEAT_RE.fullmatch(body)
     if m:
@@ -211,24 +199,18 @@ def parse_runtime_input(text: str, expected: ir.IrType) -> interp.RuntimeValue:
 
 
 def format_runtime_value(v: interp.RuntimeValue) -> str:
+    """f32 values as numpy prints them, f64 as Python does, integers in
+    decimal; a buffer as the list of its elements in row-major order."""
     import numpy as np
     from . import interp
-    if isinstance(v, interp.F32Value):
-        return str(np.float32(v.value))
-    if isinstance(v, interp.F64Value):
-        return repr(v.value)
-    if isinstance(v, (interp.IntValue, interp.IndexValue)):
-        return str(v.value)
+
+    def scalar(x):
+        if isinstance(x, np.float32):
+            return str(x)
+        return repr(float(x)) if isinstance(x, float) else str(int(x))
     if isinstance(v, (interp.TensorValue, interp.MemRefValue)):
-        flat = v.data.reshape(-1)
-        if v.data.dtype == np.int64:
-            items = ", ".join(str(int(x)) for x in flat)
-        elif v.data.dtype == np.float32:
-            items = ", ".join(str(np.float32(x)) for x in flat)
-        else:
-            items = ", ".join(repr(float(x)) for x in flat)
-        return f"[{items}]"
-    return repr(v)
+        return f"[{', '.join(map(scalar, v.data.reshape(-1)))}]"
+    return scalar(np.float32(v.value) if isinstance(v, interp.F32Value) else v.value)
 
 
 def _parse_launch(text: str) -> interp.LaunchConfig:
@@ -286,8 +268,7 @@ def cmd_einsum(parser, args) -> int:
         raise CliError(str(e)) from None
     if args.shapes:
         _check_shapes(spec, args.shapes)
-    registry = intrinsics.default_registry()
-    module = einsum.build_einsum_function(registry, spec)
+    module = einsum.build_einsum_function(_build_registry([]), spec)
     report = ir.verify_module(module)
     if not report.ok:
         raise CliError(f"generated module failed verification:\n{report}")

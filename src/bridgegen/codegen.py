@@ -23,6 +23,7 @@ __all__ = [
     "CodegenError",
     "NoMethodError",
     "AmbiguousMethodError",
+    "CompileError",
     "IntrinsicSignature",
     "IntrinsicRegistry",
     "BuilderContext",
@@ -34,6 +35,7 @@ __all__ = [
     "materialize_constant",
     "generate",
     "generate_region",
+    "compile_program",
 ]
 
 
@@ -47,6 +49,16 @@ class NoMethodError(CodegenError):
 
 class AmbiguousMethodError(CodegenError):
     pass
+
+
+class CompileError(CodegenError):
+    """``fir.validate_fir`` rejected the program, with one ``"<fn>:
+    <violation>"`` line each in ``violations``, or ``ir.verify_module``
+    rejected the generated module (``violations`` is empty)."""
+
+    def __init__(self, message: str, violations=()):
+        super().__init__(message)
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -533,6 +545,25 @@ def generate(registry: IntrinsicRegistry, fn: fir.FirFunction, arg_types) -> ir.
                     "function_type": ir.TypeAttr(ftype),
                 },
                 regions=[ctx.region])
+    return module
+
+
+def compile_program(registry: IntrinsicRegistry, program: fir.FirProgram, entry: str,
+                    arg_types) -> ir.IrModule:
+    """The verified module of ``program``'s function ``entry``: validate
+    every function, inline calls into ``entry`` (``registry``'s names stay
+    intrinsic calls), bool-convert, generate and verify. Raises CompileError
+    when validation or verification fails; the phases' FirError,
+    CodegenError and BuildError pass through."""
+    violations = [f"{name}: {v}" for name, fn in program.functions.items()
+                  for v in fir.validate_fir(fn)]
+    if violations:
+        raise CompileError("\n".join(violations), violations)
+    inlined = fir.inline_calls(program, entry, lambda name, types: registry.has_name(name))
+    module = generate(registry, fir.insert_bool_conversions(inlined), arg_types)
+    report = ir.verify_module(module)
+    if not report.ok:
+        raise CompileError(f"generated module failed verification:\n{report}")
     return module
 
 

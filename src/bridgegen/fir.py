@@ -56,7 +56,6 @@ __all__ = [
     "parse_program",
     "print_fir",
     "validate_fir",
-    "arg_type",
     "arg_typer",
     "block_edges",
     "predecessors",
@@ -129,23 +128,14 @@ _PARENT = {
 }
 
 
-def supertype(t: FrontendType):
-    """Immediate parent in the lattice, or None for Any itself."""
-    if isinstance(t, AnyFrontend):
-        return None
-    if isinstance(t, Concrete):
-        return _PARENT.get(t.name, ANY)
-    return ANY
-
-
 def subtype(a: FrontendType, b: FrontendType) -> bool:
-    """Partial order with Any on top; concrete types are minimal."""
-    while True:
-        if a == b:
-            return True
-        a = supertype(a)
-        if a is None:
+    """Partial order with Any on top; concrete types are minimal. ``a`` is
+    walked up the lattice: an abstract type's parent is Any."""
+    while a != b:
+        if isinstance(a, AnyFrontend):
             return False
+        a = _PARENT.get(a.name, ANY) if isinstance(a, Concrete) else ANY
+    return True
 
 
 def admits(t: FrontendType, arg, natural: FrontendType) -> bool:
@@ -586,15 +576,9 @@ def block_edges(fn: FirFunction):
     n = fn.n_blocks()
     for bi, block in enumerate(fn.blocks, start=1):
         last = block[-1] if block else None
-        if isinstance(last, Goto):
+        if isinstance(last, (Goto, GotoIfNot)):
             edges.add((bi, last.target))
-        elif isinstance(last, GotoIfNot):
-            edges.add((bi, last.target))
-            if bi < n:
-                edges.add((bi, bi + 1))
-        elif isinstance(last, Return):
-            pass
-        elif bi < n:
+        if bi < n and not isinstance(last, (Goto, Return)):
             edges.add((bi, bi + 1))
     return edges
 
@@ -633,8 +617,9 @@ def _retyped(arg, t: FrontendType) -> bool:
 
 
 def arg_typer(fn: FirFunction):
-    """:func:`arg_type` for the arguments of ``fn``, over one table of its
-    SSA result types built here; a pass builds it once per function."""
+    """The frontend type of each argument of ``fn`` (literals get their
+    natural type), over one table of its SSA result types built here; a
+    pass builds it once per function."""
     types = {st.id: st.result_type for _, st in fn.statements()
              if isinstance(st, (Invoke, Phi))}
 
@@ -648,11 +633,6 @@ def arg_typer(fn: FirFunction):
         raise FirError(f"no type for argument {arg!r}")
 
     return type_of
-
-
-def arg_type(fn: FirFunction, arg: FirArg) -> FrontendType:
-    """Frontend type of an argument; literals get their natural type."""
-    return arg_typer(fn)(arg)
 
 
 # ---------------------------------------------------------------------------

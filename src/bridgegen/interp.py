@@ -29,8 +29,9 @@ function's namespace, never pasted into the text. compile() results are
 kept by text. A region of more than MAX_COMPILED_OPS ops, or with an op
 without a source form (memref, gpu, func.call, linalg.generic, ill-typed
 and unknown ops), stays on closures. Blocks are charged on entry as above;
-a block that does not fit the budget goes back to the closures, which run
-it op by op. HOT is about where compiling pays with a cached compile(): on
+a block that does not fit the budget raises the step error: its ops change
+only locals and cannot fail, so running them op by op would end the same
+way. HOT is about where compiling pays with a cached compile(): on
 a 2-vCPU machine under Python 3.11, building the function takes 0.06-0.13
 ms and saves 1.5-3.8 us an iteration on the bench's loops, so it pays after
 30-45 back edges (about 70 on the two-level nest). MAX_COMPILED_OPS bounds
@@ -397,9 +398,10 @@ def _cmpi(op, at, form=None):
 def _launch_coordinate(k):
     def decode(op, at, form=None):
         dim = op.attributes["dimension"].text
+        if dim not in ("x", "y", "z"):
+            raise InterpError(f"{op.name}: unknown dimension '{dim}'")
         if form is _LANES:
-            return None if dim not in ("x", "y", "z") else (
-                lambda f, lanes: (lanes.ctx or _fail(_Sequential()))[dim][k])
+            return lambda f, lanes: (lanes.ctx or _fail(_Sequential()))[dim][k]
         if form:
             return None
         text = f"{op.name} executed without a launch configuration"
@@ -511,6 +513,8 @@ def _generic(op, at, form=None):
     if form:
         return None
     maps, body = list(op.attributes["indexing_maps"].elements), _Code(op.regions[0])
+    if bad := [m for m in maps if not isinstance(m, ir.IndexMapAttr)]:
+        raise InterpError(f"linalg.generic: indexing map {bad[0]!r} is not an affine map")
     src, lane_body = [at[v] for v in op.operands], _decode(op.regions[0], lanes=True)
     arg_types = lane_body and [a.type for a in op.regions[0].blocks[0].arguments]
 
@@ -720,8 +724,8 @@ def _source(region: ir.IrRegion):
     op has no source form or a block no terminator. Each slot is a local
     ``v<slot>``; a balanced tree of ``if b < k`` tests finds the block, so
     a jump costs O(log blocks). A block is charged on entry, as in _exec;
-    one that does not fit the budget writes the locals back to ``f`` and
-    returns its position, to run op by op."""
+    one that does not fit the budget raises StepLimitExceeded, as running
+    it op by op would: its ops change only locals and cannot fail."""
     size, at = _slots(region)
     form, leaves = _Source(), []
     for block in region.blocks:
@@ -737,14 +741,13 @@ def _source(region: ir.IrRegion):
         else:
             return None
         n = len(lines) + 1
-        leaves.append([f"if steps + {n} > run.limit:", "    break", f"steps += {n}",
+        leaves.append([f"if steps + {n} > run.limit:", "    run.exceeded()", f"steps += {n}",
                        *lines, *text])
     frame = _locals(range(size))
     source = "\n".join([
         "def compiled(f, b, run):", f"    {frame}= f", "    steps = run.steps",
         "    try:", "        while True:",
         *["            " + line for line in _tree(leaves, 0, len(leaves))],
-        f"        f[:] = {frame}", "        return b",
         "    finally:", "        run.steps = steps", ""])
     return source, form.namespace
 
@@ -798,8 +801,10 @@ class _Run:
     def tick(self):
         self.steps += 1
         if self.steps > self.limit:
-            raise StepLimitExceeded(
-                f"step budget of {self.limit} operations exceeded")
+            self.exceeded()
+
+    def exceeded(self):
+        raise StepLimitExceeded(f"step budget of {self.limit} operations exceeded")
 
     def function(self, symbol: str, inputs: list) -> _Code:
         """The code of @symbol, checked against boxed ``inputs``."""
@@ -852,10 +857,8 @@ def _exec(code: _Code, args, run: _Run) -> list:
             hot = False
             if code.fast is None:
                 code.fast = _compile(code.region) or False
-            if code.fast:  # returns, or gives the block that does not fit the budget
-                pos = code.fast(f, pos, run)
-                if pos.__class__ is not int:
-                    return pos
+            if code.fast:
+                return code.fast(f, pos, run)
         _, n, ops, term, bid = blocks[pos]
         if run.steps + n > run.limit:
             for r, op in ops:
@@ -956,14 +959,14 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     run, inputs = _Run(module, step_limit), list(inputs)
     body = run.function(symbol, inputs)  # decoded if a thread runs on its own
     args = [_unbox(v) for v in inputs]
-    code = _decode(module.lookup_symbol(symbol).regions[0], lanes=True)
+    total = math.prod(launch.grid + launch.block)
+    code = total >= MIN_LANES and _decode(body.region, lanes=True)  # no batch is smaller
     try:
         lane_args = [v if isinstance(v, _ArrayValue) else _np_dtype(t)(v)
                      for t, v in zip(run.funcs[symbol][0].inputs, args)]
     except OverflowError:  # an index outside int64
         code = None
     bufs = [v.data for v in inputs if isinstance(v, MemRefValue)]
-    total = math.prod(launch.grid + launch.block)
     if (not code or code[1][0][1] > step_limit or total >> 63
             or any(np.may_share_memory(*p) for p in itertools.combinations(bufs, 2))):
         code = None  # a thread's budget, coordinates or buffers lanes cannot track

@@ -98,7 +98,9 @@ DYN = None
 
 
 @dataclass(frozen=True)
-class TensorType(IrType):
+class _ShapedType(IrType):
+    """A tensor or memref type; ``dims`` holds DYN for a dynamic extent."""
+
     elem: IrType
     dims: tuple
 
@@ -107,14 +109,12 @@ class TensorType(IrType):
         return len(self.dims)
 
 
-@dataclass(frozen=True)
-class MemRefType(IrType):
-    elem: IrType
-    dims: tuple
+class TensorType(_ShapedType):
+    pass
 
-    @property
-    def rank(self) -> int:
-        return len(self.dims)
+
+class MemRefType(_ShapedType):
+    pass
 
 
 @dataclass(frozen=True)
@@ -542,15 +542,15 @@ def verify_module(module: IrModule) -> VerifyReport:
     registry = module.registry
     report = VerifyReport()
 
+    def flag(category, message, op_name, block=-1):
+        report.diagnostics.append(Diagnostic(category, message, op_name, block))
+
     functions = {}  # symbol -> its FunctionType, or None
     for op in module.symbol_ops():
         sym = op.attributes.get("sym_name")
         if isinstance(sym, SymbolAttr):
             if sym.name in functions:
-                report.diagnostics.append(
-                    Diagnostic("duplicate-symbol", f"symbol @{sym.name} redefined",
-                               op.name)
-                )
+                flag("duplicate-symbol", f"symbol @{sym.name} redefined", op.name)
             functions[sym.name] = _function_type(op)
 
     def typed_against(o, returns):
@@ -591,62 +591,44 @@ def verify_module(module: IrModule) -> VerifyReport:
         for b in region.blocks:
             ops = b.operations
             if not ops or not ops[-1].is_terminator:
-                report.diagnostics.append(
-                    Diagnostic("missing-terminator",
-                               "block does not end with a terminator",
-                               ops[-1].name if ops else "", b.id)
-                )
+                flag("missing-terminator", "block does not end with a terminator",
+                     ops[-1].name if ops else "", b.id)
             for o in ops[:-1]:
                 if o.is_terminator:
-                    report.diagnostics.append(
-                        Diagnostic("misplaced-terminator",
-                                   "terminator before end of block", o.name, b.id)
-                    )
+                    flag("misplaced-terminator", "terminator before end of block",
+                         o.name, b.id)
 
             for pos, o in enumerate(ops):
                 for i, r in enumerate(o.results):
                     org = r.origin
                     if not (isinstance(org, OpResult) and org.op is o and org.index == i):
-                        report.diagnostics.append(
-                            Diagnostic("result-origin",
-                                       f"result {i} origin does not point back",
-                                       o.name, b.id)
-                        )
+                        flag("result-origin", f"result {i} origin does not point back",
+                             o.name, b.id)
                 uses = list(o.operands)
                 for s in o.successors:
                     uses.extend(s.args)
                 if id(b) in dom:
                     for v in uses:
                         if not dominates_use(v, b, pos):
-                            report.diagnostics.append(
-                                Diagnostic("dominance",
-                                           f"use of %{v.id} is not dominated by its definition",
-                                           o.name, b.id)
-                            )
+                            flag("dominance", f"use of %{v.id} is not dominated by its "
+                                 "definition", o.name, b.id)
                 for s in o.successors:
                     if id(s.block) not in in_region:
-                        report.diagnostics.append(
-                            Diagnostic("bad-successor",
-                                       "successor block is not in the same region",
-                                       o.name, b.id)
-                        )
+                        flag("bad-successor", "successor block is not in the same region",
+                             o.name, b.id)
                         continue
                     want = [a.type for a in s.block.arguments]
                     got = [v.type for v in s.args]
                     if want != got:
-                        report.diagnostics.append(
-                            Diagnostic("bad-successor",
-                                       f"successor ^bb{s.block.id} expects {len(want)} "
-                                       f"argument(s) of matching type, got {len(got)}",
-                                       o.name, b.id)
-                        )
+                        flag("bad-successor", f"successor ^bb{s.block.id} expects "
+                             f"{len(want)} argument(s) of matching type, got {len(got)}",
+                             o.name, b.id)
                 for what, values, want in typed_against(o, returns):
                     got = tuple(v.type for v in values)
                     if got != tuple(want):
-                        report.diagnostics.append(Diagnostic(
-                            "function-type", f"{what} types ({', '.join(map(str, got))}) "
-                            f"differ from the function type's ({', '.join(map(str, want))})",
-                            o.name, b.id))
+                        flag("function-type", f"{what} types ({', '.join(map(str, got))}) "
+                             f"differ from the function type's ({', '.join(map(str, want))})",
+                             o.name, b.id)
                 if registry is not None:
                     for d in registry.validate_op(o):
                         d.block = b.id
@@ -742,12 +724,10 @@ def print_type(t: IrType) -> str:
         return f"i{t.width}"
     if isinstance(t, IndexType):
         return "index"
-    if isinstance(t, TensorType):
+    if isinstance(t, (TensorType, MemRefType)):
         dims = "".join(("?" if d is DYN else str(d)) + "x" for d in t.dims)
-        return f"tensor<{dims}{print_type(t.elem)}>"
-    if isinstance(t, MemRefType):
-        dims = "".join(("?" if d is DYN else str(d)) + "x" for d in t.dims)
-        return f"memref<{dims}{print_type(t.elem)}>"
+        kind = "tensor" if isinstance(t, TensorType) else "memref"
+        return f"{kind}<{dims}{print_type(t.elem)}>"
     if isinstance(t, FunctionType):
         ins = ", ".join(print_type(x) for x in t.inputs)
         if len(t.results) == 1:

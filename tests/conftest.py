@@ -9,8 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from bridgegen import codegen, fir, interp, intrinsics, ir
-from bridgegen.gpu import register_gpu_intrinsics
+from bridgegen import codegen, fir, interp, ir
 
 # ---------------------------------------------------------------------------
 # Golden frontend sources and expected output lines
@@ -84,9 +83,8 @@ VADD_TYPES = [F32_MEMREF] * 3
 
 @pytest.fixture
 def registry():
-    reg = intrinsics.default_registry()
-    register_gpu_intrinsics(reg)
-    return reg
+    return codegen.register_bindings(codegen.IntrinsicRegistry(),
+                                     "arith", "math", "gpu", "memref")
 
 
 @pytest.fixture
@@ -131,20 +129,8 @@ def find_golden(printed: str, golden):
 
 
 def run_pipeline(registry, text, entry, arg_types):
-    """parse -> validate -> inline -> bool-convert -> generate -> verify,
-    with the checks of ``bridgegen gen``: every function is validated."""
-    program = fir.parse_program(text)
-    for fn in program.functions.values():
-        assert fir.validate_fir(fn) == [], fn.name
-
-    def is_intrinsic(name, types):
-        return registry.has_name(name)
-
-    inlined = fir.inline_calls(program, entry, is_intrinsic)
-    converted = fir.insert_bool_conversions(inlined)
-    module = codegen.generate(registry, converted, arg_types)
-    assert ir.verify_module(module).ok
-    return module
+    """``bridgegen gen``'s phases on FIR ``text``: ``codegen.compile_program``."""
+    return codegen.compile_program(registry, fir.parse_program(text), entry, arg_types)
 
 
 def normalize(fn):
@@ -174,6 +160,20 @@ def walk_ops(module):
         yield op
         for r in op.regions:
             yield from walk(r)
+
+
+def new_func(module, name="f", inputs=(), results=()):
+    """Append an empty func.func @name to ``module``; returns its region and
+    entry block, the new insertion point."""
+    region = module.new_region()
+    module.set_insertion(module.body.blocks[0])
+    ir.create_op(module, "func.func", [], [], attributes={
+        "sym_name": ir.SymbolAttr(name),
+        "function_type": ir.TypeAttr(ir.FunctionType(tuple(inputs), tuple(results)))},
+        regions=[region])
+    entry = module.append_block(region, list(inputs))
+    module.set_insertion(entry)
+    return region, entry
 
 
 def func_region(module, symbol):

@@ -22,6 +22,7 @@ from conftest import (
     einsum_bruteforce,
     find_golden,
     generated_cfg,
+    new_func,
     oracle_resolve,
     random_fir_function,
     reachable_fir_edges,
@@ -353,19 +354,6 @@ class TestCriterion9:
                   "exact elementwise sum, forward and reversed")
 
 
-def _func_shell(module, name="f", inputs=(), results=()):
-    region = module.new_region()
-    module.set_insertion(module.body.blocks[0])
-    ir.create_op(module, "func.func", [], [],
-                 attributes={"sym_name": ir.SymbolAttr(name),
-                             "function_type": ir.TypeAttr(
-                                 ir.FunctionType(tuple(inputs), tuple(results)))},
-                 regions=[region])
-    block = module.append_block(region, inputs)
-    module.set_insertion(block)
-    return region, block
-
-
 def _terminate(module):
     ir.create_op(module, "func.return", [], [], is_terminator=True)
 
@@ -385,24 +373,24 @@ def malformed_modules():
         return ir.IrModule(registry=registry)
 
     m = module()
-    _, _ = _func_shell(m)
+    new_func(m)
     v = _cst(m)
     ir.create_op(m, "arith.negf", [v], [ir.F32])
     cases.append(("block ends in arith.negf", "missing-terminator", m))
 
     m = module()
-    _func_shell(m)  # empty block
+    new_func(m)  # empty block
     cases.append(("empty block", "missing-terminator", m))
 
     m = module()
-    _func_shell(m)
+    new_func(m)
     _terminate(m)
     _cst(m)
     _terminate(m)
     cases.append(("terminator mid-block", "misplaced-terminator", m))
 
     m = module()
-    region, entry = _func_shell(m)
+    region, entry = new_func(m)
     b1 = m.append_block(region, [])
     b2 = m.append_block(region, [])
     ir.create_op(m, "cf.cond_br", [_cst(m, ir.IntType(1), 1)], [],
@@ -416,38 +404,38 @@ def malformed_modules():
     cases.append(("use in non-dominated block", "dominance", m))
 
     m = module()
-    _func_shell(m)
+    new_func(m)
     use_first = ir.create_op(m, "arith.negf", [], [ir.F32])
     use_first.operands.append(_cst(m))
     _terminate(m)
     cases.append(("use before def in one block", "dominance", m))
 
     m = module()
-    _func_shell(m)
+    new_func(m)
     ir.create_op(m, "arith.addf", [_cst(m)], [ir.F32])
     _terminate(m)
     cases.append(("addf with one operand", "arity-mismatch", m))
 
     m = module()
-    _func_shell(m)
+    new_func(m)
     ir.create_op(m, "arith.negf", [_cst(m), _cst(m, raw=2.0)], [ir.F32])
     _terminate(m)
     cases.append(("negf with two operands", "arity-mismatch", m))
 
     m = module()
-    _func_shell(m)
+    new_func(m)
     ir.create_op(m, "arith.bogus", [], [])
     _terminate(m)
     cases.append(("op missing from arith", "unknown-op", m))
 
     m = module()
-    _func_shell(m)
+    new_func(m)
     ir.create_op(m, "nosuch.op", [], [])
     _terminate(m)
     cases.append(("op of unregistered dialect", "unknown-op", m))
 
     m = module()
-    region, entry = _func_shell(m)
+    region, entry = new_func(m)
     target = m.append_block(region, [ir.I64])
     m.set_insertion(entry)
     ir.create_op(m, "cf.br", [], [], successors=[(target, [])])
@@ -456,8 +444,8 @@ def malformed_modules():
     cases.append(("branch passes no value to ^bb1(i64)", "bad-successor", m))
 
     m = module()
-    _, b_f = _func_shell(m, "f")
-    _, b_g = _func_shell(m, "g")
+    _, b_f = new_func(m, "f")
+    _, b_g = new_func(m, "g")
     m.set_insertion(b_g)
     _terminate(m)
     m.set_insertion(b_f)
@@ -465,14 +453,14 @@ def malformed_modules():
     cases.append(("branch into another region", "bad-successor", m))
 
     m = module()
-    _func_shell(m)
+    new_func(m)
     a, b = _cst(m, ir.I64, 1), _cst(m, ir.I64, 2)
     ir.create_op(m, "arith.addf", [a, b], [ir.I64])
     _terminate(m)
     cases.append(("addf on i64 operands", "type-constraint", m))
 
     m = module()
-    _func_shell(m)
+    new_func(m)
     a, b = _cst(m, ir.I64, 1), _cst(m, ir.I64, 2)
     ir.create_op(m, "arith.cmpi", [a, b], [ir.IntType(1)])
     _terminate(m)

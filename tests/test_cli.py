@@ -489,6 +489,13 @@ class TestDiagnostics:
         assert code == 1 and "error: internal:" not in err
         assert message in err
 
+    def test_zero_range_step(self, vadd_path, capsys):
+        code = cli.main(["run", vadd_path, "--entry", "vadd", "--types", VADD_TYPES_FLAG,
+                         "--launch", "1,1,1,1,1,1", "--", "[1..8..0]:f32", "[1]:f32",
+                         "[0]:f32"])
+        err = "error: cannot parse buffer literal '[1..8..0]:f32'\n"
+        assert (code, capsys.readouterr().err) == (1, err)
+
     def test_non_ascii_einsum_shape(self, capsys):
         code = cli.main(["einsum", "(i,j),(j)->(i)", "--shapes", "\u00b2x3,\u00b2,4"])
         err = capsys.readouterr().err

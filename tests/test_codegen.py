@@ -559,6 +559,20 @@ def test_join_block_work_grows_with_phis_times_preds(registry, monkeypatch):
     assert reads(100, 8) <= 4.4 * reads(100, 2)
 
 
+def test_compile_program_errors(registry, monkeypatch):
+    """Validation and verification failures are one CompileError each."""
+    text = "fn f(_1: i64)\n1:\n  %1 = invoke +(_1, %1) :: i64\n  return %1\n"
+    with pytest.raises(codegen.CompileError, match="^f: block 1: %1 used before") as info:
+        run_pipeline(registry, text, "f", [fir.I64])
+    assert info.value.violations == ["f: block 1: %1 used before its definition"]
+    report = ir.VerifyReport([ir.Diagnostic("dominance", "bad")])
+    monkeypatch.setattr(ir, "verify_module", lambda module: report)
+    with pytest.raises(codegen.CompileError) as info:
+        run_pipeline(registry, SIGMOID_FIR, "sigmoid", [fir.F32])
+    assert (str(info.value), info.value.violations) == (
+        "generated module failed verification:\n[dominance]: bad", ())
+
+
 class TestGenerateRegion:
     def test_mul_add_body(self, registry):
         ctx = scalar_ctx(registry)

@@ -20,17 +20,7 @@ from bridgegen.dialects import (
     serialize_dialect,
 )
 from bridgegen.ir import FloatAttr, IrModule, StringAttr, create_op, result
-
-
-def fresh_block(module):
-    region = module.new_region()
-    create_op(module, "func.func", [], [],
-              attributes={"sym_name": ir.SymbolAttr("f"),
-                          "function_type": ir.TypeAttr(ir.FunctionType((), ()))},
-              regions=[region])
-    block = module.append_block(region, [])
-    module.set_insertion(block)
-    return block
+from conftest import new_func
 
 
 def value(module, t=ir.F32, raw=1.0):
@@ -135,7 +125,7 @@ class TestRegistry:
     def test_register_then_build(self):
         registry = register_dialect(DialectRegistry(), load_dialect_spec(SAMPLE))
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         a, b = value(m), value(m, raw=2.0)
         op = build_op(registry, m, "demo.addf", [a, b])
         assert result(op).type == ir.F32
@@ -147,7 +137,7 @@ class TestRegistry:
 
     def test_unknown_op(self):
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         with pytest.raises(BuildError, match="unknown operation"):
             build_op(DialectRegistry(), m, "demo.addf", [])
 
@@ -156,7 +146,7 @@ class TestBuildOp:
     def test_result_type_resolved_from_operand(self):
         registry = builtin_registry()
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         a, b = value(m, ir.F64, 1.0), value(m, ir.F64, 2.0)
         op = build_op(registry, m, "arith.addf", [a, b])
         assert result(op).type == ir.F64
@@ -164,7 +154,7 @@ class TestBuildOp:
     def test_type_constraint_violation_names_operand(self):
         registry = builtin_registry()
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         a, b = value(m, ir.I64, 1), value(m, ir.I64, 2)
         with pytest.raises(BuildError, match="operand 'lhs'"):
             build_op(registry, m, "arith.addf", [a, b])
@@ -172,7 +162,7 @@ class TestBuildOp:
     def test_same_operand_mismatch(self):
         registry = builtin_registry()
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         a, b = value(m, ir.F32), value(m, ir.F64)
         with pytest.raises(BuildError, match="same\\(0\\)"):
             build_op(registry, m, "arith.addf", [a, b])
@@ -180,14 +170,14 @@ class TestBuildOp:
     def test_arity_mismatch(self):
         registry = builtin_registry()
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         with pytest.raises(BuildError, match="expected 2 operand"):
             build_op(registry, m, "arith.addf", [value(m)])
 
     def test_missing_required_attribute(self):
         registry = builtin_registry()
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         a, b = value(m, ir.I64, 1), value(m, ir.I64, 2)
         with pytest.raises(BuildError, match="missing required attribute"):
             build_op(registry, m, "arith.cmpi", [a, b])
@@ -231,7 +221,7 @@ class TestBuildOp:
             return out
 
         m = IrModule()
-        block = fresh_block(m)
+        _, block = new_func(m)
         operands = [create_op(m, "test.value", [], [t]).results[0]
                     for t in types(defn.operands)]
         infer = data.draw(st.booleans())
@@ -263,7 +253,7 @@ class TestBuildOp:
     def test_elem_constraint_on_store(self):
         registry = builtin_registry()
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         v = value(m, ir.F32)
         buf_t = ir.MemRefType(ir.F64, (None,))
         buf = create_op(m, "dummy.buffer", [], [buf_t]).results[0]
@@ -301,14 +291,14 @@ class TestBuiltinRegistry:
     def test_math_exp_unary_float(self):
         registry = builtin_registry()
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         op = build_op(registry, m, "math.exp", [value(m)])
         assert result(op).type == ir.F32
 
     def test_gpu_thread_id_produces_index(self):
         registry = builtin_registry()
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         op = build_op(registry, m, "gpu.thread_id",
                       attributes={"dimension": StringAttr("x")})
         assert result(op).type == ir.INDEX
@@ -316,7 +306,7 @@ class TestBuiltinRegistry:
     def test_cmpi_shape(self):
         registry = builtin_registry()
         m = IrModule()
-        fresh_block(m)
+        new_func(m)
         a, b = value(m, ir.I64, 1), value(m, ir.I64, 2)
         op = build_op(registry, m, "arith.cmpi", [a, b],
                       attributes={"predicate": StringAttr("sge")})

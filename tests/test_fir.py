@@ -553,7 +553,7 @@ fn f(_1: i64, _2: i64)
                  if isinstance(st, Invoke) and st.target == BOOL_CONVERSION]
         non_bool_branches = [st for _, st in fn.statements()
                              if isinstance(st, GotoIfNot)
-                             and fir.arg_type(fn, st.cond) != fir.BOOL]
+                             and fir.arg_typer(fn)(st.cond) != fir.BOOL]
         assert len(convs) == len(non_bool_branches) == 2
 
     def test_block_count_preserved_and_only_insertions(self):

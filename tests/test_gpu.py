@@ -2,7 +2,7 @@
 
 import pytest
 
-from bridgegen import codegen, fir, intrinsics, ir
+from bridgegen import codegen, fir, ir
 from bridgegen.codegen import CodegenError, NoMethodError
 from bridgegen.gpu import register_gpu_intrinsics
 from conftest import VADD_FIR, VADD_TYPES, run_pipeline, walk_ops

@@ -40,9 +40,11 @@ from conftest import (
     VADD_TYPES,
     einsum_bruteforce,
     func_region,
+    new_func,
     run_pipeline,
     tensor_value,
     use_tier,
+    walk_ops,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -330,6 +332,20 @@ class TestKernels:
             "context {'x': (8, 0, 200000), 'y': (0, 0, 1), 'z': (0, 0, 1)})")
         assert peak < 2 * 2 ** 20
 
+    def test_lanes_decoded_only_for_launches_of_min_lanes(self, vadd, monkeypatch):
+        asked, decode = [], interp._decode
+        monkeypatch.setattr(interp, "_decode", lambda region, lanes=False:
+                            asked.append(lanes) or decode(region, lanes))
+        outs = []
+        for n in (interp.MIN_LANES - 1, interp.MIN_LANES):
+            asked.clear()
+            bufs = self.vadd_buffers()
+            run_kernel(vadd, "vadd", LaunchConfig((1, 1, 1), (n, 1, 1)), bufs)
+            assert asked.count(True) == (n == interp.MIN_LANES)
+            outs.append(bufs[2].data[:interp.MIN_LANES - 1])
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], np.arange(11, 11 * interp.MIN_LANES, 11))
+
     def test_gpu_op_without_launch(self, vadd):
         bufs = self.vadd_buffers()
         with pytest.raises(MissingLaunchConfig):
@@ -392,22 +408,6 @@ class TestGenericPropertySuite:
 # Semantics pinned down independently of how the interpreter is built
 
 
-def new_func(registry, module, name, inputs, results):
-    """Append an empty func.func @name and return its entry block."""
-    from bridgegen.dialects import build_op
-
-    region = module.new_region()
-    module.set_insertion(module.body.blocks[0])
-    build_op(registry.dialects, module, "func.func",
-             attributes={"sym_name": ir.SymbolAttr(name),
-                         "function_type": ir.TypeAttr(
-                             ir.FunctionType(tuple(inputs), tuple(results)))},
-             regions=[region])
-    entry = module.append_block(region, list(inputs))
-    module.set_insertion(entry)
-    return entry
-
-
 def static_ops(module, symbol):
     """Operations in the body of @symbol, each counted once."""
     region = module.lookup_symbol(symbol).regions[0]
@@ -455,7 +455,7 @@ class TestStepBoundary:
     def test_block_with_call(self, registry, sigmoid):
         from bridgegen.dialects import build_op
 
-        entry = new_func(registry, sigmoid, "wrapper", [ir.F32], [ir.F32])
+        _, entry = new_func(sigmoid, "wrapper", [ir.F32], [ir.F32])
         call = build_op(registry.dialects, sigmoid, "func.call",
                         [entry.arguments[0]],
                         attributes={"callee": ir.SymbolAttr("sigmoid")},
@@ -501,10 +501,10 @@ class TestStepBoundary:
         from bridgegen.dialects import build_op
 
         module = ir.IrModule(registry=registry.dialects)
-        g = new_func(registry, module, "g", [ir.INDEX], [ir.INDEX])
+        _, g = new_func(module, "g", [ir.INDEX], [ir.INDEX])
         build_op(registry.dialects, module, "func.return", [g.arguments[0]])
         buf = ir.MemRefType(ir.F32, (None,))
-        k = new_func(registry, module, "k", [buf], [])
+        _, k = new_func(module, "k", [buf], [])
         zero, seven = (
             build_op(registry.dialects, module, "arith.constant",
                      attributes={"value": attr}, result_types=[attr.type]).results[0]
@@ -610,7 +610,7 @@ class TestErrors:
         from bridgegen.dialects import build_op
 
         module = ir.IrModule(registry=registry.dialects)
-        entry = new_func(registry, module, "f", [ir.I64], [])
+        _, entry = new_func(module, "f", [ir.I64], [])
         build_op(registry.dialects, module, "arith.addi",
                  [entry.arguments[0], entry.arguments[0]])
         with pytest.raises(InterpError,
@@ -619,7 +619,7 @@ class TestErrors:
 
     def test_unsupported_operation(self, registry):
         module = ir.IrModule(registry=registry.dialects)
-        new_func(registry, module, "f", [], [])
+        new_func(module)
         ir.create_op(module, "test.mystery", [], [])
         ir.create_op(module, "func.return", [], [], is_terminator=True)
         with pytest.raises(InterpError,
@@ -632,8 +632,7 @@ class TestErrors:
         register_dialect(registry.dialects,
                          load_dialect_spec('dialect t\nop halt "Stops."\n  terminator\n'))
         module = ir.IrModule(registry=registry.dialects)
-        entry = new_func(registry, module, "f", [ir.I1], [])
-        region = module.lookup_symbol("f").regions[0]
+        region, entry = new_func(module, "f", [ir.I1])
         done, stop = module.append_block(region, []), module.append_block(region, [])
         module.set_insertion(entry)
         build_op(registry.dialects, module, "cf.cond_br", [entry.arguments[0]],
@@ -649,8 +648,7 @@ class TestErrors:
 
     def test_cond_br_on_a_non_i1_value(self, registry):
         module = ir.IrModule(registry=registry.dialects)
-        entry = new_func(registry, module, "f", [ir.I64], [])
-        region = module.lookup_symbol("f").regions[0]
+        region, entry = new_func(module, "f", [ir.I64])
         done = module.append_block(region, [])
         module.set_insertion(entry)
         ir.create_op(module, "cf.cond_br", [entry.arguments[0]], [],
@@ -666,8 +664,7 @@ class TestErrors:
                                                   compiled, hot):
         monkeypatch.setattr(interp, "HOT", hot)
         module = ir.IrModule(registry=registry.dialects)
-        entry = new_func(registry, module, "f", [ir.I1, ir.I64], [])
-        region = module.lookup_symbol("f").regions[0]
+        region, entry = new_func(module, "f", [ir.I1, ir.I64])
         done, bad = module.append_block(region, []), module.append_block(region, [])
         module.set_insertion(entry)
         ir.create_op(module, "cf.cond_br", [entry.arguments[0]], [],
@@ -684,6 +681,25 @@ class TestErrors:
             run_function(module, "f", [IntValue(1, 0), IntValue(64, 2)])
         assert compiled == [None] * (hot == 0) * 2  # the op has no source form
 
+    @pytest.mark.parametrize("threads", [1, 8])
+    @pytest.mark.parametrize("name", ["gpu.thread_id", "gpu.block_id", "gpu.block_dim"])
+    def test_unknown_launch_dimension(self, vadd, name, threads):
+        next(op for op in walk_ops(vadd) if op.name == name).attributes[
+            "dimension"] = ir.StringAttr("w")
+        assert ir.verify_module(vadd).ok
+        with pytest.raises(InterpError, match=f"^{name}: unknown dimension 'w'$"):
+            run_kernel(vadd, "vadd", LaunchConfig((1, 1, 1), (threads, 1, 1)),
+                       TestKernels().vadd_buffers())
+
+    def test_indexing_map_of_another_attribute(self, registry):
+        module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i)->(i)"))
+        generic = next(op for op in walk_ops(module) if op.name == "linalg.generic")
+        generic.attributes["indexing_maps"] = ir.ArrayAttr((ir.IntAttr(0, ir.I64),) * 2)
+        assert ir.verify_module(module).ok
+        with pytest.raises(InterpError, match=r"^linalg.generic: indexing map IntAttr\("
+                                              r".*\) is not an affine map$"):
+            run_function(module, "einsum", [tensor_value(np.ones(3))] * 2)
+
 
 # f32/f64 arithmetic agrees with numpy scalars bit for bit
 
@@ -699,7 +715,7 @@ def float_module(t):
     module = ir.IrModule(registry=registry.dialects)
     for name in list(_UNARY) + list(_BINARY):
         arity = 1 if name in _UNARY else 2
-        entry = new_func(registry, module, name, [t] * arity, [t])
+        _, entry = new_func(module, name, [t] * arity, [t])
         op = build_op(registry.dialects, module, name, entry.arguments)
         build_op(registry.dialects, module, "func.return", op.results)
     assert ir.verify_module(module).ok
@@ -781,7 +797,7 @@ class TestMixedPrecisions:
             for result, inputs in ((ir.F32, [ir.F32, ir.F64]), (ir.F32, [ir.F64, ir.F32]),
                                    (ir.F64, [ir.F32, ir.F64]), (ir.F64, [ir.F64, ir.F32])):
                 symbol = f"f{len(functions)}"
-                entry = new_func(registry, module, symbol, inputs, [result])
+                _, entry = new_func(module, symbol, inputs, [result])
                 op = ir.create_op(module, name, list(entry.arguments), [result])
                 ir.create_op(module, "func.return", op.results, [], is_terminator=True)
                 functions.append((symbol, fn, result, inputs))
@@ -813,10 +829,10 @@ class TestBoxing:
         from bridgegen.dialects import build_op
 
         module = ir.IrModule(registry=registry.dialects)
-        g = new_func(registry, module, "g", [ir.F32], [ir.F32])
+        _, g = new_func(module, "g", [ir.F32], [ir.F32])
         neg = build_op(registry.dialects, module, "arith.negf", [g.arguments[0]])
         build_op(registry.dialects, module, "func.return", neg.results)
-        f = new_func(registry, module, "f", [ir.F32], [ir.F32])
+        _, f = new_func(module, "f", [ir.F32], [ir.F32])
         call = build_op(registry.dialects, module, "func.call", [f.arguments[0]],
                         attributes={"callee": ir.SymbolAttr("g")}, result_types=[ir.F32])
         build_op(registry.dialects, module, "func.return", call.results)
@@ -874,7 +890,7 @@ class TestCallDepth:
         from bridgegen.dialects import build_op
 
         module = ir.IrModule(registry=registry.dialects)
-        entry = new_func(registry, module, "rec", [ir.I64], [ir.I64])
+        _, entry = new_func(module, "rec", [ir.I64], [ir.I64])
         call = build_op(registry.dialects, module, "func.call",
                         [entry.arguments[0]],
                         attributes={"callee": ir.SymbolAttr("rec")},
@@ -930,3 +946,16 @@ class TestNoCycles:
         gc.collect()
         run_function(module, "einsum", values)
         assert gc.collect() == 0
+
+
+def test_readme_states_the_code_constants():
+    """Each constant README states with its value has that value in the code."""
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").split())
+    assert set(re.findall(r"`(\w+)` \((\d+)\)", text)) == {
+        (name, str(getattr(interp, name)))
+        for name in ("LANES", "MIN_LANES", "HOT", "MAX_COMPILED_OPS", "MAX_CALL_DEPTH")}
+    assert f"{fir.MAX_DIGITS} digits (`fir.MAX_DIGITS`" in text
+    assert f"more than {fir.MAX_TYPE_DEPTH} levels deep (`fir.MAX_TYPE_DEPTH`)" in text
+    cap = re.search(r"step cap \(default 10\^(\d+)\)", text)
+    assert cap and 10 ** int(cap[1]) == interp.DEFAULT_STEP_LIMIT

@@ -25,26 +25,12 @@ from bridgegen.ir import (
     StringAttr,
     Successor,
     SymbolAttr,
-    TypeAttr,
     create_op,
     print_module,
     result,
     verify_module,
 )
-
-
-def empty_func(module, name, inputs=(), results=()):
-    region = module.new_region()
-    module.set_insertion(module.body.blocks[0])
-    op = create_op(module, "func.func", [], [],
-                   attributes={
-                       "sym_name": SymbolAttr(name),
-                       "function_type": TypeAttr(
-                           FunctionType(tuple(inputs), tuple(results))),
-                   },
-                   regions=[region])
-    block = module.append_block(region, inputs)
-    return op, region, block
+from conftest import new_func
 
 
 class TestTypes:
@@ -140,8 +126,7 @@ class TestAttributes:
 class TestCreateOp:
     def test_results_allocated_with_origin(self):
         m = IrModule()
-        _, _, block = empty_func(m, "f")
-        m.set_insertion(block)
+        _, block = new_func(m)
         a = create_op(m, "arith.constant", [], [ir.F32],
                       {"value": FloatAttr(1.0, ir.F32)})
         op = create_op(m, "arith.addf", [result(a), result(a)], [ir.F32])
@@ -150,15 +135,13 @@ class TestCreateOp:
 
     def test_terminator_inferred_from_attached_registry(self):
         m = IrModule(registry=dialects.builtin_registry())
-        _, _, block = empty_func(m, "f", (ir.F32,), ())
-        m.set_insertion(block)
+        _, block = new_func(m, "f", (ir.F32,), ())
         ret = create_op(m, "func.return", [block.arguments[0]], [])
         assert ret.is_terminator and ret.results == []
 
     def test_result_index_out_of_range(self):
         m = IrModule()
-        _, _, block = empty_func(m, "f")
-        m.set_insertion(block)
+        _, block = new_func(m)
         ret = create_op(m, "func.return", [], [], is_terminator=True)
         with pytest.raises(IrError):
             result(ret, 0)
@@ -166,8 +149,8 @@ class TestCreateOp:
     def test_operand_from_other_module_rejected(self):
         # both modules number their values from 0, so ids cannot tell them apart
         m1, m2 = IrModule(), IrModule()
-        _, _, b1 = empty_func(m1, "f", (ir.F32,), (ir.F32,))
-        _, _, b2 = empty_func(m2, "g", (ir.F32,), ())
+        _, b1 = new_func(m1, "f", (ir.F32,), (ir.F32,))
+        _, b2 = new_func(m2, "g", (ir.F32,), ())
         foreign, own = b1.arguments[0], b2.arguments[0]
         assert foreign.id == own.id
         assert m2.owns(own) and not m2.owns(foreign)
@@ -181,7 +164,7 @@ class TestCreateOp:
 
     def test_append_block_order_and_args(self):
         m = IrModule()
-        _, region, _ = empty_func(m, "f")
+        region, _ = new_func(m)
         b1 = m.append_block(region, [ir.I64])
         b2 = m.append_block(region, [])
         assert region.blocks[1] is b1 and region.blocks[2] is b2
@@ -192,8 +175,7 @@ class TestCreateOp:
 
 def build_sigmoid_like(module):
     """Single-block f32 function exercising constants and arithmetic."""
-    _, region, block = empty_func(module, "f", (ir.F32,), (ir.F32,))
-    module.set_insertion(block)
+    region, block = new_func(module, "f", (ir.F32,), (ir.F32,))
     cst = create_op(module, "arith.constant", [], [ir.F32],
                     {"value": FloatAttr(1.0, ir.F32)})
     add = create_op(module, "arith.addf",
@@ -209,23 +191,21 @@ class TestVerifier:
 
     def test_missing_terminator(self):
         m = IrModule()
-        _, _, block = empty_func(m, "f", (ir.F32,), ())
-        m.set_insertion(block)
+        _, block = new_func(m, "f", (ir.F32,), ())
         create_op(m, "arith.negf", [block.arguments[0]], [ir.F32])
         report = verify_module(m)
         assert "missing-terminator" in report.categories()
 
     def test_misplaced_terminator(self):
         m = IrModule()
-        _, _, block = empty_func(m, "f")
-        m.set_insertion(block)
+        _, block = new_func(m)
         create_op(m, "func.return", [], [], is_terminator=True)
         create_op(m, "func.return", [], [], is_terminator=True)
         assert "misplaced-terminator" in verify_module(m).categories()
 
     def test_dominance_violation(self):
         m = IrModule()
-        _, region, entry = empty_func(m, "f", (ir.F32,), ())
+        region, entry = new_func(m, "f", (ir.F32,), ())
         b1 = m.append_block(region, [])
         b2 = m.append_block(region, [])
         # value defined in b1 but used in b2, where b1 does not dominate b2
@@ -243,8 +223,7 @@ class TestVerifier:
 
     def test_use_before_def_same_block(self):
         m = IrModule()
-        _, _, block = empty_func(m, "f")
-        m.set_insertion(block)
+        _, block = new_func(m)
         neg_first = create_op(m, "arith.negf", [], [ir.F32])
         cst = create_op(m, "arith.constant", [], [ir.F32],
                         {"value": FloatAttr(1.0, ir.F32)})
@@ -256,7 +235,7 @@ class TestVerifier:
         # an edge from a dead block must not shrink the live block's
         # dominator set
         m = IrModule()
-        _, region, entry = empty_func(m, "f")
+        region, entry = new_func(m)
         live = m.append_block(region, [])
         dead = m.append_block(region, [])
         m.set_insertion(entry)
@@ -272,8 +251,8 @@ class TestVerifier:
 
     def test_bad_successor_wrong_region(self):
         m = IrModule()
-        _, _, b_f = empty_func(m, "f")
-        _, _, b_g = empty_func(m, "g")
+        _, b_f = new_func(m)
+        _, b_g = new_func(m, "g")
         m.set_insertion(b_f)
         create_op(m, "cf.br", [], [], successors=[(b_g, [])])
         m.set_insertion(b_g)
@@ -282,7 +261,7 @@ class TestVerifier:
 
     def test_bad_successor_arg_mismatch(self):
         m = IrModule()
-        _, region, entry = empty_func(m, "f")
+        region, entry = new_func(m)
         target = m.append_block(region, [ir.I64])
         m.set_insertion(entry)
         create_op(m, "cf.br", [], [], successors=[(target, [])])
@@ -292,16 +271,14 @@ class TestVerifier:
 
     def test_unknown_op_with_registry(self):
         m = IrModule(registry=dialects.builtin_registry())
-        _, _, block = empty_func(m, "f")
-        m.set_insertion(block)
+        _, block = new_func(m)
         create_op(m, "arith.bogus", [], [])
         create_op(m, "func.return", [], [], is_terminator=True)
         assert "unknown-op" in verify_module(m).categories()
 
     def test_arity_mismatch_with_registry(self):
         m = IrModule(registry=dialects.builtin_registry())
-        _, _, block = empty_func(m, "f", (ir.F32,), ())
-        m.set_insertion(block)
+        _, block = new_func(m, "f", (ir.F32,), ())
         create_op(m, "arith.addf", [block.arguments[0]], [ir.F32])
         create_op(m, "func.return", [], [], is_terminator=True)
         assert "arity-mismatch" in verify_module(m).categories()
@@ -309,15 +286,13 @@ class TestVerifier:
     def test_duplicate_symbols(self):
         m = IrModule()
         for _ in range(2):
-            _, _, block = empty_func(m, "f")
-            m.set_insertion(block)
+            _, block = new_func(m)
             create_op(m, "func.return", [], [], is_terminator=True)
         assert "duplicate-symbol" in verify_module(m).categories()
 
     def test_return_types_checked_against_function_type(self):
         m = IrModule()
-        _, _, block = empty_func(m, "f", (ir.F64,), (ir.I64,))
-        m.set_insertion(block)
+        _, block = new_func(m, "f", (ir.F64,), (ir.I64,))
         create_op(m, "func.return", [block.arguments[0]], [], is_terminator=True)
         (d,) = verify_module(m).diagnostics
         assert (d.category, d.op) == ("function-type", "func.return")
@@ -330,11 +305,9 @@ class TestVerifier:
     ])
     def test_call_types_checked_against_callee(self, arg_type, result_type, bad):
         m = IrModule()
-        _, _, g = empty_func(m, "g", (ir.F32,), (ir.F32,))
-        m.set_insertion(g)
+        _, g = new_func(m, "g", (ir.F32,), (ir.F32,))
         create_op(m, "func.return", [g.arguments[0]], [], is_terminator=True)
-        _, _, f = empty_func(m, "f", (arg_type,), (result_type,))
-        m.set_insertion(f)
+        _, f = new_func(m, "f", (arg_type,), (result_type,))
         call = create_op(m, "func.call", [f.arguments[0]], [result_type],
                          {"callee": SymbolAttr("g")})
         create_op(m, "func.return", [result(call)], [], is_terminator=True)
@@ -344,8 +317,7 @@ class TestVerifier:
 
     def test_collects_multiple_diagnostics(self):
         m = IrModule(registry=dialects.builtin_registry())
-        _, _, block = empty_func(m, "f", (ir.F32,), ())
-        m.set_insertion(block)
+        _, block = new_func(m, "f", (ir.F32,), ())
         create_op(m, "arith.addf", [block.arguments[0]], [ir.F32])
         create_op(m, "arith.bogus", [], [])
         report = verify_module(m)
@@ -445,7 +417,7 @@ class TestPrinter:
         assert "^bb0" not in print_module(m)
 
         m2 = IrModule()
-        _, region, entry = empty_func(m2, "g")
+        region, entry = new_func(m2, "g")
         b1 = m2.append_block(region, [])
         m2.set_insertion(entry)
         create_op(m2, "cf.br", [], [], successors=[(b1, [])])
@@ -458,8 +430,7 @@ class TestPrinter:
     def test_value_numbering_per_symbol(self):
         m = IrModule()
         for name in ("f", "g"):
-            _, _, block = empty_func(m, name, (ir.F32,), (ir.F32,))
-            m.set_insertion(block)
+            _, block = new_func(m, name, (ir.F32,), (ir.F32,))
             neg = create_op(m, "arith.negf", [block.arguments[0]], [ir.F32])
             create_op(m, "func.return", [result(neg)], [], is_terminator=True)
         text = print_module(m)
@@ -467,8 +438,7 @@ class TestPrinter:
 
     def test_constants_named_cst(self):
         m = IrModule()
-        _, _, block = empty_func(m, "f")
-        m.set_insertion(block)
+        _, block = new_func(m)
         create_op(m, "arith.constant", [], [ir.F32], {"value": FloatAttr(1.0, ir.F32)})
         create_op(m, "arith.constant", [], [ir.F32], {"value": FloatAttr(2.0, ir.F32)})
         create_op(m, "func.return", [], [], is_terminator=True)
@@ -478,8 +448,7 @@ class TestPrinter:
 
     def test_index_cast(self):
         m = IrModule()
-        _, _, block = empty_func(m, "f", (ir.I64,), (ir.INDEX,))
-        m.set_insertion(block)
+        _, block = new_func(m, "f", (ir.I64,), (ir.INDEX,))
         twice = create_op(m, "arith.addi", [block.arguments[0]] * 2, [ir.I64])
         cast = create_op(m, "arith.index_cast", [result(twice)], [ir.INDEX])
         create_op(m, "func.return", [result(cast)], [], is_terminator=True)
