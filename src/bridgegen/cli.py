@@ -147,54 +147,65 @@ _RANGE_RE = re.compile(
 _REPEAT_RE = re.compile(r"(-?\d+(?:\.\d+)?)\s*[x×]\s*(\d+)")
 
 
-def _parse_array_body(body: str):
+def _parse_array_body(body: str, number):
+    """The elements ``body`` spells, each read by ``number`` (int or float);
+    raises ValueError on one it refuses."""
     import numpy as np
     body = body.strip()
     m = _RANGE_RE.fullmatch(body)
     if m:
-        lo, hi = float(m.group(1)), float(m.group(2))
-        step = float(m.group(3)) if m.group(3) else 1.0
+        lo, hi, step = number(m.group(1)), number(m.group(2)), number(m.group(3) or "1")
         if step == 0:
             raise ValueError("zero range step")
+        if number is int:
+            return list(range(lo, hi + (1 if step > 0 else -1), step))
         return [float(v) for v in np.arange(lo, hi + step / 2, step)]
     m = _REPEAT_RE.fullmatch(body)
     if m:
-        return [float(m.group(1))] * int(m.group(2))
+        return [number(m.group(1))] * int(m.group(2))
     if not body:
         return []
-    return [float(p) for p in body.split(",")]
+    return [number(p) for p in body.split(",")]
 
 
 def parse_runtime_input(text: str, expected: ir.IrType) -> interp.RuntimeValue:
     """Parse one CLI input literal against the expected IR type.
 
     Scalars: ``2.0``, ``3``, ``true``. Buffers: ``[1,2,3]:f32``,
-    ``[1..8]:f32`` (inclusive range), ``[0x8]:f32`` (value x count).
+    ``[1..8]:f32`` (inclusive range), ``[0x8]:f32`` (value x count). An
+    integer scalar or buffer element (i1, i64, index) takes integer
+    literals only.
     """
     from . import interp
     text = text.strip()
+    if bad := fir.overlong_number(text):
+        raise CliError(f"input: {bad[1]}")
     m = re.fullmatch(r"\[(.*)\]\s*:\s*(f32|f64|i64|index)", text)
     if m:
         if not isinstance(expected, (ir.TensorType, ir.MemRefType)):
             raise CliError(f"'{text}' is a buffer but {expected} was expected")
-        try:
-            data = _parse_array_body(m.group(1))
-        except ValueError:
-            raise CliError(f"cannot parse buffer literal '{text}'") from None
         declared = {"f32": ir.F32, "f64": ir.F64, "i64": ir.I64,
                     "index": ir.INDEX}[m.group(2)]
         if declared != expected.elem:
             raise CliError(
                 f"'{text}' has element type {declared}, expected {expected.elem}")
-        return interp.value_of_type(expected, data)
+        number = int if m.group(2) in ("i64", "index") else float
+        try:
+            return interp.value_of_type(expected, _parse_array_body(m.group(1), number))
+        except ValueError:
+            raise CliError(f"cannot parse buffer literal '{text}'") from None
+        except OverflowError:
+            raise CliError(f"an element of '{text}' does not fit in int64") from None
     if isinstance(expected, (ir.TensorType, ir.MemRefType)):
         raise CliError(f"expected a buffer literal like [1,2,3]:f32, got '{text}'")
     if text in ("true", "false"):
         return interp.value_of_type(expected, 1 if text == "true" else 0)
+    integral = isinstance(expected, (ir.IntType, ir.IndexType))
     try:
-        raw = float(text) if ("." in text or "e" in text) else int(text)
+        raw = float(text) if not integral and ("." in text or "e" in text) else int(text)
     except ValueError:
-        raise CliError(f"cannot parse input literal '{text}'") from None
+        raise CliError(f"{expected} input '{text}' is not an integer literal" if integral
+                       else f"cannot parse input literal '{text}'") from None
     return interp.value_of_type(expected, raw)
 
 

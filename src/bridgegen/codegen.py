@@ -261,49 +261,25 @@ def _default_return(ctx: BuilderContext, values):
 
 
 def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValue:
-    """One deduplicated arith.constant in the entry block per (value, type).
+    """One deduplicated arith.constant in the entry block per (value, type)
+    for the FIR literal as a value of ``target_type``, which must hold it
+    (``fir.literal_fits``).
 
     Float values are told apart by their bits at the type's width, not by
     ``==``.
     """
-    ir_types = map_type(ctx.registry, target_type)
-    if len(ir_types) != 1 or not ir.is_scalar(ir_types[0]):
-        raise CodegenError(f"cannot materialize a literal of type {target_type}")
-    t = ir_types[0]
-
-    value = literal.value if isinstance(literal, fir.FirArg) else literal
+    if not fir.literal_fits(target_type, literal):
+        raise CodegenError(f"literal {literal} is not a value of {target_type}")
+    t = map_type(ctx.registry, target_type)[0]
     if isinstance(t, (ir.Float32Type, ir.Float64Type)):
-        if isinstance(value, bool):
-            raise CodegenError(f"boolean literal is not representable as {t}")
-        if isinstance(value, int):
-            limit = 2 ** 24 if isinstance(t, ir.Float32Type) else 2 ** 53
-            if abs(value) > limit:
-                raise CodegenError(
-                    f"integer literal {value} is not exactly representable as {t}")
-        value = float(value)
-        attr = ir.FloatAttr(value, t)
-    elif isinstance(t, ir.IntType):
-        if isinstance(value, float):
-            if value != int(value):
-                raise CodegenError(
-                    f"literal {value} is not representable as {t}")
-            value = int(value)
-        value = int(value)
-        half = 2 ** (t.width - 1)
-        if not -half <= value < 2 * half:
-            raise CodegenError(f"literal {value} does not fit in {t}")
-        attr = ir.IntAttr(value, t)
-    else:  # index
-        if isinstance(value, float) or isinstance(value, bool):
-            raise CodegenError(f"literal {value!r} is not representable as index")
-        attr = ir.IntAttr(int(value), t)
-
-    # floats by bit pattern at the declared width: 0.0 and -0.0 stay apart,
-    # equal NaNs and literals that round to one f32 merge
-    key = attr.value
-    if isinstance(attr, ir.FloatAttr):
-        key = struct.pack("<d", ir.to_f32(key) if isinstance(t, ir.Float32Type) else key)
-    key = (key, t)
+        attr = ir.FloatAttr(float(literal.value), t)
+        # by bit pattern at the declared width: 0.0 and -0.0 stay apart,
+        # equal NaNs and literals that round to one f32 merge
+        key = struct.pack("<d", ir.to_f32(attr.value)
+                          if isinstance(t, ir.Float32Type) else attr.value), t
+    else:
+        attr = ir.IntAttr(int(literal.value), t)
+        key = attr.value, t
     cached = ctx.constants.get(key)
     if cached is not None:
         return cached
@@ -321,18 +297,19 @@ def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValu
 
 
 def _is_literal(arg) -> bool:
-    return isinstance(arg, (fir.IntLit, fir.FloatLit, fir.BoolLit))
+    return not isinstance(arg, (fir.SsaRef, fir.ParamRef))
 
 
 def _resolve_call(registry: IntrinsicRegistry, name: str, args, natural_types):
     """Dispatch with literal promotion: natural types first, then retry
     admitting literal arguments wherever they promote to the parameter type.
 
-    Both steps are memoised in ``registry.dispatch_cache``. A natural-type
-    result holds whatever the literal values, so it is keyed on the name
-    and types alone; a promoted one is keyed on each literal argument's
-    value too, because promotion depends on it (``3`` promotes to f32,
-    ``2**25`` does not).
+    Both steps ask ``fir.admits`` and are memoised in
+    ``registry.dispatch_cache``. A natural-type result is keyed on the name
+    and types alone, and holds when each literal is a value of its natural
+    type (``2**64`` is not an i64); a promoted one is keyed on each literal
+    argument's value too, because promotion depends on it (``3`` promotes
+    to f32, ``2**25`` does not).
     """
     cache = registry.dispatch_cache
     key = (name, tuple(natural_types))
@@ -341,14 +318,15 @@ def _resolve_call(registry: IntrinsicRegistry, name: str, args, natural_types):
             cache[key] = resolve_method(registry, name, key[1])
         except NoMethodError:
             cache[key] = None  # only literal promotion can match
-    if cache[key] is not None:
-        return cache[key]
+    if cache[key] is not None and all(map(fir.admits, key[1], args, key[1])):
+        return cache[key]  # each literal is a value of its natural type
     probe = IntrinsicSignature(name, key[1])
     if not any(_is_literal(a) for a in args):
         raise NoMethodError(f"no method matching {probe}")
     key += (tuple(a.value if _is_literal(a) else None for a in args),)
     if key not in cache:
-        cache[key] = _most_specific(probe, " (with literal promotion)", [
+        literals = ", ".join(str(a) for a in args if _is_literal(a))
+        cache[key] = _most_specific(probe, f" (with literal promotion of {literals})", [
             (sig, builder)
             for sig, builder in registry.methods.get(name, [])
             if len(sig.param_types) == len(args) and all(
@@ -374,18 +352,12 @@ class _Translator:
         t = literal_type
         if t is None or not isinstance(t, fir.Concrete):
             t = self.type_of(arg)
-        return [materialize_constant(ctx, arg.value, t)]
+        return [materialize_constant(ctx, arg, t)]
 
     def phi_edge_args(self, target: int, pred: int):
         """Values a branch from ``pred`` must pass for ``target``'s phis."""
-        out = []
-        for phi, _, _, incoming in self.ctx.phi_slots.get(target, []):
-            if pred not in incoming:
-                raise CodegenError(
-                    f"phi %{phi.id} in block {target} has no incoming value "
-                    f"for predecessor #{pred}")
-            out.extend(self.arg_values(incoming[pred], phi.result_type))
-        return out
+        return [v for phi, _, _, incoming in self.ctx.phi_slots.get(target, ())
+                for v in self.arg_values(incoming[pred], phi.result_type)]
 
     def translate_invoke(self, st: fir.Invoke, block_number: int):
         ctx = self.ctx
@@ -502,8 +474,6 @@ def _prepare_blocks(ctx: BuilderContext, fn: fir.FirFunction, entry_types):
             ctx.phi_slots[number] = slots
         ctx.block_map[number] = block
     ctx.entry_block = ctx.block_map[1]
-    if any(isinstance(st, fir.Phi) for st in fn.blocks[0]):
-        raise CodegenError("phi in the entry block is not supported")
 
 
 def _translate_into(ctx: BuilderContext, fn: fir.FirFunction, type_of):

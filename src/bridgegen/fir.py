@@ -12,6 +12,7 @@ translation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -131,7 +132,7 @@ _PARENT = {
 def subtype(a: FrontendType, b: FrontendType) -> bool:
     """Partial order with Any on top; concrete types are minimal. ``a`` is
     walked up the lattice: an abstract type's parent is Any."""
-    while a != b:
+    while a is not b and a != b:
         if isinstance(a, AnyFrontend):
             return False
         a = _PARENT.get(a.name, ANY) if isinstance(a, Concrete) else ANY
@@ -140,22 +141,35 @@ def subtype(a: FrontendType, b: FrontendType) -> bool:
 
 def admits(t: FrontendType, arg, natural: FrontendType) -> bool:
     """Whether argument ``arg`` of type ``natural`` may stand for a value of
-    type ``t``: a subtype, or a literal that promotes to ``t``."""
-    if subtype(natural, t):
-        return True
+    type ``t``: an argument of a subtype, or a literal that fits ``t``, or
+    its natural type where ``t`` is abstract."""
+    if arg.__class__ not in _NATURAL:
+        return subtype(natural, t)
+    if not isinstance(t, Concrete):
+        return subtype(natural, t) and literal_fits(natural, arg)
+    return literal_fits(t, arg)
+
+
+def literal_fits(t: FrontendType, literal) -> bool:
+    """Whether the literal is a value of type ``t``: the literal rule of
+    dispatch, inlining, validation and constant materialization (see
+    ``_INTEGERS``)."""
     if not isinstance(t, Concrete):
         return False
-    if isinstance(arg, BoolLit):
-        return t in (BOOL, I1)
-    if isinstance(arg, IntLit):
-        if t in (I64, INDEX):
-            return True
-        if t == F32:
-            return abs(arg.value) <= 2 ** 24
-        if t == F64:
-            return abs(arg.value) <= 2 ** 53
-        return t in (I1, BOOL) and arg.value in (0, 1)
-    return isinstance(arg, FloatLit) and t in (F32, F64)
+    if literal.__class__ is FloatLit:
+        return t.name in ("f32", "f64")
+    bounds = _INTEGERS.get(t.name)
+    return (bounds is not None and (literal.__class__ is IntLit or t.name in ("i1", "Bool"))
+            and bounds[0] <= literal.value <= bounds[1])
+
+
+# The literal table: the integers each type holds (f32 and f64 exactly, i64
+# wrapping to its bits) are the integer literals it takes; true and false
+# are the values 1 and 0 of i1 and Bool only; a float literal is an f32 or
+# f64 value only.
+_INTEGERS = {"f32": (-2 ** 24, 2 ** 24), "f64": (-2 ** 53, 2 ** 53),
+             "i64": (-2 ** 63, 2 ** 64 - 1), "index": (-math.inf, math.inf),
+             "i1": (0, 1), "Bool": (0, 1)}
 
 
 def frontend_type_text(t: FrontendType) -> str:
@@ -640,10 +654,15 @@ def arg_typer(fn: FirFunction):
 
 
 def validate_fir(fn: FirFunction):
-    """Check the structural invariants; returns all violations as strings."""
+    """Check the structural invariants; returns all violations as strings.
+
+    Phis: none in block 1, where a caller enters; every incoming from a
+    predecessor, and in a reachable block one from each reachable
+    predecessor; each literal incoming a value of the phi's type.
+    """
     violations = []
     n = fn.n_blocks()
-    preds = predecessors(fn)
+    preds, reach = predecessors(fn), reachable_blocks(fn)
 
     for bi, block in enumerate(fn.blocks, start=1):
         for st in block[:-1]:
@@ -657,14 +676,20 @@ def validate_fir(fn: FirFunction):
         head = True
         for st in block:
             if isinstance(st, Phi):
+                where = f"block {bi}: phi %{st.id}"
                 if not head:
-                    violations.append(
-                        f"block {bi}: phi %{st.id} not at the start of the block")
+                    violations.append(f"{where} not at the start of the block")
+                if bi == 1:
+                    violations.append(f"{where} in the entry block")
                 covered = {p for p, _ in st.incomings}
-                for p in covered:
-                    if p not in preds[bi]:
-                        violations.append(
-                            f"block {bi}: phi %{st.id} references non-predecessor #{p}")
+                violations += [f"{where} references non-predecessor #{p}"
+                               for p in covered if p not in preds[bi]]
+                if bi in reach:
+                    violations += [f"{where} has no incoming from predecessor #{p}"
+                                   for p in preds[bi] if p in reach and p not in covered]
+                violations += [f"{where}: literal {a} is not a value of {st.result_type}"
+                               for _, a in st.incomings if a.__class__ in _NATURAL
+                               and not literal_fits(st.result_type, a)]
             else:
                 head = False
 

@@ -944,20 +944,23 @@ def _collide(lanes: _Lanes, owners) -> bool:
 
 
 def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
-               step_limit: int = DEFAULT_STEP_LIMIT, reverse: bool = False):
+               step_limit: int = DEFAULT_STEP_LIMIT):
     """Run @symbol once per (block, thread) coordinate; returns ``inputs``.
 
-    Threads are numbered in launch order, lexicographically over
-    (block x,y,z, thread x,y,z), so thread ``g`` is thread ``g % T`` of
-    block ``g // T`` for ``T`` threads a block; ``reverse`` visits them
-    backwards. Buffer mutations through memref.store are visible in the
-    returned inputs. Each thread has the whole step budget. A kernel with a
-    lane form runs in lockstep batches of at most LANES consecutive threads,
-    which may span grid blocks. Once a batch that spans blocks falls back,
-    it and every later batch end at block boundaries.
+    A kernel returns nothing: @symbol's type may have no results. Threads
+    run in launch order, lexicographically over (block x,y,z, thread
+    x,y,z), so thread ``g`` is thread ``g % T`` of block ``g // T`` for
+    ``T`` threads a block. Buffer mutations through memref.store are
+    visible in the returned inputs. Each thread has the whole step budget.
+    A kernel with a lane form runs in lockstep batches of at most LANES
+    consecutive threads, which may span grid blocks. Once a batch that
+    spans blocks falls back, it and every later batch end at block
+    boundaries.
     """
     run, inputs = _Run(module, step_limit), list(inputs)
     body = run.function(symbol, inputs)  # decoded if a thread runs on its own
+    if run.funcs[symbol][0].results:
+        raise InterpError(f"@{symbol} cannot be launched: a kernel returns no values")
     args = [_unbox(v) for v in inputs]
     total = math.prod(launch.grid + launch.block)
     code = total >= MIN_LANES and _decode(body.region, lanes=True)  # no batch is smaller
@@ -972,14 +975,11 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
         code = None  # a thread's budget, coordinates or buffers lanes cannot track
     n, (bx, by, bz) = math.prod(launch.block), launch.block
     dims, owners, coords = code and tuple(map(np.int64, launch.block)), {}, (None,)
-    lo = hi = total if reverse else 0  # the batch [lo, hi) of thread numbers
+    hi = 0  # the batch [lo, hi) of thread numbers
     per_block, b = False, None  # b: the block of the last thread run on its own
     with np.errstate(all="ignore"):
-        while (lo > 0) if reverse else (hi < total):
-            if reverse:
-                lo, hi = max(lo - LANES, (lo - 1) // n * n if per_block else 0), lo
-            else:
-                lo, hi = hi, min(hi + LANES, (hi // n + 1) * n if per_block else total)
+        while hi < total:
+            lo, hi = hi, min(hi + LANES, (hi // n + 1) * n if per_block else total)
             if code and hi - lo >= MIN_LANES:
                 first, last = lo // n, (hi - 1) // n  # the batch's first and last block
                 if coords[0] != (lo % n, hi - lo):  # the same at each offset in a block
@@ -991,10 +991,9 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                 if _lockstep(code, lane_args, _Lanes(ctx), owners):
                     continue
                 if first != last:  # rerun this batch, and run the rest, block by block
-                    per_block = True
-                    lo, hi = (hi, hi) if reverse else (lo, lo)
+                    per_block, hi = True, lo
                     continue
-            for g in range(lo, hi)[::-1] if reverse else range(lo, hi):
+            for g in range(lo, hi):
                 run.steps = 0
                 x, y, z = _unravel(g % n, launch.block)
                 if g // n != b:

@@ -313,6 +313,33 @@ class TestRun:
         assert cli.main(argv + ["-1"]) == 1
         assert "missing launch config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, inputs, out, err", [
+        ("max", ["3", "7"], "7\n", ""),
+        ("max", ["3", "7.9"], "", "i64 input '7.9' is not an integer literal"),
+        ("max", ["3", "1e400"], "", "i64 input '1e400' is not an integer literal"),
+        ("buf", ["[1..4]:i64"], "[1, 2, 3, 4]\n", ""),
+        ("buf", ["[7.9, 2]:i64"], "", "cannot parse buffer literal '[7.9, 2]:i64'"),
+        ("buf", ["[1e30]:i64"], "", "cannot parse buffer literal '[1e30]:i64'"),
+        ("buf", ["[99999999999999999999]:i64"], "",
+         "an element of '[99999999999999999999]:i64' does not fit in int64"),
+    ])
+    def test_integer_inputs_take_integer_literals(self, tmp_path, capsys, entry, inputs,
+                                                  out, err):
+        p = tmp_path / "ints.fir"
+        p.write_text(MAX_FIR + "fn buf(_1: memref{i64,1})\n1:\n  return _1\n")
+        types = "i64,i64" if entry == "max" else "memref{i64,1}"
+        code = cli.main(["run", str(p), "--entry", entry, "--types", types, "--", *inputs])
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (1 if err else 0, out,
+                                            err and f"error: {err}\n")
+
+    def test_launch_of_a_function_with_results(self, sigmoid_path, capsys):
+        code = cli.main(["run", sigmoid_path, "--entry", "sigmoid", "--types", "f32",
+                         "--launch", "1,1,1,2,1,1", "--", "2.0"])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (
+            1, "", "error: @sigmoid cannot be launched: a kernel returns no values\n")
+
     def test_out_of_bounds_exit_1(self, vadd_path, capsys):
         code = cli.main([
             "run", vadd_path, "--entry", "vadd", "--types", VADD_TYPES_FLAG,
@@ -422,6 +449,9 @@ class TestEinsum:
 
 
 LONG = "1" * 5000  # past int()'s default limit of 4300 digits
+PHI_OF_LITERAL = ("fn f(_1: i64)\n1:\n  %1 = invoke <(_1, 0) :: Bool\n"
+                  "  goto #3 ifnot %1\n2:\n  goto #3\n"
+                  "3:\n  %2 = phi (#2 => {literal}, #1 => 0) :: {type}\n  return %2\n")
 PLUS_ONE = "fn f(_1: i64)\n1:\n  %1 = invoke +(_1, 1) :: i64\n  return %1\n"
 WIDE = "Complex{" * 18 + "f64" + "}" * 18
 
@@ -549,19 +579,45 @@ class TestDiagnostics:
             assert code == 1 and out.out == ""
             assert out.err == f"error: f: %1 = invoke {call}: {message}\n"
 
-    @pytest.mark.parametrize("text, types, message", [
+    @pytest.mark.parametrize("text, message", [
         ("fn f(_1: i64)\n1:\n  %1 = invoke <(_1, 0) :: Bool\n  goto #3 ifnot %1\n"
-         "2:\n  goto #3\n3:\n  %2 = phi (#2 => _1) :: i64\n  return %2\n", "i64",
-         "phi %2 in block 3 has no incoming value for predecessor #1"),
+         "2:\n  goto #3\n3:\n  %2 = phi (#2 => _1) :: i64\n  return %2\n",
+         "f: block 3: phi %2 has no incoming from predecessor #1"),
+        ("fn f(_1: i64)\n1:\n  %1 = phi () :: i64\n  return _1\n",
+         "f: block 1: phi %1 in the entry block"),
+        ("fn f(_1: i64)\n1:\n  %1 = invoke g(_1) :: i64\n  return %1\n"
+         "fn g(_1: i64)\n1:\n  %2 = phi (#2 => _1) :: i64\n"
+         "  %3 = invoke <(%2, 10) :: Bool\n  goto #3 ifnot %3\n2:\n  goto #1\n"
+         "3:\n  return %2\n",
+         "g: block 1: phi %2 in the entry block"),
+        (PHI_OF_LITERAL.format(literal="true", type="i64"),
+         "f: block 3: phi %2: literal true is not a value of i64"),
+        (PHI_OF_LITERAL.format(literal="3.0", type="i64"),
+         "f: block 3: phi %2: literal 3.0 is not a value of i64"),
+        (PHI_OF_LITERAL.format(literal="true", type="index"),
+         "f: block 3: phi %2: literal true is not a value of index"),
+    ], ids=["phi-missing-incoming", "entry-phi", "callee-entry-phi", "true-as-i64",
+            "float-as-i64", "true-as-index"])
+    def test_validation_rejects(self, tmp_path, capsys, text, message):
+        # phi structure is validate_fir's, in the numbering of the file
+        code = self.gen(tmp_path, text)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (1, "", f"error: {tmp_path / 'f.fir'}: {message}\n")
+
+    @pytest.mark.parametrize("text, types, message", [
         ("fn f(_1: i64)\n1:\n  %1 = invoke bool_conversion_intrinsic(_1, _1) :: Bool\n"
          "  return _1\n", "i64",
          "%1: bool_conversion_intrinsic takes one argument"),
-        ("fn f(_1: i64)\n1:\n  %1 = phi () :: i64\n  return _1\n", "i64",
-         "phi in the entry block is not supported"),
         ("fn f(_1: f64)\n1:\n  goto #3 ifnot _1\n2:\n  return _1\n3:\n  return _1\n",
          "f64", "%1: no bool conversion registered for condition type f64"),
-    ], ids=["phi-missing-incoming", "two-argument-conversion", "entry-phi",
-            "f64-condition"])
+        ("fn f(_1: i64)\n1:\n  goto #3 ifnot 1.0\n2:\n  return 1\n3:\n  return 2\n",
+         "i64", "literal 1.0 is not a value of Bool"),
+        ("fn f(_1: i64)\n1:\n  goto #3 ifnot -1\n2:\n  return 1\n3:\n  return 2\n",
+         "i64", "literal -1 is not a value of Bool"),
+        ("fn f(_1: i64)\n1:\n  goto #1\n", "i64",
+         "the entry block may not be a branch target"),
+    ], ids=["two-argument-conversion", "f64-condition", "float-condition",
+            "negative-condition", "goto-entry"])
     def test_codegen_rejects(self, tmp_path, capsys, text, types, message):
         code = self.gen(tmp_path, text, types)
         out = capsys.readouterr()
@@ -612,9 +668,19 @@ def token_mutants(sources, count, rng):
     return out
 
 
+# runtime inputs that Gate B swaps in, one per mutant: kinds and sizes that
+# do not match, values at and past the integer limits, bad buffer literals
+RUNTIME_INPUTS = ["7.9", "1e400", "-1", "true", "9223372036854775808", "-0.0", "nan",
+                  "3", "2.0", "[7.9]:f32", "[7.9, 2]:i64", "[1e30]:i64",
+                  "[99999999999999999999]:i64", "[1..8]:i64", "[1..8]:index", "[]:f32",
+                  "[1..8..0]:f32", "[0x2]:f64", "[1..3]:f32"]
+
+
 def test_token_mutants_never_fail_internally(tmp_path, capsys, monkeypatch):
     """Gate: seeded token mutants of the demos and of random conftest
-    programs get exit 0, 1 or 2 from ``gen`` and ``run``, never a defect."""
+    programs get exit 0, 1 or 2 from ``gen`` and ``run``, never a defect;
+    so does each ``run`` with one runtime input swapped for one of
+    RUNTIME_INPUTS."""
     sources = []
     for name in ("sigmoid", "max", "vadd"):
         with open(os.path.join(DEMO_DIR, f"{name}.fir"), encoding="utf-8") as f:
@@ -623,12 +689,16 @@ def test_token_mutants_never_fail_internally(tmp_path, capsys, monkeypatch):
     sources += [("f", print_fir(random_fir_function(rng))) for _ in range(3)]
     monkeypatch.setenv(cli.STEP_LIMIT_ENV, "200")
     path = tmp_path / "mutant.fir"
+    inputs_rng = random.Random(13)
     for entry, text in token_mutants(sources, 500, rng):
         path.write_text(text)
         types, run_args = FUZZ_RUN_ARGS[entry]
+        swapped = list(run_args)
+        swapped[inputs_rng.randrange(run_args.index("--") + 1, len(run_args))] = (
+            inputs_rng.choice(RUNTIME_INPUTS))
+        run = ["run", str(path), "--entry", entry, "--types", types]
         for argv in (["gen", str(path), "--entry", entry, "--types", types],
-                     ["run", str(path), "--entry", entry, "--types", types,
-                      *run_args]):
+                     run + run_args, run + swapped):
             code = cli.main(argv)
             err = capsys.readouterr().err
             assert code in (0, 1, 2), (argv, text)

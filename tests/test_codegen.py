@@ -195,7 +195,8 @@ class TestDispatchCache:
             return generate(reg, fir.parse_program(text).functions["f"], [])
 
         assert "arith.constant 3.0 : f32" in ir.print_module(call_with(3))
-        with pytest.raises(NoMethodError, match="with literal promotion"):
+        with pytest.raises(NoMethodError,
+                           match=r"g\(i64\) \(with literal promotion of 33554432\)"):
             call_with(2 ** 25)
 
 
@@ -240,39 +241,39 @@ def scalar_ctx(registry):
 class TestMaterialize:
     def test_dedup_promoted_int_and_float(self, registry):
         ctx = scalar_ctx(registry)
-        a = materialize_constant(ctx, 1, fir.F32)
-        b = materialize_constant(ctx, 1.0, fir.F32)
+        a = materialize_constant(ctx, fir.IntLit(1), fir.F32)
+        b = materialize_constant(ctx, fir.FloatLit(1.0), fir.F32)
         assert a is b
         assert sum(op.name == "arith.constant"
                    for op in ctx.entry_block.operations) == 1
 
     def test_int_constant(self, registry):
         ctx = scalar_ctx(registry)
-        v = materialize_constant(ctx, 1, fir.I64)
+        v = materialize_constant(ctx, fir.IntLit(1), fir.I64)
         assert v.type == ir.I64
         op = ctx.entry_block.operations[0]
         assert op.attributes["value"] == ir.IntAttr(1, ir.I64)
 
     def test_keyed_by_type(self, registry):
         ctx = scalar_ctx(registry)
-        a = materialize_constant(ctx, 0.5, fir.F64)
-        b = materialize_constant(ctx, 0.5, fir.F32)
+        a = materialize_constant(ctx, fir.FloatLit(0.5), fir.F64)
+        b = materialize_constant(ctx, fir.FloatLit(0.5), fir.F32)
         assert a is not b
         assert a.type == ir.F64 and b.type == ir.F32
 
     def test_unrepresentable_literal(self, registry):
         ctx = scalar_ctx(registry)
-        with pytest.raises(CodegenError, match="not exactly representable"):
-            materialize_constant(ctx, 2 ** 24 + 1, fir.F32)
+        with pytest.raises(CodegenError, match="literal 16777217 is not a value of f32"):
+            materialize_constant(ctx, fir.IntLit(2 ** 24 + 1), fir.F32)
         # boundary value is fine
-        materialize_constant(ctx, 2 ** 24, fir.F32)
+        materialize_constant(ctx, fir.IntLit(2 ** 24), fir.F32)
 
     def test_signed_zeros_kept_apart_and_nans_merged(self, registry):
         ctx = scalar_ctx(registry)
-        assert (materialize_constant(ctx, 0.0, fir.F64)
-                is not materialize_constant(ctx, -0.0, fir.F64))
-        assert (materialize_constant(ctx, float("nan"), fir.F64)
-                is materialize_constant(ctx, float("nan"), fir.F64))
+        assert (materialize_constant(ctx, fir.FloatLit(0.0), fir.F64)
+                is not materialize_constant(ctx, fir.FloatLit(-0.0), fir.F64))
+        assert (materialize_constant(ctx, fir.FloatLit(float("nan")), fir.F64)
+                is materialize_constant(ctx, fir.FloatLit(float("nan")), fir.F64))
 
     def test_f32_literals_deduplicated_at_f32(self, registry):
         # keyed on the literal's double, these four made four constants
@@ -290,8 +291,9 @@ fn f(_1: f32)
                      for op in walk_ops(module) if op.name == "arith.constant"]
         assert constants == ["0x7F800000", "0.1"]
         ctx = scalar_ctx(registry)
-        assert (materialize_constant(ctx, 0.1, fir.F64)
-                is not materialize_constant(ctx, 0.10000000149011612, fir.F64))
+        assert (materialize_constant(ctx, fir.FloatLit(0.1), fir.F64)
+                is not materialize_constant(ctx, fir.FloatLit(0.10000000149011612),
+                                         fir.F64))
 
     def test_negative_zero_literal_survives_generation(self, registry):
         # 0.0 and -0.0 used to share one constant, so -0.0 + -0.0 gave 0.0
@@ -313,9 +315,54 @@ fn f(_1: f64, _2: f64)
         ctx = scalar_ctx(registry)
         ctx.build_op("gpu.thread_id",
                      attributes={"dimension": ir.StringAttr("x")})
-        materialize_constant(ctx, 3, fir.I64)
+        materialize_constant(ctx, fir.IntLit(3), fir.I64)
         names = [op.name for op in ctx.entry_block.operations]
         assert names == ["arith.constant", "gpu.thread_id"]
+
+
+LITERAL_TEXTS = ["0", "1", "-1", str(2 ** 24), str(2 ** 24 + 1), str(2 ** 53 + 1),
+                 str(2 ** 63), str(2 ** 64), str(-2 ** 63 - 1), "1.0", "3.5", "1e400",
+                 "true", "false"]
+INTEGERS = LITERAL_TEXTS[:9]
+ADMITTED = {  # type -> the literals of LITERAL_TEXTS it admits
+    "f32": INTEGERS[:4] + ["1.0", "3.5", "1e400"],
+    "f64": INTEGERS[:5] + ["1.0", "3.5", "1e400"],
+    "i64": INTEGERS[:7],
+    "i1": ["0", "1", "true", "false"],
+    "Bool": ["0", "1", "true", "false"],
+    "index": INTEGERS,
+}
+
+
+@pytest.mark.parametrize("type_text", list(ADMITTED))
+@pytest.mark.parametrize("literal_text", LITERAL_TEXTS)
+def test_one_literal_rule(registry, literal_text, type_text):
+    """Dispatch promotion, a phi incoming through compile_program and
+    materialize_constant each take a literal at a type exactly when
+    fir.literal_fits does."""
+    t = fir.parse_frontend_type(type_text)
+    fn = fir.parse_program(f"fn f()\n1:\n  return {literal_text}\n").functions["f"]
+    literal = fn.blocks[0][0].value
+    probe = IntrinsicRegistry()
+    register_intrinsic(probe, IntrinsicSignature("probe", (t,)), dummy_builder)
+    phi = (f"fn f(_1: Bool, _2: {t})\n1:\n  goto #3 ifnot _1\n2:\n  goto #3\n"
+           f"3:\n  %1 = phi (#1 => _2, #2 => {literal_text}) :: {t}\n  return %1\n")
+    attempts = [
+        lambda: codegen._resolve_call(probe, "probe", [literal],
+                                      [fir.arg_typer(fn)(literal)]),
+        lambda: run_pipeline(registry, phi, "f", [fir.BOOL, t]),
+        lambda: materialize_constant(scalar_ctx(registry), literal, t),
+    ]
+    answers = []
+    for attempt in attempts:
+        try:
+            attempt()
+            answers.append(True)
+        except CodegenError:
+            answers.append(False)
+    fits = fir.literal_fits(t, literal)
+    assert fits == (literal_text in ADMITTED[type_text])
+    assert answers == [fits] * 3
 
 
 class TestGenerate:
@@ -423,7 +470,7 @@ fn cpick(_1: Complex{f32}, _2: Complex{f32}, _3: i64)
     def test_custom_bool_conversion_entry(self, registry):
         # conversion entries may emit ops; this one compares two constants
         def conv(ctx, values):
-            zero = materialize_constant(ctx, 0, fir.I64)
+            zero = materialize_constant(ctx, fir.IntLit(0), fir.I64)
             op = ctx.build_op("arith.cmpi", [zero, zero],
                               attributes={"predicate": ir.StringAttr("eq")})
             return list(op.results)

@@ -178,6 +178,14 @@ class TestValidate:
         fn = parse_program(text).functions["f"]
         assert any("non-predecessor" in p for p in validate_fir(fn))
 
+    def test_incomings_needed_from_reachable_predecessors_only(self):
+        # block 4 is unreachable: block 3 needs no incoming from it, and its
+        # own phi needs none at all
+        text = ("fn f(_1: i64)\n1:\n  goto #3\n2:\n  goto #4\n"
+                "3:\n  %1 = phi (#1 => _1) :: i64\n  return %1\n"
+                "4:\n  %2 = phi () :: i64\n  goto #3\n")
+        assert validate_fir(parse_program(text).functions["f"]) == []
+
 
 CHAIN = """\
 fn f(_1: f32)

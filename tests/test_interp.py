@@ -292,14 +292,6 @@ class TestKernels:
                               np.array([11, 22, 33, 44, 55, 66, 77, 88],
                                        dtype=np.float32))
 
-    def test_order_independent_for_disjoint_writes(self, vadd):
-        forward = self.vadd_buffers()
-        run_kernel(vadd, "vadd", LaunchConfig((2, 1, 1), (4, 1, 1)), forward)
-        backward = self.vadd_buffers()
-        run_kernel(vadd, "vadd", LaunchConfig((2, 1, 1), (4, 1, 1)), backward,
-                   reverse=True)
-        assert np.array_equal(forward[2].data, backward[2].data)
-
     def test_excess_threads_out_of_bounds(self, vadd):
         # first excess coordinate is thread 0 of block 2 -> index 8; with one
         # block of 20 threads, thread 8 in the middle of the block's batch
@@ -345,6 +337,15 @@ class TestKernels:
             outs.append(bufs[2].data[:interp.MIN_LANES - 1])
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], np.arange(11, 11 * interp.MIN_LANES, 11))
+
+    def test_function_with_results_is_not_launched(self, registry):
+        text = ("fn k(_1: memref{f32,1})\n1:\n  %1 = invoke thread_idx_x() :: index\n"
+                "  %2 = invoke store(1.0, _1, %1) :: Nothing\n  return %1\n")
+        module = run_pipeline(registry, text, "k", [F32_MEMREF])
+        bufs = [MemRefValue(ir.F32, (8,), np.zeros(8, np.float32))]
+        with pytest.raises(InterpError, match="@k cannot be launched: a kernel returns no"):
+            run_kernel(module, "k", LaunchConfig((1, 1, 1), (8, 1, 1)), bufs)
+        assert not bufs[0].data.any()  # no thread ran
 
     def test_gpu_op_without_launch(self, vadd):
         bufs = self.vadd_buffers()
@@ -957,5 +958,11 @@ def test_readme_states_the_code_constants():
         for name in ("LANES", "MIN_LANES", "HOT", "MAX_COMPILED_OPS", "MAX_CALL_DEPTH")}
     assert f"{fir.MAX_DIGITS} digits (`fir.MAX_DIGITS`" in text
     assert f"more than {fir.MAX_TYPE_DEPTH} levels deep (`fir.MAX_TYPE_DEPTH`)" in text
+    bounds = re.search(
+        r"an f32 when \|v\| ≤ `2\*\*(\d+)` and an f64 when \|v\| ≤ `2\*\*(\d+)`", text)
+    assert bounds
+    for t, n in zip((fir.F32, fir.F64), map(int, bounds.groups())):
+        assert fir.literal_fits(t, fir.IntLit(2 ** n))
+        assert not fir.literal_fits(t, fir.IntLit(2 ** n + 1))
     cap = re.search(r"step cap \(default 10\^(\d+)\)", text)
     assert cap and 10 ** int(cap[1]) == interp.DEFAULT_STEP_LIMIT

@@ -109,21 +109,14 @@ class TestAgainstReference:
         assert len(sequential_calls) == 1  # the function body; the generic ran in lanes
         assert len(sequential_decodes) == 1  # so its point-by-point body is not decoded
 
-    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("name", list(gen.KERNELS))
-    def test_kernel(self, registry, sequential_calls, sequential_decodes, name, reverse):
+    def test_kernel(self, registry, sequential_calls, sequential_decodes, name):
         grid, block = gen.KERNELS[name]
         args = kernel_args(np.random.default_rng(7), name, grid, block)
         vals = values(args)
         run_kernel(kernel(registry, name), name,
-                   LaunchConfig((grid, 1, 1), (block, 1, 1)), vals, reverse=reverse)
-        if reverse and name == "collide":  # the blocks overwrite in reverse order
-            [buf, _] = ref.kernel_reference(
-                name, grid, block, [args[0], args[1].reshape(grid, block)[::-1]
-                                    .reshape(-1)])
-            want = [buf, args[1]]
-        else:
-            want = ref.kernel_reference(name, grid, block, args)
+                   LaunchConfig((grid, 1, 1), (block, 1, 1)), vals)
+        want = ref.kernel_reference(name, grid, block, args)
         for v, w in zip(vals, want):
             if isinstance(v, MemRefValue):
                 assert ref.same(v.data, w)
@@ -174,35 +167,28 @@ fn k(_1: memref{f32,1}, _2: memref{f32,1})
 
 
 class TestKernelFallbacks:
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_colliding_lanes_replay_in_launch_order(self, registry, reverse):
+    def test_colliding_lanes_replay_in_launch_order(self, registry):
         # every thread of a block adds into the block's slot: the lanes collide
         module = run_pipeline(registry, ACCUMULATE_FIR, "acc", [F32_MEMREF] * 2)
         src = f32_data(np.random.default_rng(5), 3 * 40)
         bufs = values([np.zeros(3, np.float32), src])
-        run_kernel(module, "acc", LaunchConfig((3, 1, 1), (40, 1, 1)), bufs,
-                   reverse=reverse)
+        run_kernel(module, "acc", LaunchConfig((3, 1, 1), (40, 1, 1)), bufs)
         want = np.zeros(3, np.float32)
-        for t in range(120)[::-1] if reverse else range(120):
+        for t in range(120):
             want[t // 40] = np.float32(want[t // 40] + src[t])
         assert ref.same(bufs[0].data, want)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_out_of_bounds_after_stores_undoes_the_batch(self, registry, reverse):
+    def test_out_of_bounds_after_stores_undoes_the_batch(self, registry):
         module = run_pipeline(registry, STORE_THEN_OOB_FIR, "k", [F32_MEMREF] * 2)
         bufs = values([np.arange(1, 33, dtype=np.float32), np.zeros(32, np.float32)])
         with pytest.raises(OutOfBounds) as info:
-            run_kernel(module, "k", LaunchConfig((1, 1, 1), (20, 1, 1)), bufs,
-                       reverse=reverse)
-        # forward, thread 16 stores and then loads index 32; backward, thread
-        # 19 stores and then loads index 38
-        first = 19 if reverse else 16
+            run_kernel(module, "k", LaunchConfig((1, 1, 1), (20, 1, 1)), bufs)
+        # thread 16 stores and then loads index 32
         assert str(info.value) == (
-            f"index {2 * first} out of bounds for dimension 0 of extent 32 (thread "
-            f"context {{'x': ({first}, 0, 20), 'y': (0, 0, 1), 'z': (0, 0, 1)}})")
+            "index 32 out of bounds for dimension 0 of extent 32 (thread "
+            "context {'x': (16, 0, 20), 'y': (0, 0, 1), 'z': (0, 0, 1)})")
         want = np.zeros(32, np.float32)
-        stored = [19] if reverse else list(range(17))
-        want[stored] = np.float32(stored) + 1
+        want[:17] = np.arange(1, 18, dtype=np.float32)
         assert np.array_equal(bufs[1].data, want)
 
     def test_index_overflow_falls_back(self, registry, sequential_calls):
@@ -323,12 +309,12 @@ def batches(monkeypatch):
     return made
 
 
-def launch(module, name, config, args, reverse=False):
+def launch(module, name, config, args):
     """The buffers after a launch on copies of ``args``, and the text of the
     error it raised or None."""
     bufs, error = values(args), None
     try:
-        run_kernel(module, name, config, bufs, reverse=reverse)
+        run_kernel(module, name, config, bufs)
     except interp.InterpError as e:
         error = f"{type(e).__name__}: {e}"
     return [b.data for b in bufs], error
@@ -342,18 +328,17 @@ class TestAcrossBlocks:
     """A lockstep batch takes up to LANES threads in launch order, whatever
     grid blocks they belong to."""
 
-    @pytest.mark.parametrize("reverse", [False, True])
     def test_multi_dimensional_launch(self, registry, monkeypatch, sequential_calls,
-                                      batches, reverse):
+                                      batches):
         # out[g] = in[t * 12 + b] for thread t of block b, g = b * 6 + t
         module = run_pipeline(registry, MULTI_DIM_FIR, "md", [F32_MEMREF] * 2)
         args = [f32_data(np.random.default_rng(17), 72), np.zeros(72, np.float32)]
         config = LaunchConfig((3, 2, 2), (2, 3, 1))
-        got = launch(module, "md", config, args, reverse)
+        got = launch(module, "md", config, args)
         assert sequential_calls == [] and batches == [(72, True)]
         assert got[1] is None and ref.same(got[0][1], args[0].reshape(6, 12).T.reshape(-1))
         no_lanes(monkeypatch)
-        assert same_launch(got, launch(module, "md", config, args, reverse))
+        assert same_launch(got, launch(module, "md", config, args))
 
     @pytest.mark.parametrize("grid, block", [(64, 1), (8, 4), (2, 4)])
     def test_small_blocks_run_in_lanes(self, registry, monkeypatch, sequential_calls,
@@ -367,43 +352,37 @@ class TestAcrossBlocks:
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "vadd", config, args))
 
-    @pytest.mark.parametrize("reverse", [False, True])
     def test_collide_replays_its_first_batch_by_block(self, registry, monkeypatch,
-                                                       sequential_calls, batches, reverse):
+                                                       sequential_calls, batches):
         # the blocks store to the same slots: the first batch of 16 blocks
         # collides, and from then on each block is one batch
         grid, block = gen.KERNELS["collide"]
         args = kernel_args(np.random.default_rng(19), "collide", grid, block)
         module, config = kernel(registry, "collide"), LaunchConfig((grid, 1, 1),
                                                                    (block, 1, 1))
-        got = launch(module, "collide", config, args, reverse)
+        got = launch(module, "collide", config, args)
         assert sequential_calls == []
         assert batches == [(interp.LANES, False)] + [(block, True)] * grid
         no_lanes(monkeypatch)
-        assert same_launch(got, launch(module, "collide", config, args, reverse))
+        assert same_launch(got, launch(module, "collide", config, args))
 
-    @pytest.mark.parametrize("reverse", [False, True])
     def test_out_of_bounds_in_third_block(self, registry, monkeypatch,
-                                          sequential_calls, batches, reverse):
+                                          sequential_calls, batches):
         # thread 0 of block 2 loads index 64 of 64, after its store; block 3
         # loads index 96 in every thread
         module = run_pipeline(registry, OOB_IN_THIRD_BLOCK_FIR, "k", [F32_MEMREF] * 2)
         args = [np.arange(1, 65, dtype=np.float32), np.zeros(64, np.float32)]
         config = LaunchConfig((4, 1, 1), (16, 1, 1))
-        got = launch(module, "k", config, args, reverse)
-        first = 63 if reverse else 32
+        got = launch(module, "k", config, args)
         assert got[1] == (
-            f"OutOfBounds: index {first // 16 * 32} out of bounds for dimension 0 of "
-            f"extent 64 (thread context {{'x': ({first % 16}, {first // 16}, 16), "
-            "'y': (0, 0, 1), 'z': (0, 0, 1)})")
-        stored = [63] if reverse else list(range(33))
-        assert list(np.flatnonzero(got[0][1])) == stored
+            "OutOfBounds: index 64 out of bounds for dimension 0 of extent 64 "
+            "(thread context {'x': (0, 2, 16), 'y': (0, 0, 1), 'z': (0, 0, 1)})")
+        assert list(np.flatnonzero(got[0][1])) == list(range(33))
         # the batch of all four blocks falls back, then block by block
-        assert batches == [(64, False)] + ([(16, False)] if reverse else
-                                           [(16, True), (16, True), (16, False)])
+        assert batches == [(64, False), (16, True), (16, True), (16, False)]
         assert len(sequential_calls) == 1  # the thread that raises
         no_lanes(monkeypatch)
-        assert same_launch(got, launch(module, "k", config, args, reverse))
+        assert same_launch(got, launch(module, "k", config, args))
 
 
 def generic_module(registry, body_text, elems):
@@ -460,12 +439,10 @@ class TestSameAsPointByPoint:
         module = kernel(registry, name)
         args = kernel_args(np.random.default_rng(11), name, grid, block)
         got = values(args)
-        run_kernel(module, name, LaunchConfig((grid, 1, 1), (block, 1, 1)), got,
-                   reverse=True)
+        run_kernel(module, name, LaunchConfig((grid, 1, 1), (block, 1, 1)), got)
         no_lanes(monkeypatch)
         want = values(args)
-        run_kernel(module, name, LaunchConfig((grid, 1, 1), (block, 1, 1)), want,
-                   reverse=True)
+        run_kernel(module, name, LaunchConfig((grid, 1, 1), (block, 1, 1)), want)
         for g, w in zip(got, want):
             assert ref.same(*(v.data if isinstance(v, MemRefValue) else v.value
                               for v in (g, w)))
