@@ -21,6 +21,7 @@ not.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -30,6 +31,7 @@ from . import codegen, dialects, einsum, fir, ir
 __all__ = ["main", "build_parser"]
 
 STEP_LIMIT_ENV = "BRIDGEGEN_STEP_LIMIT"
+MAX_INPUT_ELEMENTS = 2 ** 20  # the most elements a buffer literal spells
 
 
 class CliError(Exception):
@@ -147,34 +149,43 @@ _RANGE_RE = re.compile(
 _REPEAT_RE = re.compile(r"(-?\d+(?:\.\d+)?)\s*[x×]\s*(\d+)")
 
 
+def _elements(n, body: str):
+    """``n``, the element count of buffer literal ``body``, checked against
+    MAX_INPUT_ELEMENTS before any element is built."""
+    if not n < MAX_INPUT_ELEMENTS + 1:  # floor(n) <= the cap; also NaN, inf
+        raise CliError(f"'[{body}]' spells more than {MAX_INPUT_ELEMENTS} elements")
+    return n
+
+
 def _parse_array_body(body: str, number):
     """The elements ``body`` spells, each read by ``number`` (int or float);
-    raises ValueError on one it refuses."""
-    import numpy as np
+    raises ValueError on one it refuses. A range ``lo..hi..step`` takes
+    ``lo + k * step`` up to its inclusive end, which a float range may pass
+    by a rounding error, 1e-9 of a step."""
     body = body.strip()
     m = _RANGE_RE.fullmatch(body)
     if m:
         lo, hi, step = number(m.group(1)), number(m.group(2)), number(m.group(3) or "1")
         if step == 0:
             raise ValueError("zero range step")
-        if number is int:
-            return list(range(lo, hi + (1 if step > 0 else -1), step))
-        return [float(v) for v in np.arange(lo, hi + step / 2, step)]
+        n = (hi - lo) // step + 1 if number is int else (hi - lo) / step + 1 + 1e-9
+        return [lo + k * step for k in range(math.floor(_elements(n, body)))]
     m = _REPEAT_RE.fullmatch(body)
     if m:
-        return [number(m.group(1))] * int(m.group(2))
+        return [number(m.group(1))] * _elements(int(m.group(2)), body)
     if not body:
         return []
+    _elements(body.count(",") + 1, body)
     return [number(p) for p in body.split(",")]
 
 
 def parse_runtime_input(text: str, expected: ir.IrType) -> interp.RuntimeValue:
     """Parse one CLI input literal against the expected IR type.
 
-    Scalars: ``2.0``, ``3``, ``true``. Buffers: ``[1,2,3]:f32``,
-    ``[1..8]:f32`` (inclusive range), ``[0x8]:f32`` (value x count). An
-    integer scalar or buffer element (i1, i64, index) takes integer
-    literals only.
+    Scalars: ``2.0``, ``3``, ``true`` (i1 only). Buffers: ``[1,2,3]:f32``,
+    ``[1..8]:f32`` (inclusive range), ``[0x8]:f32`` (value x count), of at
+    most MAX_INPUT_ELEMENTS elements. An integer scalar or buffer element
+    (i1, i64, index) takes integer literals only.
     """
     from . import interp
     text = text.strip()
@@ -199,6 +210,8 @@ def parse_runtime_input(text: str, expected: ir.IrType) -> interp.RuntimeValue:
     if isinstance(expected, (ir.TensorType, ir.MemRefType)):
         raise CliError(f"expected a buffer literal like [1,2,3]:f32, got '{text}'")
     if text in ("true", "false"):
+        if expected != ir.I1:
+            raise CliError(f"input literal {text} is not a value of {expected}")
         return interp.value_of_type(expected, 1 if text == "true" else 0)
     integral = isinstance(expected, (ir.IntType, ir.IndexType))
     try:

@@ -5,37 +5,44 @@ declared precision, runs linalg.generic over its iteration space, and
 simulates a GPU thread grid for kernels built on the gpu dialect. Used as
 the numeric oracle for translations.
 
-A run decodes each region it runs once, when it first runs: ``_OPS`` maps
-each op name to a decoder that turns the op into a closure over a frame
-list with one slot per SSA value. A value, scalar or lane, has its SSA
-type's element kind: f32 values are numpy float32 scalars or arrays, so
-each f32 op is one correctly rounded numpy op; f64 values are Python
-floats or float64 arrays, and integers Python ints or int64 arrays.
-Scalars are boxed only at function boundaries. Ill-typed or unknown ops
-fail when reached, an operand of the wrong kind naming its declared type;
-a float op whose operand types differ from its result's does one double op
-rounded once. Each op is one step: a block is charged on entry when it
-fits the budget, otherwise (and when it holds a call or generic) op by op,
-so StepLimitExceeded comes just before the first op past the limit.
+run_function and run_kernel run a module on its executable, which
+``prepare(module)`` makes and keeps on the module, and which they make on
+the module's first run. Each function's code is decoded when it first runs
+and kept for every later run, so a module must not change once prepared:
+prepare it again after editing it. ``_OPS`` maps each op name to a decoder
+that turns the op into a closure over a frame list with one slot per SSA
+value. A value, scalar or lane, has its SSA type's element kind: f32
+values are numpy float32 scalars or arrays, so each f32 op is one
+correctly rounded numpy op; f64 values are Python floats or float64
+arrays, and integers Python ints or int64 arrays. Scalars are boxed only
+at function boundaries. Ill-typed or unknown ops fail when reached, an
+operand of the wrong kind naming its declared type, and so do ill-typed
+edges: a branch argument, call result or returned value of another type
+than the slot it fills. A float op whose operand types differ from its
+result's does one double op rounded once. Each op is one step: a block is
+charged on entry when it fits the budget, otherwise (and when it holds a
+call or generic) op by op, so StepLimitExceeded comes just before the
+first op past the limit. The budget and the call depth are per run.
 
 Compiled tier: once a region has taken HOT back edges (jumps to a block at
-or before the current one) in a run, it runs as one generated Python
-function, entered at a block boundary with the frame's values. Each slot is
-a local ``v<slot>``, each block's ops are straight-line statements, and a
-balanced tree of ``if b < k`` tests finds the next block. The same decoder,
-asked for the op's source form, gives its text: an operator is written
-infix, and other functions, constants and helpers are passed through the
-function's namespace, never pasted into the text. compile() results are
-kept by text. A region of more than MAX_COMPILED_OPS ops, or with an op
-without a source form (memref, gpu, func.call, linalg.generic, ill-typed
-and unknown ops), stays on closures. Blocks are charged on entry as above;
-a block that does not fit the budget raises the step error: its ops change
-only locals and cannot fail, so running them op by op would end the same
-way. HOT is about where compiling pays with a cached compile(): on
-a 2-vCPU machine under Python 3.11, building the function takes 0.06-0.13
-ms and saves 1.5-3.8 us an iteration on the bench's loops, so it pays after
-30-45 back edges (about 70 on the two-level nest). MAX_COMPILED_OPS bounds
-compile()'s transient memory, about 15 KiB an op, to 0.7 MiB.
+or before the current one), counted across the runs of its executable, it
+runs as one generated Python function, entered at a block boundary with
+the frame's values; a function that loops a little on every call thus
+compiles after a few calls. Each slot is a local ``v<slot>``, each block's
+ops are straight-line statements, and a balanced tree of ``if b < k`` tests
+finds the next block. The same decoder, asked for the op's source form,
+gives its text: an operator is written infix, and other functions,
+constants and helpers are passed through the function's namespace, never
+pasted into the text. A region of more than MAX_COMPILED_OPS ops, or with
+an op without a source form (memref, gpu, func.call, linalg.generic,
+ill-typed and unknown ops), stays on closures. Blocks are charged on entry
+as above; a block that does not fit the budget raises the step error: its
+ops change only locals and cannot fail, so running them op by op would end
+the same way. HOT is about where compiling pays: on a 2-vCPU machine under
+Python 3.11, building the function, compile() included, takes 0.08-0.17 ms
+on the bench's loops and saves 1.5-3.8 us an iteration, so it pays after
+about 30-60 back edges; an executable builds it once. MAX_COMPILED_OPS
+bounds compile()'s transient memory, about 15 KiB an op, to 0.7 MiB.
 
 Lanes: the same decoder, asked for the op's lane form, gives a closure that
 runs the op once over numpy arrays, one lane per point or thread, or None.
@@ -44,7 +51,8 @@ linalg.generic takes one lane per point of its parallel axes, those of the
 output map; the other axes are looped in lexicographic order, so each
 output element accumulates in the sequential order. A kernel numbers its
 threads in launch order and runs them in batches of at most LANES
-consecutive threads, which may span grid blocks; loads gather and stores
+consecutive threads, which may span grid blocks (its lane form is decoded
+on its first launch of at least MIN_LANES threads); loads gather and stores
 scatter. A batch is charged its steps up front, so it takes lanes only when
 they fit the budget (for a kernel, one thread's steps). A batch falls back,
 with its stores undone, to running point by point or thread by thread,
@@ -61,7 +69,6 @@ MIN_LANES lanes, for which numpy's cost per call outweighs the lanes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -87,6 +94,8 @@ __all__ = [
     "DEFAULT_STEP_LIMIT",
     "MAX_CALL_DEPTH",
     "value_of_type",
+    "Executable",
+    "prepare",
     "run_function",
     "run_kernel",
 ]
@@ -97,7 +106,6 @@ LANES = 1024  # the most consecutive threads that run as one batch
 MIN_LANES = 6  # fewer points or threads run faster one by one than as lanes
 HOT = 50  # back edges after which a function runs compiled
 MAX_COMPILED_OPS = 48  # the most ops a compiled function holds
-COMPILED_CACHE = 64  # compiled regions kept, by source text
 
 
 class InterpError(Exception):
@@ -240,6 +248,7 @@ _CMP = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
 
 
 _LANES = "lanes"  # the form asking a decoder for its op's lane form
+_RESULTS = "results"  # the key of a function's declared result types in ``at``
 
 
 class _Sequential(Exception):
@@ -473,7 +482,14 @@ def _branch(op, at, form=None):
     c = at[op.operands[0]] if op.operands else None
     edges = []  # (target, source slots, target's argument slots as a slice)
     for succ in op.successors:
-        src = tuple(at[v] for v in succ.args)[:len(succ.block.arguments)]
+        if len(succ.args) != len(succ.block.arguments):
+            raise InterpError(f"{op.name}: {len(succ.args)} value(s) for the "
+                              f"{len(succ.block.arguments)} argument(s) of ^bb{succ.block.id}")
+        for i, (v, arg) in enumerate(zip(succ.args, succ.block.arguments)):
+            if v.type != arg.type:
+                raise InterpError(f"{op.name}: a value of type {v.type} for argument {i} "
+                                  f"of ^bb{succ.block.id}, of type {arg.type}")
+        src = tuple(at[v] for v in succ.args)
         first = at[succ.block.arguments[0]] if src else 0
         edges.append((at[succ.block], src, first, first + len(src)))
     if form:  # lines; block arguments are assigned in parallel
@@ -490,6 +506,10 @@ def _branch(op, at, form=None):
 
 
 def _return(op, at, form=None):
+    declared, types = at.get(_RESULTS), tuple(v.type for v in op.operands)
+    if op.name == "func.return" and declared is not None and types != declared:
+        raise InterpError(f"func.return: values of type ({_types(types)}) for a "
+                          f"function returning ({_types(declared)})")
     src = [at[v] for v in op.operands]
     if form is None or form is _LANES:
         return lambda f, run: [f[s] for s in src]
@@ -500,10 +520,10 @@ def _call(op, at, form=None):
     if form:
         return None
     callee, dst = op.attributes["callee"].name, [at[v] for v in op.results]
-    src = [(v.type, at[v]) for v in op.operands]
+    src, types = [(v.type, at[v]) for v in op.operands], tuple(v.type for v in op.results)
 
     def call(f, run):
-        for d, v in zip(dst, run.call(callee, [_box(t, f[s]) for t, s in src])):
+        for d, v in zip(dst, run.call(callee, [_box(t, f[s]) for t, s in src], types)):
             f[d] = v
         return f[dst[0]] if len(dst) == 1 else None
     return call
@@ -640,8 +660,13 @@ def _decode_op(op: ir.IrOperation, at, form=None):
         return None if form else lambda f, run: _fail(kind(*args))
 
 
-def _slots(region: ir.IrRegion):
-    """(frame size, slot of each value and position of each block). The
+def _types(types) -> str:
+    return ", ".join(map(str, types))
+
+
+def _slots(region: ir.IrRegion, results=None):
+    """(frame size, slot of each value and position of each block, and
+    ``results``, a function's declared result types, at _RESULTS). The
     arguments of a block take consecutive slots; slot 0 takes the value of
     ops without one result."""
     at = {None: 0}
@@ -650,17 +675,19 @@ def _slots(region: ir.IrRegion):
             at[v] = len(at)
     size = len(at)
     at.update((block, position) for position, block in enumerate(region.blocks))
+    at[_RESULTS] = results
     return size, at
 
 
-def _decode(region: ir.IrRegion, lanes=False):
+def _decode(region: ir.IrRegion, lanes=False, results=None):
     """(frame size, blocks): each block is (argument slots, steps to charge
     on entry or inf, [(result slot, op)], terminator or None, id). Ops after
     a terminator never run and are dropped. With ``lanes``, the lane form
-    of a one-block region whose ops all have one, else None."""
+    of a one-block region whose ops all have one, else None. ``results``
+    are a function's declared result types, None in a generic's body."""
     if lanes and len(region.blocks) != 1:
         return None
-    size, at = _slots(region)
+    size, at = _slots(region, results)
     form, blocks = _LANES if lanes else None, []
     for block in region.blocks:
         ops, term, nested = [], None, False
@@ -718,15 +745,16 @@ def _tree(leaves, lo: int, hi: int):
             "else:", *_indent(_tree(leaves, mid, hi))]
 
 
-def _source(region: ir.IrRegion):
+def _source(region: ir.IrRegion, results=None):
     """(text, namespace) of ``compiled(f, b, run)``, which runs ``region``
     from block position ``b`` with the values of frame ``f``, or None when an
     op has no source form or a block no terminator. Each slot is a local
     ``v<slot>``; a balanced tree of ``if b < k`` tests finds the block, so
     a jump costs O(log blocks). A block is charged on entry, as in _exec;
     one that does not fit the budget raises StepLimitExceeded, as running
-    it op by op would: its ops change only locals and cannot fail."""
-    size, at = _slots(region)
+    it op by op would: its ops change only locals and cannot fail.
+    ``results`` are as in _decode."""
+    size, at = _slots(region, results)
     form, leaves = _Source(), []
     for block in region.blocks:
         lines = []
@@ -752,23 +780,16 @@ def _source(region: ir.IrRegion):
     return source, form.namespace
 
 
-@functools.lru_cache(maxsize=COMPILED_CACHE)
-def _code_object(text: str):
-    """compile() of a region's source, kept by its text: runs decode afresh
-    and IR is mutable, so no op identity could key it."""
-    return compile(text, "<compiled region>", "exec")
-
-
-def _compile(region: ir.IrRegion):
-    """The compiled function of ``region``, or None when it holds more than
-    MAX_COMPILED_OPS ops or one without a source form."""
-    if sum(len(block.operations) for block in region.blocks) > MAX_COMPILED_OPS:
+def _compile(code: _Code):
+    """The compiled function of ``code``'s region, or None when it holds
+    more than MAX_COMPILED_OPS ops or one without a source form."""
+    if sum(len(block.operations) for block in code.region.blocks) > MAX_COMPILED_OPS:
         return None
-    built = _source(region)
+    built = _source(code.region, code.results)
     if built is None:
         return None
     text, namespace = built
-    exec(_code_object(text), namespace)
+    exec(compile(text, "<compiled region>", "exec"), namespace)
     return namespace.pop("compiled")  # so the function and namespace form no cycle
 
 
@@ -777,26 +798,61 @@ def _compile(region: ir.IrRegion):
 
 
 class _Code:
-    """A region's sequential code: decoded when it first runs, and compiled
-    (``fast``) once it has taken HOT back edges; ``fast`` is False when the
-    region has no compiled form."""
+    """A region's code, each form built when it is first needed and kept by
+    the executable: its closures (``decoded``), its kernel lane form
+    (``lanes``, decoded on the first launch of at least MIN_LANES threads)
+    and its compiled function (``fast``, built once the region has taken
+    HOT back edges, ``backs``, counted across runs). ``lanes`` and ``fast``
+    are False when the region has no such form. ``results`` are a
+    function's declared result types, None for a generic's body."""
 
-    __slots__ = ("region", "decoded", "backs", "fast")
+    __slots__ = ("region", "results", "decoded", "lanes", "backs", "fast")
 
-    def __init__(self, region: ir.IrRegion):
-        self.region, self.decoded, self.backs, self.fast = region, None, 0, None
+    def __init__(self, region: ir.IrRegion, results=None):
+        self.region, self.results = region, results
+        self.decoded = self.lanes = self.fast = None
+        self.backs = 0
+
+
+class Executable:
+    """A module ready to run: the type and code of each function, made
+    when the function first runs and kept for every later run. Made by
+    ``prepare``; the module must not change while it is in use."""
+
+    __slots__ = ("module", "funcs", "__weakref__")
+
+    def __init__(self, module: ir.IrModule):
+        self.module, self.funcs = module, {}  # symbol -> (function type, code)
+
+    def function(self, symbol: str):
+        """(function type, code) of @symbol."""
+        if symbol not in self.funcs:
+            func = self.module.lookup_symbol(symbol)
+            if func is None or func.name != "func.func":
+                raise InterpError(f"no function @{symbol} in the module")
+            ftype = func.attributes["function_type"].type
+            self.funcs[symbol] = ftype, _Code(func.regions[0], tuple(ftype.results))
+        return self.funcs[symbol]
+
+
+def prepare(module: ir.IrModule) -> Executable:
+    """A fresh executable of ``module``, kept on it for run_function and
+    run_kernel, which prepare a module on its first run. Preparing again
+    drops the code of earlier runs: the way to run a module after editing
+    it, or to count HOT back edges from zero."""
+    module.executable = Executable(module)
+    return module.executable
 
 
 class _Run:
-    """One run: the step budget, thread context and functions' code.
-    Code never refers back to the run, so a run leaves no cycles."""
+    """One run of an executable: its step budget, thread context and call
+    depth. Code never refers back to the run, so a run leaves no cycles."""
 
-    __slots__ = ("module", "limit", "steps", "ctx", "depth", "funcs")
+    __slots__ = ("exe", "limit", "steps", "ctx", "depth")
 
     def __init__(self, module: ir.IrModule, limit: int):
-        self.module, self.limit, self.ctx = module, limit, None
+        self.exe, self.limit, self.ctx = module.executable or prepare(module), limit, None
         self.steps = self.depth = 0
-        self.funcs = {}  # symbol -> (function type, code)
 
     def tick(self):
         self.steps += 1
@@ -806,25 +862,23 @@ class _Run:
     def exceeded(self):
         raise StepLimitExceeded(f"step budget of {self.limit} operations exceeded")
 
-    def function(self, symbol: str, inputs: list) -> _Code:
-        """The code of @symbol, checked against boxed ``inputs``."""
-        if symbol not in self.funcs:
-            func = self.module.lookup_symbol(symbol)
-            if func is None or func.name != "func.func":
-                raise InterpError(f"no function @{symbol} in the module")
-            self.funcs[symbol] = (func.attributes["function_type"].type,
-                                  _Code(func.regions[0]))
-        ftype, code = self.funcs[symbol]
+    def function(self, symbol: str, inputs: list):
+        """(function type, code) of @symbol, checked against boxed ``inputs``."""
+        ftype, code = self.exe.function(symbol)
         if len(inputs) != len(ftype.inputs):
             raise InterpError(f"@{symbol} takes {len(ftype.inputs)} "
                               f"argument(s), got {len(inputs)}")
         for i, (t, v) in enumerate(zip(ftype.inputs, inputs)):
             _check_compatible(t, v, f"@{symbol} argument {i}")
-        return code
+        return ftype, code
 
-    def call(self, symbol: str, inputs: list) -> list:
-        """Run @symbol on the boxed ``inputs``; returns the raw results."""
-        code = self.function(symbol, inputs)
+    def call(self, symbol: str, inputs: list, results=None) -> list:
+        """Run @symbol on the boxed ``inputs``; returns the raw results. A
+        call site passes the ``results`` types it declares."""
+        _, code = self.function(symbol, inputs)
+        if results is not None and code.results != results:
+            raise InterpError(f"func.call: @{symbol} returns ({_types(code.results)}), "
+                              f"the call takes ({_types(results)})")
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise InterpError(f"@{symbol}: calls nested deeper than {MAX_CALL_DEPTH}")
@@ -846,7 +900,7 @@ class _Lanes:
 def _exec(code: _Code, args, run: _Run) -> list:
     """Run a region on raw ``args``; returns the raw values returned."""
     if code.decoded is None:
-        code.decoded = _decode(code.region)
+        code.decoded = _decode(code.region, results=code.results)
     size, blocks = code.decoded
     f = [None] * size
     for s, v in zip(blocks[0][0], args):
@@ -856,7 +910,7 @@ def _exec(code: _Code, args, run: _Run) -> list:
         if hot:  # at a block boundary, with every value in ``f``
             hot = False
             if code.fast is None:
-                code.fast = _compile(code.region) or False
+                code.fast = _compile(code) or False
             if code.fast:
                 return code.fast(f, pos, run)
         _, n, ops, term, bid = blocks[pos]
@@ -895,11 +949,12 @@ def _exec_lanes(code, args, lanes: _Lanes) -> list:
 
 def run_function(module: ir.IrModule, symbol: str, inputs,
                  step_limit: int = DEFAULT_STEP_LIMIT):
-    """Execute @symbol on ``inputs``; returns the list of result values."""
+    """Execute @symbol on ``inputs``; returns the list of result values.
+    Runs on the module's executable (see ``prepare``)."""
     run = _Run(module, step_limit)
     with np.errstate(all="ignore"):  # IEEE-754: inf/nan flow silently
         results = run.call(symbol, list(inputs))
-    return [_box(t, v) for t, v in zip(run.funcs[symbol][0].results, results)]
+    return [_box(t, v) for t, v in zip(run.exe.funcs[symbol][0].results, results)]
 
 
 def _lockstep(code, args, lanes: _Lanes, owners) -> bool:
@@ -955,18 +1010,20 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     A kernel with a lane form runs in lockstep batches of at most LANES
     consecutive threads, which may span grid blocks. Once a batch that
     spans blocks falls back, it and every later batch end at block
-    boundaries.
+    boundaries. Runs on the module's executable (see ``prepare``).
     """
     run, inputs = _Run(module, step_limit), list(inputs)
-    body = run.function(symbol, inputs)  # decoded if a thread runs on its own
-    if run.funcs[symbol][0].results:
+    ftype, body = run.function(symbol, inputs)
+    if ftype.results:
         raise InterpError(f"@{symbol} cannot be launched: a kernel returns no values")
     args = [_unbox(v) for v in inputs]
     total = math.prod(launch.grid + launch.block)
-    code = total >= MIN_LANES and _decode(body.region, lanes=True)  # no batch is smaller
+    if total >= MIN_LANES and body.lanes is None:  # no batch is smaller
+        body.lanes = _decode(body.region, lanes=True, results=body.results) or False
+    code = total >= MIN_LANES and body.lanes
     try:
         lane_args = [v if isinstance(v, _ArrayValue) else _np_dtype(t)(v)
-                     for t, v in zip(run.funcs[symbol][0].inputs, args)]
+                     for t, v in zip(ftype.inputs, args)]
     except OverflowError:  # an index outside int64
         code = None
     bufs = [v.data for v in inputs if isinstance(v, MemRefValue)]

@@ -310,6 +310,7 @@ class IrModule:
         self._next_value = 0
         self._next_block = 1
         self.insertion_block = self.body.blocks[0]
+        self.executable = None  # the interpreter's, made by interp.prepare
 
     # -- allocation ---------------------------------------------------
 

@@ -93,21 +93,24 @@ def compiled(monkeypatch):
     tier gave: a function, or None where the region stays on closures."""
     made, build = [], interp._compile
     monkeypatch.setattr(interp, "_compile",
-                        lambda region: made.append(build(region)) or made[-1])
+                        lambda code: made.append(build(code)) or made[-1])
     return made
 
 
 TIERS = ("closures", "compiled")
 
 
-def use_tier(monkeypatch, tier):
+def use_tier(monkeypatch, tier, *modules):
     """Run every function on the interpreter's closures, or compiled from
-    its entry: ``HOT`` 0 and the op cap lifted."""
+    its entry: ``HOT`` 0 and the op cap lifted. ``modules`` are prepared
+    afresh, so that no code built on the other tier runs."""
     if tier == "closures":
         monkeypatch.setattr(interp, "HOT", math.inf)
     else:
         monkeypatch.setattr(interp, "HOT", 0)
         monkeypatch.setattr(interp, "MAX_COMPILED_OPS", 10 ** 9)
+    for module in modules:
+        interp.prepare(module)
 
 
 # ---------------------------------------------------------------------------

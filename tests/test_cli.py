@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bridgegen
-from bridgegen import cli
+from bridgegen import cli, ir
 from bridgegen.fir import print_fir
 from conftest import (
     MAX_GOLDEN,
@@ -332,6 +332,42 @@ class TestRun:
         got = capsys.readouterr()
         assert (code, got.out, got.err) == (1 if err else 0, out,
                                             err and f"error: {err}\n")
+
+    @pytest.mark.parametrize("entry, types, inputs, out, err", [
+        ("fbuf", "memref{f32,1}", ["[0..5..3]:f32"], "[0.0, 3.0]\n", ""),
+        ("fbuf", "memref{f32,1}", ["[5..0..-3]:f32"], "[5.0, 2.0]\n", ""),
+        ("fbuf", "memref{f32,1}", ["[0..0.3..0.1]:f32"], "[0.0, 0.1, 0.2, 0.3]\n", ""),
+        ("flag", "i1", ["true"], "1\n", ""),
+        ("flag", "i1", ["false"], "0\n", ""),
+        ("max", "i64,i64", ["true", "0"], "", "input literal true is not a value of i64"),
+        ("sigmoid", "f32", ["false"], "", "input literal false is not a value of f32"),
+        ("fbuf", "memref{f32,1}", ["[0x1000000000000]:f32"], "",
+         "'[0x1000000000000]' spells more than 1048576 elements"),
+        ("fbuf", "memref{f32,1}", ["[0..1048576]:f32"], "",
+         "'[0..1048576]' spells more than 1048576 elements"),
+        ("fbuf", "memref{f32,1}", ["[0..1e400]:f32"], "", "cannot parse buffer literal "
+                                                          "'[0..1e400]:f32'"),
+    ], ids=["float-range-end", "float-range-down", "float-range-rounded", "true-i1",
+            "false-i1", "true-i64", "false-f32", "repeat-cap", "range-cap", "range-exponent"])
+    def test_runtime_literals(self, tmp_path, capsys, entry, types, inputs, out, err):
+        p = tmp_path / "lits.fir"
+        p.write_text(MAX_FIR + SIGMOID_FIR + "fn fbuf(_1: memref{f32,1})\n1:\n  return _1\n"
+                     "fn flag(_1: i1)\n1:\n  return _1\n")
+        code = cli.main(["run", str(p), "--entry", entry, "--types", types, "--", *inputs])
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (1 if err else 0, out,
+                                            err and f"error: {err}\n")
+
+    def test_buffer_cap_at_its_bound(self, tmp_path, capsys):
+        p = tmp_path / "fbuf.fir"
+        p.write_text("fn fbuf(_1: memref{i64,1})\n1:\n  return _1\n")
+        n = cli.MAX_INPUT_ELEMENTS
+        v = cli.parse_runtime_input(f"[1..{n}]:i64", ir.MemRefType(ir.I64, 1))
+        assert v.data.shape == (n,) and v.data[-1] == n
+        code = cli.main(["run", str(p), "--entry", "fbuf", "--types", "memref{i64,1}",
+                         "--", f"[7x{n + 1}]:i64"])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: '[7x{n + 1}]' spells more than {n} elements\n")
 
     def test_launch_of_a_function_with_results(self, sigmoid_path, capsys):
         code = cli.main(["run", sigmoid_path, "--entry", "sigmoid", "--types", "f32",
@@ -673,7 +709,8 @@ def token_mutants(sources, count, rng):
 RUNTIME_INPUTS = ["7.9", "1e400", "-1", "true", "9223372036854775808", "-0.0", "nan",
                   "3", "2.0", "[7.9]:f32", "[7.9, 2]:i64", "[1e30]:i64",
                   "[99999999999999999999]:i64", "[1..8]:i64", "[1..8]:index", "[]:f32",
-                  "[1..8..0]:f32", "[0x2]:f64", "[1..3]:f32"]
+                  "[1..8..0]:f32", "[0x2]:f64", "[1..3]:f32", "[0x1000000000000]:f32",
+                  "[0..1000000000000]:i64"]
 
 
 def test_token_mutants_never_fail_internally(tmp_path, capsys, monkeypatch):

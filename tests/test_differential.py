@@ -5,7 +5,8 @@ go through gen and the interpreter, and every result must equal the
 benchmark's independent FIR evaluator (``bench/reference.py``) bit for bit,
 any NaN equal to any NaN. Each program runs on both interpreter tiers: the
 closures, and the compiled functions, forced for every function from its
-entry by setting ``HOT`` to 0 and lifting the op cap.
+entry by setting ``HOT`` to 0 and lifting the op cap; each tier starts
+from freshly prepared modules.
 """
 
 import random
@@ -53,11 +54,12 @@ def corpora():
 @pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("corpus", ["many", "loops"])
 def test_interpreter_equals_reference(corpora, monkeypatch, compiled, corpus, tier):
-    use_tier(monkeypatch, tier)
+    use_tier(monkeypatch, tier, *[module for _, module, _ in corpora[corpus]])
     for p, module, runs in corpora[corpus]:
         for values, want in runs:
             [got] = interp.run_function(module, p.entry, values)
             assert ref.same(want, got.value), (p.name, p.text, values, want, got)
-    # every op of these corpora has a source form: each run compiles its function
-    n_runs = sum(len(runs) for _, _, runs in corpora[corpus])
-    assert len(compiled) == (n_runs if tier == "compiled" else 0) and all(compiled)
+    # every op of these corpora has a source form, and calls are inlined: the
+    # first run of each program compiles its one function, the later ones reuse it
+    n_programs = len(corpora[corpus])
+    assert len(compiled) == (n_programs if tier == "compiled" else 0) and all(compiled)

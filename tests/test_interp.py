@@ -326,8 +326,8 @@ class TestKernels:
 
     def test_lanes_decoded_only_for_launches_of_min_lanes(self, vadd, monkeypatch):
         asked, decode = [], interp._decode
-        monkeypatch.setattr(interp, "_decode", lambda region, lanes=False:
-                            asked.append(lanes) or decode(region, lanes))
+        monkeypatch.setattr(interp, "_decode", lambda region, lanes=False, results=None:
+                            asked.append(lanes) or decode(region, lanes, results))
         outs = []
         for n in (interp.MIN_LANES - 1, interp.MIN_LANES):
             asked.clear()
@@ -437,21 +437,33 @@ class TestStepBoundary:
     """A budget equal to the exact number of operations executed passes;
     one less raises, before the operation that would exceed it runs."""
 
-    def test_plain_loop(self, registry, monkeypatch):
+    def test_plain_loop(self, registry, monkeypatch, compiled):
         module = run_pipeline(registry, SUMTO_FIR, "sumto", [fir.I64])
         # entry 3 ops, header 2 per test (n + 1 tests), body 3 per trip, exit 1;
         # n back edges, so budgets past HOT of them end in the compiled tier
-        n = interp.HOT + 10
+        hot_edges = interp.HOT
+        n = hot_edges + 10
         exact = 3 + 2 * (n + 1) + 3 * n + 1
-        for hot in (math.inf, interp.HOT):  # the closures alone, then compiling
+        # the closures alone; compiling at back edge HOT, each run on fresh
+        # code; then compiled from the entry, on the code of the first run
+        for hot, fresh in ((math.inf, True), (hot_edges, True), (hot_edges, False)):
             monkeypatch.setattr(interp, "HOT", hot)
+            interp.prepare(module)
             [out] = run_function(module, "sumto", [IntValue(64, n)],
                                  step_limit=exact)
             assert out.value == n * (n + 1) // 2
             for limit in range(1, exact):
+                if fresh:
+                    interp.prepare(module)
                 with pytest.raises(StepLimitExceeded,
                                    match=f"^step budget of {limit} operations exceeded$"):
                     run_function(module, "sumto", [IntValue(64, n)], step_limit=limit)
+            # on fresh code, each run whose budget reaches back edge HOT, after
+            # 3 + 5 * HOT steps, compiles there; else only the first run compiles
+            reach = exact - (3 + 5 * hot_edges) + 1
+            assert len(compiled) == (0 if hot == math.inf else reach if fresh else 1)
+            assert all(compiled)
+            compiled.clear()
 
     def test_block_with_call(self, registry, sigmoid):
         from bridgegen.dialects import build_op
@@ -545,9 +557,25 @@ class TestCompiledTier:
         run_function(sigmoid, "sigmoid", [F32Value(1.0)])  # straight-line
         run_function(module, "sumto", [IntValue(64, interp.HOT - 1)])
         assert compiled == []
+        interp.prepare(module)
         [out] = run_function(module, "sumto", [IntValue(64, interp.HOT)])
         assert out.value == interp.HOT * (interp.HOT + 1) // 2
         assert len(compiled) == 1 and compiled[0] is not None
+
+    def test_back_edges_count_across_runs(self, registry, monkeypatch):
+        # sumto(n) takes n back edges; ``at`` records the count at each compile
+        module = run_pipeline(registry, SUMTO_FIR, "sumto", [fir.I64])
+        at, build = [], interp._compile
+        monkeypatch.setattr(interp, "_compile", lambda code: at.append(code.backs) or build(code))
+        run_function(module, "sumto", [IntValue(64, interp.HOT - 1)])
+        assert at == []
+        [out] = run_function(module, "sumto", [IntValue(64, 3)])  # compiles at its first
+        assert at == [interp.HOT] and out.value == 6
+        run_function(module, "sumto", [IntValue(64, interp.HOT + 5)])  # compiled code
+        assert at == [interp.HOT]
+        interp.prepare(module)  # back edges count from zero again
+        [out] = run_function(module, "sumto", [IntValue(64, interp.HOT + 5)])
+        assert at == [interp.HOT] * 2 and out.value == sum(range(interp.HOT + 6))
 
     def run_both(self, tmp_path, capsys, monkeypatch, text, *argv):
         """(exit code, stdout, stderr) of ``bridgegen run`` on the closures
@@ -680,7 +708,46 @@ class TestErrors:
         with pytest.raises(InterpError, match="^arith.addf: expected a float "
                                               "operand, got one of type i64$"):
             run_function(module, "f", [IntValue(1, 0), IntValue(64, 2)])
-        assert compiled == [None] * (hot == 0) * 2  # the op has no source form
+        # the op has no source form; the second run keeps the closures
+        assert compiled == [None] * (hot == 0)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("edge, message", [
+        ("branch", "cf.br: a value of type f64 for argument 0 of ^bb3, of type f32"),
+        ("branch-arity", "cf.br: 0 value(s) for the 1 argument(s) of ^bb3"),
+        ("call", "func.call: @g returns (f64), the call takes (f32)"),
+        ("call-arity", "func.call: @g returns (f64), the call takes ()"),
+        ("return", "func.return: values of type (f64) for a function returning (f32)"),
+    ], ids=["branch", "branch-arity", "call", "call-arity", "return"])
+    def test_ill_typed_edge_fails_when_reached(self, registry, monkeypatch, compiled,
+                                               tier, edge, message):
+        # f(x: f64) -> f32 passes x on as an f32 value; the verifier rejects each
+        module = ir.IrModule(registry=registry.dialects)
+        _, g = new_func(module, "g", [ir.F64], [ir.F64])
+        ir.create_op(module, "func.return", list(g.arguments), [], is_terminator=True)
+        region, entry = new_func(module, "f", [ir.F64], [ir.F32])
+        x = entry.arguments[0]
+        if edge.startswith("branch"):
+            block = module.append_block(region, [ir.F32])
+            module.set_insertion(entry)
+            ir.create_op(module, "cf.br", [], [], is_terminator=True,
+                         successors=[(block, [x] if edge == "branch" else [])])
+            module.set_insertion(block)
+            one = ir.create_op(module, "arith.constant", [], [ir.F32],
+                               attributes={"value": ir.FloatAttr(1.0, ir.F32)})
+            x = ir.create_op(module, "arith.addf", [block.arguments[0], one.results[0]],
+                             [ir.F32]).results[0]
+        elif edge.startswith("call"):
+            call = ir.create_op(module, "func.call", [x], [ir.F32] if edge == "call" else [],
+                                attributes={"callee": ir.SymbolAttr("g")})
+            x = call.results[0] if call.results else x
+        ir.create_op(module, "func.return", [x], [], is_terminator=True)
+        assert not ir.verify_module(module).ok
+        use_tier(monkeypatch, tier, module)
+        for _ in range(2):
+            with pytest.raises(InterpError, match=f"^{re.escape(message)}$"):
+                run_function(module, "f", [F64Value(2.0 ** -24 + 2.0 ** -50)])
+        assert compiled == [None] * (tier == "compiled")  # the edge has no source form
 
     @pytest.mark.parametrize("threads", [1, 8])
     @pytest.mark.parametrize("name", ["gpu.thread_id", "gpu.block_id", "gpu.block_dim"])
@@ -770,7 +837,7 @@ class TestFloatOpsMatchNumpy:
         x, y = scalar(a), scalar(b)
         for tier in TIERS:
             with pytest.MonkeyPatch.context() as mp:
-                use_tier(mp, tier)
+                use_tier(mp, tier, module)
                 for name, fn in list(_UNARY.items()) + list(_BINARY.items()):
                     args = (x,) if name in _UNARY else (x, y)
                     with np.errstate(all="ignore"):
@@ -814,8 +881,8 @@ class TestMixedPrecisions:
                     symbol, a, b, got, want)
         a, b = self.PAIRS[0]
         assert np.float32(a) + np.float32(b) != ir.to_f32(a + b)  # the pair tells
-        runs = len(functions) * len(self.PAIRS)
-        assert len(compiled) == (runs if tier == "compiled" else 0) and all(compiled)
+        # each function compiles on its first run; the later ones reuse it
+        assert len(compiled) == (len(functions) if tier == "compiled" else 0) and all(compiled)
 
 
 class TestBoxing:
@@ -881,6 +948,7 @@ class TestF32Scalars:
         for trips in (3, 500):
             x, n = F32Value(0.75), IntValue(64, trips)
             calls.clear()
+            interp.prepare(recurrence)  # each run decodes its constants
             run_function(recurrence, "rec_f32", [x, n])
             counts.append(len(calls))
         assert counts[0] == counts[1]  # once a run: decoding constants, boxing the result
@@ -903,15 +971,79 @@ class TestCallDepth:
             run_function(module, "rec", [IntValue(64, 1)])
 
 
+class TestExecutable:
+    """A module's executable keeps each function's code across runs: each
+    form of each region is decoded once, until the module is prepared again."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """(region, lane form asked) of every _decode call."""
+        asked, decode = [], interp._decode
+        monkeypatch.setattr(interp, "_decode", lambda region, lanes=False, results=None:
+                            asked.append((region, lanes)) or decode(region, lanes, results))
+        return asked
+
+    def test_each_region_decoded_once(self, registry, sigmoid, decodes):
+        from bridgegen.dialects import build_op
+
+        _, entry = new_func(sigmoid, "wrapper", [ir.F32], [ir.F32])
+        call = build_op(registry.dialects, sigmoid, "func.call", [entry.arguments[0]],
+                        attributes={"callee": ir.SymbolAttr("sigmoid")},
+                        result_types=[ir.F32])
+        build_op(registry.dialects, sigmoid, "func.return", [call.results[0]])
+        matmul = einsum.build_einsum_function(
+            registry, einsum.parse_einsum("(i,k),(k,j)->(i,j)"))
+        for _ in range(3):
+            [out] = run_function(sigmoid, "wrapper", [F32Value(0.0)])
+            assert out.value == 0.5
+            [out] = run_function(matmul, "einsum", [tensor_value(np.ones((3, 4))),
+                                                    tensor_value(np.ones((4, 3))),
+                                                    tensor_value(np.zeros((3, 3)))])
+            assert (out.data == 4).all()
+        generic = next(op for op in walk_ops(matmul) if op.name == "linalg.generic")
+        assert sorted((id(r), lanes) for r, lanes in decodes) == sorted([
+            (id(func_region(sigmoid, "wrapper")), False),
+            (id(func_region(sigmoid, "sigmoid")), False),
+            (id(func_region(matmul, "einsum")), False),
+            (id(generic.regions[0]), True)])
+        interp.prepare(sigmoid)
+        run_function(sigmoid, "wrapper", [F32Value(0.0)])
+        assert len(decodes) == 6
+
+    def test_kernel_lane_form_decoded_once(self, vadd, decodes):
+        for _ in range(3):
+            bufs = TestKernels().vadd_buffers()
+            run_kernel(vadd, "vadd", LaunchConfig((2, 1, 1), (4, 1, 1)), bufs)
+            assert list(bufs[2].data) == [11.0 * k for k in range(1, 9)]
+        assert decodes == [(func_region(vadd, "vadd"), True)]  # no thread ran alone
+
+    def test_executable_freed_with_its_module(self, registry):
+        import weakref
+
+        module = run_pipeline(registry, SUMTO_FIR, "sumto", [fir.I64])
+        run_function(module, "sumto", [IntValue(64, 2 * interp.HOT)])
+        assert module.executable.funcs["sumto"][1].fast  # decoded and compiled
+        exe = weakref.ref(module.executable)
+        interp.prepare(module)
+        assert exe() is None  # a replaced executable is freed at once
+        run_function(module, "sumto", [IntValue(64, 2 * interp.HOT)])
+        exe = weakref.ref(module.executable)
+        del module
+        gc.collect()
+        assert exe() is None
+
+
 class TestNoCycles:
-    """A run frees its decoded code by reference counting alone."""
+    """A run leaves no garbage cycles: the code it builds stays with the
+    module's executable, and the rest is freed by reference counting."""
 
     def test_loop(self, registry):
         module = run_pipeline(registry, SUMTO_FIR, "sumto", [fir.I64])
         gc.collect()
-        [out] = run_function(module, "sumto", [IntValue(64, 100)])
-        assert gc.collect() == 0
-        assert out.value == 5050
+        for _ in range(2):  # compiled at back edge HOT, then from the entry
+            [out] = run_function(module, "sumto", [IntValue(64, 100)])
+            assert gc.collect() == 0
+            assert out.value == 5050
 
     def test_kernel(self, vadd):
         bufs = TestKernels().vadd_buffers()
@@ -957,6 +1089,7 @@ def test_readme_states_the_code_constants():
         (name, str(getattr(interp, name)))
         for name in ("LANES", "MIN_LANES", "HOT", "MAX_COMPILED_OPS", "MAX_CALL_DEPTH")}
     assert f"{fir.MAX_DIGITS} digits (`fir.MAX_DIGITS`" in text
+    assert f"at most {cli.MAX_INPUT_ELEMENTS} elements (`cli.MAX_INPUT_ELEMENTS`)" in text
     assert f"more than {fir.MAX_TYPE_DEPTH} levels deep (`fir.MAX_TYPE_DEPTH`)" in text
     bounds = re.search(
         r"an f32 when \|v\| ≤ `2\*\*(\d+)` and an f64 when \|v\| ≤ `2\*\*(\d+)`", text)

@@ -60,10 +60,10 @@ def sequential_decodes(monkeypatch):
     thread."""
     regions, decode = [], interp._decode
 
-    def counted(region, lanes=False):
+    def counted(region, lanes=False, results=None):
         if not lanes:
             regions.append(region)
-        return decode(region, lanes)
+        return decode(region, lanes, results)
     monkeypatch.setattr(interp, "_decode", counted)
     return regions
 
