@@ -9,20 +9,22 @@ run_function and run_kernel run a module on its executable, which
 ``prepare(module)`` makes and keeps on the module, and which they make on
 the module's first run. Each function's code is decoded when it first runs
 and kept for every later run, so a module must not change once prepared:
-prepare it again after editing it. ``_OPS`` maps each op name to a decoder
-that turns the op into a closure over a frame list with one slot per SSA
-value. A value, scalar or lane, has its SSA type's element kind: f32
-values are numpy float32 scalars or arrays, so each f32 op is one
-correctly rounded numpy op; f64 values are Python floats or float64
-arrays, and integers Python ints or int64 arrays. Scalars are boxed only
-at function boundaries. Ill-typed or unknown ops fail when reached, an
-operand of the wrong kind naming its declared type, and so do ill-typed
-edges: a branch argument, call result or returned value of another type
-than the slot it fills. A float op whose operand types differ from its
-result's does one double op rounded once. Each op is one step: a block is
-charged on entry when it fits the budget, otherwise (and when it holds a
-call or generic) op by op, so StepLimitExceeded comes just before the
-first op past the limit. The budget and the call depth are per run.
+prepare it again after editing it. An executable does not refer to its
+module, which each run is handed, so it is freed with the module. ``_OPS``
+maps each op name to a decoder that turns the op into a closure over a
+frame list with one slot per SSA value. A value, scalar or lane, has its
+SSA type's element kind: f32 values are numpy float32 scalars or arrays,
+so each f32 op is one correctly rounded numpy op; f64 values are Python
+floats or float64 arrays, and integers Python ints or int64 arrays.
+Scalars are boxed only at function boundaries. Ill-typed or unknown ops
+fail when reached, an operand of the wrong kind naming its declared type,
+and so do ill-typed edges: a branch argument, call result, or returned or
+yielded value of another type than the slot it fills. A float op whose
+operand types differ from its result's does one double op rounded once.
+Each op is one step: a block is charged on entry when it fits the budget,
+otherwise (and when it holds a call or generic) op by op, so
+StepLimitExceeded comes just before the first op past the limit. The
+budget and the call depth are per run.
 
 Compiled tier: once a region has taken HOT back edges (jumps to a block at
 or before the current one), counted across the runs of its executable, it
@@ -507,9 +509,10 @@ def _branch(op, at, form=None):
 
 def _return(op, at, form=None):
     declared, types = at.get(_RESULTS), tuple(v.type for v in op.operands)
-    if op.name == "func.return" and declared is not None and types != declared:
-        raise InterpError(f"func.return: values of type ({_types(types)}) for a "
-                          f"function returning ({_types(declared)})")
+    if declared is not None and types != declared:
+        whose = "a function returning" if op.name == "func.return" else "an output of type"
+        raise InterpError(f"{op.name}: values of type ({_types(types)}) for "
+                          f"{whose} ({_types(declared)})")
     src = [at[v] for v in op.operands]
     if form is None or form is _LANES:
         return lambda f, run: [f[s] for s in src]
@@ -532,10 +535,11 @@ def _call(op, at, form=None):
 def _generic(op, at, form=None):
     if form:
         return None
-    maps, body = list(op.attributes["indexing_maps"].elements), _Code(op.regions[0])
+    maps = list(op.attributes["indexing_maps"].elements)
+    body = _Code(op.regions[0], ir.region_results(op))
     if bad := [m for m in maps if not isinstance(m, ir.IndexMapAttr)]:
         raise InterpError(f"linalg.generic: indexing map {bad[0]!r} is not an affine map")
-    src, lane_body = [at[v] for v in op.operands], _decode(op.regions[0], lanes=True)
+    src, lane_body = [at[v] for v in op.operands], _decode(op.regions[0], True, body.results)
     arg_types = lane_body and [a.type for a in op.regions[0].blocks[0].arguments]
 
     def generic(f, run):
@@ -666,7 +670,7 @@ def _types(types) -> str:
 
 def _slots(region: ir.IrRegion, results=None):
     """(frame size, slot of each value and position of each block, and
-    ``results``, a function's declared result types, at _RESULTS). The
+    ``results``, the region's declared result types, at _RESULTS). The
     arguments of a block take consecutive slots; slot 0 takes the value of
     ops without one result."""
     at = {None: 0}
@@ -684,7 +688,8 @@ def _decode(region: ir.IrRegion, lanes=False, results=None):
     on entry or inf, [(result slot, op)], terminator or None, id). Ops after
     a terminator never run and are dropped. With ``lanes``, the lane form
     of a one-block region whose ops all have one, else None. ``results``
-    are a function's declared result types, None in a generic's body."""
+    are the types the region's terminators return or yield (see
+    ``ir.region_results``), checked when reached; None checks none."""
     if lanes and len(region.blocks) != 1:
         return None
     size, at = _slots(region, results)
@@ -803,8 +808,8 @@ class _Code:
     (``lanes``, decoded on the first launch of at least MIN_LANES threads)
     and its compiled function (``fast``, built once the region has taken
     HOT back edges, ``backs``, counted across runs). ``lanes`` and ``fast``
-    are False when the region has no such form. ``results`` are a
-    function's declared result types, None for a generic's body."""
+    are False when the region has no such form. ``results`` are as in
+    _decode."""
 
     __slots__ = ("region", "results", "decoded", "lanes", "backs", "fast")
 
@@ -815,19 +820,20 @@ class _Code:
 
 
 class Executable:
-    """A module ready to run: the type and code of each function, made
-    when the function first runs and kept for every later run. Made by
-    ``prepare``; the module must not change while it is in use."""
+    """A module's code: the type and code of each function, made when the
+    function first runs and kept for every later run. Made by ``prepare``
+    and kept on the module, which it does not refer back to, so it is freed
+    with the module; the module must not change while it is in use."""
 
-    __slots__ = ("module", "funcs", "__weakref__")
+    __slots__ = ("funcs", "__weakref__")
 
-    def __init__(self, module: ir.IrModule):
-        self.module, self.funcs = module, {}  # symbol -> (function type, code)
+    def __init__(self):
+        self.funcs = {}  # symbol -> (function type, code)
 
-    def function(self, symbol: str):
-        """(function type, code) of @symbol."""
+    def function(self, module: ir.IrModule, symbol: str):
+        """(function type, code) of @symbol of ``module``, this executable's."""
         if symbol not in self.funcs:
-            func = self.module.lookup_symbol(symbol)
+            func = module.lookup_symbol(symbol)
             if func is None or func.name != "func.func":
                 raise InterpError(f"no function @{symbol} in the module")
             ftype = func.attributes["function_type"].type
@@ -840,19 +846,20 @@ def prepare(module: ir.IrModule) -> Executable:
     run_kernel, which prepare a module on its first run. Preparing again
     drops the code of earlier runs: the way to run a module after editing
     it, or to count HOT back edges from zero."""
-    module.executable = Executable(module)
+    module.executable = Executable()
     return module.executable
 
 
 class _Run:
-    """One run of an executable: its step budget, thread context and call
-    depth. Code never refers back to the run, so a run leaves no cycles."""
+    """One run of a module on its executable: its step budget, thread
+    context and call depth. Code never refers back to the run, so a run
+    leaves no cycles."""
 
-    __slots__ = ("exe", "limit", "steps", "ctx", "depth")
+    __slots__ = ("module", "exe", "limit", "steps", "ctx", "depth")
 
     def __init__(self, module: ir.IrModule, limit: int):
-        self.exe, self.limit, self.ctx = module.executable or prepare(module), limit, None
-        self.steps = self.depth = 0
+        self.module, self.exe = module, module.executable or prepare(module)
+        self.limit, self.ctx, self.steps, self.depth = limit, None, 0, 0
 
     def tick(self):
         self.steps += 1
@@ -864,7 +871,7 @@ class _Run:
 
     def function(self, symbol: str, inputs: list):
         """(function type, code) of @symbol, checked against boxed ``inputs``."""
-        ftype, code = self.exe.function(symbol)
+        ftype, code = self.exe.function(self.module, symbol)
         if len(inputs) != len(ftype.inputs):
             raise InterpError(f"@{symbol} takes {len(ftype.inputs)} "
                               f"argument(s), got {len(inputs)}")

@@ -3,10 +3,17 @@
 Modules are built through :func:`create_op` / :meth:`IrModule.append_block`,
 checked with :func:`verify_module`, and rendered with :func:`print_module`.
 Printing is one-way; there is no parser for the textual form.
+
+Memory: nothing in the IR refers back to what holds it. A value knows
+neither its op nor its block and names its module only by a token, for
+create_op's cross-module check. The one cycle left is a loop's back edge
+(``Successor.block``), so a dropped module is freed by reference counting
+at once; only one with a loop waits for the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -34,8 +41,6 @@ __all__ = [
     "IndexMapAttr",
     "SymbolAttr",
     "TypeAttr",
-    "OpResult",
-    "BlockArgument",
     "IrValue",
     "Successor",
     "IrOperation",
@@ -48,6 +53,7 @@ __all__ = [
     "Diagnostic",
     "VerifyReport",
     "verify_module",
+    "region_results",
     "print_module",
     "format_float",
     "to_f32",
@@ -138,10 +144,6 @@ def is_integer(t: IrType) -> bool:
     return isinstance(t, (IntType, IndexType))
 
 
-def is_scalar(t: IrType) -> bool:
-    return is_float(t) or is_integer(t)
-
-
 # ---------------------------------------------------------------------------
 # Attributes
 
@@ -210,29 +212,15 @@ class TypeAttr(IrAttribute):
 # Values, operations, blocks, regions
 
 
-# A value's origin. The generated __eq__ and __hash__ compare ``op`` and
-# ``block`` by identity, as IrOperation and IrBlock do.
-@dataclass(frozen=True)
-class OpResult:
-    op: "IrOperation"
-    index: int
-
-
-@dataclass(frozen=True)
-class BlockArgument:
-    block: "IrBlock"
-    index: int
-
-
 class IrValue:
-    """An SSA value: the result of an operation or a block argument."""
+    """An SSA value: the result of an operation or a block argument.
+    ``owner`` is a token of its module, which it does not refer to."""
 
-    __slots__ = ("id", "type", "origin", "owner")
+    __slots__ = ("id", "type", "owner")
 
-    def __init__(self, id: int, type: IrType, origin, owner: "IrModule"):
+    def __init__(self, id: int, type: IrType, owner: object):
         self.id = id
         self.type = type
-        self.origin = origin
         self.owner = owner
 
     def __repr__(self):
@@ -307,30 +295,26 @@ class IrModule:
         self.body = IrRegion()
         self.body.blocks.append(IrBlock(0))
         self.registry = registry
-        self._next_value = 0
-        self._next_block = 1
+        self._values = itertools.count()  # value ids, and the owner of the values
+        self._blocks = itertools.count(1)  # block ids
         self.insertion_block = self.body.blocks[0]
         self.executable = None  # the interpreter's, made by interp.prepare
 
     # -- allocation ---------------------------------------------------
 
-    def new_value(self, type: IrType, origin) -> IrValue:
-        v = IrValue(self._next_value, type, origin, self)
-        self._next_value += 1
-        return v
+    def new_value(self, type: IrType) -> IrValue:
+        return IrValue(next(self._values), type, self._values)
 
     def owns(self, value: IrValue) -> bool:
-        return value.owner is self
+        return value.owner is self._values
 
     def new_region(self) -> IrRegion:
         return IrRegion()
 
     def append_block(self, region: IrRegion, arg_types) -> IrBlock:
         """Append a fresh block with arguments of ``arg_types`` to ``region``."""
-        block = IrBlock(self._next_block)
-        self._next_block += 1
-        for i, t in enumerate(arg_types):
-            block.arguments.append(self.new_value(t, BlockArgument(block, i)))
+        block = IrBlock(next(self._blocks))
+        block.arguments = [self.new_value(t) for t in arg_types]
         region.blocks.append(block)
         return block
 
@@ -378,14 +362,12 @@ def create_op(module: IrModule, name: str, operands, result_types,
     op = IrOperation(
         name,
         operands,
-        [],
+        [module.new_value(t) for t in result_types],
         dict(attributes or {}),
         list(regions or []),
         succs,
         is_terminator,
     )
-    for i, t in enumerate(result_types):
-        op.results.append(module.new_value(t, OpResult(op, i)))
     module.insertion_block.operations.append(op)
     return op
 
@@ -538,118 +520,127 @@ def verify_module(module: IrModule) -> VerifyReport:
     """Structurally check every region of ``module``; collects all findings.
 
     When the module carries a dialect registry (``module.registry``), each
-    op is additionally checked against its registered definition.
+    op is additionally checked against its registered definition. A nested
+    region's findings come right after those of the op that holds it.
     """
-    registry = module.registry
     report = VerifyReport()
-
-    def flag(category, message, op_name, block=-1):
-        report.diagnostics.append(Diagnostic(category, message, op_name, block))
-
     functions = {}  # symbol -> its FunctionType, or None
     for op in module.symbol_ops():
         sym = op.attributes.get("sym_name")
         if isinstance(sym, SymbolAttr):
             if sym.name in functions:
-                flag("duplicate-symbol", f"symbol @{sym.name} redefined", op.name)
+                report.diagnostics.append(Diagnostic(
+                    "duplicate-symbol", f"symbol @{sym.name} redefined", op.name))
             functions[sym.name] = _function_type(op)
-
-    def typed_against(o, returns):
-        """(what, values, declared types) of a func.return against its
-        function's type and of a func.call against its callee's, as MLIR's
-        func dialect checks them."""
-        if o.name == "func.return" and returns is not None:
-            return [("returned", o.operands, returns.results)]
-        callee = o.attributes.get("callee") if o.name == "func.call" else None
-        ftype = functions.get(callee.name) if isinstance(callee, SymbolAttr) else None
-        return [] if ftype is None else [("operand", o.operands, ftype.inputs),
-                                         ("result", o.results, ftype.results)]
-
-    def check_region(region: IrRegion, returns=None):
-        in_region = {id(b) for b in region.blocks}
-        dom = _dominators(region)  # reachable blocks only
-
-        # Where each value is defined: block plus position (-1 = block arg).
-        defs = {}
-        for bi, b in enumerate(region.blocks):
-            for a in b.arguments:
-                defs[a] = (b, -1)
-            for oi, o in enumerate(b.operations):
-                for r in o.results:
-                    defs[r] = (b, oi)
-
-        def dominates_use(value, use_block, use_pos):
-            if value not in defs:
-                return False  # defined outside this region
-            def_block, def_pos = defs[value]
-            if def_block is use_block:
-                return def_pos < use_pos
-            outer = dom.get(id(def_block))
-            inner = dom[id(use_block)]
-            return (outer is not None and outer[0] <= inner[0]
-                    and inner[1] <= outer[1])
-
-        for b in region.blocks:
-            ops = b.operations
-            if not ops or not ops[-1].is_terminator:
-                flag("missing-terminator", "block does not end with a terminator",
-                     ops[-1].name if ops else "", b.id)
-            for o in ops[:-1]:
-                if o.is_terminator:
-                    flag("misplaced-terminator", "terminator before end of block",
-                         o.name, b.id)
-
-            for pos, o in enumerate(ops):
-                for i, r in enumerate(o.results):
-                    org = r.origin
-                    if not (isinstance(org, OpResult) and org.op is o and org.index == i):
-                        flag("result-origin", f"result {i} origin does not point back",
-                             o.name, b.id)
-                uses = list(o.operands)
-                for s in o.successors:
-                    uses.extend(s.args)
-                if id(b) in dom:
-                    for v in uses:
-                        if not dominates_use(v, b, pos):
-                            flag("dominance", f"use of %{v.id} is not dominated by its "
-                                 "definition", o.name, b.id)
-                for s in o.successors:
-                    if id(s.block) not in in_region:
-                        flag("bad-successor", "successor block is not in the same region",
-                             o.name, b.id)
-                        continue
-                    want = [a.type for a in s.block.arguments]
-                    got = [v.type for v in s.args]
-                    if want != got:
-                        flag("bad-successor", f"successor ^bb{s.block.id} expects "
-                             f"{len(want)} argument(s) of matching type, got {len(got)}",
-                             o.name, b.id)
-                for what, values, want in typed_against(o, returns):
-                    got = tuple(v.type for v in values)
-                    if got != tuple(want):
-                        flag("function-type", f"{what} types ({', '.join(map(str, got))}) "
-                             f"differ from the function type's ({', '.join(map(str, want))})",
-                             o.name, b.id)
-                if registry is not None:
-                    for d in registry.validate_op(o):
-                        d.block = b.id
-                        report.diagnostics.append(d)
-                for r in o.regions:
-                    check_region(r)
-
     for op in module.symbol_ops():
-        if registry is not None:
-            for d in registry.validate_op(op):
-                report.diagnostics.append(d)
-        for r in op.regions:
-            check_region(r, _function_type(op))
+        _check_op(op, -1, module.registry, functions, report)
     return report
+
+
+def _check_op(op: IrOperation, block: int, registry, functions, report: VerifyReport):
+    """Check ``op``, of block ``block``, against its registered definition,
+    then its regions."""
+    for d in registry.validate_op(op) if registry is not None else ():
+        d.block = block
+        report.diagnostics.append(d)
+    for r in op.regions:
+        _check_region(r, op, registry, functions, report)
+
+
+# what each category of typed check compares values against
+_DECLARED = {"function-type": "the function type's", "yield-type": "the output element types"}
+
+
+def _typed_against(o: IrOperation, holder: IrOperation, functions):
+    """(category, what, values, declared types) of a func.return or
+    linalg.yield against the results declared for the region of ``holder``
+    it ends, and of a func.call against its callee's type, as MLIR checks
+    them."""
+    what = {"func.return": "returned", "linalg.yield": "yielded"}.get(o.name)
+    if what:
+        returns = region_results(holder)
+        category = "yield-type" if holder.name == "linalg.generic" else "function-type"
+        return [] if returns is None else [(category, what, o.operands, returns)]
+    callee = o.attributes.get("callee") if o.name == "func.call" else None
+    ftype = functions.get(callee.name) if isinstance(callee, SymbolAttr) else None
+    return [] if ftype is None else [("function-type", "operand", o.operands, ftype.inputs),
+                                     ("function-type", "result", o.results, ftype.results)]
+
+
+def _check_region(region: IrRegion, holder: IrOperation, registry, functions,
+                  report: VerifyReport):
+    """Check the blocks of ``region``, a region of the op ``holder``."""
+    def flag(category, message, op_name, block):
+        report.diagnostics.append(Diagnostic(category, message, op_name, block))
+
+    in_region = {id(b) for b in region.blocks}
+    dom = _dominators(region)  # reachable blocks only
+    defs = {}  # where each value is defined: block plus position (-1 = block arg)
+    for b in region.blocks:
+        for a in b.arguments:
+            defs[a] = (b, -1)
+        for oi, o in enumerate(b.operations):
+            for r in o.results:
+                defs[r] = (b, oi)
+
+    for b in region.blocks:
+        ops = b.operations
+        if not ops or not ops[-1].is_terminator:
+            flag("missing-terminator", "block does not end with a terminator",
+                 ops[-1].name if ops else "", b.id)
+        for o in ops[:-1]:
+            if o.is_terminator:
+                flag("misplaced-terminator", "terminator before end of block",
+                     o.name, b.id)
+
+        for pos, o in enumerate(ops):
+            uses = list(o.operands)
+            for s in o.successors:
+                uses.extend(s.args)
+            if id(b) in dom:
+                inner = dom[id(b)]
+                for v in uses:
+                    def_block, def_pos = defs.get(v, (None, 0))  # None: outside
+                    outer = dom.get(id(def_block))
+                    if not (def_pos < pos if def_block is b else outer is not None
+                            and outer[0] <= inner[0] and inner[1] <= outer[1]):
+                        flag("dominance", f"use of %{v.id} is not dominated by its "
+                             "definition", o.name, b.id)
+            for s in o.successors:
+                if id(s.block) not in in_region:
+                    flag("bad-successor", "successor block is not in the same region",
+                         o.name, b.id)
+                    continue
+                want = [a.type for a in s.block.arguments]
+                got = [v.type for v in s.args]
+                if want != got:
+                    flag("bad-successor", f"successor ^bb{s.block.id} expects "
+                         f"{len(want)} argument(s) of matching type, got {len(got)}",
+                         o.name, b.id)
+            for category, what, values, want in _typed_against(o, holder, functions):
+                got = tuple(v.type for v in values)
+                if got != tuple(want):
+                    flag(category, f"{what} types ({', '.join(map(str, got))}) differ "
+                         f"from {_DECLARED[category]} ({', '.join(map(str, want))})",
+                         o.name, b.id)
+            _check_op(o, b.id, registry, functions, report)
 
 
 def _function_type(op: IrOperation):
     """The FunctionType of a symbol op's ``function_type``, or None."""
     ftype = getattr(op.attributes.get("function_type"), "type", None)
     return ftype if isinstance(ftype, FunctionType) else None
+
+
+def region_results(op: IrOperation):
+    """The types a terminator of ``op``'s regions returns or yields: a
+    function's result types, or the element type of a linalg.generic's
+    output, its last operand; None when ``op`` declares none."""
+    if op.name == "linalg.generic":
+        out = op.operands[-1].type if op.operands else None
+        return (out.elem,) if isinstance(out, _ShapedType) else None
+    ftype = _function_type(op)
+    return None if ftype is None else tuple(ftype.results)
 
 
 # ---------------------------------------------------------------------------

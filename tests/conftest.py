@@ -183,6 +183,23 @@ def func_region(module, symbol):
     return module.lookup_symbol(symbol).regions[0]
 
 
+def ill_typed_yield(registry):
+    """The einsum ``(i)->(i)`` with its body's yield replaced by one of the
+    f64 constant 0.1, into the f32 output."""
+    from bridgegen import einsum
+
+    module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i)->(i)"))
+    generic = next(op for op in func_region(module, "einsum").entry.operations
+                   if op.name == "linalg.generic")
+    [body] = generic.regions[0].blocks
+    assert body.operations.pop().name == "linalg.yield"
+    module.set_insertion(body)
+    tenth = ir.create_op(module, "arith.constant", [], [ir.F64],
+                         {"value": ir.FloatAttr(0.1, ir.F64)})
+    ir.create_op(module, "linalg.yield", tenth.results, [])
+    return module
+
+
 # ---------------------------------------------------------------------------
 # Random well-formed frontend functions (two i64 parameters)
 

@@ -106,6 +106,7 @@ class TestCriterion3And4:
         numbers = sorted(fir.reachable_blocks(fn))
         blocks = dict(zip(numbers, region.blocks))
         entry_args = region.blocks[0].arguments
+        defining = {r: op for b in region.blocks for op in b.operations for r in op.results}
         count = 0
         for number in numbers[1:]:
             phis = [st for st in fn.blocks[number - 1] if isinstance(st, fir.Phi)]
@@ -124,7 +125,7 @@ class TestCriterion3And4:
                         if isinstance(arg, fir.ParamRef):
                             assert v is entry_args[arg.index - 1]
                         else:
-                            op = v.origin.op
+                            op = defining[v]
                             assert op.name == "arith.constant"
                             assert op.attributes["value"].value == arg.value
         return count

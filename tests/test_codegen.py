@@ -748,6 +748,7 @@ class TestCfgProperties:
         numbers = sorted(fir.reachable_blocks(fn))
         blocks = dict(zip(numbers, region.blocks))
         entry_args = region.blocks[0].arguments
+        defining = {r: op for b in region.blocks for op in b.operations for r in op.results}
         reachable = set(numbers)
 
         for number in numbers[1:]:
@@ -767,6 +768,6 @@ class TestCfgProperties:
                         if isinstance(arg, fir.ParamRef):
                             assert value is entry_args[arg.index - 1]
                         elif isinstance(arg, fir.IntLit):
-                            op = value.origin.op
+                            op = defining[value]
                             assert op.name == "arith.constant"
                             assert op.attributes["value"].value == arg.value

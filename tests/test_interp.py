@@ -40,6 +40,7 @@ from conftest import (
     VADD_TYPES,
     einsum_bruteforce,
     func_region,
+    ill_typed_yield,
     new_func,
     run_pipeline,
     tensor_value,
@@ -768,6 +769,15 @@ class TestErrors:
                                               r".*\) is not an affine map$"):
             run_function(module, "einsum", [tensor_value(np.ones(3))] * 2)
 
+    @pytest.mark.parametrize("points", [3, 8], ids=["points", "lanes"])
+    def test_ill_typed_yield_fails_when_reached(self, registry, points):
+        # 8 points would run in lanes, but the ill-typed body has no lane form
+        module = ill_typed_yield(registry)
+        assert not ir.verify_module(module).ok
+        with pytest.raises(InterpError, match=r"^linalg\.yield: values of type \(f64\) "
+                                              r"for an output of type \(f32\)$"):
+            run_function(module, "einsum", [tensor_value(np.ones(points))] * 2)
+
 
 # f32/f64 arithmetic agrees with numpy scalars bit for bit
 
@@ -1033,9 +1043,61 @@ class TestExecutable:
         assert exe() is None
 
 
+@pytest.fixture
+def no_collector():
+    """The cyclic garbage collector off, with no garbage left before."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
 class TestNoCycles:
     """A run leaves no garbage cycles: the code it builds stays with the
-    module's executable, and the rest is freed by reference counting."""
+    module's executable, and the rest is freed by reference counting. So
+    is a loop-free module, with its executable, once it is dropped."""
+
+    @pytest.mark.parametrize("symbol, text, types, inputs", [
+        ("sigmoid", SIGMOID_FIR, [fir.F32], [F32Value(2.0)]),
+        ("max", MAX_FIR, [fir.I64, fir.I64], [IntValue(64, 3), IntValue(64, 7)]),
+    ], ids=["sigmoid", "max"])
+    def test_module_run_and_dropped(self, registry, no_collector, symbol, text, types,
+                                    inputs):
+        module = run_pipeline(registry, text, symbol, types)
+        run_function(module, symbol, inputs)
+        del module
+        assert gc.collect() == 0
+
+    def test_module_verified_and_dropped(self, registry, no_collector):
+        module = run_pipeline(registry, SIGMOID_FIR, "sigmoid", [fir.F32])
+        assert ir.verify_module(module).diagnostics == []
+        del module
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("threads", [8, 4], ids=["lanes", "threads"])
+    def test_kernel_module_run_and_dropped(self, registry, no_collector, threads):
+        module = run_pipeline(registry, VADD_FIR, "vadd", VADD_TYPES)
+        bufs = [MemRefValue(ir.F32, (threads,), np.ones(threads, np.float32))
+                for _ in range(3)]
+        run_kernel(module, "vadd", LaunchConfig((1, 1, 1), (threads, 1, 1)), bufs)
+        assert bool(module.executable.funcs["vadd"][1].lanes) == (threads >= interp.MIN_LANES)
+        del module
+        assert gc.collect() == 0
+        assert list(bufs[2].data) == [2.0] * threads
+
+    @pytest.mark.parametrize("points", [8, 3], ids=["lanes", "points"])
+    def test_generic_module_run_and_dropped(self, registry, monkeypatch, no_collector,
+                                            points):
+        lanes, run_lanes = [], interp._generic_lanes
+        monkeypatch.setattr(interp, "_generic_lanes",
+                            lambda *args: lanes.append(run_lanes(*args)))
+        module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i)->(i)"))
+        [out] = run_function(module, "einsum", [tensor_value(np.full(points, 3.0)),
+                                                tensor_value(np.zeros(points))])
+        assert len(lanes) == (points >= interp.MIN_LANES)
+        del module
+        assert gc.collect() == 0
+        assert list(out.data) == [3.0] * points
 
     def test_loop(self, registry):
         module = run_pipeline(registry, SUMTO_FIR, "sumto", [fir.I64])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bridgegen import dialects, ir
 from bridgegen.ir import (
     ArrayAttr,
-    BlockArgument,
     FloatAttr,
     FunctionType,
     IndexMapAttr,
@@ -21,7 +20,6 @@ from bridgegen.ir import (
     IrModule,
     IrOperation,
     IrRegion,
-    OpResult,
     StringAttr,
     Successor,
     SymbolAttr,
@@ -30,7 +28,7 @@ from bridgegen.ir import (
     result,
     verify_module,
 )
-from conftest import new_func
+from conftest import func_region, ill_typed_yield, new_func
 
 
 class TestTypes:
@@ -124,14 +122,13 @@ class TestAttributes:
 
 
 class TestCreateOp:
-    def test_results_allocated_with_origin(self):
+    def test_results_allocated(self):
         m = IrModule()
         _, block = new_func(m)
         a = create_op(m, "arith.constant", [], [ir.F32],
                       {"value": FloatAttr(1.0, ir.F32)})
         op = create_op(m, "arith.addf", [result(a), result(a)], [ir.F32])
-        assert result(op, 0).type == ir.F32
-        assert result(op).origin == OpResult(op, 0)
+        assert result(op, 0).type == ir.F32 and m.owns(result(op))
 
     def test_terminator_inferred_from_attached_registry(self):
         m = IrModule(registry=dialects.builtin_registry())
@@ -170,7 +167,6 @@ class TestCreateOp:
         assert region.blocks[1] is b1 and region.blocks[2] is b2
         assert [a.type for a in b1.arguments] == [ir.I64]
         assert b2.arguments == []
-        assert b1.arguments[0].origin == BlockArgument(b1, 0)
 
 
 def build_sigmoid_like(module):
@@ -314,6 +310,29 @@ class TestVerifier:
         found = verify_module(m).diagnostics
         assert [d.message.split()[0] for d in found] == bad
         assert all((d.category, d.op) == ("function-type", "func.call") for d in found)
+
+    def test_yield_types_checked_against_output(self, registry):
+        (d,) = verify_module(ill_typed_yield(registry)).diagnostics
+        assert (d.category, d.op) == ("yield-type", "linalg.yield")
+        assert "(f64)" in d.message and "(f32)" in d.message
+
+    def test_nested_region_findings_follow_their_op(self, registry):
+        # a finding before the generic, on the generic, in its body, after it
+        m = ill_typed_yield(registry)
+        entry = func_region(m, "einsum").entry
+        assert entry.operations.pop().name == "func.return"
+        [generic] = entry.operations
+        del generic.attributes["iterator_types"]
+        m.set_insertion(entry)
+        create_op(m, "arith.bogus", [], [])
+        entry.operations.reverse()  # the bogus op first, then the generic
+        create_op(m, "func.return", [], [], is_terminator=True)
+        body = generic.regions[0].entry
+        assert [(d.category, d.op, d.block) for d in verify_module(m).diagnostics] == [
+            ("unknown-op", "arith.bogus", entry.id),
+            ("missing-attr", "linalg.generic", entry.id),
+            ("yield-type", "linalg.yield", body.id),
+            ("function-type", "func.return", entry.id)]
 
     def test_collects_multiple_diagnostics(self):
         m = IrModule(registry=dialects.builtin_registry())
