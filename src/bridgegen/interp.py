@@ -16,11 +16,15 @@ frame list with one slot per SSA value. A value, scalar or lane, has its
 SSA type's element kind: f32 values are numpy float32 scalars or arrays,
 so each f32 op is one correctly rounded numpy op; f64 values are Python
 floats or float64 arrays, and integers Python ints or int64 arrays.
-Scalars are boxed only at function boundaries. Ill-typed or unknown ops
-fail when reached, an operand of the wrong kind naming its declared type,
-and so do ill-typed edges: a branch argument, call result, or returned or
-yielded value of another type than the slot it fills. A float op whose
-operand types differ from its result's does one double op rounded once.
+Scalars are boxed only where run_function and run_kernel take and give
+them; a func.call passes raw values. The verifier is the interpreter's only
+type rule: ``prepare`` verifies the module once, and an op the verifier
+faults fails when reached, with its first finding's text. Unknown ops fail
+when reached too. The interpreter checks only what the verifier does not:
+constant attribute kinds, the cmpi predicate, the gpu dimension, the
+indexing-map kind, runtime shapes, extents and bounds, the step budget and
+the call depth. Every failure at run time is an InterpError.
+
 Each op is one step: a block is charged on entry when it fits the budget,
 otherwise (and when it holds a call or generic) op by op, so
 StepLimitExceeded comes just before the first op past the limit. The
@@ -37,7 +41,7 @@ gives its text: an operator is written infix, and other functions,
 constants and helpers are passed through the function's namespace, never
 pasted into the text. A region of more than MAX_COMPILED_OPS ops, or with
 an op without a source form (memref, gpu, func.call, linalg.generic,
-ill-typed and unknown ops), stays on closures. Blocks are charged on entry
+faulted and unknown ops), stays on closures. Blocks are charged on entry
 as above; a block that does not fit the budget raises the step error: its
 ops change only locals and cannot fail, so running them op by op would end
 the same way. HOT is about where compiling pays: on a 2-vCPU machine under
@@ -244,13 +248,12 @@ def _check_compatible(t: ir.IrType, v: RuntimeValue, where: str):
 
 
 _FLOAT = (ir.Float32Type, ir.Float64Type)
-_INT = (ir.IntType, ir.IndexType)
 _CMP = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
         "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}
 
 
 _LANES = "lanes"  # the form asking a decoder for its op's lane form
-_RESULTS = "results"  # the key of a function's declared result types in ``at``
+_FAULTS = "faults"  # the key in ``at`` of the executable's ops with a verifier finding
 
 
 class _Sequential(Exception):
@@ -268,20 +271,6 @@ def _unbox(v: RuntimeValue):
     if isinstance(v, _ArrayValue):
         return v
     return np.float32(v.value) if isinstance(v, F32Value) else v.value
-
-
-def _box(t: ir.IrType, raw) -> RuntimeValue:
-    return raw if isinstance(raw, RuntimeValue) else value_of_type(t, raw)
-
-
-def _kind(op, at, kinds, first=0):
-    """Slots of the operands from ``first`` on; one not declared of
-    ``kinds`` makes the op fail when reached, naming its declared type."""
-    for v in op.operands[first:]:
-        if not isinstance(v.type, kinds):
-            what = "a float" if kinds is _FLOAT else "an integer"
-            raise InterpError(f"{op.name}: expected {what} operand, got one of type {v.type}")
-    return [at[v] for v in op.operands[first:]]
 
 
 def _wrapped(t: ir.IrType, read, form=None):
@@ -318,8 +307,6 @@ def _lane_op(op, fn, *slots):
     result out of int64 falls back."""
     t = op.results[0].type
     if isinstance(t, _FLOAT):
-        if any(v.type != t for v in op.operands):
-            return None  # mixed precisions: the scalar op rounds a double once
         return lambda f, lanes: fn(*[f[s] for s in slots])
     wrap = _lane_wrap(t)
 
@@ -345,40 +332,24 @@ def _apply_text(form, fn, *args):
     return f"({args[0]} {sym} {args[1]})" if args[1:] else f"{sym}{args[0]}"
 
 
-def _scalar_fn(op, fn, lane_fn):
-    """The function an op applies to scalars: ``lane_fn`` to f32 values,
-    which are np.float32, and ``fn`` to f64 and integer values, which are
-    Python floats and ints. A float op whose operand types differ from its
-    result's (unverified IR) does one double op on float() of each operand,
-    rounded once; numpy would round an f64 operand of an f32 op first."""
-    t = op.results[0].type
-    if not isinstance(t, _FLOAT) or all(v.type == t for v in op.operands):
-        return lane_fn if isinstance(t, ir.Float32Type) else fn
-    kind = np.float32 if isinstance(t, ir.Float32Type) else float
-    return lambda *xs: kind(fn(*map(float, xs)))
+def _arith(fn, lane_fn=None):
+    """The decoder of a unary or binary op that applies ``lane_fn`` to lanes
+    and to f32 scalars, which are np.float32, and ``fn`` to f64 and integer
+    scalars, which are Python floats and ints; ``lane_fn`` defaults to ``fn``."""
+    lane_fn = lane_fn or fn
 
-
-def _binary(kinds, fn, lane_fn=None):
     def decode(op, at, form=None):
-        a, b = _kind(op, at, kinds)
+        slots, t = [at[v] for v in op.operands], op.results[0].type
         if form is _LANES:
-            return _lane_op(op, lane_fn or fn, a, b)
-        t, g = op.results[0].type, _scalar_fn(op, fn, lane_fn or fn)
+            return _lane_op(op, lane_fn, *slots)
+        g = lane_fn if isinstance(t, ir.Float32Type) else fn
         if form:
-            return _wrapped(t, _apply_text(form, g, f"v{a}", f"v{b}"), form)
+            return _wrapped(t, _apply_text(form, g, *[f"v{s}" for s in slots]), form)
+        if len(slots) == 1:
+            [a] = slots
+            return _wrapped(t, lambda f, run: g(f[a]))
+        a, b = slots
         return _wrapped(t, lambda f, run: g(f[a], f[b]))
-    return decode
-
-
-def _unary(kinds, fn, lane_fn=None):
-    def decode(op, at, form=None):
-        [a] = _kind(op, at, kinds)
-        if form is _LANES:
-            return _lane_op(op, lane_fn or fn, a)
-        t, g = op.results[0].type, _scalar_fn(op, fn, lane_fn or fn)
-        if form:
-            return _wrapped(t, _apply_text(form, g, f"v{a}"), form)
-        return _wrapped(t, lambda f, run: g(f[a]))
     return decode
 
 
@@ -398,7 +369,7 @@ def _cmpi(op, at, form=None):
     pred = op.attributes["predicate"].text
     if pred not in _CMP:
         raise InterpError(f"unknown cmpi predicate '{pred}'")
-    (a, b), cmp = _kind(op, at, _INT), _CMP[pred]
+    (a, b), cmp = [at[v] for v in op.operands], _CMP[pred]
     if form is _LANES:
         return lambda f, lanes: cmp(f[a], f[b]).astype(np.int64)
     if form:
@@ -424,9 +395,7 @@ def _launch_coordinate(k):
 def _memref(op, at, form=None):
     """memref.load, or memref.store (its buffer is operand 1)."""
     which = int(op.name == "memref.store")
-    if not isinstance(op.operands[which].type, ir.MemRefType):
-        raise InterpError(f"{op.name} target is not a memref value")
-    b, idx = at[op.operands[which]], _kind(op, at, _INT, which + 1)
+    b, idx = at[op.operands[which]], [at[v] for v in op.operands[which + 1:]]
     if form is _LANES:
         return _lane_memref(op, at, b, idx)
     if form:
@@ -479,18 +448,9 @@ def _lane_memref(op, at, b, idx):
 def _branch(op, at, form=None):
     if form is _LANES:
         return None
-    if op.operands and op.operands[0].type != ir.I1:
-        raise InterpError("cf.cond_br condition is not an i1 value")
     c = at[op.operands[0]] if op.operands else None
     edges = []  # (target, source slots, target's argument slots as a slice)
     for succ in op.successors:
-        if len(succ.args) != len(succ.block.arguments):
-            raise InterpError(f"{op.name}: {len(succ.args)} value(s) for the "
-                              f"{len(succ.block.arguments)} argument(s) of ^bb{succ.block.id}")
-        for i, (v, arg) in enumerate(zip(succ.args, succ.block.arguments)):
-            if v.type != arg.type:
-                raise InterpError(f"{op.name}: a value of type {v.type} for argument {i} "
-                                  f"of ^bb{succ.block.id}, of type {arg.type}")
         src = tuple(at[v] for v in succ.args)
         first = at[succ.block.arguments[0]] if src else 0
         edges.append((at[succ.block], src, first, first + len(src)))
@@ -508,11 +468,6 @@ def _branch(op, at, form=None):
 
 
 def _return(op, at, form=None):
-    declared, types = at.get(_RESULTS), tuple(v.type for v in op.operands)
-    if declared is not None and types != declared:
-        whose = "a function returning" if op.name == "func.return" else "an output of type"
-        raise InterpError(f"{op.name}: values of type ({_types(types)}) for "
-                          f"{whose} ({_types(declared)})")
     src = [at[v] for v in op.operands]
     if form is None or form is _LANES:
         return lambda f, run: [f[s] for s in src]
@@ -523,10 +478,10 @@ def _call(op, at, form=None):
     if form:
         return None
     callee, dst = op.attributes["callee"].name, [at[v] for v in op.results]
-    src, types = [(v.type, at[v]) for v in op.operands], tuple(v.type for v in op.results)
+    src = [at[v] for v in op.operands]
 
     def call(f, run):
-        for d, v in zip(dst, run.call(callee, [_box(t, f[s]) for t, s in src], types)):
+        for d, v in zip(dst, run.call(callee, [f[s] for s in src])):
             f[d] = v
         return f[dst[0]] if len(dst) == 1 else None
     return call
@@ -536,10 +491,10 @@ def _generic(op, at, form=None):
     if form:
         return None
     maps = list(op.attributes["indexing_maps"].elements)
-    body = _Code(op.regions[0], ir.region_results(op))
+    body = _Code(op.regions[0], at[_FAULTS])
     if bad := [m for m in maps if not isinstance(m, ir.IndexMapAttr)]:
         raise InterpError(f"linalg.generic: indexing map {bad[0]!r} is not an affine map")
-    src, lane_body = [at[v] for v in op.operands], _decode(op.regions[0], True, body.results)
+    src, lane_body = [at[v] for v in op.operands], _decode(op.regions[0], True, body.faults)
     arg_types = lane_body and [a.type for a in op.regions[0].blocks[0].arguments]
 
     def generic(f, run):
@@ -583,10 +538,8 @@ def _generic(op, at, form=None):
                      a.__getitem__ if isinstance(v.elem, ir.Float32Type) else a.item),
                      where=w: read(where(p))) for v, a, w in zip(operands, arrays, wheres)]
         for point in itertools.product(*(range(extents[a]) for a in range(n_axes))):
-            yielded = _exec(body, [read(point, run) for read in reads], run)
-            if len(yielded) != 1:
-                raise InterpError("linalg.generic body must yield one value")
-            result[wheres[-1](point)] = yielded[0]
+            [yielded] = _exec(body, [read(point, run) for read in reads], run)
+            result[wheres[-1](point)] = yielded
         return TensorValue(out.elem, result.shape, result)
     return generic
 
@@ -614,30 +567,30 @@ def _generic_lanes(code, maps, operands, extents, result):
     *reads, (_, out_at, _, wrap_out) = reads
     acc, lanes = wrap_out(result.take(out_at)), _Lanes(None)
     for point in itertools.product(*(range(extents[a]) for a in loop)):
-        yielded = _exec_lanes(code, [
+        [yielded] = _exec_lanes(code, [
             wrap(data.take(at + sum(map(operator.mul, point, strides))))
             for data, at, strides, wrap in reads] + [acc], lanes)
-        if len(yielded) != 1 or yielded[0].dtype != result.dtype:
+        if yielded.dtype != result.dtype:
             raise _Sequential
-        acc = wrap_out(yielded[0])
+        acc = wrap_out(yielded)
     result.put(out_at, acc)
 
 
 _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
     "arith.constant": _constant,
-    "arith.addf": _binary(_FLOAT, operator.add),
-    "arith.subf": _binary(_FLOAT, operator.sub),
-    "arith.mulf": _binary(_FLOAT, operator.mul),
-    "arith.divf": _binary(_FLOAT, lambda x, y:  # by ±0: numpy's inf or nan
-                          x / y if y else float(np.float64(x) / np.float64(y)),
-                          operator.truediv),
-    "arith.negf": _unary(_FLOAT, operator.neg),
-    "math.exp": _unary(_FLOAT, lambda x: float(np.exp(x)), np.exp),
-    "arith.addi": _binary(_INT, operator.add),
-    "arith.subi": _binary(_INT, operator.sub),
-    "arith.muli": _binary(_INT, operator.mul),
+    "arith.addf": _arith(operator.add),
+    "arith.subf": _arith(operator.sub),
+    "arith.mulf": _arith(operator.mul),
+    "arith.divf": _arith(lambda x, y:  # by ±0: numpy's inf or nan
+                         x / y if y else float(np.float64(x) / np.float64(y)),
+                         operator.truediv),
+    "arith.negf": _arith(operator.neg),
+    "math.exp": _arith(lambda x: float(np.exp(x)), np.exp),
+    "arith.addi": _arith(operator.add),
+    "arith.subi": _arith(operator.sub),
+    "arith.muli": _arith(operator.mul),
     "arith.cmpi": _cmpi,
-    "arith.index_cast": _unary(_INT, operator.pos),
+    "arith.index_cast": _arith(operator.pos),
     "gpu.thread_id": _launch_coordinate(0),
     "gpu.block_id": _launch_coordinate(1),
     "gpu.block_dim": _launch_coordinate(2),
@@ -653,46 +606,45 @@ _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
 
 
 def _decode_op(op: ir.IrOperation, at, form=None):
-    """The op's closure, or in ``form`` its lane form or source text, or None."""
+    """The op's closure, or in ``form`` its lane form or source text, or None.
+    An unknown op, an op with a verifier finding (whose text the error takes)
+    or one its decoder rejects has no form and raises InterpError when reached."""
     try:
         if op.name not in _OPS:
             raise InterpError(f"unsupported operation '{op.name}'")
+        if op in at[_FAULTS]:
+            raise InterpError(str(at[_FAULTS][op]))
         return _OPS[op.name](op, at, form)
-    except (InterpError, LookupError, AttributeError, TypeError, ValueError,
-            ArithmeticError) as e:  # a malformed op fails when reached
-        kind, args = type(e), e.args
-        return None if form else lambda f, run: _fail(kind(*args))
+    except InterpError as e:
+        text = str(e)
+    except (LookupError, AttributeError, TypeError, ValueError, ArithmeticError) as e:
+        text = f"{op.name}: {e}"
+    return None if form else lambda f, run: _fail(InterpError(text))
 
 
-def _types(types) -> str:
-    return ", ".join(map(str, types))
-
-
-def _slots(region: ir.IrRegion, results=None):
+def _slots(region: ir.IrRegion, faults=None):
     """(frame size, slot of each value and position of each block, and
-    ``results``, the region's declared result types, at _RESULTS). The
-    arguments of a block take consecutive slots; slot 0 takes the value of
-    ops without one result."""
+    ``faults`` at _FAULTS). The arguments of a block take consecutive slots;
+    slot 0 takes the value of ops without one result."""
     at = {None: 0}
     for block in region.blocks:
         for v in block.arguments + [r for op in block.operations for r in op.results]:
             at[v] = len(at)
     size = len(at)
     at.update((block, position) for position, block in enumerate(region.blocks))
-    at[_RESULTS] = results
+    at[_FAULTS] = faults or {}
     return size, at
 
 
-def _decode(region: ir.IrRegion, lanes=False, results=None):
+def _decode(region: ir.IrRegion, lanes=False, faults=None):
     """(frame size, blocks): each block is (argument slots, steps to charge
     on entry or inf, [(result slot, op)], terminator or None, id). Ops after
     a terminator never run and are dropped. With ``lanes``, the lane form
-    of a one-block region whose ops all have one, else None. ``results``
-    are the types the region's terminators return or yield (see
-    ``ir.region_results``), checked when reached; None checks none."""
+    of a one-block region whose ops all have one, else None. ``faults``
+    maps each op with a verifier finding to its first finding; None: none."""
     if lanes and len(region.blocks) != 1:
         return None
-    size, at = _slots(region, results)
+    size, at = _slots(region, faults)
     form, blocks = _LANES if lanes else None, []
     for block in region.blocks:
         ops, term, nested = [], None, False
@@ -750,7 +702,7 @@ def _tree(leaves, lo: int, hi: int):
             "else:", *_indent(_tree(leaves, mid, hi))]
 
 
-def _source(region: ir.IrRegion, results=None):
+def _source(region: ir.IrRegion, faults=None):
     """(text, namespace) of ``compiled(f, b, run)``, which runs ``region``
     from block position ``b`` with the values of frame ``f``, or None when an
     op has no source form or a block no terminator. Each slot is a local
@@ -758,8 +710,8 @@ def _source(region: ir.IrRegion, results=None):
     a jump costs O(log blocks). A block is charged on entry, as in _exec;
     one that does not fit the budget raises StepLimitExceeded, as running
     it op by op would: its ops change only locals and cannot fail.
-    ``results`` are as in _decode."""
-    size, at = _slots(region, results)
+    ``faults`` are as in _decode."""
+    size, at = _slots(region, faults)
     form, leaves = _Source(), []
     for block in region.blocks:
         lines = []
@@ -790,7 +742,7 @@ def _compile(code: _Code):
     more than MAX_COMPILED_OPS ops or one without a source form."""
     if sum(len(block.operations) for block in code.region.blocks) > MAX_COMPILED_OPS:
         return None
-    built = _source(code.region, code.results)
+    built = _source(code.region, code.faults)
     if built is None:
         return None
     text, namespace = built
@@ -808,27 +760,28 @@ class _Code:
     (``lanes``, decoded on the first launch of at least MIN_LANES threads)
     and its compiled function (``fast``, built once the region has taken
     HOT back edges, ``backs``, counted across runs). ``lanes`` and ``fast``
-    are False when the region has no such form. ``results`` are as in
-    _decode."""
+    are False when the region has no such form. ``faults`` are the
+    executable's, as in _decode."""
 
-    __slots__ = ("region", "results", "decoded", "lanes", "backs", "fast")
+    __slots__ = ("region", "faults", "decoded", "lanes", "backs", "fast")
 
-    def __init__(self, region: ir.IrRegion, results=None):
-        self.region, self.results = region, results
+    def __init__(self, region: ir.IrRegion, faults):
+        self.region, self.faults = region, faults
         self.decoded = self.lanes = self.fast = None
         self.backs = 0
 
 
 class Executable:
     """A module's code: the type and code of each function, made when the
-    function first runs and kept for every later run. Made by ``prepare``
-    and kept on the module, which it does not refer back to, so it is freed
-    with the module; the module must not change while it is in use."""
+    function first runs and kept for every later run, and its ``faults``. Made
+    by ``prepare`` and kept on the module, which it does not refer back to, so
+    it is freed with the module; the module must not change while it is in use."""
 
-    __slots__ = ("funcs", "__weakref__")
+    __slots__ = ("funcs", "faults", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, faults):
         self.funcs = {}  # symbol -> (function type, code)
+        self.faults = faults  # op -> its first verifier finding; empty for valid IR
 
     def function(self, module: ir.IrModule, symbol: str):
         """(function type, code) of @symbol of ``module``, this executable's."""
@@ -836,17 +789,28 @@ class Executable:
             func = module.lookup_symbol(symbol)
             if func is None or func.name != "func.func":
                 raise InterpError(f"no function @{symbol} in the module")
+            if func in self.faults:
+                raise InterpError(str(self.faults[func]))
             ftype = func.attributes["function_type"].type
-            self.funcs[symbol] = ftype, _Code(func.regions[0], tuple(ftype.results))
+            self.funcs[symbol] = ftype, _Code(func.regions[0], self.faults)
         return self.funcs[symbol]
 
 
 def prepare(module: ir.IrModule) -> Executable:
     """A fresh executable of ``module``, kept on it for run_function and
-    run_kernel, which prepare a module on its first run. Preparing again
-    drops the code of earlier runs: the way to run a module after editing
-    it, or to count HOT back edges from zero."""
-    module.executable = Executable()
+    run_kernel, which prepare a module on its first run. It verifies the
+    module once, since the verifier is the interpreter's only type rule: an
+    op the verifier faults fails when reached, with its first finding's
+    text. A module without a dialect registry cannot be checked: InterpError.
+    Preparing again drops the code of earlier runs: the way to run a module
+    after editing it, or to count HOT back edges from zero."""
+    if module.registry is None:
+        raise InterpError("a module without a dialect registry cannot be checked")
+    faults = {}
+    for d in ir.verify_module(module).diagnostics:
+        if d.operation is not None:
+            faults.setdefault(d.operation, d)
+    module.executable = Executable(faults)
     return module.executable
 
 
@@ -879,17 +843,13 @@ class _Run:
             _check_compatible(t, v, f"@{symbol} argument {i}")
         return ftype, code
 
-    def call(self, symbol: str, inputs: list, results=None) -> list:
-        """Run @symbol on the boxed ``inputs``; returns the raw results. A
-        call site passes the ``results`` types it declares."""
-        _, code = self.function(symbol, inputs)
-        if results is not None and code.results != results:
-            raise InterpError(f"func.call: @{symbol} returns ({_types(code.results)}), "
-                              f"the call takes ({_types(results)})")
+    def call(self, symbol: str, args: list) -> list:
+        """Run @symbol on raw ``args``; returns the raw results."""
+        _, code = self.exe.function(self.module, symbol)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise InterpError(f"@{symbol}: calls nested deeper than {MAX_CALL_DEPTH}")
-        results = _exec(code, [_unbox(v) for v in inputs], self)
+        results = _exec(code, args, self)
         self.depth -= 1
         return results
 
@@ -907,7 +867,7 @@ class _Lanes:
 def _exec(code: _Code, args, run: _Run) -> list:
     """Run a region on raw ``args``; returns the raw values returned."""
     if code.decoded is None:
-        code.decoded = _decode(code.region, results=code.results)
+        code.decoded = _decode(code.region, faults=code.faults)
     size, blocks = code.decoded
     f = [None] * size
     for s, v in zip(blocks[0][0], args):
@@ -958,10 +918,12 @@ def run_function(module: ir.IrModule, symbol: str, inputs,
                  step_limit: int = DEFAULT_STEP_LIMIT):
     """Execute @symbol on ``inputs``; returns the list of result values.
     Runs on the module's executable (see ``prepare``)."""
-    run = _Run(module, step_limit)
+    run, inputs = _Run(module, step_limit), list(inputs)
+    ftype, _ = run.function(symbol, inputs)
     with np.errstate(all="ignore"):  # IEEE-754: inf/nan flow silently
-        results = run.call(symbol, list(inputs))
-    return [_box(t, v) for t, v in zip(run.exe.funcs[symbol][0].results, results)]
+        results = run.call(symbol, [_unbox(v) for v in inputs])
+    return [v if isinstance(v, RuntimeValue) else value_of_type(t, v)
+            for t, v in zip(ftype.results, results)]
 
 
 def _lockstep(code, args, lanes: _Lanes, owners) -> bool:
@@ -1026,7 +988,7 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     args = [_unbox(v) for v in inputs]
     total = math.prod(launch.grid + launch.block)
     if total >= MIN_LANES and body.lanes is None:  # no batch is smaller
-        body.lanes = _decode(body.region, lanes=True, results=body.results) or False
+        body.lanes = _decode(body.region, lanes=True, faults=body.faults) or False
     code = total >= MIN_LANES and body.lanes
     try:
         lane_args = [v if isinstance(v, _ArrayValue) else _np_dtype(t)(v)

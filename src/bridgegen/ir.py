@@ -391,6 +391,8 @@ class Diagnostic:
     message: str
     op: str = ""
     block: int = -1
+    # the op named by ``op``; None for a finding about a block or the module
+    operation: IrOperation | None = field(default=None, compare=False, repr=False)
 
     def __str__(self):
         where = f" in ^bb{self.block}" if self.block >= 0 else ""
@@ -530,7 +532,7 @@ def verify_module(module: IrModule) -> VerifyReport:
         if isinstance(sym, SymbolAttr):
             if sym.name in functions:
                 report.diagnostics.append(Diagnostic(
-                    "duplicate-symbol", f"symbol @{sym.name} redefined", op.name))
+                    "duplicate-symbol", f"symbol @{sym.name} redefined", op.name, -1, op))
             functions[sym.name] = _function_type(op)
     for op in module.symbol_ops():
         _check_op(op, -1, module.registry, functions, report)
@@ -541,7 +543,7 @@ def _check_op(op: IrOperation, block: int, registry, functions, report: VerifyRe
     """Check ``op``, of block ``block``, against its registered definition,
     then its regions."""
     for d in registry.validate_op(op) if registry is not None else ():
-        d.block = block
+        d.block, d.operation = block, op
         report.diagnostics.append(d)
     for r in op.regions:
         _check_region(r, op, registry, functions, report)
@@ -570,8 +572,8 @@ def _typed_against(o: IrOperation, holder: IrOperation, functions):
 def _check_region(region: IrRegion, holder: IrOperation, registry, functions,
                   report: VerifyReport):
     """Check the blocks of ``region``, a region of the op ``holder``."""
-    def flag(category, message, op_name, block):
-        report.diagnostics.append(Diagnostic(category, message, op_name, block))
+    def flag(category, message, op_name, block, operation=None):
+        report.diagnostics.append(Diagnostic(category, message, op_name, block, operation))
 
     in_region = {id(b) for b in region.blocks}
     dom = _dominators(region)  # reachable blocks only
@@ -587,11 +589,11 @@ def _check_region(region: IrRegion, holder: IrOperation, registry, functions,
         ops = b.operations
         if not ops or not ops[-1].is_terminator:
             flag("missing-terminator", "block does not end with a terminator",
-                 ops[-1].name if ops else "", b.id)
+                 ops[-1].name if ops else "", b.id)  # a finding about the block
         for o in ops[:-1]:
             if o.is_terminator:
                 flag("misplaced-terminator", "terminator before end of block",
-                     o.name, b.id)
+                     o.name, b.id, o)
 
         for pos, o in enumerate(ops):
             uses = list(o.operands)
@@ -605,24 +607,24 @@ def _check_region(region: IrRegion, holder: IrOperation, registry, functions,
                     if not (def_pos < pos if def_block is b else outer is not None
                             and outer[0] <= inner[0] and inner[1] <= outer[1]):
                         flag("dominance", f"use of %{v.id} is not dominated by its "
-                             "definition", o.name, b.id)
+                             "definition", o.name, b.id, o)
             for s in o.successors:
                 if id(s.block) not in in_region:
                     flag("bad-successor", "successor block is not in the same region",
-                         o.name, b.id)
+                         o.name, b.id, o)
                     continue
                 want = [a.type for a in s.block.arguments]
                 got = [v.type for v in s.args]
                 if want != got:
                     flag("bad-successor", f"successor ^bb{s.block.id} expects "
                          f"{len(want)} argument(s) of matching type, got {len(got)}",
-                         o.name, b.id)
+                         o.name, b.id, o)
             for category, what, values, want in _typed_against(o, holder, functions):
                 got = tuple(v.type for v in values)
                 if got != tuple(want):
                     flag(category, f"{what} types ({', '.join(map(str, got))}) differ "
                          f"from {_DECLARED[category]} ({', '.join(map(str, want))})",
-                         o.name, b.id)
+                         o.name, b.id, o)
             _check_op(o, b.id, registry, functions, report)
 
 

@@ -60,10 +60,10 @@ def sequential_decodes(monkeypatch):
     thread."""
     regions, decode = [], interp._decode
 
-    def counted(region, lanes=False, results=None):
+    def counted(region, lanes=False, faults=None):
         if not lanes:
             regions.append(region)
-        return decode(region, lanes, results)
+        return decode(region, lanes, faults)
     monkeypatch.setattr(interp, "_decode", counted)
     return regions
 
