@@ -54,20 +54,23 @@ Lanes: the same decoder, asked for the op's lane form, gives a closure that
 runs the op once over numpy arrays, one lane per point or thread, or None.
 A one-block region whose ops all have a lane form runs that way. A
 linalg.generic takes one lane per point of its parallel axes, those of the
-output map; the other axes are looped in lexicographic order, so each
-output element accumulates in the sequential order. A kernel numbers its
-threads in launch order and runs them in batches of at most LANES
-consecutive threads, which may span grid blocks (its lane form is decoded
-on its first launch of at least MIN_LANES threads); loads gather and stores
-scatter. A batch is charged its steps up front, so it takes lanes only when
-they fit the budget (for a kernel, one thread's steps). A batch falls back,
-with its stores undone, to running point by point or thread by thread,
-which raises the same errors after the same stores, when an index is out of
-bounds or of the wrong rank, an integer result could leave int64 (index
-values are unbounded), an element kind differs from its buffer's or
-output's, or two lanes touch one buffer element and one of them stores to
-it. A kernel batch that spans grid blocks falls back to batches of one
-block each, and every later batch of the launch keeps to one block. Kernels
+output map, reading each operand as one strided view; the other axes are
+looped in lexicographic order, so each output element accumulates in the
+sequential order. A kernel numbers its threads in launch order and runs
+them in batches of at most LANES consecutive threads, which may span grid
+blocks (its lane form is decoded on its first launch of at least MIN_LANES
+threads); loads gather and stores scatter. A batch keeps the spans of its
+coordinates and, by their corners, of the i64 and index values derived
+from them, which the int64 and bounds tests read. A batch is charged its
+steps up front, so it takes lanes only when they fit the budget (for a
+kernel, one thread's steps). A batch falls back, with its stores undone, to
+running point by point or thread by thread, which raises the same errors
+after the same stores, when an index's span leaves its bounds or an index
+has the wrong rank, an integer result could leave int64 (index values are
+unbounded), or two lanes touch one buffer element and one of them stores
+to it, which cannot happen through one strictly rising 1-D index alone. A
+kernel batch that spans grid blocks falls back to batches of one block
+each, and every later batch of the launch keeps to one block. Kernels
 whose buffers share memory, or whose arguments or coordinates leave int64,
 run thread by thread throughout. So do generics and batches of fewer than
 MIN_LANES lanes, for which numpy's cost per call outweighs the lanes.
@@ -294,27 +297,25 @@ def _lane_wrap(t: ir.IrType):
     return lambda x: _wrap_int(x, t.width)
 
 
-def _span(x):
-    """The least and greatest value of int64 lanes, as Python ints."""
-    return (int(x.min()), int(x.max())) if x.__class__ is np.ndarray else (int(x),) * 2
-
-
-def _lane_op(op, fn, *slots):
-    """The lane form of an op that applies ``fn`` to the values in ``slots``.
-    A lane value is a numpy array or scalar of its SSA type's element kind:
-    floats of the result's precision, or int64 wrapped to the result's width.
-    Index values are unbounded, so an int op whose operands could take a
-    result out of int64 falls back."""
+def _lane_op(op, fn, r, *slots):
+    """The lane form of an op that applies ``fn`` to the values in ``slots``
+    into slot ``r``. A lane value is a numpy array or scalar of its SSA type's
+    element kind: floats of the result's precision, or int64 wrapped to the
+    result's width. Index values are unbounded, so an int op whose operands'
+    spans could take it out of int64 falls back; else an i64 or index span is kept."""
     t = op.results[0].type
     if isinstance(t, _FLOAT):
         return lambda f, lanes: fn(*[f[s] for s in slots])
-    wrap = _lane_wrap(t)
+    wrap, exact = _lane_wrap(t), not isinstance(t, ir.IntType) or t.width == 64
 
     def lane(f, lanes):
         xs = [f[s] for s in slots]  # add, sub and mul take their extremes at corners
-        for corner in itertools.product(*map(_span, xs)):
-            if not -1 << 63 <= fn(*corner) < 1 << 63:
-                raise _Sequential
+        ends = [fn(*c) for c in itertools.product(*map(lanes.span, slots, xs))]
+        span = min(ends), max(ends)
+        if span[0] < -1 << 63 or span[1] >= 1 << 63:
+            raise _Sequential
+        if exact:
+            lanes.spans[r] = span
         return wrap(fn(*xs))
     return lane
 
@@ -341,7 +342,7 @@ def _arith(fn, lane_fn=None):
     def decode(op, at, form=None):
         slots, t = [at[v] for v in op.operands], op.results[0].type
         if form is _LANES:
-            return _lane_op(op, lane_fn, *slots)
+            return _lane_op(op, lane_fn, at[op.results[0]], *slots)
         g = lane_fn if isinstance(t, ir.Float32Type) else fn
         if form:
             return _wrapped(t, _apply_text(form, g, *[f"v{s}" for s in slots]), form)
@@ -383,7 +384,12 @@ def _launch_coordinate(k):
         if dim not in ("x", "y", "z"):
             raise InterpError(f"{op.name}: unknown dimension '{dim}'")
         if form is _LANES:
-            return lambda f, lanes: (lanes.ctx or _fail(_Sequential()))[dim][k]
+            r = at[op.results[0]]
+
+            def coordinate(f, lanes):  # a generic's body has no launch
+                lanes.spans[r] = (lanes.bounds or _fail(_Sequential()))[dim][k]
+                return lanes.ctx[dim][k]
+            return coordinate
         if form:
             return None
         text = f"{op.name} executed without a launch configuration"
@@ -423,21 +429,17 @@ def _memref(op, at, form=None):
 def _lane_memref(op, at, b, idx):
     """The lane form of memref.load and memref.store: a gather, or a scatter
     that keeps the old values. Both record the access for the batch's
-    conflict check. An index out of bounds, a rank mismatch or an element
-    kind other than the buffer's falls back, so that the replay raises or
-    converts as the scalar op does."""
+    conflict check. An index out of bounds by its span, or a rank mismatch,
+    falls back, so that the replay raises as the scalar op does."""
     store, v = op.name == "memref.store", at[op.operands[0]]
-    t = op.operands[0].type if store else op.results[0].type
-    want, wrap = np.dtype(_np_dtype(t)), _lane_wrap(t)
+    wrap = _lane_wrap(op.operands[0].type if store else op.results[0].type)
 
     def access(f, lanes):
-        buf, i = f[b], tuple([f[s] for s in idx])
-        if (buf.__class__ is not MemRefValue or len(i) != buf.data.ndim
-                or buf.data.dtype != want
-                or any(n.view(np.uint64).max() >= e for n, e in zip(i, buf.data.shape))
+        data, i = f[b].data, tuple([f[s] for s in idx])
+        if (len(i) != data.ndim or any(lo < 0 or hi >= e for (lo, hi), e in zip(
+                map(lanes.span, idx, i), data.shape))
                 or store and np.ndim(f[v]) > max(map(np.ndim, i), default=0)):
             raise _Sequential  # the last: every lane stores its value to one element
-        data = buf.data
         lanes.touched.append((data, i, data[i] if store else None))
         if not store:
             return wrap(data[i])
@@ -498,14 +500,9 @@ def _generic(op, at, form=None):
     arg_types = lane_body and [a.type for a in op.regions[0].blocks[0].arguments]
 
     def generic(f, run):
-        operands = [f[s] for s in src]
-        if len(maps) != len(operands):
-            raise InterpError("linalg.generic: one indexing map per operand required")
-        n_axes = maps[0].n_axes if maps else 0
+        operands, n_axes = [f[s] for s in src], maps[0].n_axes
         extents = {}
         for which, (m, v) in enumerate(zip(maps, operands)):
-            if not isinstance(v, TensorValue):
-                raise InterpError("linalg.generic operands must be tensor values")
             if m.n_axes != n_axes or len(m.targets) != v.data.ndim:
                 raise InterpError(
                     f"linalg.generic: map/operand rank mismatch on operand {which}")
@@ -546,34 +543,29 @@ def _generic(op, at, form=None):
 
 def _generic_lanes(code, maps, operands, extents, result):
     """Run a generic's body over numpy lanes into ``result``: one lane per
-    point of the parallel axes, those of the output map, so no two lanes
-    write one element. The other axes are looped in lexicographic order, so
-    each element accumulates in the sequential order. Raises _Sequential,
-    with ``result`` untouched, when the body has to run point by point."""
+    point of the output map's axes, so no two lanes write one element. Each
+    operand is a strided view over the loop axes, then the parallel ones
+    (stride 0 on an axis its map lacks); the loop axes run in lexicographic
+    order, so each element accumulates in the sequential order. Raises
+    _Sequential, ``result`` untouched, when the body has to run point by point."""
     par = sorted(set(maps[-1].targets))
-    shape = [extents[a] for a in par]
-    lane = dict(zip(par, np.unravel_index(np.arange(math.prod(shape)), shape)))
-    loop = [a for a in sorted(extents) if a not in lane]
-    reads = []  # (data, flat element at loop point 0, stride of each loop axis, wrap)
-    for m, v in zip(maps, operands):
-        at, strides, stride = 0, dict.fromkeys(loop, 0), 1
-        for axis, extent in reversed(list(zip(m.targets, v.data.shape))):
-            if axis in lane:
-                at = at + lane[axis] * stride
-            else:
-                strides[axis] += stride
-            stride *= extent
-        reads.append((v.data, at, [strides[a] for a in loop], _lane_wrap(v.elem)))
-    *reads, (_, out_at, _, wrap_out) = reads
-    acc, lanes = wrap_out(result.take(out_at)), _Lanes(None)
+    loop = [a for a in sorted(extents) if a not in par]
+
+    def view(data, m, axes):
+        strides = dict.fromkeys(axes, 0)
+        for axis, stride in zip(m.targets, data.strides):
+            strides[axis] += stride
+        return np.lib.stride_tricks.as_strided(data, [extents[a] for a in axes],
+                                               list(strides.values()))
+    reads = [(view(v.data, m, loop + par), _lane_wrap(v.elem))
+             for m, v in zip(maps, operands[:-1])]
+    out, wrap_out = view(result, maps[-1], par), _lane_wrap(operands[-1].elem)
+    acc = wrap_out(out)
     for point in itertools.product(*(range(extents[a]) for a in loop)):
-        [yielded] = _exec_lanes(code, [
-            wrap(data.take(at + sum(map(operator.mul, point, strides))))
-            for data, at, strides, wrap in reads] + [acc], lanes)
-        if yielded.dtype != result.dtype:
-            raise _Sequential
+        [yielded] = _exec_lanes(code, [wrap(r[point]) for r, wrap in reads] + [acc],
+                                _Lanes(None))
         acc = wrap_out(yielded)
-    result.put(out_at, acc)
+    out[...] = acc
 
 
 _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
@@ -855,13 +847,20 @@ class _Run:
 
 
 class _Lanes:
-    """One lockstep batch: its launch coordinates (None in a generic body)
-    and its buffer accesses (buffer, index, old values of a store or None)."""
+    """One lockstep batch: its launch coordinates (None in a generic body),
+    their spans laid out alike, the (least, greatest) span of int64 lanes by
+    slot, and its accesses (buffer, index, old values of a store or None)."""
 
-    __slots__ = ("ctx", "touched")
+    __slots__ = ("ctx", "bounds", "spans", "touched")
 
-    def __init__(self, ctx):
-        self.ctx, self.touched = ctx, []
+    def __init__(self, ctx, bounds=None):
+        self.ctx, self.bounds, self.spans, self.touched = ctx, bounds, {}, []
+
+    def span(self, s, x):
+        """The span of ``x``, the int64 lanes in slot ``s``: known, or reduced."""
+        if s in self.spans:
+            return self.spans[s]
+        return (int(x.min()), int(x.max())) if x.__class__ is np.ndarray else (int(x),) * 2
 
 
 def _exec(code: _Code, args, run: _Run) -> list:
@@ -944,9 +943,21 @@ def _lockstep(code, args, lanes: _Lanes, owners) -> bool:
 
 def _collide(lanes: _Lanes, owners) -> bool:
     """Whether two lanes touch one element of a stored buffer and one of
-    them stores to it. ``owners`` maps each stored buffer to an array of the
-    lane storing each element, -1 where none does."""
+    them stores to it. A buffer touched only through one strictly rising
+    1-D index array cannot clash, as each lane touches its own element; the
+    other stored buffers take the owner pass."""
     stored = {id(data) for data, _, old in lanes.touched if old is not None}
+    one = {}  # each stored buffer's id -> the one 1-D index it is touched through, or None
+    for data, i, _ in lanes.touched:
+        if id(data) in stored:
+            one[id(data)] = i[0] if len(i) == 1 and one.get(id(data), i[0]) is i[0] else None
+    stored -= {b for b, n in one.items() if n.__class__ is np.ndarray and (n[1:] > n[:-1]).all()}
+    return bool(stored) and _owner_pass(lanes, stored, owners)
+
+
+def _owner_pass(lanes: _Lanes, stored, owners) -> bool:
+    """_collide's test of the buffers whose ids are in ``stored``: ``owners``
+    maps each to an array of the lane storing each element, -1 where none does."""
     ids, marks = np.arange(len(lanes.ctx["x"][0])), []
     for data, i, old in lanes.touched:
         if id(data) in stored:
@@ -1001,6 +1012,7 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
         code = None  # a thread's budget, coordinates or buffers lanes cannot track
     n, (bx, by, bz) = math.prod(launch.block), launch.block
     dims, owners, coords = code and tuple(map(np.int64, launch.block)), {}, (None,)
+    sizes = [(e, e) for e in launch.block]  # the spans of the block dimensions
     hi = 0  # the batch [lo, hi) of thread numbers
     per_block, b = False, None  # b: the block of the last thread run on its own
     with np.errstate(all="ignore"):
@@ -1010,11 +1022,14 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                 first, last = lo // n, (hi - 1) // n  # the batch's first and last block
                 if coords[0] != (lo % n, hi - lo):  # the same at each offset in a block
                     t = np.arange(lo % n, lo % n + hi - lo)
-                    coords = (lo % n, hi - lo), _unravel(t % n, launch.block), t // n
+                    ends = (lo % n, (hi - 1) % n) if first == last else (0, n - 1)
+                    coords = ((lo % n, hi - lo), _unravel(t % n, launch.block), t // n,
+                              _unravel_spans(*ends, launch.block))
                 blk = (map(np.int64, _unravel(first, launch.grid)) if first == last
                        else _unravel(coords[2] + first, launch.grid))
                 ctx = dict(zip("xyz", zip(coords[1], blk, dims)))
-                if _lockstep(code, lane_args, _Lanes(ctx), owners):
+                bounds = zip(coords[3], _unravel_spans(first, last, launch.grid), sizes)
+                if _lockstep(code, lane_args, _Lanes(ctx, dict(zip("xyz", bounds))), owners):
                     continue
                 if first != last:  # rerun this batch, and run the rest, block by block
                     per_block, hi = True, lo
@@ -1034,3 +1049,13 @@ def _unravel(index, extents):
     order, z fastest: of an int, or of int64 lanes."""
     _, y, z = extents
     return index // (y * z), index // z % y, index % z
+
+
+def _unravel_spans(a, b, extents):
+    """The (least, greatest) of each (x, y, z) coordinate of the indices
+    ``a`` to ``b`` of ``extents`` in launch order: y takes all its values
+    when the indices cross a multiple of y * z, and z of z."""
+    _, y, z = extents
+    return ((a // (y * z), b // (y * z)),
+            (a // z % y, b // z % y) if a // (y * z) == b // (y * z) else (0, y - 1),
+            (a % z, b % z) if a // z == b // z else (0, z - 1))

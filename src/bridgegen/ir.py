@@ -545,8 +545,34 @@ def _check_op(op: IrOperation, block: int, registry, functions, report: VerifyRe
     for d in registry.validate_op(op) if registry is not None else ():
         d.block, d.operation = block, op
         report.diagnostics.append(d)
+    for category, message in _signature(op):
+        report.diagnostics.append(Diagnostic(category, message, op.name, block, op))
     for r in op.regions:
         _check_region(r, op, registry, functions, report)
+
+
+def _signature(op: IrOperation):
+    """(category, message) findings of a func.func's entry block against its
+    function_type, and of a linalg.generic's operands against its
+    indexing_maps, as MLIR checks them."""
+    if op.name == "func.func":
+        ftype = getattr(op.attributes.get("function_type"), "type", None)
+        if ftype is not None and not isinstance(ftype, FunctionType):
+            return [("function-type", f"function_type {print_type(ftype)} "
+                     "is not a function type")]
+        blocks = op.regions[0].blocks if op.regions else []
+        got = tuple(a.type for a in blocks[0].arguments) if blocks else None
+        if ftype is not None and got != tuple(ftype.inputs):
+            return [("function-type", "function has no entry block" if got is None else
+                     f"entry block argument types ({', '.join(map(str, got))}) differ "
+                     f"from the function type's inputs ({', '.join(map(str, ftype.inputs))})")]
+    elif op.name == "linalg.generic":
+        maps = op.attributes.get("indexing_maps")
+        n = len(maps.elements) if isinstance(maps, ArrayAttr) else len(op.operands)
+        if n != len(op.operands) or not op.operands:
+            return [("arity-mismatch", f"{n} indexing map(s) for {len(op.operands)} "
+                     "operand(s); one per operand, the output last")]
+    return ()
 
 
 # what each category of typed check compares values against

@@ -854,6 +854,55 @@ class TestErrors:
         assert str(info.value) == ("[missing-attr] at 'func.func': missing required "
                                    "attribute 'function_type'")
 
+    @pytest.mark.parametrize("ftype, inputs, finding", [
+        (ir.FunctionType((ir.F64,), (ir.F32,)), [F64Value(2 ** -24 + 2 ** -50)],
+         "entry block argument types (f32) differ from the function type's inputs (f64)"),
+        (ir.FunctionType((), (ir.F32,)), [],
+         "entry block argument types (f32) differ from the function type's inputs ()"),
+        (ir.F64, [F64Value(1.0)], "function_type f64 is not a function type"),
+    ], ids=["input-type", "input-count", "not-a-function"])
+    def test_function_signature_checked(self, registry, ftype, inputs, finding):
+        # @f adds f32 1.0 to its f32 entry argument, but is declared as ``ftype``
+        module = ir.IrModule(registry=registry.dialects)
+        _, entry = new_func(module, "f", (ir.F32,), (ir.F32,))
+        one = ir.create_op(module, "arith.constant", [], [ir.F32],
+                           {"value": ir.FloatAttr(1.0, ir.F32)})
+        total = ir.create_op(module, "arith.addf", [entry.arguments[0], one.results[0]],
+                             [ir.F32])
+        ir.create_op(module, "func.return", total.results, [], is_terminator=True)
+        module.lookup_symbol("f").attributes["function_type"] = ir.TypeAttr(ftype)
+        text = f"[function-type] at 'func.func': {finding}"
+        assert str(ir.verify_module(module)) == text
+        with pytest.raises(InterpError) as info:
+            run_function(module, "f", inputs)
+        assert str(info.value) == text
+
+    def test_function_without_entry_block(self, registry):
+        module = ir.IrModule(registry=registry.dialects)
+        region, _ = new_func(module)
+        region.blocks.clear()
+        text = "[function-type] at 'func.func': function has no entry block"
+        assert str(ir.verify_module(module)) == text
+        with pytest.raises(InterpError) as info:
+            run_function(module, "f", [])
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("maps, operands", [(0, 0), (2, 3), (3, 2)])
+    def test_generic_takes_one_map_per_operand(self, registry, maps, operands):
+        module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i),(i)->(i)"))
+        generic = next(op for op in walk_ops(module) if op.name == "linalg.generic")
+        m = generic.attributes["indexing_maps"].elements[0]
+        generic.attributes["indexing_maps"] = ir.ArrayAttr((m,) * maps)
+        generic.operands = generic.operands[3 - operands:]
+        entry = func_region(module, "einsum").entry
+        text = (f"[arity-mismatch] at 'linalg.generic' in ^bb{entry.id}: {maps} indexing "
+                f"map(s) for {operands} operand(s); one per operand, the output last")
+        assert str(ir.verify_module(module)) == text
+        x = tensor_value(np.ones(8, np.float32))
+        with pytest.raises(InterpError) as info:
+            run_function(module, "einsum", [x] * 3)
+        assert str(info.value) == text
+
     def test_module_without_registry_is_refused(self):
         module = ir.IrModule()
         new_func(module)

@@ -5,6 +5,8 @@ numpy reference (``bench/reference.py``), and every fallback against the
 values the point-by-point and thread-by-thread paths give.
 """
 
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -503,5 +505,237 @@ class TestSameAsPointByPoint:
         got = run()
         # at i64, 2**62 * y leaves int64: the generic runs point by point
         assert len(sequential_calls) == (1 + 16 * 5 if width == 64 else 1)
+        no_lanes(monkeypatch)
+        assert np.array_equal(got, run())
+
+
+@pytest.fixture
+def owner_passes(monkeypatch):
+    """The lane count of each batch whose conflict check took the owner pass."""
+    passes, owner_pass = [], interp._owner_pass
+
+    def counted(lanes, stored, owners):
+        passes.append(len(lanes.ctx["x"][0]))
+        return owner_pass(lanes, stored, owners)
+    monkeypatch.setattr(interp, "_owner_pass", counted)
+    return passes
+
+
+class TestConflictRule:
+    """A buffer stored only through one strictly rising index cannot clash,
+    so its batch skips the owner pass; any other stored buffer takes it."""
+
+    @pytest.mark.parametrize("name", list(gen.KERNELS))
+    def test_owner_pass_only_where_lanes_may_clash(self, registry, owner_passes, name):
+        grid, block = gen.KERNELS[name]
+        module, args = kernel(registry, name), kernel_args(np.random.default_rng(23), name,
+                                                           grid, block)
+        for _ in range(2):  # two launches of one module
+            run_kernel(module, name, LaunchConfig((grid, 1, 1), (block, 1, 1)), values(args))
+        # collide's first batch spans blocks, whose threads store to one slot
+        assert owner_passes == ([interp.LANES] * 2 if name == "collide" else [])
+
+    @pytest.mark.parametrize("text", [
+        # out[n - 1 - g] = in[g]: one lane an element, but falling
+        "  %6 = invoke -(63, %5) :: index\n"
+        "  %7 = invoke load(_1, %5) :: f32\n"
+        "  %8 = invoke store(%7, _2, %6) :: Nothing\n",
+        # in[g] += out[g], loaded through a second value equal to g
+        "  %6 = invoke +(%4, %3) :: index\n"
+        "  %7 = invoke load(_1, %6) :: f32\n"
+        "  %8 = invoke load(_2, %5) :: f32\n"
+        "  %9 = invoke +(%7, %8) :: f32\n"
+        "  %10 = invoke store(%9, _1, %5) :: Nothing\n",
+    ], ids=["reversed", "second-index"])
+    def test_injective_stores_stay_in_lanes(self, registry, monkeypatch, owner_passes,
+                                            batches, sequential_calls, text):
+        fir_text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n" + gen._GID
+                    + text + "  return\n")
+        module = run_pipeline(registry, fir_text, "k", [F32_MEMREF] * 2)
+        rng = np.random.default_rng(29)
+        args = [f32_data(rng, 64), f32_data(rng, 64)]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, True)] and owner_passes == [64] and sequential_calls == []
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_two_dimensional_store(self, registry, monkeypatch, owner_passes, batches,
+                                   sequential_calls):
+        # out[block, thread] = in[thread]: 2-D indices take the owner pass
+        from bridgegen.dialects import build_op
+
+        dialects = registry.dialects
+        t1, t2 = ir.MemRefType(ir.F32, (None,)), ir.MemRefType(ir.F32, (None, None))
+        module = ir.IrModule(registry=dialects)
+        region = module.new_region()
+        build_op(dialects, module, "func.func",
+                 attributes={"sym_name": ir.SymbolAttr("k"), "function_type":
+                             ir.TypeAttr(ir.FunctionType((t1, t2), ()))},
+                 regions=[region])
+        entry = module.append_block(region, [t1, t2])
+        module.set_insertion(entry)
+        src, out = entry.arguments
+        thread, blk = (build_op(dialects, module, name, attributes={
+            "dimension": ir.StringAttr("x")}, result_types=[ir.INDEX]).results[0]
+            for name in ("gpu.thread_id", "gpu.block_id"))
+        x = build_op(dialects, module, "memref.load", [src, thread], result_types=[ir.F32])
+        build_op(dialects, module, "memref.store", [x.results[0], out, blk, thread])
+        build_op(dialects, module, "func.return", [])
+        assert ir.verify_module(module).ok
+        args = [f32_data(np.random.default_rng(31), 16), np.zeros((4, 16), np.float32)]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, True)] and owner_passes == [64] and sequential_calls == []
+        assert ref.same(got[0][1], np.tile(args[0], (4, 1)))
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_conservative_span_falls_back(self, registry, monkeypatch, batches,
+                                          sequential_calls):
+        # g - thread is each block's first thread number, never below 0, but
+        # its corners reach -15 until a batch starts past block 0
+        fir_text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n" + gen._GID
+                    + "  %6 = invoke -(%5, %4) :: index\n"
+                      "  %7 = invoke load(_1, %6) :: f32\n"
+                      "  %8 = invoke store(%7, _2, %5) :: Nothing\n  return\n")
+        module = run_pipeline(registry, fir_text, "k", [F32_MEMREF] * 2)
+        args = [f32_data(np.random.default_rng(37), 64), np.zeros(64, np.float32)]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, False), (16, False), (16, True), (16, True), (16, True)]
+        assert len(sequential_calls) == 16  # block 0, thread by thread
+        assert got[1] is None and ref.same(got[0][1], np.repeat(args[0][::16], 16))
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+
+class TestBatchSpans:
+    """A batch's spans of its launch coordinates are exact, so its bounds
+    test falls back exactly when a thread goes out of bounds."""
+
+    def test_coordinate_spans_are_exact(self):
+        for extents in itertools.product(range(1, 4), repeat=3):
+            total = math.prod(extents)
+            for a, b in itertools.combinations_with_replacement(range(total), 2):
+                coords = interp._unravel(np.arange(a, b + 1), extents)
+                assert list(interp._unravel_spans(a, b, extents)) == [
+                    (int(c.min()), int(c.max())) for c in coords]
+
+    def test_batches_inside_one_block(self, registry, monkeypatch, batches):
+        # one block of 2 * LANES + 8 threads on buffers 4 elements short:
+        # only the last batch, threads 2048-2055, passes the end
+        n = 2 * interp.LANES + 8
+        rng = np.random.default_rng(53)
+        args = [f32_data(rng, n - 4), f32_data(rng, n - 4), np.zeros(n - 4, np.float32)]
+        config = LaunchConfig((1, 1, 1), (n, 1, 1))
+        got = launch(kernel(registry, "vadd"), "vadd", config, args)
+        assert batches == [(interp.LANES, True)] * 2 + [(8, False)]
+        assert got[1].startswith(f"OutOfBounds: index {n - 4} out of bounds")
+        assert ref.same(got[0][2], args[0] + args[1])
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(kernel(registry, "vadd"), "vadd", config, args))
+
+
+def strided_cases():
+    """(einsum spec, extent of each index, operand arrays' layouts): a layout
+    is "c" for a contiguous array, "t" for a transposed one, "s" for a slice
+    with steps and "r" for a reversed one."""
+    return [
+        (einsum.EinsumSpec((("i", "i"), ("i", "j")), ("j",), ("j", "i")), "ccc"),
+        (einsum.EinsumSpec((("i", "i"),), ("i",), ("i",)), "cc"),
+        (einsum.EinsumSpec((("i",),), ("i", "i"), ("i",)), "cc"),
+        (einsum.parse_einsum("(i,j),(j,k)->(k,i)"), "ccc"),
+        (einsum.parse_einsum("(k),(i,k)->(i)"), "ccc"),
+        (einsum.parse_einsum("(i,k),(k,j)->(i,j)"), "tsr"),
+        (einsum.parse_einsum("(b,i,k),(b,k,j)->(b,i,j)"), "rtc"),
+    ]
+
+
+def laid_out(rng, shape, layout):
+    """f32 data of ``shape`` in ``layout`` (see strided_cases)."""
+    if layout == "t":
+        return f32_data(rng, shape[::-1]).T
+    if layout == "s":
+        return f32_data(rng, tuple(2 * e + 1 for e in shape))[(slice(1, None, 2),) * len(shape)]
+    data = f32_data(rng, shape)
+    return data[::-1] if layout == "r" else data
+
+
+class TestStridedGenerics:
+    """Operands are read through strided views over the iteration space:
+    repeated axes, transposed and broadcast maps and non-contiguous arrays
+    give the point-by-point values, bit for bit."""
+
+    @pytest.mark.parametrize("spec, layouts", strided_cases(),
+                             ids=["diagonal-input", "diagonal-only", "diagonal-output",
+                                  "transposed-output", "broadcast-input", "views-2d",
+                                  "views-3d"])
+    def test_same_as_point_by_point(self, registry, monkeypatch, sequential_calls,
+                                    spec, layouts):
+        extent = {a: 7 + k for k, a in enumerate(spec.axes)}
+        rng = np.random.default_rng(41)
+        arrays = [laid_out(rng, tuple(extent[a] for a in tup), layout)
+                  for tup, layout in zip(spec.inputs + (spec.output,), layouts)]
+        module = einsum.build_einsum_function(registry, spec)
+        tensors = lambda: [TensorValue(ir.F32, a.shape, a) for a in arrays]  # noqa: E731
+        [got] = run_function(module, "einsum", tensors())
+        assert len(sequential_calls) == 1  # the function body; the generic ran in lanes
+        no_lanes(monkeypatch)
+        [want] = run_function(module, "einsum", tensors())
+        assert ref.same(got.data, want.data)
+        if spec.output == ("i", "i"):  # only the diagonal is written
+            off = ~np.eye(extent["i"], dtype=bool)
+            assert ref.same(got.data[off], arrays[-1][off])
+
+    def test_reduction_axis_of_extent_zero(self, registry, monkeypatch):
+        module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i,k)->(i)"))
+        out = f32_data(np.random.default_rng(43), 9)
+        args = lambda: [tensor_value(np.zeros((9, 0), np.float32)), tensor_value(out)]  # noqa
+        [got] = run_function(module, "einsum", args())
+        assert ref.same(got.data, out)
+        no_lanes(monkeypatch)
+        assert ref.same(got.data, run_function(module, "einsum", args())[0].data)
+
+    @pytest.mark.parametrize("big", [False, True], ids=["in-range", "wraps"])
+    def test_i64_body_on_transposed_data(self, registry, monkeypatch, sequential_calls,
+                                         big):
+        # out[i] += x[i, j] * y[j] in i64 over x stored transposed; at 2**62
+        # the products leave int64 and the generic runs point by point
+        from bridgegen.dialects import build_op
+
+        i64, dialects = ir.I64, registry.dialects
+        t, t2 = ir.TensorType(i64, (None,)), ir.TensorType(i64, (None, None))
+        module = ir.IrModule(registry=dialects)
+        region = module.new_region()
+        build_op(dialects, module, "func.func",
+                 attributes={"sym_name": ir.SymbolAttr("g"), "function_type":
+                             ir.TypeAttr(ir.FunctionType((t2, t, t), (t,)))},
+                 regions=[region])
+        entry = module.append_block(region, [t2, t, t])
+        body = module.new_region()
+        module.set_insertion(module.append_block(body, [i64] * 3))
+        x, y, z = body.blocks[0].arguments
+        product = build_op(dialects, module, "arith.muli", [x, y], result_types=[i64])
+        total = build_op(dialects, module, "arith.addi", [product.results[0], z],
+                         result_types=[i64])
+        build_op(dialects, module, "linalg.yield", [total.results[0]])
+        module.set_insertion(entry)
+        generic = build_op(dialects, module, "linalg.generic", list(entry.arguments),
+                           attributes={"indexing_maps": ir.ArrayAttr(
+                               (ir.IndexMapAttr(2, (0, 1)), ir.IndexMapAttr(2, (1,)),
+                                ir.IndexMapAttr(2, (0,)))),
+                               "iterator_types": ir.ArrayAttr(
+                                   (ir.StringAttr("parallel"), ir.StringAttr("reduction")))},
+                           regions=[body], result_types=[t])
+        build_op(dialects, module, "func.return", [generic.results[0]])
+        rng = np.random.default_rng(47)
+        top = 2 ** 62 if big else 2 ** 20
+        arrays = [rng.integers(-top, top, (5, 16)).T, rng.integers(-top, top, 5)[::-1],
+                  rng.integers(-top, top, 16)]
+        run = lambda: run_function(module, "g", [TensorValue(i64, a.shape, a)  # noqa: E731
+                                                 for a in arrays])[0].data
+        got = run()
+        assert len(sequential_calls) == (1 + 16 * 5 if big else 1)
         no_lanes(monkeypatch)
         assert np.array_equal(got, run())
