@@ -50,19 +50,22 @@ on the bench's loops and saves 1.5-3.8 us an iteration, so it pays after
 about 30-60 back edges; an executable builds it once. MAX_COMPILED_OPS
 bounds compile()'s transient memory, about 15 KiB an op, to 0.7 MiB.
 
-Lanes: the same decoder, asked for the op's lane form, gives a closure that
-runs the op once over numpy arrays, one lane per point or thread, or None.
-A one-block region whose ops all have a lane form runs that way. A
+Lanes: the same decoder, asked for the op's lane form, gives the lines that
+run the op once over numpy arrays, one lane per point or thread. A region
+of one block whose ops all have one runs as one generated function, built
+once an executable (a kernel's on its first launch of at least MIN_LANES
+threads), with no op cap: compile() holds about 4 KiB a float op and 10 KiB
+an int op. Each slot is a local, as is each span an int64 or bounds test
+reads: known when the code is generated for launch coordinates (from the
+batch's bounds), constants and i64 or index results (by the corners of
+their operands' spans), else reduced from the lanes once a batch. A
 linalg.generic takes one lane per point of its parallel axes, those of the
 output map, reading each operand as one strided view; the other axes are
 looped in lexicographic order, so each output element accumulates in the
 sequential order. A kernel numbers its threads in launch order and runs
 them in batches of at most LANES consecutive threads, which may span grid
-blocks (its lane form is decoded on its first launch of at least MIN_LANES
-threads); loads gather and stores scatter. A batch keeps the spans of its
-coordinates and, by their corners, of the i64 and index values derived
-from them, which the int64 and bounds tests read. A batch is charged its
-steps up front, so it takes lanes only when they fit the budget (for a
+blocks; loads gather and stores scatter. A batch is charged its steps up
+front, so it takes lanes only when they fit the budget (for a
 kernel, one thread's steps). A batch falls back, with its stores undone, to
 running point by point or thread by thread, which raises the same errors
 after the same stores, when an index's span leaves its bounds or an index
@@ -112,7 +115,7 @@ __all__ = [
 DEFAULT_STEP_LIMIT = 10 ** 7
 MAX_CALL_DEPTH = 200  # nested func.calls; each takes three Python frames
 LANES = 1024  # the most consecutive threads that run as one batch
-MIN_LANES = 6  # fewer points or threads run faster one by one than as lanes
+MIN_LANES = 5  # fewer points or threads run faster one by one than as lanes
 HOT = 50  # back edges after which a function runs compiled
 MAX_COMPILED_OPS = 48  # the most ops a compiled function holds
 
@@ -255,7 +258,6 @@ _CMP = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
         "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}
 
 
-_LANES = "lanes"  # the form asking a decoder for its op's lane form
 _FAULTS = "faults"  # the key in ``at`` of the executable's ops with a verifier finding
 
 
@@ -290,34 +292,29 @@ def _wrapped(t: ir.IrType, read, form=None):
     return lambda f, run: v if lo <= (v := read(f, run)) < hi else _wrap_int(v, w)
 
 
-def _lane_wrap(t: ir.IrType):
-    """_wrap_int for int64 lanes of type ``t``, which hold i64 values as they are."""
-    if not isinstance(t, ir.IntType) or t.width == 64:
-        return lambda x: x
-    return lambda x: _wrap_int(x, t.width)
+def _lane_wrap(t: ir.IrType, form, text: str) -> str:
+    """The text of lanes ``text`` wrapped to the width of integer type ``t``
+    in lane ``form``; int64 lanes hold i64 values as they are."""
+    if isinstance(t, ir.IntType) and t.width != 64:
+        return f"{form.bind(_wrap_int)}({text}, {form.bind(t.width)})"
+    return text
 
 
-def _lane_op(op, fn, r, *slots):
-    """The lane form of an op that applies ``fn`` to the values in ``slots``
-    into slot ``r``. A lane value is a numpy array or scalar of its SSA type's
-    element kind: floats of the result's precision, or int64 wrapped to the
-    result's width. Index values are unbounded, so an int op whose operands'
-    spans could take it out of int64 falls back; else an i64 or index span is kept."""
-    t = op.results[0].type
+def _lane_op(op, fn, form, r, *slots):
+    """The lane lines of an op that applies ``fn`` to the values in ``slots``
+    into slot ``r``. An int op's result lies between its values at the
+    corners of its operands' spans: it falls back if they could leave int64
+    (index values are unbounded), else an i64 or index result's span is known."""
+    t, value = op.results[0].type, _apply_text(form, fn, *[f"v{s}" for s in slots])
     if isinstance(t, _FLOAT):
-        return lambda f, lanes: fn(*[f[s] for s in slots])
-    wrap, exact = _lane_wrap(t), not isinstance(t, ir.IntType) or t.width == 64
-
-    def lane(f, lanes):
-        xs = [f[s] for s in slots]  # add, sub and mul take their extremes at corners
-        ends = [fn(*c) for c in itertools.product(*map(lanes.span, slots, xs))]
-        span = min(ends), max(ends)
-        if span[0] < -1 << 63 or span[1] >= 1 << 63:
-            raise _Sequential
-        if exact:
-            lanes.spans[r] = span
-        return wrap(fn(*xs))
-    return lane
+        return [f"{form.target} = {value}"]
+    lines = []
+    corners = itertools.product(*[form.span(s, lines) for s in slots])
+    lines += [f"l{r}, h{r} = fits({', '.join(_apply_text(form, fn, *c) for c in corners)})",
+              f"{form.target} = {_lane_wrap(t, form, value)}"]
+    if t.__class__ is ir.IndexType or t.width == 64:
+        form.spans[r] = (f"l{r}", f"h{r}")
+    return lines
 
 
 _INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.truediv: "/",
@@ -341,8 +338,8 @@ def _arith(fn, lane_fn=None):
 
     def decode(op, at, form=None):
         slots, t = [at[v] for v in op.operands], op.results[0].type
-        if form is _LANES:
-            return _lane_op(op, lane_fn, at[op.results[0]], *slots)
+        if form and form.lanes:
+            return _lane_op(op, lane_fn, form, at[op.results[0]], *slots)
         g = lane_fn if isinstance(t, ir.Float32Type) else fn
         if form:
             return _wrapped(t, _apply_text(form, g, *[f"v{s}" for s in slots]), form)
@@ -359,9 +356,12 @@ def _constant(op, at, form=None):
     if not isinstance(attr, (ir.FloatAttr, ir.IntAttr)):
         raise InterpError(f"unsupported constant attribute {attr!r}")
     value = _unbox(value_of_type(t, attr.value))
-    if form is _LANES:
-        value = _np_dtype(t)(value)  # OverflowError: no int64 lane form
-    elif form:
+    if form and form.lanes:
+        lane = _np_dtype(t)(value)  # OverflowError: no int64 lane form
+        if isinstance(value, int):
+            form.spans[at[op.results[0]]] = (form.bind(value),)
+        return [f"{form.target} = {form.bind(lane)}"]
+    if form:
         return form.bind(value)
     return lambda f, run: value
 
@@ -371,8 +371,9 @@ def _cmpi(op, at, form=None):
     if pred not in _CMP:
         raise InterpError(f"unknown cmpi predicate '{pred}'")
     (a, b), cmp = [at[v] for v in op.operands], _CMP[pred]
-    if form is _LANES:
-        return lambda f, lanes: cmp(f[a], f[b]).astype(np.int64)
+    if form and form.lanes:
+        return [f"{form.target} = {_apply_text(form, cmp, f'v{a}', f'v{b}')}"
+                f".astype({form.bind(np.int64)})"]
     if form:
         return f"1 if {_apply_text(form, cmp, f'v{a}', f'v{b}')} else 0"
     return lambda f, run: 1 if cmp(f[a], f[b]) else 0
@@ -383,13 +384,11 @@ def _launch_coordinate(k):
         dim = op.attributes["dimension"].text
         if dim not in ("x", "y", "z"):
             raise InterpError(f"{op.name}: unknown dimension '{dim}'")
-        if form is _LANES:
-            r = at[op.results[0]]
-
-            def coordinate(f, lanes):  # a generic's body has no launch
-                lanes.spans[r] = (lanes.bounds or _fail(_Sequential()))[dim][k]
-                return lanes.ctx[dim][k]
-            return coordinate
+        if form and form.lanes:  # a generic's body has no launch
+            r, key = at[op.results[0]], f"[{form.bind(dim)}][{k}]"
+            form.spans[r] = (f"l{r}", f"h{r}")
+            return ["if bounds is None:", "    raise Sequential",
+                    f"v{r}, (l{r}, h{r}) = ctx{key}, bounds{key}"]
         if form:
             return None
         text = f"{op.name} executed without a launch configuration"
@@ -402,10 +401,8 @@ def _memref(op, at, form=None):
     """memref.load, or memref.store (its buffer is operand 1)."""
     which = int(op.name == "memref.store")
     b, idx = at[op.operands[which]], [at[v] for v in op.operands[which + 1:]]
-    if form is _LANES:
-        return _lane_memref(op, at, b, idx)
     if form:
-        return None
+        return _lane_memref(op, form, b, idx, at[op.operands[0]]) if form.lanes else None
 
     def index(f, run):
         i, shape = tuple([f[s] for s in idx]), f[b].data.shape
@@ -426,29 +423,30 @@ def _memref(op, at, form=None):
     return _wrapped(t, lambda f, run: f[b].data.item(index(f, run)))
 
 
-def _lane_memref(op, at, b, idx):
-    """The lane form of memref.load and memref.store: a gather, or a scatter
-    that keeps the old values. Both record the access for the batch's
-    conflict check. An index out of bounds by its span, or a rank mismatch,
-    falls back, so that the replay raises as the scalar op does."""
-    store, v = op.name == "memref.store", at[op.operands[0]]
-    wrap = _lane_wrap(op.operands[0].type if store else op.results[0].type)
-
-    def access(f, lanes):
-        data, i = f[b].data, tuple([f[s] for s in idx])
-        if (len(i) != data.ndim or any(lo < 0 or hi >= e for (lo, hi), e in zip(
-                map(lanes.span, idx, i), data.shape))
-                or store and np.ndim(f[v]) > max(map(np.ndim, i), default=0)):
-            raise _Sequential  # the last: every lane stores its value to one element
-        lanes.touched.append((data, i, data[i] if store else None))
-        if not store:
-            return wrap(data[i])
-        data[i] = f[v]
-    return access
+def _lane_memref(op, form, b, idx, v):
+    """The lane lines of memref.load and memref.store (of slot ``v``) on the
+    buffer in slot ``b``, with data ``d<b>`` and shape ``x<b>``: a gather, or
+    a scatter that keeps the old values, recorded for the conflict check. An
+    index out of bounds by its span, a rank mismatch, or lanes stored through
+    scalar indices fall back, so that the replay raises as the scalar op does."""
+    store, lines = op.name == "memref.store", []
+    if len(idx) != op.operands[store].type.rank:  # the buffer's rank, as run_kernel checks
+        return ["raise Sequential"]
+    tests = [f"{s[0]} < 0 or {s[-1]} >= x{b}[{k}]"
+             for k, s in enumerate([form.span(s, lines) for s in idx])]
+    lines.append(f"i = ({_locals(idx)})")
+    if store:
+        tests.append(f"ndim(v{v}) > max(map(ndim, i), default=0)")
+    if tests:
+        lines += [f"if {' or '.join(tests)}:", "    raise Sequential"]
+    if store:
+        return lines + [f"touched.append((d{b}, i, d{b}[i]))", f"d{b}[i] = v{v}"]
+    return lines + [f"touched.append((d{b}, i, None))",
+                    f"{form.target} = {_lane_wrap(op.results[0].type, form, f'd{b}[i]')}"]
 
 
 def _branch(op, at, form=None):
-    if form is _LANES:
+    if form and form.lanes:
         return None
     c = at[op.operands[0]] if op.operands else None
     edges = []  # (target, source slots, target's argument slots as a slice)
@@ -471,7 +469,7 @@ def _branch(op, at, form=None):
 
 def _return(op, at, form=None):
     src = [at[v] for v in op.operands]
-    if form is None or form is _LANES:
+    if form is None:
         return lambda f, run: [f[s] for s in src]
     return [f"return [{_locals(src)}]"]
 
@@ -497,7 +495,6 @@ def _generic(op, at, form=None):
     if bad := [m for m in maps if not isinstance(m, ir.IndexMapAttr)]:
         raise InterpError(f"linalg.generic: indexing map {bad[0]!r} is not an affine map")
     src, lane_body = [at[v] for v in op.operands], _decode(op.regions[0], True, body.faults)
-    arg_types = lane_body and [a.type for a in op.regions[0].blocks[0].arguments]
 
     def generic(f, run):
         operands, n_axes = [f[s] for s in src], maps[0].n_axes
@@ -518,9 +515,8 @@ def _generic(op, at, form=None):
 
         out = operands[-1]
         result = np.array(out.data, copy=True)
-        steps = lane_body and math.prod(extents.values()) * lane_body[1][0][1]
+        steps = lane_body and math.prod(extents.values()) * lane_body.steps
         if (steps and run.steps + steps <= run.limit
-                and [v.elem for v in operands] == arg_types
                 and math.prod(extents[a] for a in set(maps[-1].targets)) >= MIN_LANES):
             try:
                 _generic_lanes(lane_body, maps, operands, extents, result)
@@ -547,7 +543,8 @@ def _generic_lanes(code, maps, operands, extents, result):
     operand is a strided view over the loop axes, then the parallel ones
     (stride 0 on an axis its map lacks); the loop axes run in lexicographic
     order, so each element accumulates in the sequential order. Raises
-    _Sequential, ``result`` untouched, when the body has to run point by point."""
+    _Sequential, ``result`` untouched, when the body has to run point by
+    point. The body wraps its narrow integer arguments itself."""
     par = sorted(set(maps[-1].targets))
     loop = [a for a in sorted(extents) if a not in par]
 
@@ -557,14 +554,10 @@ def _generic_lanes(code, maps, operands, extents, result):
             strides[axis] += stride
         return np.lib.stride_tricks.as_strided(data, [extents[a] for a in axes],
                                                list(strides.values()))
-    reads = [(view(v.data, m, loop + par), _lane_wrap(v.elem))
-             for m, v in zip(maps, operands[:-1])]
-    out, wrap_out = view(result, maps[-1], par), _lane_wrap(operands[-1].elem)
-    acc = wrap_out(out)
+    reads = [view(v.data, m, loop + par) for m, v in zip(maps, operands[:-1])]
+    out = acc = view(result, maps[-1], par)
     for point in itertools.product(*(range(extents[a]) for a in loop)):
-        [yielded] = _exec_lanes(code, [wrap(r[point]) for r, wrap in reads] + [acc],
-                                _Lanes(None))
-        acc = wrap_out(yielded)
+        [acc] = _exec_lanes(code, [r[point] for r in reads] + [acc], _Lanes(None))
     out[...] = acc
 
 
@@ -598,7 +591,7 @@ _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
 
 
 def _decode_op(op: ir.IrOperation, at, form=None):
-    """The op's closure, or in ``form`` its lane form or source text, or None.
+    """The op's closure, or in ``form`` its source text or lines, or None.
     An unknown op, an op with a verifier finding (whose text the error takes)
     or one its decoder rejects has no form and raises InterpError when reached."""
     try:
@@ -631,26 +624,22 @@ def _slots(region: ir.IrRegion, faults=None):
 def _decode(region: ir.IrRegion, lanes=False, faults=None):
     """(frame size, blocks): each block is (argument slots, steps to charge
     on entry or inf, [(result slot, op)], terminator or None, id). Ops after
-    a terminator never run and are dropped. With ``lanes``, the lane form
-    of a one-block region whose ops all have one, else None. ``faults``
-    maps each op with a verifier finding to its first finding; None: none."""
-    if lanes and len(region.blocks) != 1:
-        return None
+    a terminator never run and are dropped. With ``lanes``, the lane
+    function of the region (see _lane_function) or None. ``faults`` maps
+    each op with a verifier finding to its first finding; None: none."""
+    if lanes:
+        return _lane_function(region, faults)
     size, at = _slots(region, faults)
-    form, blocks = _LANES if lanes else None, []
+    blocks = []
     for block in region.blocks:
         ops, term, nested = [], None, False
         for op in block.operations:
             nested = nested or op.name in ("func.call", "linalg.generic")
-            code = _decode_op(op, at, form)
-            if code is None:
-                return None
+            code = _decode_op(op, at)
             if op.is_terminator:
                 term = code
                 break
             ops.append((at[op.results[0]] if len(op.results) == 1 else 0, code))
-        if lanes and term is None:
-            return None
         steps = math.inf if nested else len(ops) + (term is not None)
         blocks.append((tuple(at[v] for v in block.arguments), steps, tuple(ops), term,
                        block.id))
@@ -662,19 +651,47 @@ def _decode(region: ir.IrRegion, lanes=False, faults=None):
 
 
 class _Source:
-    """The source form of a region's ops. ``target`` is the local that takes
-    the op's value; ``bind`` names an object in the namespace the function
-    runs in, so no value from the module is pasted into its text."""
+    """The source form of a region's ops, or with ``lanes`` their lane form,
+    in which each op's text is lines. ``target`` is the local that takes the
+    op's value; ``bind`` names an object in the namespace the function runs
+    in, so no value from the module is pasted into its text. ``spans`` maps
+    slots of a known span to the texts of its ends, or of its one value."""
 
-    __slots__ = ("namespace", "target")
+    __slots__ = ("namespace", "target", "lanes", "spans")
 
-    def __init__(self):
-        self.namespace, self.target = {}, None
+    def __init__(self, lanes=False):
+        self.namespace, self.target = dict(_LANE_NAMES) if lanes else {}, None
+        self.lanes, self.spans = lanes, {}
 
     def bind(self, obj) -> str:
         name = f"n{len(self.namespace)}"
         self.namespace[name] = obj
         return name
+
+    def span(self, s: int, lines: list):
+        """The span texts of slot ``s``: known, or reduced from its lanes
+        by a line appended to ``lines``, once a batch."""
+        if s not in self.spans:
+            lines.append(f"l{s}, h{s} = span(v{s})")
+            self.spans[s] = (f"l{s}", f"h{s}")
+        return self.spans[s]
+
+
+def _span(x):
+    """The (least, greatest) of int64 lanes ``x``: an array or one scalar."""
+    return (int(x.min()), int(x.max())) if x.__class__ is np.ndarray else (int(x),) * 2
+
+
+def _fits(*ends):
+    """The (least, greatest) of ``ends``; _Sequential if they leave int64."""
+    lo, hi = min(ends), max(ends)
+    if lo < -1 << 63 or hi >= 1 << 63:
+        raise _Sequential
+    return lo, hi
+
+
+_LANE_NAMES = {"Sequential": _Sequential, "span": _span, "fits": _fits,
+               "ndim": np.ndim}  # what every lane function may use
 
 
 def _locals(slots):
@@ -735,11 +752,47 @@ def _compile(code: _Code):
     if sum(len(block.operations) for block in code.region.blocks) > MAX_COMPILED_OPS:
         return None
     built = _source(code.region, code.faults)
-    if built is None:
-        return None
-    text, namespace = built
+    return built and _function(*built)
+
+
+def _function(text: str, namespace: dict):
+    """The function ``compiled`` that ``text`` defines in ``namespace``."""
     exec(compile(text, "<compiled region>", "exec"), namespace)
     return namespace.pop("compiled")  # so the function and namespace form no cycle
+
+
+def _lane_function(region: ir.IrRegion, faults=None):
+    """``compiled(args, batch)``, which runs the one block of ``region`` once
+    over lane values ``args`` (wrapping narrow integers) for the _Lanes
+    ``batch`` and returns the lane values returned; its ``steps`` are one
+    point's or thread's. None when the region has more blocks or an op has
+    no lane form. Slot s is the local ``v<s>``, of span ``l<s>``, ``h<s>``."""
+    if len(region.blocks) != 1:
+        return None
+    _, at = _slots(region, faults)
+    form, [block] = _Source(lanes=True), region.blocks
+    lines = [f"[{_locals(at[a] for a in block.arguments)}] = args",
+             "ctx, bounds, touched = batch.ctx, batch.bounds, batch.touched"]
+    for a in block.arguments:
+        v = f"v{at[a]}"
+        if isinstance(a.type, ir.MemRefType):
+            lines.append(f"d{at[a]}, x{at[a]} = {v}.data, {v}.data.shape")
+        elif (wrapped := _lane_wrap(a.type, form, v)) != v:
+            lines.append(f"{v} = {wrapped}")
+    for steps, op in enumerate(block.operations, 1):
+        form.target = f"v{at[op.results[0]] if len(op.results) == 1 else 0}"
+        text = _decode_op(op, at, form)
+        if text is None:
+            return None
+        lines += text
+        if op.is_terminator:
+            break
+    else:
+        return None
+    lanes = _function("\n".join(["def compiled(args, batch):", *_indent(lines), ""]),
+                      form.namespace)
+    lanes.steps = steps
+    return lanes
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +801,7 @@ def _compile(code: _Code):
 
 class _Code:
     """A region's code, each form built when it is first needed and kept by
-    the executable: its closures (``decoded``), its kernel lane form
+    the executable: its closures (``decoded``), its kernel lane function
     (``lanes``, decoded on the first launch of at least MIN_LANES threads)
     and its compiled function (``fast``, built once the region has taken
     HOT back edges, ``backs``, counted across runs). ``lanes`` and ``fast``
@@ -848,19 +901,13 @@ class _Run:
 
 class _Lanes:
     """One lockstep batch: its launch coordinates (None in a generic body),
-    their spans laid out alike, the (least, greatest) span of int64 lanes by
-    slot, and its accesses (buffer, index, old values of a store or None)."""
+    their spans laid out alike, and its accesses (buffer, index, old values
+    of a store or None)."""
 
-    __slots__ = ("ctx", "bounds", "spans", "touched")
+    __slots__ = ("ctx", "bounds", "touched")
 
     def __init__(self, ctx, bounds=None):
-        self.ctx, self.bounds, self.spans, self.touched = ctx, bounds, {}, []
-
-    def span(self, s, x):
-        """The span of ``x``, the int64 lanes in slot ``s``: known, or reduced."""
-        if s in self.spans:
-            return self.spans[s]
-        return (int(x.min()), int(x.max())) if x.__class__ is np.ndarray else (int(x),) * 2
+        self.ctx, self.bounds, self.touched = ctx, bounds, []
 
 
 def _exec(code: _Code, args, run: _Run) -> list:
@@ -902,15 +949,8 @@ def _exec(code: _Code, args, run: _Run) -> list:
 
 
 def _exec_lanes(code, args, lanes: _Lanes) -> list:
-    """Run the lane form of a one-block region on ``args``; returns the lane
-    values returned."""
-    size, [(slots, _, ops, term, _)] = code
-    f = [None] * size
-    for s, v in zip(slots, args):
-        f[s] = v
-    for r, op in ops:
-        f[r] = op(f, lanes)
-    return term(f, lanes)
+    """Run lane function ``code`` on ``args``; returns the lane values returned."""
+    return code(args, lanes)
 
 
 def run_function(module: ir.IrModule, symbol: str, inputs,
@@ -1007,7 +1047,7 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     except OverflowError:  # an index outside int64
         code = None
     bufs = [v.data for v in inputs if isinstance(v, MemRefValue)]
-    if (not code or code[1][0][1] > step_limit or total >> 63
+    if (not code or code.steps > step_limit or total >> 63
             or any(np.may_share_memory(*p) for p in itertools.combinations(bufs, 2))):
         code = None  # a thread's budget, coordinates or buffers lanes cannot track
     n, (bx, by, bz) = math.prod(launch.block), launch.block

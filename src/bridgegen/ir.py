@@ -554,7 +554,8 @@ def _check_op(op: IrOperation, block: int, registry, functions, report: VerifyRe
 def _signature(op: IrOperation):
     """(category, message) findings of a func.func's entry block against its
     function_type, and of a linalg.generic's operands against its
-    indexing_maps, as MLIR checks them."""
+    indexing_maps and its body's block arguments (one per operand, of its
+    element type), as MLIR checks them."""
     if op.name == "func.func":
         ftype = getattr(op.attributes.get("function_type"), "type", None)
         if ftype is not None and not isinstance(ftype, FunctionType):
@@ -572,6 +573,12 @@ def _signature(op: IrOperation):
         if n != len(op.operands) or not op.operands:
             return [("arity-mismatch", f"{n} indexing map(s) for {len(op.operands)} "
                      "operand(s); one per operand, the output last")]
+        blocks = op.regions[0].blocks if op.regions else []
+        want = tuple(getattr(v.type, "elem", v.type) for v in op.operands)
+        got = tuple(a.type for a in blocks[0].arguments) if blocks else want
+        if got != want:
+            return [("body-type", f"body block argument types ({', '.join(map(str, got))}) "
+                     f"differ from the operand element types ({', '.join(map(str, want))})")]
     return ()
 
 

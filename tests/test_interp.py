@@ -903,6 +903,31 @@ class TestErrors:
             run_function(module, "einsum", [x] * 3)
         assert str(info.value) == text
 
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("points", [3, 8], ids=["points", "lanes"])
+    @pytest.mark.parametrize("retype, got", [
+        (False, "f32, f32, f32"), (True, "f64, f32, f32")], ids=["count", "type"])
+    def test_generic_body_takes_one_argument_per_operand(self, registry, monkeypatch,
+                                                         tier, points, retype, got):
+        # the einsum (i),(i)->(i) given a fourth operand and map: its body
+        # still takes three arguments, once also the first of another type
+        module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i),(i)->(i)"))
+        generic = next(op for op in walk_ops(module) if op.name == "linalg.generic")
+        maps = generic.attributes["indexing_maps"].elements
+        generic.attributes["indexing_maps"] = ir.ArrayAttr(maps[:1] + maps)
+        generic.operands.insert(0, generic.operands[0])
+        if retype:
+            generic.regions[0].entry.arguments[0].type = ir.F64
+        entry = func_region(module, "einsum").entry
+        text = (f"[body-type] at 'linalg.generic' in ^bb{entry.id}: body block argument "
+                f"types ({got}) differ from the operand element types (f32, f32, f32, f32)")
+        assert str(ir.verify_module(module).diagnostics[0]) == text
+        use_tier(monkeypatch, tier, module)
+        x = tensor_value(np.arange(points, dtype=np.float32))
+        with pytest.raises(InterpError) as info:
+            run_function(module, "einsum", [x] * 3)
+        assert str(info.value) == text
+
     def test_module_without_registry_is_refused(self):
         module = ir.IrModule()
         new_func(module)
@@ -1158,12 +1183,19 @@ class TestExecutable:
         run_function(sigmoid, "wrapper", [F32Value(0.0)])
         assert len(decodes) == 6
 
-    def test_kernel_lane_form_decoded_once(self, vadd, decodes):
+    def test_kernel_lane_form_decoded_once(self, registry, vadd, decodes):
         for _ in range(3):
             bufs = TestKernels().vadd_buffers()
             run_kernel(vadd, "vadd", LaunchConfig((2, 1, 1), (4, 1, 1)), bufs)
             assert list(bufs[2].data) == [11.0 * k for k in range(1, 9)]
         assert decodes == [(func_region(vadd, "vadd"), True)]  # no thread ran alone
+        ewise = einsum.build_einsum_function(registry, einsum.parse_einsum("(i),(i)->(i)"))
+        for _ in range(3):
+            [out] = run_function(ewise, "einsum", [tensor_value(np.full(8, 3.0))] * 3)
+            assert list(out.data) == [12.0] * 8
+        generic = next(op for op in walk_ops(ewise) if op.name == "linalg.generic")
+        assert decodes[1:] == [(func_region(ewise, "einsum"), False),
+                               (generic.regions[0], True)]  # no point ran alone
 
     def test_executable_freed_with_its_module(self, registry):
         import weakref

@@ -7,6 +7,7 @@ values the point-by-point and thread-by-thread paths give.
 
 import itertools
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from bridgegen.interp import (
     run_function,
     run_kernel,
 )
-from conftest import F32_MEMREF, run_pipeline, tensor_value
+from conftest import F32_MEMREF, func_region, run_pipeline, tensor_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import programs as gen  # noqa: E402
@@ -93,8 +94,9 @@ def kernel_args(rng, name, grid, block):
 
 
 def values(args):
-    return [F32Value(float(a)) if np.ndim(a) == 0
-            else MemRefValue(ir.F32, a.shape, a.copy()) for a in args]
+    """Runtime values of ``args``: f32 scalars and buffers; runtime values stay."""
+    return [a if isinstance(a, interp.RuntimeValue) else F32Value(float(a))
+            if np.ndim(a) == 0 else MemRefValue(ir.F32, a.shape, a.copy()) for a in args]
 
 
 class TestAgainstReference:
@@ -319,7 +321,7 @@ def launch(module, name, config, args):
         run_kernel(module, name, config, bufs)
     except interp.InterpError as e:
         error = f"{type(e).__name__}: {e}"
-    return [b.data for b in bufs], error
+    return [b.data for b in bufs if isinstance(b, MemRefValue)], error
 
 
 def same_launch(got, want):
@@ -739,3 +741,169 @@ class TestStridedGenerics:
         assert len(sequential_calls) == (1 + 16 * 5 if big else 1)
         no_lanes(monkeypatch)
         assert np.array_equal(got, run())
+
+
+def ir_kernel(registry, types, build):
+    """@k taking arguments of ``types`` and returning nothing, its ops built
+    by ``build(op, arguments)``: ``op(name, operands, result type or None,
+    **string attributes)`` builds one op and returns its result."""
+    from bridgegen.dialects import build_op
+
+    dialects = registry.dialects
+    module = ir.IrModule(registry=dialects)
+    region = module.new_region()
+    build_op(dialects, module, "func.func",
+             attributes={"sym_name": ir.SymbolAttr("k"), "function_type":
+                         ir.TypeAttr(ir.FunctionType(tuple(types), ()))},
+             regions=[region])
+    entry = module.append_block(region, list(types))
+    module.set_insertion(entry)
+
+    def op(name, operands, result=None, **attributes):
+        built = build_op(dialects, module, name, operands,
+                         attributes={k: ir.StringAttr(v) for k, v in attributes.items()},
+                         result_types=result and [result])
+        return built.results[0] if result else None
+    build(op, entry.arguments)
+    op("func.return", [])
+    assert ir.verify_module(module).ok
+    return module
+
+
+F32_BUF, I64_BUF = ir.MemRefType(ir.F32, (None,)), ir.MemRefType(ir.I64, (None,))
+
+
+class TestLaneFunction:
+    """The lane function of each op no bench kernel uses gives, bit for bit,
+    the values and errors of running point by point or thread by thread."""
+
+    def test_lane_function_binds_values_and_pastes_no_number(self, registry):
+        # x * 2.5 / -0.0 at x[g + 7]: the constants reach the lane function
+        # through its namespace, and its code holds no number but positions
+        text = ("fn k(_1: memref{f64,1}, _2: memref{f64,1})\n1:\n" + gen._GID
+                + "  %6 = invoke +(%5, 7) :: index\n"
+                  "  %7 = invoke load(_1, %6) :: f64\n"
+                  "  %8 = invoke *(%7, 2.5) :: f64\n"
+                  "  %9 = invoke /(%8, -0.0) :: f64\n"
+                  "  %10 = invoke store(%9, _2, %5) :: Nothing\n  return\n")
+        memref = fir.parse_frontend_type("memref{f64,1}")
+        module = run_pipeline(registry, text, "k", [memref] * 2)
+        lanes = interp._decode(func_region(module, "k"), lanes=True)
+        assert lanes.steps == len(func_region(module, "k").entry.operations)  # 3 constants
+        bound = list(lanes.__globals__.values())
+        assert 2.5 in bound and 7 in bound and any(
+            v == 0 and math.copysign(1, v) < 0 for v in bound if isinstance(v, float))
+        operators = [f for f in vars(operator).values() if callable(f)]
+        assert not [v for v in bound if any(v is f for f in operators)]
+        assert "compiled" not in lanes.__globals__  # so the two form no cycle
+        numbers = {c for c in lanes.__code__.co_consts if isinstance(c, (int, float))}
+        assert numbers <= {0, 1, 2}  # a test against 0, a launch coordinate's position
+        x = np.arange(80, dtype=np.float64)
+        bufs = [MemRefValue(ir.F64, (80,), x.copy()), MemRefValue(ir.F64, (64,), np.zeros(64))]
+        run_kernel(module, "k", LaunchConfig((4, 1, 1), (16, 1, 1)), bufs)
+        with np.errstate(all="ignore"):
+            assert bufs[1].data.tobytes() == (x[7:71] * 2.5 / -0.0).tobytes()
+
+
+    def test_f64_division_by_signed_zero_negation_and_exp(self, registry, monkeypatch,
+                                                           sequential_calls):
+        # out[g] = exp(-(x[g] / y[g])) + x[g] / -0.0, over ±0.0, ±inf and nan
+        text = ("fn k(_1: memref{f64,1}, _2: memref{f64,1}, _3: memref{f64,1})\n1:\n"
+                + gen._GID
+                + "  %6 = invoke load(_1, %5) :: f64\n"
+                  "  %7 = invoke load(_2, %5) :: f64\n"
+                  "  %8 = invoke /(%6, %7) :: f64\n"
+                  "  %9 = invoke -(%8) :: f64\n"
+                  "  %10 = invoke exp(%9) :: f64\n"
+                  "  %11 = invoke /(%6, -0.0) :: f64\n"
+                  "  %12 = invoke +(%10, %11) :: f64\n"
+                  "  %13 = invoke store(%12, _3, %5) :: Nothing\n  return\n")
+        memref = fir.parse_frontend_type("memref{f64,1}")
+        module = run_pipeline(registry, text, "k", [memref] * 3)
+        rng = np.random.default_rng(59)
+        x, y = (f32_data(rng, 64).astype(np.float64) for _ in range(2))
+        y[::3] = np.copysign(0.0, rng.uniform(-1, 1, 22))
+        args = [MemRefValue(ir.F64, (64,), a) for a in (x, y, np.zeros(64))]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert sequential_calls == [] and got[1] is None
+        with np.errstate(all="ignore"):
+            assert ref.same(got[0][2], np.exp(-(x / y)) + x / -0.0)
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    @pytest.mark.parametrize("width", [64, 32])
+    @pytest.mark.parametrize("offset", [0, 3, -5], ids=["in-bounds", "below", "above"])
+    def test_index_through_cast_and_subi(self, registry, monkeypatch, sequential_calls,
+                                         width, offset):
+        # dst[g] = src[index(i<width>(g) - offset)] for 32 threads of 2 blocks:
+        # offset 3 loads index -3 at thread 0, offset -5 index 32 at thread 27
+        i = ir.IntType(width)
+
+        def build(op, args):
+            src, dst, off = args
+            t = op("gpu.thread_id", [], ir.INDEX, dimension="x")
+            b = op("gpu.block_id", [], ir.INDEX, dimension="x")
+            n = op("gpu.block_dim", [], ir.INDEX, dimension="x")
+            g = op("arith.addi", [op("arith.muli", [b, n], ir.INDEX), t], ir.INDEX)
+            j = op("arith.subi", [op("arith.index_cast", [g], i), off], i)
+            x = op("memref.load", [src, op("arith.index_cast", [j], ir.INDEX)], ir.F32)
+            op("memref.store", [x, dst, g])
+        module = ir_kernel(registry, [F32_BUF, F32_BUF, i], build)
+        rng = np.random.default_rng(61)
+        args = [f32_data(rng, 32), np.zeros(32, np.float32), interp.IntValue(width, offset)]
+        config = LaunchConfig((2, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert (got[1] is None) == (offset == 0)
+        if offset == 0:
+            assert sequential_calls == [] and ref.same(got[0][1], args[0])
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    @pytest.mark.parametrize("big", [False, True], ids=["in-range", "wraps"])
+    def test_generic_body_with_an_i64_constant(self, registry, monkeypatch,
+                                               sequential_calls, big):
+        # out[i] = x[i] * 3 - 2**62: at x near 2**62 the product leaves int64,
+        # so the generic runs point by point, wrapping as i64 does
+        text = ("fn body(_1: i64, _2: i64)\n1:\n"
+                "  %1 = invoke *(_1, 3) :: i64\n"
+                "  %2 = invoke -(%1, 4611686018427387904) :: i64\n  return %2\n")
+        module = generic_module(registry, text, [ir.I64, ir.I64])
+        top = 2 ** 62 if big else 2 ** 40
+        x = np.random.default_rng(67).integers(-top, top, 16)
+        run = lambda: run_function(module, "g", [  # noqa: E731
+            TensorValue(ir.I64, (16,), x), TensorValue(ir.I64, (16,), np.zeros(16, np.int64))])
+        [got] = run()
+        assert len(sequential_calls) == (1 + 16 if big else 1)
+        assert list(got.data) == [(int(v) * 3 - 2 ** 62 + 2 ** 63) % 2 ** 64 - 2 ** 63
+                                  for v in x]
+        no_lanes(monkeypatch)
+        assert np.array_equal(got.data, run()[0].data)
+
+    @pytest.mark.parametrize("case", ["in-range", "negative", "wraps"])
+    def test_loaded_index_of_unknown_span(self, registry, monkeypatch, sequential_calls,
+                                          batches, case):
+        # dst[t] = src[n * n + n] for n = idx[t], an i64 of unknown span: a
+        # negative n makes the corners reach below 0, so the batch falls
+        # back; n = 2**32 wraps n * n to 0 and loads index 2**32
+        def build(op, args):
+            idx, src, dst = args
+            t = op("gpu.thread_id", [], ir.INDEX, dimension="x")
+            n = op("memref.load", [idx, t], ir.I64)
+            m = op("arith.addi", [op("arith.muli", [n, n], ir.I64), n], ir.I64)
+            x = op("memref.load", [src, op("arith.index_cast", [m], ir.INDEX)], ir.F32)
+            op("memref.store", [x, dst, t])
+        module = ir_kernel(registry, [I64_BUF, F32_BUF, F32_BUF], build)
+        rng = np.random.default_rng(71)
+        n = rng.integers(0, 3, 16)
+        n[5] = {"in-range": 2, "negative": -3, "wraps": 2 ** 32}[case]
+        args = [MemRefValue(ir.I64, (16,), n), f32_data(rng, 16), np.zeros(16, np.float32)]
+        config = LaunchConfig((1, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(16, case == "in-range")]
+        if case == "wraps":
+            assert got[1].startswith(f"OutOfBounds: index {2 ** 32} out of bounds")
+        else:
+            assert got[1] is None and ref.same(got[0][2], args[1][n * n + n])
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
