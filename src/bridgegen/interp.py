@@ -21,9 +21,9 @@ them; a func.call passes raw values. The verifier is the interpreter's only
 type rule: ``prepare`` verifies the module once, and an op the verifier
 faults fails when reached, with its first finding's text. Unknown ops fail
 when reached too. The interpreter checks only what the verifier does not:
-constant attribute kinds, the cmpi predicate, the gpu dimension, the
-indexing-map kind, runtime shapes, extents and bounds, the step budget and
-the call depth. Every failure at run time is an InterpError.
+the cmpi predicate, the gpu dimension, runtime shapes, extents and bounds,
+the launch configuration, the step budget and the call depth. Every
+failure at run time is an InterpError.
 
 Each op is one step: a block is charged on entry when it fits the budget,
 otherwise (and when it holds a call or generic) op by op, so
@@ -70,8 +70,9 @@ kernel, one thread's steps). A batch falls back, with its stores undone, to
 running point by point or thread by thread, which raises the same errors
 after the same stores, when an index's span leaves its bounds or an index
 has the wrong rank, an integer result could leave int64 (index values are
-unbounded), or two lanes touch one buffer element and one of them stores
-to it, which cannot happen through one strictly rising 1-D index alone. A
+unbounded), or a stored buffer is not touched at one element per lane: the
+same row-major flat index at every access, strictly rising or strictly
+falling across the lanes, one line of the lane function per buffer. A
 kernel batch that spans grid blocks falls back to batches of one block
 each, and every later batch of the launch keeps to one block. Kernels
 whose buffers share memory, or whose arguments or coordinates leave int64,
@@ -204,8 +205,17 @@ class LaunchConfig:
     block: tuple  # threads per block (bx, by, bz)
 
     def __post_init__(self):
-        if any(e < 1 for e in self.grid + self.block):
-            raise InterpError("launch extents must all be >= 1")
+        for name in ("grid", "block"):
+            try:
+                extents = tuple(map(operator.index, getattr(self, name)))
+            except TypeError:
+                extents = ()
+            if len(extents) != 3:
+                raise InterpError(f"launch {name} must be three integer extents, "
+                                  f"got {getattr(self, name)!r}")
+            if min(extents) < 1:
+                raise InterpError("launch extents must all be >= 1")
+            object.__setattr__(self, name, extents)  # plain ints, as a frozen field
 
 
 _KINDS = {  # IR type class -> (runtime value class, numpy element kind)
@@ -352,10 +362,8 @@ def _arith(fn, lane_fn=None):
 
 
 def _constant(op, at, form=None):
-    attr, t = op.attributes["value"], op.results[0].type
-    if not isinstance(attr, (ir.FloatAttr, ir.IntAttr)):
-        raise InterpError(f"unsupported constant attribute {attr!r}")
-    value = _unbox(value_of_type(t, attr.value))
+    t = op.results[0].type
+    value = _unbox(value_of_type(t, op.attributes["value"].value))
     if form and form.lanes:
         lane = _np_dtype(t)(value)  # OverflowError: no int64 lane form
         if isinstance(value, int):
@@ -426,9 +434,11 @@ def _memref(op, at, form=None):
 def _lane_memref(op, form, b, idx, v):
     """The lane lines of memref.load and memref.store (of slot ``v``) on the
     buffer in slot ``b``, with data ``d<b>`` and shape ``x<b>``: a gather, or
-    a scatter that keeps the old values, recorded for the conflict check. An
-    index out of bounds by its span, a rank mismatch, or lanes stored through
-    scalar indices fall back, so that the replay raises as the scalar op does."""
+    a scatter that records the old values for the undo. The text of its
+    flat index goes into ``form.accesses`` for the test that each lane owns
+    the elements it touches (see _own). An index out of bounds by its span, a rank mismatch,
+    or lanes stored through scalar indices fall back, so that the replay
+    raises as the scalar op does."""
     store, lines = op.name == "memref.store", []
     if len(idx) != op.operands[store].type.rank:  # the buffer's rank, as run_kernel checks
         return ["raise Sequential"]
@@ -439,10 +449,14 @@ def _lane_memref(op, form, b, idx, v):
         tests.append(f"ndim(v{v}) > max(map(ndim, i), default=0)")
     if tests:
         lines += [f"if {' or '.join(tests)}:", "    raise Sequential"]
+    flat = f"v{idx[0]}" if idx else "0"  # row-major over the shape x<b>
+    for k, s in enumerate(idx[1:], 1):
+        flat = f"({flat} * x{b}[{k}] + v{s})"
+    flats = form.accesses.setdefault(b, {})  # flat index text -> whether stored through
+    flats[flat] = store or flats.get(flat, False)
     if store:
         return lines + [f"touched.append((d{b}, i, d{b}[i]))", f"d{b}[i] = v{v}"]
-    return lines + [f"touched.append((d{b}, i, None))",
-                    f"{form.target} = {_lane_wrap(op.results[0].type, form, f'd{b}[i]')}"]
+    return lines + [f"{form.target} = {_lane_wrap(op.results[0].type, form, f'd{b}[i]')}"]
 
 
 def _branch(op, at, form=None):
@@ -492,27 +506,17 @@ def _generic(op, at, form=None):
         return None
     maps = list(op.attributes["indexing_maps"].elements)
     body = _Code(op.regions[0], at[_FAULTS])
-    if bad := [m for m in maps if not isinstance(m, ir.IndexMapAttr)]:
-        raise InterpError(f"linalg.generic: indexing map {bad[0]!r} is not an affine map")
     src, lane_body = [at[v] for v in op.operands], _decode(op.regions[0], True, body.faults)
 
     def generic(f, run):
-        operands, n_axes = [f[s] for s in src], maps[0].n_axes
+        operands = [f[s] for s in src]
         extents = {}
-        for which, (m, v) in enumerate(zip(maps, operands)):
-            if m.n_axes != n_axes or len(m.targets) != v.data.ndim:
-                raise InterpError(
-                    f"linalg.generic: map/operand rank mismatch on operand {which}")
+        for m, v in zip(maps, operands):
             for axis, extent in zip(m.targets, v.data.shape):
                 if extents.setdefault(axis, extent) != extent:
                     raise InterpError(
                         f"linalg.generic: inconsistent extent for axis d{axis}: "
                         f"{extents[axis]} vs {extent}")
-        missing = [a for a in range(n_axes) if a not in extents]
-        if missing:
-            raise InterpError(
-                f"linalg.generic: no operand constrains axis d{missing[0]}")
-
         out = operands[-1]
         result = np.array(out.data, copy=True)
         steps = lane_body and math.prod(extents.values()) * lane_body.steps
@@ -530,7 +534,7 @@ def _generic(op, at, form=None):
         reads = [_wrapped(v.elem, lambda p, run, read=(  # f32: an np.float32
                      a.__getitem__ if isinstance(v.elem, ir.Float32Type) else a.item),
                      where=w: read(where(p))) for v, a, w in zip(operands, arrays, wheres)]
-        for point in itertools.product(*(range(extents[a]) for a in range(n_axes))):
+        for point in itertools.product(*(range(extents[a]) for a in sorted(extents))):
             [yielded] = _exec(body, [read(point, run) for read in reads], run)
             result[wheres[-1](point)] = yielded
         return TensorValue(out.elem, result.shape, result)
@@ -655,13 +659,15 @@ class _Source:
     in which each op's text is lines. ``target`` is the local that takes the
     op's value; ``bind`` names an object in the namespace the function runs
     in, so no value from the module is pasted into its text. ``spans`` maps
-    slots of a known span to the texts of its ends, or of its one value."""
+    slots of a known span to the texts of its ends, or of its one value;
+    ``accesses`` maps the slot of each buffer accessed to the texts of the
+    flat indices it is accessed through, each to whether a store is."""
 
-    __slots__ = ("namespace", "target", "lanes", "spans")
+    __slots__ = ("namespace", "target", "lanes", "spans", "accesses")
 
     def __init__(self, lanes=False):
         self.namespace, self.target = dict(_LANE_NAMES) if lanes else {}, None
-        self.lanes, self.spans = lanes, {}
+        self.lanes, self.spans, self.accesses = lanes, {}, {}
 
     def bind(self, obj) -> str:
         name = f"n{len(self.namespace)}"
@@ -690,8 +696,19 @@ def _fits(*ends):
     return lo, hi
 
 
+def _own(flat, *others):
+    """Whether each lane touches its own element of a buffer: the flat index
+    lanes ``flat`` strictly rise or strictly fall, and equal each of the
+    ``others`` the buffer is accessed through."""
+    if flat.__class__ is not np.ndarray:
+        return False
+    ahead, behind = flat[1:], flat[:-1]
+    return (((ahead > behind).all() or (ahead < behind).all())
+            and all(np.array_equal(o, flat) for o in others))
+
+
 _LANE_NAMES = {"Sequential": _Sequential, "span": _span, "fits": _fits,
-               "ndim": np.ndim}  # what every lane function may use
+               "ndim": np.ndim, "own": _own}  # what every lane function may use
 
 
 def _locals(slots):
@@ -766,7 +783,9 @@ def _lane_function(region: ir.IrRegion, faults=None):
     over lane values ``args`` (wrapping narrow integers) for the _Lanes
     ``batch`` and returns the lane values returned; its ``steps`` are one
     point's or thread's. None when the region has more blocks or an op has
-    no lane form. Slot s is the local ``v<s>``, of span ``l<s>``, ``h<s>``."""
+    no lane form. Slot s is the local ``v<s>``, of span ``l<s>``, ``h<s>``.
+    Before the terminator, one line per stored buffer falls back unless
+    each lane touches its own element of it (see _own)."""
     if len(region.blocks) != 1:
         return None
     _, at = _slots(region, faults)
@@ -784,9 +803,11 @@ def _lane_function(region: ir.IrRegion, faults=None):
         text = _decode_op(op, at, form)
         if text is None:
             return None
-        lines += text
         if op.is_terminator:
+            lines += [f"if not own({', '.join(flats)}): raise Sequential"
+                      for flats in form.accesses.values() if any(flats.values())] + text
             break
+        lines += text
     else:
         return None
     lanes = _function("\n".join(["def compiled(args, batch):", *_indent(lines), ""]),
@@ -901,8 +922,7 @@ class _Run:
 
 class _Lanes:
     """One lockstep batch: its launch coordinates (None in a generic body),
-    their spans laid out alike, and its accesses (buffer, index, old values
-    of a store or None)."""
+    their spans laid out alike, and its stores (buffer, index, old values)."""
 
     __slots__ = ("ctx", "bounds", "touched")
 
@@ -965,57 +985,16 @@ def run_function(module: ir.IrModule, symbol: str, inputs,
             for t, v in zip(ftype.results, results)]
 
 
-def _lockstep(code, args, lanes: _Lanes, owners) -> bool:
+def _lockstep(code, args, lanes: _Lanes) -> bool:
     """Run one batch of a kernel in lockstep. False, with the batch's stores
-    undone, when it has to run thread by thread: a lane op fell back, or two
-    lanes touch one element and at least one of them stores to it."""
+    undone, when it has to run thread by thread: a lane op fell back."""
     try:
         _exec_lanes(code, args, lanes)
-        if not _collide(lanes, owners):
-            return True
+        return True
     except _Sequential:
-        pass
-    for data, i, old in reversed(lanes.touched):
-        if old is not None:
+        for data, i, old in reversed(lanes.touched):
             data[i] = old
-    return False
-
-
-def _collide(lanes: _Lanes, owners) -> bool:
-    """Whether two lanes touch one element of a stored buffer and one of
-    them stores to it. A buffer touched only through one strictly rising
-    1-D index array cannot clash, as each lane touches its own element; the
-    other stored buffers take the owner pass."""
-    stored = {id(data) for data, _, old in lanes.touched if old is not None}
-    one = {}  # each stored buffer's id -> the one 1-D index it is touched through, or None
-    for data, i, _ in lanes.touched:
-        if id(data) in stored:
-            one[id(data)] = i[0] if len(i) == 1 and one.get(id(data), i[0]) is i[0] else None
-    stored -= {b for b, n in one.items() if n.__class__ is np.ndarray and (n[1:] > n[:-1]).all()}
-    return bool(stored) and _owner_pass(lanes, stored, owners)
-
-
-def _owner_pass(lanes: _Lanes, stored, owners) -> bool:
-    """_collide's test of the buffers whose ids are in ``stored``: ``owners``
-    maps each to an array of the lane storing each element, -1 where none does."""
-    ids, marks = np.arange(len(lanes.ctx["x"][0])), []
-    for data, i, old in lanes.touched:
-        if id(data) in stored:
-            if id(data) not in owners:
-                owners[id(data)] = np.full(data.size, -1)
-            flat = i[0] if i else 0
-            for n, extent in zip(i[1:], data.shape[1:]):
-                flat = flat * extent + n
-            marks.append((owners[id(data)], flat if np.ndim(flat) else
-                          np.full(ids.shape, flat), old))
-    for owner, flat, old in marks:
-        if old is not None:
-            owner[flat] = ids
-    clash = any((((o := owner[flat]) != ids) & (o >= 0)).any() for owner, flat, _ in marks)
-    for owner, flat, old in marks:
-        if old is not None:
-            owner[flat] = -1
-    return clash
+        return False
 
 
 def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
@@ -1051,7 +1030,7 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
             or any(np.may_share_memory(*p) for p in itertools.combinations(bufs, 2))):
         code = None  # a thread's budget, coordinates or buffers lanes cannot track
     n, (bx, by, bz) = math.prod(launch.block), launch.block
-    dims, owners, coords = code and tuple(map(np.int64, launch.block)), {}, (None,)
+    dims, coords = code and tuple(map(np.int64, launch.block)), (None,)
     sizes = [(e, e) for e in launch.block]  # the spans of the block dimensions
     hi = 0  # the batch [lo, hi) of thread numbers
     per_block, b = False, None  # b: the block of the last thread run on its own
@@ -1069,7 +1048,7 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                        else _unravel(coords[2] + first, launch.grid))
                 ctx = dict(zip("xyz", zip(coords[1], blk, dims)))
                 bounds = zip(coords[3], _unravel_spans(first, last, launch.grid), sizes)
-                if _lockstep(code, lane_args, _Lanes(ctx, dict(zip("xyz", bounds))), owners):
+                if _lockstep(code, lane_args, _Lanes(ctx, dict(zip("xyz", bounds)))):
                     continue
                 if first != last:  # rerun this batch, and run the rest, block by block
                     per_block, hi = True, lo

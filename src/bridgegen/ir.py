@@ -553,9 +553,10 @@ def _check_op(op: IrOperation, block: int, registry, functions, report: VerifyRe
 
 def _signature(op: IrOperation):
     """(category, message) findings of a func.func's entry block against its
-    function_type, and of a linalg.generic's operands against its
-    indexing_maps and its body's block arguments (one per operand, of its
-    element type), as MLIR checks them."""
+    function_type, of a linalg.generic's operands against its indexing_maps
+    (see _map_finding) and its body's block arguments (one per operand, of
+    its element type), and of an arith.constant's value against its result
+    type, as MLIR checks them."""
     if op.name == "func.func":
         ftype = getattr(op.attributes.get("function_type"), "type", None)
         if ftype is not None and not isinstance(ftype, FunctionType):
@@ -573,13 +574,44 @@ def _signature(op: IrOperation):
         if n != len(op.operands) or not op.operands:
             return [("arity-mismatch", f"{n} indexing map(s) for {len(op.operands)} "
                      "operand(s); one per operand, the output last")]
+        if isinstance(maps, ArrayAttr) and (finding := _map_finding(
+                maps.elements, op.operands, op.attributes.get("iterator_types"))):
+            return [("indexing-map", finding)]
         blocks = op.regions[0].blocks if op.regions else []
         want = tuple(getattr(v.type, "elem", v.type) for v in op.operands)
         got = tuple(a.type for a in blocks[0].arguments) if blocks else want
         if got != want:
             return [("body-type", f"body block argument types ({', '.join(map(str, got))}) "
                      f"differ from the operand element types ({', '.join(map(str, want))})")]
+    elif op.name == "arith.constant" and len(op.results) == 1:
+        value, t = op.attributes.get("value"), op.results[0].type
+        if value is not None and not (isinstance(value, (FloatAttr, IntAttr))
+                                      and value.type == t):
+            return [("type-constraint", f"value {value!r} is not a constant of the result "
+                     f"type {print_type(t)}")]
     return ()
+
+
+def _map_finding(maps, operands, iterators):
+    """The first static fact a linalg.generic's indexing maps break, one per
+    operand, or None: each is an affine map of one number of axes, with one
+    target per dimension of its operand; each axis is named by some map and
+    has one "parallel" or "reduction" iterator type."""
+    n = getattr(maps[0], "n_axes", None)
+    for k, (m, v) in enumerate(zip(maps, operands)):
+        if not isinstance(m, IndexMapAttr):
+            return f"indexing map {k} ({m!r}) is not an affine map"
+        if m.n_axes != n:
+            return f"indexing map {k} has {m.n_axes} axes, map 0 has {n}"
+        if isinstance(v.type, _ShapedType) and len(m.targets) != v.type.rank:
+            return (f"indexing map {k} has {len(m.targets)} target(s) for an operand "
+                    f"of rank {v.type.rank}")
+    if missing := sorted(set(range(n)) - {a for m in maps for a in m.targets}):
+        return f"no indexing map names axis d{missing[0]}"
+    kinds = [getattr(e, "text", None) for e in getattr(iterators, "elements", ())]
+    if isinstance(iterators, ArrayAttr) and (
+            len(kinds) != n or not set(kinds) <= {"parallel", "reduction"}):
+        return f'iterator_types must be one "parallel" or "reduction" per axis, {n} in all'
 
 
 # what each category of typed check compares values against

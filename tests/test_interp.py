@@ -356,6 +356,18 @@ class TestKernels:
     def test_launch_extents_validated(self):
         with pytest.raises(InterpError, match=">= 1"):
             LaunchConfig((0, 1, 1), (1, 1, 1))
+        launch = LaunchConfig([np.int64(2), True, 1], range(4, 7))
+        assert launch == LaunchConfig((2, 1, 1), (4, 5, 6)) and hash(launch)
+
+    @pytest.mark.parametrize("grid, block, which", [
+        ((2.0, 1, 1), (4, 1, 1), "grid"), ((2, 1, 1), (4, 1), "block"),
+        ((2, 1, 1, 1), (4, 1, 1), "grid"), ((2, 1, 1), 4, "block"),
+        ((2, 1, 1), ("4", 1, 1), "block")],
+        ids=["float", "two-extents", "four-extents", "not-a-tuple", "string"])
+    def test_launch_takes_three_integer_extents(self, vadd, grid, block, which):
+        with pytest.raises(InterpError, match=f"^launch {which} must be three integer "
+                                              "extents, got "):
+            run_kernel(vadd, "vadd", LaunchConfig(grid, block), self.vadd_buffers())
 
     def test_mutations_visible_in_inputs(self, vadd):
         bufs = self.vadd_buffers()
@@ -767,14 +779,55 @@ class TestErrors:
             run_kernel(vadd, "vadd", LaunchConfig((1, 1, 1), (threads, 1, 1)),
                        TestKernels().vadd_buffers())
 
-    def test_indexing_map_of_another_attribute(self, registry):
+    def test_indexing_map_of_another_attribute(self, registry, monkeypatch):
         module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i)->(i)"))
         generic = next(op for op in walk_ops(module) if op.name == "linalg.generic")
         generic.attributes["indexing_maps"] = ir.ArrayAttr((ir.IntAttr(0, ir.I64),) * 2)
-        assert ir.verify_module(module).ok
-        with pytest.raises(InterpError, match=r"^linalg.generic: indexing map IntAttr\("
-                                              r".*\) is not an affine map$"):
-            run_function(module, "einsum", [tensor_value(np.ones(3))] * 2)
+        [finding] = ir.verify_module(module).diagnostics
+        assert str(finding).startswith("[indexing-map] at 'linalg.generic' in ^bb")
+        assert str(finding).endswith(": indexing map 0 (IntAttr(value=0, type=IntType("
+                                     "width=64))) is not an affine map")
+        for tier in TIERS:
+            use_tier(monkeypatch, tier, module)
+            with pytest.raises(InterpError, match=f"^{re.escape(str(finding))}$"):
+                run_function(module, "einsum", [tensor_value(np.ones(8))] * 2)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("case, message", [
+        ("string-map", "indexing map 1 (StringAttr(text='(i)')) is not an affine map"),
+        ("rank", "indexing map 0 has 1 target(s) for an operand of rank 2"),
+        ("n-axes", "indexing map 1 has 4 axes, map 0 has 3"),
+        ("unnamed-axis", "no indexing map names axis d2"),
+        ("iterator-types", 'iterator_types must be one "parallel" or "reduction" per '
+                           "axis, 3 in all"),
+    ], ids=["string-map", "rank", "n-axes", "unnamed-axis", "iterator-types"])
+    def test_generic_map_facts_are_verified(self, registry, monkeypatch, tier, case,
+                                            message):
+        # the maps of (i,k),(k,j)->(i,j), each broken in one way MLIR rejects
+        module = einsum.build_einsum_function(registry,
+                                              einsum.parse_einsum("(i,k),(k,j)->(i,j)"))
+        generic = next(op for op in walk_ops(module) if op.name == "linalg.generic")
+        maps = list(generic.attributes["indexing_maps"].elements)
+        if case == "string-map":
+            maps[1] = ir.StringAttr("(i)")
+        elif case == "rank":
+            maps[0] = ir.IndexMapAttr(3, (0,))
+        elif case == "n-axes":
+            maps[1] = ir.IndexMapAttr(4, maps[1].targets)
+        elif case == "unnamed-axis":  # (i,k),(k,k)->(i,k): j is no operand's
+            maps = [ir.IndexMapAttr(3, tuple(t if t != 2 else 1 for t in m.targets))
+                    for m in maps]
+        else:
+            generic.attributes["iterator_types"] = ir.ArrayAttr((ir.StringAttr("parallel"),))
+        generic.attributes["indexing_maps"] = ir.ArrayAttr(tuple(maps))
+        entry = func_region(module, "einsum").entry
+        text = f"[indexing-map] at 'linalg.generic' in ^bb{entry.id}: {message}"
+        assert str(ir.verify_module(module)) == text
+        use_tier(monkeypatch, tier, module)
+        x = tensor_value(np.ones((4, 4), np.float32))
+        with pytest.raises(InterpError) as info:
+            run_function(module, "einsum", [x] * 3)
+        assert str(info.value) == text
 
     @pytest.mark.parametrize("points", [3, 8], ids=["points", "lanes"])
     def test_ill_typed_yield_fails_when_reached(self, registry, points):
@@ -788,11 +841,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_decode_failure_is_an_interp_error(self, registry, monkeypatch, compiled, tier):
-        # the verifier admits any attribute on any constant type: inf as an i64
+        # the verifier admits an i64 constant of any value: inf
         module = ir.IrModule(registry=registry.dialects)
         new_func(module, "f", [], [ir.I64])
         big = ir.create_op(module, "arith.constant", [], [ir.I64],
-                           attributes={"value": ir.FloatAttr(math.inf, ir.F64)})
+                           attributes={"value": ir.IntAttr(math.inf, ir.I64)})
         ir.create_op(module, "func.return", big.results, [], is_terminator=True)
         assert ir.verify_module(module).ok
         use_tier(monkeypatch, tier, module)
@@ -800,6 +853,25 @@ class TestErrors:
             run_function(module, "f", [])
         assert type(info.value) is InterpError
         assert str(info.value) == "arith.constant: cannot convert float infinity to integer"
+        assert compiled == [None] * (tier == "compiled")  # the op has no source form
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("value", [ir.IntAttr(3, ir.I64), ir.FloatAttr(3.0, ir.F32),
+                                       ir.StringAttr("3")], ids=["i64", "f32", "string"])
+    def test_constant_of_another_type_fails_when_reached(self, registry, monkeypatch,
+                                                         compiled, tier, value):
+        module = ir.IrModule(registry=registry.dialects)
+        _, entry = new_func(module, "f", [], [ir.F64])
+        three = ir.create_op(module, "arith.constant", [], [ir.F64],
+                             attributes={"value": value})
+        ir.create_op(module, "func.return", three.results, [], is_terminator=True)
+        text = (f"[type-constraint] at 'arith.constant' in ^bb{entry.id}: value {value!r} "
+                "is not a constant of the result type f64")
+        assert str(ir.verify_module(module)) == text
+        use_tier(monkeypatch, tier, module)
+        with pytest.raises(InterpError) as info:
+            run_function(module, "f", [])
+        assert str(info.value) == text
         assert compiled == [None] * (tier == "compiled")  # the op has no source form
 
     @staticmethod

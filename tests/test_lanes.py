@@ -306,8 +306,8 @@ def batches(monkeypatch):
     """(lanes, whether it ran in lanes) of each lockstep batch of a kernel."""
     made, lockstep = [], interp._lockstep
 
-    def counted(code, args, lanes, owners):
-        made.append((len(lanes.ctx["x"][0]), lockstep(code, args, lanes, owners)))
+    def counted(code, args, lanes):
+        made.append((len(lanes.ctx["x"][0]), lockstep(code, args, lanes)))
         return made[-1][1]
     monkeypatch.setattr(interp, "_lockstep", counted)
     return made
@@ -511,31 +511,42 @@ class TestSameAsPointByPoint:
         assert np.array_equal(got, run())
 
 
-@pytest.fixture
-def owner_passes(monkeypatch):
-    """The lane count of each batch whose conflict check took the owner pass."""
-    passes, owner_pass = [], interp._owner_pass
-
-    def counted(lanes, stored, owners):
-        passes.append(len(lanes.ctx["x"][0]))
-        return owner_pass(lanes, stored, owners)
-    monkeypatch.setattr(interp, "_owner_pass", counted)
-    return passes
-
-
 class TestConflictRule:
-    """A buffer stored only through one strictly rising index cannot clash,
-    so its batch skips the owner pass; any other stored buffer takes it."""
+    """A batch stays in lanes exactly when each stored buffer is touched at
+    one element per lane: the same flat index at every access, strictly
+    rising or strictly falling across the lanes. Any other batch falls
+    back, its stores undone, and replays thread by thread."""
 
     @pytest.mark.parametrize("name", list(gen.KERNELS))
-    def test_owner_pass_only_where_lanes_may_clash(self, registry, owner_passes, name):
+    def test_only_collides_spanning_batch_falls_back(self, registry, batches, name):
         grid, block = gen.KERNELS[name]
         module, args = kernel(registry, name), kernel_args(np.random.default_rng(23), name,
                                                            grid, block)
+        want = [(interp.LANES, True)] * (grid * block // interp.LANES)
+        if name == "collide":  # its first batch spans blocks, whose threads store to one slot
+            want = [(interp.LANES, False)] + [(block, True)] * grid
         for _ in range(2):  # two launches of one module
+            batches.clear()
             run_kernel(module, name, LaunchConfig((grid, 1, 1), (block, 1, 1)), values(args))
-        # collide's first batch spans blocks, whose threads store to one slot
-        assert owner_passes == ([interp.LANES] * 2 if name == "collide" else [])
+            assert batches == want
+
+    @pytest.mark.parametrize("name", list(gen.KERNELS))
+    def test_rule_is_one_line_per_stored_buffer(self, registry, monkeypatch, name):
+        # the lane function tests each stored buffer once, before it
+        # returns, and records the old values of stores alone
+        texts, function = [], interp._function
+        monkeypatch.setattr(interp, "_function", lambda text, namespace: (
+            texts.append(text) or function(text, namespace)))
+        module = kernel(registry, name)
+        assert interp._decode(func_region(module, name), lanes=True)
+        ops = func_region(module, name).entry.operations
+        stores = [op for op in ops if op.name == "memref.store"]
+        [text] = texts
+        lines = [line.strip() for line in text.splitlines() if line.strip()]
+        tests = [line for line in lines if "own(" in line]
+        assert len(tests) == len({op.operands[1] for op in stores}) and tests == lines[-2:-1]
+        assert lines[-1].startswith("return")
+        assert sum("touched.append" in line for line in lines) == len(stores)
 
     @pytest.mark.parametrize("text", [
         # out[n - 1 - g] = in[g]: one lane an element, but falling
@@ -549,8 +560,8 @@ class TestConflictRule:
         "  %9 = invoke +(%7, %8) :: f32\n"
         "  %10 = invoke store(%9, _1, %5) :: Nothing\n",
     ], ids=["reversed", "second-index"])
-    def test_injective_stores_stay_in_lanes(self, registry, monkeypatch, owner_passes,
-                                            batches, sequential_calls, text):
+    def test_injective_stores_stay_in_lanes(self, registry, monkeypatch, batches,
+                                            sequential_calls, text):
         fir_text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n" + gen._GID
                     + text + "  return\n")
         module = run_pipeline(registry, fir_text, "k", [F32_MEMREF] * 2)
@@ -558,13 +569,41 @@ class TestConflictRule:
         args = [f32_data(rng, 64), f32_data(rng, 64)]
         config = LaunchConfig((4, 1, 1), (16, 1, 1))
         got = launch(module, "k", config, args)
-        assert batches == [(64, True)] and owner_passes == [64] and sequential_calls == []
+        assert batches == [(64, True)] and sequential_calls == []
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "k", config, args))
 
-    def test_two_dimensional_store(self, registry, monkeypatch, owner_passes, batches,
+    @pytest.mark.parametrize("text, want", [
+        # A[g + 1] = A[g] + 1: each thread reads the element the one before stored
+        ("  %6 = invoke load(_1, %5) :: f32\n"
+         "  %7 = invoke +(%6, 1.0) :: f32\n"
+         "  %8 = invoke +(%5, 1) :: index\n"
+         "  %9 = invoke store(%7, _1, %8) :: Nothing\n",
+         lambda a, b: (np.arange(65, dtype=np.float32) + a[0], b)),
+        # B[g * 0] = A[g]: every thread stores to B[0], the last one wins
+        ("  %6 = invoke load(_1, %5) :: f32\n"
+         "  %7 = invoke *(%5, 0) :: index\n"
+         "  %8 = invoke store(%6, _2, %7) :: Nothing\n",
+         lambda a, b: (a, np.concatenate([a[63:64], b[1:]]))),
+    ], ids=["shifted-stencil", "equal-indices"])
+    def test_shared_elements_fall_back(self, registry, monkeypatch, batches,
+                                       sequential_calls, text, want):
+        fir_text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n" + gen._GID
+                    + text + "  return\n")
+        module = run_pipeline(registry, fir_text, "k", [F32_MEMREF] * 2)
+        rng = np.random.default_rng(73)
+        args = [rng.uniform(0, 8, 65).astype(np.float32), f32_data(rng, 64)]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, False)] + [(16, False)] * 4 and len(sequential_calls) == 64
+        assert got[1] is None
+        assert all(ref.same(g, w) for g, w in zip(got[0], want(*args)))
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_two_dimensional_store(self, registry, monkeypatch, batches,
                                    sequential_calls):
-        # out[block, thread] = in[thread]: 2-D indices take the owner pass
+        # out[block, thread] = in[thread]: the flat index block * 16 + thread rises
         from bridgegen.dialects import build_op
 
         dialects = registry.dialects
@@ -588,8 +627,27 @@ class TestConflictRule:
         args = [f32_data(np.random.default_rng(31), 16), np.zeros((4, 16), np.float32)]
         config = LaunchConfig((4, 1, 1), (16, 1, 1))
         got = launch(module, "k", config, args)
-        assert batches == [(64, True)] and owner_passes == [64] and sequential_calls == []
+        assert batches == [(64, True)] and sequential_calls == []
         assert ref.same(got[0][1], np.tile(args[0], (4, 1)))
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_three_dimensional_store(self, registry, monkeypatch, batches,
+                                     sequential_calls):
+        # out[block x, thread y, thread z] = in[thread z] over blocks of 1x4x4
+        # threads: the flat index is the thread's number in launch order
+        def build(op, args):
+            src, out = args
+            b = op("gpu.block_id", [], ir.INDEX, dimension="x")
+            y = op("gpu.thread_id", [], ir.INDEX, dimension="y")
+            z = op("gpu.thread_id", [], ir.INDEX, dimension="z")
+            op("memref.store", [op("memref.load", [src, z], ir.F32), out, b, y, z])
+        module = ir_kernel(registry, [F32_BUF, ir.MemRefType(ir.F32, (None,) * 3)], build)
+        args = [f32_data(np.random.default_rng(79), 4), np.zeros((4, 4, 4), np.float32)]
+        config = LaunchConfig((4, 1, 1), (1, 4, 4))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, True)] and sequential_calls == []
+        assert ref.same(got[0][1], np.broadcast_to(args[0], (4, 4, 4)))
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "k", config, args))
 
