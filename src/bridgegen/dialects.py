@@ -216,7 +216,8 @@ def _check(defn: OpDefinition, operand_types, result_types, attributes,
         if a.name not in attributes:
             if a.required:
                 findings.append(("missing-attr", f"missing required attribute '{a.name}'"))
-        elif not isinstance(attributes[a.name], _ATTR_KINDS[a.kind]):
+        elif not isinstance(attr := attributes[a.name], _ATTR_KINDS[a.kind]) or (
+                a.kind in ("float", "int") and not ir._holds_value(attr)):
             findings.append(("type-constraint",
                              f"attribute '{a.name}' is not of kind {a.kind}"))
     if n_regions != defn.regions:

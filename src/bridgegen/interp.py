@@ -34,21 +34,24 @@ Compiled tier: once a region has taken HOT back edges (jumps to a block at
 or before the current one), counted across the runs of its executable, it
 runs as one generated Python function, entered at a block boundary with
 the frame's values; a function that loops a little on every call thus
-compiles after a few calls. Each slot is a local ``v<slot>``, each block's
-ops are straight-line statements, and a balanced tree of ``if b < k`` tests
-finds the next block. The same decoder, asked for the op's source form,
-gives its text: an operator is written infix, and other functions,
-constants and helpers are passed through the function's namespace, never
-pasted into the text. A region of more than MAX_COMPILED_OPS ops, or with
-an op without a source form (memref, gpu, func.call, linalg.generic,
-faulted and unknown ops), stays on closures. Blocks are charged on entry
-as above; a block that does not fit the budget raises the step error: its
-ops change only locals and cannot fail, so running them op by op would end
-the same way. HOT is about where compiling pays: on a 2-vCPU machine under
-Python 3.11, building the function, compile() included, takes 0.08-0.17 ms
-on the bench's loops and saves 1.5-3.8 us an iteration, so it pays after
-about 30-60 back edges; an executable builds it once. MAX_COMPILED_OPS
-bounds compile()'s transient memory, about 15 KiB an op, to 0.7 MiB.
+compiles after a few calls. Each slot is a local ``v<slot>``; a block
+reached by one edge, a forward one, runs in place at that edge, and a
+balanced tree of ``if b < k`` tests finds each other block. The same
+decoder, asked for the op's source form, gives its text: an operator is
+written infix, f64 exp and divf inline, and other functions, constants and
+helpers are passed through the function's namespace, never pasted into the
+text. A region of more than MAX_COMPILED_OPS ops, or with an op without a
+source form (memref, gpu, func.call, linalg.generic, faulted and unknown
+ops), stays on closures. Each path from a block of the tree to its next
+jump or return is charged its steps at its end, raising the step error
+there if they do not fit: its ops change only locals and cannot fail, so
+running them op by op would end the same way. HOT is about where compiling
+pays: on a 2-vCPU machine under Python 3.11, building the function,
+compile() included, takes 0.3-0.5 ms on the bench's loops and saves
+1.8-3.6 us an iteration, so it pays within one run after 110-270 back
+edges, and sooner over calls; an executable builds it once.
+MAX_COMPILED_OPS bounds compile()'s transient memory, about 15 KiB an op,
+to 0.7 MiB.
 
 Lanes: the same decoder, asked for the op's lane form, gives the lines that
 run the op once over numpy arrays, one lane per point or thread. A region
@@ -82,6 +85,7 @@ MIN_LANES lanes, for which numpy's cost per call outweighs the lanes.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -340,10 +344,12 @@ def _apply_text(form, fn, *args):
     return f"({args[0]} {sym} {args[1]})" if args[1:] else f"{sym}{args[0]}"
 
 
-def _arith(fn, lane_fn=None):
+def _arith(fn, lane_fn=None, f64=None):
     """The decoder of a unary or binary op that applies ``lane_fn`` to lanes
     and to f32 scalars, which are np.float32, and ``fn`` to f64 and integer
-    scalars, which are Python floats and ints; ``lane_fn`` defaults to ``fn``."""
+    scalars, which are Python floats and ints; ``lane_fn`` defaults to ``fn``.
+    ``f64`` is the source text of ``fn`` on f64 scalars, if it has one: a
+    format of the operands' texts and the names of ``fn`` and ``lane_fn``."""
     lane_fn = lane_fn or fn
 
     def decode(op, at, form=None):
@@ -351,6 +357,9 @@ def _arith(fn, lane_fn=None):
         if form and form.lanes:
             return _lane_op(op, lane_fn, form, at[op.results[0]], *slots)
         g = lane_fn if isinstance(t, ir.Float32Type) else fn
+        if form and f64 and isinstance(t, ir.Float64Type):
+            return f64.format(*[f"v{s}" for s in slots], **{
+                k: form.bind(h) for k, h in (("fn", fn), ("lane", lane_fn)) if f"{{{k}}}" in f64})
         if form:
             return _wrapped(t, _apply_text(form, g, *[f"v{s}" for s in slots]), form)
         if len(slots) == 1:
@@ -468,11 +477,10 @@ def _branch(op, at, form=None):
         src = tuple(at[v] for v in succ.args)
         first = at[succ.block.arguments[0]] if src else 0
         edges.append((at[succ.block], src, first, first + len(src)))
-    if form:  # lines; block arguments are assigned in parallel
-        arms = [[f"{_locals(range(lo, hi))}= {_locals(src)}"] * bool(src) + [f"b = {target}"]
-                for target, src, lo, hi in edges]
-        return arms[0] if c is None else [
-            f"if v{c}:", *_indent(arms[0]), "else:", *_indent(arms[1])]
+    if form:  # arms; block arguments are assigned in parallel
+        return [(f"v{c}" if c is not None and k == 0 else None,
+                 [f"{_locals(range(lo, hi))}= {_locals(src)}"] * bool(src), target)
+                for k, (target, src, lo, hi) in enumerate(edges)]
 
     def branch(f, run):
         target, src, lo, hi = edges[0] if c is None or f[c] else edges[1]
@@ -485,7 +493,7 @@ def _return(op, at, form=None):
     src = [at[v] for v in op.operands]
     if form is None:
         return lambda f, run: [f[s] for s in src]
-    return [f"return [{_locals(src)}]"]
+    return [(None, [f"return [{_locals(src)}]"], None)]
 
 
 def _call(op, at, form=None):
@@ -572,9 +580,9 @@ _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
     "arith.mulf": _arith(operator.mul),
     "arith.divf": _arith(lambda x, y:  # by ±0: numpy's inf or nan
                          x / y if y else float(np.float64(x) / np.float64(y)),
-                         operator.truediv),
+                         operator.truediv, "({0} / {1} if {1} else {fn}({0}, {1}))"),
     "arith.negf": _arith(operator.neg),
-    "math.exp": _arith(lambda x: float(np.exp(x)), np.exp),
+    "math.exp": _arith(lambda x: float(np.exp(x)), np.exp, "float({lane}({0}))"),
     "arith.addi": _arith(operator.add),
     "arith.subi": _arith(operator.sub),
     "arith.muli": _arith(operator.mul),
@@ -720,43 +728,63 @@ def _indent(lines):
 
 
 def _tree(leaves, lo: int, hi: int):
-    """The lines that run ``leaves[b]`` for ``lo <= b < hi``."""
+    """The lines that run the leaf of block position ``b``: ``leaves`` are
+    (position, lines) by position, of which those from ``lo`` to ``hi``."""
     if hi - lo == 1:
-        return leaves[lo]
+        return leaves[lo][1]
     mid = (lo + hi) // 2
-    return [f"if b < {mid}:", *_indent(_tree(leaves, lo, mid)),
+    return [f"if b < {leaves[mid][0]}:", *_indent(_tree(leaves, lo, mid)),
             "else:", *_indent(_tree(leaves, mid, hi))]
+
+
+def _path(blocks, inplace, p: int, n: int):
+    """The lines that run block ``p``, on a path charged ``n`` steps before
+    it, and each block ``inplace`` at the arm that reaches it. An arm that
+    leaves the path charges its steps, then jumps or returns. The recursion
+    is as deep as the path is long, which MAX_COMPILED_OPS bounds."""
+    body, arms = blocks[p]
+    n, lines = n + len(body) + 1, list(body)
+    for test, assign, t in arms:
+        arm = assign + _path(blocks, inplace, t, n) if t in inplace else [
+            f"steps += {n}", "if steps > limit: run.exceeded()", *assign,
+            *[f"b = {t}", "continue"] * (t is not None)]
+        lines += [f"if {test}:", *_indent(arm)] if test else arm
+    return lines
 
 
 def _source(region: ir.IrRegion, faults=None):
     """(text, namespace) of ``compiled(f, b, run)``, which runs ``region``
     from block position ``b`` with the values of frame ``f``, or None when an
     op has no source form or a block no terminator. Each slot is a local
-    ``v<slot>``; a balanced tree of ``if b < k`` tests finds the block, so
-    a jump costs O(log blocks). A block is charged on entry, as in _exec;
-    one that does not fit the budget raises StepLimitExceeded, as running
-    it op by op would: its ops change only locals and cannot fail.
+    ``v<slot>``. A block that is the target of one edge, a forward one, runs
+    in place at that edge, so each op's text appears once; a balanced tree
+    of ``if b < k`` tests finds each other block (block 0, the targets of
+    back edges and joins) in O(log blocks). Each path from a block of the
+    tree is charged its steps at its end, which raises StepLimitExceeded as
+    running it op by op would: its ops change only locals and cannot fail.
     ``faults`` are as in _decode."""
     size, at = _slots(region, faults)
-    form, leaves = _Source(), []
+    form, blocks = _Source(), []
     for block in region.blocks:
         lines = []
         for op in block.operations:
             form.target = f"v{at[op.results[0]] if len(op.results) == 1 else 0}"
             text = _decode_op(op, at, form)
             if text is None or isinstance(text, str) == op.is_terminator:
-                return None  # a terminator's form is lines, another op's a value
+                return None  # a terminator's form is arms, another op's a value
             if op.is_terminator:
                 break
             lines.append(f"{form.target} = {text}")
         else:
             return None
-        n = len(lines) + 1
-        leaves.append([f"if steps + {n} > run.limit:", "    run.exceeded()", f"steps += {n}",
-                       *lines, *text])
+        blocks.append((lines, text))  # arms (test or None, lines, target or None)
+    edges = [(p, t) for p, (_, arms) in enumerate(blocks) for _, _, t in arms if t is not None]
+    ins = collections.Counter(t for _, t in edges)
+    inplace = {t for p, t in edges if t > p and ins[t] == 1}
+    leaves = [(p, _path(blocks, inplace, p, 0)) for p in range(len(blocks)) if p not in inplace]
     frame = _locals(range(size))
     source = "\n".join([
-        "def compiled(f, b, run):", f"    {frame}= f", "    steps = run.steps",
+        "def compiled(f, b, run):", f"    {frame}= f", "    steps, limit = run.steps, run.limit",
         "    try:", "        while True:",
         *["            " + line for line in _tree(leaves, 0, len(leaves))],
         "    finally:", "        run.steps = steps", ""])
@@ -803,9 +831,10 @@ def _lane_function(region: ir.IrRegion, faults=None):
         text = _decode_op(op, at, form)
         if text is None:
             return None
-        if op.is_terminator:
+        if op.is_terminator:  # a return: one arm, its line
+            [(_, ret, _)] = text
             lines += [f"if not own({', '.join(flats)}): raise Sequential"
-                      for flats in form.accesses.values() if any(flats.values())] + text
+                      for flats in form.accesses.values() if any(flats.values())] + ret
             break
         lines += text
     else:

@@ -172,6 +172,16 @@ class IntAttr(IrAttribute):
             raise IrError("IntAttr type must be an integer or index type")
 
 
+def _holds_value(a: FloatAttr | IntAttr) -> bool:
+    """Whether ``a`` holds a value of its type, as MLIR reads a constant: a
+    float for a float type; an int for index, and for iN an int of N bits
+    read signed or unsigned (i64 takes -2**63 to 2**64 - 1, as FIR does)."""
+    if isinstance(a, FloatAttr):
+        return isinstance(a.value, float)
+    return isinstance(a.value, int) and (not isinstance(a.type, IntType)
+                                         or -1 << a.type.width - 1 <= a.value < 1 << a.type.width)
+
+
 @dataclass(frozen=True)
 class StringAttr(IrAttribute):
     text: str
@@ -586,7 +596,7 @@ def _signature(op: IrOperation):
     elif op.name == "arith.constant" and len(op.results) == 1:
         value, t = op.attributes.get("value"), op.results[0].type
         if value is not None and not (isinstance(value, (FloatAttr, IntAttr))
-                                      and value.type == t):
+                                      and value.type == t and _holds_value(value)):
             return [("type-constraint", f"value {value!r} is not a constant of the result "
                      f"type {print_type(t)}")]
     return ()
@@ -734,8 +744,7 @@ def format_float(value: float, type: IrType) -> str:
     type's width (``0x7F800000`` is f32 inf).
     """
     f32 = isinstance(type, Float32Type)
-    if f32:
-        value = to_f32(value)
+    value = to_f32(value) if f32 else float(value)  # a plain float: repr is its digits
     if not math.isfinite(value):
         bits = int.from_bytes(struct.pack("<f" if f32 else "<d", value), "little")
         return f"0x{bits:0{8 if f32 else 16}X}"
@@ -798,6 +807,8 @@ def print_type(t: IrType) -> str:
 
 
 def print_attribute(a: IrAttribute) -> str:
+    if isinstance(a, (FloatAttr, IntAttr)) and not _holds_value(a):
+        raise IrError(f"cannot print attribute {a!r}: not a value of its type")
     if isinstance(a, FloatAttr):
         return format_float(a.value, a.type)
     if isinstance(a, IntAttr):

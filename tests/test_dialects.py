@@ -182,6 +182,18 @@ class TestBuildOp:
         with pytest.raises(BuildError, match="missing required attribute"):
             build_op(registry, m, "arith.cmpi", [a, b])
 
+    @pytest.mark.parametrize("kind, attr", [("int", ir.IntAttr(2.5, ir.I64)),
+                                            ("int", ir.IntAttr(2, ir.IntType(1))),
+                                            ("float", FloatAttr("abc", ir.F64))])
+    def test_attribute_not_a_value_of_its_type(self, kind, attr):
+        spec = (f'dialect demo\nop tag "Tags a value."\n  operand x AnyFloat\n'
+                f"  attr n {kind} required\n  result res same(0)\n")
+        registry = register_dialect(DialectRegistry(), load_dialect_spec(spec))
+        m = IrModule()
+        new_func(m)
+        with pytest.raises(BuildError, match=f"attribute 'n' is not of kind {kind}"):
+            build_op(registry, m, "demo.tag", [value(m)], attributes={"n": attr})
+
     def test_cond_br_successors(self):
         registry = builtin_registry()
         m = IrModule()

@@ -10,7 +10,9 @@ from freshly prepared modules.
 """
 
 import random
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,36 @@ def test_interpreter_equals_reference(corpora, monkeypatch, compiled, corpus, ti
     # first run of each program compiles its one function, the later ones reuse it
     n_programs = len(corpora[corpus])
     assert len(compiled) == (n_programs if tier == "compiled" else 0) and all(compiled)
+
+
+@pytest.mark.parametrize("corpus", ["many", "loops"])
+def test_each_op_appears_once(corpora, monkeypatch, corpus):
+    """Compiled, each op's source text appears once in its function, and
+    the dispatch tree's leaves are block 0 and each block that is not the
+    single forward target of one edge; every other block runs in place at
+    its edge."""
+    texts, decode = [], interp._decode_op  # (op, its local, its source form)
+    monkeypatch.setattr(interp, "_decode_op", lambda op, at, form: texts.append(
+        (op, form.target, decode(op, at, form))) or texts[-1][2])
+    in_place = 0
+    for p, module, _ in corpora[corpus]:
+        [func] = module.symbol_ops()
+        region, texts[:] = func.regions[0], []
+        text, _ = interp._source(region)
+        want = Counter()
+        for op, target, form in texts:
+            if not op.is_terminator:
+                want[f"{target} = {form}"] += 1
+            for test, lines, _ in form if op.is_terminator else ():
+                want.update([f"if {test}:"] * bool(test) + [line.strip() for line in lines])
+        got = Counter(line.strip() for line in text.splitlines())
+        assert {line: got[line] for line in want} == want, (p.name, text)
+        at = {block: k for k, block in enumerate(region.blocks)}
+        edges = [(k, at[s.block]) for k, block in enumerate(region.blocks)
+                 for s in next(op for op in block.operations if op.is_terminator).successors]
+        ins = Counter(t for _, t in edges)
+        leaves = set(at.values()) - {t for s, t in edges if t > s and ins[t] == 1}
+        tests = [int(k) for k in re.findall(r"^ *if b < (\d+):$", text, re.M)]
+        assert sorted(tests + [0]) == sorted(leaves), (p.name, text)
+        in_place += len(at) - len(leaves)
+    assert in_place  # the rule applies in every corpus

@@ -446,6 +446,75 @@ fn sumto(_1: i64)
 """
 
 
+DIAMOND_FIR = """\
+fn diamond(_1: i64)
+1:
+  goto #2
+2:
+  %2 = phi (#1 => 1, #6 => %8) :: i64
+  %3 = phi (#1 => _1, #6 => %9) :: i64
+  %4 = invoke >(%3, 0) :: i1
+  goto #7 ifnot %4
+3:
+  %5 = invoke >(%3, 3) :: i1
+  goto #5 ifnot %5
+4:
+  %6 = invoke *(%2, 2) :: i64
+  goto #6
+5:
+  %7 = invoke +(%2, %3) :: i64
+  goto #6
+6:
+  %8 = phi (#4 => %6, #5 => %7) :: i64
+  %9 = invoke -(%3, 1) :: i64
+  goto #2
+7:
+  return %2
+"""
+
+
+# ^bb2 is reached by one edge, from the later ^bb3: a back edge, as the
+# compiled tier counts them, though the function has no loop
+RETREAT_FIR = """\
+fn retreat(_1: i64)
+1:
+  goto #3
+2:
+  %2 = invoke +(_1, 1) :: i64
+  goto #4
+3:
+  %3 = invoke *(_1, 3) :: i64
+  goto #2
+4:
+  %4 = invoke -(%2, %3) :: i64
+  return %4
+"""
+
+
+def loop_program(registry, name, args):
+    """(module, entry, input values) of the bench's interp_loops program
+    ``name``, or of DIAMOND_FIR or RETREAT_FIR, on raw ``args``."""
+    if name in ("diamond", "retreat"):
+        text, entry, types = DIAMOND_FIR if name == "diamond" else RETREAT_FIR, name, [fir.I64]
+    else:
+        [p] = [p for p in gen.loop_programs(random.Random("interp_loops:1")) if p.name == name]
+        text, entry, types = p.text, p.entry, [fir.parse_frontend_type(t) for t in p.types]
+    module = run_pipeline(registry, text, entry, types)
+    ftype = module.lookup_symbol(entry).attributes["function_type"].type
+    return module, entry, [interp.value_of_type(t, a) for t, a in zip(ftype.inputs, args)]
+
+
+def budgets(module, entry, values):
+    """The step errors of budgets 1, 2, ... up to the exact one, and the
+    exact budget with its result."""
+    errors = []
+    for limit in itertools.count(1):
+        try:
+            return errors, limit, run_function(module, entry, values, step_limit=limit)
+        except StepLimitExceeded as e:
+            errors.append(str(e))
+
+
 class TestStepBoundary:
     """A budget equal to the exact number of operations executed passes;
     one less raises, before the operation that would exceed it runs."""
@@ -477,6 +546,22 @@ class TestStepBoundary:
             assert len(compiled) == (0 if hot == math.inf else reach if fresh else 1)
             assert all(compiled)
             compiled.clear()
+
+    @pytest.mark.parametrize("name, args", [("callloop", (0.75, 6)), ("nest", (0.75, 3, 4)),
+                                            ("diamond", (6,))])
+    def test_forward_chains(self, registry, monkeypatch, compiled, name, args):
+        # callloop's inlined helper leaves a chain of cf.br blocks, nest's
+        # loops exit forward and diamond joins two arms: compiled, each block
+        # reached by one forward edge runs in place, and each path is charged
+        # its steps once, at its end
+        module, entry, values = loop_program(registry, name, args)
+        use_tier(monkeypatch, "closures", module)
+        errors, exact, result = budgets(module, entry, values)
+        assert errors == [f"step budget of {k} operations exceeded" for k in range(1, exact)]
+        assert result == run_function(module, entry, values)
+        use_tier(monkeypatch, "compiled", module)
+        assert budgets(module, entry, values) == (errors, exact, result)
+        assert len(compiled) == 1 and compiled[0]  # once, from the entry
 
     def test_block_with_call(self, registry, sigmoid):
         from bridgegen.dialects import build_op
@@ -589,6 +674,46 @@ class TestCompiledTier:
         interp.prepare(module)  # back edges count from zero again
         [out] = run_function(module, "sumto", [IntValue(64, interp.HOT + 5)])
         assert at == [interp.HOT] * 2 and out.value == sum(range(interp.HOT + 6))
+
+    @pytest.mark.parametrize("name, args, back_edges", [
+        ("nest", (0.75, 3, 4), 3 + 3 * 4), ("diamond", (6,), 6), ("retreat", (5,), 1)])
+    def test_entered_at_each_back_edge_target(self, registry, monkeypatch, compiled, name,
+                                              args, back_edges):
+        # HOT k compiles at the k-th back edge and enters the compiled code
+        # at its target with the frame's values; the exact budget still passes
+        module, entry, values = loop_program(registry, name, args)
+        use_tier(monkeypatch, "closures", module)
+        _, exact, want = budgets(module, entry, values)
+        for hot in range(back_edges + 2):
+            monkeypatch.setattr(interp, "HOT", hot)
+            for limit in (exact, exact - 1):
+                interp.prepare(module)
+                if limit < exact:
+                    with pytest.raises(StepLimitExceeded):
+                        run_function(module, entry, values, step_limit=limit)
+                else:
+                    assert run_function(module, entry, values, step_limit=limit) == want, hot
+        # two runs compile at each HOT but back_edges + 1: the last back edge
+        # comes before the last op
+        assert len(compiled) == 2 * (back_edges + 1) and all(compiled)
+
+    def test_f64_exp_and_divf_call_no_lambda(self, registry, monkeypatch):
+        # compiled, f64 math.exp is float(np.exp(v)) and arith.divf v / w,
+        # which calls the closures' function only for a zero divisor
+        module, entry, values = loop_program(registry, "rec_f64", (0.75, 20))
+        text, _ = interp._source(func_region(module, entry))
+        assert re.search(r" = float\(n\d+\(v\d+\)\)\n", text)
+        assert re.search(r" = \((v\d+) / (v\d+) if \2 else n\d+\(\1, \2\)\)\n", text)
+        for tier in TIERS:
+            use_tier(monkeypatch, tier, module)
+            calls = []
+            sys.setprofile(lambda frame, event, _: event == "call" and calls.append(
+                frame.f_code.co_name))
+            try:
+                run_function(module, entry, values)
+            finally:
+                sys.setprofile(None)
+            assert ("<lambda>" in calls) == (tier == "closures"), tier
 
     def run_both(self, tmp_path, capsys, monkeypatch, text, *argv):
         """(exit code, stdout, stderr) of ``bridgegen run`` on the closures
@@ -841,13 +966,15 @@ class TestErrors:
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_decode_failure_is_an_interp_error(self, registry, monkeypatch, compiled, tier):
-        # the verifier admits an i64 constant of any value: inf
+        # a decoder's own Python error, here int(inf), fails its op when reached
         module = ir.IrModule(registry=registry.dialects)
         new_func(module, "f", [], [ir.I64])
-        big = ir.create_op(module, "arith.constant", [], [ir.I64],
-                           attributes={"value": ir.IntAttr(math.inf, ir.I64)})
-        ir.create_op(module, "func.return", big.results, [], is_terminator=True)
+        one = ir.create_op(module, "arith.constant", [], [ir.I64],
+                           attributes={"value": ir.IntAttr(1, ir.I64)})
+        ir.create_op(module, "func.return", one.results, [], is_terminator=True)
         assert ir.verify_module(module).ok
+        monkeypatch.setitem(interp._OPS, "arith.constant",
+                            lambda op, at, form=None: int(math.inf))
         use_tier(monkeypatch, tier, module)
         with pytest.raises(InterpError) as info:
             run_function(module, "f", [])
@@ -873,6 +1000,49 @@ class TestErrors:
             run_function(module, "f", [])
         assert str(info.value) == text
         assert compiled == [None] * (tier == "compiled")  # the op has no source form
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("value", [
+        ir.IntAttr(2.5, ir.I64), ir.IntAttr(math.inf, ir.I64), ir.FloatAttr("abc", ir.F64),
+        ir.FloatAttr(1, ir.F64), ir.IntAttr(2 ** 64, ir.I64), ir.IntAttr(-2 ** 63 - 1, ir.I64),
+        ir.IntAttr(2, ir.IntType(1)), ir.IntAttr(np.int64(3), ir.INDEX),
+    ], ids=["fraction", "inf", "string", "int-for-f64", "above-i64", "below-i64", "i1",
+            "numpy-int"])
+    def test_constant_not_a_value_of_its_type_fails_when_reached(
+            self, registry, monkeypatch, compiled, tier, value):
+        module = ir.IrModule(registry=registry.dialects)
+        _, entry = new_func(module, "f", [], [value.type])
+        c = ir.create_op(module, "arith.constant", [], [value.type],
+                         attributes={"value": value})
+        ir.create_op(module, "func.return", c.results, [], is_terminator=True)
+        text = (f"[type-constraint] at 'arith.constant' in ^bb{entry.id}: value {value!r} "
+                f"is not a constant of the result type {value.type}")
+        assert str(ir.verify_module(module)) == text
+        with pytest.raises(ir.IrError, match="^cannot print attribute .*: not a value of its type$"):
+            ir.print_module(module)
+        use_tier(monkeypatch, tier, module)
+        with pytest.raises(InterpError) as info:
+            run_function(module, "f", [])
+        assert type(info.value) is InterpError and str(info.value) == text
+        assert compiled == [None] * (tier == "compiled")  # the op has no source form
+
+    @pytest.mark.parametrize("value, printed, runs_as", [
+        (ir.IntAttr(2 ** 64 - 1, ir.I64), "18446744073709551615", -1),
+        (ir.IntAttr(-2 ** 63, ir.I64), str(-2 ** 63), -2 ** 63),
+        (ir.IntAttr(True, ir.IntType(1)), "true", 1),
+        (ir.IntAttr(10 ** 30, ir.INDEX), str(10 ** 30), 10 ** 30),
+        (ir.FloatAttr(np.float64(0.5), ir.F64), "0.5", 0.5),
+    ], ids=["i64-unsigned", "i64-least", "i1-bool", "huge-index", "numpy-float"])
+    def test_constant_at_the_edge_of_its_type(self, registry, value, printed, runs_as):
+        module = ir.IrModule(registry=registry.dialects)
+        new_func(module, "f", [], [value.type])
+        c = ir.create_op(module, "arith.constant", [], [value.type],
+                         attributes={"value": value})
+        ir.create_op(module, "func.return", c.results, [], is_terminator=True)
+        assert ir.verify_module(module).ok
+        assert f"arith.constant {printed} : {value.type}" in ir.print_module(module)
+        [out] = run_function(module, "f", [])
+        assert out.value == runs_as and type(out.value) is type(runs_as)
 
     @staticmethod
     def guarded(module, fault):
@@ -1348,6 +1518,15 @@ class TestNoCycles:
             [out] = run_function(module, "sumto", [IntValue(64, 100)])
             assert gc.collect() == 0
             assert out.value == 5050
+
+    @pytest.mark.parametrize("name, args", [("nest", (0.75, 3, 40)), ("diamond", (80,))])
+    def test_loop_with_blocks_in_place(self, registry, name, args):
+        module, entry, values = loop_program(registry, name, args)
+        gc.collect()
+        for _ in range(2):  # compiled at back edge HOT, then from the entry
+            run_function(module, entry, values)
+            assert gc.collect() == 0
+        assert module.executable.funcs[entry][1].fast
 
     def test_kernel(self, vadd):
         bufs = TestKernels().vadd_buffers()
