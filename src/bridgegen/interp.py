@@ -58,29 +58,35 @@ run the op once over numpy arrays, one lane per point or thread. A region
 of one block whose ops all have one runs as one generated function, built
 once an executable (a kernel's on its first launch of at least MIN_LANES
 threads), with no op cap: compile() holds about 4 KiB a float op and 10 KiB
-an int op. Each slot is a local, as is each span an int64 or bounds test
-reads: known when the code is generated for launch coordinates (from the
-batch's bounds), constants and i64 or index results (by the corners of
-their operands' spans), else reduced from the lanes once a batch. A
-linalg.generic takes one lane per point of its parallel axes, those of the
-output map, reading each operand as one strided view; the other axes are
-looped in lexicographic order, so each output element accumulates in the
-sequential order. A kernel numbers its threads in launch order and runs
-them in batches of at most LANES consecutive threads, which may span grid
-blocks; loads gather and stores scatter. A batch is charged its steps up
-front, so it takes lanes only when they fit the budget (for a
+an int op. The function runs its hoisted ops, those that do not depend on
+carried state, once over all lanes and steps, then loops over the steps
+running only its carried ops. Each slot is a local, as is each span an
+int64 or bounds test reads: known when the code is generated for launch
+coordinates (from the batch's bounds), constants and i64 or index results
+(by the corners of their operands' spans), else reduced from the lanes once
+a call, or for a carried value once a step. A linalg.generic takes one lane
+per point of its parallel axes, those of the output map, reading each
+operand as one strided view. Its carried state is the accumulator, and its
+steps are the points of the other axes in lexicographic order, so each
+output element accumulates in the sequential order; a call takes a box of
+at most LANES of them. A kernel numbers its threads in launch order and
+runs them in batches of at most LANES consecutive threads, which may span
+grid blocks; loads gather and stores scatter. Its carried state is the
+contents of the buffers it stores to, and its steps are the batch's waves:
+the maximal strictly rising runs of each stored buffer's flat index, or the
+whole batch where that index strictly falls, so that in each wave a lane
+touches its own element of each stored buffer. A batch is charged its
+steps up front, so it takes lanes only when they fit the budget (for a
 kernel, one thread's steps). A batch falls back, with its stores undone, to
 running point by point or thread by thread, which raises the same errors
 after the same stores, when an index's span leaves its bounds or an index
 has the wrong rank, an integer result could leave int64 (index values are
-unbounded), or a stored buffer is not touched at one element per lane: the
-same row-major flat index at every access, strictly rising or strictly
-falling across the lanes, one line of the lane function per buffer. A
-kernel batch that spans grid blocks falls back to batches of one block
-each, and every later batch of the launch keeps to one block. Kernels
-whose buffers share memory, or whose arguments or coordinates leave int64,
-run thread by thread throughout. So do generics and batches of fewer than
-MIN_LANES lanes, for which numpy's cost per call outweighs the lanes.
+unbounded), a stored buffer is accessed through two flat indices that
+differ, or its waves average fewer than MIN_LANES lanes. Kernels whose
+buffers share memory or hold elements that may overlap, or whose arguments
+or coordinates leave int64, run thread by thread throughout. So do generics
+and batches of fewer than MIN_LANES lanes, for which numpy's cost per call
+outweighs the lanes.
 """
 
 from __future__ import annotations
@@ -260,6 +266,8 @@ def _check_compatible(t: ir.IrType, v: RuntimeValue, where: str):
         or v.data.ndim == t.rank and _np_dtype(t.elem) == v.data.dtype)
     if not ok:
         raise InterpError(f"{where}: value {v!r} does not match type {t}")
+    if kind is MemRefValue and not v.data.flags.writeable:
+        raise InterpError(f"{where}: a memref's data must be writeable, not read-only")
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +412,8 @@ def _launch_coordinate(k):
         if form and form.lanes:  # a generic's body has no launch
             r, key = at[op.results[0]], f"[{form.bind(dim)}][{k}]"
             form.spans[r] = (f"l{r}", f"h{r}")
+            if k < 2:  # thread and block ids are lanes, a block's extent one value
+                form.arrays.add(r)
             return ["if bounds is None:", "    raise Sequential",
                     f"v{r}, (l{r}, h{r}) = ctx{key}, bounds{key}"]
         if form:
@@ -445,27 +455,28 @@ def _lane_memref(op, form, b, idx, v):
     buffer in slot ``b``, with data ``d<b>`` and shape ``x<b>``: a gather, or
     a scatter that records the old values for the undo. The text of its
     flat index goes into ``form.accesses`` for the test that each lane owns
-    the elements it touches (see _own). An index out of bounds by its span, a rank mismatch,
-    or lanes stored through scalar indices fall back, so that the replay
-    raises as the scalar op does."""
+    the elements it touches (see _waves). An index out of bounds by its
+    span, a rank mismatch, or lanes stored through scalar indices fall back,
+    so that the replay raises as the scalar op does. The bounds test of an
+    index of hoisted values is hoisted."""
     store, lines = op.name == "memref.store", []
-    if len(idx) != op.operands[store].type.rank:  # the buffer's rank, as run_kernel checks
+    if len(idx) != op.operands[store].type.rank or (  # the buffer's rank, as run_kernel checks
+            store and v in form.arrays and not form.arrays.intersection(idx)):
         return ["raise Sequential"]
     tests = [f"{s[0]} < 0 or {s[-1]} >= x{b}[{k}]"
              for k, s in enumerate([form.span(s, lines) for s in idx])]
-    lines.append(f"i = ({_locals(idx)})")
-    if store:
-        tests.append(f"ndim(v{v}) > max(map(ndim, i), default=0)")
+    carried = bool(form.carried.intersection(idx))
     if tests:
-        lines += [f"if {' or '.join(tests)}:", "    raise Sequential"]
+        (lines if carried else form.hoisted).append(
+            f"if {' or '.join(tests)}: raise Sequential")
     flat = f"v{idx[0]}" if idx else "0"  # row-major over the shape x<b>
     for k, s in enumerate(idx[1:], 1):
         flat = f"({flat} * x{b}[{k}] + v{s})"
-    flats = form.accesses.setdefault(b, {})  # flat index text -> whether stored through
-    flats[flat] = store or flats.get(flat, False)
+    form.accesses.setdefault(b, {})[flat] = carried  # flat index text -> whether carried
+    i = f"({_locals(idx)})"
     if store:
-        return lines + [f"touched.append((d{b}, i, d{b}[i]))", f"d{b}[i] = v{v}"]
-    return lines + [f"{form.target} = {_lane_wrap(op.results[0].type, form, f'd{b}[i]')}"]
+        return lines + [f"touched.append((d{b}, {i}, d{b}[{i}]))", f"d{b}[{i}] = v{v}"]
+    return lines + [f"{form.target} = {_lane_wrap(op.results[0].type, form, f'd{b}[{i}]')}"]
 
 
 def _branch(op, at, form=None):
@@ -553,8 +564,9 @@ def _generic_lanes(code, maps, operands, extents, result):
     """Run a generic's body over numpy lanes into ``result``: one lane per
     point of the output map's axes, so no two lanes write one element. Each
     operand is a strided view over the loop axes, then the parallel ones
-    (stride 0 on an axis its map lacks); the loop axes run in lexicographic
-    order, so each element accumulates in the sequential order. Raises
+    (stride 0 on an axis its map lacks). A call of the body takes a box of
+    loop points (see _boxes) and steps through them in lexicographic order,
+    so each element accumulates in the sequential order. Raises
     _Sequential, ``result`` untouched, when the body has to run point by
     point. The body wraps its narrow integer arguments itself."""
     par = sorted(set(maps[-1].targets))
@@ -568,9 +580,30 @@ def _generic_lanes(code, maps, operands, extents, result):
                                                list(strides.values()))
     reads = [view(v.data, m, loop + par) for m, v in zip(maps, operands[:-1])]
     out = acc = view(result, maps[-1], par)
-    for point in itertools.product(*(range(extents[a]) for a in loop)):
-        [acc] = _exec_lanes(code, [r[point] for r in reads] + [acc], _Lanes(None))
+    most = max(1, min(LANES, LANES * LANES // acc.size))  # loop points a call
+    for key, points in _boxes([extents[a] for a in loop], most):
+        [acc] = _exec_lanes(code, [r[key] for r in reads] + [acc], _Lanes(None, steps=points))
     out[...] = acc
+
+
+def _boxes(shape, most: int):
+    """(key, points) of each box of at most ``most`` points of the loop
+    space ``shape``, in lexicographic order: ``key`` indexes the box in an
+    array whose leading axes are the loop's, and ``points`` indexes each of
+    its points in the box, in order."""
+    if not shape:
+        yield (), [()]
+    elif 0 not in shape:
+        rest = math.prod(shape[1:])
+        if rest > most:  # one box per index of the first axis, or more
+            for k in range(shape[0]):
+                for key, points in _boxes(shape[1:], most):
+                    yield (k, *key), points
+            return
+        for lo in range(0, shape[0], most // rest):
+            hi = min(lo + most // rest, shape[0])
+            yield (slice(lo, hi),), list(itertools.product(range(hi - lo),
+                                                           *map(range, shape[1:])))
 
 
 _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
@@ -669,13 +702,18 @@ class _Source:
     in, so no value from the module is pasted into its text. ``spans`` maps
     slots of a known span to the texts of its ends, or of its one value;
     ``accesses`` maps the slot of each buffer accessed to the texts of the
-    flat indices it is accessed through, each to whether a store is."""
+    flat indices it is accessed through, each to whether it is carried.
+    ``carried`` holds the slots of carried values, ``arrays`` those whose
+    values are lanes rather than one value, and ``hoisted`` the lines that
+    run once a call, before the steps (see _lane_function)."""
 
-    __slots__ = ("namespace", "target", "lanes", "spans", "accesses")
+    __slots__ = ("namespace", "target", "lanes", "spans", "accesses", "carried",
+                 "arrays", "hoisted")
 
     def __init__(self, lanes=False):
         self.namespace, self.target = dict(_LANE_NAMES) if lanes else {}, None
         self.lanes, self.spans, self.accesses = lanes, {}, {}
+        self.carried, self.arrays, self.hoisted = set(), set(), []
 
     def bind(self, obj) -> str:
         name = f"n{len(self.namespace)}"
@@ -683,10 +721,11 @@ class _Source:
         return name
 
     def span(self, s: int, lines: list):
-        """The span texts of slot ``s``: known, or reduced from its lanes
-        by a line appended to ``lines``, once a batch."""
+        """The span texts of slot ``s``: known, or reduced from its lanes,
+        by a line appended to ``lines`` for a carried value, else to the
+        hoisted lines."""
         if s not in self.spans:
-            lines.append(f"l{s}, h{s} = span(v{s})")
+            (lines if s in self.carried else self.hoisted).append(f"l{s}, h{s} = span(v{s})")
             self.spans[s] = (f"l{s}", f"h{s}")
         return self.spans[s]
 
@@ -704,23 +743,39 @@ def _fits(*ends):
     return lo, hi
 
 
-def _own(flat, *others):
-    """Whether each lane touches its own element of a buffer: the flat index
-    lanes ``flat`` strictly rise or strictly fall, and equal each of the
-    ``others`` the buffer is accessed through."""
-    if flat.__class__ is not np.ndarray:
-        return False
-    ahead, behind = flat[1:], flat[:-1]
-    return (((ahead > behind).all() or (ahead < behind).all())
-            and all(np.array_equal(o, flat) for o in others))
+def _waves(*buffers):
+    """The waves of a kernel batch: slices of its lanes, in order, in each of
+    which every stored buffer is touched at one element per lane. Each of
+    ``buffers`` holds the flat index lanes of one stored buffer's accesses,
+    which must all be equal arrays. A buffer's index cuts the batch where it
+    does not strictly rise, unless it strictly falls throughout. _Sequential
+    when an index differs, or when the waves average fewer than MIN_LANES
+    lanes."""
+    cuts = None
+    for flat, *others in buffers:
+        if flat.__class__ is not np.ndarray or not all(
+                np.array_equal(o, flat) for o in others):
+            raise _Sequential
+        ahead, behind = flat[1:], flat[:-1]
+        cut = ahead <= behind
+        if cut.any() and not (ahead < behind).all():
+            cuts = cut if cuts is None else cuts | cut
+    ends = [] if cuts is None else (np.flatnonzero(cuts) + 1).tolist()
+    if flat.size < MIN_LANES * (len(ends) + 1):
+        raise _Sequential
+    return [slice(a, b) for a, b in zip([0, *ends], [*ends, flat.size])]
 
 
 _LANE_NAMES = {"Sequential": _Sequential, "span": _span, "fits": _fits,
-               "ndim": np.ndim, "own": _own}  # what every lane function may use
+               "waves": _waves}  # what every lane function may use
+
+
+def _texts(texts):
+    return "".join(f"{t}, " for t in texts)
 
 
 def _locals(slots):
-    return "".join(f"v{s}, " for s in slots)
+    return _texts(f"v{s}" for s in slots)
 
 
 def _indent(lines):
@@ -807,41 +862,76 @@ def _function(text: str, namespace: dict):
 
 
 def _lane_function(region: ir.IrRegion, faults=None):
-    """``compiled(args, batch)``, which runs the one block of ``region`` once
-    over lane values ``args`` (wrapping narrow integers) for the _Lanes
-    ``batch`` and returns the lane values returned; its ``steps`` are one
-    point's or thread's. None when the region has more blocks or an op has
-    no lane form. Slot s is the local ``v<s>``, of span ``l<s>``, ``h<s>``.
-    Before the terminator, one line per stored buffer falls back unless
-    each lane touches its own element of it (see _own)."""
+    """``compiled(args, batch)``, which runs the one block of ``region`` over
+    lane values ``args`` (wrapping narrow integers) for the _Lanes ``batch``
+    and returns the lane values returned; its ``steps`` are one point's or
+    thread's. None when the region has more blocks or an op has no lane
+    form. Slot s is the local ``v<s>``, of span ``l<s>``, ``h<s>``.
+
+    The function runs its hoisted ops once over all lanes and steps, then
+    loops ``for p in steps:`` over its carried ops, reading a hoisted array
+    as ``m<s>[p]`` and a hoisted scalar as it is. The carried state of a
+    generic's body is its accumulator, the last argument, and its steps are
+    ``batch.steps``. A kernel's is the contents of each buffer it stores to:
+    its carried ops are the loads from such a buffer, the stores and each op
+    that uses a carried value, and its steps are the batch's waves, which
+    one hoisted line computes from the flat indices of the stored buffers
+    (see _waves). When such an index is carried, the kernel runs as one
+    step, and a line before the return falls back unless the batch is one
+    wave."""
     if len(region.blocks) != 1:
         return None
     _, at = _slots(region, faults)
     form, [block] = _Source(lanes=True), region.blocks
-    lines = [f"[{_locals(at[a] for a in block.arguments)}] = args",
-             "ctx, bounds, touched = batch.ctx, batch.bounds, batch.touched"]
+    ends = [k for k, op in enumerate(block.operations) if op.is_terminator]
+    if not ends:
+        return None
+    ops, term = block.operations[:ends[0]], block.operations[ends[0]]
+    args, generic = [at[a] for a in block.arguments], term.name == "linalg.yield"
+    if generic:
+        form.carried.add(args[-1])
+        form.arrays.update(args)
+    stored = {at[op.operands[1]] for op in ops if op.name == "memref.store"}
+    lines, carried, reads = form.hoisted, [], set()  # reads: hoisted arrays the steps read
+    lines += [f"[{_locals(args)}] = args",
+              "ctx, bounds, touched = batch.ctx, batch.bounds, batch.touched"]
     for a in block.arguments:
         v = f"v{at[a]}"
         if isinstance(a.type, ir.MemRefType):
             lines.append(f"d{at[a]}, x{at[a]} = {v}.data, {v}.data.shape")
         elif (wrapped := _lane_wrap(a.type, form, v)) != v:
             lines.append(f"{v} = {wrapped}")
-    for steps, op in enumerate(block.operations, 1):
-        form.target = f"v{at[op.results[0]] if len(op.results) == 1 else 0}"
+    for op in [*ops, term]:
+        slots, r = [at[v] for v in op.operands], at[op.results[0]] if len(op.results) == 1 else 0
+        form.target = f"v{r}"
+        if op is term or form.carried.intersection(slots) or op.name == "memref.store" or (
+                op.name == "memref.load" and slots[0] in stored):
+            form.carried.add(r)
+            reads.update(s for s in slots if s in form.arrays and s not in form.carried)
         text = _decode_op(op, at, form)
         if text is None:
             return None
-        if op.is_terminator:  # a return: one arm, its line
-            [(_, ret, _)] = text
-            lines += [f"if not own({', '.join(flats)}): raise Sequential"
-                      for flats in form.accesses.values() if any(flats.values())] + ret
-            break
-        lines += text
-    else:
-        return None
-    lanes = _function("\n".join(["def compiled(args, batch):", *_indent(lines), ""]),
+        if op is not term:
+            (carried if r in form.carried else lines).extend(text)
+        if form.arrays.intersection(slots):
+            form.arrays.add(r)
+    [(_, ret, _)] = text  # a return: one arm, its line
+    buffers = [flats for b, flats in form.accesses.items() if b in stored]
+    waves = f"waves({''.join(f'({_texts(flats)}), ' for flats in buffers)})"
+    if generic and slots != args[-1:]:  # the accumulator takes the value yielded
+        carried.append(f"v{args[-1]} = v{slots[0]}")
+    if not generic and (not buffers or any(c for flats in buffers for c in flats.values())):
+        lines += carried + [f"if len({waves}) > 1: raise Sequential"] * bool(buffers)  # one step
+    elif carried:
+        reads = sorted(reads)
+        held, read = _locals(reads), _texts(f"m{s}[p]" for s in reads)
+        lines += [f"steps = {waves}"] * (not generic) + [
+            f"{_texts(f'm{s}' for s in reads)}= {held}"] * bool(reads) + [
+            f"for p in {'batch.steps' if generic else 'steps'}:",
+            *_indent([f"{held}= {read}"] * bool(reads) + carried)]
+    lanes = _function("\n".join(["def compiled(args, batch):", *_indent(lines + ret), ""]),
                       form.namespace)
-    lanes.steps = steps
+    lanes.steps = len(ops) + 1
     return lanes
 
 
@@ -951,12 +1041,13 @@ class _Run:
 
 class _Lanes:
     """One lockstep batch: its launch coordinates (None in a generic body),
-    their spans laid out alike, and its stores (buffer, index, old values)."""
+    their spans laid out alike, its stores (buffer, index, old values) and,
+    in a generic body, its steps (the loop points of its box)."""
 
-    __slots__ = ("ctx", "bounds", "touched")
+    __slots__ = ("ctx", "bounds", "touched", "steps")
 
-    def __init__(self, ctx, bounds=None):
-        self.ctx, self.bounds, self.touched = ctx, bounds, []
+    def __init__(self, ctx, bounds=None, steps=None):
+        self.ctx, self.bounds, self.touched, self.steps = ctx, bounds, [], steps
 
 
 def _exec(code: _Code, args, run: _Run) -> list:
@@ -1036,9 +1127,9 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     ``T`` threads a block. Buffer mutations through memref.store are
     visible in the returned inputs. Each thread has the whole step budget.
     A kernel with a lane form runs in lockstep batches of at most LANES
-    consecutive threads, which may span grid blocks. Once a batch that
-    spans blocks falls back, it and every later batch end at block
-    boundaries. Runs on the module's executable (see ``prepare``).
+    consecutive threads, which may span grid blocks, each batch in waves
+    (see _lane_function); a batch that falls back runs thread by thread.
+    Runs on the module's executable (see ``prepare``).
     """
     run, inputs = _Run(module, step_limit), list(inputs)
     ftype, body = run.function(symbol, inputs)
@@ -1055,17 +1146,16 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     except OverflowError:  # an index outside int64
         code = None
     bufs = [v.data for v in inputs if isinstance(v, MemRefValue)]
-    if (not code or code.steps > step_limit or total >> 63
+    if (not code or code.steps > step_limit or total >> 63 or any(map(_overlapping, bufs))
             or any(np.may_share_memory(*p) for p in itertools.combinations(bufs, 2))):
         code = None  # a thread's budget, coordinates or buffers lanes cannot track
     n, (bx, by, bz) = math.prod(launch.block), launch.block
     dims, coords = code and tuple(map(np.int64, launch.block)), (None,)
     sizes = [(e, e) for e in launch.block]  # the spans of the block dimensions
-    hi = 0  # the batch [lo, hi) of thread numbers
-    per_block, b = False, None  # b: the block of the last thread run on its own
+    hi, b = 0, None  # the batch [lo, hi) of thread numbers; b: the last thread's block
     with np.errstate(all="ignore"):
         while hi < total:
-            lo, hi = hi, min(hi + LANES, (hi // n + 1) * n if per_block else total)
+            lo, hi = hi, min(hi + LANES, total)
             if code and hi - lo >= MIN_LANES:
                 first, last = lo // n, (hi - 1) // n  # the batch's first and last block
                 if coords[0] != (lo % n, hi - lo):  # the same at each offset in a block
@@ -1073,14 +1163,11 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                     ends = (lo % n, (hi - 1) % n) if first == last else (0, n - 1)
                     coords = ((lo % n, hi - lo), _unravel(t % n, launch.block), t // n,
                               _unravel_spans(*ends, launch.block))
-                blk = (map(np.int64, _unravel(first, launch.grid)) if first == last
-                       else _unravel(coords[2] + first, launch.grid))
+                blk = ([coords[2] + c for c in _unravel(first, launch.grid)] if first == last
+                       else _unravel(coords[2] + first, launch.grid))  # lanes either way
                 ctx = dict(zip("xyz", zip(coords[1], blk, dims)))
                 bounds = zip(coords[3], _unravel_spans(first, last, launch.grid), sizes)
                 if _lockstep(code, lane_args, _Lanes(ctx, dict(zip("xyz", bounds)))):
-                    continue
-                if first != last:  # rerun this batch, and run the rest, block by block
-                    per_block, hi = True, lo
                     continue
             for g in range(lo, hi):
                 run.steps = 0
@@ -1090,6 +1177,21 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                 run.ctx = {"x": (x, blkx, bx), "y": (y, blky, by), "z": (z, blkz, bz)}
                 _exec(body, args, run)
     return inputs
+
+
+def _overlapping(data) -> bool:
+    """Whether two elements of array ``data`` may share memory: with its
+    axes of extent 1 dropped and the rest sorted by |stride|, they may
+    unless the least |stride| is at least the itemsize and each is at least
+    the one before times its extent."""
+    if data.flags.forc:  # contiguous
+        return False
+    least = data.itemsize
+    for stride, extent in sorted((abs(s), e) for s, e in zip(data.strides, data.shape) if e > 1):
+        if stride < least:
+            return True
+        least = stride * extent
+    return False
 
 
 def _unravel(index, extents):

@@ -302,6 +302,19 @@ fn k(_1: memref{f32,1}, _2: memref{f32,1})
 
 
 @pytest.fixture
+def waves(monkeypatch):
+    """The lanes of each wave, as a list per batch that computes its waves."""
+    made, split = [], interp._waves
+
+    def counted(*buffers):
+        steps = split(*buffers)
+        made.append([len(range(*p.indices(len(buffers[0][0])))) for p in steps])
+        return steps
+    monkeypatch.setitem(interp._LANE_NAMES, "waves", counted)
+    return made
+
+
+@pytest.fixture
 def batches(monkeypatch):
     """(lanes, whether it ran in lanes) of each lockstep batch of a kernel."""
     made, lockstep = [], interp._lockstep
@@ -313,12 +326,12 @@ def batches(monkeypatch):
     return made
 
 
-def launch(module, name, config, args):
+def launch(module, name, config, args, step_limit=interp.DEFAULT_STEP_LIMIT):
     """The buffers after a launch on copies of ``args``, and the text of the
     error it raised or None."""
     bufs, error = values(args), None
     try:
-        run_kernel(module, name, config, bufs)
+        run_kernel(module, name, config, bufs, step_limit)
     except interp.InterpError as e:
         error = f"{type(e).__name__}: {e}"
     return [b.data for b in bufs if isinstance(b, MemRefValue)], error
@@ -356,17 +369,18 @@ class TestAcrossBlocks:
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "vadd", config, args))
 
-    def test_collide_replays_its_first_batch_by_block(self, registry, monkeypatch,
-                                                       sequential_calls, batches):
-        # the blocks store to the same slots: the first batch of 16 blocks
-        # collides, and from then on each block is one batch
+    def test_collide_runs_in_waves(self, registry, monkeypatch, sequential_calls,
+                                   batches, waves):
+        # the blocks store to the same slots: each batch of 16 blocks runs
+        # as 16 waves, one a block, in which thread_idx_x rises
         grid, block = gen.KERNELS["collide"]
         args = kernel_args(np.random.default_rng(19), "collide", grid, block)
         module, config = kernel(registry, "collide"), LaunchConfig((grid, 1, 1),
                                                                    (block, 1, 1))
         got = launch(module, "collide", config, args)
         assert sequential_calls == []
-        assert batches == [(interp.LANES, False)] + [(block, True)] * grid
+        assert batches == [(interp.LANES, True)] * (grid * block // interp.LANES)
+        assert waves == [[block] * (interp.LANES // block)] * len(batches)
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "collide", config, args))
 
@@ -382,9 +396,9 @@ class TestAcrossBlocks:
             "OutOfBounds: index 64 out of bounds for dimension 0 of extent 64 "
             "(thread context {'x': (0, 2, 16), 'y': (0, 0, 1), 'z': (0, 0, 1)})")
         assert list(np.flatnonzero(got[0][1])) == list(range(33))
-        # the batch of all four blocks falls back, then block by block
-        assert batches == [(64, False), (16, True), (16, True), (16, False)]
-        assert len(sequential_calls) == 1  # the thread that raises
+        # the batch of all four blocks falls back, so threads 0-32 replay
+        assert batches == [(64, False)]
+        assert len(sequential_calls) == 33
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "k", config, args))
 
@@ -512,41 +526,53 @@ class TestSameAsPointByPoint:
 
 
 class TestConflictRule:
-    """A batch stays in lanes exactly when each stored buffer is touched at
-    one element per lane: the same flat index at every access, strictly
-    rising or strictly falling across the lanes. Any other batch falls
-    back, its stores undone, and replays thread by thread."""
+    """A batch runs in waves, in each of which every stored buffer is
+    touched at one element per lane: the same flat index at every access,
+    strictly rising across the wave, or across the batch strictly falling.
+    A batch whose accesses differ, or whose waves average fewer than
+    MIN_LANES lanes, falls back, its stores undone, and replays thread by
+    thread."""
 
     @pytest.mark.parametrize("name", list(gen.KERNELS))
-    def test_only_collides_spanning_batch_falls_back(self, registry, batches, name):
+    def test_no_bench_batch_falls_back(self, registry, batches, name):
         grid, block = gen.KERNELS[name]
         module, args = kernel(registry, name), kernel_args(np.random.default_rng(23), name,
                                                            grid, block)
-        want = [(interp.LANES, True)] * (grid * block // interp.LANES)
-        if name == "collide":  # its first batch spans blocks, whose threads store to one slot
-            want = [(interp.LANES, False)] + [(block, True)] * grid
         for _ in range(2):  # two launches of one module
             batches.clear()
             run_kernel(module, name, LaunchConfig((grid, 1, 1), (block, 1, 1)), values(args))
-            assert batches == want
+            assert batches == [(interp.LANES, True)] * (grid * block // interp.LANES)
 
     @pytest.mark.parametrize("name", list(gen.KERNELS))
     def test_rule_is_one_line_per_stored_buffer(self, registry, monkeypatch, name):
-        # the lane function tests each stored buffer once, before it
-        # returns, and records the old values of stores alone
+        # one hoisted line computes the waves, with one group of flat
+        # indices per stored buffer; each wave runs exactly the carried
+        # lines (loads from a stored buffer, stores, ops on carried values),
+        # after one line that reads the hoisted lanes of the wave
         texts, function = [], interp._function
         monkeypatch.setattr(interp, "_function", lambda text, namespace: (
             texts.append(text) or function(text, namespace)))
         module = kernel(registry, name)
         assert interp._decode(func_region(module, name), lanes=True)
         ops = func_region(module, name).entry.operations
-        stores = [op for op in ops if op.name == "memref.store"]
+        stored = {op.operands[1] for op in ops if op.name == "memref.store"}
+        carried, lines_of = set(), []  # the carried values; each carried op's line count
+        for op in ops[:-1]:
+            store = op.name == "memref.store"
+            if store or set(op.operands) & carried or (
+                    op.name == "memref.load" and op.operands[0] in stored):
+                carried.update(op.results)
+                lines_of.append(2 if store else 1)  # a store records the old values
         [text] = texts
-        lines = [line.strip() for line in text.splitlines() if line.strip()]
-        tests = [line for line in lines if "own(" in line]
-        assert len(tests) == len({op.operands[1] for op in stores}) and tests == lines[-2:-1]
-        assert lines[-1].startswith("return")
-        assert sum("touched.append" in line for line in lines) == len(stores)
+        lines = text.splitlines()
+        loop = lines.index("    for p in steps:")
+        assert [line for line in lines if "waves(" in line] == [lines[loop - 2]]
+        assert lines[loop - 2].count("), ") == len(stored)
+        assert lines[loop + 1].endswith("[p], ")  # the wave's hoisted lanes
+        body = lines[loop + 2:-1]
+        assert len(body) == sum(lines_of) and all(line.startswith(" " * 8) for line in body)
+        assert sum("touched.append" in line for line in body) == lines_of.count(2)
+        assert lines[-1].startswith("    return")
 
     @pytest.mark.parametrize("text", [
         # out[n - 1 - g] = in[g]: one lane an element, but falling
@@ -595,7 +621,7 @@ class TestConflictRule:
         args = [rng.uniform(0, 8, 65).astype(np.float32), f32_data(rng, 64)]
         config = LaunchConfig((4, 1, 1), (16, 1, 1))
         got = launch(module, "k", config, args)
-        assert batches == [(64, False)] + [(16, False)] * 4 and len(sequential_calls) == 64
+        assert batches == [(64, False)] and len(sequential_calls) == 64
         assert got[1] is None
         assert all(ref.same(g, w) for g, w in zip(got[0], want(*args)))
         no_lanes(monkeypatch)
@@ -654,7 +680,7 @@ class TestConflictRule:
     def test_conservative_span_falls_back(self, registry, monkeypatch, batches,
                                           sequential_calls):
         # g - thread is each block's first thread number, never below 0, but
-        # its corners reach -15 until a batch starts past block 0
+        # its corners reach -15, so the batch replays thread by thread
         fir_text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n" + gen._GID
                     + "  %6 = invoke -(%5, %4) :: index\n"
                       "  %7 = invoke load(_1, %6) :: f32\n"
@@ -663,8 +689,7 @@ class TestConflictRule:
         args = [f32_data(np.random.default_rng(37), 64), np.zeros(64, np.float32)]
         config = LaunchConfig((4, 1, 1), (16, 1, 1))
         got = launch(module, "k", config, args)
-        assert batches == [(64, False), (16, False), (16, True), (16, True), (16, True)]
-        assert len(sequential_calls) == 16  # block 0, thread by thread
+        assert batches == [(64, False)] and len(sequential_calls) == 64
         assert got[1] is None and ref.same(got[0][1], np.repeat(args[0][::16], 16))
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "k", config, args))
@@ -965,3 +990,312 @@ class TestLaneFunction:
             assert got[1] is None and ref.same(got[0][2], args[1][n * n + n])
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "k", config, args))
+
+
+def ir_generic(registry, elem, maps, build):
+    """@g returning one linalg.generic over tensors of ``elem``, one operand
+    per map of ``maps`` (the iteration axes of each dimension, the output's
+    last); an axis is parallel when the output's map has it. ``build(op,
+    arguments)`` builds the body with ``op(name, operands, result type,
+    **attributes)`` and returns the value yielded."""
+    from bridgegen.dialects import build_op
+
+    dialects, n = registry.dialects, 1 + max(a for m in maps for a in m)
+    types = [ir.TensorType(elem, (None,) * len(m)) for m in maps]
+    module = ir.IrModule(registry=dialects)
+    region = module.new_region()
+    build_op(dialects, module, "func.func",
+             attributes={"sym_name": ir.SymbolAttr("g"), "function_type":
+                         ir.TypeAttr(ir.FunctionType(tuple(types), (types[-1],)))},
+             regions=[region])
+    entry = module.append_block(region, types)
+    body = module.new_region()
+    module.set_insertion(module.append_block(body, [elem] * len(maps)))
+
+    def op(name, operands, result, **attributes):
+        return build_op(dialects, module, name, operands, attributes=attributes,
+                        result_types=[result]).results[0]
+    build_op(dialects, module, "linalg.yield", [build(op, body.blocks[0].arguments)])
+    module.set_insertion(entry)
+    generic = build_op(dialects, module, "linalg.generic", list(entry.arguments),
+                       attributes={"indexing_maps": ir.ArrayAttr(
+                           tuple(ir.IndexMapAttr(n, m) for m in maps)),
+                           "iterator_types": ir.ArrayAttr(tuple(
+                               ir.StringAttr("parallel" if a in maps[-1] else "reduction")
+                               for a in range(n)))},
+                       regions=[body], result_types=[types[-1]])
+    build_op(dialects, module, "func.return", [generic.results[0]])
+    assert ir.verify_module(module).ok
+    return module
+
+
+def with_negative_nans(data):
+    """``data`` with -nan in every fifth element."""
+    data.reshape(-1)[::5] = -np.float32(np.nan)
+    return data
+
+
+class TestSteps:
+    """A lane function runs its hoisted ops once a call and its carried ops
+    once a step: a point of a generic's loop axes, or a wave of a kernel
+    batch. Each case gives the results, errors and partial stores of
+    running point by point or thread by thread, bit for bit."""
+
+    @pytest.mark.parametrize("spec, layouts", [
+        ("(i,j,k)->(i)", "cc"), ("(i,j,k)->(i)", "tr"), ("(k,i),(k,j)->(i,j)", "ccc"),
+        ("(k,i),(k,j)->(i,j)", "tsc"), ("(i,k),(k)->(i)", "tcc"), ("(k),(i,k)->(i)", "ccc"),
+        ("(j,k),(i)->(i)", "ccc"),
+    ], ids=["multi-axis", "multi-axis-views", "outer", "outer-views", "transposed",
+            "broadcast", "broadcast-loop"])
+    def test_generic(self, registry, monkeypatch, sequential_calls, spec, layouts):
+        parsed = einsum.parse_einsum(spec)
+        extent = {a: 5 + 2 * k for k, a in enumerate(parsed.axes)}
+        rng = np.random.default_rng(83)
+        arrays = [with_negative_nans(laid_out(rng, tuple(extent[a] for a in tup), layout))
+                  for tup, layout in zip(parsed.inputs + (parsed.output,), layouts)]
+        module = einsum.build_einsum_function(registry, parsed)
+        tensors = lambda: [TensorValue(ir.F32, a.shape, a) for a in arrays]  # noqa: E731
+        [got] = run_function(module, "einsum", tensors())
+        assert len(sequential_calls) == 1  # the function body; the generic ran in lanes
+        no_lanes(monkeypatch)
+        assert ref.same(got.data, run_function(module, "einsum", tensors())[0].data)
+
+    @pytest.mark.parametrize("lanes, rows, k, steps", [
+        (interp.LANES, 7, 2 * interp.LANES + 3, [interp.LANES, interp.LANES, 3]),
+        (8, 16, 5, [4, 1]),
+    ], ids=["loop-points", "elements"])
+    def test_boxes_bound_each_call(self, registry, monkeypatch, sequential_calls,
+                                   lanes, rows, k, steps):
+        # a call takes at most LANES loop points, and at most LANES**2
+        # elements of each hoisted value
+        monkeypatch.setattr(interp, "LANES", lanes)
+        module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i,k),(k)->(i)"))
+        rng = np.random.default_rng(89)
+        arrays = [f32_data(rng, (rows, k)), f32_data(rng, k), f32_data(rng, rows)]
+        calls, run_lanes = [], interp._exec_lanes
+        monkeypatch.setattr(interp, "_exec_lanes", lambda code, args, lanes: (
+            calls.append((len(lanes.steps), args[0].shape)) or run_lanes(code, args, lanes)))
+        [got] = run_function(module, "einsum", [tensor_value(a) for a in arrays])
+        assert calls == [(n, (n, rows)) for n in steps] and len(sequential_calls) == 1
+        no_lanes(monkeypatch)
+        want = run_function(module, "einsum", [tensor_value(a) for a in arrays])[0]
+        assert ref.same(got.data, want.data)
+
+    @pytest.mark.parametrize("shape", [(), (0, 3), (3, 4, 5), (2, 9, 4), (30,), (1, 40)])
+    @pytest.mark.parametrize("most", [1, 7, 36])
+    def test_boxes_cover_the_loop_in_order(self, shape, most):
+        index = np.arange(math.prod(shape)).reshape(shape)
+        seen = []
+        for key, points in interp._boxes(list(shape), most):
+            assert 1 <= len(points) <= most
+            seen += [int(index[key][p]) for p in points]
+        assert seen == list(range(index.size))
+
+    def test_constant_value_in_the_carried_part(self, registry, monkeypatch,
+                                                sequential_calls):
+        # out[i] = out[i] * (0.5 * 3.0) + x[i, k]: the factor is one value,
+        # hoisted and used as it is in each step
+        def build(op, args):
+            x, acc = args
+            half, three = (op("arith.constant", [], ir.F32, value=ir.FloatAttr(v, ir.F32))
+                           for v in (0.5, 3.0))
+            factor = op("arith.mulf", [half, three], ir.F32)
+            return op("arith.addf", [op("arith.mulf", [acc, factor], ir.F32), x], ir.F32)
+        module = ir_generic(registry, ir.F32, [(0, 1), (0,)], build)
+        rng = np.random.default_rng(97)
+        arrays = [f32_data(rng, (9, 11)), f32_data(rng, 9)]
+        [got] = run_function(module, "g", [tensor_value(a) for a in arrays])
+        assert len(sequential_calls) == 1
+        no_lanes(monkeypatch)
+        assert ref.same(got.data, run_function(module, "g", [tensor_value(a)
+                                                             for a in arrays])[0].data)
+
+    @pytest.mark.parametrize("big", [False, True], ids=["in-range", "leaves-int64"])
+    def test_i64_hoisted_multiply(self, registry, monkeypatch, sequential_calls, big):
+        # out[i] += x[i, k] * 3 in i64: at x near 2**62 in a later loop point
+        # the hoisted product leaves int64, so the generic runs point by point
+        def build(op, args):
+            x, acc = args
+            three = op("arith.constant", [], ir.I64, value=ir.IntAttr(3, ir.I64))
+            return op("arith.addi", [op("arith.muli", [x, three], ir.I64), acc], ir.I64)
+        module = ir_generic(registry, ir.I64, [(0, 1), (0,)], build)
+        x = np.random.default_rng(101).integers(-2 ** 40, 2 ** 40, (8, 6))
+        if big:
+            x[5, 2] = 2 ** 62
+        run = lambda: run_function(module, "g", [  # noqa: E731
+            TensorValue(ir.I64, x.shape, x), TensorValue(ir.I64, (8,), np.arange(8))])[0].data
+        got = run()
+        assert len(sequential_calls) == (1 + 8 * 6 if big else 1)
+        assert list(got) == [(int(sum(r)) * 3 + i + 2 ** 63) % 2 ** 64 - 2 ** 63
+                             for i, r in enumerate(x.tolist())]
+        no_lanes(monkeypatch)
+        assert np.array_equal(got, run())
+
+    def test_reversed_store_is_one_falling_wave(self, registry, monkeypatch, batches,
+                                                waves, sequential_calls):
+        fir_text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n" + gen._GID
+                    + "  %6 = invoke -(63, %5) :: index\n"
+                      "  %7 = invoke load(_2, %6) :: f32\n"
+                      "  %8 = invoke load(_1, %5) :: f32\n"
+                      "  %9 = invoke +(%7, %8) :: f32\n"
+                      "  %10 = invoke store(%9, _2, %6) :: Nothing\n  return\n")
+        module = run_pipeline(registry, fir_text, "k", [F32_MEMREF] * 2)
+        rng = np.random.default_rng(103)
+        args = [f32_data(rng, 64), f32_data(rng, 64)]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, True)] and waves == [[64]] and sequential_calls == []
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    @pytest.mark.parametrize("m, lanes", [(8, True), (4, False), (1, False)])
+    def test_waves_average_at_least_min_lanes(self, registry, monkeypatch, batches, waves,
+                                              sequential_calls, m, lanes):
+        # out[thread] = in[g] over blocks of m threads: each block is a
+        # rising run that overwrites the last; waves of fewer than
+        # MIN_LANES lanes on average replay thread by thread
+        fir_text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n" + gen._GID
+                    + "  %6 = invoke load(_1, %5) :: f32\n"
+                      "  %7 = invoke store(%6, _2, %4) :: Nothing\n  return\n")
+        module = run_pipeline(registry, fir_text, "k", [F32_MEMREF] * 2)
+        args = [f32_data(np.random.default_rng(107), 64), np.zeros(8, np.float32)]
+        config = LaunchConfig((64 // m, 1, 1), (m, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, lanes)] and len(sequential_calls) == 64 * (not lanes)
+        assert waves == ([[m] * (64 // m)] if lanes else [])
+        assert ref.same(got[0][1][:m], args[0][-m:])
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_stored_buffer_loaded_at_another_index(self, registry, monkeypatch, batches,
+                                                   sequential_calls):
+        # A[g] = A[g] + A[thread]: a load of A at another index than the store's
+        fir_text = ("fn k(_1: memref{f32,1})\n1:\n" + gen._GID
+                    + "  %6 = invoke load(_1, %5) :: f32\n"
+                      "  %7 = invoke load(_1, %4) :: f32\n"
+                      "  %8 = invoke +(%6, %7) :: f32\n"
+                      "  %9 = invoke store(%8, _1, %5) :: Nothing\n  return\n")
+        module = run_pipeline(registry, fir_text, "k", [F32_MEMREF])
+        args = [f32_data(np.random.default_rng(109), 64)]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, False)] and len(sequential_calls) == 64
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_out_of_bounds_carried_load_in_third_wave(self, registry, monkeypatch,
+                                                      batches, sequential_calls):
+        # A[thread + block] = A[thread + block] * 2 + B[g]: each block is a
+        # wave, and thread 15 of block 2 loads A[17] of 17
+        fir_text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n" + gen._GID
+                    + "  %6 = invoke +(%4, %1) :: index\n"
+                      "  %7 = invoke load(_1, %6) :: f32\n"
+                      "  %8 = invoke *(%7, 2.0) :: f32\n"
+                      "  %9 = invoke load(_2, %5) :: f32\n"
+                      "  %10 = invoke +(%8, %9) :: f32\n"
+                      "  %11 = invoke store(%10, _1, %6) :: Nothing\n  return\n")
+        module = run_pipeline(registry, fir_text, "k", [F32_MEMREF] * 2)
+        rng = np.random.default_rng(113)
+        args = [f32_data(rng, 17), f32_data(rng, 64)]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert got[1] == (
+            "OutOfBounds: index 17 out of bounds for dimension 0 of extent 17 "
+            "(thread context {'x': (15, 2, 16), 'y': (0, 0, 1), 'z': (0, 0, 1)})")
+        assert batches == [(64, False)] and len(sequential_calls) == 48
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_budget_of_one_thread(self, registry, monkeypatch, batches, short):
+        # each thread has the whole budget: one op short of a thread's
+        # steps, the launch runs thread by thread and stops at thread 0's
+        # return, after its store
+        module = kernel(registry, "collide")
+        steps = len(func_region(module, "collide").entry.operations)
+        args = kernel_args(np.random.default_rng(127), "collide", 4, 16)
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        run = lambda: launch(module, "collide", config, args, steps - short)  # noqa: E731
+        got = run()
+        assert batches == [(64, True)] * (not short)
+        assert got[1].startswith("StepLimitExceeded") if short else got[1] is None
+        no_lanes(monkeypatch)
+        assert same_launch(got, run())
+
+    @pytest.mark.parametrize("order", ["identity", "reversed", "repeated"])
+    def test_carried_index_runs_as_one_step(self, registry, monkeypatch, batches, waves,
+                                            order):
+        # n = A[t]; A[t] = n * n; B[n] = C[t]: B's index is loaded from the
+        # stored A, so the batch is one step, which falls back at its end
+        # unless B's index strictly rises or strictly falls
+        def build(op, args):
+            a, b, c = args
+            t = op("gpu.thread_id", [], ir.INDEX, dimension="x")
+            n = op("memref.load", [a, t], ir.I64)
+            op("memref.store", [op("arith.muli", [n, n], ir.I64), a, t])
+            op("memref.store", [op("memref.load", [c, t], ir.F32), b,
+                                op("arith.index_cast", [n], ir.INDEX)])
+        module = ir_kernel(registry, [I64_BUF, F32_BUF, F32_BUF], build)
+        texts, function = [], interp._function
+        monkeypatch.setattr(interp, "_function", lambda text, namespace: (
+            texts.append(text) or function(text, namespace)))
+        a = {"identity": np.arange(16), "reversed": np.arange(16)[::-1].copy(),
+             "repeated": np.arange(16) // 2}[order]
+        rng = np.random.default_rng(131)
+        args = [MemRefValue(ir.I64, (16,), a.copy()), np.zeros(16, np.float32), f32_data(rng, 16)]
+        config = LaunchConfig((1, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        [text] = texts
+        assert "for p in" not in text and text.splitlines()[-2].strip().startswith(
+            "if len(waves(")
+        assert batches == [(16, order != "repeated")]
+        assert waves == [[16]] * (order != "repeated")
+        no_lanes(monkeypatch)
+        args[0] = MemRefValue(ir.I64, (16,), a.copy())
+        assert same_launch(got, launch(module, "k", config, args))
+
+
+class TestBuffers:
+    """Buffers lanes cannot track run thread by thread, and a buffer that
+    cannot be written is rejected before the launch."""
+
+    def test_overlapping_elements_run_thread_by_thread(self, registry, monkeypatch,
+                                                       batches, sequential_calls):
+        # collide on one element viewed 8 times: thread by thread it
+        # doubles and adds 8 times, 1 -> 503
+        def args():
+            one = np.lib.stride_tricks.as_strided(np.ones(1, np.float32), (8,), (0,),
+                                                  writeable=True)
+            return [MemRefValue(ir.F32, (8,), one), MemRefValue(ir.F32, (8,), np.arange(
+                8, dtype=np.float32))]
+        module, config = kernel(registry, "collide"), LaunchConfig((1, 1, 1), (8, 1, 1))
+        got = launch(module, "collide", config, args())
+        assert batches == [] and len(sequential_calls) == 8
+        assert got[1] is None and list(got[0][0]) == [503.0] * 8
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "collide", config, args()))
+
+    @pytest.mark.parametrize("shape, strides, overlapping", [
+        ((8,), (4,), False), ((8,), (-4,), False), ((8,), (0,), True), ((8,), (2,), True),
+        ((3, 4), (16, 4), False), ((3, 4), (4, 12), False), ((3, 4), (8, 4), True),
+        ((1, 8), (0, 4), False), ((8, 1), (4, 0), False), ((0, 8), (0, 4), False),
+        ((2, 3, 4), (4, 32, 8), False), ((2, 3, 4), (4, 24, 8), True),
+    ])
+    def test_overlap_test(self, shape, strides, overlapping):
+        base = np.zeros(64, np.float32)
+        view = np.lib.stride_tricks.as_strided(base[32:], shape, strides)
+        assert interp._overlapping(view) == overlapping
+        flat = np.arange(base.size)[32:]  # the element offsets
+        offsets = np.lib.stride_tricks.as_strided(flat, shape, [s * 2 for s in strides])
+        if not overlapping:  # a conservative test: no false "disjoint"
+            assert len(set(offsets.reshape(-1).tolist())) == offsets.size
+
+    @pytest.mark.parametrize("threads", [8, 2], ids=["lanes", "threads"])
+    def test_read_only_buffer_is_rejected(self, registry, threads):
+        bufs = values([np.ones(threads, np.float32)] * 2) + [
+            MemRefValue(ir.F32, (threads,), np.broadcast_to(np.float32(0), (threads,)))]
+        with pytest.raises(interp.InterpError, match=(
+                r"^@vadd argument 2: a memref's data must be writeable, not read-only$")):
+            run_kernel(kernel(registry, "vadd"), "vadd",
+                       LaunchConfig((1, 1, 1), (threads, 1, 1)), bufs)
+        assert list(bufs[2].data) == [0.0] * threads
