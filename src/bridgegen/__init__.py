@@ -47,7 +47,6 @@ from .ir import (
     IrValue,
     create_op,
     print_module,
-    result,
     verify_module,
 )
 

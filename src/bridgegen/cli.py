@@ -185,7 +185,8 @@ def parse_runtime_input(text: str, expected: ir.IrType) -> interp.RuntimeValue:
     Scalars: ``2.0``, ``3``, ``true`` (i1 only). Buffers: ``[1,2,3]:f32``,
     ``[1..8]:f32`` (inclusive range), ``[0x8]:f32`` (value x count), of at
     most MAX_INPUT_ELEMENTS elements. An integer scalar or buffer element
-    (i1, i64, index) takes integer literals only.
+    (i1, i64, index) takes integer literals only; an integer scalar one of
+    its type by ``fir.literal_fits``, as a FIR literal.
     """
     from . import interp
     text = text.strip()
@@ -195,11 +196,9 @@ def parse_runtime_input(text: str, expected: ir.IrType) -> interp.RuntimeValue:
     if m:
         if not isinstance(expected, (ir.TensorType, ir.MemRefType)):
             raise CliError(f"'{text}' is a buffer but {expected} was expected")
-        declared = {"f32": ir.F32, "f64": ir.F64, "i64": ir.I64,
-                    "index": ir.INDEX}[m.group(2)]
-        if declared != expected.elem:
+        if m.group(2) != ir.print_type(expected.elem):
             raise CliError(
-                f"'{text}' has element type {declared}, expected {expected.elem}")
+                f"'{text}' has element type {m.group(2)}, expected {expected.elem}")
         number = int if m.group(2) in ("i64", "index") else float
         try:
             return interp.value_of_type(expected, _parse_array_body(m.group(1), number))
@@ -219,6 +218,9 @@ def parse_runtime_input(text: str, expected: ir.IrType) -> interp.RuntimeValue:
     except ValueError:
         raise CliError(f"{expected} input '{text}' is not an integer literal" if integral
                        else f"cannot parse input literal '{text}'") from None
+    if integral and not fir.literal_fits(fir.parse_frontend_type(str(expected)),
+                                         fir.IntLit(raw)):
+        raise CliError(f"input literal {text} is not a value of {expected}")
     return interp.value_of_type(expected, raw)
 
 

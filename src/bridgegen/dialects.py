@@ -137,6 +137,7 @@ class AttrSpec:
     name: str
     kind: str
     required: bool = False
+    values: tuple = ()  # of a string attribute, the texts it may take; () for any
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,9 @@ def _check(defn: OpDefinition, operand_types, result_types, attributes,
                 a.kind in ("float", "int") and not ir._holds_value(attr)):
             findings.append(("type-constraint",
                              f"attribute '{a.name}' is not of kind {a.kind}"))
+        elif a.values and attr.text not in a.values:
+            findings.append(("attr-value", f"attribute '{a.name}' is '{attr.text}', "
+                                           f"not one of {'|'.join(a.values)}"))
     if n_regions != defn.regions:
         findings.append(("region-count",
                          f"expected {defn.regions} region(s), got {n_regions}"))
@@ -251,9 +255,11 @@ def load_dialect_spec(text: str) -> DialectDefinition:
 
     Full-line comments start with ``#``. Constraints: ``f32 | f64 | i1 |
     i64 | index | AnyFloat | AnyInteger | AnyTensor | AnyMemRef | Any |
-    same(<k>) | elem(<k>)``. A ``bind`` line lets a FIR call with those
+    same(<k>) | elem(<k>)``; the attribute kind ``string(<text>|...)`` takes
+    only the listed texts. A ``bind`` line lets a FIR call with those
     argument types build the op (see :func:`codegen.register_bindings`);
-    each ``<attr>`` must be a ``string`` attribute of the op.
+    each ``<attr>`` must be a ``string`` attribute of the op, and its value
+    a listed text, if the attribute lists any.
     """
     if bad := fir.overlong_number(text):
         raise DialectSpecError(*bad)
@@ -284,12 +290,15 @@ def load_dialect_spec(text: str) -> DialectDefinition:
                         lineno, f"elem({c.index}) on {what} '{s.name}' is dangling")
         if pending["successors"] != 0 and not pending["terminator"]:
             raise DialectSpecError(lineno, "successors require 'terminator'")
-        strings = {a.name for a in pending["attrs"] if a.kind == "string"}
+        strings = {a.name: a.values for a in pending["attrs"] if a.kind == "string"}
         for bind_line, (_, _, attrs) in pending["binds"]:
-            for key, _ in attrs:
+            for key, value in attrs:
                 if key not in strings:
                     raise DialectSpecError(
                         bind_line, f"'{key}' is not a string attribute of op '{name}'")
+                if strings[key] and value not in strings[key]:
+                    raise DialectSpecError(bind_line, f"'{value}' is not a value of "
+                                                      f"attribute '{key}' of op '{name}'")
         if name in dialect.ops:
             raise DialectSpecError(lineno, f"duplicate op name '{name}'")
         dialect.ops[name] = OpDefinition(
@@ -352,10 +361,12 @@ def load_dialect_spec(text: str) -> DialectDefinition:
             if rest and rest[-1] == "required":
                 required = True
                 rest = rest[:-1]
-            if len(rest) != 2 or rest[1] not in _ATTR_KINDS:
+            m = len(rest) == 2 and re.fullmatch(r"string\((\w+(?:\|\w+)*)\)", rest[1])
+            if not m and (len(rest) != 2 or rest[1] not in _ATTR_KINDS):
                 raise DialectSpecError(
                     lineno, "expected 'attr <name> <kind> [required]'")
-            pending["attrs"].append(AttrSpec(rest[0], rest[1], required))
+            pending["attrs"].append(AttrSpec(rest[0], "string" if m else rest[1], required,
+                                             tuple(m.group(1).split("|")) if m else ()))
         elif head == "regions":
             if len(words) != 2 or not (words[1].isascii() and words[1].isdigit()):
                 raise DialectSpecError(lineno, "expected 'regions <n>'")
@@ -416,8 +427,9 @@ def serialize_dialect(defn: DialectDefinition) -> str:
             v = "variadic " if s.variadic else ""
             out.append(f"  result {s.name} {v}{s.constraint}")
         for a in op.attrs:
+            values = f"({'|'.join(a.values)})" if a.values else ""
             req = " required" if a.required else ""
-            out.append(f"  attr {a.name} {a.kind}{req}")
+            out.append(f"  attr {a.name} {a.kind}{values}{req}")
         if op.regions:
             out.append(f"  regions {op.regions}")
         if op.is_terminator:
@@ -548,10 +560,10 @@ op muli "Integer multiplication (also defined on index)."
   result res same(0)
   bind * (i64, i64) (index, index)
 
-op cmpi "Integer comparison; 'predicate' is one of eq|ne|slt|sle|sgt|sge."
+op cmpi "Integer comparison by 'predicate'."
   operand lhs AnyInteger
   operand rhs same(0)
-  attr predicate string required
+  attr predicate string(eq|ne|slt|sle|sgt|sge) required
   result res i1
   bind == (i64, i64) (index, index) predicate=eq
   bind != (i64, i64) (index, index) predicate=ne
@@ -626,22 +638,22 @@ GPU_SPEC = """\
 # Thread-indexing queries for GPU-style kernels.
 dialect gpu
 
-op thread_id "Index of the executing thread within its block along dimension x|y|z."
-  attr dimension string required
+op thread_id "Index of the executing thread within its block along 'dimension'."
+  attr dimension string(x|y|z) required
   result res index
   bind thread_idx_x () dimension=x
   bind thread_idx_y () dimension=y
   bind thread_idx_z () dimension=z
 
-op block_id "Index of the executing thread's block along dimension x|y|z."
-  attr dimension string required
+op block_id "Index of the executing thread's block along 'dimension'."
+  attr dimension string(x|y|z) required
   result res index
   bind block_idx_x () dimension=x
   bind block_idx_y () dimension=y
   bind block_idx_z () dimension=z
 
-op block_dim "Number of threads per block along dimension x|y|z."
-  attr dimension string required
+op block_dim "Number of threads per block along 'dimension'."
+  attr dimension string(x|y|z) required
   result res index
   bind block_dim_x () dimension=x
   bind block_dim_y () dimension=y

@@ -424,11 +424,8 @@ def split_commas(text: str) -> list:
 
 
 def parse_program(text: str) -> FirProgram:
-    """Parse FIR text, resolving all SSA and block references.
-
-    Forward block references are allowed; the resulting functions are
-    checked for undefined SSA ids, parameters, and block numbers.
-    """
+    """Parse FIR text. It only parses, and rejects a function name given
+    twice: what the references name is :func:`validate_fir`'s to check."""
     if bad := overlong_number(text):
         raise FirError("line %d: %s" % bad)
     program = FirProgram()
@@ -445,9 +442,6 @@ def parse_program(text: str) -> FirProgram:
         nonlocal fn, block
         if fn is None:
             return
-        if not fn.blocks:
-            raise FirError(f"function '{fn.name}' has no blocks")
-        _resolve_check(fn)
         if fn.name in program.functions:
             raise FirError(f"duplicate function '{fn.name}'")
         program.functions[fn.name] = fn
@@ -523,29 +517,6 @@ def parse_program(text: str) -> FirProgram:
         raise FirError(f"line {lineno}: cannot parse statement '{line}'")
     close()
     return program
-
-
-def _resolve_check(fn: FirFunction):
-    """Undefined-reference checks run at parse time (order-insensitive)."""
-    defined = set()
-    for _, st in fn.statements():
-        if isinstance(st, (Invoke, Phi)):
-            if st.id in defined:
-                raise FirError(f"{fn.name}: duplicate SSA id %{st.id}")
-            defined.add(st.id)
-    n = fn.n_blocks()
-    for _, st in fn.statements():
-        for a in st.reads():
-            if isinstance(a, SsaRef) and a.id not in defined:
-                raise FirError(f"{fn.name}: reference to undefined SSA id %{a.id}")
-            if isinstance(a, ParamRef) and not 1 <= a.index <= len(fn.param_types):
-                raise FirError(f"{fn.name}: reference to undefined parameter _{a.index}")
-        if isinstance(st, Phi):
-            for pred, _ in st.incomings:
-                if not 1 <= pred <= n:
-                    raise FirError(f"{fn.name}: phi references undefined block #{pred}")
-        elif isinstance(st, (Goto, GotoIfNot)) and not 1 <= st.target <= n:
-            raise FirError(f"{fn.name}: goto to undefined block #{st.target}")
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +625,42 @@ def arg_typer(fn: FirFunction):
 
 
 def validate_fir(fn: FirFunction):
-    """Check the structural invariants; returns all violations as strings.
+    """Check the function's invariants; returns all violations as strings.
 
+    References first: no blocks, an SSA id defined twice, and a reference to
+    an undefined SSA id, parameter or block are reported alone, so that the
+    structural rules see only resolved references.
     Phis: none in block 1, where a caller enters; every incoming from a
     predecessor, and in a reachable block one from each reachable
     predecessor; each literal incoming a value of the phi's type.
     """
-    violations = []
-    n = fn.n_blocks()
+    if not fn.blocks:
+        return ["function has no blocks"]
+    n, defined, violations = fn.n_blocks(), set(), []
+    for bi, st in fn.statements():
+        if isinstance(st, (Invoke, Phi)):
+            if st.id in defined:
+                violations.append(f"block {bi}: duplicate SSA id %{st.id}")
+            defined.add(st.id)
+    seen, early = set(), []  # an SSA use must follow its definition, bar a phi's
+    for bi, st in fn.statements():
+        for a in st.reads():
+            if a.__class__ is SsaRef:
+                if a.id not in defined:
+                    violations.append(f"block {bi}: reference to undefined SSA id %{a.id}")
+                elif a.id not in seen and not isinstance(st, Phi):
+                    early.append(f"block {bi}: %{a.id} used before its definition")
+            elif a.__class__ is ParamRef and not 1 <= a.index <= len(fn.param_types):
+                violations.append(f"block {bi}: reference to undefined parameter _{a.index}")
+        if isinstance(st, Phi):
+            violations += [f"block {bi}: reference to undefined block #{p}"
+                           for p, _ in st.incomings if not 1 <= p <= n]
+        elif isinstance(st, (Goto, GotoIfNot)) and not 1 <= st.target <= n:
+            violations.append(f"block {bi}: reference to undefined block #{st.target}")
+        if isinstance(st, (Invoke, Phi)):
+            seen.add(st.id)
+    if violations:
+        return violations
     preds, reach = predecessors(fn), reachable_blocks(fn)
 
     for bi, block in enumerate(fn.blocks, start=1):
@@ -692,18 +691,7 @@ def validate_fir(fn: FirFunction):
                                and not literal_fits(st.result_type, a)]
             else:
                 head = False
-
-    # SSA references must point at earlier statements (global order) or params.
-    seen = set()
-    for bi, st in fn.statements():
-        # phi incomings may reference later statements (loop-carried values)
-        for a in () if isinstance(st, Phi) else st.reads():
-            if isinstance(a, SsaRef) and a.id not in seen:
-                violations.append(
-                    f"block {bi}: %{a.id} used before its definition")
-        if isinstance(st, (Invoke, Phi)):
-            seen.add(st.id)
-    return violations
+    return violations + early
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ Scalars are boxed only where run_function and run_kernel take and give
 them; a func.call passes raw values. The verifier is the interpreter's only
 type rule: ``prepare`` verifies the module once, and an op the verifier
 faults fails when reached, with its first finding's text. Unknown ops fail
-when reached too. The interpreter checks only what the verifier does not:
-the cmpi predicate, the gpu dimension, runtime shapes, extents and bounds,
-the launch configuration, the step budget and the call depth. Every
-failure at run time is an InterpError.
+when reached too. The interpreter checks only run-time facts: shapes,
+extents and bounds, the launch configuration, the step budget and the
+call depth. Every failure at run time is an InterpError.
 
 Each op is one step: a block is charged on entry when it fits the budget,
 otherwise (and when it holds a call or generic) op by op, so
@@ -79,10 +78,10 @@ touches its own element of each stored buffer. A batch is charged its
 steps up front, so it takes lanes only when they fit the budget (for a
 kernel, one thread's steps). A batch falls back, with its stores undone, to
 running point by point or thread by thread, which raises the same errors
-after the same stores, when an index's span leaves its bounds or an index
-has the wrong rank, an integer result could leave int64 (index values are
-unbounded), a stored buffer is accessed through two flat indices that
-differ, or its waves average fewer than MIN_LANES lanes. Kernels whose
+after the same stores, when an index's span leaves its bounds, an integer
+result could leave int64 (index values are unbounded), a stored buffer is
+accessed through two flat indices that differ, or its waves average fewer
+than MIN_LANES lanes. Kernels whose
 buffers share memory or hold elements that may overlap, or whose arguments
 or coordinates leave int64, run thread by thread throughout. So do generics
 and batches of fewer than MIN_LANES lanes, for which numpy's cost per call
@@ -276,6 +275,7 @@ def _check_compatible(t: ir.IrType, v: RuntimeValue, where: str):
 
 
 _FLOAT = (ir.Float32Type, ir.Float64Type)
+_AXES = {"x": 0, "y": 1, "z": 2}  # a launch dimension's position in a thread context
 _CMP = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
         "sle": operator.le, "sgt": operator.gt, "sge": operator.ge}
 
@@ -392,10 +392,7 @@ def _constant(op, at, form=None):
 
 
 def _cmpi(op, at, form=None):
-    pred = op.attributes["predicate"].text
-    if pred not in _CMP:
-        raise InterpError(f"unknown cmpi predicate '{pred}'")
-    (a, b), cmp = [at[v] for v in op.operands], _CMP[pred]
+    (a, b), cmp = [at[v] for v in op.operands], _CMP[op.attributes["predicate"].text]
     if form and form.lanes:
         return [f"{form.target} = {_apply_text(form, cmp, f'v{a}', f'v{b}')}"
                 f".astype({form.bind(np.int64)})"]
@@ -406,11 +403,9 @@ def _cmpi(op, at, form=None):
 
 def _launch_coordinate(k):
     def decode(op, at, form=None):
-        dim = op.attributes["dimension"].text
-        if dim not in ("x", "y", "z"):
-            raise InterpError(f"{op.name}: unknown dimension '{dim}'")
+        axis = _AXES[op.attributes["dimension"].text]
         if form and form.lanes:  # a generic's body has no launch
-            r, key = at[op.results[0]], f"[{form.bind(dim)}][{k}]"
+            r, key = at[op.results[0]], f"[{axis}][{k}]"
             form.spans[r] = (f"l{r}", f"h{r}")
             if k < 2:  # thread and block ids are lanes, a block's extent one value
                 form.arrays.add(r)
@@ -420,7 +415,7 @@ def _launch_coordinate(k):
             return None
         text = f"{op.name} executed without a launch configuration"
         return lambda f, run: (run.ctx if run.ctx is not None
-                               else _fail(MissingLaunchConfig(text)))[dim][k]
+                               else _fail(MissingLaunchConfig(text)))[axis][k]
     return decode
 
 
@@ -435,11 +430,9 @@ def _memref(op, at, form=None):
         i, shape = tuple([f[s] for s in idx]), f[b].data.shape
         for d, (n, extent) in enumerate(zip(i, shape)):
             if not 0 <= n < extent:
-                where = "" if run.ctx is None else f" (thread context {run.ctx})"
+                where = "" if run.ctx is None else f" (thread context {dict(zip(_AXES, run.ctx))})"
                 raise OutOfBounds(f"index {n} out of bounds for dimension {d} "
                                   f"of extent {extent}{where}")
-        if len(i) != len(shape):
-            raise OutOfBounds(f"rank mismatch: {len(i)} indices for rank {len(shape)}")
         return i
     if which:
         v = at[op.operands[0]]
@@ -456,12 +449,11 @@ def _lane_memref(op, form, b, idx, v):
     a scatter that records the old values for the undo. The text of its
     flat index goes into ``form.accesses`` for the test that each lane owns
     the elements it touches (see _waves). An index out of bounds by its
-    span, a rank mismatch, or lanes stored through scalar indices fall back,
-    so that the replay raises as the scalar op does. The bounds test of an
-    index of hoisted values is hoisted."""
+    span, or lanes stored through scalar indices fall back, so that the
+    replay raises as the scalar op does. The bounds test of an index of
+    hoisted values is hoisted."""
     store, lines = op.name == "memref.store", []
-    if len(idx) != op.operands[store].type.rank or (  # the buffer's rank, as run_kernel checks
-            store and v in form.arrays and not form.arrays.intersection(idx)):
+    if store and v in form.arrays and not form.arrays.intersection(idx):
         return ["raise Sequential"]
     tests = [f"{s[0]} < 0 or {s[-1]} >= x{b}[{k}]"
              for k, s in enumerate([form.span(s, lines) for s in idx])]
@@ -891,7 +883,7 @@ def _lane_function(region: ir.IrRegion, faults=None):
     if generic:
         form.carried.add(args[-1])
         form.arrays.update(args)
-    stored = {at[op.operands[1]] for op in ops if op.name == "memref.store"}
+    stored = {at[v] for op in ops if op.name == "memref.store" for v in op.operands[1:2]}
     lines, carried, reads = form.hoisted, [], set()  # reads: hoisted arrays the steps read
     lines += [f"[{_locals(args)}] = args",
               "ctx, bounds, touched = batch.ctx, batch.bounds, batch.touched"]
@@ -905,7 +897,7 @@ def _lane_function(region: ir.IrRegion, faults=None):
         slots, r = [at[v] for v in op.operands], at[op.results[0]] if len(op.results) == 1 else 0
         form.target = f"v{r}"
         if op is term or form.carried.intersection(slots) or op.name == "memref.store" or (
-                op.name == "memref.load" and slots[0] in stored):
+                op.name == "memref.load" and stored.intersection(slots[:1])):
             form.carried.add(r)
             reads.update(s for s in slots if s in form.arrays and s not in form.carried)
         text = _decode_op(op, at, form)
@@ -1165,16 +1157,16 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                               _unravel_spans(*ends, launch.block))
                 blk = ([coords[2] + c for c in _unravel(first, launch.grid)] if first == last
                        else _unravel(coords[2] + first, launch.grid))  # lanes either way
-                ctx = dict(zip("xyz", zip(coords[1], blk, dims)))
+                ctx = tuple(zip(coords[1], blk, dims))
                 bounds = zip(coords[3], _unravel_spans(first, last, launch.grid), sizes)
-                if _lockstep(code, lane_args, _Lanes(ctx, dict(zip("xyz", bounds)))):
+                if _lockstep(code, lane_args, _Lanes(ctx, tuple(bounds))):
                     continue
             for g in range(lo, hi):
                 run.steps = 0
                 x, y, z = _unravel(g % n, launch.block)
                 if g // n != b:
                     b, (blkx, blky, blkz) = g // n, _unravel(g // n, launch.grid)
-                run.ctx = {"x": (x, blkx, bx), "y": (y, blky, by), "z": (z, blkz, bz)}
+                run.ctx = (x, blkx, bx), (y, blky, by), (z, blkz, bz)
                 _exec(body, args, run)
     return inputs
 

@@ -49,7 +49,6 @@ __all__ = [
     "IrModule",
     "IrError",
     "create_op",
-    "result",
     "Diagnostic",
     "VerifyReport",
     "verify_module",
@@ -382,15 +381,6 @@ def create_op(module: IrModule, name: str, operands, result_types,
     return op
 
 
-def result(op: IrOperation, index: int = 0) -> IrValue:
-    """The result value of ``op`` at ``index`` (default first)."""
-    if not 0 <= index < len(op.results):
-        raise IrError(
-            f"{op.name} has {len(op.results)} results, no result {index}"
-        )
-    return op.results[index]
-
-
 # ---------------------------------------------------------------------------
 # Verification
 
@@ -417,9 +407,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.diagnostics
-
-    def categories(self):
-        return {d.category for d in self.diagnostics}
 
     def __str__(self):
         if self.ok:
@@ -565,8 +552,9 @@ def _signature(op: IrOperation):
     """(category, message) findings of a func.func's entry block against its
     function_type, of a linalg.generic's operands against its indexing_maps
     (see _map_finding) and its body's block arguments (one per operand, of
-    its element type), and of an arith.constant's value against its result
-    type, as MLIR checks them."""
+    its element type), of an arith.constant's value against its result
+    type, and of a memref.load's or memref.store's indices, one per
+    dimension of its memref, as MLIR checks them."""
     if op.name == "func.func":
         ftype = getattr(op.attributes.get("function_type"), "type", None)
         if ftype is not None and not isinstance(ftype, FunctionType):
@@ -599,6 +587,12 @@ def _signature(op: IrOperation):
                                       and value.type == t and _holds_value(value)):
             return [("type-constraint", f"value {value!r} is not a constant of the result "
                      f"type {print_type(t)}")]
+    elif op.name in ("memref.load", "memref.store"):
+        which = int(op.name == "memref.store")  # the memref operand, the indices after it
+        t = op.operands[which].type if len(op.operands) > which else None
+        if isinstance(t, MemRefType) and len(op.operands) - which - 1 != t.rank:
+            return [("index-count", f"{len(op.operands) - which - 1} index(es) for a "
+                     f"memref of rank {t.rank}")]
     return ()
 
 

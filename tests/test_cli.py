@@ -347,12 +347,27 @@ class TestRun:
          "'[0..1048576]' spells more than 1048576 elements"),
         ("fbuf", "memref{f32,1}", ["[0..1e400]:f32"], "", "cannot parse buffer literal "
                                                           "'[0..1e400]:f32'"),
+        ("fbuf", "memref{f32,1}", ["[1,2]:f64"], "",
+         "'[1,2]:f64' has element type f64, expected f32"),
+        # an integer scalar is a value of its type as a FIR literal is
+        ("flag", "i1", ["1"], "1\n", ""),
+        ("flag", "i1", ["5"], "", "input literal 5 is not a value of i1"),
+        ("flag", "i1", ["-1"], "", "input literal -1 is not a value of i1"),
+        ("max", "i64,i64", ["-9223372036854775809", "0"], "",
+         "input literal -9223372036854775809 is not a value of i64"),
+        ("max", "i64,i64", ["18446744073709551616", "0"], "",
+         "input literal 18446744073709551616 is not a value of i64"),
+        ("max", "i64,i64", ["-9223372036854775808", "18446744073709551615"], "-1\n", ""),
+        ("idx", "index", ["-99999999999999999999999"], "-99999999999999999999999\n", ""),
     ], ids=["float-range-end", "float-range-down", "float-range-rounded", "true-i1",
-            "false-i1", "true-i64", "false-f32", "repeat-cap", "range-cap", "range-exponent"])
+            "false-i1", "true-i64", "false-f32", "repeat-cap", "range-cap", "range-exponent",
+            "element-type", "one-i1", "five-i1", "minus-one-i1", "below-i64", "above-i64",
+            "i64-bits", "index-unbounded"])
     def test_runtime_literals(self, tmp_path, capsys, entry, types, inputs, out, err):
         p = tmp_path / "lits.fir"
         p.write_text(MAX_FIR + SIGMOID_FIR + "fn fbuf(_1: memref{f32,1})\n1:\n  return _1\n"
-                     "fn flag(_1: i1)\n1:\n  return _1\n")
+                     "fn flag(_1: i1)\n1:\n  return _1\n"
+                     "fn idx(_1: index)\n1:\n  return _1\n")
         code = cli.main(["run", str(p), "--entry", entry, "--types", types, "--", *inputs])
         got = capsys.readouterr()
         assert (code, got.out, got.err) == (1 if err else 0, out,
@@ -632,8 +647,11 @@ class TestDiagnostics:
          "f: block 3: phi %2: literal 3.0 is not a value of i64"),
         (PHI_OF_LITERAL.format(literal="true", type="index"),
          "f: block 3: phi %2: literal true is not a value of index"),
+        ("fn f(_1: i64)\n1:\n  goto #2 ifnot %4\n2:\n  return _1\n",
+         "f: block 1: reference to undefined SSA id %4"),
+        ("fn f(_1: i64)\n1:\n  return _1\nfn g()\n", "g: function has no blocks"),
     ], ids=["phi-missing-incoming", "entry-phi", "callee-entry-phi", "true-as-i64",
-            "float-as-i64", "true-as-index"])
+            "float-as-i64", "true-as-index", "undefined-ssa-id", "no-blocks"])
     def test_validation_rejects(self, tmp_path, capsys, text, message):
         # phi structure is validate_fir's, in the numbering of the file
         code = self.gen(tmp_path, text)

@@ -19,7 +19,7 @@ from bridgegen.dialects import (
     register_dialect,
     serialize_dialect,
 )
-from bridgegen.ir import FloatAttr, IrModule, StringAttr, create_op, result
+from bridgegen.ir import FloatAttr, IrModule, StringAttr, create_op
 from conftest import new_func
 
 
@@ -29,7 +29,7 @@ def value(module, t=ir.F32, raw=1.0):
     else:
         attr = ir.IntAttr(int(raw), t)
     op = create_op(module, "arith.constant", [], [t], {"value": attr})
-    return result(op)
+    return op.results[0]
 
 
 BUILTIN_OPS = sorted(defn.name for d in builtin_registry().dialects.values()
@@ -51,7 +51,37 @@ op addf "Adds two floats."
 """
 
 
+LISTED = """\
+dialect demo
+
+op cmp "Compares two integers by 'how'."
+  operand lhs AnyInteger
+  operand rhs same(0)
+  attr how string(lt|ge) required
+  result res i1
+  bind less (i64, i64) how=lt
+"""
+
+
 class TestLoader:
+    def test_listed_string_values_round_trip(self):
+        once = load_dialect_spec(LISTED)
+        assert once.ops["cmp"].attrs[0].values == ("lt", "ge")
+        text = serialize_dialect(once)
+        assert "  attr how string(lt|ge) required\n" in text
+        assert load_dialect_spec(text).ops == once.ops
+
+    def test_bind_value_outside_the_list(self):
+        with pytest.raises(DialectSpecError, match=re.escape(
+                "line 8: 'gt' is not a value of attribute 'how' of op 'cmp'")) as info:
+            load_dialect_spec(LISTED.replace("how=lt", "how=gt"))
+        assert info.value.line == 8
+
+    @pytest.mark.parametrize("kind", ["string()", "string(lt|)", "int(1|2)", "string(a b)"])
+    def test_malformed_value_list(self, kind):
+        with pytest.raises(DialectSpecError, match="line 6: expected 'attr"):
+            load_dialect_spec(LISTED.replace("string(lt|ge)", kind))
+
     def test_round_trip_fixpoint(self):
         once = load_dialect_spec(SAMPLE)
         twice = load_dialect_spec(serialize_dialect(once))
@@ -128,7 +158,7 @@ class TestRegistry:
         new_func(m)
         a, b = value(m), value(m, raw=2.0)
         op = build_op(registry, m, "demo.addf", [a, b])
-        assert result(op).type == ir.F32
+        assert op.results[0].type == ir.F32
 
     def test_register_twice_fails(self):
         registry = register_dialect(DialectRegistry(), load_dialect_spec(SAMPLE))
@@ -149,7 +179,7 @@ class TestBuildOp:
         new_func(m)
         a, b = value(m, ir.F64, 1.0), value(m, ir.F64, 2.0)
         op = build_op(registry, m, "arith.addf", [a, b])
-        assert result(op).type == ir.F64
+        assert op.results[0].type == ir.F64
 
     def test_type_constraint_violation_names_operand(self):
         registry = builtin_registry()
@@ -193,6 +223,26 @@ class TestBuildOp:
         new_func(m)
         with pytest.raises(BuildError, match=f"attribute 'n' is not of kind {kind}"):
             build_op(registry, m, "demo.tag", [value(m)], attributes={"n": attr})
+
+    @pytest.mark.parametrize("name, attr, values", [
+        ("arith.cmpi", "predicate", "eq|ne|slt|sle|sgt|sge"),
+        ("gpu.thread_id", "dimension", "x|y|z"),
+        ("gpu.block_id", "dimension", "x|y|z"),
+        ("gpu.block_dim", "dimension", "x|y|z"),
+    ])
+    def test_string_attribute_outside_its_values(self, name, attr, values):
+        # build_op raises the finding that the verifier reports
+        registry = builtin_registry()
+        m = IrModule(registry=registry)
+        new_func(m)
+        operands = [value(m, ir.I64, 1), value(m, ir.I64, 2)] * (name == "arith.cmpi")
+        message = f"attribute '{attr}' is 'foo', not one of {values}"
+        with pytest.raises(BuildError, match=f"^{re.escape(f'{name}: {message}')}$"):
+            build_op(registry, m, name, operands, {attr: StringAttr("foo")})
+        op = create_op(m, name, operands, [ir.I1 if operands else ir.INDEX],
+                       {attr: StringAttr("foo")})
+        assert [(d.category, d.message, d.operation) for d in ir.verify_module(m).diagnostics
+                if d.category != "missing-terminator"] == [("attr-value", message, op)]
 
     def test_cond_br_successors(self):
         registry = builtin_registry()
@@ -305,7 +355,7 @@ class TestBuiltinRegistry:
         m = IrModule()
         new_func(m)
         op = build_op(registry, m, "math.exp", [value(m)])
-        assert result(op).type == ir.F32
+        assert op.results[0].type == ir.F32
 
     def test_gpu_thread_id_produces_index(self):
         registry = builtin_registry()
@@ -313,7 +363,7 @@ class TestBuiltinRegistry:
         new_func(m)
         op = build_op(registry, m, "gpu.thread_id",
                       attributes={"dimension": StringAttr("x")})
-        assert result(op).type == ir.INDEX
+        assert op.results[0].type == ir.INDEX
 
     def test_cmpi_shape(self):
         registry = builtin_registry()
@@ -322,7 +372,7 @@ class TestBuiltinRegistry:
         a, b = value(m, ir.I64, 1), value(m, ir.I64, 2)
         op = build_op(registry, m, "arith.cmpi", [a, b],
                       attributes={"predicate": StringAttr("sge")})
-        assert result(op).type == ir.IntType(1)
+        assert op.results[0].type == ir.IntType(1)
 
 
 def test_builtin_definitions_are_parsed_once_and_shared():

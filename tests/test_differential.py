@@ -9,6 +9,7 @@ entry by setting ``HOT`` to 0 and lifting the op cap; each tier starts
 from freshly prepared modules.
 """
 
+import hashlib
 import random
 import re
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from bridgegen import fir, interp, intrinsics
+from bridgegen import einsum, fir, interp, intrinsics, ir
 from bridgegen.gpu import register_gpu_intrinsics
 from conftest import TIERS, run_pipeline, use_tier
 
@@ -29,6 +30,10 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan, inf
 
 SEEDS = (1, 73)  # of the compile_many corpus; the loop programs take the last
 PROGRAMS_PER_SEED = 150  # the first ones of the bench's compile_many corpus
+# sha256 of the printed IR of both corpora, the bench kernels and the bench
+# einsums (test_printed_ir_is_pinned): a change that alters printed IR on
+# purpose updates it and says why
+PRINTED_IR_SHA256 = "7cd2a25970b54d08c57148ea50cab74c79f5ab1ee309ca080513050899666b92"
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +103,16 @@ def test_each_op_appears_once(corpora, monkeypatch, corpus):
         assert sorted(tests + [0]) == sorted(leaves), (p.name, text)
         in_place += len(at) - len(leaves)
     assert in_place  # the rule applies in every corpus
+
+
+def test_printed_ir_is_pinned(corpora, registry):
+    modules = [module for corpus in ("many", "loops") for _, module, _ in corpora[corpus]]
+    modules += [run_pipeline(registry, gen.kernel_text(name), name,
+                             [fir.parse_frontend_type(t) for t in gen.KERNEL_TYPES[name]])
+                for name in gen.KERNELS]
+    modules += [einsum.build_einsum_function(registry, einsum.parse_einsum(spec))
+                for spec, _ in gen.EINSUMS.values()]
+    digest = hashlib.sha256()
+    for module in modules:
+        digest.update(ir.print_module(module).encode())
+    assert digest.hexdigest() == PRINTED_IR_SHA256

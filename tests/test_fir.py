@@ -98,13 +98,20 @@ class TestParser:
         assert fn.n_blocks() == 1
         assert fn.blocks[0] == [Return(ParamRef(1))]
 
-    def test_goto_undefined_block(self):
-        with pytest.raises(FirError, match="undefined block"):
-            parse_program("fn f(_1: i64)\n1:\n  goto #9\n2:\n  return _1\n")
+    def test_goto_undefined_block(self, registry):
+        # the parser only parses: validation finds the reference
+        program = parse_program("fn f(_1: i64)\n1:\n  goto #9\n2:\n  return _1\n")
+        assert validate_fir(program.functions["f"]) == [
+            "block 1: reference to undefined block #9"]
+        with pytest.raises(codegen.CompileError, match="undefined block"):
+            codegen.compile_program(registry, program, "f", [fir.I64])
 
-    def test_undefined_ssa_reference(self):
-        with pytest.raises(FirError, match="undefined SSA id"):
-            parse_program("fn f(_1: i64)\n1:\n  return %4\n")
+    def test_undefined_ssa_reference(self, registry):
+        program = parse_program("fn f(_1: i64)\n1:\n  return %4\n")
+        assert validate_fir(program.functions["f"]) == [
+            "block 1: reference to undefined SSA id %4"]
+        with pytest.raises(codegen.CompileError, match="undefined SSA id"):
+            codegen.compile_program(registry, program, "f", [fir.I64])
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(FirError, match="line 3"):
@@ -177,6 +184,37 @@ class TestValidate:
                 "2:\n  %1 = phi (#1 => _1, #2 => _1) :: i64\n  return %1\n")
         fn = parse_program(text).functions["f"]
         assert any("non-predecessor" in p for p in validate_fir(fn))
+
+    @pytest.mark.parametrize("blocks, violation", [
+        ([[fir.Goto(5)]], "block 1: reference to undefined block #5"),
+        ([[Return(ParamRef(3))]], "block 1: reference to undefined parameter _3"),
+        ([], "function has no blocks"),
+        ([[Invoke(1, "+", [ParamRef(1), fir.IntLit(1)], fir.I64),
+           Invoke(1, "*", [ParamRef(1), fir.IntLit(2)], fir.I64), Return(SsaRef(1))]],
+         "block 1: duplicate SSA id %1"),
+        ([[fir.Goto(2)], [Phi(1, [(1, ParamRef(1)), (7, ParamRef(1))], fir.I64),
+                          Return(SsaRef(1))]], "block 2: reference to undefined block #7"),
+    ], ids=["goto", "parameter", "no-blocks", "duplicate-id", "phi-block"])
+    def test_references_of_a_built_function(self, registry, blocks, violation):
+        # a program built in Python, which no parser checked: the findings
+        # come alone, before any structural rule looks at the blocks
+        fn = fir.FirFunction("f", [fir.I64], blocks)
+        assert validate_fir(fn) == [violation]
+        program = fir.FirProgram({"f": fn})
+        with pytest.raises(codegen.CompileError) as info:
+            codegen.compile_program(registry, program, "f", [fir.I64])
+        assert info.value.violations == [f"f: {violation}"]
+
+    def test_parser_leaves_references_to_validation(self):
+        text = ("fn f(_1: i64)\n1:\n  %1 = invoke +(_2, %9) :: i64\n"
+                "  %1 = invoke +(_1, _1) :: i64\n  return %1\nfn g()\n")
+        program = parse_program(text)
+        assert validate_fir(program.functions["f"]) == [
+            "block 1: duplicate SSA id %1", "block 1: reference to undefined parameter _2",
+            "block 1: reference to undefined SSA id %9"]
+        assert validate_fir(program.functions["g"]) == ["function has no blocks"]
+        with pytest.raises(FirError, match="duplicate function 'f'"):
+            parse_program(text + text)
 
     def test_incomings_needed_from_reachable_predecessors_only(self):
         # block 4 is unreachable: block 3 needs no incoming from it, and its

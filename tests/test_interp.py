@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgegen import cli, einsum, fir, interp, intrinsics, ir
+from bridgegen import cli, dialects, einsum, fir, interp, intrinsics, ir
 from bridgegen.interp import (
     F32Value,
     F64Value,
@@ -899,10 +899,75 @@ class TestErrors:
     def test_unknown_launch_dimension(self, vadd, name, threads):
         next(op for op in walk_ops(vadd) if op.name == name).attributes[
             "dimension"] = ir.StringAttr("w")
-        assert ir.verify_module(vadd).ok
-        with pytest.raises(InterpError, match=f"^{name}: unknown dimension 'w'$"):
+        [finding] = ir.verify_module(vadd).diagnostics
+        assert str(finding) == (f"[attr-value] at '{name}' in ^bb1: attribute "
+                                "'dimension' is 'w', not one of x|y|z")
+        with pytest.raises(InterpError, match=f"^{re.escape(str(finding))}$"):
             run_kernel(vadd, "vadd", LaunchConfig((1, 1, 1), (threads, 1, 1)),
                        TestKernels().vadd_buffers())
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_unknown_cmpi_predicate(self, max_module, monkeypatch, tier):
+        next(op for op in walk_ops(max_module) if op.name == "arith.cmpi").attributes[
+            "predicate"] = ir.StringAttr("foo")
+        [finding] = ir.verify_module(max_module).diagnostics
+        assert str(finding) == ("[attr-value] at 'arith.cmpi' in ^bb1: attribute "
+                                "'predicate' is 'foo', not one of eq|ne|slt|sle|sgt|sge")
+        use_tier(monkeypatch, tier, max_module)
+        with pytest.raises(InterpError, match=f"^{re.escape(str(finding))}$"):
+            run_function(max_module, "max", [IntValue(64, 1), IntValue(64, 2)])
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    @pytest.mark.parametrize("name, change, count", [
+        ("memref.load", lambda operands: operands.append(operands[-1]), 2),
+        ("memref.store", lambda operands: operands.pop(), 0),
+    ], ids=["extra-index", "no-index"])
+    def test_memref_index_count(self, vadd, name, change, count, threads):
+        change(next(op for op in walk_ops(vadd) if op.name == name).operands)
+        [finding] = ir.verify_module(vadd).diagnostics
+        assert str(finding) == (f"[index-count] at '{name}' in ^bb1: {count} index(es) "
+                                "for a memref of rank 1")
+        with pytest.raises(InterpError, match=f"^{re.escape(str(finding))}$"):
+            run_kernel(vadd, "vadd", LaunchConfig((1, 1, 1), (threads, 1, 1)),
+                       TestKernels().vadd_buffers())
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    @pytest.mark.parametrize("name, keep, message", [
+        ("memref.store", 1, "expected 2+ operand(s), got 1"),
+        ("memref.load", 0, "expected 1+ operand(s), got 0"),
+    ], ids=["store", "load"])
+    def test_access_without_its_buffer(self, vadd, name, keep, message, threads):
+        del next(op for op in walk_ops(vadd) if op.name == name).operands[keep:]
+        finding = ir.verify_module(vadd).diagnostics[0]  # the op's first
+        assert str(finding) == f"[arity-mismatch] at '{name}' in ^bb1: {message}"
+        with pytest.raises(InterpError, match=f"^{re.escape(str(finding))}$"):
+            run_kernel(vadd, "vadd", LaunchConfig((1, 1, 1), (threads, 1, 1)),
+                       TestKernels().vadd_buffers())
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_values_a_spec_does_not_list_fail_when_reached(self, monkeypatch, tier, threads):
+        # a registry whose specs list no values verifies these ops; they
+        # still fail as an InterpError, not a raw Python error
+        registry = dialects.DialectRegistry()
+        for spec in dialects.BUILTIN_SPECS:
+            dialects.register_dialect(registry, dialects.load_dialect_spec(
+                re.sub(r"string\(.*?\)", "string", spec)))
+        module = ir.IrModule(registry=registry)
+        _, entry = new_func(module, "f", [ir.I64, ir.I64], [ir.I1])
+        cmp = ir.create_op(module, "arith.cmpi", entry.arguments, [ir.I1],
+                           {"predicate": ir.StringAttr("foo")})
+        ir.create_op(module, "func.return", cmp.results, [], is_terminator=True)
+        new_func(module, "k")
+        ir.create_op(module, "gpu.thread_id", [], [ir.INDEX],
+                     {"dimension": ir.StringAttr("w")})
+        ir.create_op(module, "func.return", [], [], is_terminator=True)
+        assert ir.verify_module(module).ok
+        use_tier(monkeypatch, tier, module)
+        with pytest.raises(InterpError, match="^arith.cmpi: 'foo'$"):
+            run_function(module, "f", [IntValue(64, 1), IntValue(64, 2)])
+        with pytest.raises(InterpError, match="^gpu.thread_id: 'w'$"):
+            run_kernel(module, "k", LaunchConfig((1, 1, 1), (threads, 1, 1)), [])
 
     def test_indexing_map_of_another_attribute(self, registry, monkeypatch):
         module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i)->(i)"))

@@ -25,7 +25,6 @@ from bridgegen.ir import (
     SymbolAttr,
     create_op,
     print_module,
-    result,
     verify_module,
 )
 from conftest import func_region, ill_typed_yield, new_func
@@ -127,21 +126,14 @@ class TestCreateOp:
         _, block = new_func(m)
         a = create_op(m, "arith.constant", [], [ir.F32],
                       {"value": FloatAttr(1.0, ir.F32)})
-        op = create_op(m, "arith.addf", [result(a), result(a)], [ir.F32])
-        assert result(op, 0).type == ir.F32 and m.owns(result(op))
+        op = create_op(m, "arith.addf", [a.results[0], a.results[0]], [ir.F32])
+        assert op.results[0].type == ir.F32 and m.owns(op.results[0])
 
     def test_terminator_inferred_from_attached_registry(self):
         m = IrModule(registry=dialects.builtin_registry())
         _, block = new_func(m, "f", (ir.F32,), ())
         ret = create_op(m, "func.return", [block.arguments[0]], [])
         assert ret.is_terminator and ret.results == []
-
-    def test_result_index_out_of_range(self):
-        m = IrModule()
-        _, block = new_func(m)
-        ret = create_op(m, "func.return", [], [], is_terminator=True)
-        with pytest.raises(IrError):
-            result(ret, 0)
 
     def test_operand_from_other_module_rejected(self):
         # both modules number their values from 0, so ids cannot tell them apart
@@ -175,8 +167,8 @@ def build_sigmoid_like(module):
     cst = create_op(module, "arith.constant", [], [ir.F32],
                     {"value": FloatAttr(1.0, ir.F32)})
     add = create_op(module, "arith.addf",
-                    [block.arguments[0], result(cst)], [ir.F32])
-    create_op(module, "func.return", [result(add)], [], is_terminator=True)
+                    [block.arguments[0], cst.results[0]], [ir.F32])
+    create_op(module, "func.return", [add.results[0]], [], is_terminator=True)
     return module
 
 
@@ -190,14 +182,14 @@ class TestVerifier:
         _, block = new_func(m, "f", (ir.F32,), ())
         create_op(m, "arith.negf", [block.arguments[0]], [ir.F32])
         report = verify_module(m)
-        assert "missing-terminator" in report.categories()
+        assert "missing-terminator" in {d.category for d in report.diagnostics}
 
     def test_misplaced_terminator(self):
         m = IrModule()
         _, block = new_func(m)
         create_op(m, "func.return", [], [], is_terminator=True)
         create_op(m, "func.return", [], [], is_terminator=True)
-        assert "misplaced-terminator" in verify_module(m).categories()
+        assert "misplaced-terminator" in {d.category for d in verify_module(m).diagnostics}
 
     def test_dominance_violation(self):
         m = IrModule()
@@ -212,10 +204,10 @@ class TestVerifier:
                       {"value": FloatAttr(2.0, ir.F32)})
         create_op(m, "func.return", [], [], is_terminator=True)
         m.set_insertion(b2)
-        create_op(m, "arith.negf", [result(v)], [ir.F32])
+        create_op(m, "arith.negf", [v.results[0]], [ir.F32])
         create_op(m, "func.return", [], [], is_terminator=True)
         report = verify_module(m)
-        assert "dominance" in report.categories()
+        assert "dominance" in {d.category for d in report.diagnostics}
 
     def test_use_before_def_same_block(self):
         m = IrModule()
@@ -223,9 +215,9 @@ class TestVerifier:
         neg_first = create_op(m, "arith.negf", [], [ir.F32])
         cst = create_op(m, "arith.constant", [], [ir.F32],
                         {"value": FloatAttr(1.0, ir.F32)})
-        neg_first.operands.append(result(cst))
+        neg_first.operands.append(cst.results[0])
         create_op(m, "func.return", [], [], is_terminator=True)
-        assert "dominance" in verify_module(m).categories()
+        assert "dominance" in {d.category for d in verify_module(m).diagnostics}
 
     def test_unreachable_predecessor_does_not_break_dominance(self):
         # an edge from a dead block must not shrink the live block's
@@ -239,11 +231,11 @@ class TestVerifier:
                       {"value": FloatAttr(1.0, ir.F32)})
         create_op(m, "cf.br", [], [], successors=[(live, [])])
         m.set_insertion(live)
-        create_op(m, "arith.negf", [result(v)], [ir.F32])
+        create_op(m, "arith.negf", [v.results[0]], [ir.F32])
         create_op(m, "func.return", [], [], is_terminator=True)
         m.set_insertion(dead)
         create_op(m, "cf.br", [], [], successors=[(live, [])])
-        assert "dominance" not in verify_module(m).categories()
+        assert "dominance" not in {d.category for d in verify_module(m).diagnostics}
 
     def test_bad_successor_wrong_region(self):
         m = IrModule()
@@ -253,7 +245,7 @@ class TestVerifier:
         create_op(m, "cf.br", [], [], successors=[(b_g, [])])
         m.set_insertion(b_g)
         create_op(m, "func.return", [], [], is_terminator=True)
-        assert "bad-successor" in verify_module(m).categories()
+        assert "bad-successor" in {d.category for d in verify_module(m).diagnostics}
 
     def test_bad_successor_arg_mismatch(self):
         m = IrModule()
@@ -263,28 +255,44 @@ class TestVerifier:
         create_op(m, "cf.br", [], [], successors=[(target, [])])
         m.set_insertion(target)
         create_op(m, "func.return", [], [], is_terminator=True)
-        assert "bad-successor" in verify_module(m).categories()
+        assert "bad-successor" in {d.category for d in verify_module(m).diagnostics}
 
     def test_unknown_op_with_registry(self):
         m = IrModule(registry=dialects.builtin_registry())
         _, block = new_func(m)
         create_op(m, "arith.bogus", [], [])
         create_op(m, "func.return", [], [], is_terminator=True)
-        assert "unknown-op" in verify_module(m).categories()
+        assert "unknown-op" in {d.category for d in verify_module(m).diagnostics}
 
     def test_arity_mismatch_with_registry(self):
         m = IrModule(registry=dialects.builtin_registry())
         _, block = new_func(m, "f", (ir.F32,), ())
         create_op(m, "arith.addf", [block.arguments[0]], [ir.F32])
         create_op(m, "func.return", [], [], is_terminator=True)
-        assert "arity-mismatch" in verify_module(m).categories()
+        assert "arity-mismatch" in {d.category for d in verify_module(m).diagnostics}
+
+    @pytest.mark.parametrize("registry", [None, dialects.builtin_registry()],
+                             ids=["bare", "registry"])
+    def test_memref_index_count(self, registry):
+        # one index per dimension of the memref, with or without a registry
+        buf_t = ir.MemRefType(ir.F32, (None, None))
+        m = IrModule(registry=registry)
+        _, block = new_func(m, "f", (buf_t, ir.INDEX), ())
+        buf, i = block.arguments
+        ok = create_op(m, "memref.load", [buf, i, i], [ir.F32])
+        three = create_op(m, "memref.load", [buf, i, i, i], [ir.F32])
+        one = create_op(m, "memref.store", [ok.results[0], buf, i], [])
+        create_op(m, "func.return", [], [], is_terminator=True)
+        assert [(d.category, d.message, d.operation) for d in verify_module(m).diagnostics] == [
+            ("index-count", "3 index(es) for a memref of rank 2", three),
+            ("index-count", "1 index(es) for a memref of rank 2", one)]
 
     def test_duplicate_symbols(self):
         m = IrModule()
         for _ in range(2):
             _, block = new_func(m)
             create_op(m, "func.return", [], [], is_terminator=True)
-        assert "duplicate-symbol" in verify_module(m).categories()
+        assert "duplicate-symbol" in {d.category for d in verify_module(m).diagnostics}
 
     def test_return_types_checked_against_function_type(self):
         m = IrModule()
@@ -306,7 +314,7 @@ class TestVerifier:
         _, f = new_func(m, "f", (arg_type,), (result_type,))
         call = create_op(m, "func.call", [f.arguments[0]], [result_type],
                          {"callee": SymbolAttr("g")})
-        create_op(m, "func.return", [result(call)], [], is_terminator=True)
+        create_op(m, "func.return", [call.results[0]], [], is_terminator=True)
         found = verify_module(m).diagnostics
         assert [d.message.split()[0] for d in found] == bad
         assert all((d.category, d.op) == ("function-type", "func.call") for d in found)
@@ -342,7 +350,7 @@ class TestVerifier:
         report = verify_module(m)
         assert len(report.diagnostics) >= 3  # arity, unknown, missing terminator
         assert {"arity-mismatch", "unknown-op",
-                "missing-terminator"} <= report.categories()
+                "missing-terminator"} <= {d.category for d in report.diagnostics}
 
 
 @st.composite
@@ -451,7 +459,7 @@ class TestPrinter:
         for name in ("f", "g"):
             _, block = new_func(m, name, (ir.F32,), (ir.F32,))
             neg = create_op(m, "arith.negf", [block.arguments[0]], [ir.F32])
-            create_op(m, "func.return", [result(neg)], [], is_terminator=True)
+            create_op(m, "func.return", [neg.results[0]], [], is_terminator=True)
         text = print_module(m)
         assert text.count("%0 = arith.negf %arg0 : f32") == 2
 
@@ -469,6 +477,6 @@ class TestPrinter:
         m = IrModule()
         _, block = new_func(m, "f", (ir.I64,), (ir.INDEX,))
         twice = create_op(m, "arith.addi", [block.arguments[0]] * 2, [ir.I64])
-        cast = create_op(m, "arith.index_cast", [result(twice)], [ir.INDEX])
-        create_op(m, "func.return", [result(cast)], [], is_terminator=True)
+        cast = create_op(m, "arith.index_cast", [twice.results[0]], [ir.INDEX])
+        create_op(m, "func.return", [cast.results[0]], [], is_terminator=True)
         assert "    %1 = arith.index_cast %0 : i64 to index\n" in print_module(m)

@@ -320,7 +320,7 @@ def batches(monkeypatch):
     made, lockstep = [], interp._lockstep
 
     def counted(code, args, lanes):
-        made.append((len(lanes.ctx["x"][0]), lockstep(code, args, lanes)))
+        made.append((len(lanes.ctx[0][0]), lockstep(code, args, lanes)))
         return made[-1][1]
     monkeypatch.setattr(interp, "_lockstep", counted)
     return made

@@ -7,7 +7,10 @@ kernels) gets one seeded mutation that makes it ill-typed or ill-formed:
 - ``later-operand``: an operand replaced by a value defined at or after its use;
 - ``drop-arg``: a successor argument dropped;
 - ``result-type``: a result given another type;
-- ``foreign-branch``: a branch into a block of another region.
+- ``foreign-branch``: a branch into a block of another region;
+- ``attr-value``: a ``predicate`` or ``dimension`` set outside the values
+  its spec lists;
+- ``index-count``: a memref access given one index too many or too few.
 
 The mutated module runs on the inputs of the original, on both interpreter
 tiers, and the kernels and einsums in lanes. Every run must end as the
@@ -72,12 +75,18 @@ def _sites(module, kind):
                               if s.args]
                 elif kind == "foreign-branch":
                     sites += [(region, block, pos, k) for k in range(len(op.successors))]
+                elif kind == "attr-value":
+                    sites += [(region, block, pos, k) for k in ("predicate", "dimension")
+                              if k in op.attributes]
+                elif kind == "index-count":
+                    sites += [(region, block, pos, 0)] * op.name.startswith("memref.")
                 elif op.results:  # result-type
                     sites += [(region, block, pos, 0)]
     return sites
 
 
-KINDS = ("operand-type", "later-operand", "drop-arg", "result-type", "foreign-branch")
+KINDS = ("operand-type", "later-operand", "drop-arg", "result-type", "foreign-branch",
+         "attr-value", "index-count")
 
 
 def mutate(module, rng, kind):
@@ -98,6 +107,13 @@ def mutate(module, rng, kind):
         op.successors[k].args.pop()
     elif kind == "result-type":
         op.results[0].type = _other_type(op.results[0].type)
+    elif kind == "attr-value":
+        op.attributes[k] = ir.StringAttr("w")  # no predicate, and no launch dimension
+    elif kind == "index-count":
+        if rng.random() < 0.5:
+            op.operands.append(op.operands[-1])  # the last index again
+        else:
+            op.operands.pop()
     else:
         target = op.successors[k].block
         foreign = module.append_block(module.new_region(), [a.type for a in target.arguments])
