@@ -78,25 +78,17 @@ def _pointwise_le(a: IntrinsicSignature, b: IntrinsicSignature) -> bool:
 class IntrinsicRegistry:
     """Dispatch table from intrinsic signatures to operation builders.
 
-    Also owns the frontend-to-IR type mapping, the control-flow hooks
-    invoked for goto/gotoifnot/return statements, and per-type bool
-    conversion builders. Call dispatches are memoised per registry (see
-    ``_resolve_call``); :func:`register_intrinsic` clears that cache, so
-    methods may be added at any time between translations.
+    Also owns the control-flow hooks invoked for goto/gotoifnot/return
+    statements, and per-type bool conversion builders. Call dispatches are
+    memoised per registry (see ``_resolve_call``); :func:`register_intrinsic`
+    clears that cache, so methods may be added at any time between
+    translations.
     """
 
     def __init__(self, dialect_registry=None):
         self.dialects = dialect_registry or dl.builtin_registry()
         self.methods = {}  # name -> list[(IntrinsicSignature, builder)]
         self.dispatch_cache = {}  # see _resolve_call
-        self.scalar_types = {
-            fir.F32: ir.F32,
-            fir.F64: ir.F64,
-            fir.I64: ir.I64,
-            fir.I1: ir.I1,
-            fir.INDEX: ir.INDEX,
-            fir.BOOL: ir.I1,
-        }
         self.bool_conversions = {}  # condition FrontendType -> builder
         self.generate_goto = _default_goto
         self.generate_gotoifnot = _default_gotoifnot
@@ -183,18 +175,22 @@ def _most_specific(probe: IntrinsicSignature, how: str, applicable):
     return best
 
 
+_SCALAR_TYPES = {fir.F32: ir.F32, fir.F64: ir.F64, fir.I64: ir.I64, fir.I1: ir.I1,
+                fir.INDEX: ir.INDEX, fir.BOOL: ir.I1}
+
+
 def map_type(registry: IntrinsicRegistry, frontend_type) -> list:
     """Flatten a concrete frontend type into its IR type sequence.
 
-    Scalars map through the registry table; tensors/memrefs become ranked
+    Scalars map through ``_SCALAR_TYPES``; tensors/memrefs become ranked
     types with dynamic extents; structured types (Complex) concatenate
     their components in field order; Nothing is empty.
     """
     t = frontend_type
     if not isinstance(t, fir.Concrete):
         raise CodegenError(f"cannot map non-concrete type {t}")
-    if t in registry.scalar_types:
-        return [registry.scalar_types[t]]
+    if t in _SCALAR_TYPES:
+        return [_SCALAR_TYPES[t]]
     if t.name == "Nothing":
         return []
     if t.name in ("tensor", "memref"):

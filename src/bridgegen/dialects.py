@@ -5,7 +5,13 @@ Dialects are described in a small line-oriented text format (see
 used through :func:`build_op`, which resolves result types from the
 declared constraints. Each op rule is stated once, in ``_check``: the
 builder raises its first finding and :meth:`DialectRegistry.validate_op`
-(which the verifier calls) reports them all, so whatever builds verifies.
+reports them all. The rules are the spec's and the op-local ones, which
+read only the op's operands, results and attributes: a generic's indexing
+maps, a constant's value, a memref access's index count and a function's
+``function_type`` kind. So an op builds exactly when its own facts verify.
+Its region facts (the entry block's arguments, and what a ``func.return``
+or ``linalg.yield`` hands back) are ``ir.verify_module``'s alone, since a
+region is filled after the op that holds it is built.
 """
 
 from __future__ import annotations
@@ -175,13 +181,20 @@ class DialectRegistry:
 
     def validate_op(self, op: IrOperation):
         """Diagnostics for one operation against its registered definition."""
-        defn = self.lookup(op.name)
-        if defn is None:
-            return [Diagnostic("unknown-op", f"'{op.name}' is not registered", op.name)]
-        findings = _check(defn, [v.type for v in op.operands],
-                          [v.type for v in op.results], op.attributes,
-                          len(op.regions), len(op.successors))
-        return [Diagnostic(category, message, op.name) for category, message in findings]
+        return [Diagnostic(category, message, op.name)
+                for category, message in op_findings(self, op)]
+
+
+def op_findings(registry, op: IrOperation):
+    """``(category, message)`` findings of ``op`` against its definition in
+    ``registry`` or, with no registry, against its op-local rules alone."""
+    types = [v.type for v in op.operands], [v.type for v in op.results]
+    if registry is None:
+        return _op_local(op.name, *types, op.attributes)
+    defn = registry.lookup(op.name)
+    if defn is None:
+        return [("unknown-op", f"'{op.name}' is not registered")]
+    return _check(defn, *types, op.attributes, len(op.regions), len(op.successors))
 
 
 def _check(defn: OpDefinition, operand_types, result_types, attributes,
@@ -190,8 +203,8 @@ def _check(defn: OpDefinition, operand_types, result_types, attributes,
 
     The single statement of the op rules: :meth:`DialectRegistry.validate_op`
     reports every finding, :func:`build_op` raises the first. They come in
-    the order operands, results, attributes, regions, successors;
-    ``result_types`` None skips the results.
+    the order operands, results, attributes, regions, successors, op-local
+    rules; ``result_types`` None skips the results.
     """
     findings = []
     for what, specs, types in (("operand", defn.operands, operand_types),
@@ -232,7 +245,63 @@ def _check(defn: OpDefinition, operand_types, result_types, attributes,
                          f"expected {defn.successors} successor(s), got {n_successors}"))
     if n_successors and not defn.is_terminator:
         findings.append(("bad-successor", "non-terminator op has successors"))
-    return findings
+    return findings + _op_local(defn.name, operand_types, result_types, attributes)
+
+
+def _op_local(name: str, operand_types, result_types, attributes):
+    """``(category, message)`` findings of op ``name``, at most one, against
+    its op-local rules, which read only its operand and result types and
+    attributes, as MLIR's op verifiers do; ``result_types`` None skips the
+    results."""
+    if name == "linalg.generic":
+        maps = attributes.get("indexing_maps")
+        n = len(maps.elements) if isinstance(maps, ir.ArrayAttr) else len(operand_types)
+        if n != len(operand_types) or not operand_types:
+            return [("arity-mismatch", f"{n} indexing map(s) for {len(operand_types)} "
+                     "operand(s); one per operand, the output last")]
+        if isinstance(maps, ir.ArrayAttr) and (finding := _map_finding(
+                maps.elements, operand_types, attributes.get("iterator_types"))):
+            return [("indexing-map", finding)]
+    elif name == "arith.constant" and result_types is not None and len(result_types) == 1:
+        value, t = attributes.get("value"), result_types[0]
+        if value is not None and not (isinstance(value, (ir.FloatAttr, ir.IntAttr))
+                                      and value.type == t and ir._holds_value(value)):
+            return [("type-constraint", f"value {value!r} is not a constant of the "
+                     f"result type {ir.print_type(t)}")]
+    elif name in ("memref.load", "memref.store"):
+        which = int(name == "memref.store")  # the memref operand, the indices after it
+        t = operand_types[which] if len(operand_types) > which else None
+        if isinstance(t, ir.MemRefType) and len(operand_types) - which - 1 != t.rank:
+            return [("index-count", f"{len(operand_types) - which - 1} index(es) for a "
+                     f"memref of rank {t.rank}")]
+    elif name == "func.func":
+        ftype = getattr(attributes.get("function_type"), "type", None)
+        if ftype is not None and not isinstance(ftype, ir.FunctionType):
+            return [("function-type", f"function_type {ir.print_type(ftype)} "
+                     "is not a function type")]
+    return []
+
+
+def _map_finding(maps, operand_types, iterators):
+    """The first fact a linalg.generic's indexing maps break, or None: each
+    is an affine map of one number of axes, with one target per dimension
+    of its operand; each axis is named by some map and has one "parallel"
+    or "reduction" iterator type."""
+    n = getattr(maps[0], "n_axes", None)
+    for k, (m, t) in enumerate(zip(maps, operand_types)):
+        if not isinstance(m, ir.IndexMapAttr):
+            return f"indexing map {k} ({m!r}) is not an affine map"
+        if m.n_axes != n:
+            return f"indexing map {k} has {m.n_axes} axes, map 0 has {n}"
+        if isinstance(t, (ir.TensorType, ir.MemRefType)) and len(m.targets) != t.rank:
+            return (f"indexing map {k} has {len(m.targets)} target(s) for an operand "
+                    f"of rank {t.rank}")
+    if missing := sorted(set(range(n)) - {a for m in maps for a in m.targets}):
+        return f"no indexing map names axis d{missing[0]}"
+    kinds = [getattr(e, "text", None) for e in getattr(iterators, "elements", ())]
+    if isinstance(iterators, ir.ArrayAttr) and (
+            len(kinds) != n or not set(kinds) <= {"parallel", "reduction"}):
+        return f'iterator_types must be one "parallel" or "reduction" per axis, {n} in all'
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +531,9 @@ def build_op(registry: DialectRegistry, module: IrModule, qualified_name: str,
     Result types are resolved from the declared constraints where they
     determine a unique type, otherwise ``result_types`` must be supplied.
     The op is then checked by the same rules as
-    :meth:`DialectRegistry.validate_op`, and the first finding raises
-    :class:`BuildError`.
+    :meth:`DialectRegistry.validate_op`, the spec's and the op-local ones,
+    and the first finding raises :class:`BuildError`. The facts of its
+    regions, which are filled later, are left to ``ir.verify_module``.
     """
     defn = registry.lookup(qualified_name)
     if defn is None:

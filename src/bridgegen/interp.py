@@ -391,8 +391,17 @@ def _constant(op, at, form=None):
     return lambda f, run: value
 
 
+def _listed(op, name, table):
+    """The entry of ``table`` for ``op``'s string attribute ``name``."""
+    text = op.attributes[name].text
+    if text not in table:
+        raise InterpError(f"{op.name}: attribute '{name}' is '{text}', not one of "
+                          f"{'|'.join(table)}, the values the interpreter runs")
+    return table[text]
+
+
 def _cmpi(op, at, form=None):
-    (a, b), cmp = [at[v] for v in op.operands], _CMP[op.attributes["predicate"].text]
+    (a, b), cmp = [at[v] for v in op.operands], _listed(op, "predicate", _CMP)
     if form and form.lanes:
         return [f"{form.target} = {_apply_text(form, cmp, f'v{a}', f'v{b}')}"
                 f".astype({form.bind(np.int64)})"]
@@ -403,7 +412,7 @@ def _cmpi(op, at, form=None):
 
 def _launch_coordinate(k):
     def decode(op, at, form=None):
-        axis = _AXES[op.attributes["dimension"].text]
+        axis = _listed(op, "dimension", _AXES)
         if form and form.lanes:  # a generic's body has no launch
             r, key = at[op.results[0]], f"[{axis}][{k}]"
             form.spans[r] = (f"l{r}", f"h{r}")

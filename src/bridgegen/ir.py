@@ -52,7 +52,6 @@ __all__ = [
     "Diagnostic",
     "VerifyReport",
     "verify_module",
-    "region_results",
     "print_module",
     "format_float",
     "to_f32",
@@ -518,9 +517,10 @@ def _dominators(region: IrRegion):
 def verify_module(module: IrModule) -> VerifyReport:
     """Structurally check every region of ``module``; collects all findings.
 
-    When the module carries a dialect registry (``module.registry``), each
-    op is additionally checked against its registered definition. A nested
-    region's findings come right after those of the op that holds it.
+    Each op is checked against its definition in the module's dialect
+    registry (``module.registry``) or, without one, its op-local rules
+    alone (see ``dialects.op_findings``); then each region against the
+    types of the op that holds it, whose findings come right before it.
     """
     report = VerifyReport()
     functions = {}  # symbol -> its FunctionType, or None
@@ -537,110 +537,58 @@ def verify_module(module: IrModule) -> VerifyReport:
 
 
 def _check_op(op: IrOperation, block: int, registry, functions, report: VerifyReport):
-    """Check ``op``, of block ``block``, against its registered definition,
-    then its regions."""
-    for d in registry.validate_op(op) if registry is not None else ():
-        d.block, d.operation = block, op
-        report.diagnostics.append(d)
-    for category, message in _signature(op):
+    """Check ``op``, of block ``block``, then its regions."""
+    for category, message in dialects.op_findings(registry, op):
         report.diagnostics.append(Diagnostic(category, message, op.name, block, op))
-    for r in op.regions:
-        _check_region(r, op, registry, functions, report)
-
-
-def _signature(op: IrOperation):
-    """(category, message) findings of a func.func's entry block against its
-    function_type, of a linalg.generic's operands against its indexing_maps
-    (see _map_finding) and its body's block arguments (one per operand, of
-    its element type), of an arith.constant's value against its result
-    type, and of a memref.load's or memref.store's indices, one per
-    dimension of its memref, as MLIR checks them."""
-    if op.name == "func.func":
-        ftype = getattr(op.attributes.get("function_type"), "type", None)
-        if ftype is not None and not isinstance(ftype, FunctionType):
-            return [("function-type", f"function_type {print_type(ftype)} "
-                     "is not a function type")]
+    ends = None  # what a func.return or linalg.yield in its region hands back
+    if (types := _region_types(op)) is not None:
+        (want, category, noun, entry, declared), ends = types
         blocks = op.regions[0].blocks if op.regions else []
         got = tuple(a.type for a in blocks[0].arguments) if blocks else None
-        if ftype is not None and got != tuple(ftype.inputs):
-            return [("function-type", "function has no entry block" if got is None else
-                     f"entry block argument types ({', '.join(map(str, got))}) differ "
-                     f"from the function type's inputs ({', '.join(map(str, ftype.inputs))})")]
-    elif op.name == "linalg.generic":
-        maps = op.attributes.get("indexing_maps")
-        n = len(maps.elements) if isinstance(maps, ArrayAttr) else len(op.operands)
-        if n != len(op.operands) or not op.operands:
-            return [("arity-mismatch", f"{n} indexing map(s) for {len(op.operands)} "
-                     "operand(s); one per operand, the output last")]
-        if isinstance(maps, ArrayAttr) and (finding := _map_finding(
-                maps.elements, op.operands, op.attributes.get("iterator_types"))):
-            return [("indexing-map", finding)]
-        blocks = op.regions[0].blocks if op.regions else []
-        want = tuple(getattr(v.type, "elem", v.type) for v in op.operands)
-        got = tuple(a.type for a in blocks[0].arguments) if blocks else want
         if got != want:
-            return [("body-type", f"body block argument types ({', '.join(map(str, got))}) "
-                     f"differ from the operand element types ({', '.join(map(str, want))})")]
-    elif op.name == "arith.constant" and len(op.results) == 1:
-        value, t = op.attributes.get("value"), op.results[0].type
-        if value is not None and not (isinstance(value, (FloatAttr, IntAttr))
-                                      and value.type == t and _holds_value(value)):
-            return [("type-constraint", f"value {value!r} is not a constant of the result "
-                     f"type {print_type(t)}")]
-    elif op.name in ("memref.load", "memref.store"):
-        which = int(op.name == "memref.store")  # the memref operand, the indices after it
-        t = op.operands[which].type if len(op.operands) > which else None
-        if isinstance(t, MemRefType) and len(op.operands) - which - 1 != t.rank:
-            return [("index-count", f"{len(op.operands) - which - 1} index(es) for a "
-                     f"memref of rank {t.rank}")]
-    return ()
+            report.diagnostics.append(Diagnostic(category, f"{noun} has no {entry} block"
+                if got is None else _differ(f"{entry} block argument", got, declared, want),
+                op.name, block, op))
+    for r in op.regions:
+        _check_region(r, ends, registry, functions, report)
 
 
-def _map_finding(maps, operands, iterators):
-    """The first static fact a linalg.generic's indexing maps break, one per
-    operand, or None: each is an affine map of one number of axes, with one
-    target per dimension of its operand; each axis is named by some map and
-    has one "parallel" or "reduction" iterator type."""
-    n = getattr(maps[0], "n_axes", None)
-    for k, (m, v) in enumerate(zip(maps, operands)):
-        if not isinstance(m, IndexMapAttr):
-            return f"indexing map {k} ({m!r}) is not an affine map"
-        if m.n_axes != n:
-            return f"indexing map {k} has {m.n_axes} axes, map 0 has {n}"
-        if isinstance(v.type, _ShapedType) and len(m.targets) != v.type.rank:
-            return (f"indexing map {k} has {len(m.targets)} target(s) for an operand "
-                    f"of rank {v.type.rank}")
-    if missing := sorted(set(range(n)) - {a for m in maps for a in m.targets}):
-        return f"no indexing map names axis d{missing[0]}"
-    kinds = [getattr(e, "text", None) for e in getattr(iterators, "elements", ())]
-    if isinstance(iterators, ArrayAttr) and (
-            len(kinds) != n or not set(kinds) <= {"parallel", "reduction"}):
-        return f'iterator_types must be one "parallel" or "reduction" per axis, {n} in all'
+def _region_types(op: IrOperation):
+    """The types ``op``'s region takes and hands back, each with the words
+    of a finding against them, or None: a function's function_type, or a
+    linalg.generic's operand element types, the output's last, unless its
+    own facts fail."""
+    if op.name == "func.func" and (ftype := _function_type(op)) is not None:
+        return ((tuple(ftype.inputs), "function-type", "function", "entry",
+                 "the function type's inputs"),
+                ("function-type", "the function type's", tuple(ftype.results)))
+    if op.name == "linalg.generic" and not dialects.op_findings(None, op):
+        elems = tuple(getattr(v.type, "elem", v.type) for v in op.operands)
+        return ((elems, "body-type", "generic", "body", "the operand element types"),
+                ("yield-type", "the output element types", elems[-1:]))
+    return None
 
 
-# what each category of typed check compares values against
-_DECLARED = {"function-type": "the function type's", "yield-type": "the output element types"}
+def _differ(what, got, declared, want) -> str:
+    return (f"{what} types ({', '.join(map(str, got))}) differ from {declared} "
+            f"({', '.join(map(str, want))})")
 
 
-def _typed_against(o: IrOperation, holder: IrOperation, functions):
-    """(category, what, values, declared types) of a func.return or
-    linalg.yield against the results declared for the region of ``holder``
-    it ends, and of a func.call against its callee's type, as MLIR checks
-    them."""
+def _typed_against(o: IrOperation, ends, functions):
+    """(category, declared, what, values, declared types) of a func.return or
+    linalg.yield against ``ends`` (see _region_types), and of a func.call."""
     what = {"func.return": "returned", "linalg.yield": "yielded"}.get(o.name)
     if what:
-        returns = region_results(holder)
-        category = "yield-type" if holder.name == "linalg.generic" else "function-type"
-        return [] if returns is None else [(category, what, o.operands, returns)]
+        return [] if ends is None else [(*ends[:2], what, o.operands, ends[2])]
     callee = o.attributes.get("callee") if o.name == "func.call" else None
     ftype = functions.get(callee.name) if isinstance(callee, SymbolAttr) else None
-    return [] if ftype is None else [("function-type", "operand", o.operands, ftype.inputs),
-                                     ("function-type", "result", o.results, ftype.results)]
+    return [] if ftype is None else [
+        ("function-type", "the function type's", "operand", o.operands, ftype.inputs),
+        ("function-type", "the function type's", "result", o.results, ftype.results)]
 
 
-def _check_region(region: IrRegion, holder: IrOperation, registry, functions,
-                  report: VerifyReport):
-    """Check the blocks of ``region``, a region of the op ``holder``."""
+def _check_region(region: IrRegion, ends, registry, functions, report: VerifyReport):
+    """Check the blocks of ``region``, which hands back ``ends``."""
     def flag(category, message, op_name, block, operation=None):
         report.diagnostics.append(Diagnostic(category, message, op_name, block, operation))
 
@@ -688,12 +636,10 @@ def _check_region(region: IrRegion, holder: IrOperation, registry, functions,
                     flag("bad-successor", f"successor ^bb{s.block.id} expects "
                          f"{len(want)} argument(s) of matching type, got {len(got)}",
                          o.name, b.id, o)
-            for category, what, values, want in _typed_against(o, holder, functions):
+            for category, declared, what, values, want in _typed_against(o, ends, functions):
                 got = tuple(v.type for v in values)
                 if got != tuple(want):
-                    flag(category, f"{what} types ({', '.join(map(str, got))}) differ "
-                         f"from {_DECLARED[category]} ({', '.join(map(str, want))})",
-                         o.name, b.id, o)
+                    flag(category, _differ(what, got, declared, want), o.name, b.id, o)
             _check_op(o, b.id, registry, functions, report)
 
 
@@ -701,17 +647,6 @@ def _function_type(op: IrOperation):
     """The FunctionType of a symbol op's ``function_type``, or None."""
     ftype = getattr(op.attributes.get("function_type"), "type", None)
     return ftype if isinstance(ftype, FunctionType) else None
-
-
-def region_results(op: IrOperation):
-    """The types a terminator of ``op``'s regions returns or yields: a
-    function's result types, or the element type of a linalg.generic's
-    output, its last operand; None when ``op`` declares none."""
-    if op.name == "linalg.generic":
-        out = op.operands[-1].type if op.operands else None
-        return (out.elem,) if isinstance(out, _ShapedType) else None
-    ftype = _function_type(op)
-    return None if ftype is None else tuple(ftype.results)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +804,7 @@ class _Printer:
         name = op.name
         ops_ = op.operands
         if name == "arith.constant":
-            value = op.attributes["value"]
+            value = op.attributes.get("value")
             return (f"{n(op.results[0])} = arith.constant "
                     f"{print_attribute(value)} : {print_type(op.results[0].type)}")
         if name in ("arith.negf", "math.exp"):
@@ -880,8 +815,8 @@ class _Printer:
             return (f"{n(op.results[0])} = {name} {n(ops_[0])}, {n(ops_[1])} : "
                     f"{print_type(op.results[0].type)}")
         if name == "arith.cmpi":
-            pred = op.attributes["predicate"]
-            assert isinstance(pred, StringAttr)
+            if not isinstance(pred := op.attributes.get("predicate"), StringAttr):
+                raise IrError(f"cannot print {name}: predicate {pred!r} is not a StringAttr")
             return (f"{n(op.results[0])} = arith.cmpi {pred.text}, "
                     f"{n(ops_[0])}, {n(ops_[1])} : {print_type(ops_[0].type)}")
         if name == "arith.index_cast":
@@ -900,7 +835,7 @@ class _Printer:
             types = ", ".join(print_type(v.type) for v in ops_)
             return f"return {args} : {types}"
         if name == "func.call":
-            callee = op.attributes["callee"]
+            callee = op.attributes.get("callee")
             args = ", ".join(n(v) for v in ops_)
             ftype = FunctionType(tuple(v.type for v in ops_),
                                  tuple(r.type for r in op.results))
@@ -909,8 +844,8 @@ class _Printer:
                 lhs = ", ".join(n(r) for r in op.results) + " = "
             return f"{lhs}func.call {print_attribute(callee)}({args}) : {print_type(ftype)}"
         if name in ("gpu.thread_id", "gpu.block_id", "gpu.block_dim"):
-            dim = op.attributes["dimension"]
-            assert isinstance(dim, StringAttr)
+            if not isinstance(dim := op.attributes.get("dimension"), StringAttr):
+                raise IrError(f"cannot print {name}: dimension {dim!r} is not a StringAttr")
             return f"{n(op.results[0])} = {name} {dim.text}"
         if name == "memref.load":
             idx = ", ".join(n(v) for v in ops_[1:])
@@ -940,8 +875,8 @@ class _Printer:
 
     def linalg_generic(self, op: IrOperation, label, indent: str, lines: list):
         n = self.name_of
-        maps = print_attribute(op.attributes["indexing_maps"])
-        iters = print_attribute(op.attributes["iterator_types"])
+        maps = print_attribute(op.attributes.get("indexing_maps"))
+        iters = print_attribute(op.attributes.get("iterator_types"))
         inputs, output = op.operands[:-1], op.operands[-1]
         ins_args = ", ".join(n(v) for v in inputs)
         ins_types = ", ".join(print_type(v.type) for v in inputs)
@@ -991,11 +926,11 @@ class _Printer:
 
 def _print_func(op: IrOperation, indent: str, lines: list):
     p = _Printer()
-    sym = op.attributes["sym_name"]
-    ftype_attr = op.attributes["function_type"]
-    assert isinstance(sym, SymbolAttr) and isinstance(ftype_attr, TypeAttr)
-    ftype = ftype_attr.type
-    assert isinstance(ftype, FunctionType)
+    sym, ftype = op.attributes.get("sym_name"), _function_type(op)
+    if not (isinstance(sym, SymbolAttr) and ftype and op.regions and op.regions[0].blocks):
+        raise IrError(f"cannot print func.func: sym_name {sym!r} and function_type "
+                      f"{op.attributes.get('function_type')!r} must be a symbol and "
+                      "a function type, and its region must have an entry block")
     region = op.regions[0]
     p.assign_entry_args(region.entry)
     args = ", ".join(f"{p.name_of(a)}: {print_type(a.type)}"
@@ -1022,3 +957,6 @@ def print_module(module: IrModule) -> str:
             lines.append("  " + p.op_line(op, {}))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+from . import dialects  # noqa: E402 -- dialects imports this module, so this comes last

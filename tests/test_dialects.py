@@ -244,6 +244,31 @@ class TestBuildOp:
         assert [(d.category, d.message, d.operation) for d in ir.verify_module(m).diagnostics
                 if d.category != "missing-terminator"] == [("attr-value", message, op)]
 
+    @pytest.mark.parametrize("name, operands, attributes, result_types", [
+        ("memref.load", [0, 1, 1], {}, [ir.F32]),
+        ("arith.constant", [], {"value": ir.IntAttr(2 ** 70, ir.I64)}, [ir.I64]),
+        ("arith.constant", [], {"value": ir.IntAttr(1, ir.I64)}, [ir.F32]),
+        ("linalg.generic", [2, 2], {
+            "indexing_maps": ir.ArrayAttr((ir.IndexMapAttr(1, (0,)),)),
+            "iterator_types": ir.ArrayAttr((StringAttr("parallel"),))},
+         [ir.TensorType(ir.F32, (None,))]),
+    ], ids=["index-count", "above-i64", "i64-for-f32", "one-map-two-operands"])
+    def test_op_local_rules_refuse_at_build(self, name, operands, attributes,
+                                            result_types):
+        # build_op raises the verifier's finding about the same op
+        registry = builtin_registry()
+        m = IrModule(registry=registry)
+        _, entry = new_func(m, "f", (ir.MemRefType(ir.F32, (None,)), ir.INDEX,
+                                     ir.TensorType(ir.F32, (None,))))
+        operands = [entry.arguments[k] for k in operands]
+        regions = [m.new_region()] if name == "linalg.generic" else []
+        with pytest.raises(BuildError) as info:
+            build_op(registry, m, name, operands, attributes, regions,
+                     result_types=result_types)
+        op = create_op(m, name, operands, result_types, attributes, regions)
+        [finding] = [d for d in ir.verify_module(m).diagnostics if d.operation is op]
+        assert str(info.value) == f"{name}: {finding.message}"
+
     def test_cond_br_successors(self):
         registry = builtin_registry()
         m = IrModule()

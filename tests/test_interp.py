@@ -964,9 +964,12 @@ class TestErrors:
         ir.create_op(module, "func.return", [], [], is_terminator=True)
         assert ir.verify_module(module).ok
         use_tier(monkeypatch, tier, module)
-        with pytest.raises(InterpError, match="^arith.cmpi: 'foo'$"):
+        runs = "{}: attribute '{}' is '{}', not one of {}, the values the interpreter runs"
+        cmpi = runs.format("arith.cmpi", "predicate", "foo", "eq|ne|slt|sle|sgt|sge")
+        with pytest.raises(InterpError, match=f"^{re.escape(cmpi)}$"):
             run_function(module, "f", [IntValue(64, 1), IntValue(64, 2)])
-        with pytest.raises(InterpError, match="^gpu.thread_id: 'w'$"):
+        dimension = runs.format("gpu.thread_id", "dimension", "w", "x|y|z")
+        with pytest.raises(InterpError, match=f"^{re.escape(dimension)}$"):
             run_kernel(module, "k", LaunchConfig((1, 1, 1), (threads, 1, 1)), [])
 
     def test_indexing_map_of_another_attribute(self, registry, monkeypatch):
@@ -1192,6 +1195,18 @@ class TestErrors:
         assert str(ir.verify_module(module)) == text
         with pytest.raises(InterpError) as info:
             run_function(module, "f", [])
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("points", [3, 8], ids=["points", "lanes"])
+    def test_generic_without_body_block(self, registry, points):
+        module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i)->(i)"))
+        generic = next(op for op in walk_ops(module) if op.name == "linalg.generic")
+        generic.regions[0].blocks.clear()
+        entry = func_region(module, "einsum").entry
+        text = f"[body-type] at 'linalg.generic' in ^bb{entry.id}: generic has no body block"
+        assert str(ir.verify_module(module)) == text
+        with pytest.raises(InterpError) as info:
+            run_function(module, "einsum", [tensor_value(np.ones(points, np.float32))] * 2)
         assert str(info.value) == text
 
     @pytest.mark.parametrize("maps, operands", [(0, 0), (2, 3), (3, 2)])

@@ -1,6 +1,7 @@
 """Core IR construction, verification, and printing."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -480,3 +481,38 @@ class TestPrinter:
         cast = create_op(m, "arith.index_cast", [twice.results[0]], [ir.INDEX])
         create_op(m, "func.return", [cast.results[0]], [], is_terminator=True)
         assert "    %1 = arith.index_cast %0 : i64 to index\n" in print_module(m)
+
+    @pytest.mark.parametrize("name, key, attr, message", [
+        ("arith.cmpi", "predicate", IntAttr(1, ir.I64), "arith.cmpi: predicate "
+         "IntAttr(value=1, type=IntType(width=64)) is not a StringAttr"),
+        ("gpu.thread_id", "dimension", None, "gpu.thread_id: dimension None is not a "
+         "StringAttr"),
+        ("func.func", "sym_name", StringAttr("f"), "func.func: sym_name StringAttr(text='f') "
+         "and function_type TypeAttr(type=FunctionType(inputs=(IntType(width=64), "
+         "IntType(width=64)), results=())) must be a symbol and a function type, and its "
+         "region must have an entry block"),
+        ("func.func", "function_type", ir.TypeAttr(ir.F64), "func.func: sym_name "
+         "SymbolAttr(name='f') and function_type TypeAttr(type=Float64Type()) must be a "
+         "symbol and a function type, and its region must have an entry block"),
+        ("func.func", None, None, "func.func: sym_name SymbolAttr(name='f') and "
+         "function_type TypeAttr(type=FunctionType(inputs=(IntType(width=64), "
+         "IntType(width=64)), results=())) must be a symbol and a function type, and its "
+         "region must have an entry block"),
+        ("func.call", "callee", None, "attribute None"),
+    ], ids=["predicate", "dimension", "sym_name", "function_type", "no-entry-block",
+            "callee"])
+    def test_unprintable_op_is_an_ir_error(self, name, key, attr, message):
+        # the verifier reports each of these; printing refuses them
+        m = IrModule()
+        region, block = new_func(m, "f", (ir.I64, ir.I64), ())
+        create_op(m, "arith.cmpi", block.arguments, [ir.I1], {"predicate": StringAttr("eq")})
+        create_op(m, "gpu.thread_id", [], [ir.INDEX], {"dimension": StringAttr("x")})
+        create_op(m, "func.call", [], [], {"callee": SymbolAttr("f")})
+        create_op(m, "func.return", [], [], is_terminator=True)
+        op = next(op for op in [m.lookup_symbol("f")] + block.operations if op.name == name)
+        if key is None:
+            region.blocks.clear()
+        else:
+            op.attributes[key] = attr
+        with pytest.raises(IrError, match=f"^cannot print {re.escape(message)}$"):
+            print_module(m)
