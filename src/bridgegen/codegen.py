@@ -6,8 +6,10 @@ over all argument types: ``resolve_method`` and the literal-promotion
 retry filter the applicable methods by their own rule and share one
 search for the unique most specific one. The engine walks a validated, fully inlined
 frontend function statement by statement, mirrors its CFG one block per
-source block, and turns phi nodes into block arguments whose values are
-passed by the predecessor branches.
+source block with ``cf.br`` and ``cf.cond_br``, turns phi nodes into block
+arguments whose values are passed by the predecessor branches, and ends the
+region with the op its caller names: ``func.return`` for a function body,
+``linalg.yield`` for a generic's.
 """
 
 from __future__ import annotations
@@ -78,8 +80,7 @@ def _pointwise_le(a: IntrinsicSignature, b: IntrinsicSignature) -> bool:
 class IntrinsicRegistry:
     """Dispatch table from intrinsic signatures to operation builders.
 
-    Also owns the control-flow hooks invoked for goto/gotoifnot/return
-    statements, and per-type bool conversion builders. Call dispatches are
+    Also owns the per-type bool conversion builders. Call dispatches are
     memoised per registry (see ``_resolve_call``); :func:`register_intrinsic`
     clears that cache, so methods may be added at any time between
     translations.
@@ -90,15 +91,9 @@ class IntrinsicRegistry:
         self.methods = {}  # name -> list[(IntrinsicSignature, builder)]
         self.dispatch_cache = {}  # see _resolve_call
         self.bool_conversions = {}  # condition FrontendType -> builder
-        self.generate_goto = _default_goto
-        self.generate_gotoifnot = _default_gotoifnot
-        self.generate_return = _default_return
 
     def has_name(self, name: str) -> bool:
         return name in self.methods
-
-    def signatures(self, name: str):
-        return [sig for sig, _ in self.methods.get(name, [])]
 
 
 def register_intrinsic(registry: IntrinsicRegistry, signature: IntrinsicSignature,
@@ -225,7 +220,6 @@ class BuilderContext:
     n_constants: int = 0
     # FIR block -> [(phi, start, count, {pred: arg})], one per head phi
     phi_slots: dict = field(default_factory=dict)
-    return_hook: object = None
 
     @property
     def dialects(self):
@@ -240,20 +234,6 @@ class BuilderContext:
         self.module.set_insertion(self.block)
         return dl.build_op(self.dialects, self.module, name, operands,
                            attributes, regions, successors, result_types)
-
-
-def _default_goto(ctx: BuilderContext, target, args):
-    ctx.build_op("cf.br", successors=[(target, args)])
-
-
-def _default_gotoifnot(ctx: BuilderContext, cond, true_block, true_args,
-                       false_block, false_args):
-    ctx.build_op("cf.cond_br", [cond],
-                 successors=[(true_block, true_args), (false_block, false_args)])
-
-
-def _default_return(ctx: BuilderContext, values):
-    ctx.build_op("func.return", values)
 
 
 def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValue:
@@ -333,9 +313,10 @@ def _resolve_call(registry: IntrinsicRegistry, name: str, args, natural_types):
 
 
 class _Translator:
-    def __init__(self, ctx: BuilderContext, type_of):
+    def __init__(self, ctx: BuilderContext, type_of, end: str):
         self.ctx = ctx
         self.type_of = type_of  # fir.arg_typer of the translated function
+        self.end = end  # the op a return statement builds
 
     def arg_values(self, arg, literal_type=None):
         """IR values for an SSA value, a parameter or a literal, which is
@@ -350,10 +331,15 @@ class _Translator:
             t = self.type_of(arg)
         return [materialize_constant(ctx, arg, t)]
 
-    def phi_edge_args(self, target: int, pred: int):
-        """Values a branch from ``pred`` must pass for ``target``'s phis."""
-        return [v for phi, _, _, incoming in self.ctx.phi_slots.get(target, ())
-                for v in self.arg_values(incoming[pred], phi.result_type)]
+    def branch(self, pred: int, targets, cond=()):
+        """``cf.br`` from block ``pred`` to its one target, or on ``cond``
+        (one i1 value) ``cf.cond_br`` to the first target if true, else the
+        second; each edge passes the values of its target's phis."""
+        successors = [(self.ctx.block_map[t], [
+            v for phi, _, _, incoming in self.ctx.phi_slots.get(t, ())
+            for v in self.arg_values(incoming[pred], phi.result_type)])
+            for t in targets]
+        self.ctx.build_op("cf.cond_br" if cond else "cf.br", cond, successors=successors)
 
     def translate_invoke(self, st: fir.Invoke, block_number: int):
         ctx = self.ctx
@@ -402,9 +388,7 @@ class _Translator:
             elif isinstance(st, fir.Nothing):
                 continue
             elif isinstance(st, fir.Goto):
-                target = ctx.block_map[st.target]
-                args = self.phi_edge_args(st.target, number)
-                ctx.registry.generate_goto(ctx, target, args)
+                self.branch(number, [st.target])
                 terminated = True
             elif isinstance(st, fir.GotoIfNot):
                 cond_values = self.arg_values(st.cond)
@@ -415,25 +399,14 @@ class _Translator:
                         f"lower to i1; missing bool conversion")
                 # fall-through-on-true: the lexically next block, which the
                 # fallthrough edge itself keeps reachable
-                true_number = number + 1
-                ctx.registry.generate_gotoifnot(
-                    ctx,
-                    cond_values[0],
-                    ctx.block_map[true_number],
-                    self.phi_edge_args(true_number, number),
-                    ctx.block_map[st.target],
-                    self.phi_edge_args(st.target, number),
-                )
+                self.branch(number, [number + 1, st.target], cond_values)
                 terminated = True
             elif isinstance(st, fir.Return):
                 values = [] if st.value is None else self.arg_values(st.value)
-                hook = ctx.return_hook or ctx.registry.generate_return
-                hook(ctx, values)
+                ctx.build_op(self.end, values)
                 terminated = True
         if not terminated:
-            target = number + 1
-            ctx.registry.generate_goto(ctx, ctx.block_map[target],
-                                       self.phi_edge_args(target, number))
+            self.branch(number, [number + 1])
 
 
 def _return_type(fn: fir.FirFunction, type_of):
@@ -472,22 +445,9 @@ def _prepare_blocks(ctx: BuilderContext, fn: fir.FirFunction, entry_types):
     ctx.entry_block = ctx.block_map[1]
 
 
-def _translate_into(ctx: BuilderContext, fn: fir.FirFunction, type_of):
-    """Translate ``fn`` into ``ctx.region``; the entry block's arguments
-    are ``fn``'s parameters, each flattened by :func:`map_type`."""
-    groups = [map_type(ctx.registry, t) for t in fn.param_types]
-    _prepare_blocks(ctx, fn, [t for ts in groups for t in ts])
-    start = 0
-    for i, ts in enumerate(groups, start=1):
-        ctx.values[("param", i)] = ctx.entry_block.arguments[start:start + len(ts)]
-        start += len(ts)
-    translator = _Translator(ctx, type_of)
-    for number in sorted(ctx.block_map):
-        translator.translate_block(number, fn.blocks[number - 1])
-
-
 def generate(registry: IntrinsicRegistry, fn: fir.FirFunction, arg_types) -> ir.IrModule:
-    """Translate ``fn`` into a module holding one func.func symbol.
+    """Translate ``fn`` into a module holding one func.func symbol, whose
+    body is ``generate_region``'s, ended by func.return.
 
     The function must be validated (``fir.validate_fir`` finds nothing;
     its structure is not checked again here), fully inlined, and
@@ -497,20 +457,16 @@ def generate(registry: IntrinsicRegistry, fn: fir.FirFunction, arg_types) -> ir.
         raise CodegenError(
             f"argument types {[str(t) for t in arg_types]} do not match the "
             f"declared parameter types of '{fn.name}'")
-    type_of = fir.arg_typer(fn)
-    result_types = map_type(registry, _return_type(fn, type_of))
+    result_types = map_type(registry, _return_type(fn, fir.arg_typer(fn)))
     module = ir.IrModule(registry=registry.dialects)
-    ctx = BuilderContext(module=module, registry=registry, region=module.new_region())
-    _translate_into(ctx, fn, type_of)
-    ftype = ir.FunctionType(tuple(v.type for v in ctx.entry_block.arguments),
+    top = module.body
+    ctx = BuilderContext(module=module, registry=registry, region=top, block=top.blocks[0])
+    region = generate_region(ctx, fn, "func.return")
+    ftype = ir.FunctionType(tuple(v.type for v in region.blocks[0].arguments),
                             tuple(result_types))
-    module.set_insertion(module.body.blocks[0])
-    dl.build_op(registry.dialects, module, "func.func",
-                attributes={
-                    "sym_name": ir.SymbolAttr(fn.name),
-                    "function_type": ir.TypeAttr(ftype),
-                },
-                regions=[ctx.region])
+    ctx.build_op("func.func", attributes={"sym_name": ir.SymbolAttr(fn.name),
+                                          "function_type": ir.TypeAttr(ftype)},
+                 regions=[region])
     return module
 
 
@@ -533,17 +489,26 @@ def compile_program(registry: IntrinsicRegistry, program: fir.FirProgram, entry:
     return module
 
 
-def generate_region(ctx: BuilderContext, fn: fir.FirFunction, return_hook) -> ir.IrRegion:
+def generate_region(ctx: BuilderContext, fn: fir.FirFunction, end: str) -> ir.IrRegion:
     """Translate ``fn`` into a fresh region of ``ctx``'s module, with
-    ``ctx``'s registry; the region's entry block takes ``fn``'s parameters.
+    ``ctx``'s registry, and leave ``ctx``'s insertion block as it was.
 
-    Return statements run ``return_hook`` (e.g. a linalg.yield builder)
-    instead of emitting func.return. Used by intrinsics that wrap nested
-    code in a region-carrying operation.
+    The region's entry block takes ``fn``'s parameters, each flattened by
+    :func:`map_type`; each reachable source block becomes one block, ended
+    by ``cf.br`` or ``cf.cond_br``, and a return statement builds the op
+    ``end`` names: ``"func.return"`` for a function body (see
+    :func:`generate`), ``"linalg.yield"`` for a generic's.
     """
     region = ctx.module.new_region()
-    sub = BuilderContext(module=ctx.module, registry=ctx.registry, region=region,
-                         return_hook=return_hook)
-    _translate_into(sub, fn, fir.arg_typer(fn))
+    sub = BuilderContext(module=ctx.module, registry=ctx.registry, region=region)
+    groups = [map_type(ctx.registry, t) for t in fn.param_types]
+    _prepare_blocks(sub, fn, [t for ts in groups for t in ts])
+    start = 0
+    for i, ts in enumerate(groups, start=1):
+        sub.values[("param", i)] = sub.entry_block.arguments[start:start + len(ts)]
+        start += len(ts)
+    translator = _Translator(sub, fir.arg_typer(fn), end)
+    for number in sorted(sub.block_map):
+        translator.translate_block(number, fn.blocks[number - 1])
     ctx.module.set_insertion(ctx.block)
     return region

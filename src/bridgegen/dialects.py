@@ -4,14 +4,15 @@ Dialects are described in a small line-oriented text format (see
 :func:`load_dialect_spec`), registered into a :class:`DialectRegistry`, and
 used through :func:`build_op`, which resolves result types from the
 declared constraints. Each op rule is stated once, in ``_check``: the
-builder raises its first finding and :meth:`DialectRegistry.validate_op`
-reports them all. The rules are the spec's and the op-local ones, which
-read only the op's operands, results and attributes: a generic's indexing
-maps, a constant's value, a memref access's index count and a function's
-``function_type`` kind. So an op builds exactly when its own facts verify.
-Its region facts (the entry block's arguments, and what a ``func.return``
-or ``linalg.yield`` hands back) are ``ir.verify_module``'s alone, since a
-region is filled after the op that holds it is built.
+builder raises its first finding and :func:`op_findings`, which the
+verifier reads, reports them all. The rules are the spec's and the
+op-local ones, which read only the op's operands, results and attributes:
+a generic's indexing maps, a constant's value, a memref access's index
+count and a function's ``function_type`` kind. So an op builds exactly
+when its own facts verify. Its region facts (the entry block's arguments,
+and what a ``func.return`` or ``linalg.yield`` hands back) are
+``ir.verify_module``'s alone, since a region is filled after the op that
+holds it is built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 
 from . import fir, ir
 from .ir import (
-    Diagnostic,
     IrModule,
     IrOperation,
     IrType,
@@ -179,11 +179,6 @@ class DialectRegistry:
             return None
         return d.ops.get(short)
 
-    def validate_op(self, op: IrOperation):
-        """Diagnostics for one operation against its registered definition."""
-        return [Diagnostic(category, message, op.name)
-                for category, message in op_findings(self, op)]
-
 
 def op_findings(registry, op: IrOperation):
     """``(category, message)`` findings of ``op`` against its definition in
@@ -201,8 +196,8 @@ def _check(defn: OpDefinition, operand_types, result_types, attributes,
            n_regions: int, n_successors: int):
     """``(category, message)`` findings of one op against ``defn``.
 
-    The single statement of the op rules: :meth:`DialectRegistry.validate_op`
-    reports every finding, :func:`build_op` raises the first. They come in
+    The single statement of the op rules: :func:`op_findings` reports
+    every finding, :func:`build_op` raises the first. They come in
     the order operands, results, attributes, regions, successors, op-local
     rules; ``result_types`` None skips the results.
     """
@@ -530,8 +525,8 @@ def build_op(registry: DialectRegistry, module: IrModule, qualified_name: str,
 
     Result types are resolved from the declared constraints where they
     determine a unique type, otherwise ``result_types`` must be supplied.
-    The op is then checked by the same rules as
-    :meth:`DialectRegistry.validate_op`, the spec's and the op-local ones,
+    The op is then checked by the same rules as :func:`op_findings`, the
+    spec's and the op-local ones,
     and the first finding raises :class:`BuildError`. The facts of its
     regions, which are filled later, are left to ``ir.verify_module``.
     """

@@ -144,11 +144,7 @@ def build_generic(ctx: codegen.BuilderContext, spec: EinsumSpec,
 
     maps, iterators = derive_maps(spec)
     body = _body_function(spec, _FRONTEND_ELEMS[elem])
-
-    def yield_hook(body_ctx, values):
-        body_ctx.build_op("linalg.yield", values)
-
-    region = codegen.generate_region(ctx, body, yield_hook)
+    region = codegen.generate_region(ctx, body, "linalg.yield")
     return ctx.build_op(
         "linalg.generic",
         operands,

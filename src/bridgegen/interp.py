@@ -526,7 +526,7 @@ def _generic(op, at, form=None):
         return None
     maps = list(op.attributes["indexing_maps"].elements)
     body = _Code(op.regions[0], at[_FAULTS])
-    src, lane_body = [at[v] for v in op.operands], _decode(op.regions[0], True, body.faults)
+    src, lane_body = [at[v] for v in op.operands], _lane_function(op.regions[0], body.faults)
 
     def generic(f, run):
         operands = [f[s] for s in src]
@@ -667,14 +667,11 @@ def _slots(region: ir.IrRegion, faults=None):
     return size, at
 
 
-def _decode(region: ir.IrRegion, lanes=False, faults=None):
+def _decode(region: ir.IrRegion, faults=None):
     """(frame size, blocks): each block is (argument slots, steps to charge
     on entry or inf, [(result slot, op)], terminator or None, id). Ops after
-    a terminator never run and are dropped. With ``lanes``, the lane
-    function of the region (see _lane_function) or None. ``faults`` maps
-    each op with a verifier finding to its first finding; None: none."""
-    if lanes:
-        return _lane_function(region, faults)
+    a terminator never run and are dropped. ``faults`` maps each op with a
+    verifier finding to its first finding; None: none."""
     size, at = _slots(region, faults)
     blocks = []
     for block in region.blocks:
@@ -1139,7 +1136,7 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     args = [_unbox(v) for v in inputs]
     total = math.prod(launch.grid + launch.block)
     if total >= MIN_LANES and body.lanes is None:  # no batch is smaller
-        body.lanes = _decode(body.region, lanes=True, faults=body.faults) or False
+        body.lanes = _lane_function(body.region, body.faults) or False
     code = total >= MIN_LANES and body.lanes
     try:
         lane_args = [v if isinstance(v, _ArrayValue) else _np_dtype(t)(v)

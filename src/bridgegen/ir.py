@@ -917,11 +917,17 @@ class _Printer:
                 lines.append(indent + self.block_label(
                     block, label, preds, with_args=(bi > 0 or entry_label)))
             for op in block.operations:
-                self.assign_results(op)
-                if op.name == "linalg.generic":
-                    self.linalg_generic(op, label, indent + "  ", lines)
-                else:
-                    lines.append(indent + "  " + self.op_line(op, label))
+                try:
+                    self.assign_results(op)
+                    if op.name == "linalg.generic":
+                        self.linalg_generic(op, label, indent + "  ", lines)
+                    else:
+                        lines.append(indent + "  " + self.op_line(op, label))
+                except IndexError:  # an op in a nested body raises its own IrError
+                    has = ", ".join(f"{part}: {len(getattr(op, part))}" for part in
+                                    ("operands", "results", "successors", "regions"))
+                    raise IrError(f"cannot print {op.name}: its form reads an operand, "
+                                  f"result, successor or region it lacks ({has})") from None
 
 
 def _print_func(op: IrOperation, indent: str, lines: list):

@@ -98,7 +98,7 @@ class TestDispatch:
             reg,
             IntrinsicSignature("+", (fir.ABSTRACT_FLOAT, fir.ABSTRACT_FLOAT)),
             dummy_builder)
-        assert len(reg.signatures("+")) == 2
+        assert len(reg.methods["+"]) == 2
 
     def test_matches_bruteforce_oracle(self):
         lattice = [fir.F32, fir.F64, fir.I64, fir.ABSTRACT_FLOAT, fir.INTEGER,
@@ -115,7 +115,7 @@ class TestDispatch:
                 register_intrinsic(reg, IntrinsicSignature("f", params),
                                    dummy_builder)
             args = tuple(rng.choice(concrete) for _ in range(arity))
-            expect_kind, expect_sig = oracle_resolve(reg.signatures("f"), args)
+            expect_kind, expect_sig = oracle_resolve([sig for sig, _ in reg.methods["f"]], args)
             try:
                 got_sig, _ = resolve_method(reg, "f", args)
                 got = ("ok", got_sig)
@@ -151,8 +151,8 @@ GPU_SIGNATURES = {
 
 
 def signature_sets(registry):
-    return {name: {str(sig) for sig in registry.signatures(name)}
-            for name in registry.methods}
+    return {name: {str(sig) for sig, _ in methods}
+            for name, methods in registry.methods.items()}
 
 
 def test_builtin_signature_sets():
@@ -629,10 +629,7 @@ class TestGenerateRegion:
                 "  return %2\n")
         fn = fir.parse_program(text).functions["body"]
 
-        def yield_hook(c, values):
-            c.build_op("linalg.yield", values)
-
-        region = generate_region(ctx, fn, yield_hook)
+        region = generate_region(ctx, fn, "linalg.yield")
         names = [op.name for op in region.blocks[0].operations]
         assert names == ["arith.mulf", "arith.addf", "linalg.yield"]
         assert [a.type for a in region.blocks[0].arguments] == [ir.F32] * 3
@@ -641,10 +638,7 @@ class TestGenerateRegion:
         ctx = scalar_ctx(registry)
         fn = fir.parse_program("fn body(_1: f32)\n1:\n  return _1\n").functions["body"]
 
-        def yield_hook(c, values):
-            c.build_op("linalg.yield", values)
-
-        region = generate_region(ctx, fn, yield_hook)
+        region = generate_region(ctx, fn, "linalg.yield")
         assert [op.name for op in region.blocks[0].operations] == ["linalg.yield"]
 
     def test_branchy_generic_body_prints_and_runs(self, registry):
@@ -683,10 +677,7 @@ fn body(_1: i64, _2: i64)
         body = fir.insert_bool_conversions(
             fir.parse_program(body_text).functions["body"])
 
-        def yield_hook(c, values):
-            c.build_op("linalg.yield", values)
-
-        body_region = generate_region(ctx, body, yield_hook)
+        body_region = generate_region(ctx, body, "linalg.yield")
         m = ir.IndexMapAttr(1, (0,))
         op = ctx.build_op(
             "linalg.generic", list(entry.arguments),
@@ -715,10 +706,7 @@ fn body(_1: i64, _2: i64)
                 "  %6 = phi (#2 => _1, #3 => _2) :: i64\n  return %6\n")
         fn = fir.insert_bool_conversions(fir.parse_program(text).functions["body"])
 
-        def yield_hook(c, values):
-            c.build_op("linalg.yield", values)
-
-        region = generate_region(ctx, fn, yield_hook)
+        region = generate_region(ctx, fn, "linalg.yield")
         assert len(region.blocks) == len(fir.reachable_blocks(fn))
 
 
@@ -771,3 +759,27 @@ class TestCfgProperties:
                             op = defining[value]
                             assert op.name == "arith.constant"
                             assert op.attributes["value"].value == arg.value
+
+
+def test_readme_fma_example():
+    """The README's Python example registers ``fma``; a FIR call of it on
+    f32 builds arith.mulf then arith.addf and runs to the f32 ``a*b + c``."""
+    import pathlib
+    import re
+
+    import numpy as np
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    [example] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    scope = {}
+    exec(example, scope)
+    text = ("fn f(_1: f32, _2: f32, _3: f32)\n1:\n"
+            "  %1 = invoke fma(_1, _2, _3) :: f32\n  return %1\n")
+    module = codegen.compile_program(scope["registry"], fir.parse_program(text), "f",
+                                     [fir.F32] * 3)
+    [fn] = module.symbol_ops()
+    assert [op.name for op in fn.regions[0].blocks[0].operations] == [
+        "arith.mulf", "arith.addf", "func.return"]
+    a, b, c = np.float32(1.1), np.float32(3.3), np.float32(-0.7)
+    [out] = interp.run_function(module, "f", [interp.F32Value(float(x)) for x in (a, b, c)])
+    assert out.value == float(a * b + c)

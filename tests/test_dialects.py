@@ -16,6 +16,7 @@ from bridgegen.dialects import (
     build_op,
     builtin_registry,
     load_dialect_spec,
+    op_findings,
     register_dialect,
     serialize_dialect,
 )
@@ -289,8 +290,8 @@ class TestBuildOp:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_build_time_validation_as_strict_as_verifier(self, data):
-        # build_op accepts exactly what validate_op passes, and its error is
-        # the first diagnostic; with inferred results, what it builds verifies
+        # build_op accepts exactly what op_findings passes, and its error is
+        # the first finding; with inferred results, what it builds verifies
         registry = builtin_registry()
         defn = registry.lookup(data.draw(st.sampled_from(BUILTIN_OPS)))
 
@@ -328,10 +329,10 @@ class TestBuildOp:
                 return
             op = create_op(m, defn.name, operands, result_types, attributes,
                            regions, successors)
-            diagnostics = registry.validate_op(op)
-            assert diagnostics and str(e) == f"{defn.name}: {diagnostics[0].message}"
+            findings = op_findings(registry, op)
+            assert findings and str(e) == f"{defn.name}: {findings[0][1]}"
         else:
-            assert registry.validate_op(op) == []
+            assert op_findings(registry, op) == []
 
     def test_docstring_retrievable(self):
         registry = builtin_registry()

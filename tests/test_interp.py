@@ -326,15 +326,15 @@ class TestKernels:
         assert peak < 2 * 2 ** 20
 
     def test_lanes_decoded_only_for_launches_of_min_lanes(self, vadd, monkeypatch):
-        asked, decode = [], interp._decode
-        monkeypatch.setattr(interp, "_decode", lambda region, lanes=False, faults=None:
-                            asked.append(lanes) or decode(region, lanes, faults))
+        asked, lane_function = [], interp._lane_function
+        monkeypatch.setattr(interp, "_lane_function", lambda region, faults=None:
+                            asked.append(region) or lane_function(region, faults))
         outs = []
         for n in (interp.MIN_LANES - 1, interp.MIN_LANES):
             asked.clear()
             bufs = self.vadd_buffers()
             run_kernel(vadd, "vadd", LaunchConfig((1, 1, 1), (n, 1, 1)), bufs)
-            assert asked.count(True) == (n == interp.MIN_LANES)
+            assert len(asked) == (n == interp.MIN_LANES)
             outs.append(bufs[2].data[:interp.MIN_LANES - 1])
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], np.arange(11, 11 * interp.MIN_LANES, 11))
@@ -1472,10 +1472,12 @@ class TestExecutable:
 
     @pytest.fixture
     def decodes(self, monkeypatch):
-        """(region, lane form asked) of every _decode call."""
-        asked, decode = [], interp._decode
-        monkeypatch.setattr(interp, "_decode", lambda region, lanes=False, faults=None:
-                            asked.append((region, lanes)) or decode(region, lanes, faults))
+        """(region, lane form asked) of every _decode or _lane_function call."""
+        asked = []
+        for name, lanes in (("_decode", False), ("_lane_function", True)):
+            monkeypatch.setattr(interp, name, lambda region, faults=None, lanes=lanes,
+                                decode=getattr(interp, name):
+                                asked.append((region, lanes)) or decode(region, faults))
         return asked
 
     def test_each_region_decoded_once(self, registry, sigmoid, decodes):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgegen import dialects, ir
+from bridgegen import dialects, einsum, fir, ir
 from bridgegen.ir import (
     ArrayAttr,
     FloatAttr,
@@ -28,7 +28,14 @@ from bridgegen.ir import (
     print_module,
     verify_module,
 )
-from conftest import func_region, ill_typed_yield, new_func
+from conftest import (
+    SIGMOID_FIR,
+    func_region,
+    ill_typed_yield,
+    new_func,
+    run_pipeline,
+    walk_ops,
+)
 
 
 class TestTypes:
@@ -516,3 +523,21 @@ class TestPrinter:
             op.attributes[key] = attr
         with pytest.raises(IrError, match=f"^cannot print {re.escape(message)}$"):
             print_module(m)
+
+    @pytest.mark.parametrize("name, part, has", [
+        ("linalg.generic", "regions", "operands: 2, results: 1, successors: 0, regions: 0"),
+        ("linalg.generic", "results", "operands: 2, results: 0, successors: 0, regions: 1"),
+        ("math.exp", "operands", "operands: 0, results: 1, successors: 0, regions: 0"),
+    ], ids=["generic-regions", "generic-results", "exp-operands"])
+    def test_op_lacking_a_part_its_form_reads_is_an_ir_error(self, registry, name, part, has):
+        # the verifier reports each of these; printing refuses them by name
+        if name == "math.exp":
+            m = run_pipeline(registry, SIGMOID_FIR, "sigmoid", [fir.F32])
+        else:
+            m = einsum.build_einsum_function(registry, einsum.parse_einsum("(i)->(i)"))
+        getattr(next(op for op in walk_ops(m) if op.name == name), part).clear()
+        assert not verify_module(m).ok
+        with pytest.raises(IrError) as info:
+            print_module(m)
+        assert str(info.value) == (f"cannot print {name}: its form reads an operand, result, "
+                                   f"successor or region it lacks ({has})")

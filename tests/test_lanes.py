@@ -63,10 +63,9 @@ def sequential_decodes(monkeypatch):
     thread."""
     regions, decode = [], interp._decode
 
-    def counted(region, lanes=False, faults=None):
-        if not lanes:
-            regions.append(region)
-        return decode(region, lanes, faults)
+    def counted(region, faults=None):
+        regions.append(region)
+        return decode(region, faults)
     monkeypatch.setattr(interp, "_decode", counted)
     return regions
 
@@ -421,8 +420,7 @@ def generic_module(registry, body_text, elems):
                          entry_block=entry)
     ctx.set_block(entry)
     body = fir.insert_bool_conversions(fir.parse_program(body_text).functions["body"])
-    body_region = generate_region(ctx, body,
-                                  lambda c, vals: c.build_op("linalg.yield", vals))
+    body_region = generate_region(ctx, body, "linalg.yield")
     m = ir.IndexMapAttr(1, (0,))
     generic = ctx.build_op("linalg.generic", list(entry.arguments),
                            attributes={"indexing_maps": ir.ArrayAttr((m,) * len(elems)),
@@ -553,7 +551,7 @@ class TestConflictRule:
         monkeypatch.setattr(interp, "_function", lambda text, namespace: (
             texts.append(text) or function(text, namespace)))
         module = kernel(registry, name)
-        assert interp._decode(func_region(module, name), lanes=True)
+        assert interp._lane_function(func_region(module, name))
         ops = func_region(module, name).entry.operations
         stored = {op.operands[1] for op in ops if op.name == "memref.store"}
         carried, lines_of = set(), []  # the carried values; each carried op's line count
@@ -871,7 +869,7 @@ class TestLaneFunction:
                   "  %10 = invoke store(%9, _2, %5) :: Nothing\n  return\n")
         memref = fir.parse_frontend_type("memref{f64,1}")
         module = run_pipeline(registry, text, "k", [memref] * 2)
-        lanes = interp._decode(func_region(module, "k"), lanes=True)
+        lanes = interp._lane_function(func_region(module, "k"))
         assert lanes.steps == len(func_region(module, "k").entry.operations)  # 3 constants
         bound = list(lanes.__globals__.values())
         assert 2.5 in bound and 7 in bound and any(
