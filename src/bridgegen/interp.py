@@ -70,7 +70,13 @@ steps are the points of the other axes in lexicographic order, so each
 output element accumulates in the sequential order; a call takes a box of
 at most LANES of them. A kernel numbers its threads in launch order and
 runs them in batches of at most LANES consecutive threads, which may span
-grid blocks; loads gather and stores scatter. Its carried state is the
+grid blocks; loads gather and stores scatter. Its code keeps the launch
+geometry of its last batch pattern (block extents, first thread in its
+block, size): read-only lanes of the thread coordinates with their spans,
+of each lane's block from the batch's first, and of zeros, at most
+5 * LANES elements whatever the launch, so that a batch of the same
+pattern computes only its block coordinates; prepare drops it with the
+rest of the code. Its carried state is the
 contents of the buffers it stores to, and its steps are the batch's waves:
 the maximal strictly rising runs of each stored buffer's flat index, or the
 whole batch where that index strictly falls, so that in each wave a lane
@@ -942,15 +948,16 @@ class _Code:
     the executable: its closures (``decoded``), its kernel lane function
     (``lanes``, decoded on the first launch of at least MIN_LANES threads)
     and its compiled function (``fast``, built once the region has taken
-    HOT back edges, ``backs``, counted across runs). ``lanes`` and ``fast``
-    are False when the region has no such form. ``faults`` are the
-    executable's, as in _decode."""
+    HOT back edges, ``backs``, counted across runs), and a kernel's launch
+    geometry of its last lockstep batch (``geometry``, see _geometry).
+    ``lanes`` and ``fast`` are False when the region has no such form.
+    ``faults`` are the executable's, as in _decode."""
 
-    __slots__ = ("region", "faults", "decoded", "lanes", "backs", "fast")
+    __slots__ = ("region", "faults", "decoded", "lanes", "backs", "fast", "geometry")
 
     def __init__(self, region: ir.IrRegion, faults):
         self.region, self.faults = region, faults
-        self.decoded = self.lanes = self.fast = None
+        self.decoded = self.lanes = self.fast = self.geometry = None
         self.backs = 0
 
 
@@ -1127,7 +1134,9 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     A kernel with a lane form runs in lockstep batches of at most LANES
     consecutive threads, which may span grid blocks, each batch in waves
     (see _lane_function); a batch that falls back runs thread by thread.
-    Runs on the module's executable (see ``prepare``).
+    The batch's thread geometry is kept on the kernel's code for the next
+    batch of the same block extents, offset and size (see _geometry), and
+    dropped by ``prepare``. Runs on the module's executable (see ``prepare``).
     """
     run, inputs = _Run(module, step_limit), list(inputs)
     ftype, body = run.function(symbol, inputs)
@@ -1148,23 +1157,18 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
             or any(np.may_share_memory(*p) for p in itertools.combinations(bufs, 2))):
         code = None  # a thread's budget, coordinates or buffers lanes cannot track
     n, (bx, by, bz) = math.prod(launch.block), launch.block
-    dims, coords = code and tuple(map(np.int64, launch.block)), (None,)
-    sizes = [(e, e) for e in launch.block]  # the spans of the block dimensions
     hi, b = 0, None  # the batch [lo, hi) of thread numbers; b: the last thread's block
     with np.errstate(all="ignore"):
         while hi < total:
             lo, hi = hi, min(hi + LANES, total)
             if code and hi - lo >= MIN_LANES:
-                first, last = lo // n, (hi - 1) // n  # the batch's first and last block
-                if coords[0] != (lo % n, hi - lo):  # the same at each offset in a block
-                    t = np.arange(lo % n, lo % n + hi - lo)
-                    ends = (lo % n, (hi - 1) % n) if first == last else (0, n - 1)
-                    coords = ((lo % n, hi - lo), _unravel(t % n, launch.block), t // n,
-                              _unravel_spans(*ends, launch.block))
-                blk = ([coords[2] + c for c in _unravel(first, launch.grid)] if first == last
-                       else _unravel(coords[2] + first, launch.grid))  # lanes either way
-                ctx = tuple(zip(coords[1], blk, dims))
-                bounds = zip(coords[3], _unravel_spans(first, last, launch.grid), sizes)
+                key = (launch.block, lo % n, hi - lo)  # the same at each offset in a block
+                if body.geometry is None or body.geometry[0] != key:
+                    body.geometry = _geometry(*key)
+                _, threads, spans, blocks, zero, dims, sizes = body.geometry
+                first = lo // n  # the batch's first block
+                ctx = tuple(zip(threads, _unravel(blocks + first, launch.grid, zero), dims))
+                bounds = zip(spans, _unravel_spans(first, (hi - 1) // n, launch.grid), sizes)
                 if _lockstep(code, lane_args, _Lanes(ctx, tuple(bounds))):
                     continue
             for g in range(lo, hi):
@@ -1192,11 +1196,29 @@ def _overlapping(data) -> bool:
     return False
 
 
-def _unravel(index, extents):
+def _unravel(index, extents, zero=None):
     """The (x, y, z) coordinates of the ``index``-th of ``extents`` in launch
-    order, z fastest: of an int, or of int64 lanes."""
-    _, y, z = extents
-    return index // (y * z), index // z % y, index % z
+    order, z fastest: of an int, or of int64 lanes. A dimension of extent 1
+    is ``zero`` (by default ``index * 0``), and x is ``index`` when y * z is 1."""
+    x, y, z = extents
+    zero = index * 0 if zero is None else zero
+    return (zero if x == 1 else index if y * z == 1 else index // (y * z),
+            zero if y == 1 else index // z % y, zero if z == 1 else index % z)
+
+
+def _geometry(block, offset: int, size: int):
+    """The launch geometry of a batch of ``size`` threads from thread
+    ``offset`` of a block of extents ``block``, kept by a kernel's _Code for
+    its next batch of the same key: (key, the thread coordinate lanes, their
+    spans, each lane's block counted from the batch's first, the zero lane,
+    the block extents as int64 and as spans). Its arrays are read-only."""
+    n, t, zero = math.prod(block), np.arange(offset, offset + size), np.zeros(size, np.int64)
+    threads, blocks = _unravel(t % n, block, zero), t // n
+    for lane in (*threads, blocks, zero):
+        lane.flags.writeable = False
+    ends = (offset, offset + size - 1) if offset + size <= n else (0, n - 1)
+    return ((block, offset, size), threads, _unravel_spans(*ends, block), blocks, zero,
+            tuple(map(np.int64, block)), tuple((e, e) for e in block))
 
 
 def _unravel_spans(a, b, extents):

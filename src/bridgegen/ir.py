@@ -514,6 +514,9 @@ def _dominators(region: IrRegion):
     return {id(b): interval[po[id(b)]] for b in order}
 
 
+_TOP_LEVEL = "{} at the module's top level, which holds func.func ops only"
+
+
 def verify_module(module: IrModule) -> VerifyReport:
     """Structurally check every region of ``module``; collects all findings.
 
@@ -532,6 +535,9 @@ def verify_module(module: IrModule) -> VerifyReport:
                     "duplicate-symbol", f"symbol @{sym.name} redefined", op.name, -1, op))
             functions[sym.name] = _function_type(op)
     for op in module.symbol_ops():
+        if op.name != "func.func":
+            report.diagnostics.append(Diagnostic(
+                "top-level", _TOP_LEVEL.format(op.name), op.name, -1, op))
         _check_op(op, -1, module.registry, functions, report)
     return report
 
@@ -956,11 +962,9 @@ def print_module(module: IrModule) -> str:
     """Deterministic textual form of ``module`` (ends with a newline)."""
     lines = ["module {"]
     for op in module.symbol_ops():
-        if op.name == "func.func":
-            _print_func(op, "  ", lines)
-        else:
-            p = _Printer()
-            lines.append("  " + p.op_line(op, {}))
+        if op.name != "func.func":
+            raise IrError("cannot print " + _TOP_LEVEL.format(op.name))
+        _print_func(op, "  ", lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

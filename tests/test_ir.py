@@ -180,6 +180,17 @@ def build_sigmoid_like(module):
     return module
 
 
+def with_top_level_constant(registry=None):
+    """A module of an empty @f and, at the module's own insertion point, an
+    arith.constant: an op that is not a func.func at the top level."""
+    m = IrModule(registry=registry)
+    new_func(m, "f")
+    create_op(m, "func.return", [], [], is_terminator=True)
+    m.set_insertion(m.body.blocks[0])
+    create_op(m, "arith.constant", [], [ir.F32], {"value": FloatAttr(1.0, ir.F32)})
+    return m
+
+
 class TestVerifier:
     def test_ok_module(self):
         m = build_sigmoid_like(IrModule())
@@ -359,6 +370,12 @@ class TestVerifier:
         assert len(report.diagnostics) >= 3  # arity, unknown, missing terminator
         assert {"arity-mismatch", "unknown-op",
                 "missing-terminator"} <= {d.category for d in report.diagnostics}
+
+    def test_top_level_op_that_is_not_a_function(self):
+        assert [str(d) for d in verify_module(
+            with_top_level_constant(dialects.builtin_registry())).diagnostics] == [
+            "[top-level] at 'arith.constant': arith.constant at the module's top level, "
+            "which holds func.func ops only"]
 
 
 @st.composite
@@ -541,3 +558,10 @@ class TestPrinter:
             print_module(m)
         assert str(info.value) == (f"cannot print {name}: its form reads an operand, result, "
                                    f"successor or region it lacks ({has})")
+
+    def test_top_level_op_that_is_not_a_function(self):
+        # printing refuses it by name, where its unnamed result raised a KeyError
+        with pytest.raises(IrError) as info:
+            print_module(with_top_level_constant())
+        assert str(info.value) == ("cannot print arith.constant at the module's top level, "
+                                   "which holds func.func ops only")

@@ -1297,3 +1297,152 @@ class TestBuffers:
             run_kernel(kernel(registry, "vadd"), "vadd",
                        LaunchConfig((1, 1, 1), (threads, 1, 1)), bufs)
         assert list(bufs[2].data) == [0.0] * threads
+
+
+GEOMETRY_FIR = """\
+fn geo(_1: memref{f32,1}, _2: memref{f32,1}, _3: index, _4: index)
+1:
+  %1 = invoke block_idx_x() :: index
+  %2 = invoke block_idx_y() :: index
+  %3 = invoke block_idx_z() :: index
+  %4 = invoke thread_idx_x() :: index
+  %5 = invoke thread_idx_y() :: index
+  %6 = invoke thread_idx_z() :: index
+  %7 = invoke block_dim_x() :: index
+  %8 = invoke block_dim_y() :: index
+  %9 = invoke block_dim_z() :: index
+  %10 = invoke *(%1, _3) :: index
+  %11 = invoke +(%10, %2) :: index
+  %12 = invoke *(%11, _4) :: index
+  %13 = invoke +(%12, %3) :: index
+  %14 = invoke *(%7, %8) :: index
+  %15 = invoke *(%14, %9) :: index
+  %16 = invoke *(%13, %15) :: index
+  %17 = invoke *(%4, %8) :: index
+  %18 = invoke +(%17, %5) :: index
+  %19 = invoke *(%18, %9) :: index
+  %20 = invoke +(%19, %6) :: index
+  %21 = invoke +(%16, %20) :: index
+  %22 = invoke *(%6, %8) :: index
+  %23 = invoke +(%22, %5) :: index
+  %24 = invoke *(%23, %7) :: index
+  %25 = invoke +(%24, %4) :: index
+  %26 = invoke +(%16, %25) :: index
+  %27 = invoke load(_1, %26) :: f32
+  %28 = invoke store(%27, _2, %21) :: Nothing
+  return
+"""
+
+
+def geometry_kernel(registry):
+    """@geo(in, out, grid y, grid z): thread g, thread (x, y, z) of block b,
+    stores to out[g] the element of ``in`` at b * n + (z * by + y) * bx + x,
+    for n threads a block of extents (bx, by, bz): it reads every launch
+    coordinate and block extent."""
+    return run_pipeline(registry, GEOMETRY_FIR, "geo", [F32_MEMREF] * 2 + [fir.INDEX] * 2)
+
+
+def geometry_args(rng, config):
+    """Arguments of @geo for ``config``, and the output it must store."""
+    n = math.prod(config.grid + config.block)
+    data, (_, gy, gz), (bx, by, bz) = f32_data(rng, n), config.grid, config.block
+    want = data.reshape(-1, bz, by, bx).transpose(0, 3, 2, 1).reshape(-1)
+    return [data, np.zeros(n, np.float32), IndexValue(gy), IndexValue(gz)], want
+
+
+@pytest.fixture
+def geometries(monkeypatch):
+    """The (block, offset, size) of each launch geometry made."""
+    made, make = [], interp._geometry
+
+    def counted(*key):
+        made.append(key)
+        return make(*key)
+    monkeypatch.setattr(interp, "_geometry", counted)
+    return made
+
+
+def kept(module, symbol):
+    """The launch geometry kept by @symbol's code, and its distinct arrays."""
+    geometry = module.executable.funcs[symbol][1].geometry
+    todo, arrays = [geometry], {}
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):
+            todo.extend(x)
+        elif isinstance(x, np.ndarray):
+            arrays[id(x)] = x
+    return geometry, list(arrays.values())
+
+
+class TestKeptGeometry:
+    """A kernel's code keeps the launch geometry of its last batch pattern:
+    read-only lanes, O(LANES) elements whatever the launch, made again for
+    another pattern and dropped by prepare. Each launch gives what the same
+    launch gives thread by thread."""
+
+    @pytest.mark.parametrize("grid, block", [
+        ((2, 3, 2), (4, 2, 3)),  # one batch of 288 threads
+        ((4, 3, 2), (3, 5, 7)),  # 105 a block: batches from thread 0, 79 and 53, the last partial
+        ((1, 2, 1), (16, 8, 9)),  # 1152 a block: batches inside one block and across two
+        ((3, 2, 2), (8, 4, 4)),  # 128 a block, which divides LANES; a last partial batch
+    ])
+    def test_three_dimensional_launch(self, registry, monkeypatch, sequential_calls,
+                                      batches, grid, block):
+        config, module = LaunchConfig(grid, block), geometry_kernel(registry)
+        args, want = geometry_args(np.random.default_rng(29), config)
+        got = launch(module, "geo", config, args)
+        assert sequential_calls == [] and batches and all(ran for _, ran in batches)
+        assert got[1] is None and ref.same(got[0][1], want)
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "geo", config, args))
+
+    def test_kept_reused_replaced_and_made_again(self, registry, monkeypatch, geometries):
+        # shapes A, A, B, A on one module
+        a, b = LaunchConfig((4, 1, 1), (interp.LANES, 1, 1)), LaunchConfig((2, 2, 1), (8, 4, 4))
+        module, rng, got, made = geometry_kernel(registry), np.random.default_rng(31), [], []
+        for config in (a, a, b, a):
+            args, want = geometry_args(rng, config)
+            got.append((config, args, launch(module, "geo", config, args)))
+            assert got[-1][2][1] is None and ref.same(got[-1][2][0][1], want)
+            made.append(kept(module, "geo")[0])
+        assert geometries == [((interp.LANES, 1, 1), 0, interp.LANES), ((8, 4, 4), 0, 512),
+                              ((interp.LANES, 1, 1), 0, interp.LANES)]
+        assert made[1] is made[0] and made[2] is not made[1] and made[3] is not made[0]
+        no_lanes(monkeypatch)
+        for config, args, result in got:
+            assert same_launch(result, launch(module, "geo", config, args))
+
+    def test_launch_after_prepare(self, registry, monkeypatch, geometries):
+        config, module = LaunchConfig((8, 1, 1), (256, 1, 1)), geometry_kernel(registry)
+        args, want = geometry_args(np.random.default_rng(37), config)
+        first = launch(module, "geo", config, args)
+        interp.prepare(module)
+        assert module.executable.funcs == {}  # the code, and its geometry, are dropped
+        again = launch(module, "geo", config, args)
+        assert geometries == [((256, 1, 1), 0, interp.LANES)] * 2
+        assert ref.same(again[0][1], want) and same_launch(again, first)
+        no_lanes(monkeypatch)
+        assert same_launch(again, launch(module, "geo", config, args))
+
+    def test_kept_lanes_are_read_only(self, registry):
+        config, module = LaunchConfig((2, 2, 2), (4, 4, 8)), geometry_kernel(registry)
+        launch(module, "geo", config, geometry_args(np.random.default_rng(41), config)[0])
+        _, arrays = kept(module, "geo")
+        assert arrays
+        for lane in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                lane[0] = 1
+
+    def test_kept_lanes_are_bounded(self, registry, monkeypatch, batches):
+        # a launch of 16 * LANES threads keeps what one batch needs
+        n = 16 * interp.LANES
+        rng = np.random.default_rng(43)
+        args = [f32_data(rng, n), f32_data(rng, n), np.zeros(n, np.float32)]
+        module, config = kernel(registry, "vadd"), LaunchConfig((n // 64, 1, 1), (64, 1, 1))
+        got = launch(module, "vadd", config, args)
+        assert batches == [(interp.LANES, True)] * 16
+        _, arrays = kept(module, "vadd")
+        assert arrays and sum(a.size for a in arrays) <= 5 * interp.LANES
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "vadd", config, args))
