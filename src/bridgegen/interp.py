@@ -70,28 +70,37 @@ steps are the points of the other axes in lexicographic order, so each
 output element accumulates in the sequential order; a call takes a box of
 at most LANES of them. A kernel numbers its threads in launch order and
 runs them in batches of at most LANES consecutive threads, which may span
-grid blocks; loads gather and stores scatter. Its code keeps the launch
-geometry of its last batch pattern (block extents, first thread in its
-block, size): read-only lanes of the thread coordinates with their spans,
-of each lane's block from the batch's first, and of zeros, at most
-5 * LANES elements whatever the launch, so that a batch of the same
-pattern computes only its block coordinates; prepare drops it with the
-rest of the code. Its carried state is the
-contents of the buffers it stores to, and its steps are the batch's waves:
-the maximal strictly rising runs of each stored buffer's flat index, or the
-whole batch where that index strictly falls, so that in each wave a lane
-touches its own element of each stored buffer. A batch is charged its
-steps up front, so it takes lanes only when they fit the budget (for a
-kernel, one thread's steps). A batch falls back, with its stores undone, to
-running point by point or thread by thread, which raises the same errors
-after the same stores, when an index's span leaves its bounds, an integer
-result could leave int64 (index values are unbounded), a stored buffer is
-accessed through two flat indices that differ, or its waves average fewer
-than MIN_LANES lanes. Kernels whose
-buffers share memory or hold elements that may overlap, or whose arguments
-or coordinates leave int64, run thread by thread throughout. So do generics
-and batches of fewer than MIN_LANES lanes, for which numpy's cost per call
-outweighs the lanes.
+grid blocks; loads gather and stores scatter, except through a
+consecutive index. Its code keeps the launch geometry of its last batch
+pattern (block extents, first thread in its block, size): read-only lanes
+of the thread coordinates with their spans, of each lane's block from the
+batch's first, and of zeros, at most 5 * LANES elements whatever the
+launch, and the batch's block runs, so that a batch of the same pattern
+computes only its block coordinates; prepare drops it with the rest of the
+code. Its carried state is the contents of the buffers it stores to, and
+its steps are the batch's waves, in each of which a lane touches its own
+element of each stored buffer. A kernel's lane function is built for the
+shapes its launch admits: an i64 or index value is consecutive as the
+thread number plus a uniform offset, g + c, when the grid and the block
+extend in x alone, or as thread_id x plus a uniform offset, t + c, when
+the block does. A 1-D access through such an index is a slice of its exact span,
+and a stored buffer reached through one shape alone records its undo once
+a batch; the batch is one wave when every stored buffer is reached
+through g + c, and its kept block runs when some are reached through
+t + c. Otherwise the waves are the maximal strictly rising runs of each
+stored buffer's flat index, or the whole batch where that index strictly
+falls. A consecutive value's lanes are made only where an op reads it as
+a value. A batch is charged its steps up front, so it takes lanes only
+when they fit the budget (for a kernel, one thread's steps). A batch falls
+back, with its stores undone, to running point by point or thread by
+thread, which raises the same errors after the same stores, when an
+index's span leaves its bounds, an integer result could leave int64
+(index values are unbounded), a stored buffer is accessed through two
+flat indices or offsets that differ, or its waves average fewer than
+MIN_LANES lanes. Kernels whose buffers share memory or hold elements that
+may overlap, or whose arguments or coordinates leave int64, run thread by
+thread throughout. So do generics and batches of fewer than MIN_LANES
+lanes, for which numpy's cost per call outweighs the lanes.
 """
 
 from __future__ import annotations
@@ -332,16 +341,17 @@ def _lane_op(op, fn, form, r, *slots):
     """The lane lines of an op that applies ``fn`` to the values in ``slots``
     into slot ``r``. An int op's result lies between its values at the
     corners of its operands' spans: it falls back if they could leave int64
-    (index values are unbounded), else an i64 or index result's span is known."""
+    (index values are unbounded), else an i64 or index result's span is known.
+    A result in ``form.dead`` gets its span alone, not its lanes."""
     t, value = op.results[0].type, _apply_text(form, fn, *[f"v{s}" for s in slots])
     if isinstance(t, _FLOAT):
         return [f"{form.target} = {value}"]
     lines = []
     corners = itertools.product(*[form.span(s, lines) for s in slots])
     lines += [f"l{r}, h{r} = fits({', '.join(_apply_text(form, fn, *c) for c in corners)})",
-              f"{form.target} = {_lane_wrap(t, form, value)}"]
+              *[f"{form.target} = {_lane_wrap(t, form, value)}"] * (r not in form.dead)]
     if t.__class__ is ir.IndexType or t.width == 64:
-        form.spans[r] = (f"l{r}", f"h{r}")
+        form.spans.setdefault(r, (f"l{r}", f"h{r}"))  # a seed of g's is exact
     return lines
 
 
@@ -419,13 +429,10 @@ def _cmpi(op, at, form=None):
 def _launch_coordinate(k):
     def decode(op, at, form=None):
         axis = _listed(op, "dimension", _AXES)
-        if form and form.lanes:  # a generic's body has no launch
+        if form and form.lanes:
             r, key = at[op.results[0]], f"[{axis}][{k}]"
             form.spans[r] = (f"l{r}", f"h{r}")
-            if k < 2:  # thread and block ids are lanes, a block's extent one value
-                form.arrays.add(r)
-            return ["if bounds is None:", "    raise Sequential",
-                    f"v{r}, (l{r}, h{r}) = ctx{key}, bounds{key}"]
+            return [f"v{r}, (l{r}, h{r}) = ctx{key}, bounds{key}"]
         if form:
             return None
         text = f"{op.name} executed without a launch configuration"
@@ -463,10 +470,14 @@ def _lane_memref(op, form, b, idx, v):
     buffer in slot ``b``, with data ``d<b>`` and shape ``x<b>``: a gather, or
     a scatter that records the old values for the undo. The text of its
     flat index goes into ``form.accesses`` for the test that each lane owns
-    the elements it touches (see _waves). An index out of bounds by its
-    span, or lanes stored through scalar indices fall back, so that the
-    replay raises as the scalar op does. The bounds test of an index of
-    hoisted values is hoisted."""
+    the elements it touches (see _waves). An access in ``form.sliced``
+    reads or writes a slice of its consecutive index's span instead, and
+    copies what it loads from a stored buffer; the first such access of a
+    stored buffer records the undo of the batch's whole span, once, and
+    each later one falls back unless its span starts where the first's
+    does. An index out of bounds by its span, or lanes stored through
+    scalar indices fall back, so that the replay raises as the scalar op
+    does. The bounds test of an index of hoisted values is hoisted."""
     store, lines = op.name == "memref.store", []
     if store and v in form.arrays and not form.arrays.intersection(idx):
         return ["raise Sequential"]
@@ -476,14 +487,27 @@ def _lane_memref(op, form, b, idx, v):
     if tests:
         (lines if carried else form.hoisted).append(
             f"if {' or '.join(tests)}: raise Sequential")
-    flat = f"v{idx[0]}" if idx else "0"  # row-major over the shape x<b>
-    for k, s in enumerate(idx[1:], 1):
-        flat = f"({flat} * x{b}[{k}] + v{s})"
-    form.accesses.setdefault(b, {})[flat] = carried  # flat index text -> whether carried
-    i = f"({_locals(idx)})"
+    if op in form.sliced:  # (subscript, a format of the span ends; whether b is stored)
+        (lo, hi), (i, stored) = form.spans[idx[0]], form.sliced[op]
+        i = i.format(lo, hi)
+        if stored and b not in form.undo:  # the batch's one undo record of b
+            form.undo[b] = lo
+            form.hoisted.append(f"touched.append((d{b}, slice({lo}, {hi} + 1), "
+                                f"d{b}[{lo}:{hi} + 1].copy()))")
+        elif stored and form.undo[b] != lo:  # another offset: equal, or fall back
+            form.hoisted.append(f"if {form.undo[b]} != {lo}: raise Sequential")
+        read = f"d{b}[{i}]" + ".copy()" * stored
+    else:
+        flat = f"v{idx[0]}" if idx else "0"  # row-major over the shape x<b>
+        for k, s in enumerate(idx[1:], 1):
+            flat = f"({flat} * x{b}[{k}] + v{s})"
+        form.accesses.setdefault(b, {})[flat] = carried  # flat index text -> whether carried
+        i = f"({_locals(idx)})"
+        lines += [f"touched.append((d{b}, {i}, d{b}[{i}]))"] * store
+        read = f"d{b}[{i}]"
     if store:
-        return lines + [f"touched.append((d{b}, {i}, d{b}[{i}]))", f"d{b}[{i}] = v{v}"]
-    return lines + [f"{form.target} = {_lane_wrap(op.results[0].type, form, f'd{b}[{i}]')}"]
+        return lines + [f"d{b}[{i}] = v{v}"]
+    return lines + [f"{form.target} = {_lane_wrap(op.results[0].type, form, read)}"]
 
 
 def _branch(op, at, form=None):
@@ -709,15 +733,19 @@ class _Source:
     flat indices it is accessed through, each to whether it is carried.
     ``carried`` holds the slots of carried values, ``arrays`` those whose
     values are lanes rather than one value, and ``hoisted`` the lines that
-    run once a call, before the steps (see _lane_function)."""
+    run once a call, before the steps (see _lane_function). A kernel's
+    shape analysis (see _consecutive) fills ``sliced`` and ``dead``, and
+    ``undo`` maps each stored buffer accessed through a slice to the start
+    of its first span."""
 
     __slots__ = ("namespace", "target", "lanes", "spans", "accesses", "carried",
-                 "arrays", "hoisted")
+                 "arrays", "hoisted", "sliced", "dead", "undo")
 
     def __init__(self, lanes=False):
         self.namespace, self.target = dict(_LANE_NAMES) if lanes else {}, None
         self.lanes, self.spans, self.accesses = lanes, {}, {}
         self.carried, self.arrays, self.hoisted = set(), set(), []
+        self.sliced, self.dead, self.undo = {}, set(), {}
 
     def bind(self, obj) -> str:
         name = f"n{len(self.namespace)}"
@@ -768,6 +796,16 @@ def _waves(*buffers):
     if flat.size < MIN_LANES * (len(ends) + 1):
         raise _Sequential
     return [slice(a, b) for a, b in zip([0, *ends], [*ends, flat.size])]
+
+
+def _runs(batch):
+    """The waves of a kernel batch whose stored buffers are reached through
+    thread_id x plus an offset: its block runs, which its launch geometry
+    keeps (see _geometry); _Sequential when they average fewer than
+    MIN_LANES lanes."""
+    if batch.last - batch.first + 1 < MIN_LANES * len(batch.steps):
+        raise _Sequential
+    return batch.steps
 
 
 _LANE_NAMES = {"Sequential": _Sequential, "span": _span, "fits": _fits,
@@ -865,12 +903,19 @@ def _function(text: str, namespace: dict):
     return namespace.pop("compiled")  # so the function and namespace form no cycle
 
 
-def _lane_function(region: ir.IrRegion, faults=None):
+def _operands(op, at):
+    """(the slots of ``op``'s operands, the slot of its result or 0); a value
+    of another region, which the verifier faults, takes slot 0."""
+    return [at.get(v, 0) for v in op.operands], at[op.results[0]] if len(op.results) == 1 else 0
+
+
+def _lane_function(region: ir.IrRegion, faults=None, admits=""):
     """``compiled(args, batch)``, which runs the one block of ``region`` over
     lane values ``args`` (wrapping narrow integers) for the _Lanes ``batch``
     and returns the lane values returned; its ``steps`` are one point's or
-    thread's. None when the region has more blocks or an op has no lane
-    form. Slot s is the local ``v<s>``, of span ``l<s>``, ``h<s>``.
+    thread's, and its ``blocks`` whether it reads block_id lanes. None when
+    the region has more blocks or an op has no lane form. Slot s is the
+    local ``v<s>``, of span ``l<s>``, ``h<s>``.
 
     The function runs its hoisted ops once over all lanes and steps, then
     loops ``for p in steps:`` over its carried ops, reading a hoisted array
@@ -882,7 +927,17 @@ def _lane_function(region: ir.IrRegion, faults=None):
     one hoisted line computes from the flat indices of the stored buffers
     (see _waves). When such an index is carried, the kernel runs as one
     step, and a line before the return falls back unless the batch is one
-    wave."""
+    wave.
+
+    A kernel's function is built for the shapes its launch ``admits``: "gt"
+    when the grid and the block extend in x alone, "t" when the block does,
+    else "" (see _consecutive). A stored buffer reached only through g plus
+    an offset is touched at one element per lane in one wave, and one
+    reached only through thread_id x plus an offset in each of the batch's
+    block runs, so when every stored buffer is one of the two the waves
+    are the whole batch, with no loop, or the block runs, ``for p, a, b in
+    steps:`` over each run's lanes ``p`` and its thread_id x from ``a`` to
+    ``b`` less the batch's least (see _runs)."""
     if len(region.blocks) != 1:
         return None
     _, at = _slots(region, faults)
@@ -896,9 +951,20 @@ def _lane_function(region: ir.IrRegion, faults=None):
         form.carried.add(args[-1])
         form.arrays.update(args)
     stored = {at[v] for op in ops if op.name == "memref.store" for v in op.operands[1:2]}
+    for op in [*ops, term]:
+        slots, r = _operands(op, at)
+        if op is term or form.carried.intersection(slots) or op.name == "memref.store" or (
+                op.name == "memref.load" and stored.intersection(slots[:1])):
+            form.carried.add(r)
+        if form.arrays.intersection(slots) or op.name in ("gpu.thread_id", "gpu.block_id"):
+            form.arrays.add(r)
+    skip, runs = _consecutive(form, ops, at, stored, admits)
     lines, carried, reads = form.hoisted, [], set()  # reads: hoisted arrays the steps read
     lines += [f"[{_locals(args)}] = args",
-              "ctx, bounds, touched = batch.ctx, batch.bounds, batch.touched"]
+              "ctx, bounds, touched = batch.ctx, batch.bounds, batch.touched",
+              *["if bounds is None: raise Sequential"] * any(  # a generic's body has no launch
+                  op.name.startswith("gpu.") for op in ops),
+              *["first, last = batch.first, batch.last"] * ("g" in admits)]
     for a in block.arguments:
         v = f"v{at[a]}"
         if isinstance(a.type, ir.MemRefType):
@@ -906,37 +972,106 @@ def _lane_function(region: ir.IrRegion, faults=None):
         elif (wrapped := _lane_wrap(a.type, form, v)) != v:
             lines.append(f"{v} = {wrapped}")
     for op in [*ops, term]:
-        slots, r = [at[v] for v in op.operands], at[op.results[0]] if len(op.results) == 1 else 0
+        slots, r = _operands(op, at)
         form.target = f"v{r}"
-        if op is term or form.carried.intersection(slots) or op.name == "memref.store" or (
-                op.name == "memref.load" and stored.intersection(slots[:1])):
-            form.carried.add(r)
-            reads.update(s for s in slots if s in form.arrays and s not in form.carried)
-        text = _decode_op(op, at, form)
-        if text is None:
-            return None
-        if op is not term:
-            (carried if r in form.carried else lines).extend(text)
-        if form.arrays.intersection(slots):
-            form.arrays.add(r)
+        if r in form.carried:
+            reads.update(s for s in (slots[:-1] if op in form.sliced else slots)
+                         if s in form.arrays and s not in form.carried)
+        if r not in skip:
+            text = _decode_op(op, at, form)
+            if text is None:
+                return None
+            if op is not term:
+                (carried if r in form.carried else lines).extend(text)
     [(_, ret, _)] = text  # a return: one arm, its line
     buffers = [flats for b, flats in form.accesses.items() if b in stored]
     waves = f"waves({''.join(f'({_texts(flats)}), ' for flats in buffers)})"
     if generic and slots != args[-1:]:  # the accumulator takes the value yielded
         carried.append(f"v{args[-1]} = v{slots[0]}")
-    if not generic and (not buffers or any(c for flats in buffers for c in flats.values())):
+    if not (generic or runs) and (not buffers or any(
+            c for flats in buffers for c in flats.values())):
         lines += carried + [f"if len({waves}) > 1: raise Sequential"] * bool(buffers)  # one step
     elif carried:
         reads = sorted(reads)
         held, read = _locals(reads), _texts(f"m{s}[p]" for s in reads)
-        lines += [f"steps = {waves}"] * (not generic) + [
+        lines += [f"steps = {f'{form.bind(_runs)}(batch)' if runs else waves}"] * (not generic) + [
             f"{_texts(f'm{s}' for s in reads)}= {held}"] * bool(reads) + [
-            f"for p in {'batch.steps' if generic else 'steps'}:",
+            f"for {'p, a, b' if runs else 'p'} in {'batch.steps' if generic else 'steps'}:",
             *_indent([f"{held}= {read}"] * bool(reads) + carried)]
     lanes = _function("\n".join(["def compiled(args, batch):", *_indent(lines + ret), ""]),
                       form.namespace)
     lanes.steps = len(ops) + 1
+    lanes.blocks = any(op.name == "gpu.block_id" and at[op.results[0]] not in skip for op in ops)
     return lanes
+
+
+def _consecutive(form, ops, at, stored, admits):
+    """The shape analysis of a kernel's ``ops`` for a launch that admits
+    ``admits`` (see _lane_function), given ``form``'s carried values and
+    lanes. An i64 or index value is consecutive over a batch as "g", the
+    thread number plus an offset, seeded by ``block_id x * block_dim x +
+    thread_id x``, or as "t", thread_id x plus an offset; an addi or subi of
+    a uniform value that is not carried, or an index_cast to i64 or index,
+    keeps the shape. A 1-D access through a consecutive index takes a slice
+    (``form.sliced``, see _lane_memref): a load through g from a buffer no
+    op stores to, and every access of the stored buffers when each is
+    reached through one shape alone. A seed of g's span is the batch's
+    thread numbers, ``first`` to ``last``. Returns the slots of the ops that
+    make no lines (seeds, their operands and x coordinates whose lanes no
+    op reads) and whether the waves are the batch's block runs;
+    ``form.dead`` gets the consecutive values whose lanes no op reads."""
+    if not admits:
+        return set(), False
+    shapes, seeds, xs, base, accesses = {}, set(), {}, set(), {}
+    for op in ops:
+        slots, r = _operands(op, at)
+        if op in at[_FAULTS]:  # no shape, and no lane form: it fails when reached
+            continue
+        if getattr(op.attributes.get("dimension"), "text", None) == "x":
+            xs[r] = op.name
+            if op.name == "gpu.thread_id" and "t" in admits:
+                shapes[r] = "t"
+        elif op.name == "arith.muli" and {xs.get(s) for s in slots} == {"gpu.block_id",
+                                                                         "gpu.block_dim"}:
+            base.add(r)
+        elif op.name in ("memref.load", "memref.store"):
+            which = int(op.name == "memref.store")
+            idx = slots[which + 1:]
+            accesses.setdefault(slots[which], []).append(
+                (op, len(idx) == 1 and shapes.get(idx[0])))
+        elif op.name in ("arith.addi", "arith.subi", "arith.index_cast") and (
+                op.results[0].type in (ir.INDEX, ir.I64)):
+            a, b = slots[0], slots[-1]
+            uniform = {a, b} - form.arrays - form.carried
+            if op.name == "arith.addi" and "g" in admits and any(
+                    x in base and xs.get(y) == "gpu.thread_id" for x, y in ((a, b), (b, a))):
+                shapes[r], form.spans[r] = "g", ("first", "last")
+                seeds.add(r)
+            elif op.name == "arith.index_cast" or (
+                    op.name in ("arith.addi", "arith.subi") and b in uniform):
+                shapes[r] = shapes.get(a)
+            elif op.name == "arith.addi" and a in uniform:
+                shapes[r] = shapes.get(b)
+    shapes = {r: k for r, k in shapes.items() if k}
+    kinds = [{k for _, k in found} for b, found in accesses.items() if b in stored]
+    lanes = any(k not in ({"g"}, {"t"}) for k in kinds)  # a stored buffer takes _waves
+    runs = not lanes and {"t"} in kinds
+    for b, found in accesses.items():
+        for op, k in found:
+            if b in stored and not lanes:
+                form.sliced[op] = ("{0} + a:{0} + b" if k == "t" else
+                                   "{0} + p.start:{0} + p.stop" if runs else "{0}:{1} + 1", True)
+            elif b not in stored and k == "g":
+                form.sliced[op] = ("{0}:{1} + 1", False)
+    live = set()  # the slots whose lanes an op that makes lines reads
+    for op in reversed(ops):
+        slots, r = _operands(op, at)
+        if r in live or r not in shapes and r not in base and r not in xs:
+            live.update(slots[:-1] if op in form.sliced else slots)  # not a slice's index
+        elif r in shapes and r not in seeds:  # its span reads the uniform's
+            live.update(s for s in slots if s not in shapes)
+    form.dead = set(shapes) - live
+    return {r for r in (*seeds, *base, *xs) if r not in live and shapes.get(r) != "t"}, runs
 
 
 # ---------------------------------------------------------------------------
@@ -945,20 +1080,22 @@ def _lane_function(region: ir.IrRegion, faults=None):
 
 class _Code:
     """A region's code, each form built when it is first needed and kept by
-    the executable: its closures (``decoded``), its kernel lane function
-    (``lanes``, decoded on the first launch of at least MIN_LANES threads)
-    and its compiled function (``fast``, built once the region has taken
+    the executable: its closures (``decoded``), its kernel lane functions
+    (``lanes``, one for each shapes a launch admits, see _lane_function,
+    decoded on the first such launch of at least MIN_LANES threads) and its
+    compiled function (``fast``, built once the region has taken
     HOT back edges, ``backs``, counted across runs), and a kernel's launch
     geometry of its last lockstep batch (``geometry``, see _geometry).
-    ``lanes`` and ``fast`` are False when the region has no such form.
+    ``fast`` and a function of ``lanes`` are False when the region has no
+    such form.
     ``faults`` are the executable's, as in _decode."""
 
     __slots__ = ("region", "faults", "decoded", "lanes", "backs", "fast", "geometry")
 
     def __init__(self, region: ir.IrRegion, faults):
         self.region, self.faults = region, faults
-        self.decoded = self.lanes = self.fast = self.geometry = None
-        self.backs = 0
+        self.decoded = self.fast = self.geometry = None
+        self.lanes, self.backs = {}, 0
 
 
 class Executable:
@@ -1046,13 +1183,16 @@ class _Run:
 
 class _Lanes:
     """One lockstep batch: its launch coordinates (None in a generic body),
-    their spans laid out alike, its stores (buffer, index, old values) and,
-    in a generic body, its steps (the loop points of its box)."""
+    their spans laid out alike, its stores (buffer, index, old values), its
+    steps (in a generic body the loop points of its box, in a kernel its
+    block runs, see _geometry) and a kernel batch's first and last thread
+    numbers."""
 
-    __slots__ = ("ctx", "bounds", "touched", "steps")
+    __slots__ = ("ctx", "bounds", "touched", "steps", "first", "last")
 
-    def __init__(self, ctx, bounds=None, steps=None):
+    def __init__(self, ctx, bounds=None, steps=None, first=None, last=None):
         self.ctx, self.bounds, self.touched, self.steps = ctx, bounds, [], steps
+        self.first, self.last = first, last
 
 
 def _exec(code: _Code, args, run: _Run) -> list:
@@ -1132,8 +1272,9 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     ``T`` threads a block. Buffer mutations through memref.store are
     visible in the returned inputs. Each thread has the whole step budget.
     A kernel with a lane form runs in lockstep batches of at most LANES
-    consecutive threads, which may span grid blocks, each batch in waves
-    (see _lane_function); a batch that falls back runs thread by thread.
+    consecutive threads, which may span grid blocks, each batch in waves,
+    on the lane function built for the shapes the launch admits (see
+    _lane_function); a batch that falls back runs thread by thread.
     The batch's thread geometry is kept on the kernel's code for the next
     batch of the same block extents, offset and size (see _geometry), and
     dropped by ``prepare``. Runs on the module's executable (see ``prepare``).
@@ -1143,10 +1284,12 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     if ftype.results:
         raise InterpError(f"@{symbol} cannot be launched: a kernel returns no values")
     args = [_unbox(v) for v in inputs]
+    (_, gy, gz), (bx, by, bz) = launch.grid, launch.block
     total = math.prod(launch.grid + launch.block)
-    if total >= MIN_LANES and body.lanes is None:  # no batch is smaller
-        body.lanes = _lane_function(body.region, body.faults) or False
-    code = total >= MIN_LANES and body.lanes
+    admits = "" if by * bz > 1 else "t" if gy * gz > 1 else "gt"
+    if total >= MIN_LANES and admits not in body.lanes:  # no batch is smaller
+        body.lanes[admits] = _lane_function(body.region, body.faults, admits) or False
+    code = total >= MIN_LANES and body.lanes[admits]
     try:
         lane_args = [v if isinstance(v, _ArrayValue) else _np_dtype(t)(v)
                      for t, v in zip(ftype.inputs, args)]
@@ -1156,7 +1299,7 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     if (not code or code.steps > step_limit or total >> 63 or any(map(_overlapping, bufs))
             or any(np.may_share_memory(*p) for p in itertools.combinations(bufs, 2))):
         code = None  # a thread's budget, coordinates or buffers lanes cannot track
-    n, (bx, by, bz) = math.prod(launch.block), launch.block
+    n = bx * by * bz
     hi, b = 0, None  # the batch [lo, hi) of thread numbers; b: the last thread's block
     with np.errstate(all="ignore"):
         while hi < total:
@@ -1165,11 +1308,12 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                 key = (launch.block, lo % n, hi - lo)  # the same at each offset in a block
                 if body.geometry is None or body.geometry[0] != key:
                     body.geometry = _geometry(*key)
-                _, threads, spans, blocks, zero, dims, sizes = body.geometry
+                _, threads, spans, blocks, zero, dims, sizes, runs = body.geometry
                 first = lo // n  # the batch's first block
-                ctx = tuple(zip(threads, _unravel(blocks + first, launch.grid, zero), dims))
+                ctx = tuple(zip(threads, _unravel(blocks + first, launch.grid, zero)
+                                if code.blocks else (zero,) * 3, dims))
                 bounds = zip(spans, _unravel_spans(first, (hi - 1) // n, launch.grid), sizes)
-                if _lockstep(code, lane_args, _Lanes(ctx, tuple(bounds))):
+                if _lockstep(code, lane_args, _Lanes(ctx, tuple(bounds), runs, lo, hi - 1)):
                     continue
             for g in range(lo, hi):
                 run.steps = 0
@@ -1211,14 +1355,21 @@ def _geometry(block, offset: int, size: int):
     ``offset`` of a block of extents ``block``, kept by a kernel's _Code for
     its next batch of the same key: (key, the thread coordinate lanes, their
     spans, each lane's block counted from the batch's first, the zero lane,
-    the block extents as int64 and as spans). Its arrays are read-only."""
+    the block extents as int64 and as spans, the block runs). Its arrays
+    are read-only. A block run is (the slice of its lanes in one block, a,
+    b): its threads are numbers a + m to b + m - 1 in their block, for m the
+    least such number in the batch; in a block that extends in x alone, a
+    thread's number is its thread_id x."""
     n, t, zero = math.prod(block), np.arange(offset, offset + size), np.zeros(size, np.int64)
     threads, blocks = _unravel(t % n, block, zero), t // n
     for lane in (*threads, blocks, zero):
         lane.flags.writeable = False
     ends = (offset, offset + size - 1) if offset + size <= n else (0, n - 1)
+    cuts = range(n - offset, size, n)  # the lanes that start a block
+    runs = tuple((slice(a, b), (offset + a) % n - ends[0], (offset + a) % n - ends[0] + b - a)
+                 for a, b in zip([0, *cuts], [*cuts, size]))
     return ((block, offset, size), threads, _unravel_spans(*ends, block), blocks, zero,
-            tuple(map(np.int64, block)), tuple((e, e) for e in block))
+            tuple(map(np.int64, block)), tuple((e, e) for e in block), runs)
 
 
 def _unravel_spans(a, b, extents):

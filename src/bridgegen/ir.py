@@ -544,10 +544,11 @@ def verify_module(module: IrModule) -> VerifyReport:
 
 def _check_op(op: IrOperation, block: int, registry, functions, report: VerifyReport):
     """Check ``op``, of block ``block``, then its regions."""
-    for category, message in dialects.op_findings(registry, op):
+    findings = dialects.op_findings(registry, op)
+    for category, message in findings:
         report.diagnostics.append(Diagnostic(category, message, op.name, block, op))
     ends = None  # what a func.return or linalg.yield in its region hands back
-    if (types := _region_types(op)) is not None:
+    if (types := _region_types(op, findings)) is not None:
         (want, category, noun, entry, declared), ends = types
         blocks = op.regions[0].blocks if op.regions else []
         got = tuple(a.type for a in blocks[0].arguments) if blocks else None
@@ -559,16 +560,21 @@ def _check_op(op: IrOperation, block: int, registry, functions, report: VerifyRe
         _check_region(r, ends, registry, functions, report)
 
 
-def _region_types(op: IrOperation):
+# the categories of a linalg.generic's op-local findings, on its maps; its
+# spec's operands and results are variadic, so they make no arity-mismatch
+_MAP_FACTS = {"arity-mismatch", "indexing-map"}
+
+
+def _region_types(op: IrOperation, findings):
     """The types ``op``'s region takes and hands back, each with the words
     of a finding against them, or None: a function's function_type, or a
-    linalg.generic's operand element types, the output's last, unless its
-    own facts fail."""
+    linalg.generic's operand element types, the output's last, unless the
+    op's ``findings`` fault its maps."""
     if op.name == "func.func" and (ftype := _function_type(op)) is not None:
         return ((tuple(ftype.inputs), "function-type", "function", "entry",
                  "the function type's inputs"),
                 ("function-type", "the function type's", tuple(ftype.results)))
-    if op.name == "linalg.generic" and not dialects.op_findings(None, op):
+    if op.name == "linalg.generic" and not _MAP_FACTS.intersection(c for c, _ in findings):
         elems = tuple(getattr(v.type, "elem", v.type) for v in op.operands)
         return ((elems, "body-type", "generic", "body", "the operand element types"),
                 ("yield-type", "the output element types", elems[-1:]))

@@ -327,8 +327,8 @@ class TestKernels:
 
     def test_lanes_decoded_only_for_launches_of_min_lanes(self, vadd, monkeypatch):
         asked, lane_function = [], interp._lane_function
-        monkeypatch.setattr(interp, "_lane_function", lambda region, faults=None:
-                            asked.append(region) or lane_function(region, faults))
+        monkeypatch.setattr(interp, "_lane_function", lambda region, faults=None, *shapes:
+                            asked.append(region) or lane_function(region, faults, *shapes))
         outs = []
         for n in (interp.MIN_LANES - 1, interp.MIN_LANES):
             asked.clear()
@@ -1475,9 +1475,9 @@ class TestExecutable:
         """(region, lane form asked) of every _decode or _lane_function call."""
         asked = []
         for name, lanes in (("_decode", False), ("_lane_function", True)):
-            monkeypatch.setattr(interp, name, lambda region, faults=None, lanes=lanes,
+            monkeypatch.setattr(interp, name, lambda region, faults=None, *shapes, lanes=lanes,
                                 decode=getattr(interp, name):
-                                asked.append((region, lanes)) or decode(region, faults))
+                                asked.append((region, lanes)) or decode(region, faults, *shapes))
         return asked
 
     def test_each_region_decoded_once(self, registry, sigmoid, decodes):

@@ -26,7 +26,7 @@ from bridgegen.interp import (
     run_function,
     run_kernel,
 )
-from conftest import F32_MEMREF, func_region, run_pipeline, tensor_value
+from conftest import F32_MEMREF, func_region, new_func, run_pipeline, tensor_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import programs as gen  # noqa: E402
@@ -302,14 +302,23 @@ fn k(_1: memref{f32,1}, _2: memref{f32,1})
 
 @pytest.fixture
 def waves(monkeypatch):
-    """The lanes of each wave, as a list per batch that computes its waves."""
-    made, split = [], interp._waves
+    """The lanes of each wave, as a list per batch that computes its waves:
+    from the flat indices of its stored buffers (_waves), or as its block
+    runs (_runs), where each stored buffer is reached through thread_id x
+    plus an offset or the thread number plus one."""
+    made, split, runs = [], interp._waves, interp._runs
 
     def counted(*buffers):
         steps = split(*buffers)
         made.append([len(range(*p.indices(len(buffers[0][0])))) for p in steps])
         return steps
+
+    def counted_runs(batch):
+        steps = runs(batch)
+        made.append([b - a for _, a, b in steps])
+        return steps
     monkeypatch.setitem(interp._LANE_NAMES, "waves", counted)
+    monkeypatch.setattr(interp, "_runs", counted_runs)
     return made
 
 
@@ -543,34 +552,50 @@ class TestConflictRule:
 
     @pytest.mark.parametrize("name", list(gen.KERNELS))
     def test_rule_is_one_line_per_stored_buffer(self, registry, monkeypatch, name):
-        # one hoisted line computes the waves, with one group of flat
-        # indices per stored buffer; each wave runs exactly the carried
-        # lines (loads from a stored buffer, stores, ops on carried values),
-        # after one line that reads the hoisted lanes of the wave
-        texts, function = [], interp._function
-        monkeypatch.setattr(interp, "_function", lambda text, namespace: (
-            texts.append(text) or function(text, namespace)))
+        # With no shape, one hoisted line computes the waves, with one group
+        # of flat indices per stored buffer, and each store records its
+        # undo. Under the bench's 1-D launches every stored buffer is
+        # reached through a consecutive index, so no line computes waves:
+        # vadd and saxpy, which store through g, run as one wave with no
+        # loop, and collide, which stores through thread_id x, loops over
+        # the batch's block runs; each stored buffer records its undo once,
+        # hoisted. Either way each wave runs exactly the carried lines
+        # (loads from a stored buffer, stores, ops on carried values), in a
+        # loop after one line that reads the hoisted lanes of the wave.
+        texts = lane_texts(monkeypatch)
         module = kernel(registry, name)
-        assert interp._lane_function(func_region(module, name))
         ops = func_region(module, name).entry.operations
         stored = {op.operands[1] for op in ops if op.name == "memref.store"}
-        carried, lines_of = set(), []  # the carried values; each carried op's line count
-        for op in ops[:-1]:
-            store = op.name == "memref.store"
-            if store or set(op.operands) & carried or (
-                    op.name == "memref.load" and op.operands[0] in stored):
-                carried.update(op.results)
-                lines_of.append(2 if store else 1)  # a store records the old values
-        [text] = texts
-        lines = text.splitlines()
-        loop = lines.index("    for p in steps:")
-        assert [line for line in lines if "waves(" in line] == [lines[loop - 2]]
-        assert lines[loop - 2].count("), ") == len(stored)
-        assert lines[loop + 1].endswith("[p], ")  # the wave's hoisted lanes
-        body = lines[loop + 2:-1]
-        assert len(body) == sum(lines_of) and all(line.startswith(" " * 8) for line in body)
-        assert sum("touched.append" in line for line in body) == lines_of.count(2)
-        assert lines[-1].startswith("    return")
+        for admits in ("", "gt"):
+            assert interp._lane_function(func_region(module, name), None, admits)
+            carried, lines_of = set(), []  # the carried values; each carried op's line count
+            for op in ops[:-1]:
+                store = op.name == "memref.store"
+                if store or set(op.operands) & carried or (
+                        op.name == "memref.load" and op.operands[0] in stored):
+                    carried.update(op.results)
+                    lines_of.append(2 if store and not admits else 1)  # and its undo record
+            lines = texts.pop().splitlines()
+            waves = [line for line in lines if "waves(" in line]
+            undo = [line for line in lines if "touched.append" in line]
+            loop = next((k for k, line in enumerate(lines) if line.startswith("    for ")), None)
+            if admits:
+                assert waves == [] and len(undo) == len(stored)
+                assert all(not line.startswith(" " * 8) for line in undo)  # hoisted
+                assert (loop is None) == (name != "collide")
+            else:
+                assert waves == [lines[loop - 2]]
+                assert lines[loop - 2].count("), ") == len(stored)
+            if loop is None:  # one wave: the carried lines end the function
+                body = lines[-1 - sum(lines_of):-1]
+                assert all(not line.startswith(("    if ", "    touched")) for line in body)
+            else:
+                assert lines[loop + 1].endswith("[p], ")  # the wave's hoisted lanes
+                body = lines[loop + 2:-1]
+                assert all(line.startswith(" " * 8) for line in body)
+            assert len(body) == sum(lines_of)
+            assert sum("touched.append" in line for line in body) == lines_of.count(2)
+            assert lines[-1].startswith("    return")
 
     @pytest.mark.parametrize("text", [
         # out[n - 1 - g] = in[g]: one lane an element, but falling
@@ -1446,3 +1471,231 @@ class TestKeptGeometry:
         assert arrays and sum(a.size for a in arrays) <= 5 * interp.LANES
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "vadd", config, args))
+
+
+def lane_texts(monkeypatch):
+    """The text of each lane function built."""
+    texts, function = [], interp._function
+    monkeypatch.setattr(interp, "_function", lambda text, namespace: (
+        texts.append(text) or function(text, namespace)))
+    return texts
+
+
+def gid_kernel(registry, body, types=("memref{f32,1}",) * 2):
+    """@k over the FIR ``types`` whose FIR ``body`` follows bench/programs.py's
+    global thread id: %3 = block_idx_x * block_dim_x, %4 = thread_idx_x,
+    %5 = %3 + %4."""
+    params = ", ".join(f"_{k}: {t}" for k, t in enumerate(types, 1))
+    return run_pipeline(registry, f"fn k({params})\n1:\n" + gen._GID + body + "  return\n",
+                        "k", [fir.parse_frontend_type(t) for t in types])
+
+
+class TestConsecutive:
+    """An index that is the launch-order thread number g, or thread_id x,
+    plus a uniform offset loads and stores through slices, and its waves
+    are the whole batch or its block runs. Each launch gives, bit for bit,
+    the buffers, error and partial stores of running thread by thread."""
+
+    @pytest.mark.parametrize("body, error", [
+        ("  %6 = invoke +(%5, 3) :: index\n"
+         "  %7 = invoke load(_1, %6) :: f32\n"
+         "  %8 = invoke store(%7, _2, %5) :: Nothing\n", "index 2048 out of bounds"),
+        ("  %6 = invoke +(%5, 3) :: index\n"
+         "  %7 = invoke load(_1, %5) :: f32\n"
+         "  %8 = invoke store(%7, _2, %6) :: Nothing\n", "index 2048 out of bounds"),
+    ], ids=["load", "store"])
+    def test_offset_past_the_end_falls_back(self, registry, monkeypatch, batches, body,
+                                            error):
+        # g + 3 over 2,048 threads and buffers of 2,048: the second batch
+        # reaches 2,050, so it replays and thread 2,045 fails after its stores
+        module = gid_kernel(registry, body)
+        rng = np.random.default_rng(139)
+        args = [f32_data(rng, 2048), np.zeros(2048, np.float32)]
+        config = LaunchConfig((8, 1, 1), (256, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(1024, True), (1024, False)]
+        assert got[1].startswith(f"OutOfBounds: {error}")
+        assert "'x': (253, 7, 256)" in got[1]
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_negative_start_falls_back(self, registry, monkeypatch, batches):
+        # out[g] = in[g - 1]: the first batch's span starts at -1, so it
+        # replays and thread 0 fails before any store
+        module = gid_kernel(registry, "  %6 = invoke -(%5, 1) :: index\n"
+                                      "  %7 = invoke load(_1, %6) :: f32\n"
+                                      "  %8 = invoke store(%7, _2, %5) :: Nothing\n")
+        args = [f32_data(np.random.default_rng(149), 2048), np.zeros(2048, np.float32)]
+        config = LaunchConfig((8, 1, 1), (256, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(1024, False)] and got[1].startswith("OutOfBounds: index -1 ")
+        assert not got[0][1].any()
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_loaded_value_outlives_its_store(self, registry, monkeypatch, batches):
+        # x = A[g]; A[g] = x * 2; B[g] = x: B gets A's old values, not a
+        # view of the elements the store overwrote
+        module = gid_kernel(registry, "  %6 = invoke load(_1, %5) :: f32\n"
+                                      "  %7 = invoke *(%6, 2.0) :: f32\n"
+                                      "  %8 = invoke store(%7, _1, %5) :: Nothing\n"
+                                      "  %9 = invoke store(%6, _2, %5) :: Nothing\n")
+        args = [f32_data(np.random.default_rng(151), 2048), np.zeros(2048, np.float32)]
+        config = LaunchConfig((16, 1, 1), (128, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(1024, True)] * 2 and got[1] is None
+        assert ref.same(got[0][1], args[0]) and ref.same(got[0][0], args[0] * np.float32(2))
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    @pytest.mark.parametrize("name", ["vadd", "collide"])
+    def test_partial_batch_from_mid_block(self, registry, monkeypatch, batches, waves, name):
+        # 5 blocks of 300: the first batch ends in block 3, the second
+        # starts at its thread 124 and holds 476 threads; collide's waves
+        # are the block runs of each batch
+        grid, block = 5, 300
+        module, args = kernel(registry, name), kernel_args(np.random.default_rng(157), name,
+                                                          grid, block)
+        config = LaunchConfig((grid, 1, 1), (block, 1, 1))
+        got = launch(module, name, config, args)
+        assert batches == [(1024, True), (476, True)] and got[1] is None
+        assert waves == ([[300, 300, 300, 124], [176, 300]] if name == "collide" else [])
+        assert all(ref.same(g, w) for g, w in zip(
+            got[0], ref.kernel_reference(name, grid, block, args)[-len(got[0]):]))
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, name, config, args))
+
+    @pytest.mark.parametrize("grid, block, admits", [
+        ((4, 1, 1), (8, 2, 1), ""), ((2, 1, 1), (4, 4, 4), ""), ((2, 2, 1), (64, 1, 1), "t"),
+    ], ids=["2-D", "3-D", "2-D-grid"])
+    @pytest.mark.parametrize("name", ["vadd", "collide"])
+    def test_launch_shapes(self, registry, monkeypatch, name, grid, block, admits):
+        # a block that extends in y or z admits no shape: the launch runs on
+        # the lane function of no shape; a grid that does admits thread_id
+        # x alone, so collide's waves are its block runs, and vadd's g,
+        # which repeats across the grid's y, scatters
+        texts = lane_texts(monkeypatch)
+        module, config = kernel(registry, name), LaunchConfig(grid, block)
+        n = math.prod(grid + block)
+        args = kernel_args(np.random.default_rng(163), name, n // 64, 64)
+        got = launch(module, name, config, args)
+        assert list(module.executable.funcs[name][1].lanes) == [admits]
+        assert interp._lane_function(func_region(module, name))
+        [text, neither] = texts
+        assert (text == neither) == (not admits or name == "vadd") and "first" not in text
+        assert ("for p, a, b in steps:" in text) == (admits == "t" and name == "collide")
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, name, config, args))
+
+    def test_two_thread_blocks_fall_back(self, registry, monkeypatch, batches, waves):
+        # collide over blocks of 2 threads: its block runs average 2 lanes,
+        # fewer than MIN_LANES, so each batch replays thread by thread
+        module, config = kernel(registry, "collide"), LaunchConfig((512, 1, 1), (2, 1, 1))
+        args = kernel_args(np.random.default_rng(167), "collide", 512, 2)
+        got = launch(module, "collide", config, args)
+        assert batches == [(1024, False)] and waves == [] and got[1] is None
+        assert ref.same(got[0][0], ref.kernel_reference("collide", 512, 2, args)[0])
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "collide", config, args))
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_cast_of_the_thread_number(self, registry, monkeypatch, width):
+        # dst[index(i<width>(g))] = src[g]: an i32 cast wraps, so its index
+        # has no shape and the store scatters; an i64 cast keeps g's
+        i = ir.IntType(width)
+
+        def build(op, args):
+            src, dst = args
+            t = op("gpu.thread_id", [], ir.INDEX, dimension="x")
+            b = op("gpu.block_id", [], ir.INDEX, dimension="x")
+            n = op("gpu.block_dim", [], ir.INDEX, dimension="x")
+            g = op("arith.addi", [op("arith.muli", [n, b], ir.INDEX), t], ir.INDEX)
+            j = op("arith.index_cast", [op("arith.index_cast", [g], i)], ir.INDEX)
+            op("memref.store", [op("memref.load", [src, g], ir.F32), dst, j])
+        module = ir_kernel(registry, [F32_BUF, F32_BUF], build)
+        texts = lane_texts(monkeypatch)
+        args = [f32_data(np.random.default_rng(173), 256), np.zeros(256, np.float32)]
+        config = LaunchConfig((4, 1, 1), (64, 1, 1))
+        got = launch(module, "k", config, args)
+        [text] = texts
+        assert ("waves(" in text) == ("[(v" in text) == (width == 32)
+        assert got[1] is None and ref.same(got[0][1], args[0])
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_thread_number_as_a_value(self, registry, monkeypatch, batches):
+        # out[g] = g * block_dim_x + in[g]: g's lanes are made, for the multiply
+        def build(op, args):
+            src, dst = args
+            t = op("gpu.thread_id", [], ir.INDEX, dimension="x")
+            b = op("gpu.block_id", [], ir.INDEX, dimension="x")
+            n = op("gpu.block_dim", [], ir.INDEX, dimension="x")
+            g = op("arith.addi", [t, op("arith.muli", [b, n], ir.INDEX)], ir.INDEX)
+            x = op("arith.index_cast", [op("arith.muli", [g, n], ir.INDEX)], ir.I64)
+            op("memref.store", [op("arith.addi", [x, op("memref.load", [src, g], ir.I64)],
+                                   ir.I64), dst, g])
+        module = ir_kernel(registry, [I64_BUF, I64_BUF], build)
+        texts = lane_texts(monkeypatch)
+        src = np.random.default_rng(179).integers(-2 ** 40, 2 ** 40, 2048)
+        args = [MemRefValue(ir.I64, (2048,), src), MemRefValue(ir.I64, (2048,),
+                                                                np.zeros(2048, np.int64))]
+        config = LaunchConfig((32, 1, 1), (64, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(1024, True)] * 2 and got[1] is None
+        assert list(got[0][1]) == [64 * g + int(s) for g, s in enumerate(src)]
+        [text] = texts
+        assert "[(v" not in text and "waves(" not in text
+        no_lanes(monkeypatch)
+        args[1] = MemRefValue(ir.I64, (2048,), np.zeros(2048, np.int64))
+        assert same_launch(got, launch(module, "k", config, args))
+
+    @pytest.mark.parametrize("second, lanes", [(5, True), (6, False)])
+    def test_offsets_compared_at_run_time(self, registry, monkeypatch, batches, second,
+                                          lanes):
+        # A[g + _3] = A[g + _4] * 2: two offsets of one stored buffer that
+        # no constant gives; equal, the batch runs in lanes, else it replays
+        module = gid_kernel(registry, "  %6 = invoke +(%5, _2) :: index\n"
+                                      "  %7 = invoke +(%5, _3) :: index\n"
+                                      "  %8 = invoke load(_1, %7) :: f32\n"
+                                      "  %9 = invoke *(%8, 2.0) :: f32\n"
+                                      "  %10 = invoke store(%9, _1, %6) :: Nothing\n",
+                            ("memref{f32,1}", "index", "index"))
+        args = [f32_data(np.random.default_rng(181), 80), IndexValue(5), IndexValue(second)]
+        config = LaunchConfig((4, 1, 1), (16, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, lanes)] and got[1] is None
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    @pytest.mark.parametrize("threads", [8, 2], ids=["lanes", "threads"])
+    def test_value_of_another_function(self, registry, monkeypatch, threads):
+        # a kernel that stores a constant of @other fails with the
+        # verifier's finding, in lanes as thread by thread
+        from bridgegen.dialects import build_op
+
+        module = ir.IrModule(registry=registry.dialects)
+        new_func(module, "other")
+        one = build_op(registry.dialects, module, "arith.constant", result_types=[ir.F32],
+                       attributes={"value": ir.FloatAttr(1.0, ir.F32)}).results[0]
+        build_op(registry.dialects, module, "func.return", [])
+        _, entry = new_func(module, "k", [F32_BUF])
+        t = build_op(registry.dialects, module, "gpu.thread_id", result_types=[ir.INDEX],
+                     attributes={"dimension": ir.StringAttr("x")}).results[0]
+        ir.create_op(module, "memref.store", [one, entry.arguments[0], t], [])
+        build_op(registry.dialects, module, "func.return", [])
+        got = launch(module, "k", LaunchConfig((1, 1, 1), (threads, 1, 1)),
+                     [np.zeros(threads, np.float32)])
+        assert got[1] == ("InterpError: [dominance] at 'memref.store' in ^bb2: use of %0 "
+                          "is not dominated by its definition")
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", LaunchConfig((1, 1, 1), (threads, 1, 1)),
+                                       [np.zeros(threads, np.float32)]))
+
+    @pytest.mark.parametrize("name", ["vadd", "saxpy"])
+    def test_bench_kernels_neither_gather_nor_scatter(self, registry, monkeypatch, name):
+        texts = lane_texts(monkeypatch)
+        grid, block = gen.KERNELS[name]
+        run_kernel(kernel(registry, name), name, LaunchConfig((grid, 1, 1), (block, 1, 1)),
+                   values(kernel_args(np.random.default_rng(191), name, grid, block)))
+        [text] = texts
+        assert "waves(" not in text and "[(v" not in text
