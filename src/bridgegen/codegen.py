@@ -80,17 +80,17 @@ def _pointwise_le(a: IntrinsicSignature, b: IntrinsicSignature) -> bool:
 class IntrinsicRegistry:
     """Dispatch table from intrinsic signatures to operation builders.
 
-    Also owns the per-type bool conversion builders. Call dispatches are
-    memoised per registry (see ``_resolve_call``); :func:`register_intrinsic`
-    clears that cache, so methods may be added at any time between
-    translations.
+    A branch condition's conversion to Bool is one more intrinsic name,
+    ``bool_conversion_intrinsic``, dispatched like any other. Call dispatches
+    are memoised per registry (see ``_resolve_call``);
+    :func:`register_intrinsic` clears that cache, so methods may be added
+    at any time between translations.
     """
 
     def __init__(self, dialect_registry=None):
         self.dialects = dialect_registry or dl.builtin_registry()
         self.methods = {}  # name -> list[(IntrinsicSignature, builder)]
         self.dispatch_cache = {}  # see _resolve_call
-        self.bool_conversions = {}  # condition FrontendType -> builder
 
     def has_name(self, name: str) -> bool:
         return name in self.methods
@@ -217,7 +217,6 @@ class BuilderContext:
     block_map: dict = field(default_factory=dict)   # FIR block number -> IrBlock
     values: dict = field(default_factory=dict)      # FIR SSA id / param -> [IrValue]
     constants: dict = field(default_factory=dict)   # (value, IrType) -> IrValue
-    n_constants: int = 0
     # FIR block -> [(phi, start, count, {pred: arg})], one per head phi
     phi_slots: dict = field(default_factory=dict)
 
@@ -261,8 +260,7 @@ def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValu
         return cached
     op = ctx.build_op("arith.constant", attributes={"value": attr})
     # constants lead the entry block, in order of first use
-    ctx.entry_block.operations.insert(ctx.n_constants, ctx.block.operations.pop())
-    ctx.n_constants += 1
+    ctx.entry_block.operations.insert(len(ctx.constants), ctx.block.operations.pop())
     v = op.results[0]
     ctx.constants[key] = v
     return v
@@ -343,23 +341,6 @@ class _Translator:
 
     def translate_invoke(self, st: fir.Invoke, block_number: int):
         ctx = self.ctx
-        if st.target == fir.BOOL_CONVERSION:
-            if len(st.args) != 1:
-                raise CodegenError(
-                    f"%{st.id}: {fir.BOOL_CONVERSION} takes one argument")
-            arg = st.args[0]
-            cond_type = self.type_of(arg)
-            conv = ctx.registry.bool_conversions.get(cond_type)
-            if conv is not None:
-                values = conv(ctx, self.arg_values(arg))
-            else:
-                values = self.arg_values(arg, fir.BOOL if _is_literal(arg) else None)
-                if [v.type for v in values] != [ir.I1]:
-                    raise CodegenError(
-                        f"%{st.id}: no bool conversion registered for "
-                        f"condition type {cond_type}")
-            ctx.values[("ssa", st.id)] = list(values)
-            return
         natural = [self.type_of(a) for a in st.args]
         try:
             sig, builder = _resolve_call(ctx.registry, st.target, st.args, natural)
@@ -391,7 +372,7 @@ class _Translator:
                 self.branch(number, [st.target])
                 terminated = True
             elif isinstance(st, fir.GotoIfNot):
-                cond_values = self.arg_values(st.cond)
+                cond_values = self.arg_values(st.cond, fir.BOOL)
                 if [v.type for v in cond_values] != [ir.I1]:
                     t = self.type_of(st.cond)
                     raise CodegenError(

@@ -352,8 +352,6 @@ def load_dialect_spec(text: str) -> DialectDefinition:
                 if c.name == "elem" and c.index >= len(operands):
                     raise DialectSpecError(
                         lineno, f"elem({c.index}) on {what} '{s.name}' is dangling")
-        if pending["successors"] != 0 and not pending["terminator"]:
-            raise DialectSpecError(lineno, "successors require 'terminator'")
         strings = {a.name: a.values for a in pending["attrs"] if a.kind == "string"}
         for bind_line, (_, _, attrs) in pending["binds"]:
             for key, value in attrs:

@@ -970,7 +970,9 @@ def inline_calls(program: FirProgram, entry: str, is_intrinsic) -> FirFunction:
 
 
 def insert_bool_conversions(fn: FirFunction) -> FirFunction:
-    """Route every non-Bool branch condition through the conversion intrinsic.
+    """Route each branch condition that is neither a literal nor of type
+    Bool or i1 through a call of ``BOOL_CONVERSION``, an intrinsic name
+    that dispatches like any other; codegen makes a literal a Bool constant.
 
     Returns a new function with new block lists; ``fn`` is untouched, and
     every statement but the converted branches is shared with it.
@@ -981,7 +983,8 @@ def insert_bool_conversions(fn: FirFunction) -> FirFunction:
     for block in fn.blocks:
         new = []
         for st in block:
-            if isinstance(st, GotoIfNot) and type_of(st.cond) != BOOL:
+            if (isinstance(st, GotoIfNot) and st.cond.__class__ not in _NATURAL
+                    and type_of(st.cond) not in (BOOL, I1)):
                 new.append(Invoke(fresh, BOOL_CONVERSION, [st.cond], BOOL))
                 st = GotoIfNot(SsaRef(fresh), st.target)
                 fresh += 1

@@ -477,16 +477,19 @@ def _lane_memref(op, form, b, idx, v):
     each later one falls back unless its span starts where the first's
     does. An index out of bounds by its span, or lanes stored through
     scalar indices fall back, so that the replay raises as the scalar op
-    does. The bounds test of an index of hoisted values is hoisted."""
+    does. The bounds test of an index of hoisted values is hoisted; a test
+    already emitted (``form.tested``) reads the same slots, so it is not
+    emitted again."""
     store, lines = op.name == "memref.store", []
     if store and v in form.arrays and not form.arrays.intersection(idx):
         return ["raise Sequential"]
     tests = [f"{s[0]} < 0 or {s[-1]} >= x{b}[{k}]"
              for k, s in enumerate([form.span(s, lines) for s in idx])]
     carried = bool(form.carried.intersection(idx))
-    if tests:
-        (lines if carried else form.hoisted).append(
-            f"if {' or '.join(tests)}: raise Sequential")
+    test = f"if {' or '.join(tests)}: raise Sequential"
+    if tests and test not in form.tested:
+        form.tested.add(test)
+        (lines if carried else form.hoisted).append(test)
     if op in form.sliced:  # (subscript, a format of the span ends; whether b is stored)
         (lo, hi), (i, stored) = form.spans[idx[0]], form.sliced[op]
         i = i.format(lo, hi)
@@ -732,19 +735,20 @@ class _Source:
     ``accesses`` maps the slot of each buffer accessed to the texts of the
     flat indices it is accessed through, each to whether it is carried.
     ``carried`` holds the slots of carried values, ``arrays`` those whose
-    values are lanes rather than one value, and ``hoisted`` the lines that
-    run once a call, before the steps (see _lane_function). A kernel's
+    values are lanes rather than one value, ``hoisted`` the lines that run
+    once a call, before the steps (see _lane_function), and ``tested`` the
+    bounds tests emitted. A kernel's
     shape analysis (see _consecutive) fills ``sliced`` and ``dead``, and
     ``undo`` maps each stored buffer accessed through a slice to the start
     of its first span."""
 
     __slots__ = ("namespace", "target", "lanes", "spans", "accesses", "carried",
-                 "arrays", "hoisted", "sliced", "dead", "undo")
+                 "arrays", "hoisted", "tested", "sliced", "dead", "undo")
 
     def __init__(self, lanes=False):
         self.namespace, self.target = dict(_LANE_NAMES) if lanes else {}, None
         self.lanes, self.spans, self.accesses = lanes, {}, {}
-        self.carried, self.arrays, self.hoisted = set(), set(), []
+        self.carried, self.arrays, self.hoisted, self.tested = set(), set(), [], set()
         self.sliced, self.dead, self.undo = {}, set(), {}
 
     def bind(self, obj) -> str:

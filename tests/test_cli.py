@@ -661,9 +661,9 @@ class TestDiagnostics:
     @pytest.mark.parametrize("text, types, message", [
         ("fn f(_1: i64)\n1:\n  %1 = invoke bool_conversion_intrinsic(_1, _1) :: Bool\n"
          "  return _1\n", "i64",
-         "%1: bool_conversion_intrinsic takes one argument"),
+         "%1 in block 1: no method matching bool_conversion_intrinsic(i64, i64)"),
         ("fn f(_1: f64)\n1:\n  goto #3 ifnot _1\n2:\n  return _1\n3:\n  return _1\n",
-         "f64", "%1: no bool conversion registered for condition type f64"),
+         "f64", "%1 in block 1: no method matching bool_conversion_intrinsic(f64)"),
         ("fn f(_1: i64)\n1:\n  goto #3 ifnot 1.0\n2:\n  return 1\n3:\n  return 2\n",
          "i64", "literal 1.0 is not a value of Bool"),
         ("fn f(_1: i64)\n1:\n  goto #3 ifnot -1\n2:\n  return 1\n3:\n  return 2\n",

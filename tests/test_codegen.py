@@ -460,22 +460,26 @@ fn cpick(_1: Complex{f32}, _2: Complex{f32}, _3: i64)
             generate(registry, program.functions["f"], [fir.F32, fir.F64])
 
     def test_missing_bool_conversion(self, registry):
-        # branch condition of a type with no conversion entry and no i1 shape
+        # the conversion is an ordinary call: no method for f32, no i1
         text = ("fn f(_1: f32)\n1:\n  %1 = invoke bool_conversion_intrinsic(_1) :: Bool\n"
                 "  goto #3 ifnot %1\n2:\n  return 1.0\n3:\n  return 2.0\n")
         program = fir.parse_program(text)
-        with pytest.raises(CodegenError, match="no bool conversion registered"):
+        with pytest.raises(NoMethodError,
+                           match=r"^%1 in block 1: no method matching "
+                                 r"bool_conversion_intrinsic\(f32\)$"):
             generate(registry, program.functions["f"], [fir.F32])
 
-    def test_custom_bool_conversion_entry(self, registry):
-        # conversion entries may emit ops; this one compares two constants
-        def conv(ctx, values):
-            zero = materialize_constant(ctx, fir.IntLit(0), fir.I64)
-            op = ctx.build_op("arith.cmpi", [zero, zero],
-                              attributes={"predicate": ir.StringAttr("eq")})
-            return list(op.results)
+    @staticmethod
+    def compare_constants(ctx, args):
+        # a conversion may emit ops; this one compares two constants
+        zero = materialize_constant(ctx, fir.IntLit(0), fir.I64)
+        op = ctx.build_op("arith.cmpi", [zero, zero],
+                          attributes={"predicate": ir.StringAttr("eq")})
+        return list(op.results)
 
-        registry.bool_conversions[fir.F32] = conv
+    def test_custom_bool_conversion_entry(self, registry):
+        register_intrinsic(registry, IntrinsicSignature(fir.BOOL_CONVERSION, (fir.F32,)),
+                           self.compare_constants)
         text = ("fn f(_1: f32)\n1:\n  goto #3 ifnot _1\n"
                 "2:\n  return 1.0\n3:\n  return 2.0\n")
         program = fir.parse_program(text)
@@ -483,6 +487,40 @@ fn cpick(_1: Complex{f32}, _2: Complex{f32}, _3: i64)
         module = generate(registry, fn, [fir.F32])
         assert ir.verify_module(module).ok
         assert any(op.name == "arith.cmpi" for op in walk_ops(module))
+
+    def test_abstract_bool_conversion_covers_each_float(self, registry):
+        # one AbstractFloat method converts f32 and f64 conditions alike,
+        # by subtyping, where an exact-type table needs one entry each
+        register_intrinsic(registry,
+                           IntrinsicSignature(fir.BOOL_CONVERSION, (fir.ABSTRACT_FLOAT,)),
+                           self.compare_constants)
+        for t in (fir.F32, fir.F64):
+            text = (f"fn f(_1: {t})\n1:\n  goto #3 ifnot _1\n"
+                    "2:\n  return 1\n3:\n  return 2\n")
+            fn = fir.insert_bool_conversions(fir.parse_program(text).functions["f"])
+            module = generate(registry, fn, [t])
+            assert ir.verify_module(module).ok
+            names = [op.name for op in walk_ops(module)]
+            assert names.count("arith.cmpi") == 1 and "cf.cond_br" in names
+
+    @pytest.mark.parametrize("t, converted", [(fir.I64, False), (fir.F64, True)],
+                             ids=["unconverted", "conversion-returns-f64"])
+    def test_condition_that_is_not_i1_is_refused(self, registry, t, converted):
+        # the branch's own check, the one guard on what a conversion returns:
+        # generate on an unconverted function, or a method that returns its
+        # f64 argument
+        register_intrinsic(registry, IntrinsicSignature(fir.BOOL_CONVERSION, (fir.F64,)),
+                           lambda ctx, args: args[0])
+        text = (f"fn f(_1: {t})\n1:\n  goto #3 ifnot _1\n"
+                "2:\n  return 1\n3:\n  return 2\n")
+        fn = fir.parse_program(text).functions["f"]
+        if converted:
+            fn = fir.insert_bool_conversions(fn)
+        with pytest.raises(CodegenError) as info:
+            generate(registry, fn, [t])
+        assert str(info.value) == (
+            f"block 1: branch condition of type {fir.BOOL if converted else t} did not "
+            "lower to i1; missing bool conversion")
 
     def test_unreachable_blocks_dropped(self, registry):
         text = ("fn f(_1: i64)\n1:\n  goto #3\n"
@@ -761,16 +799,22 @@ class TestCfgProperties:
                             assert op.attributes["value"].value == arg.value
 
 
-def test_readme_fma_example():
-    """The README's Python example registers ``fma``; a FIR call of it on
-    f32 builds arith.mulf then arith.addf and runs to the f32 ``a*b + c``."""
+def readme_examples():
+    """The README's Python examples, in order: ``fma``, then a bool
+    conversion."""
     import pathlib
     import re
 
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
+def test_readme_fma_example():
+    """The README's Python example registers ``fma``; a FIR call of it on
+    f32 builds arith.mulf then arith.addf and runs to the f32 ``a*b + c``."""
     import numpy as np
 
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-    [example] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    [example, _] = readme_examples()
     scope = {}
     exec(example, scope)
     text = ("fn f(_1: f32, _2: f32, _3: f32)\n1:\n"
@@ -783,3 +827,22 @@ def test_readme_fma_example():
     a, b, c = np.float32(1.1), np.float32(3.3), np.float32(-0.7)
     [out] = interp.run_function(module, "f", [interp.F32Value(float(x)) for x in (a, b, c)])
     assert out.value == float(a * b + c)
+
+
+def test_readme_bool_conversion_example():
+    """The README's conversion method makes an i64 branch condition an
+    ``arith.cmpi ne`` against 0: the branch is taken on a nonzero value."""
+    [_, example] = readme_examples()
+    scope = {}
+    exec(example, scope)
+    text = ("fn f(_1: i64)\n1:\n  goto #3 ifnot _1\n"
+            "2:\n  return 1\n3:\n  return 2\n")
+    module = codegen.compile_program(scope["registry"], fir.parse_program(text), "f",
+                                     [fir.I64])
+    [fn] = module.symbol_ops()
+    [cmp] = [op for op in walk_ops(module) if op.name == "arith.cmpi"]
+    assert cmp.attributes["predicate"] == ir.StringAttr("ne")
+    assert fn.regions[0].blocks[0].operations[-1].name == "cf.cond_br"
+    for x, want in ((5, 1), (-1, 1), (0, 2)):
+        [out] = interp.run_function(module, "f", [interp.IntValue(64, x)])
+        assert out.value == want

@@ -152,6 +152,41 @@ class TestLoader:
         assert info.value.line == 4
 
 
+    @pytest.mark.parametrize("text, line, message", [
+        ('dialect d\nop o "x"\n  operand a f65\n', 3, "unknown type constraint 'f65'"),
+        ('dialect d\nop o "x"\n  operand a elem(1)\n', 2,
+         "elem(1) on operand 'a' is dangling"),
+        ("dialect d\ndialect e\n", 2, "only one dialect per spec"),
+        ("dialect\n", 1, "expected 'dialect <name>'"),
+        ("dialect d d\n", 1, "expected 'dialect <name>'"),
+        ("dialect d\n  operand a Any\n", 2, "'operand' outside an op"),
+        ('dialect d\nop o "x"\n  operand a\n', 3,
+         "expected 'operand <name> [variadic] <constraint>'"),
+        ('dialect d\nop o "x"\n  result r variadic Any x\n', 3,
+         "expected 'result <name> [variadic] <constraint>'"),
+        ('dialect d\nop o "x"\n  terminator 2\n', 3,
+         "expected 'terminator [successors <n|variadic>]'"),
+        ('dialect d\nop o "x"\n  frobnicate\n', 3, "unknown directive 'frobnicate'"),
+        ("# no header\n", 0, "missing 'dialect' header"),
+    ], ids=["unknown-constraint", "dangling-elem", "two-dialects", "dialect-no-name",
+            "dialect-two-names", "outside-op", "operand-shape", "result-shape",
+            "terminator-shape", "unknown-directive", "no-header"])
+    def test_malformed_spec_message_and_line(self, text, line, message):
+        with pytest.raises(DialectSpecError) as info:
+            load_dialect_spec(text)
+        assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+
+    def test_variadic_successors_round_trip(self):
+        text = 'dialect d\nop jump "x"\n  operand conds variadic i1\n' \
+               "  terminator successors variadic\n"
+        once = load_dialect_spec(text)
+        op = once.ops["jump"]
+        assert op.is_terminator and op.successors == "variadic"
+        printed = serialize_dialect(once)
+        assert "  terminator successors variadic\n" in printed
+        assert load_dialect_spec(printed).ops == once.ops
+
+
 class TestRegistry:
     def test_register_then_build(self):
         registry = register_dialect(DialectRegistry(), load_dialect_spec(SAMPLE))

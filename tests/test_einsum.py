@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bridgegen import einsum, interp, ir
+from bridgegen import codegen, einsum, interp, ir
+from bridgegen.dialects import build_op
 from bridgegen.einsum import (
     EinsumError,
     build_einsum_function,
@@ -11,6 +12,26 @@ from bridgegen.einsum import (
     parse_einsum,
 )
 from conftest import einsum_bruteforce, tensor_value, walk_ops
+
+
+F32_VEC = ir.TensorType(ir.F32, (None,))
+
+
+def entry_context(registry, types, name="f", results=()):
+    """A BuilderContext at the entry block of a new func.func @name taking
+    ``types``, and the block's arguments."""
+    module = ir.IrModule(registry=registry.dialects)
+    region = module.new_region()
+    build_op(registry.dialects, module, "func.func",
+             attributes={"sym_name": ir.SymbolAttr(name),
+                         "function_type": ir.TypeAttr(
+                             ir.FunctionType(tuple(types), tuple(results)))},
+             regions=[region])
+    entry = module.append_block(region, types)
+    ctx = codegen.BuilderContext(module=module, registry=registry,
+                                 region=region, entry_block=entry)
+    ctx.set_block(entry)
+    return ctx, list(entry.arguments)
 
 
 class TestParse:
@@ -120,44 +141,33 @@ class TestBuildGeneric:
 
     def test_rank_mismatch(self, registry):
         spec = parse_einsum("(i,k),(k,j)->(i,j)")
-        module = ir.IrModule(registry=registry.dialects)
-        from bridgegen import codegen
-        from bridgegen.dialects import build_op
-
-        region = module.new_region()
-        build_op(registry.dialects, module, "func.func",
-                 attributes={"sym_name": ir.SymbolAttr("f"),
-                             "function_type": ir.TypeAttr(ir.FunctionType((), ()))},
-                 regions=[region])
         t1 = ir.TensorType(ir.F32, (None,))  # rank 1, needs rank 2
-        entry = module.append_block(region, [t1, t1, t1])
-        ctx = codegen.BuilderContext(module=module, registry=registry,
-                                     region=region, entry_block=entry)
-        ctx.set_block(entry)
+        ctx, operands = entry_context(registry, [t1, t1, t1])
         with pytest.raises(EinsumError, match="rank"):
-            einsum.build_generic(ctx, spec, list(entry.arguments))
+            einsum.build_generic(ctx, spec, operands)
 
     def test_mixed_element_types_rejected(self, registry):
         spec = parse_einsum("(i),(i)->(i)")
-        module = ir.IrModule(registry=registry.dialects)
-        from bridgegen import codegen
-        from bridgegen.dialects import build_op
-
-        region = module.new_region()
-        build_op(registry.dialects, module, "func.func",
-                 attributes={"sym_name": ir.SymbolAttr("f"),
-                             "function_type": ir.TypeAttr(ir.FunctionType((), ()))},
-                 regions=[region])
-        entry = module.append_block(region, [
+        ctx, operands = entry_context(registry, [
             ir.TensorType(ir.F32, (None,)),
             ir.TensorType(ir.F64, (None,)),
             ir.TensorType(ir.F32, (None,)),
         ])
-        ctx = codegen.BuilderContext(module=module, registry=registry,
-                                     region=region, entry_block=entry)
-        ctx.set_block(entry)
         with pytest.raises(EinsumError, match="element type"):
-            einsum.build_generic(ctx, spec, list(entry.arguments))
+            einsum.build_generic(ctx, spec, operands)
+
+    @pytest.mark.parametrize("types, message", [
+        ([F32_VEC] * 2, "expected 2 input(s) plus one output operand, got 2"),
+        ([F32_VEC, ir.MemRefType(ir.F32, (None,)), F32_VEC],
+         "operand {1!r} is not a tensor"),
+        ([F32_VEC, F32_VEC, ir.TensorType(ir.I64, (None,))],
+         "element type i64 is not a float type"),
+    ], ids=["operand-count", "memref-operand", "i64-tensor"])
+    def test_operands_refused(self, registry, types, message):
+        ctx, operands = entry_context(registry, types)
+        with pytest.raises(EinsumError) as info:
+            einsum.build_generic(ctx, parse_einsum("(i),(i)->(i)"), operands)
+        assert str(info.value) == message.format(*operands)
 
     def test_printed_form_carries_maps_and_iterators(self, registry):
         spec = parse_einsum("(i,k),(k,j)->(i,j)")
@@ -167,27 +177,13 @@ class TestBuildGeneric:
         assert "ins(%arg0, %arg1" in text and "outs(%arg2" in text
 
     def test_chained_generics_share_numbering_and_run(self, registry):
-        from bridgegen import codegen
-        from bridgegen.dialects import build_op
-
         spec = parse_einsum("(i,k),(k,j)->(i,j)")
-        module = ir.IrModule(registry=registry.dialects)
         t = ir.TensorType(ir.F32, (None, None))
-        region = module.new_region()
-        build_op(registry.dialects, module, "func.func",
-                 attributes={"sym_name": ir.SymbolAttr("twice"),
-                             "function_type": ir.TypeAttr(
-                                 ir.FunctionType((t,) * 3, (t,)))},
-                 regions=[region])
-        entry = module.append_block(region, [t] * 3)
-        ctx = codegen.BuilderContext(module=module, registry=registry,
-                                     region=region, entry_block=entry)
-        ctx.set_block(entry)
-        g1 = einsum.build_generic(ctx, spec, list(entry.arguments))
-        g2 = einsum.build_generic(
-            ctx, spec,
-            [g1.results[0], entry.arguments[1], entry.arguments[2]])
+        ctx, args = entry_context(registry, [t] * 3, "twice", (t,))
+        g1 = einsum.build_generic(ctx, spec, args)
+        g2 = einsum.build_generic(ctx, spec, [g1.results[0], args[1], args[2]])
         ctx.build_op("func.return", [g2.results[0]])
+        module = ctx.module
         assert ir.verify_module(module).ok
         text = ir.print_module(module)
         assert "%0 = linalg.generic" in text and "%6 = linalg.generic" in text

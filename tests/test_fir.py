@@ -564,17 +564,46 @@ fn f(_1: i64)
         assert run_i64(registry, text, 0) == 0
 
 
+F32_BRANCH = """\
+fn f(_1: f32)
+1:
+  goto #3 ifnot _1
+2:
+  return 1
+3:
+  return 2
+"""
+
+
+def conversions(fn):
+    return [st for _, st in fn.statements()
+            if isinstance(st, Invoke) and st.target == BOOL_CONVERSION]
+
+
 class TestBoolConversion:
-    def test_i1_condition_converted(self):
+    def test_i1_condition_untouched(self):
         fn = parse_program(MAX_FIR).functions["max"]
         out = insert_bool_conversions(fn)
-        convs = [st for _, st in out.statements()
-                 if isinstance(st, Invoke) and st.target == BOOL_CONVERSION]
+        assert conversions(out) == []
+        assert normalize(out) == normalize(fn)
+
+    def test_f32_condition_converted(self):
+        fn = parse_program(F32_BRANCH).functions["f"]
+        out = insert_bool_conversions(fn)
+        convs = conversions(out)
         assert len(convs) == 1
-        assert convs[0].result_type == fir.BOOL
+        assert convs[0].args == [ParamRef(1)] and convs[0].result_type == fir.BOOL
         branch = out.blocks[0][-1]
         assert isinstance(branch, GotoIfNot)
         assert branch.cond == SsaRef(convs[0].id)
+        assert out.blocks[0] == [convs[0], branch]
+
+    @pytest.mark.parametrize("cond", ["1.0", "-1", "true", "1"])
+    def test_literal_condition_untouched(self, cond):
+        fn = parse_program(F32_BRANCH.replace("ifnot _1", f"ifnot {cond}")).functions["f"]
+        out = insert_bool_conversions(fn)
+        assert conversions(out) == []
+        assert normalize(out) == normalize(fn)
 
     def test_bool_condition_untouched(self):
         text = ("fn f(_1: Bool)\n1:\n  goto #2 ifnot _1\n2:\n  return 1\n")
@@ -586,7 +615,7 @@ class TestBoolConversion:
         text = """\
 fn f(_1: i64, _2: i64)
 1:
-  %1 = invoke >=(_1, _2) :: i1
+  %1 = invoke +(_1, _2) :: i64
   goto #3 ifnot %1
 2:
   goto #3 ifnot %1
@@ -595,17 +624,17 @@ fn f(_1: i64, _2: i64)
 """
         fn = parse_program(text).functions["f"]
         out = insert_bool_conversions(fn)
-        convs = [st for _, st in out.statements()
-                 if isinstance(st, Invoke) and st.target == BOOL_CONVERSION]
+        convs = conversions(out)
         non_bool_branches = [st for _, st in fn.statements()
                              if isinstance(st, GotoIfNot)
                              and fir.arg_typer(fn)(st.cond) != fir.BOOL]
         assert len(convs) == len(non_bool_branches) == 2
 
     def test_block_count_preserved_and_only_insertions(self):
-        fn = parse_program(MAX_FIR).functions["max"]
+        fn = parse_program(MAX_FIR.replace(":: i1", ":: i64").replace(">=", "-")
+                           ).functions["max"]
         out = insert_bool_conversions(fn)
-        assert out.n_blocks() == fn.n_blocks()
+        assert out.n_blocks() == fn.n_blocks() and len(conversions(out)) == 1
         originals = [st for _, st in fn.statements()]
         kept = [st for _, st in out.statements()
                 if not (isinstance(st, Invoke) and st.target == BOOL_CONVERSION)]

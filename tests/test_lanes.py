@@ -225,6 +225,23 @@ class TestKernelFallbacks:
                        LaunchConfig((1, 1, 1), (2 ** 64, 1, 1)), bufs)
         assert f"(thread context {{'x': (8, 0, {2 ** 64}), " in str(info.value)
 
+    def test_lanes_stored_through_a_uniform_index_fall_back(self, registry, monkeypatch,
+                                                            batches):
+        # out[0] = in[g] in every thread: the store writes lanes through one
+        # index, so the lane function falls back at once, the batch replays
+        # thread by thread and out[0] ends as the last thread's value
+        texts = lane_texts(monkeypatch)
+        module = gid_kernel(registry, "  %6 = invoke load(_1, %5) :: f32\n"
+                                      "  %7 = invoke store(%6, _2, 0) :: Nothing\n")
+        args = [np.arange(64, dtype=np.float32), np.zeros(64, np.float32)]
+        config = LaunchConfig((2, 1, 1), (32, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(64, False)] and got[1] is None
+        assert "raise Sequential" in [line.strip() for line in texts[0].splitlines()]
+        assert got[0][1][0] == 63.0 and not got[0][1][1:].any()
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
     def test_buffers_sharing_memory(self, registry, sequential_calls):
         # two views of one array: lane 1 reads what lane 0 writes
         text = ("fn k(_1: memref{f32,1}, _2: memref{f32,1})\n1:\n"
@@ -549,6 +566,18 @@ class TestConflictRule:
             batches.clear()
             run_kernel(module, name, LaunchConfig((grid, 1, 1), (block, 1, 1)), values(args))
             assert batches == [(interp.LANES, True)] * (grid * block // interp.LANES)
+
+    @pytest.mark.parametrize("name", list(gen.KERNELS))
+    def test_each_bounds_test_once(self, registry, monkeypatch, name):
+        # a buffer loaded and stored through one index is tested once: the
+        # same test text reads the same slots, so its first copy serves both
+        texts = lane_texts(monkeypatch)
+        module = kernel(registry, name)
+        for admits in ("gt", ""):
+            assert interp._lane_function(func_region(module, name), None, admits)
+            tests = [line.strip() for line in texts.pop().splitlines()
+                     if "raise Sequential" in line]
+            assert tests and len(tests) == len(set(tests)), tests
 
     @pytest.mark.parametrize("name", list(gen.KERNELS))
     def test_rule_is_one_line_per_stored_buffer(self, registry, monkeypatch, name):
