@@ -350,8 +350,15 @@ class _Translator:
             self.arg_values(a, sig.param_types[i] if _is_literal(a) else None)
             for i, a in enumerate(st.args)
         ]
-        results = builder(ctx, arg_values)
-        ctx.values[("ssa", st.id)] = list(results or [])
+        results = list(builder(ctx, arg_values) or [])
+        declared = map_type(ctx.registry, st.result_type)
+        returned = [v.type for v in results]
+        if returned != declared:
+            raise CodegenError(
+                f"%{st.id} in block {block_number}: {st.target} returned "
+                f"({', '.join(map(str, returned))}), not its declared type "
+                f"{st.result_type} ({', '.join(map(str, declared))})")
+        ctx.values[("ssa", st.id)] = results
 
     def translate_block(self, number: int, statements):
         ctx = self.ctx

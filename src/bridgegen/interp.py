@@ -68,37 +68,44 @@ per point of its parallel axes, those of the output map, reading each
 operand as one strided view. Its carried state is the accumulator, and its
 steps are the points of the other axes in lexicographic order, so each
 output element accumulates in the sequential order; a call takes a box of
-at most LANES of them. A kernel numbers its threads in launch order and
-runs them in batches of at most LANES consecutive threads, which may span
-grid blocks; loads gather and stores scatter, except through a
-consecutive index. Its code keeps the launch geometry of its last batch
-pattern (block extents, first thread in its block, size): read-only lanes
-of the thread coordinates with their spans, of each lane's block from the
-batch's first, and of zeros, at most 5 * LANES elements whatever the
-launch, and the batch's block runs, so that a batch of the same pattern
-computes only its block coordinates; prepare drops it with the rest of the
-code. Its carried state is the contents of the buffers it stores to, and
-its steps are the batch's waves, in each of which a lane touches its own
-element of each stored buffer. A kernel's lane function is built for the
+at most LANES of them. Its code keeps the plan of its last operand layout
+(the shape and strides of each operand): the axis extents, the step
+charge, the shape and strides of each view and, made on its first run in
+lanes, the boxes, of which those of one size share one points list. So a
+call of the same layout makes only its views, over a contiguous array's
+buffer or else through as_strided; prepare drops the plan with the rest
+of the code. A kernel numbers
+its threads in launch order and runs them in batches of at most LANES
+consecutive threads, which may span grid blocks; loads gather and stores
+scatter, except through a consecutive index. Its code keeps the launch
+geometry of its last batch pattern (block extents, first thread in its
+block, size): read-only lanes of the thread coordinates with their spans,
+of each lane's block from the batch's first, and of zeros, at most 5 *
+LANES elements whatever the launch, and the batch's block runs, so that a
+batch of the same pattern computes only its block coordinates; prepare
+drops it with the rest of the code. Its carried state is the contents of the buffers it stores to, and its steps
+are the batch's waves, in each of which a lane touches its own element of
+each stored buffer. A kernel's lane function is built for the
 shapes its launch admits: an i64 or index value is consecutive as the
 thread number plus a uniform offset, g + c, when the grid and the block
 extend in x alone, or as thread_id x plus a uniform offset, t + c, when
-the block does. A 1-D access through such an index is a slice of its exact span,
-and a stored buffer reached through one shape alone records its undo once
-a batch; the batch is one wave when every stored buffer is reached
-through g + c, and its kept block runs when some are reached through
-t + c. Otherwise the waves are the maximal strictly rising runs of each
-stored buffer's flat index, or the whole batch where that index strictly
-falls. A consecutive value's lanes are made only where an op reads it as
-a value. A batch is charged its steps up front, so it takes lanes only
-when they fit the budget (for a kernel, one thread's steps). A batch falls
-back, with its stores undone, to running point by point or thread by
-thread, which raises the same errors after the same stores, when an
-index's span leaves its bounds, an integer result could leave int64
-(index values are unbounded), a stored buffer is accessed through two
-flat indices or offsets that differ, or its waves average fewer than
-MIN_LANES lanes. Kernels whose buffers share memory or hold elements that
-may overlap, or whose arguments or coordinates leave int64, run thread by
+the block does. A 1-D access through such an index is a slice of its
+exact span, copied by a load only where its value is read after a store
+to its buffer, and a stored buffer reached through one shape alone
+records its undo once a batch; the batch is one wave when every stored
+buffer is reached through g + c, and its kept block runs when some are
+reached through t + c. Otherwise the waves are the maximal strictly rising
+runs of each stored buffer's flat index, or the whole batch where that
+index strictly falls. A consecutive value's lanes are made only where an
+op reads it as a value. A batch is charged its steps up front, so it takes
+lanes only when they fit the budget (for a kernel, one thread's steps). A
+batch falls back, with its stores undone, to running point by point or
+thread by thread, which raises the same errors after the same stores, when
+an index's span leaves its bounds, an integer result could leave int64
+(index values are unbounded), a stored buffer is accessed through two flat
+indices or offsets that differ, or its waves average fewer than MIN_LANES
+lanes. Kernels whose buffers share memory or hold elements that may
+overlap, or whose arguments or coordinates leave int64, run thread by
 thread throughout. So do generics and batches of fewer than MIN_LANES
 lanes, for which numpy's cost per call outweighs the lanes.
 """
@@ -106,6 +113,7 @@ lanes, for which numpy's cost per call outweighs the lanes.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import operator
@@ -472,7 +480,8 @@ def _lane_memref(op, form, b, idx, v):
     flat index goes into ``form.accesses`` for the test that each lane owns
     the elements it touches (see _waves). An access in ``form.sliced``
     reads or writes a slice of its consecutive index's span instead, and
-    copies what it loads from a stored buffer; the first such access of a
+    copies what it loads from a stored buffer when an op reads the loaded
+    value after that buffer's next store; the first such access of a
     stored buffer records the undo of the batch's whole span, once, and
     each later one falls back unless its span starts where the first's
     does. An index out of bounds by its span, or lanes stored through
@@ -490,8 +499,8 @@ def _lane_memref(op, form, b, idx, v):
     if tests and test not in form.tested:
         form.tested.add(test)
         (lines if carried else form.hoisted).append(test)
-    if op in form.sliced:  # (subscript, a format of the span ends; whether b is stored)
-        (lo, hi), (i, stored) = form.spans[idx[0]], form.sliced[op]
+    if op in form.sliced:  # (subscript, a format of the span ends; b stored; load copies)
+        (lo, hi), (i, stored, copy) = form.spans[idx[0]], form.sliced[op]
         i = i.format(lo, hi)
         if stored and b not in form.undo:  # the batch's one undo record of b
             form.undo[b] = lo
@@ -499,7 +508,7 @@ def _lane_memref(op, form, b, idx, v):
                                 f"d{b}[{lo}:{hi} + 1].copy()))")
         elif stored and form.undo[b] != lo:  # another offset: equal, or fall back
             form.hoisted.append(f"if {form.undo[b]} != {lo}: raise Sequential")
-        read = f"d{b}[{i}]" + ".copy()" * stored
+        read = f"d{b}[{i}]" + ".copy()" * copy
     else:
         flat = f"v{idx[0]}" if idx else "0"  # row-major over the shape x<b>
         for k, s in enumerate(idx[1:], 1):
@@ -560,30 +569,25 @@ def _generic(op, at, form=None):
     maps = list(op.attributes["indexing_maps"].elements)
     body = _Code(op.regions[0], at[_FAULTS])
     src, lane_body = [at[v] for v in op.operands], _lane_function(op.regions[0], body.faults)
+    wheres = [operator.itemgetter(*m.targets) if m.targets else (lambda p: ())
+              for m in maps]  # an operand's element index at a point
 
     def generic(f, run):
         operands = [f[s] for s in src]
-        extents = {}
-        for m, v in zip(maps, operands):
-            for axis, extent in zip(m.targets, v.data.shape):
-                if extents.setdefault(axis, extent) != extent:
-                    raise InterpError(
-                        f"linalg.generic: inconsistent extent for axis d{axis}: "
-                        f"{extents[axis]} vs {extent}")
         out = operands[-1]
         result = np.array(out.data, copy=True)
-        steps = lane_body and math.prod(extents.values()) * lane_body.steps
-        if (steps and run.steps + steps <= run.limit
-                and math.prod(extents[a] for a in set(maps[-1].targets)) >= MIN_LANES):
+        arrays = [v.data for v in operands[:-1]] + [result]
+        key = tuple([(a.shape, a.strides) for a in arrays])
+        if body.geometry is None or body.geometry[0] != key:
+            body.geometry = _generic_plan(key, maps, arrays, lane_body)
+        _, extents, steps, lanes = body.geometry
+        if lanes and run.steps + steps <= run.limit:
             try:
-                _generic_lanes(lane_body, maps, operands, extents, result)
+                _run_plan(lane_body, lanes, arrays)
                 run.steps += steps
                 return TensorValue(out.elem, result.shape, result)
             except _Sequential:
                 pass  # ``result`` is still the output's copy
-        wheres = [operator.itemgetter(*m.targets) if m.targets else (lambda p: ())
-                  for m in maps]  # an operand's element index at a point
-        arrays = [v.data for v in operands[:-1]] + [result]
         reads = [_wrapped(v.elem, lambda p, run, read=(  # f32: an np.float32
                      a.__getitem__ if isinstance(v.elem, ir.Float32Type) else a.item),
                      where=w: read(where(p))) for v, a, w in zip(operands, arrays, wheres)]
@@ -594,50 +598,87 @@ def _generic(op, at, form=None):
     return generic
 
 
-def _generic_lanes(code, maps, operands, extents, result):
-    """Run a generic's body over numpy lanes into ``result``: one lane per
-    point of the output map's axes, so no two lanes write one element. Each
-    operand is a strided view over the loop axes, then the parallel ones
-    (stride 0 on an axis its map lacks). A call of the body takes a box of
-    loop points (see _boxes) and steps through them in lexicographic order,
-    so each element accumulates in the sequential order. Raises
-    _Sequential, ``result`` untouched, when the body has to run point by
-    point. The body wraps its narrow integer arguments itself."""
+def _generic_plan(key, maps, arrays, code):
+    """The plan of a generic of ``maps`` on ``arrays`` (its inputs, then the
+    output's copy), which a generic's _Code keeps for its next call on
+    arrays of the same layout ``key``, the (shape, strides) of each: (key,
+    the extent of each axis, the steps a run in lanes charges, the lane plan
+    or None). InterpError when two extents of one axis differ, so that no
+    plan is kept for such a layout and each call raises.
+
+    The lane plan, for a body with lane function ``code`` whose output map
+    has at least MIN_LANES points, is (the shape, strides and contiguity of
+    each array's view, the boxes, made on the plan's first run in lanes):
+    one lane per point of the output map's axes, so no two lanes write one
+    element. Each input's view is over the
+    loop axes, then the parallel ones (stride 0 on an axis its map lacks),
+    and the output's over the parallel ones. A call of the body takes a box
+    of loop points (see _boxes) and steps through them in lexicographic
+    order, so each element accumulates in the sequential order."""
+    extents = {}
+    for m, (shape, _) in zip(maps, key):
+        for axis, extent in zip(m.targets, shape):
+            if extents.setdefault(axis, extent) != extent:
+                raise InterpError(
+                    f"linalg.generic: inconsistent extent for axis d{axis}: "
+                    f"{extents[axis]} vs {extent}")
     par = sorted(set(maps[-1].targets))
+    steps, lanes = code and math.prod(extents.values()) * code.steps, math.prod(
+        extents[a] for a in par)
+    if not steps or lanes < MIN_LANES:
+        return key, extents, steps, None
     loop = [a for a in sorted(extents) if a not in par]
 
-    def view(data, m, axes):
+    def view(a, m, axes):
         strides = dict.fromkeys(axes, 0)
-        for axis, stride in zip(m.targets, data.strides):
+        for axis, stride in zip(m.targets, a.strides):
             strides[axis] += stride
-        return np.lib.stride_tricks.as_strided(data, [extents[a] for a in axes],
-                                               list(strides.values()))
-    reads = [view(v.data, m, loop + par) for m, v in zip(maps, operands[:-1])]
-    out = acc = view(result, maps[-1], par)
-    most = max(1, min(LANES, LANES * LANES // acc.size))  # loop points a call
-    for key, points in _boxes([extents[a] for a in loop], most):
+        return tuple(extents[x] for x in axes), tuple(strides.values()), a.flags.forc
+    views = [view(a, m, loop + par) for m, a in zip(maps, arrays[:-1])]
+    views.append(view(arrays[-1], maps[-1], par))
+    most = max(1, min(LANES, LANES * LANES // lanes))  # loop points a call
+    boxes = functools.cache(functools.partial(_boxes, [extents[a] for a in loop], most))
+    return key, extents, steps, (views, boxes)
+
+
+def _run_plan(code, plan, arrays):
+    """Run a generic's body, lane function ``code``, over the lane plan
+    ``plan`` (see _generic_plan) of ``arrays`` into the last, the output's
+    copy. A contiguous array's view is made over its buffer, others through
+    as_strided. Raises _Sequential, the output's copy untouched, when the
+    body has to run point by point. The body wraps its narrow integer
+    arguments itself."""
+    views, boxes = plan
+    reads = [np.ndarray(shape, a.dtype, a, 0, strides) if whole else
+             np.lib.stride_tricks.as_strided(a, shape, strides)
+             for a, (shape, strides, whole) in zip(arrays, views)]
+    out = acc = reads.pop()
+    for key, points in boxes():
         [acc] = _exec_lanes(code, [r[key] for r in reads] + [acc], _Lanes(None, steps=points))
     out[...] = acc
 
 
 def _boxes(shape, most: int):
-    """(key, points) of each box of at most ``most`` points of the loop
+    """[(key, points)] of each box of at most ``most`` points of the loop
     space ``shape``, in lexicographic order: ``key`` indexes the box in an
     array whose leading axes are the loop's, and ``points`` indexes each of
-    its points in the box, in order."""
+    its points in the box, in order. Boxes of one size share their points
+    list, so the lists hold at most 2 * ``most`` points."""
     if not shape:
-        yield (), [()]
-    elif 0 not in shape:
-        rest = math.prod(shape[1:])
-        if rest > most:  # one box per index of the first axis, or more
-            for k in range(shape[0]):
-                for key, points in _boxes(shape[1:], most):
-                    yield (k, *key), points
-            return
-        for lo in range(0, shape[0], most // rest):
-            hi = min(lo + most // rest, shape[0])
-            yield (slice(lo, hi),), list(itertools.product(range(hi - lo),
-                                                           *map(range, shape[1:])))
+        return [((), [()])]
+    if 0 in shape:
+        return []
+    rest = math.prod(shape[1:])
+    if rest > most:  # one box per index of the first axis, or more
+        inner = _boxes(shape[1:], most)
+        return [((k, *key), points) for k in range(shape[0]) for key, points in inner]
+    boxes, size, points = [], most // rest, {}  # box size -> its points
+    for lo in range(0, shape[0], size):
+        n = min(size, shape[0] - lo)
+        if n not in points:
+            points[n] = list(itertools.product(range(n), *map(range, shape[1:])))
+        boxes.append(((slice(lo, lo + n),), points[n]))
+    return boxes
 
 
 _OPS = {  # operation name -> decoder(op, at); ``at`` maps values to slots
@@ -1019,18 +1060,30 @@ def _consecutive(form, ops, at, stored, admits):
     keeps the shape. A 1-D access through a consecutive index takes a slice
     (``form.sliced``, see _lane_memref): a load through g from a buffer no
     op stores to, and every access of the stored buffers when each is
-    reached through one shape alone. A seed of g's span is the batch's
-    thread numbers, ``first`` to ``last``. Returns the slots of the ops that
-    make no lines (seeds, their operands and x coordinates whose lanes no
-    op reads) and whether the waves are the batch's block runs;
-    ``form.dead`` gets the consecutive values whose lanes no op reads."""
+    reached through one shape alone; a load from a stored buffer copies
+    its slice when an op reads its value after a later store to that
+    buffer. The loads from a stored buffer, the stores and the ops that
+    read their values are all carried, so they run in the order of
+    ``ops``. A seed of g's span is the batch's thread numbers, ``first``
+    to ``last``. Returns the slots of the ops that make no lines (seeds,
+    their operands and x coordinates whose lanes no op reads) and whether
+    the waves are the batch's block runs; ``form.dead`` gets the
+    consecutive values whose lanes no op reads."""
     if not admits:
         return set(), False
     shapes, seeds, xs, base, accesses = {}, set(), {}, set(), {}
+    loaded, stores, copies = {}, collections.Counter(), set()
     for op in ops:
         slots, r = _operands(op, at)
         if op in at[_FAULTS]:  # no shape, and no lane form: it fails when reached
             continue
+        for s in slots:  # a loaded value read after a store to its buffer
+            if s in loaded and stores[loaded[s][1]] > loaded[s][2]:
+                copies.add(loaded[s][0])
+        if op.name == "memref.store":
+            stores[slots[1]] += 1
+        elif op.name == "memref.load":  # its value -> (op, buffer, stores of it so far)
+            loaded[r] = (op, slots[0], stores[slots[0]])
         if getattr(op.attributes.get("dimension"), "text", None) == "x":
             xs[r] = op.name
             if op.name == "gpu.thread_id" and "t" in admits:
@@ -1064,9 +1117,10 @@ def _consecutive(form, ops, at, stored, admits):
         for op, k in found:
             if b in stored and not lanes:
                 form.sliced[op] = ("{0} + a:{0} + b" if k == "t" else
-                                   "{0} + p.start:{0} + p.stop" if runs else "{0}:{1} + 1", True)
+                                   "{0} + p.start:{0} + p.stop" if runs else "{0}:{1} + 1",
+                                   True, op in copies)
             elif b not in stored and k == "g":
-                form.sliced[op] = ("{0}:{1} + 1", False)
+                form.sliced[op] = ("{0}:{1} + 1", False, False)
     live = set()  # the slots whose lanes an op that makes lines reads
     for op in reversed(ops):
         slots, r = _operands(op, at)
@@ -1089,7 +1143,8 @@ class _Code:
     decoded on the first such launch of at least MIN_LANES threads) and its
     compiled function (``fast``, built once the region has taken
     HOT back edges, ``backs``, counted across runs), and a kernel's launch
-    geometry of its last lockstep batch (``geometry``, see _geometry).
+    geometry of its last lockstep batch or a generic body's plan of its
+    last operand layout (``geometry``, see _geometry and _generic_plan).
     ``fast`` and a function of ``lanes`` are False when the region has no
     such form.
     ``faults`` are the executable's, as in _decode."""

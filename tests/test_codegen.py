@@ -506,9 +506,9 @@ fn cpick(_1: Complex{f32}, _2: Complex{f32}, _3: i64)
     @pytest.mark.parametrize("t, converted", [(fir.I64, False), (fir.F64, True)],
                              ids=["unconverted", "conversion-returns-f64"])
     def test_condition_that_is_not_i1_is_refused(self, registry, t, converted):
-        # the branch's own check, the one guard on what a conversion returns:
-        # generate on an unconverted function, or a method that returns its
-        # f64 argument
+        # generate on an unconverted function: the branch's own check; or
+        # with a conversion method that returns its f64 argument: the
+        # invoke's check of its builder's result types, which comes first
         register_intrinsic(registry, IntrinsicSignature(fir.BOOL_CONVERSION, (fir.F64,)),
                            lambda ctx, args: args[0])
         text = (f"fn f(_1: {t})\n1:\n  goto #3 ifnot _1\n"
@@ -519,8 +519,28 @@ fn cpick(_1: Complex{f32}, _2: Complex{f32}, _3: i64)
         with pytest.raises(CodegenError) as info:
             generate(registry, fn, [t])
         assert str(info.value) == (
-            f"block 1: branch condition of type {fir.BOOL if converted else t} did not "
-            "lower to i1; missing bool conversion")
+            f"%1 in block 1: {fir.BOOL_CONVERSION} returned (f64), not its declared type "
+            "Bool (i1)" if converted else
+            f"block 1: branch condition of type {t} did not lower to i1; missing bool conversion")
+
+    @pytest.mark.parametrize("declared, want", [
+        ("i64", "(f64), not its declared type i64 (i64)"),
+        ("Nothing", "(f64), not its declared type Nothing ()"),
+        ("f64", None),
+    ])
+    def test_builder_results_match_the_declared_type(self, registry, declared, want):
+        # a method whose builder returns its f64 argument, whatever the
+        # invoke declares
+        register_intrinsic(registry, IntrinsicSignature("same", (fir.F64,)),
+                           lambda ctx, args: args[0])
+        text = f"fn f(_1: f64)\n1:\n  %1 = invoke same(_1) :: {declared}\n  return _1\n"
+        fn = fir.parse_program(text).functions["f"]
+        if want is None:
+            assert ir.verify_module(generate(registry, fn, [fir.F64])).ok
+            return
+        with pytest.raises(CodegenError) as info:
+            generate(registry, fn, [fir.F64])
+        assert str(info.value) == f"%1 in block 1: same returned {want}"
 
     def test_unreachable_blocks_dropped(self, registry):
         text = ("fn f(_1: i64)\n1:\n  goto #3\n"

@@ -1582,13 +1582,16 @@ class TestNoCycles:
     @pytest.mark.parametrize("points", [8, 3], ids=["lanes", "points"])
     def test_generic_module_run_and_dropped(self, registry, monkeypatch, no_collector,
                                             points):
-        lanes, run_lanes = [], interp._generic_lanes
-        monkeypatch.setattr(interp, "_generic_lanes",
-                            lambda *args: lanes.append(run_lanes(*args)))
+        plans, lanes = [], []
+        plan, run_plan = interp._generic_plan, interp._run_plan
+        monkeypatch.setattr(interp, "_generic_plan",
+                            lambda *args: plans.append(plan(*args)) or plans[-1])
+        monkeypatch.setattr(interp, "_run_plan", lambda *args: lanes.append(run_plan(*args)))
         module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i)->(i)"))
         [out] = run_function(module, "einsum", [tensor_value(np.full(points, 3.0)),
                                                 tensor_value(np.zeros(points))])
-        assert len(lanes) == (points >= interp.MIN_LANES)
+        assert len(plans) == 1 and len(lanes) == (points >= interp.MIN_LANES)
+        assert (plans[0][3] is None) == (points < interp.MIN_LANES)
         del module
         assert gc.collect() == 0
         assert list(out.data) == [3.0] * points

@@ -1502,6 +1502,124 @@ class TestKeptGeometry:
         assert same_launch(got, launch(module, "vadd", config, args))
 
 
+@pytest.fixture
+def plans(monkeypatch):
+    """(layout key, plan) of each generic plan asked for; the plan is None
+    while it is made, and stays None when making it raised."""
+    made, make = [], interp._generic_plan
+
+    def counted(key, *args):
+        made.append((key, None))
+        made[-1] = (key, make(key, *args))
+        return made[-1][1]
+    monkeypatch.setattr(interp, "_generic_plan", counted)
+    return made
+
+
+def einsum_run(module, arrays):
+    return run_function(module, "einsum", [TensorValue(ir.F32, a.shape, a) for a in arrays])[0]
+
+
+class TestKeptPlan:
+    """A generic's code keeps the plan of its last operand layout: the
+    extents, step charge, views and boxes that depend only on the (shape,
+    strides) of each operand. A call of another layout makes a plan again,
+    an inconsistent one raises on every call, and prepare drops it. Each
+    call gives what the same call gives point by point."""
+
+    MATMUL = einsum.parse_einsum("(i,k),(k,j)->(i,j)")
+
+    def matmul(self, registry, rng):
+        arrays = [f32_data(rng, (6, 7)), f32_data(rng, (7, 8)), f32_data(rng, (6, 8))]
+        return einsum.build_einsum_function(registry, self.MATMUL), arrays
+
+    def test_one_plan_for_one_layout(self, registry, monkeypatch, sequential_calls, plans):
+        module, arrays = self.matmul(registry, np.random.default_rng(53))
+        got = [einsum_run(module, arrays) for _ in range(100)]
+        assert len(plans) == 1 and plans[0][1][3] is not None
+        assert len(sequential_calls) == 100  # the function body; the generic ran in lanes
+        want = ref.einsum_reference("(i,k),(k,j)->(i,j)", arrays[:-1], arrays[-1])
+        assert all(ref.same(g.data, want) for g in got)
+        no_lanes(monkeypatch)
+        assert ref.same(got[-1].data, einsum_run(module, arrays).data)
+
+    @pytest.mark.parametrize("which, layout, again", [
+        (0, lambda rng: f32_data(rng, (7, 6)).T, True),
+        (0, lambda rng: f32_data(rng, (6, 14))[:, ::2], True),
+        (1, lambda rng: np.broadcast_to(f32_data(rng, 8), (7, 8)), True),
+        (2, lambda rng: f32_data(rng, (8, 6)).T, True),
+        (0, lambda rng: read_only(f32_data(rng, (6, 7))), False),
+    ], ids=["transposed", "sliced", "broadcast", "transposed-output", "read-only"])
+    def test_another_layout(self, registry, monkeypatch, sequential_calls, plans, which,
+                            layout, again):
+        # a read-only operand of the kept layout reads through the kept plan
+        rng = np.random.default_rng(59)
+        module, arrays = self.matmul(registry, rng)
+        other = list(arrays)
+        other[which] = layout(rng)
+        got = [einsum_run(module, arrays), einsum_run(module, other)]
+        assert len(plans) == 1 + again and len(sequential_calls) == 2  # lanes
+        assert (plans[-1][0] != plans[0][0]) == again
+        no_lanes(monkeypatch)
+        assert all(ref.same(g.data, einsum_run(module, a).data)
+                   for g, a in zip(got, (arrays, other)))
+
+    def test_inconsistent_extents_raise_on_each_call(self, registry, plans):
+        module = einsum.build_einsum_function(registry, self.MATMUL)
+        rng = np.random.default_rng(61)
+        arrays = [f32_data(rng, (6, 7)), f32_data(rng, (5, 8)), f32_data(rng, (6, 8))]
+        errors = []
+        for _ in range(2):
+            with pytest.raises(interp.InterpError) as info:
+                einsum_run(module, arrays)
+            errors.append(str(info.value))
+        assert errors == ["linalg.generic: inconsistent extent for axis d2: 7 vs 5"] * 2
+        assert [plan for _, plan in plans] == [None, None]  # none kept: each call asks
+
+    def test_prepare_drops_the_plan(self, registry, monkeypatch, plans):
+        module, arrays = self.matmul(registry, np.random.default_rng(67))
+        first = einsum_run(module, arrays)
+        interp.prepare(module)
+        assert module.executable.funcs == {}  # the code, and its plan, are dropped
+        again = einsum_run(module, arrays)
+        assert len(plans) == 2 and plans[0][0] == plans[1][0] and plans[0][1] is not plans[1][1]
+        assert ref.same(first.data, again.data)
+        no_lanes(monkeypatch)
+        assert ref.same(again.data, einsum_run(module, arrays).data)
+
+    def test_boxes_wait_for_a_run_in_lanes(self, registry, plans):
+        # a call over the step budget runs point by point and makes no boxes;
+        # the first run in lanes makes them once for the kept plan
+        module, arrays = self.matmul(registry, np.random.default_rng(73))
+        with pytest.raises(interp.StepLimitExceeded):
+            run_function(module, "einsum", [TensorValue(ir.F32, a.shape, a) for a in arrays],
+                         step_limit=100)
+        [(_, (_, _, _, (_, boxes)))] = plans
+        assert boxes.cache_info().currsize == 0
+        got = [einsum_run(module, arrays) for _ in range(2)]
+        assert len(plans) == 1 and boxes.cache_info() == (1, 1, None, 1)  # made once
+        want = ref.einsum_reference("(i,k),(k,j)->(i,j)", arrays[:-1], arrays[-1])
+        assert all(ref.same(g.data, want) for g in got)
+
+    def test_kept_points_are_bounded(self, registry, plans):
+        # a loop of 16 * LANES points keeps one points list of LANES points
+        spec, k = "(i,k)->(i)", 16 * interp.LANES
+        rng = np.random.default_rng(71)
+        arrays = [f32_data(rng, (interp.MIN_LANES, k)), f32_data(rng, interp.MIN_LANES)]
+        module = einsum.build_einsum_function(registry, einsum.parse_einsum(spec))
+        got = einsum_run(module, arrays)
+        [(_, (_, _, _, (_, boxes)))] = plans
+        boxes = boxes()
+        lists = {id(points): points for _, points in boxes}.values()
+        assert len(boxes) == 16 and sum(map(len, lists)) <= interp.LANES
+        assert ref.same(got.data, ref.einsum_reference(spec, arrays[:-1], arrays[-1]))
+
+
+def read_only(data):
+    data.flags.writeable = False
+    return data
+
+
 def lane_texts(monkeypatch):
     """The text of each lane function built."""
     texts, function = [], interp._function
@@ -1562,20 +1680,53 @@ class TestConsecutive:
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "k", config, args))
 
-    def test_loaded_value_outlives_its_store(self, registry, monkeypatch, batches):
-        # x = A[g]; A[g] = x * 2; B[g] = x: B gets A's old values, not a
-        # view of the elements the store overwrote
+    def outlived(self, registry, monkeypatch, batches, reader):
+        """x = A[g]; A[g] = x * 2; then ``reader``, which stores x or a value
+        of it to B: the launch, its text and A's old values."""
+        texts = lane_texts(monkeypatch)
         module = gid_kernel(registry, "  %6 = invoke load(_1, %5) :: f32\n"
                                       "  %7 = invoke *(%6, 2.0) :: f32\n"
-                                      "  %8 = invoke store(%7, _1, %5) :: Nothing\n"
-                                      "  %9 = invoke store(%6, _2, %5) :: Nothing\n")
+                                      "  %8 = invoke store(%7, _1, %5) :: Nothing\n" + reader)
         args = [f32_data(np.random.default_rng(151), 2048), np.zeros(2048, np.float32)]
         config = LaunchConfig((16, 1, 1), (128, 1, 1))
         got = launch(module, "k", config, args)
         assert batches == [(1024, True)] * 2 and got[1] is None
-        assert ref.same(got[0][1], args[0]) and ref.same(got[0][0], args[0] * np.float32(2))
+        assert ref.same(got[0][0], args[0] * np.float32(2))
+        [text] = texts  # the load copies its slice
+        assert any(line.endswith("= d1[first:last + 1].copy()") for line in text.splitlines())
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "k", config, args))
+        return got, args[0]
+
+    def test_loaded_value_outlives_its_store(self, registry, monkeypatch, batches):
+        # B[g] = x: B gets A's old values, not a view of the elements the
+        # store overwrote
+        got, old = self.outlived(registry, monkeypatch, batches,
+                                 "  %9 = invoke store(%6, _2, %5) :: Nothing\n")
+        assert ref.same(got[0][1], old)
+
+    def test_loaded_value_read_after_its_store(self, registry, monkeypatch, batches):
+        # B[g] = x + 1, the add after A's store: it reads A's old values
+        got, old = self.outlived(registry, monkeypatch, batches,
+                                 "  %9 = invoke +(%6, 1.0) :: f32\n"
+                                 "  %10 = invoke store(%9, _2, %5) :: Nothing\n")
+        assert ref.same(got[0][1], old + np.float32(1))
+
+    def test_loads_read_before_the_store_copy_nothing(self, registry, monkeypatch, batches):
+        # collide reads its loaded slice only before the store to its
+        # buffer, so only the batch's undo record copies
+        texts = lane_texts(monkeypatch)
+        grid, block = gen.KERNELS["collide"]
+        module, config = kernel(registry, "collide"), LaunchConfig((grid, 1, 1), (block, 1, 1))
+        args = kernel_args(np.random.default_rng(153), "collide", grid, block)
+        got = launch(module, "collide", config, args)
+        assert batches == [(1024, True)] * 4 and got[1] is None
+        [text] = texts
+        [copy] = [line for line in text.splitlines() if ".copy()" in line]
+        assert copy.strip().startswith("touched.append(")
+        assert ref.same(got[0][0], ref.kernel_reference("collide", grid, block, args)[0])
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "collide", config, args))
 
     @pytest.mark.parametrize("name", ["vadd", "collide"])
     def test_partial_batch_from_mid_block(self, registry, monkeypatch, batches, waves, name):
