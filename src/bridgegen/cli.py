@@ -318,7 +318,8 @@ def _check_shapes(spec: einsum.EinsumSpec, text: str):
     extent = {}
     for shape, tup in zip(shapes, tuples):
         if len(shape) != len(tup):
-            raise CliError(f"shape {shape} does not match index tuple {tup}")
+            raise CliError(f"shape {'x'.join(map(str, shape))} has rank {len(shape)}; "
+                           f"index tuple ({','.join(tup)}) needs {len(tup)}")
         for d, name in zip(shape, tup):
             if name in extent and extent[name] != d:
                 raise CliError(

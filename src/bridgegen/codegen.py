@@ -380,11 +380,6 @@ class _Translator:
                 terminated = True
             elif isinstance(st, fir.GotoIfNot):
                 cond_values = self.arg_values(st.cond, fir.BOOL)
-                if [v.type for v in cond_values] != [ir.I1]:
-                    t = self.type_of(st.cond)
-                    raise CodegenError(
-                        f"block {number}: branch condition of type {t} did not "
-                        f"lower to i1; missing bool conversion")
                 # fall-through-on-true: the lexically next block, which the
                 # fallthrough edge itself keeps reachable
                 self.branch(number, [number + 1, st.target], cond_values)
@@ -395,19 +390,6 @@ class _Translator:
                 terminated = True
         if not terminated:
             self.branch(number, [number + 1])
-
-
-def _return_type(fn: fir.FirFunction, type_of):
-    kinds = [fir.NOTHING if st.value is None else type_of(st.value)
-             for _, st in fn.statements() if isinstance(st, fir.Return)]
-    if not kinds:
-        return fir.NOTHING
-    first = kinds[0]
-    for k in kinds[1:]:
-        if k != first:
-            raise CodegenError(
-                f"inconsistent return types: {first} vs {k}")
-    return first
 
 
 def _prepare_blocks(ctx: BuilderContext, fn: fir.FirFunction, entry_types):
@@ -445,13 +427,15 @@ def generate(registry: IntrinsicRegistry, fn: fir.FirFunction, arg_types) -> ir.
         raise CodegenError(
             f"argument types {[str(t) for t in arg_types]} do not match the "
             f"declared parameter types of '{fn.name}'")
-    result_types = map_type(registry, _return_type(fn, fir.arg_typer(fn)))
     module = ir.IrModule(registry=registry.dialects)
     top = module.body
     ctx = BuilderContext(module=module, registry=registry, region=top, block=top.blocks[0])
     region = generate_region(ctx, fn, "func.return")
+    # the first return types the function; ir.verify_module checks the others
+    returns = [b.operations[-1] for b in region.blocks
+               if b.operations[-1].name == "func.return"]
     ftype = ir.FunctionType(tuple(v.type for v in region.blocks[0].arguments),
-                            tuple(result_types))
+                            tuple(v.type for v in returns[0].operands) if returns else ())
     ctx.build_op("func.func", attributes={"sym_name": ir.SymbolAttr(fn.name),
                                           "function_type": ir.TypeAttr(ftype)},
                  regions=[region])

@@ -182,14 +182,20 @@ class DialectRegistry:
 
 def op_findings(registry, op: IrOperation):
     """``(category, message)`` findings of ``op`` against its definition in
-    ``registry`` or, with no registry, against its op-local rules alone."""
+    ``registry`` or, with no registry, against its op-local rules alone.
+    With a definition, the op's terminator flag must also be the spec's,
+    which :func:`build_op` sets."""
     types = [v.type for v in op.operands], [v.type for v in op.results]
     if registry is None:
         return _op_local(op.name, *types, op.attributes)
     defn = registry.lookup(op.name)
     if defn is None:
         return [("unknown-op", f"'{op.name}' is not registered")]
-    return _check(defn, *types, op.attributes, len(op.regions), len(op.successors))
+    findings = _check(defn, *types, op.attributes, len(op.regions), len(op.successors))
+    if op.is_terminator != defn.is_terminator:
+        findings.append(("terminator-flag", f"is_terminator {op.is_terminator} "
+                         f"differs from its spec's {defn.is_terminator}"))
+    return findings
 
 
 def _check(defn: OpDefinition, operand_types, result_types, attributes,

@@ -122,28 +122,21 @@ def build_generic(ctx: codegen.BuilderContext, spec: EinsumSpec,
                   operands) -> ir.IrOperation:
     """Emit one linalg.generic at ``ctx``'s insertion block, its body
     translated with ``ctx``'s registry; ``operands`` are input tensors then
-    output."""
-    if len(operands) != len(spec.inputs) + 1:
-        raise EinsumError(
-            f"expected {len(spec.inputs)} input(s) plus one output operand, "
-            f"got {len(operands)}")
+    output. Their element types pick the body's; ``build_op`` checks the
+    generic's own facts, their count, kinds and ranks."""
     elem = None
-    for v, tup in zip(operands, spec.inputs + (spec.output,)):
-        t = v.type
-        if not isinstance(t, ir.TensorType):
-            raise EinsumError(f"operand {v!r} is not a tensor")
-        if t.rank != len(tup):
-            raise EinsumError(
-                f"operand rank {t.rank} does not match index tuple {tup}")
-        if not ir.is_float(t.elem):
-            raise EinsumError(f"element type {t.elem} is not a float type")
+    for v in operands:
+        t = getattr(v.type, "elem", v.type)
+        if not ir.is_float(t):
+            raise EinsumError(f"element type {t} is not a float type")
         if elem is None:
-            elem = t.elem
-        elif t.elem != elem:
+            elem = t
+        elif t != elem:
             raise EinsumError("operands must share one element type")
 
     maps, iterators = derive_maps(spec)
-    body = _body_function(spec, _FRONTEND_ELEMS[elem])
+    # with no operands build_op refuses the generic, whatever its body
+    body = _body_function(spec, _FRONTEND_ELEMS.get(elem, fir.F32))
     region = codegen.generate_region(ctx, body, "linalg.yield")
     return ctx.build_op(
         "linalg.generic",
@@ -154,7 +147,7 @@ def build_generic(ctx: codegen.BuilderContext, spec: EinsumSpec,
                 tuple(ir.StringAttr(s) for s in iterators)),
         },
         regions=[region],
-        result_types=[operands[-1].type],
+        result_types=[v.type for v in operands[-1:]],
     )
 
 

@@ -106,8 +106,9 @@ an index's span leaves its bounds, an integer result could leave int64
 indices or offsets that differ, or its waves average fewer than MIN_LANES
 lanes. Kernels whose buffers share memory or hold elements that may
 overlap, or whose arguments or coordinates leave int64, run thread by
-thread throughout. So do generics and batches of fewer than MIN_LANES
-lanes, for which numpy's cost per call outweighs the lanes.
+thread throughout. So do batches of fewer than MIN_LANES threads, for
+which numpy's cost per call outweighs the lanes; a generic takes lanes
+whatever its number of points.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ __all__ = [
 DEFAULT_STEP_LIMIT = 10 ** 7
 MAX_CALL_DEPTH = 200  # nested func.calls; each takes three Python frames
 LANES = 1024  # the most consecutive threads that run as one batch
-MIN_LANES = 5  # fewer points or threads run faster one by one than as lanes
+MIN_LANES = 5  # fewer threads run faster one by one than as lanes
 HOT = 50  # back edges after which a function runs compiled
 MAX_COMPILED_OPS = 48  # the most ops a compiled function holds
 
@@ -606,15 +607,15 @@ def _generic_plan(key, maps, arrays, code):
     or None). InterpError when two extents of one axis differ, so that no
     plan is kept for such a layout and each call raises.
 
-    The lane plan, for a body with lane function ``code`` whose output map
-    has at least MIN_LANES points, is (the shape, strides and contiguity of
-    each array's view, the boxes, made on the plan's first run in lanes):
-    one lane per point of the output map's axes, so no two lanes write one
-    element. Each input's view is over the
-    loop axes, then the parallel ones (stride 0 on an axis its map lacks),
-    and the output's over the parallel ones. A call of the body takes a box
-    of loop points (see _boxes) and steps through them in lexicographic
-    order, so each element accumulates in the sequential order."""
+    The lane plan, for a body with lane function ``code``, whatever the
+    number of points, is (the shape, strides and contiguity of each array's
+    view, the boxes, made on the plan's first run in lanes): one lane per
+    point of the output map's axes, so no two lanes write one element.
+    Each input's view is over the loop axes, then the parallel ones (stride
+    0 on an axis its map lacks), and the output's over the parallel ones. A
+    call of the body takes a box of loop points (see _boxes) and steps
+    through them in lexicographic order, so each element accumulates in the
+    sequential order."""
     extents = {}
     for m, (shape, _) in zip(maps, key):
         for axis, extent in zip(m.targets, shape):
@@ -625,7 +626,7 @@ def _generic_plan(key, maps, arrays, code):
     par = sorted(set(maps[-1].targets))
     steps, lanes = code and math.prod(extents.values()) * code.steps, math.prod(
         extents[a] for a in par)
-    if not steps or lanes < MIN_LANES:
+    if not steps:
         return key, extents, steps, None
     loop = [a for a in sorted(extents) if a not in par]
 

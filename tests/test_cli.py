@@ -293,6 +293,22 @@ class TestRun:
         assert out.out.splitlines()[-1] == \
             "[11.0, 22.0, 33.0, 44.0, 55.0, 66.0, 77.0, 88.0]"
 
+    @pytest.mark.parametrize("text, types, inputs, ir_text, out", [
+        ("fn f(_1: Complex{f32})\n1:\n  return _1\n", "Complex{f32}", ["1.5", "2.5"],
+         "func.func @f(%arg0: f32, %arg1: f32) -> (f32, f32) {\n"
+         "    return %arg0, %arg1 : f32, f32", "1.5\n2.5\n"),
+        ("fn f(_1: f64)\n1:\n  goto #3\n2:\n  return 1\n3:\n  return _1\n", "f64",
+         ["2.5"], "func.func @f(%arg0: f64) -> f64 {", "2.5\n"),
+    ], ids=["complex-result", "dead-return-of-another-type"])
+    def test_results_typed_by_the_reachable_return(self, tmp_path, capsys, text, types,
+                                                   inputs, ir_text, out):
+        (tmp_path / "f.fir").write_text(text)
+        argv = [str(tmp_path / "f.fir"), "--entry", "f", "--types", types]
+        assert cli.main(["gen", *argv]) == 0
+        assert ir_text in capsys.readouterr().out
+        assert cli.main(["run", *argv, "--", *inputs]) == 0
+        assert capsys.readouterr() == (out, "")
+
     def test_missing_launch_for_gpu_kernel(self, vadd_path, capsys):
         code = cli.main([
             "run", vadd_path, "--entry", "vadd", "--types", VADD_TYPES_FLAG,
@@ -497,6 +513,9 @@ class TestEinsum:
         out = capsys.readouterr()
         assert code == 1
         assert "inconsistent extents" in out.err
+        assert cli.main(["einsum", "(i,k),(k,j)->(i,j)", "--shapes", "4x3x2,3x5,4x5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: shape 4x3x2 has rank 3; index tuple (i,k) needs 2\n")
 
 
 LONG = "1" * 5000  # past int()'s default limit of 4300 digits

@@ -10,6 +10,7 @@ from bridgegen.codegen import (
     AmbiguousMethodError,
     BuilderContext,
     CodegenError,
+    CompileError,
     IntrinsicRegistry,
     IntrinsicSignature,
     NoMethodError,
@@ -20,6 +21,7 @@ from bridgegen.codegen import (
     register_intrinsic,
     resolve_method,
 )
+from bridgegen.dialects import BuildError
 from bridgegen.gpu import register_gpu_intrinsics
 from conftest import (
     MAX_FIR,
@@ -506,9 +508,9 @@ fn cpick(_1: Complex{f32}, _2: Complex{f32}, _3: i64)
     @pytest.mark.parametrize("t, converted", [(fir.I64, False), (fir.F64, True)],
                              ids=["unconverted", "conversion-returns-f64"])
     def test_condition_that_is_not_i1_is_refused(self, registry, t, converted):
-        # generate on an unconverted function: the branch's own check; or
-        # with a conversion method that returns its f64 argument: the
-        # invoke's check of its builder's result types, which comes first
+        # generate on an unconverted function: cf.cond_br's spec; or with a
+        # conversion method that returns its f64 argument: the invoke's
+        # check of its builder's result types, which comes first
         register_intrinsic(registry, IntrinsicSignature(fir.BOOL_CONVERSION, (fir.F64,)),
                            lambda ctx, args: args[0])
         text = (f"fn f(_1: {t})\n1:\n  goto #3 ifnot _1\n"
@@ -516,12 +518,12 @@ fn cpick(_1: Complex{f32}, _2: Complex{f32}, _3: i64)
         fn = fir.parse_program(text).functions["f"]
         if converted:
             fn = fir.insert_bool_conversions(fn)
-        with pytest.raises(CodegenError) as info:
+        with pytest.raises(CodegenError if converted else BuildError) as info:
             generate(registry, fn, [t])
         assert str(info.value) == (
             f"%1 in block 1: {fir.BOOL_CONVERSION} returned (f64), not its declared type "
             "Bool (i1)" if converted else
-            f"block 1: branch condition of type {t} did not lower to i1; missing bool conversion")
+            "cf.cond_br: operand 'condition' (operand 0) violates i1, got i64")
 
     @pytest.mark.parametrize("declared, want", [
         ("i64", "(f64), not its declared type i64 (i64)"),
@@ -551,6 +553,17 @@ fn cpick(_1: Complex{f32}, _2: Complex{f32}, _3: i64)
         region = module.lookup_symbol("f").regions[0]
         assert len(region.blocks) == 2
         assert ir.verify_module(module).ok
+
+    def test_function_typed_by_its_first_reachable_return(self, registry):
+        # block 2's i64 return types the function; the verifier refuses
+        # block 3's f64 return
+        text = ("fn f(_1: f64, _2: Bool)\n1:\n  goto #3 ifnot _2\n"
+                "2:\n  return 1\n3:\n  return _1\n")
+        with pytest.raises(CompileError) as info:
+            run_pipeline(registry, text, "f", [fir.F64, fir.BOOL])
+        assert str(info.value) == (
+            "generated module failed verification:\n[function-type] at 'func.return' "
+            "in ^bb3: returned types (f64) differ from the function type's (i64)")
 
     def test_branch_to_entry_rejected(self, registry):
         text = "fn f(_1: i64)\n1:\n  goto #1\n"

@@ -12,19 +12,15 @@ from freshly prepared modules.
 import hashlib
 import random
 import re
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from bridgegen import einsum, fir, interp, intrinsics, ir
 from bridgegen.gpu import register_gpu_intrinsics
 from conftest import TIERS, run_pipeline, use_tier
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import programs as gen  # noqa: E402
-import reference as ref  # noqa: E402
+import programs as gen
+import reference as ref
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan, inf
 

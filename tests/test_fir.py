@@ -282,6 +282,49 @@ class TestInlining:
         with pytest.raises(FirError, match="neither an intrinsic nor defined"):
             inline_calls(parse_program(text), "f", intrinsics_by_name())
 
+    def test_callee_without_a_reachable_return(self):
+        text = ("fn f(_1: i64)\n1:\n  %1 = invoke g(_1) :: i64\n  return %1\n"
+                "fn g(_1: i64)\n1:\n  goto #2\n2:\n  goto #2\n3:\n  return _1\n")
+        with pytest.raises(FirError) as info:
+            inline_calls(parse_program(text), "f", intrinsics_by_name())
+        assert str(info.value) == "cannot inline 'g': no reachable return"
+
+    def test_callee_with_unreachable_blocks(self, registry):
+        # g's dead block 2 returns an i64: the inlined f holds no copy of
+        # it, and g compiles as an entry too, typed by its reachable return
+        text = """\
+fn f(_1: f64)
+1:
+  %1 = invoke g(_1) :: f64
+  %2 = invoke *(%1, %1) :: f64
+  return %2
+
+fn g(_1: f64)
+1:
+  goto #3
+2:
+  return 1
+3:
+  return _1
+"""
+        assert inlined_text(text) == """\
+fn f(_1: f64)
+1:
+  goto #2
+2:
+  goto #3
+3:
+  goto #4
+4:
+  %1 = invoke *(_1, _1) :: f64
+  return %1
+"""
+        for entry, want in (("f", 6.25), ("g", 2.5)):
+            module = run_pipeline(registry, text, entry, [fir.F64])
+            (result,) = interp.run_function(module, entry,
+                                            [interp.value_of_type(ir.F64, 2.5)])
+            assert result.value == want
+
     @pytest.mark.parametrize("args", ["_1", "_1, _1, _1"])
     def test_call_arity_checked(self, args):
         text = (f"fn f(_1: f64)\n1:\n  %1 = invoke g({args}) :: f64\n  return %1\n"

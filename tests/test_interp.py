@@ -47,9 +47,7 @@ from conftest import (
     use_tier,
     walk_ops,
 )
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import programs as gen  # noqa: E402
+import programs as gen
 
 
 @pytest.fixture
@@ -714,6 +712,34 @@ class TestCompiledTier:
             finally:
                 sys.setprofile(None)
             assert ("<lambda>" in calls) == (tier == "closures"), tier
+
+    def test_loop_that_calls_stays_on_closures(self, registry, monkeypatch, compiled):
+        # sumto adding inc(%3) = %3 + 1: a func.call has no source form, so
+        # past HOT back edges the region stays on closures, with their result
+        from bridgegen.codegen import IntrinsicSignature, generate, register_intrinsic
+        from bridgegen.dialects import build_op
+
+        register_intrinsic(registry, IntrinsicSignature("inc", (fir.I64,)), lambda ctx, args:
+                           ctx.build_op("func.call", args[0], result_types=[ir.I64], attributes={
+                               "callee": ir.SymbolAttr("inc")}).results)
+        text = SUMTO_FIR.replace("  %5 = invoke +(%2, %3) :: i64\n", "  %7 = invoke inc(%3) "
+                                 ":: i64\n  %5 = invoke +(%2, %7) :: i64\n")
+        module = generate(registry, fir.parse_program(text).functions["sumto"], [fir.I64])
+        _, inc = new_func(module, "inc", [ir.I64], [ir.I64])
+        one = build_op(registry.dialects, module, "arith.constant", result_types=[ir.I64],
+                       attributes={"value": ir.IntAttr(1, ir.I64)})
+        add = build_op(registry.dialects, module, "arith.addi",
+                       [inc.arguments[0], one.results[0]])
+        build_op(registry.dialects, module, "func.return", add.results)
+        assert ir.verify_module(module).ok
+        n, outs = interp.HOT + 1, []
+        for hot in (math.inf, interp.HOT):
+            monkeypatch.setattr(interp, "HOT", hot)
+            interp.prepare(module)
+            [out] = run_function(module, "sumto", [IntValue(64, n)])
+            outs.append(out.value)
+        assert outs == [n * (n + 1) // 2 + n] * 2
+        assert compiled == [None]
 
     def run_both(self, tmp_path, capsys, monkeypatch, text, *argv):
         """(exit code, stdout, stderr) of ``bridgegen run`` on the closures
@@ -1590,8 +1616,8 @@ class TestNoCycles:
         module = einsum.build_einsum_function(registry, einsum.parse_einsum("(i)->(i)"))
         [out] = run_function(module, "einsum", [tensor_value(np.full(points, 3.0)),
                                                 tensor_value(np.zeros(points))])
-        assert len(plans) == 1 and len(lanes) == (points >= interp.MIN_LANES)
-        assert (plans[0][3] is None) == (points < interp.MIN_LANES)
+        # lanes at any size, fewer points than MIN_LANES too
+        assert len(plans) == 1 and len(lanes) == 1 and plans[0][3] is not None
         del module
         assert gc.collect() == 0
         assert list(out.data) == [3.0] * points

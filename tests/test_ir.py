@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgegen import dialects, einsum, fir, ir
+from bridgegen import dialects, einsum, fir, interp, ir
 from bridgegen.ir import (
     ArrayAttr,
     FloatAttr,
@@ -289,6 +289,23 @@ class TestVerifier:
         create_op(m, "arith.addf", [block.arguments[0]], [ir.F32])
         create_op(m, "func.return", [], [], is_terminator=True)
         assert "arity-mismatch" in {d.category for d in verify_module(m).diagnostics}
+
+    @pytest.mark.parametrize("name, flag", [("arith.addf", True), ("func.return", False)])
+    def test_terminator_flag_checked_against_spec(self, name, flag):
+        # the block's last op, flagged against its spec, either way
+        m = IrModule(registry=dialects.builtin_registry())
+        _, block = new_func(m, "f", (ir.F64,), (ir.F64,))
+        x = block.arguments[0]
+        op = create_op(m, name, [x, x][:1 + flag], [ir.F64] * flag, is_terminator=flag)
+        found = [(d.category, d.message, d.operation) for d in verify_module(m).diagnostics]
+        finding = ("terminator-flag", f"is_terminator {flag} differs from its spec's "
+                   f"{not flag}", op)
+        assert found == ([finding] if flag else [
+            ("missing-terminator", "block does not end with a terminator", None), finding])
+        with pytest.raises(interp.InterpError) as info:
+            interp.run_function(m, "f", [interp.F64Value(2.5)])
+        assert str(info.value) == (f"[terminator-flag] at '{name}' in ^bb{block.id}: "
+                                   f"{finding[1]}")
 
     @pytest.mark.parametrize("registry", [None, dialects.builtin_registry()],
                              ids=["bare", "registry"])

@@ -8,8 +8,6 @@ values the point-by-point and thread-by-thread paths give.
 import itertools
 import math
 import operator
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +25,8 @@ from bridgegen.interp import (
     run_kernel,
 )
 from conftest import F32_MEMREF, func_region, new_func, run_pipeline, tensor_value
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import programs as gen  # noqa: E402
-import reference as ref  # noqa: E402
+import programs as gen
+import reference as ref
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan, inf
 
@@ -494,14 +490,14 @@ class TestSameAsPointByPoint:
     def test_einsums(self, registry, monkeypatch, sequential_calls, spec):
         parsed = einsum.parse_einsum(spec)
         rng = np.random.default_rng(13)
-        base = 17 if len(parsed.output) == 1 else 5  # at least MIN_LANES lanes
+        base = 17 if len(parsed.output) == 1 else 5
         extent = {a: base + k for k, a in enumerate(parsed.axes)}
         arrays = [f32_data(rng, tuple(extent[a] for a in tup))
                   for tup in parsed.inputs + (parsed.output,)]
         module = einsum.build_einsum_function(registry, parsed)
         [got] = run_function(module, "einsum", [tensor_value(a) for a in arrays])
-        # one output element is one lane: too few, so the points run one by one
-        assert len(sequential_calls) == (1 + 5 if spec == "(i)->()" else 1)
+        # the function's body only: the generic takes lanes, even "(i)->()"'s one
+        assert len(sequential_calls) == 1
         no_lanes(monkeypatch)
         [want] = run_function(module, "einsum", [tensor_value(a) for a in arrays])
         assert ref.same(got.data, want.data)

@@ -10,7 +10,9 @@ kernels) gets one seeded mutation that makes it ill-typed or ill-formed:
 - ``foreign-branch``: a branch into a block of another region;
 - ``attr-value``: a ``predicate`` or ``dimension`` set outside the values
   its spec lists;
-- ``index-count``: a memref access given one index too many or too few.
+- ``index-count``: a memref access given one index too many or too few;
+- ``terminator-flag``: a block's terminator dropped and the op before it
+  flagged as one.
 
 The mutated module runs on the inputs of the original, on both interpreter
 tiers, and the kernels and einsums in lanes. Every run must end as the
@@ -20,8 +22,6 @@ exception, and no interpreter message of its own for a typing fault.
 """
 
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,16 +29,14 @@ import pytest
 from bridgegen import einsum, fir, interp, ir
 from bridgegen.interp import F32Value, IntValue, LaunchConfig, MemRefValue, TensorValue
 from conftest import TIERS, random_fir_function, run_pipeline, use_tier, walk_ops
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import programs as gen  # noqa: E402
+import programs as gen
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan, inf
 
 RANDOM_MODULES = 200
 SEEDS_PER_KIND = 4  # mutations of each kind on each einsum and kernel
 STEP_LIMIT = 2000  # random FIR functions may loop forever
-EXTENT = 7  # of each einsum axis: at least MIN_LANES points, so lanes apply
+EXTENT = 7  # of each einsum axis
 THREADS = 8  # of each kernel launch, one block: lanes apply
 
 
@@ -80,13 +78,15 @@ def _sites(module, kind):
                               if k in op.attributes]
                 elif kind == "index-count":
                     sites += [(region, block, pos, 0)] * op.name.startswith("memref.")
+                elif kind == "terminator-flag":
+                    sites += [(region, block, pos, 0)] * (pos == len(block.operations) - 2)
                 elif op.results:  # result-type
                     sites += [(region, block, pos, 0)]
     return sites
 
 
 KINDS = ("operand-type", "later-operand", "drop-arg", "result-type", "foreign-branch",
-         "attr-value", "index-count")
+         "attr-value", "index-count", "terminator-flag")
 
 
 def mutate(module, rng, kind):
@@ -114,6 +114,9 @@ def mutate(module, rng, kind):
             op.operands.append(op.operands[-1])  # the last index again
         else:
             op.operands.pop()
+    elif kind == "terminator-flag":
+        block.operations.pop()
+        op.is_terminator = True
     else:
         target = op.successors[k].block
         foreign = module.append_block(module.new_region(), [a.type for a in target.arguments])
