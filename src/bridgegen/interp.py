@@ -62,53 +62,43 @@ carried state, once over all lanes and steps, then loops over the steps
 running only its carried ops. Each slot is a local, as is each span an
 int64 or bounds test reads: known when the code is generated for launch
 coordinates (from the batch's bounds), constants and i64 or index results
-(by the corners of their operands' spans), else reduced from the lanes once
-a call, or for a carried value once a step. A linalg.generic takes one lane
-per point of its parallel axes, those of the output map, reading each
-operand as one strided view. Its carried state is the accumulator, and its
-steps are the points of the other axes in lexicographic order, so each
-output element accumulates in the sequential order; a call takes a box of
-at most LANES of them. Its code keeps the plan of its last operand layout
-(the shape and strides of each operand): the axis extents, the step
-charge, the shape and strides of each view and, made on its first run in
-lanes, the boxes, of which those of one size share one points list. So a
-call of the same layout makes only its views, over a contiguous array's
-buffer or else through as_strided; prepare drops the plan with the rest
-of the code. A kernel numbers
-its threads in launch order and runs them in batches of at most LANES
-consecutive threads, which may span grid blocks; loads gather and stores
-scatter, except through a consecutive index. Its code keeps the launch
-geometry of its last batch pattern (block extents, first thread in its
-block, size): read-only lanes of the thread coordinates with their spans,
-of each lane's block from the batch's first, and of zeros, at most 5 *
-LANES elements whatever the launch, and the batch's block runs, so that a
-batch of the same pattern computes only its block coordinates; prepare
-drops it with the rest of the code. Its carried state is the contents of the buffers it stores to, and its steps
-are the batch's waves, in each of which a lane touches its own element of
-each stored buffer. A kernel's lane function is built for the
-shapes its launch admits: an i64 or index value is consecutive as the
-thread number plus a uniform offset, g + c, when the grid and the block
-extend in x alone, or as thread_id x plus a uniform offset, t + c, when
-the block does. A 1-D access through such an index is a slice of its
-exact span, copied by a load only where its value is read after a store
-to its buffer, and a stored buffer reached through one shape alone
-records its undo once a batch; the batch is one wave when every stored
-buffer is reached through g + c, and its kept block runs when some are
-reached through t + c. Otherwise the waves are the maximal strictly rising
-runs of each stored buffer's flat index, or the whole batch where that
-index strictly falls. A consecutive value's lanes are made only where an
-op reads it as a value. A batch is charged its steps up front, so it takes
-lanes only when they fit the budget (for a kernel, one thread's steps). A
-batch falls back, with its stores undone, to running point by point or
-thread by thread, which raises the same errors after the same stores, when
-an index's span leaves its bounds, an integer result could leave int64
-(index values are unbounded), a stored buffer is accessed through two flat
-indices or offsets that differ, or its waves average fewer than MIN_LANES
-lanes. Kernels whose buffers share memory or hold elements that may
-overlap, or whose arguments or coordinates leave int64, run thread by
-thread throughout. So do batches of fewer than MIN_LANES threads, for
-which numpy's cost per call outweighs the lanes; a generic takes lanes
-whatever its number of points.
+(exactly from an affine form, see _affine, else by the corners of their
+operands' spans), else reduced from the lanes once a call, or for a carried
+value once a step. A linalg.generic takes one lane per point of its
+parallel axes, those of the output map, reading each operand as one strided
+view. Its carried state is the accumulator, and its steps are the points of
+the other axes in lexicographic order, so each output element accumulates
+in the sequential order; a call takes a box of at most LANES of them. Its
+code keeps the plan of its last operand layout (see _generic_plan), so a
+call of the same layout makes only its views; prepare drops the plan with
+the rest of the code. A kernel numbers its threads in launch order, block x
+slowest and thread z fastest, and runs them in batches of at most LANES
+consecutive threads, which may span grid blocks. Its code keeps the launch
+geometry of its last batch pattern (see _geometry), at most 5 * LANES
+elements whatever the launch, and a lane function for each launch shape
+that its affine analysis reads (see _affine); prepare drops both with the
+rest of the code. Its carried state is the contents of the buffers it
+stores to, and its steps are the batch's waves, in each of which a lane
+touches its own element of each stored buffer. A 1-D access through c +
+s·g, for g the thread number, or c + s·u, for u a thread's number in its
+block, with c uniform and s >= 1, is a slice of stride s, and the batch's
+waves are the whole batch or its block runs when every stored buffer is
+reached through such slices (see _affine); other loads gather, stores
+scatter, and the waves are the maximal strictly rising runs of each stored
+buffer's flat index, or the whole batch where that index strictly falls. So
+CUDA's 2-D idiom x + y * block_dim_x, whose stride in launch order is
+block_dim_x, gathers: it would take a 2-D view. A batch is charged its
+steps up front, so it takes lanes only when they fit the budget (for a
+kernel, one thread's steps). A batch falls back, with its stores undone, to
+running point by point or thread by thread, which raises the same errors
+after the same stores, when an index's span leaves its bounds, an integer
+result could leave int64 (index values are unbounded), a stored buffer is
+accessed through two flat indices or offsets that differ, or its waves
+average fewer than MIN_LANES lanes. Kernels whose buffers share memory or
+hold elements that may overlap, or whose arguments or coordinates leave
+int64, run thread by thread throughout. So do batches of fewer than
+MIN_LANES threads, for which numpy's cost per call outweighs the lanes; a
+generic takes lanes whatever its number of points.
 """
 
 from __future__ import annotations
@@ -350,17 +340,16 @@ def _lane_op(op, fn, form, r, *slots):
     """The lane lines of an op that applies ``fn`` to the values in ``slots``
     into slot ``r``. An int op's result lies between its values at the
     corners of its operands' spans: it falls back if they could leave int64
-    (index values are unbounded), else an i64 or index result's span is known.
-    A result in ``form.dead`` gets its span alone, not its lanes."""
+    (index values are unbounded), else an i64 or index result's span is known."""
     t, value = op.results[0].type, _apply_text(form, fn, *[f"v{s}" for s in slots])
     if isinstance(t, _FLOAT):
         return [f"{form.target} = {value}"]
     lines = []
     corners = itertools.product(*[form.span(s, lines) for s in slots])
     lines += [f"l{r}, h{r} = fits({', '.join(_apply_text(form, fn, *c) for c in corners)})",
-              *[f"{form.target} = {_lane_wrap(t, form, value)}"] * (r not in form.dead)]
+              f"{form.target} = {_lane_wrap(t, form, value)}"]
     if t.__class__ is ir.IndexType or t.width == 64:
-        form.spans.setdefault(r, (f"l{r}", f"h{r}"))  # a seed of g's is exact
+        form.spans[r] = (f"l{r}", f"h{r}")
     return lines
 
 
@@ -479,17 +468,16 @@ def _lane_memref(op, form, b, idx, v):
     buffer in slot ``b``, with data ``d<b>`` and shape ``x<b>``: a gather, or
     a scatter that records the old values for the undo. The text of its
     flat index goes into ``form.accesses`` for the test that each lane owns
-    the elements it touches (see _waves). An access in ``form.sliced``
-    reads or writes a slice of its consecutive index's span instead, and
-    copies what it loads from a stored buffer when an op reads the loaded
-    value after that buffer's next store; the first such access of a
-    stored buffer records the undo of the batch's whole span, once, and
-    each later one falls back unless its span starts where the first's
-    does. An index out of bounds by its span, or lanes stored through
-    scalar indices fall back, so that the replay raises as the scalar op
-    does. The bounds test of an index of hoisted values is hoisted; a test
-    already emitted (``form.tested``) reads the same slots, so it is not
-    emitted again."""
+    the elements it touches (see _waves). An access in ``form.sliced`` reads
+    or writes a slice of its index's exact span instead, and copies what it
+    loads from a stored buffer when an op reads the loaded value after that
+    buffer's next store; the first such access of a stored buffer records
+    the undo of the batch's whole span, once, and each later one falls back
+    unless its span starts where the first's does. An index out of bounds by
+    its span, or lanes stored through scalar indices fall back, so that the
+    replay raises as the scalar op does. The bounds test of an index of
+    hoisted values is hoisted; a test already emitted (``form.tested``)
+    reads the same slots, so it is not emitted again."""
     store, lines = op.name == "memref.store", []
     if store and v in form.arrays and not form.arrays.intersection(idx):
         return ["raise Sequential"]
@@ -500,13 +488,17 @@ def _lane_memref(op, form, b, idx, v):
     if tests and test not in form.tested:
         form.tested.add(test)
         (lines if carried else form.hoisted).append(test)
-    if op in form.sliced:  # (subscript, a format of the span ends; b stored; load copies)
-        (lo, hi), (i, stored, copy) = form.spans[idx[0]], form.sliced[op]
-        i = i.format(lo, hi)
+    if op in form.sliced:  # ((g's or u's span names, stride), each block run, stored, copies)
+        (lo, hi), ((u, s), each, stored, copy) = form.spans[idx[0]], form.sliced[op]
+        stride = form.bind(s) if s > 1 else None
+        step, times = (f":{stride}", f"{stride} * ") if stride else ("", "")
+        whole = f"{lo}:{hi} + 1{step}"
+        a, z = ("a", "b") if u == ("low", "high") else ("p.start", "p.stop")
+        i = f"{lo} + {times}{a}:{lo} + {times}{z}{step}" if each else whole
         if stored and b not in form.undo:  # the batch's one undo record of b
             form.undo[b] = lo
-            form.hoisted.append(f"touched.append((d{b}, slice({lo}, {hi} + 1), "
-                                f"d{b}[{lo}:{hi} + 1].copy()))")
+            form.hoisted.append(f"touched.append((d{b}, slice({lo}, {hi} + 1, {stride}), "
+                                f"d{b}[{whole}].copy()))")
         elif stored and form.undo[b] != lo:  # another offset: equal, or fall back
             form.hoisted.append(f"if {form.undo[b]} != {lo}: raise Sequential")
         read = f"d{b}[{i}]" + ".copy()" * copy
@@ -779,19 +771,18 @@ class _Source:
     ``carried`` holds the slots of carried values, ``arrays`` those whose
     values are lanes rather than one value, ``hoisted`` the lines that run
     once a call, before the steps (see _lane_function), and ``tested`` the
-    bounds tests emitted. A kernel's
-    shape analysis (see _consecutive) fills ``sliced`` and ``dead``, and
-    ``undo`` maps each stored buffer accessed through a slice to the start
-    of its first span."""
+    bounds tests emitted. A kernel's affine analysis (see _affine) fills
+    ``sliced``, and ``undo`` maps each stored buffer accessed through a
+    slice to the start of its first span."""
 
     __slots__ = ("namespace", "target", "lanes", "spans", "accesses", "carried",
-                 "arrays", "hoisted", "tested", "sliced", "dead", "undo")
+                 "arrays", "hoisted", "tested", "sliced", "undo")
 
     def __init__(self, lanes=False):
         self.namespace, self.target = dict(_LANE_NAMES) if lanes else {}, None
         self.lanes, self.spans, self.accesses = lanes, {}, {}
         self.carried, self.arrays, self.hoisted, self.tested = set(), set(), [], set()
-        self.sliced, self.dead, self.undo = {}, set(), {}
+        self.sliced, self.undo = {}, {}
 
     def bind(self, obj) -> str:
         name = f"n{len(self.namespace)}"
@@ -845,11 +836,11 @@ def _waves(*buffers):
 
 
 def _runs(batch):
-    """The waves of a kernel batch whose stored buffers are reached through
-    thread_id x plus an offset: its block runs, which its launch geometry
-    keeps (see _geometry); _Sequential when they average fewer than
+    """The waves of a kernel batch that a stored buffer reaches through a
+    block run index (see _affine): its block runs, which its launch
+    geometry keeps (see _geometry); _Sequential when they average fewer than
     MIN_LANES lanes."""
-    if batch.last - batch.first + 1 < MIN_LANES * len(batch.steps):
+    if len(batch.ctx[0][0]) < MIN_LANES * len(batch.steps):
         raise _Sequential
     return batch.steps
 
@@ -955,7 +946,7 @@ def _operands(op, at):
     return [at.get(v, 0) for v in op.operands], at[op.results[0]] if len(op.results) == 1 else 0
 
 
-def _lane_function(region: ir.IrRegion, faults=None, admits=""):
+def _lane_function(region: ir.IrRegion, faults=None, extents=None):
     """``compiled(args, batch)``, which runs the one block of ``region`` over
     lane values ``args`` (wrapping narrow integers) for the _Lanes ``batch``
     and returns the lane values returned; its ``steps`` are one point's or
@@ -975,15 +966,11 @@ def _lane_function(region: ir.IrRegion, faults=None, admits=""):
     step, and a line before the return falls back unless the batch is one
     wave.
 
-    A kernel's function is built for the shapes its launch ``admits``: "gt"
-    when the grid and the block extend in x alone, "t" when the block does,
-    else "" (see _consecutive). A stored buffer reached only through g plus
-    an offset is touched at one element per lane in one wave, and one
-    reached only through thread_id x plus an offset in each of the batch's
-    block runs, so when every stored buffer is one of the two the waves
-    are the whole batch, with no loop, or the block runs, ``for p, a, b in
-    steps:`` over each run's lanes ``p`` and its thread_id x from ``a`` to
-    ``b`` less the batch's least (see _runs)."""
+    A kernel's function is built for launches of ``extents`` (see
+    _affine). When its waves are the whole batch it has no loop, and when
+    they are its block runs, ``for p, a, b in steps:`` over each run's
+    lanes ``p`` and its threads' numbers in their block from ``a`` to ``b``
+    less the batch's least (see _runs)."""
     if len(region.blocks) != 1:
         return None
     _, at = _slots(region, faults)
@@ -1004,13 +991,13 @@ def _lane_function(region: ir.IrRegion, faults=None, admits=""):
             form.carried.add(r)
         if form.arrays.intersection(slots) or op.name in ("gpu.thread_id", "gpu.block_id"):
             form.arrays.add(r)
-    skip, runs = _consecutive(form, ops, at, stored, admits)
+    skip, exact, runs = _affine(form, ops, at, stored, extents)
     lines, carried, reads = form.hoisted, [], set()  # reads: hoisted arrays the steps read
     lines += [f"[{_locals(args)}] = args",
               "ctx, bounds, touched = batch.ctx, batch.bounds, batch.touched",
-              *["if bounds is None: raise Sequential"] * any(  # a generic's body has no launch
-                  op.name.startswith("gpu.") for op in ops),
-              *["first, last = batch.first, batch.last"] * ("g" in admits)]
+              *["if bounds is None: raise Sequential",  # a generic's body has no launch
+                "first, last, low, high = batch.ends"] * any(op.name.startswith("gpu.")
+                                                             for op in ops)]
     for a in block.arguments:
         v = f"v{at[a]}"
         if isinstance(a.type, ir.MemRefType):
@@ -1029,6 +1016,8 @@ def _lane_function(region: ir.IrRegion, faults=None, admits=""):
                 return None
             if op is not term:
                 (carried if r in form.carried else lines).extend(text)
+        if r in exact:  # after its lanes' corner span, if any
+            _exact_span(form, r, *exact[r])
     [(_, ret, _)] = text  # a return: one arm, its line
     buffers = [flats for b, flats in form.accesses.items() if b in stored]
     waves = f"waves({''.join(f'({_texts(flats)}), ' for flats in buffers)})"
@@ -1051,32 +1040,39 @@ def _lane_function(region: ir.IrRegion, faults=None, admits=""):
     return lanes
 
 
-def _consecutive(form, ops, at, stored, admits):
-    """The shape analysis of a kernel's ``ops`` for a launch that admits
-    ``admits`` (see _lane_function), given ``form``'s carried values and
-    lanes. An i64 or index value is consecutive over a batch as "g", the
-    thread number plus an offset, seeded by ``block_id x * block_dim x +
-    thread_id x``, or as "t", thread_id x plus an offset; an addi or subi of
-    a uniform value that is not carried, or an index_cast to i64 or index,
-    keeps the shape. A 1-D access through a consecutive index takes a slice
-    (``form.sliced``, see _lane_memref): a load through g from a buffer no
-    op stores to, and every access of the stored buffers when each is
-    reached through one shape alone; a load from a stored buffer copies
-    its slice when an op reads its value after a later store to that
-    buffer. The loads from a stored buffer, the stores and the ops that
-    read their values are all carried, so they run in the order of
-    ``ops``. A seed of g's span is the batch's thread numbers, ``first``
-    to ``last``. Returns the slots of the ops that make no lines (seeds,
-    their operands and x coordinates whose lanes no op reads) and whether
-    the waves are the batch's block runs; ``form.dead`` gets the
-    consecutive values whose lanes no op reads."""
-    if not admits:
-        return set(), False
-    shapes, seeds, xs, base, accesses = {}, set(), {}, set(), {}
+def _affine(form, ops, at, stored, extents):
+    """The affine analysis of a kernel's ``ops`` for launches of ``extents``
+    (None: none), given ``form``'s carried values and lanes. Each i64 or
+    index value not carried gets, where it can, a form c + Σ a_k·x_k (see
+    _form); a uniform value without one is its own term. With W_k a launch
+    coordinate's weight in the launch-order thread number (see _unravel), a
+    form is whole, of stride s >= 1, when a_k = s·W_k on each coordinate of
+    extent more than 1, block x's counted as more whatever it is, so that
+    any grid x extent shares the function: c + s·g over the batch's thread numbers g,
+    ``first`` to ``last``. It is a block run form when its block
+    coefficients are 0 instead: c + s·u over its threads' numbers in their
+    block, ``low`` to ``high``. An i64 value keeps only such a form, as its
+    lanes could wrap where a form does not. A 1-D access through such an
+    index takes a slice (see _lane_memref): a whole load from a buffer no op
+    stores to, and every access of the stored buffers when each is reached
+    through one kind and stride alone, one wave a batch, or one a block run
+    when some are block run forms; a load from a stored buffer is copied
+    when an op reads it after that buffer's next store. Returns (the values
+    with a form, other than their own term, whose lanes no op reads, which
+    make no lines; each whole or block run value's (form, span names,
+    stride); whether the waves are the block runs)."""
+    if extents is None:
+        return set(), {}, False
+    block, gy, gz = extents
+    names, sizes = ("bx", "by", "bz", "tx", "ty", "tz"), (2, gy, gz, *block)
+    whole = {k: math.prod(sizes[i + 1:]) for i, k in enumerate(names) if sizes[i] > 1}
+    kinds = [(("first", "last"), whole),
+             (("low", "high"), {k: w * (k[0] == "t") for k, w in whole.items()})]
+    forms, exact, accesses = {}, {}, {}
     loaded, stores, copies = {}, collections.Counter(), set()
     for op in ops:
         slots, r = _operands(op, at)
-        if op in at[_FAULTS]:  # no shape, and no lane form: it fails when reached
+        if op in at[_FAULTS]:  # no form, and no lane form: it fails when reached
             continue
         for s in slots:  # a loaded value read after a store to its buffer
             if s in loaded and stores[loaded[s][1]] > loaded[s][2]:
@@ -1085,52 +1081,83 @@ def _consecutive(form, ops, at, stored, admits):
             stores[slots[1]] += 1
         elif op.name == "memref.load":  # its value -> (op, buffer, stores of it so far)
             loaded[r] = (op, slots[0], stores[slots[0]])
-        if getattr(op.attributes.get("dimension"), "text", None) == "x":
-            xs[r] = op.name
-            if op.name == "gpu.thread_id" and "t" in admits:
-                shapes[r] = "t"
-        elif op.name == "arith.muli" and {xs.get(s) for s in slots} == {"gpu.block_id",
-                                                                         "gpu.block_dim"}:
-            base.add(r)
-        elif op.name in ("memref.load", "memref.store"):
+        if op.name in ("memref.load", "memref.store"):
             which = int(op.name == "memref.store")
             idx = slots[which + 1:]
             accesses.setdefault(slots[which], []).append(
-                (op, len(idx) == 1 and shapes.get(idx[0])))
-        elif op.name in ("arith.addi", "arith.subi", "arith.index_cast") and (
+                (op, exact[idx[0]][1:] if len(idx) == 1 and idx[0] in exact else None))
+        elif r not in form.carried and len(op.results) == 1 and (
                 op.results[0].type in (ir.INDEX, ir.I64)):
-            a, b = slots[0], slots[-1]
-            uniform = {a, b} - form.arrays - form.carried
-            if op.name == "arith.addi" and "g" in admits and any(
-                    x in base and xs.get(y) == "gpu.thread_id" for x, y in ((a, b), (b, a))):
-                shapes[r], form.spans[r] = "g", ("first", "last")
-                seeds.add(r)
-            elif op.name == "arith.index_cast" or (
-                    op.name in ("arith.addi", "arith.subi") and b in uniform):
-                shapes[r] = shapes.get(a)
-            elif op.name == "arith.addi" and a in uniform:
-                shapes[r] = shapes.get(b)
-    shapes = {r: k for r, k in shapes.items() if k}
-    kinds = [{k for _, k in found} for b, found in accesses.items() if b in stored]
-    lanes = any(k not in ({"g"}, {"t"}) for k in kinds)  # a stored buffer takes _waves
-    runs = not lanes and {"t"} in kinds
+            f = _form(op, [forms.get(s, None if s in form.arrays or s in form.carried
+                                     else {s: 1}) for s in slots], block)
+            f = {r: 1} if f is None and r not in form.arrays else f
+            for ends, weights in (kinds if f else ()):  # the first kind f has, if any
+                s = next((f.get(k, 0) // w for k, w in weights.items() if w), 0)
+                if s >= 1 and all(f.get(k, 0) == s * w for k, w in weights.items()):
+                    exact[r] = (f, ends, s)
+                    break
+            if r in exact or f is not None and (
+                    op.results[0].type == ir.INDEX or r not in form.arrays):
+                forms[r] = f
+    shapes = [{k for _, k in found} for b, found in accesses.items() if b in stored]
+    scatter = any(len(k) > 1 or None in k for k in shapes)
+    runs = not scatter and any(u == ("low", "high") for [(u, _)] in shapes)
     for b, found in accesses.items():
         for op, k in found:
-            if b in stored and not lanes:
-                form.sliced[op] = ("{0} + a:{0} + b" if k == "t" else
-                                   "{0} + p.start:{0} + p.stop" if runs else "{0}:{1} + 1",
-                                   True, op in copies)
-            elif b not in stored and k == "g":
-                form.sliced[op] = ("{0}:{1} + 1", False, False)
+            if k and (not scatter if b in stored else k[0] == ("first", "last")):
+                form.sliced[op] = (k, b in stored and runs, b in stored, op in copies)
     live = set()  # the slots whose lanes an op that makes lines reads
     for op in reversed(ops):
         slots, r = _operands(op, at)
-        if r in live or r not in shapes and r not in base and r not in xs:
+        if r in live or forms.get(r, {r: 1}) == {r: 1}:
             live.update(slots[:-1] if op in form.sliced else slots)  # not a slice's index
-        elif r in shapes and r not in seeds:  # its span reads the uniform's
-            live.update(s for s in slots if s not in shapes)
-    form.dead = set(shapes) - live
-    return {r for r in (*seeds, *base, *xs) if r not in live and shapes.get(r) != "t"}, runs
+    return {r for r, f in forms.items() if r not in live and f != {r: 1}}, exact, runs
+
+
+def _form(op, terms, block):
+    """The form c + Σ a_k·x_k of ``op``'s result, its operands' being
+    ``terms`` (None: none), in a block of extents ``block``: a dict from each
+    term (None for the constant, a uniform value's slot, or a launch
+    coordinate, tx to bz) to its integer coefficient. A constant's or
+    block_dim's is its value, a thread_id's or block_id's its coordinate, an
+    addi's or subi's the sum or difference of its operands', a muli's by a
+    constant the other scaled, and an index_cast's its operand's; else None."""
+    dim = getattr(op.attributes.get("dimension"), "text", None)
+    value = getattr(op.attributes.get("value"), "value", None)
+    if op.name == "arith.constant" and isinstance(value, int):
+        return {None: value}
+    if op.name == "gpu.block_dim" and dim in _AXES:
+        return {None: block[_AXES[dim]]}
+    if op.name in ("gpu.thread_id", "gpu.block_id") and dim in _AXES:
+        return {("t" if op.name == "gpu.thread_id" else "b") + dim: 1}
+    if not terms or None in terms:
+        return None
+    a, b = terms[0], terms[-1]
+    if op.name == "arith.index_cast":
+        return a
+    if op.name in ("arith.addi", "arith.subi"):
+        sign = 1 if op.name == "arith.addi" else -1
+        return {k: a.get(k, 0) + sign * b.get(k, 0) for k in {**a, **b}}
+    if op.name == "arith.muli" and set(b) <= {None}:
+        a, b = b, a  # the constant first
+    if op.name == "arith.muli" and set(a) <= {None}:
+        return {k: a.get(None, 0) * c for k, c in b.items()}
+    return None
+
+
+def _exact_span(form, r, f, ends, s):
+    """Set the span of slot ``r``, of whole or block run form ``f`` = c +
+    s·g or c + s·u (see _affine), to its exact ends: ``ends``, g's or u's,
+    when ``f`` is g or u, else those of a hoisted line that falls back when
+    they leave int64."""
+    c = [form.bind(m) if k is None else f"{form.bind(m)} * {form.span(k, form.hoisted)[0]}"
+         for k, m in f.items() if not isinstance(k, str)]
+    if c or s > 1:
+        stride = form.bind(s)
+        lo, hi = (" + ".join([*c, f"{stride} * {e}"]) for e in ends)
+        form.hoisted.append(f"l{r}, h{r} = fits({lo}, {hi})")
+        ends = f"l{r}", f"h{r}"
+    form.spans[r] = ends
 
 
 # ---------------------------------------------------------------------------
@@ -1140,10 +1167,10 @@ def _consecutive(form, ops, at, stored, admits):
 class _Code:
     """A region's code, each form built when it is first needed and kept by
     the executable: its closures (``decoded``), its kernel lane functions
-    (``lanes``, one for each shapes a launch admits, see _lane_function,
-    decoded on the first such launch of at least MIN_LANES threads) and its
-    compiled function (``fast``, built once the region has taken
-    HOT back edges, ``backs``, counted across runs), and a kernel's launch
+    (``lanes``, one for each launch extents that _affine reads, see
+    _lane_function, decoded on the first such launch of at least MIN_LANES
+    threads) and its compiled function (``fast``, built once the region has
+    taken HOT back edges, ``backs``, counted across runs), and a kernel's launch
     geometry of its last lockstep batch or a generic body's plan of its
     last operand layout (``geometry``, see _geometry and _generic_plan).
     ``fast`` and a function of ``lanes`` are False when the region has no
@@ -1245,14 +1272,14 @@ class _Lanes:
     """One lockstep batch: its launch coordinates (None in a generic body),
     their spans laid out alike, its stores (buffer, index, old values), its
     steps (in a generic body the loop points of its box, in a kernel its
-    block runs, see _geometry) and a kernel batch's first and last thread
-    numbers."""
+    block runs, see _geometry) and a kernel batch's ends: its first and
+    last thread numbers, and the least and greatest number of a thread in
+    its block."""
 
-    __slots__ = ("ctx", "bounds", "touched", "steps", "first", "last")
+    __slots__ = ("ctx", "bounds", "touched", "steps", "ends")
 
-    def __init__(self, ctx, bounds=None, steps=None, first=None, last=None):
-        self.ctx, self.bounds, self.touched, self.steps = ctx, bounds, [], steps
-        self.first, self.last = first, last
+    def __init__(self, ctx, bounds=None, steps=None, ends=None):
+        self.ctx, self.bounds, self.touched, self.steps, self.ends = ctx, bounds, [], steps, ends
 
 
 def _exec(code: _Code, args, run: _Run) -> list:
@@ -1333,8 +1360,9 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     visible in the returned inputs. Each thread has the whole step budget.
     A kernel with a lane form runs in lockstep batches of at most LANES
     consecutive threads, which may span grid blocks, each batch in waves,
-    on the lane function built for the shapes the launch admits (see
-    _lane_function); a batch that falls back runs thread by thread.
+    on the lane function built for the launch's block extents and its
+    grid's in y and z (see _lane_function); a batch that falls back runs
+    thread by thread.
     The batch's thread geometry is kept on the kernel's code for the next
     batch of the same block extents, offset and size (see _geometry), and
     dropped by ``prepare``. Runs on the module's executable (see ``prepare``).
@@ -1346,10 +1374,10 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     args = [_unbox(v) for v in inputs]
     (_, gy, gz), (bx, by, bz) = launch.grid, launch.block
     total = math.prod(launch.grid + launch.block)
-    admits = "" if by * bz > 1 else "t" if gy * gz > 1 else "gt"
-    if total >= MIN_LANES and admits not in body.lanes:  # no batch is smaller
-        body.lanes[admits] = _lane_function(body.region, body.faults, admits) or False
-    code = total >= MIN_LANES and body.lanes[admits]
+    extents = (launch.block, gy, gz)
+    if total >= MIN_LANES and extents not in body.lanes:  # no batch is smaller
+        body.lanes[extents] = _lane_function(body.region, body.faults, extents) or False
+    code = total >= MIN_LANES and body.lanes[extents]
     try:
         lane_args = [v if isinstance(v, _ArrayValue) else _np_dtype(t)(v)
                      for t, v in zip(ftype.inputs, args)]
@@ -1368,12 +1396,13 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
                 key = (launch.block, lo % n, hi - lo)  # the same at each offset in a block
                 if body.geometry is None or body.geometry[0] != key:
                     body.geometry = _geometry(*key)
-                _, threads, spans, blocks, zero, dims, sizes, runs = body.geometry
+                _, threads, spans, blocks, zero, dims, sizes, runs, ends = body.geometry
                 first = lo // n  # the batch's first block
                 ctx = tuple(zip(threads, _unravel(blocks + first, launch.grid, zero)
                                 if code.blocks else (zero,) * 3, dims))
                 bounds = zip(spans, _unravel_spans(first, (hi - 1) // n, launch.grid), sizes)
-                if _lockstep(code, lane_args, _Lanes(ctx, tuple(bounds), runs, lo, hi - 1)):
+                batch = _Lanes(ctx, tuple(bounds), runs, (lo, hi - 1, *ends))
+                if _lockstep(code, lane_args, batch):
                     continue
             for g in range(lo, hi):
                 run.steps = 0
@@ -1415,11 +1444,11 @@ def _geometry(block, offset: int, size: int):
     ``offset`` of a block of extents ``block``, kept by a kernel's _Code for
     its next batch of the same key: (key, the thread coordinate lanes, their
     spans, each lane's block counted from the batch's first, the zero lane,
-    the block extents as int64 and as spans, the block runs). Its arrays
-    are read-only. A block run is (the slice of its lanes in one block, a,
-    b): its threads are numbers a + m to b + m - 1 in their block, for m the
-    least such number in the batch; in a block that extends in x alone, a
-    thread's number is its thread_id x."""
+    the block extents as int64 and as spans, the block runs, the least and
+    greatest number of a thread in its block). Its arrays are read-only. A
+    block run is (the slice of its lanes in one block, a, b): its threads
+    are numbers a + m to b + m - 1 in their block, for m the least such
+    number in the batch."""
     n, t, zero = math.prod(block), np.arange(offset, offset + size), np.zeros(size, np.int64)
     threads, blocks = _unravel(t % n, block, zero), t // n
     for lane in (*threads, blocks, zero):
@@ -1429,7 +1458,7 @@ def _geometry(block, offset: int, size: int):
     runs = tuple((slice(a, b), (offset + a) % n - ends[0], (offset + a) % n - ends[0] + b - a)
                  for a, b in zip([0, *cuts], [*cuts, size]))
     return ((block, offset, size), threads, _unravel_spans(*ends, block), blocks, zero,
-            tuple(map(np.int64, block)), tuple((e, e) for e in block), runs)
+            tuple(map(np.int64, block)), tuple((e, e) for e in block), runs, ends)
 
 
 def _unravel_spans(a, b, extents):

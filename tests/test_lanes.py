@@ -8,6 +8,8 @@ values the point-by-point and thread-by-thread paths give.
 import itertools
 import math
 import operator
+import random
+import re
 
 import numpy as np
 import pytest
@@ -545,6 +547,10 @@ class TestSameAsPointByPoint:
         assert np.array_equal(got, run())
 
 
+BENCH_EXTENTS = ((64, 1, 1), 1, 1)  # the block extents, grid y and grid z of a bench launch
+TWO_D_EXTENTS = ((8, 2, 1), 1, 1)
+
+
 class TestConflictRule:
     """A batch runs in waves, in each of which every stored buffer is
     touched at one element per lane: the same flat index at every access,
@@ -569,42 +575,44 @@ class TestConflictRule:
         # same test text reads the same slots, so its first copy serves both
         texts = lane_texts(monkeypatch)
         module = kernel(registry, name)
-        for admits in ("gt", ""):
-            assert interp._lane_function(func_region(module, name), None, admits)
+        for extents in (BENCH_EXTENTS, TWO_D_EXTENTS):
+            assert interp._lane_function(func_region(module, name), None, extents)
             tests = [line.strip() for line in texts.pop().splitlines()
                      if "raise Sequential" in line]
             assert tests and len(tests) == len(set(tests)), tests
 
     @pytest.mark.parametrize("name", list(gen.KERNELS))
     def test_rule_is_one_line_per_stored_buffer(self, registry, monkeypatch, name):
-        # With no shape, one hoisted line computes the waves, with one group
-        # of flat indices per stored buffer, and each store records its
-        # undo. Under the bench's 1-D launches every stored buffer is
-        # reached through a consecutive index, so no line computes waves:
-        # vadd and saxpy, which store through g, run as one wave with no
-        # loop, and collide, which stores through thread_id x, loops over
-        # the batch's block runs; each stored buffer records its undo once,
-        # hoisted. Either way each wave runs exactly the carried lines
-        # (loads from a stored buffer, stores, ops on carried values), in a
-        # loop after one line that reads the hoisted lanes of the wave.
+        # Under a 2-D block no index is whole or a block run, so one hoisted
+        # line computes the waves, with one group of flat indices per stored
+        # buffer, and each store records its undo. Under the bench's 1-D
+        # launches every stored buffer is reached through a slice, so no
+        # line computes waves: vadd and saxpy, which store through g, run as
+        # one wave with no loop, and collide, which stores through thread_id
+        # x, loops over the batch's block runs; each stored buffer records
+        # its undo once, hoisted. Either way each wave runs exactly the
+        # carried lines (loads from a stored buffer, stores, ops on carried
+        # values), in a loop after one line that reads the hoisted lanes of
+        # the wave.
         texts = lane_texts(monkeypatch)
         module = kernel(registry, name)
         ops = func_region(module, name).entry.operations
         stored = {op.operands[1] for op in ops if op.name == "memref.store"}
-        for admits in ("", "gt"):
-            assert interp._lane_function(func_region(module, name), None, admits)
+        for extents in (TWO_D_EXTENTS, BENCH_EXTENTS):
+            sliced = extents == BENCH_EXTENTS
+            assert interp._lane_function(func_region(module, name), None, extents)
             carried, lines_of = set(), []  # the carried values; each carried op's line count
             for op in ops[:-1]:
                 store = op.name == "memref.store"
                 if store or set(op.operands) & carried or (
                         op.name == "memref.load" and op.operands[0] in stored):
                     carried.update(op.results)
-                    lines_of.append(2 if store and not admits else 1)  # and its undo record
+                    lines_of.append(2 if store and not sliced else 1)  # and its undo record
             lines = texts.pop().splitlines()
             waves = [line for line in lines if "waves(" in line]
             undo = [line for line in lines if "touched.append" in line]
             loop = next((k for k, line in enumerate(lines) if line.startswith("    for ")), None)
-            if admits:
+            if sliced:
                 assert waves == [] and len(undo) == len(stored)
                 assert all(not line.startswith(" " * 8) for line in undo)  # hoisted
                 assert (loop is None) == (name != "collide")
@@ -1634,10 +1642,12 @@ def gid_kernel(registry, body, types=("memref{f32,1}",) * 2):
 
 
 class TestConsecutive:
-    """An index that is the launch-order thread number g, or thread_id x,
-    plus a uniform offset loads and stores through slices, and its waves
-    are the whole batch or its block runs. Each launch gives, bit for bit,
-    the buffers, error and partial stores of running thread by thread."""
+    """An index that is c + s * g, for g the launch-order thread number, or
+    c + s * u, for u a thread's number in its block (thread_id x in a 1-D
+    block), with c uniform and s >= 1, loads and stores through slices, and
+    its waves are the whole batch or its block runs. Each launch gives, bit
+    for bit, the buffers, error and partial stores of running thread by
+    thread."""
 
     @pytest.mark.parametrize("body, error", [
         ("  %6 = invoke +(%5, 3) :: index\n"
@@ -1741,25 +1751,27 @@ class TestConsecutive:
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, name, config, args))
 
-    @pytest.mark.parametrize("grid, block, admits", [
-        ((4, 1, 1), (8, 2, 1), ""), ((2, 1, 1), (4, 4, 4), ""), ((2, 2, 1), (64, 1, 1), "t"),
+    @pytest.mark.parametrize("grid, block", [
+        ((4, 1, 1), (8, 2, 1)), ((2, 1, 1), (4, 4, 4)), ((2, 2, 1), (64, 1, 1)),
     ], ids=["2-D", "3-D", "2-D-grid"])
     @pytest.mark.parametrize("name", ["vadd", "collide"])
-    def test_launch_shapes(self, registry, monkeypatch, name, grid, block, admits):
-        # a block that extends in y or z admits no shape: the launch runs on
-        # the lane function of no shape; a grid that does admits thread_id
-        # x alone, so collide's waves are its block runs, and vadd's g,
-        # which repeats across the grid's y, scatters
+    def test_launch_shapes(self, registry, monkeypatch, name, grid, block):
+        # under a block that extends in y or z, neither g nor thread_id x
+        # is whole or a block run: every access gathers or scatters; under
+        # a grid that extends in y, thread_id x is a block run, so collide's
+        # waves are its block runs, and g, which repeats across the grid's
+        # y, gathers and scatters
         texts = lane_texts(monkeypatch)
         module, config = kernel(registry, name), LaunchConfig(grid, block)
         n = math.prod(grid + block)
         args = kernel_args(np.random.default_rng(163), name, n // 64, 64)
         got = launch(module, name, config, args)
-        assert list(module.executable.funcs[name][1].lanes) == [admits]
-        assert interp._lane_function(func_region(module, name))
-        [text, neither] = texts
-        assert (text == neither) == (not admits or name == "vadd") and "first" not in text
-        assert ("for p, a, b in steps:" in text) == (admits == "t" and name == "collide")
+        assert list(module.executable.funcs[name][1].lanes) == [(block, *grid[1:])]
+        [text] = texts
+        runs = grid[1] > 1 and name == "collide"
+        slices = re.findall(r"d\d+\[(?!\()", text)  # a subscript that is not a gather's
+        assert "[(v" in text and bool(slices) == runs and ("waves(" in text) == (not runs)
+        assert ("for p, a, b in steps:" in text) == runs
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, name, config, args))
 
@@ -1773,6 +1785,31 @@ class TestConsecutive:
         assert ref.same(got[0][0], ref.kernel_reference("collide", 512, 2, args)[0])
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "collide", config, args))
+
+    @pytest.mark.parametrize("a, error", [(5, None), (2 ** 63 - 1, "OutOfBounds: index -")],
+                             ids=["in-range", "wraps"])
+    def test_i64_cast_that_wraps(self, registry, monkeypatch, batches, a, error):
+        # dst[index(i64(g + a)) - a] = src[g]: g + a is an index value, so
+        # for a = 2**63 - 1 its i64 cast wraps and the store index leaves
+        # the buffer; the span of g + a leaves int64, so the batch falls
+        # back and fails as thread by thread does
+        def build(op, args):
+            src, dst, off = args
+            t = op("gpu.thread_id", [], ir.INDEX, dimension="x")
+            b = op("gpu.block_id", [], ir.INDEX, dimension="x")
+            n = op("gpu.block_dim", [], ir.INDEX, dimension="x")
+            g = op("arith.addi", [op("arith.muli", [b, n], ir.INDEX), t], ir.INDEX)
+            w = op("arith.index_cast", [op("arith.addi", [g, off], ir.INDEX)], ir.I64)
+            j = op("arith.subi", [op("arith.index_cast", [w], ir.INDEX), off], ir.INDEX)
+            op("memref.store", [op("memref.load", [src, g], ir.F32), dst, j])
+        module = ir_kernel(registry, [F32_BUF, F32_BUF, ir.INDEX], build)
+        args = [f32_data(np.random.default_rng(197), 256), np.zeros(256, np.float32),
+                IndexValue(a)]
+        config = LaunchConfig((4, 1, 1), (64, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(256, error is None)] and str(got[1]).startswith(str(error))
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
 
     @pytest.mark.parametrize("width", [32, 64])
     def test_cast_of_the_thread_number(self, registry, monkeypatch, width):
@@ -1867,7 +1904,48 @@ class TestConsecutive:
         assert same_launch(got, launch(module, "k", LaunchConfig((1, 1, 1), (threads, 1, 1)),
                                        [np.zeros(threads, np.float32)]))
 
-    @pytest.mark.parametrize("name", ["vadd", "saxpy"])
+    @pytest.mark.parametrize("body, store, steps", [
+        ("  %6 = invoke *(%5, 2) :: index\n"
+         "  %7 = invoke load(_1, %5) :: f32\n"
+         "  %8 = invoke store(%7, _2, %6) :: Nothing\n", "d2[l11:h11 + 1:n", []),
+        ("  %6 = invoke +(%5, _4) :: index\n"
+         "  %7 = invoke load(_1, %6) :: f32\n"
+         "  %8 = invoke store(%7, _2, %5) :: Nothing\n", "d2[first:last + 1] =", []),
+        ("  %6 = invoke *(%4, 2) :: index\n"
+         "  %7 = invoke load(_1, %6) :: f32\n"
+         "  %8 = invoke load(_2, %5) :: f32\n"
+         "  %9 = invoke +(%7, %8) :: f32\n"
+         "  %10 = invoke store(%9, _1, %6) :: Nothing\n", "d1[l11 + n", [[64] * 4]),
+    ], ids=["store-2g", "load-g-plus-argument", "thread-x-times-2"])
+    def test_affine_indices_take_slices(self, registry, monkeypatch, batches, waves, body,
+                                        store, steps):
+        # out[2 * g] = in[g], out[g] = in[g + _4] and A[2 * t] = A[2 * t] +
+        # B[g] over 4 blocks of 64: slices of stride 2 and of an offset
+        # known at run time, one wave a batch, or one a block run
+        texts = lane_texts(monkeypatch)
+        module = gid_kernel(registry, body, ("memref{f32,1}",) * 3 + ("index",))
+        rng = np.random.default_rng(193)
+        args = [f32_data(rng, 512), f32_data(rng, 512), f32_data(rng, 4), IndexValue(3)]
+        config = LaunchConfig((4, 1, 1), (64, 1, 1))
+        got = launch(module, "k", config, args)
+        assert batches == [(256, True)] and got[1] is None and waves == steps
+        [text] = texts
+        assert "[(v" not in text and "waves(" not in text
+        assert any(line.strip().startswith(store) for line in text.splitlines()), text
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, "k", config, args))
+
+    def test_one_lane_function_for_any_grid_x(self, registry, monkeypatch):
+        texts = lane_texts(monkeypatch)
+        module = kernel(registry, "vadd")
+        for blocks in (3, 64, 100):
+            got = launch(module, "vadd", LaunchConfig((blocks, 1, 1), (64, 1, 1)),
+                         kernel_args(np.random.default_rng(blocks), "vadd", blocks, 64))
+            assert got[1] is None
+        assert len(texts) == 1 and list(module.executable.funcs["vadd"][1].lanes) == [
+            BENCH_EXTENTS]
+
+    @pytest.mark.parametrize("name", list(gen.KERNELS))
     def test_bench_kernels_neither_gather_nor_scatter(self, registry, monkeypatch, name):
         texts = lane_texts(monkeypatch)
         grid, block = gen.KERNELS[name]
@@ -1875,3 +1953,106 @@ class TestConsecutive:
                    values(kernel_args(np.random.default_rng(191), name, grid, block)))
         [text] = texts
         assert "waves(" not in text and "[(v" not in text
+
+
+def literal(text):
+    return text.lstrip("-").isdigit()
+
+
+COORDINATES = [f"{k}_{axis}" for k in ("thread_idx", "block_idx", "block_dim")
+               for axis in "xyz"]
+
+
+def random_kernel(rng):
+    """The FIR body of a seeded straight-line kernel over buffers _1, _2 and
+    _3 and index _4, after bench/programs.py's global thread id (%4 thread
+    x, %5 g): loads, f32 + - * /, and stores through indices made of launch
+    coordinates, _4, literals and + - *. The indices lean towards the
+    shapes lanes treat apart: 2 * g, g + c, thread x + c, the thread's
+    number in its block, uniform indices and stores that collide; half the
+    accesses reuse an index, and some update an element, or its neighbour,
+    and then store its old value."""
+    lines = []
+
+    def emit(text):
+        lines.append(f"  %{len(lines) + 6} = invoke {text}\n")
+        return f"%{len(lines) + 5}"
+
+    def uniform():
+        which = rng.choice(["literal", "literal", "_4", "block_dim_x"])
+        return (str(rng.randint(-1, 4)) if which == "literal" else which if which == "_4"
+                else emit("block_dim_x() :: index"))
+
+    def index(depth=0):
+        shape = rng.choices(["g", "2g", "g+c", "t+c", "u", "uniform", "coordinate", "expr"],
+                            [2, 3, 3, 3, 2, 1, 1, 2 - depth])[0]
+        if shape == "g":
+            return "%5"
+        if shape == "u":  # the thread's number in its block: (x * dim y + y) * dim z + z
+            u = "%4"
+            for axis in "yz":
+                u = emit(f"*({u}, {emit(f'block_dim_{axis}() :: index')}) :: index")
+                u = emit(f"+({u}, {emit(f'thread_idx_{axis}() :: index')}) :: index")
+            return u
+        if shape == "2g":
+            return emit(rng.choice(["*(%5, 2) :: index", "+(%5, %5) :: index"]))
+        if shape in ("g+c", "t+c"):
+            base = "%5" if shape == "g+c" else "%4"
+            return emit(f"+({base}, {uniform()}) :: index" if rng.random() < 0.8
+                        else f"-({base}, {rng.randint(-1, 1)}) :: index")
+        if shape == "uniform":
+            return uniform()
+        if shape == "coordinate":
+            return emit(f"{rng.choice(COORDINATES)}() :: index")
+        a, b = sorted([index(depth + 1), index(depth + 1)], key=literal)  # literal last
+        return emit(f"{rng.choice('+-*')}({'_4' if literal(a) else a}, {b}) :: index")
+
+    def reused():  # an index an access already took, half the time
+        if not indices or rng.random() < 0.5:
+            indices.append(index())
+        return rng.choice(indices)
+
+    values, indices = [], []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choices(["load", "arith", "store", "update"], [3, 2, 2, 1])[0]
+        if kind == "update":  # x = A[i]; A[i or j] = x * 2; B[k] = x
+            buffer = rng.choice("_1 _2 _3".split())
+            values.append(emit(f"load({buffer}, {reused()}) :: f32"))
+            emit(f"store({emit(f'*({values[-1]}, 2.0) :: f32')}, {buffer}, {reused()}) :: Nothing")
+            emit(f"store({values[-1]}, {rng.choice('_1 _2 _3'.split())}, {reused()}) :: Nothing")
+        elif kind == "load" or not values:
+            values.append(emit(f"load({rng.choice('_1 _2 _3 _3'.split())}, {reused()}) :: f32"))
+        elif kind == "arith":
+            other = rng.choice(values + ["2.0", "-0.5"])
+            values.append(emit(f"{rng.choice('+-*/')}({rng.choice(values)}, {other}) :: f32"))
+        else:
+            emit(f"store({values[-1]}, {rng.choice('_1 _2 _3 _3 _3'.split())}, "
+                 f"{reused()}) :: Nothing")
+    if not any("store(" in line for line in lines):
+        emit(f"store({values[-1]}, _3, {reused()}) :: Nothing")
+    return "".join(lines)
+
+
+class TestRandomKernels:
+    """Gate K: seeded random straight-line kernels over partial batches,
+    blocks that do not divide LANES and 2-D and 3-D launches. In lanes each
+    gives the buffers, error and partial stores of running thread by
+    thread, bit for bit (any NaN equal to any NaN)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lanes_same_as_thread_by_thread(self, registry, batches, seed):
+        rng = random.Random(seed)
+        for _ in range(24):
+            body = random_kernel(rng)
+            module = gid_kernel(registry, body, ("memref{f32,1}",) * 3 + ("index",))
+            gy, by, bz = [1] * 3 if rng.random() < 0.5 else [rng.randint(1, 2) for _ in "yyz"]
+            config = LaunchConfig((rng.randint(1, 16), gy, 1), (rng.randint(1, 300), by, bz))
+            n = math.prod(config.grid + config.block)
+            data = np.random.default_rng(rng.getrandbits(32))
+            args = [f32_data(data, rng.choice([1, 2, 3, 3]) * n + rng.choice([0, 3]))
+                    for _ in range(3)] + [IndexValue(rng.randint(-1, 4))]
+            got = launch(module, "k", config, args)
+            with pytest.MonkeyPatch.context() as patch:
+                no_lanes(patch)
+                assert same_launch(got, launch(module, "k", config, args)), (body, config)
+        assert any(lanes for _, lanes in batches)
