@@ -2035,24 +2035,46 @@ def random_kernel(rng):
 
 class TestRandomKernels:
     """Gate K: seeded random straight-line kernels over partial batches,
-    blocks that do not divide LANES and 2-D and 3-D launches. In lanes each
-    gives the buffers, error and partial stores of running thread by
-    thread, bit for bit (any NaN equal to any NaN)."""
+    blocks that do not divide LANES, single blocks of more than LANES
+    threads and 2-D and 3-D launches. In lanes each gives the buffers,
+    error and partial stores of running thread by thread, bit for bit (any
+    NaN equal to any NaN)."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_lanes_same_as_thread_by_thread(self, registry, batches, seed):
-        rng = random.Random(seed)
-        for _ in range(24):
+    @staticmethod
+    def check(registry, rng, kernels, config):
+        """Run ``kernels`` random kernels, each on the launch ``config(rng)``,
+        in lanes and thread by thread."""
+        for _ in range(kernels):
             body = random_kernel(rng)
             module = gid_kernel(registry, body, ("memref{f32,1}",) * 3 + ("index",))
-            gy, by, bz = [1] * 3 if rng.random() < 0.5 else [rng.randint(1, 2) for _ in "yyz"]
-            config = LaunchConfig((rng.randint(1, 16), gy, 1), (rng.randint(1, 300), by, bz))
-            n = math.prod(config.grid + config.block)
+            launch_config = config(rng)
+            n = math.prod(launch_config.grid + launch_config.block)
             data = np.random.default_rng(rng.getrandbits(32))
             args = [f32_data(data, rng.choice([1, 2, 3, 3]) * n + rng.choice([0, 3]))
                     for _ in range(3)] + [IndexValue(rng.randint(-1, 4))]
-            got = launch(module, "k", config, args)
+            got = launch(module, "k", launch_config, args)
             with pytest.MonkeyPatch.context() as patch:
                 no_lanes(patch)
-                assert same_launch(got, launch(module, "k", config, args)), (body, config)
+                assert same_launch(got, launch(module, "k", launch_config, args)), (
+                    body, launch_config)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lanes_same_as_thread_by_thread(self, registry, batches, seed):
+        def config(rng):
+            gy, by, bz = [1] * 3 if rng.random() < 0.5 else [rng.randint(1, 2) for _ in "yyz"]
+            return LaunchConfig((rng.randint(1, 16), gy, 1), (rng.randint(1, 300), by, bz))
+        self.check(registry, random.Random(seed), 24, config)
+        assert any(lanes for _, lanes in batches)
+
+    @pytest.mark.parametrize("seed", range(4, 9))
+    def test_blocks_that_do_not_divide_lanes(self, registry, batches, seed):
+        # blocks of 60 to 513 threads on more blocks than one batch of
+        # whole blocks holds, so the last batch is partial, and one or two
+        # blocks of LANES + 1 to 1,500 threads, each cut inside the block
+        def config(rng):
+            n = rng.choice([60, 96, 105, 192, 300, 513, rng.randint(interp.LANES + 1, 1500)])
+            whole = max(1, interp.LANES // n)
+            grid = rng.randint(1, 2) if n > interp.LANES else whole + rng.randint(1, whole)
+            return LaunchConfig((grid, 1, 1), (n, 1, 1))
+        self.check(registry, random.Random(seed), 12, config)
         assert any(lanes for _, lanes in batches)
