@@ -14,8 +14,9 @@ module, which each run is handed, so it is freed with the module. ``_OPS``
 maps each op name to a decoder that turns the op into a closure over a
 frame list with one slot per SSA value. A value, scalar or lane, has its
 SSA type's element kind: f32 values are numpy float32 scalars or arrays,
-so each f32 op is one correctly rounded numpy op; f64 values are Python
-floats or float64 arrays, and integers Python ints or int64 arrays.
+so f32 + - * / and negation are each one correctly rounded numpy op and
+f32 exp is numpy's float32 exp; f64 values are Python floats or float64
+arrays, and integers Python ints or int64 arrays.
 Scalars are boxed only where run_function and run_kernel take and give
 them; a func.call passes raw values. The verifier is the interpreter's only
 type rule: ``prepare`` verifies the module once, and an op the verifier
@@ -61,7 +62,7 @@ an int op. The function runs its hoisted ops, those that do not depend on
 carried state, once over all lanes and steps, then loops over the steps
 running only its carried ops. Each slot is a local, as is each span an
 int64 or bounds test reads: known when the code is generated for launch
-coordinates (from the batch's bounds), constants and i64 or index results
+coordinates (from the batch's ends), constants and i64 or index results
 (exactly from an affine form, see _affine, else by the corners of their
 operands' spans), else reduced from the lanes once a call, or for a carried
 value once a step. A linalg.generic takes one lane per point of its
@@ -72,33 +73,33 @@ in the sequential order; a call takes a box of at most LANES of them. Its
 code keeps the plan of its last operand layout (see _generic_plan), so a
 call of the same layout makes only its views; prepare drops the plan with
 the rest of the code. A kernel numbers its threads in launch order, block x
-slowest and thread z fastest, and runs them in batches of at most LANES
-consecutive threads, which may span grid blocks. Its code keeps the launch
-geometry of its last batch pattern (see _geometry), at most 5 * LANES
-elements whatever the launch, and a lane function for each launch shape
-that its affine analysis reads (see _affine); prepare drops both with the
-rest of the code. Its carried state is the contents of the buffers it
-stores to, and its steps are the batch's waves, in each of which a lane
-touches its own element of each stored buffer. A 1-D access through c +
-s·g, for g the thread number, or c + s·u, for u a thread's number in its
-block, with c uniform and s >= 1, is a slice of stride s, and the batch's
-waves are the whole batch or its block runs when every stored buffer is
-reached through such slices (see _affine); other loads gather, stores
-scatter, and the waves are the maximal strictly rising runs of each stored
-buffer's flat index, or the whole batch where that index strictly falls. So
-CUDA's 2-D idiom x + y * block_dim_x, whose stride in launch order is
-block_dim_x, gathers: it would take a 2-D view. A batch is charged its
-steps up front, so it takes lanes only when they fit the budget (for a
-kernel, one thread's steps). A batch falls back, with its stores undone, to
-running point by point or thread by thread, which raises the same errors
-after the same stores, when an index's span leaves its bounds, an integer
-result could leave int64 (index values are unbounded), a stored buffer is
-accessed through two flat indices or offsets that differ, or its waves
-average fewer than MIN_LANES lanes. Kernels whose buffers share memory or
-hold elements that may overlap, or whose arguments or coordinates leave
-int64, run thread by thread throughout. So do batches of fewer than
-MIN_LANES threads, for which numpy's cost per call outweighs the lanes; a
-generic takes lanes whatever its number of points.
+slowest and thread z fastest, and runs them in batches of whole blocks:
+LANES // n blocks of n threads, or at most LANES threads of one block when
+n is more. Its code keeps a lane function for each launch shape that its
+affine analysis reads (see _affine), which reads a batch's launch from its
+ends alone (see _lane_coordinate); prepare drops them with the rest of the
+code. Its carried state is the contents of the buffers it stores to, and
+its steps are the batch's waves, in each of which a lane touches its own
+element of each stored buffer. A 1-D access through c + s·g, for g the
+thread number, or c + s·u, for u a thread's number in its block, with c
+uniform and s >= 1, is a slice of stride s, and the batch's waves are the
+whole batch or its block runs, the lanes of each of its blocks, when every
+stored buffer is reached through such slices (see _affine); other loads
+gather, stores scatter, and the waves are the maximal strictly rising runs
+of each stored buffer's flat index, or the whole batch where that index
+strictly falls. So CUDA's 2-D idiom x + y * block_dim_x, whose stride in
+launch order is block_dim_x, gathers: it would take a 2-D view. A batch
+is charged its steps up front, so it takes lanes only when they fit the
+budget (for a kernel, one thread's steps). A batch falls back, with its
+stores undone, to running point by point or thread by thread, which raises
+the same errors after the same stores, when an index's span leaves its
+bounds, an integer result could leave int64 (index values are unbounded),
+a stored buffer is accessed through two flat indices or offsets that
+differ, or its waves average fewer than MIN_LANES lanes. Kernels whose
+buffers share memory or hold elements that may overlap, or whose arguments
+or coordinates leave int64, run thread by thread throughout. So do batches
+of fewer than MIN_LANES threads, for which numpy's cost per call outweighs
+the lanes; a generic takes lanes whatever its number of points.
 """
 
 from __future__ import annotations
@@ -427,16 +428,40 @@ def _cmpi(op, at, form=None):
 def _launch_coordinate(k):
     def decode(op, at, form=None):
         axis = _listed(op, "dimension", _AXES)
-        if form and form.lanes:
-            r, key = at[op.results[0]], f"[{axis}][{k}]"
-            form.spans[r] = (f"l{r}", f"h{r}")
-            return [f"v{r}, (l{r}, h{r}) = ctx{key}, bounds{key}"]
+        if form and form.lanes:  # a generic's body has no launch, so no lane form
+            return form.extents and _lane_coordinate(form, k, axis, at[op.results[0]])
         if form:
             return None
         text = f"{op.name} executed without a launch configuration"
         return lambda f, run: (run.ctx if run.ctx is not None
                                else _fail(MissingLaunchConfig(text)))[axis][k]
     return decode
+
+
+def _lane_coordinate(form, k, axis: int, r: int):
+    """The lane lines of launch coordinate ``k`` (0: thread_id, 1: block_id,
+    2: block_dim) on ``axis`` into slot ``r``, for launches of
+    ``form.extents`` (see _lane_function). A block_dim is a constant. A
+    thread_id's or block_id's lanes come from a slice of a read-only table
+    of at most max(LANES, n) elements, for n threads a block, bound here:
+    the thread numbers in their block, or the block numbers less the
+    batch's first. Its span comes from the batch's ends."""
+    block, gy, gz = form.extents
+    if k == 2:
+        form.spans[r] = (form.bind(block[axis]),)
+        return [f"{form.target} = {form.bind(np.int64(block[axis]))}"]
+    n = math.prod(block)
+    lanes = np.arange(n * max(1, LANES // n))  # from the first thread of a batch's first block
+    table = _unravel(lanes % n, block)[axis] if k == 0 else lanes // n
+    table.flags.writeable = False
+    rows, spans = f"{form.bind(table)}[low:low + last - first + 1]", form.bind(_unravel_spans)
+    form.spans[r] = (f"l{r}", f"h{r}")
+    if k == 0:
+        return [f"{form.target} = {rows}",
+                f"l{r}, h{r} = {spans}(low, high, {form.bind(block)})[{axis}]"]
+    b, grid = form.bind(n), form.bind((2, gy, gz))  # grid x's extent is not read
+    return [f"{form.target} = {form.bind(_unravel)}({rows} + first // {b}, {grid})[{axis}]",
+            f"l{r}, h{r} = {spans}(first // {b}, last // {b}, {grid})[{axis}]"]
 
 
 def _memref(op, at, form=None):
@@ -488,13 +513,12 @@ def _lane_memref(op, form, b, idx, v):
     if tests and test not in form.tested:
         form.tested.add(test)
         (lines if carried else form.hoisted).append(test)
-    if op in form.sliced:  # ((g's or u's span names, stride), each block run, stored, copies)
-        (lo, hi), ((u, s), each, stored, copy) = form.spans[idx[0]], form.sliced[op]
+    if op in form.sliced:  # (stride, a whole form in each block run, stored, copies)
+        (lo, hi), (s, each, stored, copy) = form.spans[idx[0]], form.sliced[op]
         stride = form.bind(s) if s > 1 else None
         step, times = (f":{stride}", f"{stride} * ") if stride else ("", "")
         whole = f"{lo}:{hi} + 1{step}"
-        a, z = ("a", "b") if u == ("low", "high") else ("p.start", "p.stop")
-        i = f"{lo} + {times}{a}:{lo} + {times}{z}{step}" if each else whole
+        i = f"{lo} + {times}p.start:{lo} + {times}p.stop{step}" if each else whole
         if stored and b not in form.undo:  # the batch's one undo record of b
             form.undo[b] = lo
             form.hoisted.append(f"touched.append((d{b}, slice({lo}, {hi} + 1, {stride}), "
@@ -571,9 +595,9 @@ def _generic(op, at, form=None):
         result = np.array(out.data, copy=True)
         arrays = [v.data for v in operands[:-1]] + [result]
         key = tuple([(a.shape, a.strides) for a in arrays])
-        if body.geometry is None or body.geometry[0] != key:
-            body.geometry = _generic_plan(key, maps, arrays, lane_body)
-        _, extents, steps, lanes = body.geometry
+        if body.plan is None or body.plan[0] != key:
+            body.plan = _generic_plan(key, maps, arrays, lane_body)
+        _, extents, steps, lanes = body.plan
         if lanes and run.steps + steps <= run.limit:
             try:
                 _run_plan(lane_body, lanes, arrays)
@@ -647,7 +671,7 @@ def _run_plan(code, plan, arrays):
              for a, (shape, strides, whole) in zip(arrays, views)]
     out = acc = reads.pop()
     for key, points in boxes():
-        [acc] = _exec_lanes(code, [r[key] for r in reads] + [acc], _Lanes(None, steps=points))
+        [acc] = _exec_lanes(code, [r[key] for r in reads] + [acc], _Lanes(points))
     out[...] = acc
 
 
@@ -771,18 +795,19 @@ class _Source:
     ``carried`` holds the slots of carried values, ``arrays`` those whose
     values are lanes rather than one value, ``hoisted`` the lines that run
     once a call, before the steps (see _lane_function), and ``tested`` the
-    bounds tests emitted. A kernel's affine analysis (see _affine) fills
+    bounds tests emitted. A kernel's lane form has its launch ``extents``
+    (see _lane_function), its affine analysis (see _affine) fills
     ``sliced``, and ``undo`` maps each stored buffer accessed through a
     slice to the start of its first span."""
 
     __slots__ = ("namespace", "target", "lanes", "spans", "accesses", "carried",
-                 "arrays", "hoisted", "tested", "sliced", "undo")
+                 "arrays", "hoisted", "tested", "extents", "sliced", "undo")
 
-    def __init__(self, lanes=False):
+    def __init__(self, lanes=False, extents=None):
         self.namespace, self.target = dict(_LANE_NAMES) if lanes else {}, None
         self.lanes, self.spans, self.accesses = lanes, {}, {}
         self.carried, self.arrays, self.hoisted, self.tested = set(), set(), [], set()
-        self.sliced, self.undo = {}, {}
+        self.extents, self.sliced, self.undo = extents, {}, {}
 
     def bind(self, obj) -> str:
         name = f"n{len(self.namespace)}"
@@ -833,16 +858,6 @@ def _waves(*buffers):
     if flat.size < MIN_LANES * (len(ends) + 1):
         raise _Sequential
     return [slice(a, b) for a, b in zip([0, *ends], [*ends, flat.size])]
-
-
-def _runs(batch):
-    """The waves of a kernel batch that a stored buffer reaches through a
-    block run index (see _affine): its block runs, which its launch
-    geometry keeps (see _geometry); _Sequential when they average fewer than
-    MIN_LANES lanes."""
-    if len(batch.ctx[0][0]) < MIN_LANES * len(batch.steps):
-        raise _Sequential
-    return batch.steps
 
 
 _LANE_NAMES = {"Sequential": _Sequential, "span": _span, "fits": _fits,
@@ -950,9 +965,8 @@ def _lane_function(region: ir.IrRegion, faults=None, extents=None):
     """``compiled(args, batch)``, which runs the one block of ``region`` over
     lane values ``args`` (wrapping narrow integers) for the _Lanes ``batch``
     and returns the lane values returned; its ``steps`` are one point's or
-    thread's, and its ``blocks`` whether it reads block_id lanes. None when
-    the region has more blocks or an op has no lane form. Slot s is the
-    local ``v<s>``, of span ``l<s>``, ``h<s>``.
+    thread's. None when the region has more blocks or an op has no lane
+    form. Slot s is the local ``v<s>``, of span ``l<s>``, ``h<s>``.
 
     The function runs its hoisted ops once over all lanes and steps, then
     loops ``for p in steps:`` over its carried ops, reading a hoisted array
@@ -967,14 +981,16 @@ def _lane_function(region: ir.IrRegion, faults=None, extents=None):
     wave.
 
     A kernel's function is built for launches of ``extents`` (see
-    _affine). When its waves are the whole batch it has no loop, and when
-    they are its block runs, ``for p, a, b in steps:`` over each run's
-    lanes ``p`` and its threads' numbers in their block from ``a`` to ``b``
-    less the batch's least (see _runs)."""
+    _affine), and reads a batch's launch from ``batch.ends``: ``first,
+    last, low, high`` (see _lane_coordinate). When its waves are the whole
+    batch it has no loop, and when they are its block runs, a batch of
+    whole blocks of n threads, its steps are a prefix of a bound list of
+    the slices of n lanes, in each of which a thread's number in its block
+    runs from ``low`` to ``high``."""
     if len(region.blocks) != 1:
         return None
     _, at = _slots(region, faults)
-    form, [block] = _Source(lanes=True), region.blocks
+    form, [block] = _Source(True, extents), region.blocks
     ends = [k for k, op in enumerate(block.operations) if op.is_terminator]
     if not ends:
         return None
@@ -993,11 +1009,8 @@ def _lane_function(region: ir.IrRegion, faults=None, extents=None):
             form.arrays.add(r)
     skip, exact, runs = _affine(form, ops, at, stored, extents)
     lines, carried, reads = form.hoisted, [], set()  # reads: hoisted arrays the steps read
-    lines += [f"[{_locals(args)}] = args",
-              "ctx, bounds, touched = batch.ctx, batch.bounds, batch.touched",
-              *["if bounds is None: raise Sequential",  # a generic's body has no launch
-                "first, last, low, high = batch.ends"] * any(op.name.startswith("gpu.")
-                                                             for op in ops)]
+    lines += [f"[{_locals(args)}] = args", "touched = batch.touched",
+              *["first, last, low, high = batch.ends"] * bool(extents)]
     for a in block.arguments:
         v = f"v{at[a]}"
         if isinstance(a.type, ir.MemRefType):
@@ -1027,16 +1040,19 @@ def _lane_function(region: ir.IrRegion, faults=None, extents=None):
             c for flats in buffers for c in flats.values())):
         lines += carried + [f"if len({waves}) > 1: raise Sequential"] * bool(buffers)  # one step
     elif carried:
+        if runs:  # a batch of whole blocks of n threads: a prefix of their block runs
+            n = math.prod(extents[0])
+            waves = (f"{form.bind([slice(a * n, a * n + n) for a in range(LANES // n)])}"
+                     f"[:(last - first) // {form.bind(n)} + 1]")
         reads = sorted(reads)
         held, read = _locals(reads), _texts(f"m{s}[p]" for s in reads)
-        lines += [f"steps = {f'{form.bind(_runs)}(batch)' if runs else waves}"] * (not generic) + [
+        lines += [f"steps = {waves}"] * (not generic) + [
             f"{_texts(f'm{s}' for s in reads)}= {held}"] * bool(reads) + [
-            f"for {'p, a, b' if runs else 'p'} in {'batch.steps' if generic else 'steps'}:",
+            f"for p in {'batch.steps' if generic else 'steps'}:",
             *_indent([f"{held}= {read}"] * bool(reads) + carried)]
     lanes = _function("\n".join(["def compiled(args, batch):", *_indent(lines + ret), ""]),
                       form.namespace)
     lanes.steps = len(ops) + 1
-    lanes.blocks = any(op.name == "gpu.block_id" and at[op.results[0]] not in skip for op in ops)
     return lanes
 
 
@@ -1048,26 +1064,29 @@ def _affine(form, ops, at, stored, extents):
     coordinate's weight in the launch-order thread number (see _unravel), a
     form is whole, of stride s >= 1, when a_k = s·W_k on each coordinate of
     extent more than 1, block x's counted as more whatever it is, so that
-    any grid x extent shares the function: c + s·g over the batch's thread numbers g,
-    ``first`` to ``last``. It is a block run form when its block
-    coefficients are 0 instead: c + s·u over its threads' numbers in their
-    block, ``low`` to ``high``. An i64 value keeps only such a form, as its
-    lanes could wrap where a form does not. A 1-D access through such an
-    index takes a slice (see _lane_memref): a whole load from a buffer no op
-    stores to, and every access of the stored buffers when each is reached
-    through one kind and stride alone, one wave a batch, or one a block run
-    when some are block run forms; a load from a stored buffer is copied
-    when an op reads it after that buffer's next store. Returns (the values
-    with a form, other than their own term, whose lanes no op reads, which
-    make no lines; each whole or block run value's (form, span names,
-    stride); whether the waves are the block runs)."""
+    any grid x extent shares the function: c + s·g over the batch's thread
+    numbers g, ``first`` to ``last``. It is a block run form when its block
+    coefficients are 0 instead, in a block of at least MIN_LANES threads:
+    c + s·u over its threads' numbers in their block, ``low`` to ``high``,
+    which every block of a batch spans. An i64 value keeps only such a
+    form, as its lanes could wrap where a form does not. A 1-D access
+    through such an index takes a slice (see _lane_memref): a whole load
+    from a buffer no op stores to, and every access of the stored buffers
+    when each is reached through one kind and stride alone, one wave a
+    batch, or one a block run when some are block run forms and a block
+    holds at most LANES threads; a load from a stored buffer is copied when
+    an op reads it after that buffer's next store. Returns (the values with
+    a form, other than their own term, whose lanes no op reads, which make
+    no lines; each whole or block run value's (form, span names, stride);
+    whether the waves are the block runs)."""
     if extents is None:
         return set(), {}, False
     block, gy, gz = extents
     names, sizes = ("bx", "by", "bz", "tx", "ty", "tz"), (2, gy, gz, *block)
     whole = {k: math.prod(sizes[i + 1:]) for i, k in enumerate(names) if sizes[i] > 1}
-    kinds = [(("first", "last"), whole),
-             (("low", "high"), {k: w * (k[0] == "t") for k, w in whole.items()})]
+    kinds = [(("first", "last"), whole)]
+    if math.prod(block) >= MIN_LANES:  # else the block runs are too short for lanes
+        kinds.append((("low", "high"), {k: w * (k[0] == "t") for k, w in whole.items()}))
     forms, exact, accesses = {}, {}, {}
     loaded, stores, copies = {}, collections.Counter(), set()
     for op in ops:
@@ -1101,11 +1120,13 @@ def _affine(form, ops, at, stored, extents):
                 forms[r] = f
     shapes = [{k for _, k in found} for b, found in accesses.items() if b in stored]
     scatter = any(len(k) > 1 or None in k for k in shapes)
-    runs = not scatter and any(u == ("low", "high") for [(u, _)] in shapes)
+    runs = math.prod(block) <= LANES and not scatter and any(
+        u == ("low", "high") for [(u, _)] in shapes)
     for b, found in accesses.items():
         for op, k in found:
             if k and (not scatter if b in stored else k[0] == ("first", "last")):
-                form.sliced[op] = (k, b in stored and runs, b in stored, op in copies)
+                form.sliced[op] = (k[1], b in stored and runs and k[0] == ("first", "last"),
+                                   b in stored, op in copies)
     live = set()  # the slots whose lanes an op that makes lines reads
     for op in reversed(ops):
         slots, r = _operands(op, at)
@@ -1170,18 +1191,17 @@ class _Code:
     (``lanes``, one for each launch extents that _affine reads, see
     _lane_function, decoded on the first such launch of at least MIN_LANES
     threads) and its compiled function (``fast``, built once the region has
-    taken HOT back edges, ``backs``, counted across runs), and a kernel's launch
-    geometry of its last lockstep batch or a generic body's plan of its
-    last operand layout (``geometry``, see _geometry and _generic_plan).
+    taken HOT back edges, ``backs``, counted across runs), and a generic
+    body's plan of its last operand layout (``plan``, see _generic_plan).
     ``fast`` and a function of ``lanes`` are False when the region has no
     such form.
     ``faults`` are the executable's, as in _decode."""
 
-    __slots__ = ("region", "faults", "decoded", "lanes", "backs", "fast", "geometry")
+    __slots__ = ("region", "faults", "decoded", "lanes", "backs", "fast", "plan")
 
     def __init__(self, region: ir.IrRegion, faults):
         self.region, self.faults = region, faults
-        self.decoded = self.fast = self.geometry = None
+        self.decoded = self.fast = self.plan = None
         self.lanes, self.backs = {}, 0
 
 
@@ -1269,17 +1289,15 @@ class _Run:
 
 
 class _Lanes:
-    """One lockstep batch: its launch coordinates (None in a generic body),
-    their spans laid out alike, its stores (buffer, index, old values), its
-    steps (in a generic body the loop points of its box, in a kernel its
-    block runs, see _geometry) and a kernel batch's ends: its first and
-    last thread numbers, and the least and greatest number of a thread in
-    its block."""
+    """One lockstep batch: its stores (buffer, index, old values), a
+    generic body's steps (the loop points of its box) and a kernel batch's
+    ends: its first and last thread numbers, and the least and greatest
+    number of a thread in its block, which every block of the batch spans."""
 
-    __slots__ = ("ctx", "bounds", "touched", "steps", "ends")
+    __slots__ = ("touched", "steps", "ends")
 
-    def __init__(self, ctx, bounds=None, steps=None, ends=None):
-        self.ctx, self.bounds, self.touched, self.steps, self.ends = ctx, bounds, [], steps, ends
+    def __init__(self, steps=None, ends=None):
+        self.touched, self.steps, self.ends = [], steps, ends
 
 
 def _exec(code: _Code, args, run: _Run) -> list:
@@ -1358,14 +1376,12 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     x,y,z), so thread ``g`` is thread ``g % T`` of block ``g // T`` for
     ``T`` threads a block. Buffer mutations through memref.store are
     visible in the returned inputs. Each thread has the whole step budget.
-    A kernel with a lane form runs in lockstep batches of at most LANES
-    consecutive threads, which may span grid blocks, each batch in waves,
-    on the lane function built for the launch's block extents and its
-    grid's in y and z (see _lane_function); a batch that falls back runs
-    thread by thread.
-    The batch's thread geometry is kept on the kernel's code for the next
-    batch of the same block extents, offset and size (see _geometry), and
-    dropped by ``prepare``. Runs on the module's executable (see ``prepare``).
+    A kernel with a lane form runs in lockstep batches of whole blocks,
+    LANES // T of them, or of at most LANES threads of one block when T is
+    more, each batch in waves, on the lane function built for the launch's
+    block extents and its grid's in y and z (see _lane_function); a batch
+    that falls back runs thread by thread. Runs on the module's executable
+    (see ``prepare``).
     """
     run, inputs = _Run(module, step_limit), list(inputs)
     ftype, body = run.function(symbol, inputs)
@@ -1391,19 +1407,13 @@ def run_kernel(module: ir.IrModule, symbol: str, launch: LaunchConfig, inputs,
     hi, b = 0, None  # the batch [lo, hi) of thread numbers; b: the last thread's block
     with np.errstate(all="ignore"):
         while hi < total:
-            lo, hi = hi, min(hi + LANES, total)
-            if code and hi - lo >= MIN_LANES:
-                key = (launch.block, lo % n, hi - lo)  # the same at each offset in a block
-                if body.geometry is None or body.geometry[0] != key:
-                    body.geometry = _geometry(*key)
-                _, threads, spans, blocks, zero, dims, sizes, runs, ends = body.geometry
-                first = lo // n  # the batch's first block
-                ctx = tuple(zip(threads, _unravel(blocks + first, launch.grid, zero)
-                                if code.blocks else (zero,) * 3, dims))
-                bounds = zip(spans, _unravel_spans(first, (hi - 1) // n, launch.grid), sizes)
-                batch = _Lanes(ctx, tuple(bounds), runs, (lo, hi - 1, *ends))
-                if _lockstep(code, lane_args, batch):
-                    continue
+            lo, hi = hi, hi + LANES
+            if hi // n > lo // n:  # whole blocks, or at most LANES threads of one block
+                hi -= hi % n
+            hi = min(hi, total)
+            if code and hi - lo >= MIN_LANES and _lockstep(
+                    code, lane_args, _Lanes(ends=(lo, hi - 1, lo % n, (hi - 1) % n))):
+                continue
             for g in range(lo, hi):
                 run.steps = 0
                 x, y, z = _unravel(g % n, launch.block)
@@ -1429,36 +1439,14 @@ def _overlapping(data) -> bool:
     return False
 
 
-def _unravel(index, extents, zero=None):
+def _unravel(index, extents):
     """The (x, y, z) coordinates of the ``index``-th of ``extents`` in launch
     order, z fastest: of an int, or of int64 lanes. A dimension of extent 1
-    is ``zero`` (by default ``index * 0``), and x is ``index`` when y * z is 1."""
+    is ``index * 0``, and x is ``index`` when y * z is 1."""
     x, y, z = extents
-    zero = index * 0 if zero is None else zero
+    zero = index * 0
     return (zero if x == 1 else index if y * z == 1 else index // (y * z),
             zero if y == 1 else index // z % y, zero if z == 1 else index % z)
-
-
-def _geometry(block, offset: int, size: int):
-    """The launch geometry of a batch of ``size`` threads from thread
-    ``offset`` of a block of extents ``block``, kept by a kernel's _Code for
-    its next batch of the same key: (key, the thread coordinate lanes, their
-    spans, each lane's block counted from the batch's first, the zero lane,
-    the block extents as int64 and as spans, the block runs, the least and
-    greatest number of a thread in its block). Its arrays are read-only. A
-    block run is (the slice of its lanes in one block, a, b): its threads
-    are numbers a + m to b + m - 1 in their block, for m the least such
-    number in the batch."""
-    n, t, zero = math.prod(block), np.arange(offset, offset + size), np.zeros(size, np.int64)
-    threads, blocks = _unravel(t % n, block, zero), t // n
-    for lane in (*threads, blocks, zero):
-        lane.flags.writeable = False
-    ends = (offset, offset + size - 1) if offset + size <= n else (0, n - 1)
-    cuts = range(n - offset, size, n)  # the lanes that start a block
-    runs = tuple((slice(a, b), (offset + a) % n - ends[0], (offset + a) % n - ends[0] + b - a)
-                 for a, b in zip([0, *cuts], [*cuts, size]))
-    return ((block, offset, size), threads, _unravel_spans(*ends, block), blocks, zero,
-            tuple(map(np.int64, block)), tuple((e, e) for e in block), runs, ends)
 
 
 def _unravel_spans(a, b, extents):

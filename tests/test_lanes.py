@@ -319,21 +319,29 @@ fn k(_1: memref{f32,1}, _2: memref{f32,1})
 def waves(monkeypatch):
     """The lanes of each wave, as a list per batch that computes its waves:
     from the flat indices of its stored buffers (_waves), or as its block
-    runs (_runs), where each stored buffer is reached through thread_id x
-    plus an offset or the thread number plus one."""
-    made, split, runs = [], interp._waves, interp._runs
+    runs, a prefix of the list of slices its lane function binds, where
+    each stored buffer is reached through thread_id x plus an offset or the
+    thread number plus one."""
+    made, split, function = [], interp._waves, interp._function
+
+    class Runs(list):
+        def __getitem__(self, key):
+            steps = list.__getitem__(self, key)
+            made.append([p.stop - p.start for p in steps])
+            return steps
 
     def counted(*buffers):
         steps = split(*buffers)
         made.append([len(range(*p.indices(len(buffers[0][0])))) for p in steps])
         return steps
 
-    def counted_runs(batch):
-        steps = runs(batch)
-        made.append([b - a for _, a, b in steps])
-        return steps
+    def built(text, namespace):
+        for name, value in namespace.items():
+            if isinstance(value, list) and value and all(isinstance(p, slice) for p in value):
+                namespace[name] = Runs(value)
+        return function(text, namespace)
     monkeypatch.setitem(interp._LANE_NAMES, "waves", counted)
-    monkeypatch.setattr(interp, "_runs", counted_runs)
+    monkeypatch.setattr(interp, "_function", built)
     return made
 
 
@@ -343,7 +351,7 @@ def batches(monkeypatch):
     made, lockstep = [], interp._lockstep
 
     def counted(code, args, lanes):
-        made.append((len(lanes.ctx[0][0]), lockstep(code, args, lanes)))
+        made.append((lanes.ends[1] - lanes.ends[0] + 1, lockstep(code, args, lanes)))
         return made[-1][1]
     monkeypatch.setattr(interp, "_lockstep", counted)
     return made
@@ -927,7 +935,7 @@ class TestLaneFunction:
                   "  %10 = invoke store(%9, _2, %5) :: Nothing\n  return\n")
         memref = fir.parse_frontend_type("memref{f64,1}")
         module = run_pipeline(registry, text, "k", [memref] * 2)
-        lanes = interp._lane_function(func_region(module, "k"))
+        lanes = interp._lane_function(func_region(module, "k"), None, ((16, 1, 1), 1, 1))
         assert lanes.steps == len(func_region(module, "k").entry.operations)  # 3 constants
         bound = list(lanes.__globals__.values())
         assert 2.5 in bound and 7 in bound and any(
@@ -936,7 +944,7 @@ class TestLaneFunction:
         assert not [v for v in bound if any(v is f for f in operators)]
         assert "compiled" not in lanes.__globals__  # so the two form no cycle
         numbers = {c for c in lanes.__code__.co_consts if isinstance(c, (int, float))}
-        assert numbers <= {0, 1, 2}  # a test against 0, a launch coordinate's position
+        assert numbers <= {0, 1}  # a test against 0, a slice's end past its last
         x = np.arange(80, dtype=np.float64)
         bufs = [MemRefValue(ir.F64, (80,), x.copy()), MemRefValue(ir.F64, (64,), np.zeros(64))]
         run_kernel(module, "k", LaunchConfig((4, 1, 1), (16, 1, 1)), bufs)
@@ -1409,40 +1417,36 @@ def geometry_args(rng, config):
 
 
 @pytest.fixture
-def geometries(monkeypatch):
-    """The (block, offset, size) of each launch geometry made."""
-    made, make = [], interp._geometry
+def lane_functions(monkeypatch):
+    """The launch extents of each kernel lane function built."""
+    made, build = [], interp._lane_function
 
-    def counted(*key):
-        made.append(key)
-        return make(*key)
-    monkeypatch.setattr(interp, "_geometry", counted)
+    def counted(region, faults=None, extents=None):
+        made.append(extents)
+        return build(region, faults, extents)
+    monkeypatch.setattr(interp, "_lane_function", counted)
     return made
 
 
-def kept(module, symbol):
-    """The launch geometry kept by @symbol's code, and its distinct arrays."""
-    geometry = module.executable.funcs[symbol][1].geometry
-    todo, arrays = [geometry], {}
-    while todo:
-        x = todo.pop()
-        if isinstance(x, tuple):
-            todo.extend(x)
-        elif isinstance(x, np.ndarray):
-            arrays[id(x)] = x
-    return geometry, list(arrays.values())
+def tables(module, symbol):
+    """The arrays bound in the namespace of each lane function kept by
+    @symbol's code: the tables of its launch coordinates."""
+    return [a for lanes in module.executable.funcs[symbol][1].lanes.values()
+            for a in lanes.__globals__.values() if isinstance(a, np.ndarray)]
 
 
 class TestKeptGeometry:
-    """A kernel's code keeps the launch geometry of its last batch pattern:
-    read-only lanes, O(LANES) elements whatever the launch, made again for
-    another pattern and dropped by prepare. Each launch gives what the same
-    launch gives thread by thread."""
+    """A kernel batch is whole blocks, or at most LANES threads of one
+    block, so its lane function, kept per launch extents and dropped by
+    prepare, reads the batch's launch from its ends and from read-only
+    tables of at most max(LANES, threads a block) elements bound when it
+    is built. Each launch gives what the same launch gives thread by
+    thread."""
 
     @pytest.mark.parametrize("grid, block", [
         ((2, 3, 2), (4, 2, 3)),  # one batch of 288 threads
-        ((4, 3, 2), (3, 5, 7)),  # 105 a block: batches from thread 0, 79 and 53, the last partial
-        ((1, 2, 1), (16, 8, 9)),  # 1152 a block: batches inside one block and across two
+        ((4, 3, 2), (3, 5, 7)),  # 105 a block: batches of 9 blocks, the last of 6
+        ((1, 2, 1), (16, 8, 9)),  # 1152 a block: batches of 1,024 and 128 in each block
         ((3, 2, 2), (8, 4, 4)),  # 128 a block, which divides LANES; a last partial batch
     ])
     def test_three_dimensional_launch(self, registry, monkeypatch, sequential_calls,
@@ -1455,30 +1459,54 @@ class TestKeptGeometry:
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, "geo", config, args))
 
-    def test_kept_reused_replaced_and_made_again(self, registry, monkeypatch, geometries):
-        # shapes A, A, B, A on one module
+    @pytest.mark.parametrize("grid, block, sizes", [
+        ((64, 1, 1), (60, 1, 1), [1020] * 3 + [780]),
+        ((4, 3, 2), (3, 5, 7), [945, 945, 630]),
+        ((8, 1, 1), (513, 1, 1), [513] * 8),
+        ((2, 1, 1), (1152, 1, 1), [1024, 128] * 2),
+    ], ids=["64x60", "3-D", "8x513", "2x1152"])
+    @pytest.mark.parametrize("name", ["vadd", "collide"])
+    def test_batches_are_whole_blocks(self, registry, monkeypatch, name, grid, block, sizes):
+        ends, lockstep = [], interp._lockstep
+        monkeypatch.setattr(interp, "_lockstep", lambda code, args, lanes: (
+            ends.append(lanes.ends) or lockstep(code, args, lanes)))
+        config, n = LaunchConfig(grid, block), math.prod(block)
+        module = kernel(registry, name)
+        args = kernel_args(np.random.default_rng(197), name, math.prod(grid), n)
+        got = launch(module, name, config, args)
+        assert got[1] is None and [last - first + 1 for first, last, _, _ in ends] == sizes
+        assert [e[0] for e in ends] == list(itertools.accumulate([0] + sizes[:-1]))
+        for first, last, low, high in ends:  # whole blocks, or one block's threads
+            assert (low, high) == (first % n, last % n)
+            assert first // n == last // n if n > interp.LANES else (low, high) == (0, n - 1)
+        no_lanes(monkeypatch)
+        assert same_launch(got, launch(module, name, config, args))
+
+    def test_kept_reused_replaced_and_made_again(self, registry, monkeypatch,
+                                                 lane_functions):
+        # shapes A, A, B, A on one module: one lane function each, kept
         a, b = LaunchConfig((4, 1, 1), (interp.LANES, 1, 1)), LaunchConfig((2, 2, 1), (8, 4, 4))
         module, rng, got, made = geometry_kernel(registry), np.random.default_rng(31), [], []
         for config in (a, a, b, a):
             args, want = geometry_args(rng, config)
             got.append((config, args, launch(module, "geo", config, args)))
             assert got[-1][2][1] is None and ref.same(got[-1][2][0][1], want)
-            made.append(kept(module, "geo")[0])
-        assert geometries == [((interp.LANES, 1, 1), 0, interp.LANES), ((8, 4, 4), 0, 512),
-                              ((interp.LANES, 1, 1), 0, interp.LANES)]
-        assert made[1] is made[0] and made[2] is not made[1] and made[3] is not made[0]
+            made.append(dict(module.executable.funcs["geo"][1].lanes))
+        extents = [(config.block, *config.grid[1:]) for config in (a, b)]
+        assert lane_functions == extents and list(made[-1]) == extents
+        assert made[0][extents[0]] is made[3][extents[0]] and made[2][extents[1]]
         no_lanes(monkeypatch)
         for config, args, result in got:
             assert same_launch(result, launch(module, "geo", config, args))
 
-    def test_launch_after_prepare(self, registry, monkeypatch, geometries):
+    def test_launch_after_prepare(self, registry, monkeypatch, lane_functions):
         config, module = LaunchConfig((8, 1, 1), (256, 1, 1)), geometry_kernel(registry)
         args, want = geometry_args(np.random.default_rng(37), config)
         first = launch(module, "geo", config, args)
         interp.prepare(module)
-        assert module.executable.funcs == {}  # the code, and its geometry, are dropped
+        assert module.executable.funcs == {}  # the code, and its lane functions, are dropped
         again = launch(module, "geo", config, args)
-        assert geometries == [((256, 1, 1), 0, interp.LANES)] * 2
+        assert lane_functions == [((256, 1, 1), 1, 1)] * 2
         assert ref.same(again[0][1], want) and same_launch(again, first)
         no_lanes(monkeypatch)
         assert same_launch(again, launch(module, "geo", config, args))
@@ -1486,24 +1514,37 @@ class TestKeptGeometry:
     def test_kept_lanes_are_read_only(self, registry):
         config, module = LaunchConfig((2, 2, 2), (4, 4, 8)), geometry_kernel(registry)
         launch(module, "geo", config, geometry_args(np.random.default_rng(41), config)[0])
-        _, arrays = kept(module, "geo")
+        arrays = tables(module, "geo")
         assert arrays
         for lane in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 lane[0] = 1
 
-    def test_kept_lanes_are_bounded(self, registry, monkeypatch, batches):
-        # a launch of 16 * LANES threads keeps what one batch needs
-        n = 16 * interp.LANES
-        rng = np.random.default_rng(43)
-        args = [f32_data(rng, n), f32_data(rng, n), np.zeros(n, np.float32)]
-        module, config = kernel(registry, "vadd"), LaunchConfig((n // 64, 1, 1), (64, 1, 1))
-        got = launch(module, "vadd", config, args)
-        assert batches == [(interp.LANES, True)] * 16
-        _, arrays = kept(module, "vadd")
-        assert arrays and sum(a.size for a in arrays) <= 5 * interp.LANES
+    def test_kept_lanes_are_bounded(self, registry, monkeypatch, batches, lane_functions):
+        # three launches of a shape build one lane function, whose tables
+        # hold at most max(LANES, block) elements each; vadd, which reads
+        # no coordinate lanes, binds none
+        rng, got = np.random.default_rng(43), []
+        for grid, block in ((64, 60), (64, 64), (2, 1500)):
+            config, module, vadd = (LaunchConfig((grid, 1, 1), (block, 1, 1)),
+                                    geometry_kernel(registry), kernel(registry, "vadd"))
+            for _ in range(3):
+                args, want = geometry_args(rng, config)
+                result = launch(module, "geo", config, args)
+                assert result[1] is None and ref.same(result[0][1], want)
+                vadd_args = kernel_args(rng, "vadd", grid, block)
+                assert launch(vadd, "vadd", config, vadd_args)[1] is None
+            got.append((module, config, args, result))
+            assert lane_functions == [((block, 1, 1), 1, 1)] * 2
+            lane_functions.clear()
+            arrays = tables(module, "geo")
+            assert len(arrays) == 6 and tables(vadd, "vadd") == []
+            assert all(a.dtype == np.int64 and a.size <= max(interp.LANES, block)
+                       for a in arrays)
+        assert batches and all(ran for _, ran in batches)
         no_lanes(monkeypatch)
-        assert same_launch(got, launch(module, "vadd", config, args))
+        for module, config, args, result in got:
+            assert same_launch(result, launch(module, "geo", config, args))
 
 
 @pytest.fixture
@@ -1736,16 +1777,16 @@ class TestConsecutive:
 
     @pytest.mark.parametrize("name", ["vadd", "collide"])
     def test_partial_batch_from_mid_block(self, registry, monkeypatch, batches, waves, name):
-        # 5 blocks of 300: the first batch ends in block 3, the second
-        # starts at its thread 124 and holds 476 threads; collide's waves
-        # are the block runs of each batch
-        grid, block = 5, 300
+        # 2 blocks of 1,500: each block is a batch of 1,024 threads, then
+        # one of 476 that starts at the block's thread 1,024; each batch is
+        # one wave, collide's too, as it holds one block run
+        grid, block = 2, 1500
         module, args = kernel(registry, name), kernel_args(np.random.default_rng(157), name,
                                                           grid, block)
         config = LaunchConfig((grid, 1, 1), (block, 1, 1))
         got = launch(module, name, config, args)
-        assert batches == [(1024, True), (476, True)] and got[1] is None
-        assert waves == ([[300, 300, 300, 124], [176, 300]] if name == "collide" else [])
+        assert batches == [(1024, True), (476, True)] * 2 and got[1] is None
+        assert waves == []
         assert all(ref.same(g, w) for g, w in zip(
             got[0], ref.kernel_reference(name, grid, block, args)[-len(got[0]):]))
         no_lanes(monkeypatch)
@@ -1771,7 +1812,7 @@ class TestConsecutive:
         runs = grid[1] > 1 and name == "collide"
         slices = re.findall(r"d\d+\[(?!\()", text)  # a subscript that is not a gather's
         assert "[(v" in text and bool(slices) == runs and ("waves(" in text) == (not runs)
-        assert ("for p, a, b in steps:" in text) == runs
+        assert ("[:(last - first) // " in text) == runs  # a prefix of the block runs
         no_lanes(monkeypatch)
         assert same_launch(got, launch(module, name, config, args))
 
@@ -1915,7 +1956,7 @@ class TestConsecutive:
          "  %7 = invoke load(_1, %6) :: f32\n"
          "  %8 = invoke load(_2, %5) :: f32\n"
          "  %9 = invoke +(%7, %8) :: f32\n"
-         "  %10 = invoke store(%9, _1, %6) :: Nothing\n", "d1[l11 + n", [[64] * 4]),
+         "  %10 = invoke store(%9, _1, %6) :: Nothing\n", "d1[l11:h11 + 1:n", [[64] * 4]),
     ], ids=["store-2g", "load-g-plus-argument", "thread-x-times-2"])
     def test_affine_indices_take_slices(self, registry, monkeypatch, batches, waves, body,
                                         store, steps):
@@ -1953,6 +1994,9 @@ class TestConsecutive:
                    values(kernel_args(np.random.default_rng(191), name, grid, block)))
         [text] = texts
         assert "waves(" not in text and "[(v" not in text
+        subscripts = set(re.findall(r"(d\d+)\[([^\]]+)\]", text))
+        assert len(subscripts) == len({d for d, _ in subscripts})  # one slice text a buffer
+        assert ("for p in steps:" in text) == (name == "collide")  # over its block runs
 
 
 def literal(text):
