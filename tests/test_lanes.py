@@ -373,8 +373,8 @@ def same_launch(got, want):
 
 
 class TestAcrossBlocks:
-    """A lockstep batch takes up to LANES threads in launch order, whatever
-    grid blocks they belong to."""
+    """A lockstep batch takes as many whole grid blocks, in launch order,
+    as fit in LANES threads."""
 
     def test_multi_dimensional_launch(self, registry, monkeypatch, sequential_calls,
                                       batches):
