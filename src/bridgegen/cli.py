@@ -15,7 +15,7 @@ other exception is a defect; it is reported as one ``error: internal:``
 line with exit code 1 rather than a traceback.
 
 Only ``run`` loads the interpreter and numpy; ``gen`` and ``einsum`` do
-not.
+not. Only ``einsum`` loads the einsum lowering.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import os
 import re
 import sys
 
-from . import codegen, dialects, einsum, fir, ir
+from . import codegen, dialects, fir, ir
 
 __all__ = ["main", "build_parser"]
 
@@ -288,6 +288,8 @@ def cmd_run(parser, args) -> int:
 
 
 def cmd_einsum(parser, args) -> int:
+    from . import einsum
+
     try:
         spec = einsum.parse_einsum(args.spec)
     except einsum.EinsumError as e:

@@ -15,11 +15,11 @@ region with the op its caller names: ``func.return`` for a function body,
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 from . import dialects as dl
 from . import fir
 from . import ir
+from ._record import Frozen, Record, setfield
 
 __all__ = [
     "CodegenError",
@@ -63,10 +63,12 @@ class CompileError(CodegenError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class IntrinsicSignature:
-    name: str
-    param_types: tuple
+class IntrinsicSignature(Frozen):
+    __slots__ = ("name", "param_types")
+
+    def __init__(self, name: str, param_types: tuple):
+        setfield(self, "name", name)
+        setfield(self, "param_types", param_types)
 
     def __str__(self):
         params = ", ".join(str(t) for t in self.param_types)
@@ -205,20 +207,25 @@ def map_type(registry: IntrinsicRegistry, frontend_type) -> list:
 # Builder context
 
 
-@dataclass
-class BuilderContext:
+class BuilderContext(Record):
     """Per-translation bookkeeping; never shared across threads."""
 
-    module: ir.IrModule
-    registry: IntrinsicRegistry
-    region: ir.IrRegion
-    entry_block: ir.IrBlock = None  # the region's first block
-    block: ir.IrBlock = None
-    block_map: dict = field(default_factory=dict)   # FIR block number -> IrBlock
-    values: dict = field(default_factory=dict)      # FIR SSA id / param -> [IrValue]
-    constants: dict = field(default_factory=dict)   # (value, IrType) -> IrValue
-    # FIR block -> [(phi, start, count, {pred: arg})], one per head phi
-    phi_slots: dict = field(default_factory=dict)
+    __slots__ = ("module", "registry", "region", "entry_block", "block", "block_map",
+                 "values", "constants", "phi_slots")
+
+    def __init__(self, module: ir.IrModule, registry: IntrinsicRegistry,
+                 region: ir.IrRegion, entry_block: ir.IrBlock | None = None,
+                 block: ir.IrBlock | None = None):
+        self.module = module
+        self.registry = registry
+        self.region = region
+        self.entry_block = entry_block  # the region's first block
+        self.block = block
+        self.block_map = {}   # FIR block number -> IrBlock
+        self.values = {}      # FIR SSA id / param -> [IrValue]
+        self.constants = {}   # (value, IrType) -> IrValue
+        # FIR block -> [(phi, start, count, {pred: arg})], one per head phi
+        self.phi_slots = {}
 
     @property
     def dialects(self):

@@ -18,9 +18,9 @@ holds it is built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import fir, ir
+from ._record import Frozen, Record, setfield
 from .ir import (
     IrModule,
     IrOperation,
@@ -74,8 +74,7 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Frozen):
     """One spec type constraint, written as in the spec format.
 
     ``name`` is an exact type of ``_EXACT``, a kind of ``_KINDS``, or
@@ -83,8 +82,11 @@ class Constraint:
     the element type of that tensor/memref operand.
     """
 
-    name: str
-    index: int = -1
+    __slots__ = ("name", "index")
+
+    def __init__(self, name: str, index: int = -1):
+        setfield(self, "name", name)
+        setfield(self, "index", index)
 
     def __str__(self):
         return self.name if self.index < 0 else f"{self.name}({self.index})"
@@ -120,11 +122,13 @@ def parse_constraint(text: str) -> Constraint:
 # Definitions
 
 
-@dataclass(frozen=True)
-class OperandSpec:
-    name: str
-    constraint: Constraint
-    variadic: bool = False
+class OperandSpec(Frozen):
+    __slots__ = ("name", "constraint", "variadic")
+
+    def __init__(self, name: str, constraint: Constraint, variadic: bool = False):
+        setfield(self, "name", name)
+        setfield(self, "constraint", constraint)
+        setfield(self, "variadic", variadic)
 
 
 _ATTR_KINDS = {  # spec attribute kind -> the attribute class it admits
@@ -138,32 +142,42 @@ _ATTR_KINDS = {  # spec attribute kind -> the attribute class it admits
 }
 
 
-@dataclass(frozen=True)
-class AttrSpec:
-    name: str
-    kind: str
-    required: bool = False
-    values: tuple = ()  # of a string attribute, the texts it may take; () for any
+class AttrSpec(Frozen):
+    __slots__ = ("name", "kind", "required", "values")
+
+    def __init__(self, name: str, kind: str, required: bool = False, values: tuple = ()):
+        setfield(self, "name", name)
+        setfield(self, "kind", kind)
+        setfield(self, "required", required)
+        # of a string attribute, the texts it may take; () for any
+        setfield(self, "values", values)
 
 
-@dataclass(frozen=True)
-class OpDefinition:
-    name: str  # qualified, e.g. "arith.addf"
-    doc: str
-    operands: tuple = ()
-    results: tuple = ()
-    attrs: tuple = ()
-    regions: int = 0
-    is_terminator: bool = False
-    successors: object = 0  # int or "variadic"
-    # per bind line: (FIR name, parameter type tuples, (attr, text) pairs)
-    binds: tuple = ()
+class OpDefinition(Frozen):
+    __slots__ = ("name", "doc", "operands", "results", "attrs", "regions",
+                 "is_terminator", "successors", "binds")
+
+    def __init__(self, name: str, doc: str, operands: tuple = (), results: tuple = (),
+                 attrs: tuple = (), regions: int = 0, is_terminator: bool = False,
+                 successors: int | str = 0, binds: tuple = ()):
+        setfield(self, "name", name)  # qualified, e.g. "arith.addf"
+        setfield(self, "doc", doc)
+        setfield(self, "operands", operands)
+        setfield(self, "results", results)
+        setfield(self, "attrs", attrs)
+        setfield(self, "regions", regions)
+        setfield(self, "is_terminator", is_terminator)
+        setfield(self, "successors", successors)  # int or "variadic"
+        # per bind line: (FIR name, parameter type tuples, (attr, text) pairs)
+        setfield(self, "binds", binds)
 
 
-@dataclass
-class DialectDefinition:
-    name: str
-    ops: dict = field(default_factory=dict)  # short name -> OpDefinition
+class DialectDefinition(Record):
+    __slots__ = ("name", "ops")
+
+    def __init__(self, name: str, ops: dict | None = None):
+        self.name = name
+        self.ops = {} if ops is None else ops  # short name -> OpDefinition
 
 
 class DialectRegistry:

@@ -10,9 +10,9 @@ function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import codegen, dialects, fir, ir
+from ._record import Frozen, setfield
 
 __all__ = [
     "EinsumError",
@@ -28,11 +28,13 @@ class EinsumError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class EinsumSpec:
-    inputs: tuple   # tuple of index-name tuples
-    output: tuple   # index-name tuple
-    axes: tuple     # iteration-space axis order (distinct index names)
+class EinsumSpec(Frozen):
+    __slots__ = ("inputs", "output", "axes")
+
+    def __init__(self, inputs: tuple, output: tuple, axes: tuple):
+        setfield(self, "inputs", inputs)   # tuple of index-name tuples
+        setfield(self, "output", output)   # index-name tuple
+        setfield(self, "axes", axes)       # iteration-space axis order (distinct index names)
 
     def axis_of(self, index: str) -> int:
         return self.axes.index(index)

@@ -7,14 +7,17 @@ the lexically next block when the condition holds.
 
 This module provides the text parser, a validation pass, forced call
 inlining, and the bool-conversion insertion pass that runs before
-translation.
+translation. Frontend types and statement arguments are immutable values
+(``_record.Frozen``); statements, functions and programs are records
+(``_record.Record``), equal when their fields are.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+
+from ._record import Frozen, Record, setfield
 
 __all__ = [
     "FrontendType",
@@ -77,25 +80,30 @@ BOOL_CONVERSION = "bool_conversion_intrinsic"
 # Frontend types
 
 
-class FrontendType:
+class FrontendType(Frozen):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return frontend_type_text(self)
 
 
-@dataclass(frozen=True)
 class Concrete(FrontendType):
-    name: str
-    params: tuple = ()
+    __slots__ = ("name", "params")
+
+    def __init__(self, name: str, params: tuple = ()):
+        setfield(self, "name", name)
+        setfield(self, "params", params)
 
 
-@dataclass(frozen=True)
 class Abstract(FrontendType):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
 class AnyFrontend(FrontendType):
-    pass
+    __slots__ = ()
 
 
 ANY = AnyFrontend()
@@ -228,53 +236,65 @@ def parse_frontend_type(text: str) -> FrontendType:
 # Statements
 
 
-class FirArg:
-    pass
+class FirArg(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SsaRef(FirArg):
-    id: int
+    __slots__ = ("id",)
+
+    def __init__(self, id: int):
+        setfield(self, "id", id)
 
     def __str__(self):
         return f"%{self.id}"
 
 
-@dataclass(frozen=True)
 class ParamRef(FirArg):
-    index: int  # 1-based
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        setfield(self, "index", index)  # 1-based
 
     def __str__(self):
         return f"_{self.index}"
 
 
-@dataclass(frozen=True)
 class IntLit(FirArg):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        setfield(self, "value", value)
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class FloatLit(FirArg):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        setfield(self, "value", value)
 
     def __str__(self):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class BoolLit(FirArg):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        setfield(self, "value", value)
 
     def __str__(self):
         return "true" if self.value else "false"
 
 
-class Statement:
+class Statement(Record):
     """A FIR statement. Passes never mutate one: they share the statements
     they keep and build new ones through :meth:`mapped`."""
+
+    __slots__ = ()
 
     def reads(self):
         """The arguments the statement reads, in order."""
@@ -285,12 +305,14 @@ class Statement:
         return self
 
 
-@dataclass
 class Invoke(Statement):
-    id: int
-    target: str
-    args: list
-    result_type: FrontendType
+    __slots__ = ("id", "target", "args", "result_type")
+
+    def __init__(self, id: int, target: str, args: list, result_type: FrontendType):
+        self.id = id
+        self.target = target
+        self.args = args
+        self.result_type = result_type
 
     def reads(self):
         return self.args
@@ -300,11 +322,13 @@ class Invoke(Statement):
                       self.result_type)
 
 
-@dataclass
 class Phi(Statement):
-    id: int
-    incomings: list  # (pred block number, FirArg)
-    result_type: FrontendType
+    __slots__ = ("id", "incomings", "result_type")
+
+    def __init__(self, id: int, incomings: list, result_type: FrontendType):
+        self.id = id
+        self.incomings = incomings  # (pred block number, FirArg)
+        self.result_type = result_type
 
     def reads(self):
         return [a for _, a in self.incomings]
@@ -314,15 +338,19 @@ class Phi(Statement):
                    self.result_type)
 
 
-@dataclass
 class Goto(Statement):
-    target: int
+    __slots__ = ("target",)
+
+    def __init__(self, target: int):
+        self.target = target
 
 
-@dataclass
 class GotoIfNot(Statement):
-    cond: FirArg
-    target: int
+    __slots__ = ("cond", "target")
+
+    def __init__(self, cond: FirArg, target: int):
+        self.cond = cond
+        self.target = target
 
     def reads(self):
         return [self.cond]
@@ -331,9 +359,11 @@ class GotoIfNot(Statement):
         return GotoIfNot(f(self.cond), self.target)
 
 
-@dataclass
 class Return(Statement):
-    value: object  # FirArg or None
+    __slots__ = ("value",)
+
+    def __init__(self, value: FirArg | None):
+        self.value = value
 
     def reads(self):
         return () if self.value is None else [self.value]
@@ -342,19 +372,20 @@ class Return(Statement):
         return Return(None if self.value is None else f(self.value))
 
 
-@dataclass
 class Nothing(Statement):
-    pass
+    __slots__ = ()
 
 
 TERMINATORS = (Goto, GotoIfNot, Return)
 
 
-@dataclass
-class FirFunction:
-    name: str
-    param_types: list
-    blocks: list  # list of statement lists; index 0 is block #1
+class FirFunction(Record):
+    __slots__ = ("name", "param_types", "blocks")
+
+    def __init__(self, name: str, param_types: list, blocks: list):
+        self.name = name
+        self.param_types = param_types
+        self.blocks = blocks  # list of statement lists; index 0 is block #1
 
     def n_blocks(self) -> int:
         return len(self.blocks)
@@ -365,9 +396,11 @@ class FirFunction:
                 yield bi, st
 
 
-@dataclass
-class FirProgram:
-    functions: dict = field(default_factory=dict)
+class FirProgram(Record):
+    __slots__ = ("functions",)
+
+    def __init__(self, functions: dict | None = None):
+        self.functions = {} if functions is None else functions
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,11 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import ir
+from ._record import Frozen, Record, setfield
 
 __all__ = [
     "InterpError",
@@ -165,21 +165,22 @@ class OutOfBounds(InterpError):
 # Runtime values
 
 
-class RuntimeValue:
-    pass
+class RuntimeValue(Record):
+    __slots__ = ()
 
 
-@dataclass
 class F32Value(RuntimeValue):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        self.value = ir.to_f32(float(self.value))
+    def __init__(self, value: float):
+        self.value = ir.to_f32(float(value))
 
 
-@dataclass
 class F64Value(RuntimeValue):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
 
 
 def _wrap_int(value, width: int):
@@ -191,55 +192,62 @@ def _wrap_int(value, width: int):
     return ((value + half) % (half << 1)) - half
 
 
-@dataclass
 class IntValue(RuntimeValue):
-    width: int
-    value: int
+    __slots__ = ("width", "value")
 
-    def __post_init__(self):
-        self.value = _wrap_int(int(self.value), self.width)
+    def __init__(self, width: int, value: int):
+        self.width = width
+        self.value = _wrap_int(int(value), width)
 
 
-@dataclass
 class IndexValue(RuntimeValue):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass
 class _ArrayValue(RuntimeValue):
-    elem: ir.IrType
-    dims: tuple
-    data: np.ndarray  # row-major, shape == dims
+    __slots__ = ("elem", "dims", "data")
 
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=_np_dtype(self.elem)).reshape(self.dims)
+    def __init__(self, elem: ir.IrType, dims: tuple, data):
+        self.elem = elem
+        self.dims = dims
+        # row-major, shape == dims
+        self.data = np.asarray(data, dtype=_np_dtype(elem)).reshape(dims)
 
 
 class TensorValue(_ArrayValue):
     """An immutable tensor."""
 
+    __slots__ = ()
+
 
 class MemRefValue(_ArrayValue):
     """A buffer; memref.store writes ``data`` in place."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class LaunchConfig:
-    grid: tuple  # block counts (gx, gy, gz)
-    block: tuple  # threads per block (bx, by, bz)
 
-    def __post_init__(self):
-        for name in ("grid", "block"):
-            try:
-                extents = tuple(map(operator.index, getattr(self, name)))
-            except TypeError:
-                extents = ()
-            if len(extents) != 3:
-                raise InterpError(f"launch {name} must be three integer extents, "
-                                  f"got {getattr(self, name)!r}")
-            if min(extents) < 1:
-                raise InterpError("launch extents must all be >= 1")
-            object.__setattr__(self, name, extents)  # plain ints, as a frozen field
+def _extents(name, given):
+    """``given`` as a launch's three extents, each a plain int >= 1."""
+    try:
+        extents = tuple(map(operator.index, given))
+    except TypeError:
+        extents = ()
+    if len(extents) != 3:
+        raise InterpError(f"launch {name} must be three integer extents, got {given!r}")
+    if min(extents) < 1:
+        raise InterpError("launch extents must all be >= 1")
+    return extents
+
+
+class LaunchConfig(Frozen):
+    __slots__ = ("grid", "block")
+
+    def __init__(self, grid: tuple, block: tuple):
+        setfield(self, "grid", _extents("grid", grid))  # block counts (gx, gy, gz)
+        setfield(self, "block", _extents("block", block))  # threads per block (bx, by, bz)
 
 
 _KINDS = {  # IR type class -> (runtime value class, numpy element kind)
@@ -788,7 +796,8 @@ class _Source:
     """The source form of a region's ops, or with ``lanes`` their lane form,
     in which each op's text is lines. ``target`` is the local that takes the
     op's value; ``bind`` names an object in the namespace the function runs
-    in, so no value from the module is pasted into its text. ``spans`` maps
+    in, so no value from the module is pasted into its text, and ``bound``
+    maps the id of each object bound to its one name. ``spans`` maps
     slots of a known span to the texts of its ends, or of its one value;
     ``accesses`` maps the slot of each buffer accessed to the texts of the
     flat indices it is accessed through, each to whether it is carried.
@@ -800,18 +809,21 @@ class _Source:
     ``sliced``, and ``undo`` maps each stored buffer accessed through a
     slice to the start of its first span."""
 
-    __slots__ = ("namespace", "target", "lanes", "spans", "accesses", "carried",
+    __slots__ = ("namespace", "bound", "target", "lanes", "spans", "accesses", "carried",
                  "arrays", "hoisted", "tested", "extents", "sliced", "undo")
 
     def __init__(self, lanes=False, extents=None):
-        self.namespace, self.target = dict(_LANE_NAMES) if lanes else {}, None
+        self.namespace, self.bound = dict(_LANE_NAMES) if lanes else {}, {}
+        self.target = None
         self.lanes, self.spans, self.accesses = lanes, {}, {}
         self.carried, self.arrays, self.hoisted, self.tested = set(), set(), [], set()
         self.extents, self.sliced, self.undo = extents, {}, {}
 
     def bind(self, obj) -> str:
-        name = f"n{len(self.namespace)}"
-        self.namespace[name] = obj
+        name = self.bound.get(id(obj))  # the namespace keeps obj, and so its id
+        if name is None:
+            name = self.bound[id(obj)] = f"n{len(self.namespace)}"
+            self.namespace[name] = obj
         return name
 
     def span(self, s: int, lines: list):

@@ -9,6 +9,10 @@ neither its op nor its block and names its module only by a token, for
 create_op's cross-module check. The one cycle left is a loop's back edge
 (``Successor.block``), so a dropped module is freed by reference counting
 at once; only one with a loop waits for the cyclic garbage collector.
+
+Types and attributes are immutable values (``_record.Frozen``): equal,
+and hashed alike, when they are of one class and their fields are equal.
+Values, operations, blocks, regions and modules compare by identity.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+
+from ._record import Frozen, Record, setfield
 
 __all__ = [
     "IrType",
@@ -66,47 +71,48 @@ class IrError(Exception):
 # Types
 
 
-class IrType:
+class IrType(Frozen):
     """Base class for IR types; equality is structural."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return print_type(self)
 
 
-@dataclass(frozen=True)
 class Float32Type(IrType):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Float64Type(IrType):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntType(IrType):
-    width: int
+    __slots__ = ("width",)
 
-    def __post_init__(self):
-        if self.width not in (1, 8, 16, 32, 64):
-            raise IrError(f"unsupported integer width {self.width}")
+    def __init__(self, width: int):
+        if width not in (1, 8, 16, 32, 64):
+            raise IrError(f"unsupported integer width {width}")
+        setfield(self, "width", width)
 
 
-@dataclass(frozen=True)
 class IndexType(IrType):
-    pass
+    __slots__ = ()
 
 
 # A dynamic extent in a tensor/memref shape.
 DYN = None
 
 
-@dataclass(frozen=True)
 class _ShapedType(IrType):
     """A tensor or memref type; ``dims`` holds DYN for a dynamic extent."""
 
-    elem: IrType
-    dims: tuple
+    __slots__ = ("elem", "dims")
+
+    def __init__(self, elem: IrType, dims: tuple):
+        setfield(self, "elem", elem)
+        setfield(self, "dims", dims)
 
     @property
     def rank(self) -> int:
@@ -114,17 +120,19 @@ class _ShapedType(IrType):
 
 
 class TensorType(_ShapedType):
-    pass
+    __slots__ = ()
 
 
 class MemRefType(_ShapedType):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FunctionType(IrType):
-    inputs: tuple
-    results: tuple
+    __slots__ = ("inputs", "results")
+
+    def __init__(self, inputs: tuple, results: tuple):
+        setfield(self, "inputs", inputs)
+        setfield(self, "results", results)
 
 
 F32 = Float32Type()
@@ -146,28 +154,28 @@ def is_integer(t: IrType) -> bool:
 # Attributes
 
 
-class IrAttribute:
-    pass
+class IrAttribute(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FloatAttr(IrAttribute):
-    value: float
-    type: IrType
+    __slots__ = ("value", "type")
 
-    def __post_init__(self):
-        if not is_float(self.type):
+    def __init__(self, value: float, type: IrType):
+        if not is_float(type):
             raise IrError("FloatAttr type must be a float scalar type")
+        setfield(self, "value", value)
+        setfield(self, "type", type)
 
 
-@dataclass(frozen=True)
 class IntAttr(IrAttribute):
-    value: int
-    type: IrType
+    __slots__ = ("value", "type")
 
-    def __post_init__(self):
-        if not is_integer(self.type):
+    def __init__(self, value: int, type: IrType):
+        if not is_integer(type):
             raise IrError("IntAttr type must be an integer or index type")
+        setfield(self, "value", value)
+        setfield(self, "type", type)
 
 
 def _holds_value(a: FloatAttr | IntAttr) -> bool:
@@ -180,40 +188,48 @@ def _holds_value(a: FloatAttr | IntAttr) -> bool:
                                          or -1 << a.type.width - 1 <= a.value < 1 << a.type.width)
 
 
-@dataclass(frozen=True)
 class StringAttr(IrAttribute):
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        setfield(self, "text", text)
 
 
-@dataclass(frozen=True)
 class ArrayAttr(IrAttribute):
-    elements: tuple
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: tuple):
+        setfield(self, "elements", elements)
 
 
-@dataclass(frozen=True)
 class IndexMapAttr(IrAttribute):
     """Indexing map for one structured-op operand.
 
     ``targets[d]`` is the iteration-space axis read by operand dimension d.
     """
 
-    n_axes: int
-    targets: tuple
+    __slots__ = ("n_axes", "targets")
 
-    def __post_init__(self):
-        for t in self.targets:
-            if not 0 <= t < self.n_axes:
-                raise IrError(f"axis position {t} out of range for {self.n_axes} axes")
+    def __init__(self, n_axes: int, targets: tuple):
+        for t in targets:
+            if not 0 <= t < n_axes:
+                raise IrError(f"axis position {t} out of range for {n_axes} axes")
+        setfield(self, "n_axes", n_axes)
+        setfield(self, "targets", targets)
 
 
-@dataclass(frozen=True)
 class SymbolAttr(IrAttribute):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
 class TypeAttr(IrAttribute):
-    type: IrType
+    __slots__ = ("type",)
+
+    def __init__(self, type: IrType):
+        setfield(self, "type", type)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +251,12 @@ class IrValue:
         return f"<IrValue %{self.id}: {self.type}>"
 
 
-@dataclass
-class Successor:
-    block: "IrBlock"
-    args: list
+class Successor(Record):
+    __slots__ = ("block", "args")
+
+    def __init__(self, block: "IrBlock", args: list):
+        self.block = block
+        self.args = args
 
 
 class IrOperation:
@@ -384,14 +402,18 @@ def create_op(module: IrModule, name: str, operands, result_types,
 # Verification
 
 
-@dataclass
-class Diagnostic:
-    category: str
-    message: str
-    op: str = ""
-    block: int = -1
-    # the op named by ``op``; None for a finding about a block or the module
-    operation: IrOperation | None = field(default=None, compare=False, repr=False)
+class Diagnostic(Record):
+    __slots__ = ("category", "message", "op", "block", "operation")
+    _fields = __slots__[:4]  # ``operation`` is neither compared nor shown
+
+    def __init__(self, category: str, message: str, op: str = "", block: int = -1,
+                 operation: IrOperation | None = None):
+        self.category = category
+        self.message = message
+        self.op = op
+        self.block = block
+        # the op named by ``op``; None for a finding about a block or the module
+        self.operation = operation
 
     def __str__(self):
         where = f" in ^bb{self.block}" if self.block >= 0 else ""
@@ -399,9 +421,11 @@ class Diagnostic:
         return f"[{self.category}]{at}{where}: {self.message}"
 
 
-@dataclass
-class VerifyReport:
-    diagnostics: list = field(default_factory=list)
+class VerifyReport(Record):
+    __slots__ = ("diagnostics",)
+
+    def __init__(self, diagnostics: list | None = None):
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def ok(self) -> bool:

@@ -55,20 +55,28 @@ def run_cli(*args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+# What start-up must not load: the value classes are written out rather than
+# generated by dataclasses (which imports inspect), only `bridgegen run`
+# needs numpy and the interpreter, and only `bridgegen einsum` the einsum
+# lowering.
+UNLOADED = ("dataclasses", "inspect", "numpy", "bridgegen.einsum", "bridgegen.interp")
+
+
 def test_import_leaves_numpy_unloaded(sigmoid_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bridgegen.__file__)))
-    code = "import sys, bridgegen; print('numpy' in sys.modules)"
+    loaded = f"[m for m in {UNLOADED!r} if m in sys.modules]"
+    code = f"import sys, bridgegen, bridgegen.cli; print({loaded})"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
-    assert done.returncode == 0 and done.stdout.strip() == "False", done.stderr
-    # only `bridgegen run` needs numpy; `gen` compiles and prints without it
+    assert done.returncode == 0 and done.stdout.strip() == "[]", done.stderr
+    # `gen` compiles and prints without them
     code = ("import sys; from bridgegen import cli; "
             f"code = cli.main(['gen', {sigmoid_path!r}, '--entry', 'sigmoid', "
-            "'--types', 'f32']); print(code, 'numpy' in sys.modules)")
+            f"'--types', 'f32']); print(code, {loaded})")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False", done.stdout
+    assert done.stdout.splitlines()[-1] == "0 []", done.stdout
 
 
 class TestGen:

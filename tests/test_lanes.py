@@ -951,6 +951,23 @@ class TestLaneFunction:
         with np.errstate(all="ignore"):
             assert bufs[1].data.tobytes() == (x[7:71] * 2.5 / -0.0).tobytes()
 
+    @pytest.mark.parametrize("extents", [((4, 2, 3), 3, 2), ((60, 1, 1), 1, 1)])
+    def test_each_object_is_bound_once(self, registry, extents):
+        # geo reads every launch coordinate and block extent, and A[2 * t] =
+        # A[2 * t] + B[g] loads and stores through one stride 2
+        stride = gid_kernel(registry, "  %6 = invoke *(%4, 2) :: index\n"
+                                      "  %7 = invoke load(_1, %6) :: f32\n"
+                                      "  %8 = invoke load(_2, %5) :: f32\n"
+                                      "  %9 = invoke +(%7, %8) :: f32\n"
+                                      "  %10 = invoke store(%9, _1, %6) :: Nothing\n")
+        named = {}
+        for module, name in ((geometry_kernel(registry), "geo"), (stride, "k")):
+            lanes = interp._lane_function(func_region(module, name), None, extents)
+            named[name] = [v for k, v in lanes.__globals__.items() if k != "__builtins__"]
+            assert len({id(v) for v in named[name]}) == len(named[name])
+        assert sum(v is interp._unravel_spans for v in named["geo"]) == 1
+        assert sum(type(v) is int and v == 2 for v in named["k"]) == 1
+
 
     def test_f64_division_by_signed_zero_negation_and_exp(self, registry, monkeypatch,
                                                            sequential_calls):

@@ -2,6 +2,7 @@
 and copying, as diagnostics, dict keys and passes rely on them."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -97,6 +98,8 @@ class TestFrozen:
 
     def test_copies_are_equal(self, value, same, key):
         assert copy.copy(value) == value and copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) is value and copy.deepcopy(value) is value  # immutable
 
 
 @pytest.mark.parametrize("value, name", [
@@ -122,6 +125,15 @@ def test_equality_is_per_class():
     assert len({ir.IntType(64), ir.I64, ir.IntType(32), ir.F32, ir.Float32Type()}) == 3
 
 
+def test_equality_compares_field_tuples():
+    # a tuple compares an element with itself by identity, so one NaN
+    # object equals itself as a field, whatever the Python version
+    nan = float("nan")
+    assert ir.FloatAttr(nan, ir.F64) == ir.FloatAttr(nan, ir.F64)
+    assert ir.FloatAttr(nan, ir.F64) != ir.FloatAttr(float("nan"), ir.F64)
+    assert fir.FloatLit(nan) == fir.FloatLit(nan) and interp.F64Value(nan) == interp.F64Value(nan)
+
+
 def test_diagnostic_compares_without_its_operation():
     found = _diagnostic()
     assert found == ir.Diagnostic("operand", "bad operand", "test.op", 2)
@@ -145,6 +157,7 @@ def test_deepcopy_of_a_parsed_function():
     assert copied.blocks is not fn.blocks and copied.blocks[0][0] is not fn.blocks[0][0]
     copied.blocks[0][0].args.append(fir.IntLit(1))
     assert copied != fn and len(fn.blocks[0][0].args) == 2
+    assert pickle.loads(pickle.dumps(fn)) == fn
 
 
 def test_construction_checks():
