@@ -37,7 +37,6 @@ from .fir import (
     print_fir,
     validate_fir,
 )
-from .intrinsics import default_registry
 from .ir import (
     IrBlock,
     IrError,

@@ -89,8 +89,8 @@ class IntrinsicRegistry:
     at any time between translations.
     """
 
-    def __init__(self, dialect_registry=None):
-        self.dialects = dialect_registry or dl.builtin_registry()
+    def __init__(self):
+        self.dialects = dl.builtin_registry()  # the context of the modules it generates
         self.methods = {}  # name -> list[(IntrinsicSignature, builder)]
         self.dispatch_cache = {}  # see _resolve_call
 
@@ -227,10 +227,6 @@ class BuilderContext(Record):
         # FIR block -> [(phi, start, count, {pred: arg})], one per head phi
         self.phi_slots = {}
 
-    @property
-    def dialects(self):
-        return self.registry.dialects
-
     def set_block(self, block: ir.IrBlock):
         self.block = block
         self.module.set_insertion(block)
@@ -238,8 +234,8 @@ class BuilderContext(Record):
     def build_op(self, name, operands=(), attributes=None, regions=None,
                  successors=None, result_types=None) -> ir.IrOperation:
         self.module.set_insertion(self.block)
-        return dl.build_op(self.dialects, self.module, name, operands,
-                           attributes, regions, successors, result_types)
+        return dl.build_op(self.module, name, operands, attributes, regions, successors,
+                           result_types)
 
 
 def materialize_constant(ctx: BuilderContext, literal, target_type) -> ir.IrValue:

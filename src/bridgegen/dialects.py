@@ -3,9 +3,10 @@
 Dialects are described in a small line-oriented text format (see
 :func:`load_dialect_spec`), registered into a :class:`DialectRegistry`, and
 used through :func:`build_op`, which resolves result types from the
-declared constraints. Each op rule is stated once, in ``_check``: the
-builder raises its first finding and :func:`op_findings`, which the
-verifier reads, reports them all. The rules are the spec's and the
+declared constraints. A module's registry is the one context its ops are
+built and checked against: each op rule is stated once, in ``_check``,
+:func:`build_op` raises its first finding and the verifier reads them all
+from :meth:`DialectRegistry.op_findings`. The rules are the spec's and the
 op-local ones, which read only the op's operands, results and attributes:
 a generic's indexing maps, a constant's value, a memref access's index
 count and a function's ``function_type`` kind. So an op builds exactly
@@ -181,7 +182,8 @@ class DialectDefinition(Record):
 
 
 class DialectRegistry:
-    """Immutable-after-setup map from dialect name to its definition."""
+    """Immutable-after-setup map from dialect name to its definition: the
+    context an ``ir.IrModule``'s ops are built and checked against."""
 
     def __init__(self):
         self.dialects = {}
@@ -189,35 +191,29 @@ class DialectRegistry:
     def lookup(self, qualified_name: str):
         dialect, _, short = qualified_name.partition(".")
         d = self.dialects.get(dialect)
-        if d is None:
-            return None
-        return d.ops.get(short)
+        return None if d is None else d.ops.get(short)
 
-
-def op_findings(registry, op: IrOperation):
-    """``(category, message)`` findings of ``op`` against its definition in
-    ``registry`` or, with no registry, against its op-local rules alone.
-    With a definition, the op's terminator flag must also be the spec's,
-    which :func:`build_op` sets."""
-    types = [v.type for v in op.operands], [v.type for v in op.results]
-    if registry is None:
-        return _op_local(op.name, *types, op.attributes)
-    defn = registry.lookup(op.name)
-    if defn is None:
-        return [("unknown-op", f"'{op.name}' is not registered")]
-    findings = _check(defn, *types, op.attributes, len(op.regions), len(op.successors))
-    if op.is_terminator != defn.is_terminator:
-        findings.append(("terminator-flag", f"is_terminator {op.is_terminator} "
-                         f"differs from its spec's {defn.is_terminator}"))
-    return findings
+    def op_findings(self, op: IrOperation):
+        """``(category, message)`` findings of ``op`` against its definition:
+        the spec's and the op-local rules, and its terminator flag, which
+        must be the spec's, as :func:`build_op` sets it."""
+        defn = self.lookup(op.name)
+        if defn is None:
+            return [("unknown-op", f"'{op.name}' is not registered")]
+        findings = _check(defn, [v.type for v in op.operands], [v.type for v in op.results],
+                          op.attributes, len(op.regions), len(op.successors))
+        if op.is_terminator != defn.is_terminator:
+            findings.append(("terminator-flag", f"is_terminator {op.is_terminator} "
+                             f"differs from its spec's {defn.is_terminator}"))
+        return findings
 
 
 def _check(defn: OpDefinition, operand_types, result_types, attributes,
            n_regions: int, n_successors: int):
     """``(category, message)`` findings of one op against ``defn``.
 
-    The single statement of the op rules: :func:`op_findings` reports
-    every finding, :func:`build_op` raises the first. They come in
+    The single statement of the op rules: ``DialectRegistry.op_findings``
+    reports every finding, :func:`build_op` raises the first. They come in
     the order operands, results, attributes, regions, successors, op-local
     rules; ``result_types`` None skips the results.
     """
@@ -536,19 +532,17 @@ def register_dialect(registry: DialectRegistry, defn: DialectDefinition) -> Dial
 # Building
 
 
-def build_op(registry: DialectRegistry, module: IrModule, qualified_name: str,
-             operands=(), attributes=None, regions=None, successors=None,
-             result_types=None) -> IrOperation:
-    """Build a verified operation at the module's insertion point.
-
-    Result types are resolved from the declared constraints where they
-    determine a unique type, otherwise ``result_types`` must be supplied.
-    The op is then checked by the same rules as :func:`op_findings`, the
-    spec's and the op-local ones,
-    and the first finding raises :class:`BuildError`. The facts of its
-    regions, which are filled later, are left to ``ir.verify_module``.
+def build_op(module: IrModule, qualified_name: str, operands=(), attributes=None,
+             regions=None, successors=None, result_types=None) -> IrOperation:
+    """Build a verified operation at the module's insertion point, against
+    the module's registry. Result types are resolved from the declared
+    constraints where they determine a unique type, otherwise
+    ``result_types`` must be supplied. The op is then checked by the rules
+    of ``DialectRegistry.op_findings``, and the first finding raises
+    :class:`BuildError`. The facts of its regions, which are filled later,
+    are left to ``ir.verify_module``.
     """
-    defn = registry.lookup(qualified_name)
+    defn = module.registry.lookup(qualified_name)
     if defn is None:
         raise BuildError(f"unknown operation '{qualified_name}'")
     operands = list(operands)

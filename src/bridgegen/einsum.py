@@ -72,11 +72,7 @@ def parse_einsum(text: str) -> EinsumSpec:
     inputs = tuple(_parse_tuple(t, "input") for t in in_tuples)
     output = _parse_tuple(out_tuples[0], "output")
 
-    seen_inputs = []
-    for tup in inputs:
-        for n in tup:
-            if n not in seen_inputs:
-                seen_inputs.append(n)
+    seen_inputs = list(dict.fromkeys(n for tup in inputs for n in tup))  # in first-seen order
     for n in output:
         if n not in seen_inputs:
             raise EinsumError(f"output index '{n}' does not appear in any input")
@@ -161,7 +157,7 @@ def build_einsum_function(registry, spec: EinsumSpec) -> ir.IrModule:
                     for tup in spec.inputs + (spec.output,)]
     result_t = tensor_types[-1]
     region = module.new_region()
-    dialects.build_op(registry.dialects, module, "func.func",
+    dialects.build_op(module, "func.func",
                       attributes={
                           "sym_name": ir.SymbolAttr("einsum"),
                           "function_type": ir.TypeAttr(

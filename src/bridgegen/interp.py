@@ -216,6 +216,12 @@ class _ArrayValue(RuntimeValue):
         # row-major, shape == dims
         self.data = np.asarray(data, dtype=_np_dtype(elem)).reshape(dims)
 
+    def __eq__(self, other):  # of one class, elem and dims, and data of the same bytes
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elem, self.dims, self.data.tobytes()) == (
+            other.elem, other.dims, other.data.tobytes())
+
 
 class TensorValue(_ArrayValue):
     """An immutable tensor."""
@@ -449,27 +455,37 @@ def _launch_coordinate(k):
 def _lane_coordinate(form, k, axis: int, r: int):
     """The lane lines of launch coordinate ``k`` (0: thread_id, 1: block_id,
     2: block_dim) on ``axis`` into slot ``r``, for launches of
-    ``form.extents`` (see _lane_function). A block_dim is a constant. A
-    thread_id's or block_id's lanes come from a slice of a read-only table
-    of at most max(LANES, n) elements, for n threads a block, bound here:
-    the thread numbers in their block, or the block numbers less the
-    batch's first. Its span comes from the batch's ends."""
+    ``form.extents`` (see _lane_function). A block_dim is a constant. The
+    lanes come from a slice of a read-only table of at most max(LANES, n)
+    elements, for n threads a block, bound here: a thread_id's from the
+    thread numbers on its axis in their block, the block_ids' from the
+    block numbers less the batch's first, unravelled once in a grid of
+    (2, gy, gz), whose x extent is not read. The first op of a kind emits
+    that and the kind's spans, from the batch's ends."""
     block, gy, gz = form.extents
     if k == 2:
         form.spans[r] = (form.bind(block[axis]),)
         return [f"{form.target} = {form.bind(np.int64(block[axis]))}"]
-    n = math.prod(block)
+    n, c, lines = math.prod(block), f"c{k}", []  # c0x, c1x: thread_id, block_id x's lanes
     lanes = np.arange(n * max(1, LANES // n))  # from the first thread of a batch's first block
-    table = _unravel(lanes % n, block)[axis] if k == 0 else lanes // n
+    form.spans[r] = (f"l{c}{axis}", f"h{c}{axis}")
+    if c not in form.once:
+        form.once.add(c)
+        a, b, extents = ("low", "high", form.bind(block)) if k == 0 else (
+            f"first // {form.bind(n)}", f"last // {form.bind(n)}", form.bind((2, gy, gz)))
+        lines.append(f"{', '.join(f'(l{c}{x}, h{c}{x})' for x in range(3))} = "
+                     f"{form.bind(_unravel_spans)}({a}, {b}, {extents})")
+        if k == 1:
+            lines.append(f"{c}0, {c}1, {c}2 = "
+                         f"{form.bind(_unravel)}({_rows(form, lanes // n)} + {a}, {extents})")
+    rows = _rows(form, _unravel(lanes % n, block)[axis]) if k == 0 else f"{c}{axis}"
+    return lines + [f"{form.target} = {rows}"]
+
+
+def _rows(form, table) -> str:
+    """The text of the batch's rows of ``table``, bound read-only."""
     table.flags.writeable = False
-    rows, spans = f"{form.bind(table)}[low:low + last - first + 1]", form.bind(_unravel_spans)
-    form.spans[r] = (f"l{r}", f"h{r}")
-    if k == 0:
-        return [f"{form.target} = {rows}",
-                f"l{r}, h{r} = {spans}(low, high, {form.bind(block)})[{axis}]"]
-    b, grid = form.bind(n), form.bind((2, gy, gz))  # grid x's extent is not read
-    return [f"{form.target} = {form.bind(_unravel)}({rows} + first // {b}, {grid})[{axis}]",
-            f"l{r}, h{r} = {spans}(first // {b}, last // {b}, {grid})[{axis}]"]
+    return f"{form.bind(table)}[low:low + last - first + 1]"
 
 
 def _memref(op, at, form=None):
@@ -509,7 +525,7 @@ def _lane_memref(op, form, b, idx, v):
     unless its span starts where the first's does. An index out of bounds by
     its span, or lanes stored through scalar indices fall back, so that the
     replay raises as the scalar op does. The bounds test of an index of
-    hoisted values is hoisted; a test already emitted (``form.tested``)
+    hoisted values is hoisted; a test already emitted (``form.once``)
     reads the same slots, so it is not emitted again."""
     store, lines = op.name == "memref.store", []
     if store and v in form.arrays and not form.arrays.intersection(idx):
@@ -518,8 +534,8 @@ def _lane_memref(op, form, b, idx, v):
              for k, s in enumerate([form.span(s, lines) for s in idx])]
     carried = bool(form.carried.intersection(idx))
     test = f"if {' or '.join(tests)}: raise Sequential"
-    if tests and test not in form.tested:
-        form.tested.add(test)
+    if tests and test not in form.once:
+        form.once.add(test)
         (lines if carried else form.hoisted).append(test)
     if op in form.sliced:  # (stride, a whole form in each block run, stored, copies)
         (lo, hi), (s, each, stored, copy) = form.spans[idx[0]], form.sliced[op]
@@ -803,20 +819,21 @@ class _Source:
     flat indices it is accessed through, each to whether it is carried.
     ``carried`` holds the slots of carried values, ``arrays`` those whose
     values are lanes rather than one value, ``hoisted`` the lines that run
-    once a call, before the steps (see _lane_function), and ``tested`` the
-    bounds tests emitted. A kernel's lane form has its launch ``extents``
-    (see _lane_function), its affine analysis (see _affine) fills
-    ``sliced``, and ``undo`` maps each stored buffer accessed through a
-    slice to the start of its first span."""
+    once a call, before the steps (see _lane_function), and ``once`` the
+    keys of lines emitted once: bounds tests, and the kinds of launch
+    coordinate (see _lane_coordinate). A kernel's lane form has its launch
+    ``extents`` (see _lane_function), its affine analysis (see _affine)
+    fills ``sliced``, and ``undo`` maps each stored buffer accessed through
+    a slice to the start of its first span."""
 
     __slots__ = ("namespace", "bound", "target", "lanes", "spans", "accesses", "carried",
-                 "arrays", "hoisted", "tested", "extents", "sliced", "undo")
+                 "arrays", "hoisted", "once", "extents", "sliced", "undo")
 
     def __init__(self, lanes=False, extents=None):
         self.namespace, self.bound = dict(_LANE_NAMES) if lanes else {}, {}
         self.target = None
         self.lanes, self.spans, self.accesses = lanes, {}, {}
-        self.carried, self.arrays, self.hoisted, self.tested = set(), set(), [], set()
+        self.carried, self.arrays, self.hoisted, self.once = set(), set(), [], set()
         self.extents, self.sliced, self.undo = extents, {}, {}
 
     def bind(self, obj) -> str:
@@ -1245,13 +1262,11 @@ class Executable:
 def prepare(module: ir.IrModule) -> Executable:
     """A fresh executable of ``module``, kept on it for run_function and
     run_kernel, which prepare a module on its first run. It verifies the
-    module once, since the verifier is the interpreter's only type rule: an
-    op the verifier faults fails when reached, with its first finding's
-    text. A module without a dialect registry cannot be checked: InterpError.
-    Preparing again drops the code of earlier runs: the way to run a module
-    after editing it, or to count HOT back edges from zero."""
-    if module.registry is None:
-        raise InterpError("a module without a dialect registry cannot be checked")
+    module once, against the module's dialect registry, since the verifier
+    is the interpreter's only type rule: an op the verifier faults fails
+    when reached, with its first finding's text. Preparing again drops the
+    code of earlier runs: the way to run a module after editing it, or to
+    count HOT back edges from zero."""
     faults = {}
     for d in ir.verify_module(module).diagnostics:
         if d.operation is not None:

@@ -1,6 +1,8 @@
 """The scalar intrinsics: float and integer arithmetic, integer
 comparisons and exp over f32/f64/i64/index, as declared by the ``bind``
-lines of the builtin ``arith`` and ``math`` dialect specs."""
+lines of the builtin ``arith`` and ``math`` dialect specs. It remains only
+for ``bench/pipeline.py`` until ROADMAP item 1: other callers use
+``codegen.register_bindings``."""
 
 from __future__ import annotations
 

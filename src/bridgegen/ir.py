@@ -1,8 +1,9 @@
 """In-memory MLIR-style IR: types, attributes, operations, blocks, regions.
 
 Modules are built through :func:`create_op` / :meth:`IrModule.append_block`,
-checked with :func:`verify_module`, and rendered with :func:`print_module`.
-Printing is one-way; there is no parser for the textual form.
+checked with :func:`verify_module` against the dialect registry each module
+holds, and rendered with :func:`print_module`. Printing is one-way; there is
+no parser for the textual form.
 
 Memory: nothing in the IR refers back to what holds it. A value knows
 neither its op nor its block and names its module only by a token, for
@@ -317,10 +318,12 @@ class IrModule:
     mutated it is safe to read concurrently.
     """
 
-    def __init__(self, registry=None):
+    def __init__(self, registry):
+        if not hasattr(registry, "op_findings"):
+            raise IrError(f"a module needs a dialect registry, not {registry!r}")
         self.body = IrRegion()
         self.body.blocks.append(IrBlock(0))
-        self.registry = registry
+        self.registry = registry  # its dialects.DialectRegistry: builds and checks its ops
         self._values = itertools.count()  # value ids, and the owner of the values
         self._blocks = itertools.count(1)  # block ids
         self.insertion_block = self.body.blocks[0]
@@ -367,8 +370,9 @@ def create_op(module: IrModule, name: str, operands, result_types,
 
     Result values are freshly allocated; ``successors`` is a list of
     ``(block, passed_values)`` pairs. When ``is_terminator`` is not given
-    it is inferred from the successors, or from the op's registered
-    definition if the module has a registry attached.
+    it is inferred from the successors, or from the op's definition in the
+    module's registry. The op is not checked: ``dialects.build_op`` builds
+    a checked one.
     """
     operands = list(operands)
     for v in operands:
@@ -380,11 +384,8 @@ def create_op(module: IrModule, name: str, operands, result_types,
             if not module.owns(v):
                 raise IrError(f"successor arg {v!r} does not belong to this module")
     if is_terminator is None:
-        is_terminator = bool(succs)
-        if not is_terminator and module.registry is not None:
-            defn = module.registry.lookup(name)
-            if defn is not None:
-                is_terminator = defn.is_terminator
+        defn = module.registry.lookup(name)
+        is_terminator = bool(succs) or (defn is not None and defn.is_terminator)
     op = IrOperation(
         name,
         operands,
@@ -432,9 +433,7 @@ class VerifyReport(Record):
         return not self.diagnostics
 
     def __str__(self):
-        if self.ok:
-            return "ok"
-        return "\n".join(str(d) for d in self.diagnostics)
+        return "\n".join(map(str, self.diagnostics)) or "ok"
 
 
 def _predecessors(region: IrRegion):
@@ -545,8 +544,7 @@ def verify_module(module: IrModule) -> VerifyReport:
     """Structurally check every region of ``module``; collects all findings.
 
     Each op is checked against its definition in the module's dialect
-    registry (``module.registry``) or, without one, its op-local rules
-    alone (see ``dialects.op_findings``); then each region against the
+    registry (``module.registry.op_findings``); then each region against the
     types of the op that holds it, whose findings come right before it.
     """
     report = VerifyReport()
@@ -568,7 +566,7 @@ def verify_module(module: IrModule) -> VerifyReport:
 
 def _check_op(op: IrOperation, block: int, registry, functions, report: VerifyReport):
     """Check ``op``, of block ``block``, then its regions."""
-    findings = dialects.op_findings(registry, op)
+    findings = registry.op_findings(op)
     for category, message in findings:
         report.diagnostics.append(Diagnostic(category, message, op.name, block, op))
     ends = None  # what a func.return or linalg.yield in its region hands back
@@ -997,6 +995,3 @@ def print_module(module: IrModule) -> str:
         _print_func(op, "  ", lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-from . import dialects  # noqa: E402 -- dialects imports this module, so this comes last

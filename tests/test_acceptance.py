@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from bridgegen import cli, codegen, dialects, einsum, fir, interp, intrinsics, ir
+from bridgegen import cli, codegen, dialects, einsum, fir, interp, ir
 from bridgegen.dialects import load_dialect_spec, serialize_dialect
 from conftest import (
     MAX_FIR,
@@ -79,7 +79,8 @@ def _random_suite(registry, n):
 
 @pytest.fixture(scope="module")
 def suite():
-    return _random_suite(intrinsics.default_registry(), 120)
+    return _random_suite(
+        codegen.register_bindings(codegen.IntrinsicRegistry(), "arith", "math"), 120)
 
 
 class TestCriterion3And4:
@@ -140,7 +141,7 @@ class TestCriterion5:
         agreements = 0
         outcomes = {"ok": 0, "nomethod": 0, "ambiguous": 0}
         for _ in range(500):
-            reg = codegen.IntrinsicRegistry(dialects.DialectRegistry())
+            reg = codegen.IntrinsicRegistry()
             arity = rng.randint(1, 3)
             params = set()
             while len(params) < rng.randint(1, 6):

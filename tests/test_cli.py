@@ -221,6 +221,15 @@ class TestGen:
                          "--types", "f32", "--dialect", str(spec)])
         assert code == 1
 
+    def test_unreadable_dialect_file(self, sigmoid_path, tmp_path, capsys):
+        missing = tmp_path / "missing.spec"
+        code = cli.main(["gen", sigmoid_path, "--entry", "sigmoid",
+                         "--types", "f32", "--dialect", str(missing)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: cannot read dialect spec {missing}: "
+                                           f"[Errno 2] No such file or directory: "
+                                           f"'{missing}'\n")
+
     def test_duplicate_dialect_rejected(self, sigmoid_path, tmp_path, capsys):
         spec = tmp_path / "arith2.spec"
         spec.write_text('dialect arith\nop other "Clash."\n')
@@ -255,6 +264,20 @@ class TestBoundDialect:
         flags, fir_path = paths
         assert cli.main(["gen", fir_path, *flags]) == 0
         assert '= "my.twice"(%arg0) : (f64) -> (f64)' in capsys.readouterr().out
+
+    def test_gen_prints_attributes_in_the_generic_form(self, tmp_path, capsys):
+        # a bound op's attributes, from its bind line, print sorted by name
+        spec = tmp_path / "scale.spec"
+        spec.write_text('dialect my\nop scale "Scales a float."\n  operand x AnyFloat\n'
+                        "  attr mode string required\n  attr base string\n"
+                        "  result res same(0)\n  bind scale (f64) mode=fast base=two\n")
+        fir_path = tmp_path / "scale.fir"
+        fir_path.write_text("fn f(_1: f64)\n1:\n  %1 = invoke scale(_1) :: f64\n"
+                            "  return %1\n")
+        assert cli.main(["gen", str(fir_path), "--entry", "f", "--types", "f64",
+                         "--dialect", str(spec)]) == 0
+        assert ('%0 = "my.scale"(%arg0) {base = "two", mode = "fast"} : (f64) -> (f64)'
+                in capsys.readouterr().out)
 
     def test_run_has_no_semantics(self, paths, capsys):
         flags, fir_path = paths
@@ -383,10 +406,16 @@ class TestRun:
          "input literal 18446744073709551616 is not a value of i64"),
         ("max", "i64,i64", ["-9223372036854775808", "18446744073709551615"], "-1\n", ""),
         ("idx", "index", ["-99999999999999999999999"], "-99999999999999999999999\n", ""),
+        ("fbuf", "memref{f32,1}", ["[]:f32"], "[]\n", ""),
+        ("fbuf", "memref{f32,1}", ["2.0"], "",
+         "expected a buffer literal like [1,2,3]:f32, got '2.0'"),
+        ("sigmoid", "f32", ["1" * 5001], "", "input: number of 5001 digits exceeds the limit "
+         "of 640"),
     ], ids=["float-range-end", "float-range-down", "float-range-rounded", "true-i1",
             "false-i1", "true-i64", "false-f32", "repeat-cap", "range-cap", "range-exponent",
             "element-type", "one-i1", "five-i1", "minus-one-i1", "below-i64", "above-i64",
-            "i64-bits", "index-unbounded"])
+            "i64-bits", "index-unbounded", "empty-buffer", "scalar-for-buffer",
+            "overlong-input"])
     def test_runtime_literals(self, tmp_path, capsys, entry, types, inputs, out, err):
         p = tmp_path / "lits.fir"
         p.write_text(MAX_FIR + SIGMOID_FIR + "fn fbuf(_1: memref{f32,1})\n1:\n  return _1\n"
@@ -445,6 +474,13 @@ class TestRun:
         out = capsys.readouterr()
         assert code == 1
         assert "step budget" in out.err
+
+    def test_step_limit_env_must_be_an_integer(self, sigmoid_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.STEP_LIMIT_ENV, "lots")
+        code = cli.main(["run", sigmoid_path, "--entry", "sigmoid", "--types", "f32",
+                         "--", "2.0"])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {cli.STEP_LIMIT_ENV} must be an integer, got 'lots'\n")
 
     def test_range_and_repeat_sugar(self, vadd_path, capsys):
         code = cli.main([
@@ -511,6 +547,16 @@ class TestEinsum:
         assert code == 1
         assert out.out == ""
         assert "k" in out.err
+
+    @pytest.mark.parametrize("spec, flags, err", [
+        ("(i,1)->(i)", [], "bad index name '1' in input"),
+        ("(i,j)", [], "einsum spec needs '->'"),
+        ("(i,k),(k,j)->(i,j)", ["--shapes", "4x3,3x5"], "3 operand shape(s) expected, got 2"),
+    ], ids=["index-name", "no-arrow", "shape-count"])
+    def test_bad_spec_or_shapes(self, capsys, spec, flags, err):
+        code = cli.main(["einsum", spec, *flags])
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (1, "", f"error: {err}\n")
 
     def test_shapes_checked(self, capsys):
         assert cli.main(["einsum", "(i,k),(k,j)->(i,j)",
@@ -714,6 +760,13 @@ class TestUsage:
 
     def test_missing_required_flag(self, sigmoid_path, capsys):
         assert cli.main(["gen", sigmoid_path, "--types", "f32"]) == 2
+
+    def test_inputs_are_for_run_alone(self, sigmoid_path, capsys):
+        # what follows "--" is runtime input, which gen does not take
+        assert cli.main(["gen", sigmoid_path, "--entry", "sigmoid", "--types", "f32",
+                         "--", "2.0", "3.0"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "bridgegen: error: unrecognized arguments: 2.0 3.0\n")
 
 
 DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -2,10 +2,11 @@
 
 import math
 import random
+import re
 
 import pytest
 
-from bridgegen import codegen, fir, interp, intrinsics, ir
+from bridgegen import codegen, fir, interp, ir
 from bridgegen.codegen import (
     AmbiguousMethodError,
     BuilderContext,
@@ -18,11 +19,11 @@ from bridgegen.codegen import (
     generate_region,
     map_type,
     materialize_constant,
+    register_bindings,
     register_intrinsic,
     resolve_method,
 )
 from bridgegen.dialects import BuildError
-from bridgegen.gpu import register_gpu_intrinsics
 from conftest import (
     MAX_FIR,
     MAX_GOLDEN,
@@ -161,9 +162,9 @@ def test_builtin_signature_sets():
     """Every builtin intrinsic name and the set of its signatures, pinned."""
     want = {name: {name + params for params in sigs}
             for name, sigs in SCALAR_SIGNATURES.items()}
-    registry = intrinsics.default_registry()
+    registry = register_bindings(IntrinsicRegistry(), "arith", "math")
     assert signature_sets(registry) == want
-    register_gpu_intrinsics(registry)
+    register_bindings(registry, "gpu", "memref")
     want.update({name: {name + params for params in sigs}
                  for name, sigs in GPU_SIGNATURES.items()})
     assert signature_sets(registry) == want
@@ -201,6 +202,22 @@ class TestDispatchCache:
                            match=r"g\(i64\) \(with literal promotion of 33554432\)"):
             call_with(2 ** 25)
 
+    def test_literal_for_an_abstract_parameter_keeps_its_natural_type(self):
+        # promotion admits 1.5, an f64, for AbstractFloat, but not 3, an i64
+        reg = IntrinsicRegistry()
+        register_intrinsic(reg, IntrinsicSignature("g", (fir.ABSTRACT_FLOAT, fir.F32)),
+                           lambda ctx, args: list(args[0]))
+
+        def call_with(literal):
+            text = f"fn f()\n1:\n  %1 = invoke g({literal}, 2) :: f64\n  return %1\n"
+            return generate(reg, fir.parse_program(text).functions["f"], [])
+
+        printed = ir.print_module(call_with(1.5))
+        assert "arith.constant 1.5 : f64" in printed and "arith.constant 2.0 : f32" in printed
+        with pytest.raises(NoMethodError, match=re.escape(
+                "no method matching g(i64, i64) (with literal promotion of 3, 2)")):
+            call_with(3)
+
 
 class TestMapType:
     def test_scalars(self, registry):
@@ -224,6 +241,17 @@ class TestMapType:
     def test_abstract_rejected(self, registry):
         with pytest.raises(CodegenError):
             map_type(registry, fir.ABSTRACT_FLOAT)
+
+    def test_element_of_one_ir_type(self, registry):
+        for elem in (fir.complex_of(fir.F32), fir.NOTHING):
+            t = fir.tensor_of(elem, 1)
+            with pytest.raises(CodegenError, match=re.escape(
+                    f"{t}: element type must map to one IR type")):
+                map_type(registry, t)
+
+    def test_concrete_type_without_a_mapping(self, registry):
+        with pytest.raises(CodegenError, match="^no IR mapping for frontend type f16$"):
+            map_type(registry, fir.Concrete("f16"))
 
 
 def scalar_ctx(registry):
@@ -691,6 +719,12 @@ def test_compile_program_errors(registry, monkeypatch):
         "generated module failed verification:\n[dominance]: bad", ())
 
 
+def test_compile_program_of_an_unknown_entry(registry):
+    program = fir.parse_program(SIGMOID_FIR)
+    with pytest.raises(fir.FirError, match="^no function named 'nope'$"):
+        codegen.compile_program(registry, program, "nope", [fir.F32])
+
+
 class TestGenerateRegion:
     def test_mul_add_body(self, registry):
         ctx = scalar_ctx(registry)
@@ -722,7 +756,7 @@ class TestGenerateRegion:
         module = ir.IrModule(registry=registry.dialects)
         region = module.new_region()
         t = ir.TensorType(ir.I64, (None,))
-        build_op(registry.dialects, module, "func.func",
+        build_op(module, "func.func",
                  attributes={"sym_name": ir.SymbolAttr("elemmax"),
                              "function_type": ir.TypeAttr(
                                  ir.FunctionType((t, t), (t,)))},

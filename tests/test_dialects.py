@@ -16,7 +16,6 @@ from bridgegen.dialects import (
     build_op,
     builtin_registry,
     load_dialect_spec,
-    op_findings,
     register_dialect,
     serialize_dialect,
 )
@@ -190,10 +189,10 @@ class TestLoader:
 class TestRegistry:
     def test_register_then_build(self):
         registry = register_dialect(DialectRegistry(), load_dialect_spec(SAMPLE))
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
         a, b = value(m), value(m, raw=2.0)
-        op = build_op(registry, m, "demo.addf", [a, b])
+        op = build_op(m, "demo.addf", [a, b])
         assert op.results[0].type == ir.F32
 
     def test_register_twice_fails(self):
@@ -202,51 +201,51 @@ class TestRegistry:
             register_dialect(registry, load_dialect_spec(SAMPLE))
 
     def test_unknown_op(self):
-        m = IrModule()
+        m = IrModule(DialectRegistry())
         new_func(m)
         with pytest.raises(BuildError, match="unknown operation"):
-            build_op(DialectRegistry(), m, "demo.addf", [])
+            build_op(m, "demo.addf", [])
 
 
 class TestBuildOp:
     def test_result_type_resolved_from_operand(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
         a, b = value(m, ir.F64, 1.0), value(m, ir.F64, 2.0)
-        op = build_op(registry, m, "arith.addf", [a, b])
+        op = build_op(m, "arith.addf", [a, b])
         assert op.results[0].type == ir.F64
 
     def test_type_constraint_violation_names_operand(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
         a, b = value(m, ir.I64, 1), value(m, ir.I64, 2)
         with pytest.raises(BuildError, match="operand 'lhs'"):
-            build_op(registry, m, "arith.addf", [a, b])
+            build_op(m, "arith.addf", [a, b])
 
     def test_same_operand_mismatch(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
         a, b = value(m, ir.F32), value(m, ir.F64)
         with pytest.raises(BuildError, match="same\\(0\\)"):
-            build_op(registry, m, "arith.addf", [a, b])
+            build_op(m, "arith.addf", [a, b])
 
     def test_arity_mismatch(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
         with pytest.raises(BuildError, match="expected 2 operand"):
-            build_op(registry, m, "arith.addf", [value(m)])
+            build_op(m, "arith.addf", [value(m)])
 
     def test_missing_required_attribute(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
         a, b = value(m, ir.I64, 1), value(m, ir.I64, 2)
         with pytest.raises(BuildError, match="missing required attribute"):
-            build_op(registry, m, "arith.cmpi", [a, b])
+            build_op(m, "arith.cmpi", [a, b])
 
     @pytest.mark.parametrize("kind, attr", [("int", ir.IntAttr(2.5, ir.I64)),
                                             ("int", ir.IntAttr(2, ir.IntType(1))),
@@ -255,10 +254,10 @@ class TestBuildOp:
         spec = (f'dialect demo\nop tag "Tags a value."\n  operand x AnyFloat\n'
                 f"  attr n {kind} required\n  result res same(0)\n")
         registry = register_dialect(DialectRegistry(), load_dialect_spec(spec))
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
         with pytest.raises(BuildError, match=f"attribute 'n' is not of kind {kind}"):
-            build_op(registry, m, "demo.tag", [value(m)], attributes={"n": attr})
+            build_op(m, "demo.tag", [value(m)], attributes={"n": attr})
 
     @pytest.mark.parametrize("name, attr, values", [
         ("arith.cmpi", "predicate", "eq|ne|slt|sle|sgt|sge"),
@@ -274,7 +273,7 @@ class TestBuildOp:
         operands = [value(m, ir.I64, 1), value(m, ir.I64, 2)] * (name == "arith.cmpi")
         message = f"attribute '{attr}' is 'foo', not one of {values}"
         with pytest.raises(BuildError, match=f"^{re.escape(f'{name}: {message}')}$"):
-            build_op(registry, m, name, operands, {attr: StringAttr("foo")})
+            build_op(m, name, operands, {attr: StringAttr("foo")})
         op = create_op(m, name, operands, [ir.I1 if operands else ir.INDEX],
                        {attr: StringAttr("foo")})
         assert [(d.category, d.message, d.operation) for d in ir.verify_module(m).diagnostics
@@ -299,7 +298,7 @@ class TestBuildOp:
         operands = [entry.arguments[k] for k in operands]
         regions = [m.new_region()] if name == "linalg.generic" else []
         with pytest.raises(BuildError) as info:
-            build_op(registry, m, name, operands, attributes, regions,
+            build_op(m, name, operands, attributes, regions,
                      result_types=result_types)
         op = create_op(m, name, operands, result_types, attributes, regions)
         [finding] = [d for d in ir.verify_module(m).diagnostics if d.operation is op]
@@ -307,7 +306,7 @@ class TestBuildOp:
 
     def test_cond_br_successors(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         region = m.new_region()
         create_op(m, "func.func", [], [],
                   attributes={"sym_name": ir.SymbolAttr("f"),
@@ -318,14 +317,14 @@ class TestBuildOp:
         bb2 = m.append_block(region, [])
         m.set_insertion(entry)
         cond = value(m, ir.IntType(1), 1)
-        op = build_op(registry, m, "cf.cond_br", [cond],
+        op = build_op(m, "cf.cond_br", [cond],
                       successors=[(bb1, []), (bb2, [])])
         assert op.is_terminator and len(op.successors) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_build_time_validation_as_strict_as_verifier(self, data):
-        # build_op accepts exactly what op_findings passes, and its error is
+        # build_op accepts exactly what registry.op_findings passes, and its error is
         # the first finding; with inferred results, what it builds verifies
         registry = builtin_registry()
         defn = registry.lookup(data.draw(st.sampled_from(BUILTIN_OPS)))
@@ -343,7 +342,7 @@ class TestBuildOp:
                 pool.extend([t] * 8)
             return out
 
-        m = IrModule()
+        m = IrModule(registry)
         _, block = new_func(m)
         operands = [create_op(m, "test.value", [], [t]).results[0]
                     for t in types(defn.operands)]
@@ -357,17 +356,17 @@ class TestBuildOp:
         successors = [(block, []) for _ in range(count(n_successors, 3))]
         m.set_insertion(block)
         try:
-            op = build_op(registry, m, defn.name, operands, attributes, regions,
+            op = build_op(m, defn.name, operands, attributes, regions,
                           successors, result_types)
         except BuildError as e:
             if infer:
                 return
             op = create_op(m, defn.name, operands, result_types, attributes,
                            regions, successors)
-            findings = op_findings(registry, op)
+            findings = registry.op_findings(op)
             assert findings and str(e) == f"{defn.name}: {findings[0][1]}"
         else:
-            assert op_findings(registry, op) == []
+            assert registry.op_findings(op) == []
 
     def test_docstring_retrievable(self):
         registry = builtin_registry()
@@ -375,14 +374,14 @@ class TestBuildOp:
 
     def test_elem_constraint_on_store(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
         v = value(m, ir.F32)
         buf_t = ir.MemRefType(ir.F64, (None,))
         buf = create_op(m, "dummy.buffer", [], [buf_t]).results[0]
         idx = value(m, ir.INDEX, 0)
         with pytest.raises(BuildError, match="elem\\(1\\)"):
-            build_op(registry, m, "memref.store", [v, buf, idx])
+            build_op(m, "memref.store", [v, buf, idx])
 
 
 class TestBuiltinRegistry:
@@ -413,25 +412,25 @@ class TestBuiltinRegistry:
 
     def test_math_exp_unary_float(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
-        op = build_op(registry, m, "math.exp", [value(m)])
+        op = build_op(m, "math.exp", [value(m)])
         assert op.results[0].type == ir.F32
 
     def test_gpu_thread_id_produces_index(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
-        op = build_op(registry, m, "gpu.thread_id",
+        op = build_op(m, "gpu.thread_id",
                       attributes={"dimension": StringAttr("x")})
         assert op.results[0].type == ir.INDEX
 
     def test_cmpi_shape(self):
         registry = builtin_registry()
-        m = IrModule()
+        m = IrModule(registry)
         new_func(m)
         a, b = value(m, ir.I64, 1), value(m, ir.I64, 2)
-        op = build_op(registry, m, "arith.cmpi", [a, b],
+        op = build_op(m, "arith.cmpi", [a, b],
                       attributes={"predicate": StringAttr("sge")})
         assert op.results[0].type == ir.IntType(1)
 

@@ -16,8 +16,7 @@ from collections import Counter
 
 import pytest
 
-from bridgegen import einsum, fir, interp, intrinsics, ir
-from bridgegen.gpu import register_gpu_intrinsics
+from bridgegen import codegen, einsum, fir, interp, ir
 from conftest import TIERS, run_pipeline, use_tier
 import programs as gen
 import reference as ref
@@ -35,8 +34,8 @@ PRINTED_IR_SHA256 = "7cd2a25970b54d08c57148ea50cab74c79f5ab1ee309ca0805130508996
 @pytest.fixture(scope="module")
 def corpora():
     """name -> [(program, module, [(inputs, reference result)])]."""
-    registry = intrinsics.default_registry()
-    register_gpu_intrinsics(registry)
+    registry = codegen.register_bindings(codegen.IntrinsicRegistry(),
+                                         "arith", "math", "gpu", "memref")
     many = [p for seed in SEEDS for p in gen.many_programs(
         random.Random(f"compile_many:{seed}"), PROGRAMS_PER_SEED)]
     loops = gen.loop_programs(random.Random(f"interp_loops:{SEEDS[-1]}"))

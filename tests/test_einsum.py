@@ -22,7 +22,7 @@ def entry_context(registry, types, name="f", results=()):
     ``types``, and the block's arguments."""
     module = ir.IrModule(registry=registry.dialects)
     region = module.new_region()
-    build_op(registry.dialects, module, "func.func",
+    build_op(module, "func.func",
              attributes={"sym_name": ir.SymbolAttr(name),
                          "function_type": ir.TypeAttr(
                              ir.FunctionType(tuple(types), tuple(results)))},

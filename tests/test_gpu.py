@@ -4,7 +4,6 @@ import pytest
 
 from bridgegen import codegen, fir, ir
 from bridgegen.codegen import CodegenError, NoMethodError
-from bridgegen.gpu import register_gpu_intrinsics
 from conftest import VADD_FIR, VADD_TYPES, run_pipeline, walk_ops
 
 
@@ -16,7 +15,7 @@ class TestRegistration:
 
     def test_double_registration_rejected(self, registry):
         with pytest.raises(CodegenError, match="duplicate"):
-            register_gpu_intrinsics(registry)
+            codegen.register_bindings(registry, "gpu", "memref")
 
     def test_thread_idx_builds_thread_id_op(self, registry):
         text = "fn f()\n1:\n  %1 = invoke thread_idx_x() :: index\n  return\n"

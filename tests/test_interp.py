@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgegen import cli, dialects, einsum, fir, interp, intrinsics, ir
+from bridgegen import cli, codegen, dialects, einsum, fir, interp, ir
 from bridgegen.interp import (
     F32Value,
     F64Value,
@@ -188,16 +188,16 @@ fn sumto(_1: i64)
 
         module = ir.IrModule(registry=registry.dialects)
         region = module.new_region()
-        build_op(registry.dialects, module, "func.func",
+        build_op(module, "func.func",
                  attributes={"sym_name": ir.SymbolAttr("cast"),
                              "function_type": ir.TypeAttr(
                                  ir.FunctionType((ir.I64,), (ir.INDEX,)))},
                  regions=[region])
         entry = module.append_block(region, [ir.I64])
         module.set_insertion(entry)
-        cast = build_op(registry.dialects, module, "arith.index_cast",
+        cast = build_op(module, "arith.index_cast",
                         [entry.arguments[0]], result_types=[ir.INDEX])
-        build_op(registry.dialects, module, "func.return", [cast.results[0]])
+        build_op(module, "func.return", [cast.results[0]])
         assert ir.verify_module(module).ok
         [out] = run_function(module, "cast", [IntValue(64, 42)])
         assert isinstance(out, IndexValue) and out.value == 42
@@ -208,18 +208,18 @@ fn sumto(_1: i64)
         module = sigmoid
         region = module.new_region()
         module.set_insertion(module.body.blocks[0])
-        build_op(registry.dialects, module, "func.func",
+        build_op(module, "func.func",
                  attributes={"sym_name": ir.SymbolAttr("wrapper"),
                              "function_type": ir.TypeAttr(
                                  ir.FunctionType((ir.F32,), (ir.F32,)))},
                  regions=[region])
         entry = module.append_block(region, [ir.F32])
         module.set_insertion(entry)
-        call = build_op(registry.dialects, module, "func.call",
+        call = build_op(module, "func.call",
                         [entry.arguments[0]],
                         attributes={"callee": ir.SymbolAttr("sigmoid")},
                         result_types=[ir.F32])
-        build_op(registry.dialects, module, "func.return", [call.results[0]])
+        build_op(module, "func.return", [call.results[0]])
         assert ir.verify_module(module).ok
         assert "func.call @sigmoid(%arg0) : (f32) -> f32" in ir.print_module(module)
         [direct] = run_function(module, "sigmoid", [F32Value(2.0)])
@@ -565,11 +565,11 @@ class TestStepBoundary:
         from bridgegen.dialects import build_op
 
         _, entry = new_func(sigmoid, "wrapper", [ir.F32], [ir.F32])
-        call = build_op(registry.dialects, sigmoid, "func.call",
+        call = build_op(sigmoid, "func.call",
                         [entry.arguments[0]],
                         attributes={"callee": ir.SymbolAttr("sigmoid")},
                         result_types=[ir.F32])
-        build_op(registry.dialects, sigmoid, "func.return", [call.results[0]])
+        build_op(sigmoid, "func.return", [call.results[0]])
         exact = static_ops(sigmoid, "wrapper") + static_ops(sigmoid, "sigmoid")
         assert exact == 8
         run_function(sigmoid, "wrapper", [F32Value(1.0)], step_limit=exact)
@@ -611,19 +611,19 @@ class TestStepBoundary:
 
         module = ir.IrModule(registry=registry.dialects)
         _, g = new_func(module, "g", [ir.INDEX], [ir.INDEX])
-        build_op(registry.dialects, module, "func.return", [g.arguments[0]])
+        build_op(module, "func.return", [g.arguments[0]])
         buf = ir.MemRefType(ir.F32, (None,))
         _, k = new_func(module, "k", [buf], [])
         zero, seven = (
-            build_op(registry.dialects, module, "arith.constant",
+            build_op(module, "arith.constant",
                      attributes={"value": attr}, result_types=[attr.type]).results[0]
             for attr in (ir.IntAttr(0, ir.INDEX), ir.FloatAttr(7.0, ir.F32)))
-        call = build_op(registry.dialects, module, "func.call", [zero],
+        call = build_op(module, "func.call", [zero],
                         attributes={"callee": ir.SymbolAttr("g")},
                         result_types=[ir.INDEX])
-        build_op(registry.dialects, module, "memref.store",
+        build_op(module, "memref.store",
                  [seven, k.arguments[0], call.results[0]])
-        build_op(registry.dialects, module, "func.return", [])
+        build_op(module, "func.return", [])
         assert ir.verify_module(module).ok
         for limit, stored in ((4, 0.0), (5, 7.0)):
             data = np.zeros(1, dtype=np.float32)
@@ -726,11 +726,11 @@ class TestCompiledTier:
                                  ":: i64\n  %5 = invoke +(%2, %7) :: i64\n")
         module = generate(registry, fir.parse_program(text).functions["sumto"], [fir.I64])
         _, inc = new_func(module, "inc", [ir.I64], [ir.I64])
-        one = build_op(registry.dialects, module, "arith.constant", result_types=[ir.I64],
+        one = build_op(module, "arith.constant", result_types=[ir.I64],
                        attributes={"value": ir.IntAttr(1, ir.I64)})
-        add = build_op(registry.dialects, module, "arith.addi",
+        add = build_op(module, "arith.addi",
                        [inc.arguments[0], one.results[0]])
-        build_op(registry.dialects, module, "func.return", add.results)
+        build_op(module, "func.return", add.results)
         assert ir.verify_module(module).ok
         n, outs = interp.HOT + 1, []
         for hot in (math.inf, interp.HOT):
@@ -804,11 +804,33 @@ class TestErrors:
 
         module = ir.IrModule(registry=registry.dialects)
         _, entry = new_func(module, "f", [ir.I64], [])
-        build_op(registry.dialects, module, "arith.addi",
+        build_op(module, "arith.addi",
                  [entry.arguments[0], entry.arguments[0]])
         with pytest.raises(InterpError,
                            match=rf"^\^bb{entry.id}: control fell off the block$"):
             run_function(module, "f", [IntValue(64, 1)])
+
+    def test_control_fell_off_on_the_compiled_tier(self, registry, monkeypatch, compiled):
+        # a block with no terminator is not compiled: the closures fail at its end
+        from bridgegen.dialects import build_op
+
+        module = ir.IrModule(registry.dialects)
+        _, entry = new_func(module, "f", [ir.I64], [])
+        build_op(module, "arith.addi", [entry.arguments[0], entry.arguments[0]])
+        use_tier(monkeypatch, "compiled", module)
+        with pytest.raises(InterpError,
+                           match=rf"^\^bb{entry.id}: control fell off the block$"):
+            run_function(module, "f", [IntValue(64, 1)])
+        assert compiled == [None]
+
+    def test_no_runtime_value_of_a_type_without_one(self):
+        ftype, nested = ir.FunctionType((), ()), ir.TensorType(ir.TensorType(ir.F32, (1,)), (1,))
+        with pytest.raises(InterpError) as info:
+            interp.value_of_type(ftype, 0)
+        assert str(info.value) == f"cannot build a runtime value of type {ftype}"
+        with pytest.raises(InterpError) as info:
+            interp.value_of_type(nested, [0.0])
+        assert str(info.value) == f"no runtime element kind for {nested.elem}"
 
     def test_unsupported_operation(self, registry):
         module = ir.IrModule(registry=registry.dialects)
@@ -828,12 +850,12 @@ class TestErrors:
         region, entry = new_func(module, "f", [ir.I1])
         done, stop = module.append_block(region, []), module.append_block(region, [])
         module.set_insertion(entry)
-        build_op(registry.dialects, module, "cf.cond_br", [entry.arguments[0]],
+        build_op(module, "cf.cond_br", [entry.arguments[0]],
                  successors=[(done, []), (stop, [])])
         module.set_insertion(done)
-        build_op(registry.dialects, module, "func.return")
+        build_op(module, "func.return")
         module.set_insertion(stop)
-        assert build_op(registry.dialects, module, "t.halt").is_terminator
+        assert build_op(module, "t.halt").is_terminator
         assert ir.verify_module(module).ok
         assert run_function(module, "f", [IntValue(1, 1)]) == []
         with pytest.raises(InterpError, match="^unsupported operation 't.halt'$"):
@@ -1276,13 +1298,13 @@ class TestErrors:
             run_function(module, "einsum", [x] * 3)
         assert str(info.value) == text
 
-    def test_module_without_registry_is_refused(self):
-        module = ir.IrModule()
-        new_func(module)
-        ir.create_op(module, "func.return", [], [], is_terminator=True)
-        assert ir.verify_module(module).ok  # without a registry, no op is checked
-        with pytest.raises(InterpError, match="without a dialect registry"):
-            run_function(module, "f", [])
+    def test_module_without_registry_is_refused(self, registry):
+        # a module's dialect registry builds and checks its ops, so it has one
+        # from the start; an intrinsic registry is not one
+        for given in (None, registry):
+            with pytest.raises(ir.IrError) as info:
+                ir.IrModule(given)
+            assert str(info.value) == f"a module needs a dialect registry, not {given!r}"
 
     @staticmethod
     def check_fails_when_reached(module, monkeypatch, compiled, tier, finding):
@@ -1306,13 +1328,13 @@ def float_module(t):
     """One function per float op of type ``t``, named after the op."""
     from bridgegen.dialects import build_op
 
-    registry = intrinsics.default_registry()
+    registry = codegen.register_bindings(codegen.IntrinsicRegistry(), "arith", "math")
     module = ir.IrModule(registry=registry.dialects)
     for name in list(_UNARY) + list(_BINARY):
         arity = 1 if name in _UNARY else 2
         _, entry = new_func(module, name, [t] * arity, [t])
-        op = build_op(registry.dialects, module, name, entry.arguments)
-        build_op(registry.dialects, module, "func.return", op.results)
+        op = build_op(module, name, entry.arguments)
+        build_op(module, "func.return", op.results)
     assert ir.verify_module(module).ok
     return module
 
@@ -1419,12 +1441,12 @@ class TestBoxing:
 
         module = ir.IrModule(registry=registry.dialects)
         _, g = new_func(module, "g", [ir.F32], [ir.F32])
-        neg = build_op(registry.dialects, module, "arith.negf", [g.arguments[0]])
-        build_op(registry.dialects, module, "func.return", neg.results)
+        neg = build_op(module, "arith.negf", [g.arguments[0]])
+        build_op(module, "func.return", neg.results)
         _, f = new_func(module, "f", [ir.F32], [ir.F32])
-        call = build_op(registry.dialects, module, "func.call", [f.arguments[0]],
+        call = build_op(module, "func.call", [f.arguments[0]],
                         attributes={"callee": ir.SymbolAttr("g")}, result_types=[ir.F32])
-        build_op(registry.dialects, module, "func.return", call.results)
+        build_op(module, "func.return", call.results)
         assert ir.verify_module(module).ok
         [out] = run_function(module, "f", [F32Value(0.1)])
         assert type(out.value) is float and out.value == -ir.to_f32(0.1)
@@ -1481,11 +1503,11 @@ class TestCallDepth:
 
         module = ir.IrModule(registry=registry.dialects)
         _, entry = new_func(module, "rec", [ir.I64], [ir.I64])
-        call = build_op(registry.dialects, module, "func.call",
+        call = build_op(module, "func.call",
                         [entry.arguments[0]],
                         attributes={"callee": ir.SymbolAttr("rec")},
                         result_types=[ir.I64])
-        build_op(registry.dialects, module, "func.return", [call.results[0]])
+        build_op(module, "func.return", [call.results[0]])
         assert ir.verify_module(module).ok
         with pytest.raises(InterpError,
                            match=f"nested deeper than {interp.MAX_CALL_DEPTH}"):
@@ -1510,10 +1532,10 @@ class TestExecutable:
         from bridgegen.dialects import build_op
 
         _, entry = new_func(sigmoid, "wrapper", [ir.F32], [ir.F32])
-        call = build_op(registry.dialects, sigmoid, "func.call", [entry.arguments[0]],
+        call = build_op(sigmoid, "func.call", [entry.arguments[0]],
                         attributes={"callee": ir.SymbolAttr("sigmoid")},
                         result_types=[ir.F32])
-        build_op(registry.dialects, sigmoid, "func.return", [call.results[0]])
+        build_op(sigmoid, "func.return", [call.results[0]])
         matmul = einsum.build_einsum_function(
             registry, einsum.parse_einsum("(i,k),(k,j)->(i,j)"))
         for _ in range(3):

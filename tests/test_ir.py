@@ -130,7 +130,7 @@ class TestAttributes:
 
 class TestCreateOp:
     def test_results_allocated(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         _, block = new_func(m)
         a = create_op(m, "arith.constant", [], [ir.F32],
                       {"value": FloatAttr(1.0, ir.F32)})
@@ -145,7 +145,7 @@ class TestCreateOp:
 
     def test_operand_from_other_module_rejected(self):
         # both modules number their values from 0, so ids cannot tell them apart
-        m1, m2 = IrModule(), IrModule()
+        m1, m2 = IrModule(dialects.builtin_registry()), IrModule(dialects.builtin_registry())
         _, b1 = new_func(m1, "f", (ir.F32,), (ir.F32,))
         _, b2 = new_func(m2, "g", (ir.F32,), ())
         foreign, own = b1.arguments[0], b2.arguments[0]
@@ -155,12 +155,12 @@ class TestCreateOp:
         with pytest.raises(IrError):
             create_op(m2, "arith.negf", [foreign], [ir.F32])
         with pytest.raises(IrError):
-            dialects.build_op(dialects.builtin_registry(), m2, "arith.negf", [foreign])
+            dialects.build_op(m2, "arith.negf", [foreign])
         with pytest.raises(IrError):
             create_op(m2, "cf.br", [], [], successors=[(b2, [foreign])])
 
     def test_append_block_order_and_args(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         region, _ = new_func(m)
         b1 = m.append_block(region, [ir.I64])
         b2 = m.append_block(region, [])
@@ -180,10 +180,10 @@ def build_sigmoid_like(module):
     return module
 
 
-def with_top_level_constant(registry=None):
+def with_top_level_constant():
     """A module of an empty @f and, at the module's own insertion point, an
     arith.constant: an op that is not a func.func at the top level."""
-    m = IrModule(registry=registry)
+    m = IrModule(dialects.builtin_registry())
     new_func(m, "f")
     create_op(m, "func.return", [], [], is_terminator=True)
     m.set_insertion(m.body.blocks[0])
@@ -193,25 +193,25 @@ def with_top_level_constant(registry=None):
 
 class TestVerifier:
     def test_ok_module(self):
-        m = build_sigmoid_like(IrModule())
+        m = build_sigmoid_like(IrModule(dialects.builtin_registry()))
         assert verify_module(m).ok
 
     def test_missing_terminator(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         _, block = new_func(m, "f", (ir.F32,), ())
         create_op(m, "arith.negf", [block.arguments[0]], [ir.F32])
         report = verify_module(m)
         assert "missing-terminator" in {d.category for d in report.diagnostics}
 
     def test_misplaced_terminator(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         _, block = new_func(m)
         create_op(m, "func.return", [], [], is_terminator=True)
         create_op(m, "func.return", [], [], is_terminator=True)
         assert "misplaced-terminator" in {d.category for d in verify_module(m).diagnostics}
 
     def test_dominance_violation(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         region, entry = new_func(m, "f", (ir.F32,), ())
         b1 = m.append_block(region, [])
         b2 = m.append_block(region, [])
@@ -229,7 +229,7 @@ class TestVerifier:
         assert "dominance" in {d.category for d in report.diagnostics}
 
     def test_use_before_def_same_block(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         _, block = new_func(m)
         neg_first = create_op(m, "arith.negf", [], [ir.F32])
         cst = create_op(m, "arith.constant", [], [ir.F32],
@@ -241,7 +241,7 @@ class TestVerifier:
     def test_unreachable_predecessor_does_not_break_dominance(self):
         # an edge from a dead block must not shrink the live block's
         # dominator set
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         region, entry = new_func(m)
         live = m.append_block(region, [])
         dead = m.append_block(region, [])
@@ -257,7 +257,7 @@ class TestVerifier:
         assert "dominance" not in {d.category for d in verify_module(m).diagnostics}
 
     def test_bad_successor_wrong_region(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         _, b_f = new_func(m)
         _, b_g = new_func(m, "g")
         m.set_insertion(b_f)
@@ -267,7 +267,7 @@ class TestVerifier:
         assert "bad-successor" in {d.category for d in verify_module(m).diagnostics}
 
     def test_bad_successor_arg_mismatch(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         region, entry = new_func(m)
         target = m.append_block(region, [ir.I64])
         m.set_insertion(entry)
@@ -307,12 +307,10 @@ class TestVerifier:
         assert str(info.value) == (f"[terminator-flag] at '{name}' in ^bb{block.id}: "
                                    f"{finding[1]}")
 
-    @pytest.mark.parametrize("registry", [None, dialects.builtin_registry()],
-                             ids=["bare", "registry"])
-    def test_memref_index_count(self, registry):
-        # one index per dimension of the memref, with or without a registry
+    def test_memref_index_count(self):
+        # one index per dimension of the memref
         buf_t = ir.MemRefType(ir.F32, (None, None))
-        m = IrModule(registry=registry)
+        m = IrModule(dialects.builtin_registry())
         _, block = new_func(m, "f", (buf_t, ir.INDEX), ())
         buf, i = block.arguments
         ok = create_op(m, "memref.load", [buf, i, i], [ir.F32])
@@ -324,14 +322,14 @@ class TestVerifier:
             ("index-count", "1 index(es) for a memref of rank 2", one)]
 
     def test_duplicate_symbols(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         for _ in range(2):
             _, block = new_func(m)
             create_op(m, "func.return", [], [], is_terminator=True)
         assert "duplicate-symbol" in {d.category for d in verify_module(m).diagnostics}
 
     def test_return_types_checked_against_function_type(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         _, block = new_func(m, "f", (ir.F64,), (ir.I64,))
         create_op(m, "func.return", [block.arguments[0]], [], is_terminator=True)
         (d,) = verify_module(m).diagnostics
@@ -344,7 +342,7 @@ class TestVerifier:
         (ir.F32, ir.I64, ["result"]),
     ])
     def test_call_types_checked_against_callee(self, arg_type, result_type, bad):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         _, g = new_func(m, "g", (ir.F32,), (ir.F32,))
         create_op(m, "func.return", [g.arguments[0]], [], is_terminator=True)
         _, f = new_func(m, "f", (arg_type,), (result_type,))
@@ -390,7 +388,7 @@ class TestVerifier:
 
     def test_top_level_op_that_is_not_a_function(self):
         assert [str(d) for d in verify_module(
-            with_top_level_constant(dialects.builtin_registry())).diagnostics] == [
+            with_top_level_constant()).diagnostics] == [
             "[top-level] at 'arith.constant': arith.constant at the module's top level, "
             "which holds func.func ops only"]
 
@@ -472,20 +470,20 @@ class TestDominance:
 
 class TestPrinter:
     def test_empty_module(self):
-        assert print_module(IrModule()) == "module {\n}\n"
+        assert print_module(IrModule(dialects.builtin_registry())) == "module {\n}\n"
 
     def test_print_is_stable_and_side_effect_free(self):
-        m = build_sigmoid_like(IrModule())
+        m = build_sigmoid_like(IrModule(dialects.builtin_registry()))
         first = print_module(m)
         second = print_module(m)
         assert first == second
         assert verify_module(m).ok
 
     def test_entry_label_only_in_multiblock_functions(self):
-        m = build_sigmoid_like(IrModule())
+        m = build_sigmoid_like(IrModule(dialects.builtin_registry()))
         assert "^bb0" not in print_module(m)
 
-        m2 = IrModule()
+        m2 = IrModule(dialects.builtin_registry())
         region, entry = new_func(m2, "g")
         b1 = m2.append_block(region, [])
         m2.set_insertion(entry)
@@ -497,7 +495,7 @@ class TestPrinter:
         assert "^bb1: // pred: ^bb0" in text
 
     def test_value_numbering_per_symbol(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         for name in ("f", "g"):
             _, block = new_func(m, name, (ir.F32,), (ir.F32,))
             neg = create_op(m, "arith.negf", [block.arguments[0]], [ir.F32])
@@ -506,7 +504,7 @@ class TestPrinter:
         assert text.count("%0 = arith.negf %arg0 : f32") == 2
 
     def test_constants_named_cst(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         _, block = new_func(m)
         create_op(m, "arith.constant", [], [ir.F32], {"value": FloatAttr(1.0, ir.F32)})
         create_op(m, "arith.constant", [], [ir.F32], {"value": FloatAttr(2.0, ir.F32)})
@@ -515,8 +513,17 @@ class TestPrinter:
         assert "%cst = arith.constant 1.0 : f32" in text
         assert "%cst_0 = arith.constant 2.0 : f32" in text
 
+    def test_generic_form_prints_attributes_sorted(self):
+        m = IrModule(dialects.builtin_registry())
+        _, block = new_func(m, "f", (ir.I64,), ())
+        create_op(m, "test.cast", block.arguments, [ir.F32],
+                  {"to": ir.TypeAttr(ir.F32), "mode": StringAttr("exact")})
+        create_op(m, "func.return", [], [], is_terminator=True)
+        assert ('    %0 = "test.cast"(%arg0) {mode = "exact", to = f32} : (i64) -> (f32)\n'
+                in print_module(m))
+
     def test_index_cast(self):
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         _, block = new_func(m, "f", (ir.I64,), (ir.INDEX,))
         twice = create_op(m, "arith.addi", [block.arguments[0]] * 2, [ir.I64])
         cast = create_op(m, "arith.index_cast", [twice.results[0]], [ir.INDEX])
@@ -544,7 +551,7 @@ class TestPrinter:
             "callee"])
     def test_unprintable_op_is_an_ir_error(self, name, key, attr, message):
         # the verifier reports each of these; printing refuses them
-        m = IrModule()
+        m = IrModule(dialects.builtin_registry())
         region, block = new_func(m, "f", (ir.I64, ir.I64), ())
         create_op(m, "arith.cmpi", block.arguments, [ir.I1], {"predicate": StringAttr("eq")})
         create_op(m, "gpu.thread_id", [], [ir.INDEX], {"dimension": StringAttr("x")})

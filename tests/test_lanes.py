@@ -255,6 +255,27 @@ class TestKernelFallbacks:
         assert list(data) == list(range(17))
         assert len(sequential_calls) == 16
 
+    @pytest.mark.parametrize("end", [None, "cf.br"], ids=["no-terminator", "self-branch"])
+    def test_block_without_a_return_runs_thread_by_thread(self, registry, sequential_calls,
+                                                          end):
+        # lanes take one block ended by a return: a block with no terminator
+        # fails at its end, and one that branches to itself runs out of steps
+        from bridgegen.dialects import build_op
+
+        module = ir.IrModule(registry.dialects)
+        _, entry = new_func(module, "k", [ir.MemRefType(ir.F32, (None,))])
+        build_op(module, "gpu.thread_id", attributes={"dimension": ir.StringAttr("x")})
+        if end:
+            build_op(module, end, successors=[(entry, entry.arguments)])
+        assert ir.verify_module(module).ok == bool(end)
+        assert interp._lane_function(func_region(module, "k"), None, ((64, 1, 1), 1, 1)) is None
+        error = (f"step budget of {interp.MIN_LANES * 10} operations exceeded" if end
+                 else f"^bb{entry.id}: control fell off the block")
+        with pytest.raises(interp.InterpError) as info:
+            run_kernel(module, "k", LaunchConfig((1, 1, 1), (64, 1, 1)),
+                       values([np.zeros(64, np.float32)]), interp.MIN_LANES * 10)
+        assert str(info.value) == error and len(sequential_calls) == 1
+
     def test_small_blocks_run_thread_by_thread(self, registry, sequential_calls):
         # fewer than MIN_LANES threads in the launch: numpy's per-call cost
         # would outweigh the lanes
@@ -442,7 +463,7 @@ def generic_module(registry, body_text, elems):
     module = ir.IrModule(registry=registry.dialects)
     region = module.new_region()
     types = [ir.TensorType(e, (None,)) for e in elems]
-    build_op(registry.dialects, module, "func.func",
+    build_op(module, "func.func",
              attributes={"sym_name": ir.SymbolAttr("g"),
                          "function_type": ir.TypeAttr(
                              ir.FunctionType(tuple(types), (types[-1],)))},
@@ -517,11 +538,11 @@ class TestSameAsPointByPoint:
         # out[i] += x[i, j] * y[j] in i<width> arithmetic, on data beyond that width
         from bridgegen.dialects import build_op
 
-        i, dialects = ir.IntType(width), registry.dialects
+        i = ir.IntType(width)
         t, t2 = ir.TensorType(i, (None,)), ir.TensorType(i, (None, None))
-        module = ir.IrModule(registry=dialects)
+        module = ir.IrModule(registry.dialects)
         region = module.new_region()
-        build_op(dialects, module, "func.func",
+        build_op(module, "func.func",
                  attributes={"sym_name": ir.SymbolAttr("g"), "function_type":
                              ir.TypeAttr(ir.FunctionType((t2, t, t), (t,)))},
                  regions=[region])
@@ -529,19 +550,19 @@ class TestSameAsPointByPoint:
         body = module.new_region()
         module.set_insertion(module.append_block(body, [i, i, i]))
         x, y, z = body.blocks[0].arguments
-        product = build_op(dialects, module, "arith.muli", [x, y], result_types=[i])
-        total = build_op(dialects, module, "arith.addi", [product.results[0], z],
+        product = build_op(module, "arith.muli", [x, y], result_types=[i])
+        total = build_op(module, "arith.addi", [product.results[0], z],
                          result_types=[i])
-        build_op(dialects, module, "linalg.yield", [total.results[0]])
+        build_op(module, "linalg.yield", [total.results[0]])
         module.set_insertion(entry)
         m = ir.IndexMapAttr(2, (0,))
-        generic = build_op(dialects, module, "linalg.generic", list(entry.arguments),
+        generic = build_op(module, "linalg.generic", list(entry.arguments),
                            attributes={"indexing_maps": ir.ArrayAttr(
                                (ir.IndexMapAttr(2, (0, 1)), ir.IndexMapAttr(2, (1,)), m)),
                                "iterator_types": ir.ArrayAttr(
                                    (ir.StringAttr("parallel"), ir.StringAttr("reduction")))},
                            regions=[body], result_types=[t])
-        build_op(dialects, module, "func.return", [generic.results[0]])
+        build_op(module, "func.return", [generic.results[0]])
         rng = np.random.default_rng(width)
         edge = [2 ** 31 - 1, -2 ** 31, 2 ** 62, -1, 3]
         arrays = [np.array(edge * 16, np.int64).reshape(16, 5),
@@ -696,23 +717,22 @@ class TestConflictRule:
         # out[block, thread] = in[thread]: the flat index block * 16 + thread rises
         from bridgegen.dialects import build_op
 
-        dialects = registry.dialects
         t1, t2 = ir.MemRefType(ir.F32, (None,)), ir.MemRefType(ir.F32, (None, None))
-        module = ir.IrModule(registry=dialects)
+        module = ir.IrModule(registry.dialects)
         region = module.new_region()
-        build_op(dialects, module, "func.func",
+        build_op(module, "func.func",
                  attributes={"sym_name": ir.SymbolAttr("k"), "function_type":
                              ir.TypeAttr(ir.FunctionType((t1, t2), ()))},
                  regions=[region])
         entry = module.append_block(region, [t1, t2])
         module.set_insertion(entry)
         src, out = entry.arguments
-        thread, blk = (build_op(dialects, module, name, attributes={
+        thread, blk = (build_op(module, name, attributes={
             "dimension": ir.StringAttr("x")}, result_types=[ir.INDEX]).results[0]
             for name in ("gpu.thread_id", "gpu.block_id"))
-        x = build_op(dialects, module, "memref.load", [src, thread], result_types=[ir.F32])
-        build_op(dialects, module, "memref.store", [x.results[0], out, blk, thread])
-        build_op(dialects, module, "func.return", [])
+        x = build_op(module, "memref.load", [src, thread], result_types=[ir.F32])
+        build_op(module, "memref.store", [x.results[0], out, blk, thread])
+        build_op(module, "func.return", [])
         assert ir.verify_module(module).ok
         args = [f32_data(np.random.default_rng(31), 16), np.zeros((4, 16), np.float32)]
         config = LaunchConfig((4, 1, 1), (16, 1, 1))
@@ -853,11 +873,11 @@ class TestStridedGenerics:
         # the products leave int64 and the generic runs point by point
         from bridgegen.dialects import build_op
 
-        i64, dialects = ir.I64, registry.dialects
+        i64 = ir.I64
         t, t2 = ir.TensorType(i64, (None,)), ir.TensorType(i64, (None, None))
-        module = ir.IrModule(registry=dialects)
+        module = ir.IrModule(registry.dialects)
         region = module.new_region()
-        build_op(dialects, module, "func.func",
+        build_op(module, "func.func",
                  attributes={"sym_name": ir.SymbolAttr("g"), "function_type":
                              ir.TypeAttr(ir.FunctionType((t2, t, t), (t,)))},
                  regions=[region])
@@ -865,19 +885,19 @@ class TestStridedGenerics:
         body = module.new_region()
         module.set_insertion(module.append_block(body, [i64] * 3))
         x, y, z = body.blocks[0].arguments
-        product = build_op(dialects, module, "arith.muli", [x, y], result_types=[i64])
-        total = build_op(dialects, module, "arith.addi", [product.results[0], z],
+        product = build_op(module, "arith.muli", [x, y], result_types=[i64])
+        total = build_op(module, "arith.addi", [product.results[0], z],
                          result_types=[i64])
-        build_op(dialects, module, "linalg.yield", [total.results[0]])
+        build_op(module, "linalg.yield", [total.results[0]])
         module.set_insertion(entry)
-        generic = build_op(dialects, module, "linalg.generic", list(entry.arguments),
+        generic = build_op(module, "linalg.generic", list(entry.arguments),
                            attributes={"indexing_maps": ir.ArrayAttr(
                                (ir.IndexMapAttr(2, (0, 1)), ir.IndexMapAttr(2, (1,)),
                                 ir.IndexMapAttr(2, (0,)))),
                                "iterator_types": ir.ArrayAttr(
                                    (ir.StringAttr("parallel"), ir.StringAttr("reduction")))},
                            regions=[body], result_types=[t])
-        build_op(dialects, module, "func.return", [generic.results[0]])
+        build_op(module, "func.return", [generic.results[0]])
         rng = np.random.default_rng(47)
         top = 2 ** 62 if big else 2 ** 20
         arrays = [rng.integers(-top, top, (5, 16)).T, rng.integers(-top, top, 5)[::-1],
@@ -896,10 +916,9 @@ def ir_kernel(registry, types, build):
     **string attributes)`` builds one op and returns its result."""
     from bridgegen.dialects import build_op
 
-    dialects = registry.dialects
-    module = ir.IrModule(registry=dialects)
+    module = ir.IrModule(registry.dialects)
     region = module.new_region()
-    build_op(dialects, module, "func.func",
+    build_op(module, "func.func",
              attributes={"sym_name": ir.SymbolAttr("k"), "function_type":
                          ir.TypeAttr(ir.FunctionType(tuple(types), ()))},
              regions=[region])
@@ -907,7 +926,7 @@ def ir_kernel(registry, types, build):
     module.set_insertion(entry)
 
     def op(name, operands, result=None, **attributes):
-        built = build_op(dialects, module, name, operands,
+        built = build_op(module, name, operands,
                          attributes={k: ir.StringAttr(v) for k, v in attributes.items()},
                          result_types=result and [result])
         return built.results[0] if result else None
@@ -967,6 +986,22 @@ class TestLaneFunction:
             assert len({id(v) for v in named[name]}) == len(named[name])
         assert sum(v is interp._unravel_spans for v in named["geo"]) == 1
         assert sum(type(v) is int and v == 2 for v in named["k"]) == 1
+
+    @pytest.mark.parametrize("extents", [((4, 2, 3), 3, 2), ((60, 1, 1), 1, 1)])
+    def test_each_coordinate_kind_is_unravelled_once(self, registry, monkeypatch, extents):
+        # geo reads thread_id and block_id on all three axes: one line
+        # unravels the block numbers, and one the spans of each kind
+        texts = lane_texts(monkeypatch)
+        lanes = interp._lane_function(func_region(geometry_kernel(registry), "geo"), None,
+                                      extents)
+        [text], bound = texts, lanes.__globals__
+        name = {id(v): k for k, v in bound.items()}
+        calls = [len(re.findall(rf"\b{name[id(f)]}\(", text))
+                 for f in (interp._unravel, interp._unravel_spans)]
+        assert calls == [1, 2]
+        (_, gy, gz), values = extents, list(bound.values())
+        assert sum(type(v) is tuple and v == (2, gy, gz) for v in values) == 1
+        assert sum(isinstance(v, np.ndarray) for v in values) == 4  # 3 thread axes, 1 block
 
 
     def test_f64_division_by_signed_zero_negation_and_exp(self, registry, monkeypatch,
@@ -1081,11 +1116,11 @@ def ir_generic(registry, elem, maps, build):
     **attributes)`` and returns the value yielded."""
     from bridgegen.dialects import build_op
 
-    dialects, n = registry.dialects, 1 + max(a for m in maps for a in m)
+    n = 1 + max(a for m in maps for a in m)
     types = [ir.TensorType(elem, (None,) * len(m)) for m in maps]
-    module = ir.IrModule(registry=dialects)
+    module = ir.IrModule(registry.dialects)
     region = module.new_region()
-    build_op(dialects, module, "func.func",
+    build_op(module, "func.func",
              attributes={"sym_name": ir.SymbolAttr("g"), "function_type":
                          ir.TypeAttr(ir.FunctionType(tuple(types), (types[-1],)))},
              regions=[region])
@@ -1094,18 +1129,18 @@ def ir_generic(registry, elem, maps, build):
     module.set_insertion(module.append_block(body, [elem] * len(maps)))
 
     def op(name, operands, result, **attributes):
-        return build_op(dialects, module, name, operands, attributes=attributes,
+        return build_op(module, name, operands, attributes=attributes,
                         result_types=[result]).results[0]
-    build_op(dialects, module, "linalg.yield", [build(op, body.blocks[0].arguments)])
+    build_op(module, "linalg.yield", [build(op, body.blocks[0].arguments)])
     module.set_insertion(entry)
-    generic = build_op(dialects, module, "linalg.generic", list(entry.arguments),
+    generic = build_op(module, "linalg.generic", list(entry.arguments),
                        attributes={"indexing_maps": ir.ArrayAttr(
                            tuple(ir.IndexMapAttr(n, m) for m in maps)),
                            "iterator_types": ir.ArrayAttr(tuple(
                                ir.StringAttr("parallel" if a in maps[-1] else "reduction")
                                for a in range(n)))},
                        regions=[body], result_types=[types[-1]])
-    build_op(dialects, module, "func.return", [generic.results[0]])
+    build_op(module, "func.return", [generic.results[0]])
     assert ir.verify_module(module).ok
     return module
 
@@ -1538,9 +1573,10 @@ class TestKeptGeometry:
                 lane[0] = 1
 
     def test_kept_lanes_are_bounded(self, registry, monkeypatch, batches, lane_functions):
-        # three launches of a shape build one lane function, whose tables
-        # hold at most max(LANES, block) elements each; vadd, which reads
-        # no coordinate lanes, binds none
+        # three launches of a shape build one lane function, whose four
+        # tables (a thread number on each axis, and the block numbers) hold
+        # at most max(LANES, block) elements each; vadd, which reads no
+        # coordinate lanes, binds none
         rng, got = np.random.default_rng(43), []
         for grid, block in ((64, 60), (64, 64), (2, 1500)):
             config, module, vadd = (LaunchConfig((grid, 1, 1), (block, 1, 1)),
@@ -1555,7 +1591,7 @@ class TestKeptGeometry:
             assert lane_functions == [((block, 1, 1), 1, 1)] * 2
             lane_functions.clear()
             arrays = tables(module, "geo")
-            assert len(arrays) == 6 and tables(vadd, "vadd") == []
+            assert len(arrays) == 4 and tables(vadd, "vadd") == []
             assert all(a.dtype == np.int64 and a.size <= max(interp.LANES, block)
                        for a in arrays)
         assert batches and all(ran for _, ran in batches)
@@ -1946,14 +1982,14 @@ class TestConsecutive:
 
         module = ir.IrModule(registry=registry.dialects)
         new_func(module, "other")
-        one = build_op(registry.dialects, module, "arith.constant", result_types=[ir.F32],
+        one = build_op(module, "arith.constant", result_types=[ir.F32],
                        attributes={"value": ir.FloatAttr(1.0, ir.F32)}).results[0]
-        build_op(registry.dialects, module, "func.return", [])
+        build_op(module, "func.return", [])
         _, entry = new_func(module, "k", [F32_BUF])
-        t = build_op(registry.dialects, module, "gpu.thread_id", result_types=[ir.INDEX],
+        t = build_op(module, "gpu.thread_id", result_types=[ir.INDEX],
                      attributes={"dimension": ir.StringAttr("x")}).results[0]
         ir.create_op(module, "memref.store", [one, entry.arguments[0], t], [])
-        build_op(registry.dialects, module, "func.return", [])
+        build_op(module, "func.return", [])
         got = launch(module, "k", LaunchConfig((1, 1, 1), (threads, 1, 1)),
                      [np.zeros(threads, np.float32)])
         assert got[1] == ("InterpError: [dominance] at 'memref.store' in ^bb2: use of %0 "

@@ -23,7 +23,7 @@ fn f(_1: f64, _2: i64)
 
 
 def _diagnostic():
-    module = ir.IrModule()
+    module = ir.IrModule(dialects.builtin_registry())
     op = ir.create_op(module, "test.op", [], [])
     return ir.Diagnostic("operand", "bad operand", "test.op", 2, operation=op)
 
@@ -132,6 +132,24 @@ def test_equality_compares_field_tuples():
     assert ir.FloatAttr(nan, ir.F64) == ir.FloatAttr(nan, ir.F64)
     assert ir.FloatAttr(nan, ir.F64) != ir.FloatAttr(float("nan"), ir.F64)
     assert fir.FloatLit(nan) == fir.FloatLit(nan) and interp.F64Value(nan) == interp.F64Value(nan)
+
+
+def test_array_values_compare_their_bytes():
+    # of one class, element type and dims, with data of the same bytes
+    t = interp.TensorValue(ir.F64, (2,), [1.0, 2.0])
+    assert t == interp.TensorValue(ir.F64, (2,), [1.0, 2.0]) and not t != t
+    assert t != interp.TensorValue(ir.F64, (2,), [1.0, 3.0])
+    assert t != interp.MemRefValue(ir.F64, (2,), [1.0, 2.0])
+    assert t != interp.TensorValue(ir.F32, (2,), [1.0, 2.0])
+    assert t != interp.TensorValue(ir.F64, (1, 2), [1.0, 2.0])
+    nan = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), np.float64)
+    assert interp.TensorValue(ir.F64, (1,), nan) == interp.TensorValue(ir.F64, (1,), nan.copy())
+    assert interp.TensorValue(ir.F64, (1,), nan) != interp.TensorValue(ir.F64, (1,), [np.nan])
+    assert interp.MemRefValue(ir.F32, (1,), [-0.0]) != interp.MemRefValue(ir.F32, (1,), [0.0])
+    strided = interp.MemRefValue(ir.I64, (2, 2), np.arange(4).reshape(2, 2).T)
+    assert strided == interp.MemRefValue(ir.I64, (2, 2), [0, 2, 1, 3])
+    with pytest.raises(TypeError):
+        hash(t)
 
 
 def test_diagnostic_compares_without_its_operation():
