@@ -307,10 +307,19 @@ class TestVerifier:
         assert str(info.value) == (f"[terminator-flag] at '{name}' in ^bb{block.id}: "
                                    f"{finding[1]}")
 
-    def test_memref_index_count(self):
-        # one index per dimension of the memref
+    @pytest.mark.parametrize("dialect_names", [("func", "memref"), None],
+                             ids=["bare", "registry"])
+    def test_memref_index_count(self, dialect_names):
+        # one index per dimension of the memref, in a registry of only the
+        # dialects the function uses or in the whole builtin one
+        registry = dialects.builtin_registry()
+        if dialect_names is not None:
+            bare = dialects.DialectRegistry()
+            for name in dialect_names:
+                dialects.register_dialect(bare, registry.dialects[name])
+            registry = bare
         buf_t = ir.MemRefType(ir.F32, (None, None))
-        m = IrModule(dialects.builtin_registry())
+        m = IrModule(registry)
         _, block = new_func(m, "f", (buf_t, ir.INDEX), ())
         buf, i = block.arguments
         ok = create_op(m, "memref.load", [buf, i, i], [ir.F32])
